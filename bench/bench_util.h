@@ -25,8 +25,8 @@ struct SweepArgs {
   // Reduced grid (fewer seeds / shorter runs) for CI smoke jobs.
   bool quick = false;
   // When non-empty, sweeps that capture traces write one representative
-  // run's trace JSONL here (plus a Prometheus metrics dump at
-  // `<trace_out>.prom`), ready for `tmstat <trace_out>`.
+  // run's trace here (JSONL; binary for E20) plus a Prometheus dump at
+  // `<trace_out>.prom`, ready for `tmstat <trace_out>`.
   std::string trace_out;
 };
 
@@ -54,12 +54,6 @@ inline SweepArgs ParseSweepArgs(int argc, char** argv) {
     }
   }
   return args;
-}
-
-// The entire main() of a single-sweep binary: parse the shared flags, run
-// the sweep, return its exit code.
-inline int SweepMain(int (*run)(const SweepArgs&), int argc, char** argv) {
-  return run(ParseSweepArgs(argc, argv));
 }
 
 // Fixed-width text table.

@@ -1,9 +1,9 @@
-// E20 — trace overhead sweep: {off, jsonl, binary, binary + 1/16
-// sampling} x workload sizes.
+// E20 — trace overhead sweep: {off, binary, binary + 1/16 sampling} x
+// workload sizes.
 //
-// The tentpole claim behind the binary ring-buffer backend is that
-// always-on tracing is affordable: at the largest workload cell the
-// binary tracer must cost < 5% of the untraced run's wall-clock time.
+// The claim behind the Tracer's binary ring is that always-on tracing is
+// affordable: at the largest workload cell the traced run must cost < 5%
+// of the untraced run's wall-clock time.
 // Wall time is measured with std::chrono::steady_clock around
 // Driver::Run only — export (ToJsonl / ToBinary) is timed separately
 // and reported in its own column, because a live deployment serializes
@@ -14,11 +14,11 @@
 // Correctness gates, all modes:
 //  * every run passes the atomicity / order-invariant / serializability
 //    oracles;
-//  * committed and aborted counts are identical across all four modes
-//    for every (size, seed) — tracing, whatever the backend or sampling
-//    rate, must never perturb the simulation;
-//  * the critical-path report computed from the JSONL capture and from
-//    the binary capture of the same run are byte-identical — the two
+//  * committed and aborted counts are identical across all three modes
+//    for every (size, seed) — tracing, whatever the sampling rate, must
+//    never perturb the simulation;
+//  * the critical-path reports computed from the JSONL export and from
+//    the binary export of the same capture are byte-identical — the two
 //    formats are interchangeable encodings of the same events;
 //  * a serial and a 2-worker RunAll over binary-traced specs produce
 //    byte-identical fingerprints and byte-identical MergeBinaryTraces
@@ -138,7 +138,6 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
   const int num_seeds = args.quick ? 2 : 3;
   const int repeats = args.quick ? 1 : 3;
 
-  trace::TracerOptions jsonl_opts;
   trace::TracerOptions binary_opts;
   binary_opts.format = trace::TraceFormat::kBinary;
   trace::TracerOptions sampled_opts = binary_opts;
@@ -146,13 +145,12 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
   sampled_opts.sample_seed = 0xE20;
   const std::vector<OverheadMode> modes = {
       {"off", false, {}},
-      {"jsonl", true, jsonl_opts},
       {"binary", true, binary_opts},
       {"binary_s16", true, sampled_opts},
   };
 
   std::printf(
-      "E20 — trace overhead: {off, jsonl, binary, binary+1/16-sampling} x "
+      "E20 — trace overhead: {off, binary, binary+1/16-sampling} x "
       "workload size\n(4 sites, 8 global clients, %d seeds per cell, "
       "best-of-%d wall timing around Driver::Run only, timing grid always "
       "serial%s)\n\n",
@@ -243,42 +241,38 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
         aggregate.Add("export_ms", run.export_ms);
         aggregate.Add("trace_bytes",
                       static_cast<double>(run.capture.size()));
-        if (s == 0 && mode.options.format == trace::TraceFormat::kJsonl &&
-            mode.traced) {
-          AddPhaseStats(aggregate, run.capture);
-        }
       }
     }
   }
 
   // Format interchangeability: for the first seed of every size, the
-  // critical-path report from the JSONL capture and from the binary
-  // capture of the same run must be byte-identical.
+  // critical-path reports from the JSONL export and from the binary
+  // export of one capture must be byte-identical.
   bool formats_agree = true;
   for (int txns : sizes) {
-    const workload::WorkloadConfig config = OverheadConfig(7100, txns);
-    TimedRun jsonl_run = RunTimed(modes[1], config, 1);
-    TimedRun binary_run = RunTimed(modes[2], config, 1);
-    const trace::LenientParse jp =
-        trace::ParseJsonlLenient(jsonl_run.capture);
+    workload::WorkloadConfig config = OverheadConfig(7100, txns);
+    trace::Tracer tracer;
+    config.tracer = &tracer;
+    workload::Driver::Run(config);
+    Result<std::vector<trace::Event>> jp =
+        trace::ParseJsonl(tracer.ToJsonl());
     Result<std::vector<trace::Event>> bp =
-        trace::ParseBinary(binary_run.capture);
-    if (!bp.ok()) {
-      std::fprintf(stderr, "binary parse (%d txns): %s\n", txns,
-                   bp.status().ToString().c_str());
+        trace::ParseBinary(tracer.ToBinary());
+    if (!jp.ok() || !bp.ok()) {
+      std::fprintf(stderr, "export parse (%d txns): %s\n", txns,
+                   (jp.ok() ? bp : jp).status().ToString().c_str());
       formats_agree = false;
       continue;
     }
     const std::string from_jsonl =
-        trace::AnalyzeCriticalPath(trace::BuildSpanForest(jp.events))
-            .ToString();
+        trace::AnalyzeCriticalPath(trace::BuildSpanForest(*jp)).ToString();
     const std::string from_binary =
         trace::AnalyzeCriticalPath(trace::BuildSpanForest(*bp)).ToString();
     if (from_jsonl != from_binary) {
       formats_agree = false;
       std::fprintf(stderr,
                    "format divergence (%d txns): critical-path report "
-                   "differs between the JSONL and binary captures\n",
+                   "differs between the JSONL and binary exports\n",
                    txns);
     }
   }
@@ -353,7 +347,7 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
               ? 0.0
               : (wall - off_wall) / off_wall * 100.0;
       aggregate.Add("overhead_pct", overhead_pct);
-      if (m == 2 && txns == largest) binary_overhead_at_largest = overhead_pct;
+      if (m == 1 && txns == largest) binary_overhead_at_largest = overhead_pct;
       table.AddRow(
           cell, static_cast<int64_t>(aggregate.Sum("committed")),
           static_cast<int64_t>(aggregate.Sum("aborted")),
@@ -365,7 +359,7 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
     }
   }
 
-  // The acceptance gate: at the largest cell the binary backend costs
+  // The acceptance gate: at the largest cell the binary tracer costs
   // < 5% of the untraced run. Quick cells are milliseconds long, so the
   // ratio is noise there — report it but only gate the full sweep.
   const bool overhead_ok = binary_overhead_at_largest < 5.0;
@@ -394,10 +388,10 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
   const int rc = FinishSweep("E20_trace_overhead", base_config, 7100,
                              args.workers, table, agg);
   std::printf(
-      "\nExpected shape: all four modes decide the same transactions on "
+      "\nExpected shape: all three modes decide the same transactions on "
       "every\nseed (tracing never perturbs the run), the JSONL and binary "
-      "captures\nyield byte-identical critical-path reports, and at the "
-      "largest cell the\nbinary backend costs %.2f%% wall time (budget "
+      "exports\nyield byte-identical critical-path reports, and at the "
+      "largest cell the\nbinary tracer costs %.2f%% wall time (budget "
       "5%%%s). Determinism\nsub-grid incl. merged binary trace: %s.\n",
       binary_overhead_at_largest,
       args.quick ? ", gated in full mode only" : ", gated",

@@ -1,11 +1,11 @@
-// The sweep experiments of EXPERIMENTS.md (E5, E6, E7, E9, E13), ported
+// The sweep experiments of EXPERIMENTS.md (E5 ... E20), ported
 // onto the parallel runner harness: every (config, seed) point of a grid
 // becomes one runner::RunSpec, the whole grid fans out across worker
 // threads, and per-cell aggregates feed both the printed table and the
 // consolidated BENCH_<name>.json artifact (schema in docs/FORMATS.md).
 //
-// Each sweep is a function so that the per-experiment binaries and the
-// all-in-one bench_suite binary share one implementation.
+// Each sweep is a function; bench_suite is the one binary that runs them
+// (all, or a subset picked with --only).
 
 #ifndef HERMES_BENCH_SWEEPS_H_
 #define HERMES_BENCH_SWEEPS_H_
@@ -18,8 +18,8 @@
 
 namespace hermes::bench {
 
-// SweepArgs / ParseSweepArgs / SweepMain live in bench/bench_util.h
-// (included above) so non-sweep binaries share the same flag handling.
+// SweepArgs / ParseSweepArgs live in bench/bench_util.h (included above)
+// so non-sweep binaries share the same flag handling.
 
 // Folds one traced run into the cell's critical-path phase stats
 // (`phase_*_us`: mean virtual µs per committed transaction, including

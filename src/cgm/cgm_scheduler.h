@@ -6,7 +6,7 @@
 // the commit graph loop-free. The scheduler is a separate network node, so
 // every interaction costs real message latency — the price of
 // centralization the reproduced paper's decentralized design avoids
-// (benchmarked in bench_scaling).
+// (benchmarked by the E6 scaling sweep).
 
 #ifndef HERMES_CGM_CGM_SCHEDULER_H_
 #define HERMES_CGM_CGM_SCHEDULER_H_

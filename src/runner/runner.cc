@@ -139,7 +139,7 @@ std::string Fingerprint(const RunOutput& out) {
   if (!r.series.empty()) StrAppend(fp, r.series.ToString());
   StrAppend(fp, "trace:\n", out.trace_jsonl);
   // Binary captures are opaque bytes; fingerprint them verbatim so a
-  // serial-vs-parallel divergence in the binary backend fails the same
+  // serial-vs-parallel divergence in the binary export fails the same
   // byte-identity assertions the JSONL capture does.
   if (!out.trace_binary.empty()) {
     StrAppend(fp, "trace_binary[", out.trace_binary.size(), "]:",

@@ -46,17 +46,17 @@ struct RunSpec {
   workload::WorkloadConfig config;
   // Collect the run's structured trace and return its export.
   bool capture_trace = false;
-  // Backend/sampling of the private tracer the harness gives a
-  // capture_trace run. The default (kJsonl, no sampling) fills
-  // RunOutput::trace_jsonl; TraceFormat::kBinary fills trace_binary.
+  // Options of the private tracer the harness gives a capture_trace run.
+  // `format` picks the export: the default kJsonl fills
+  // RunOutput::trace_jsonl, TraceFormat::kBinary fills trace_binary.
   trace::TracerOptions trace_options;
 };
 
 struct RunOutput {
   workload::RunResult result;
-  // JSONL export of the run's trace (capture_trace with a kJsonl tracer).
+  // JSONL export of the run's trace (capture_trace, format kJsonl).
   std::string trace_jsonl;
-  // Binary export ("HTRB") of the run's trace (kBinary tracer).
+  // Binary export ("HTRB") of the run's trace (format kBinary).
   std::string trace_binary;
 };
 

@@ -3,9 +3,9 @@
 // Section 5.2 of the paper proposes generating serial numbers from "real
 // time site clocks, expanded with the unique site identifier" and claims
 // that clock drift affects only the number of unnecessary aborts, never
-// correctness. SiteClock lets experiments (bench_clock_drift) skew each
-// site's clock relative to the simulation's global virtual time to test
-// exactly that claim.
+// correctness. SiteClock lets experiments (the E7 clock_drift sweep) skew
+// each site's clock relative to the simulation's global virtual time to
+// test exactly that claim.
 
 #ifndef HERMES_SIM_SITE_CLOCK_H_
 #define HERMES_SIM_SITE_CLOCK_H_

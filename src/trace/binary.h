@@ -1,5 +1,5 @@
 // Compact binary encoding of trace::Event — the storage format behind the
-// fixed-size ring-buffer tracer and the on-disk `.bin` trace artifact.
+// Tracer's ring buffer and the on-disk `.bin` trace artifact.
 //
 // Every event becomes one fixed-width little-endian record
 // (kBinaryRecordSize bytes); the two variable-length fields (`detail` and
@@ -84,8 +84,8 @@ Status DecodeBinaryRecord(const uint8_t* in,
                           const std::vector<std::string>& dict, Event& out);
 
 // Accumulates events into a serialized binary trace: interning, encoding
-// and the header bookkeeping in one place. Used by the ring serializer,
-// the vector-backed Tracer export and the multi-run trace merger.
+// and the header bookkeeping in one place. Used by the ring serializer
+// and the multi-run trace merger.
 class BinaryTraceWriter {
  public:
   void Add(const Event& e);

@@ -100,7 +100,7 @@ struct CriticalPathReport {
 
 CriticalPathReport AnalyzeCriticalPath(const SpanForest& forest);
 
-// Streams the tracer's stored events (either backend) into a forest and
+// Streams the tracer's stored events into a forest and
 // analyzes it — no event vector or JSONL string is materialized.
 CriticalPathReport AnalyzeCriticalPath(const Tracer& tracer);
 

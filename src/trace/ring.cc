@@ -1,16 +1,15 @@
 #include "trace/ring.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace hermes::trace {
 
 TraceRing::TraceRing(size_t capacity)
-    : capacity_(capacity < 1 ? 1 : capacity),
-      buf_(capacity_ * kBinaryRecordSize) {}
+    : capacity_(capacity < 1 ? 1 : capacity) {}
 
-const uint8_t* TraceRing::RecordAt(size_t logical_index) const {
-  const size_t slot = (head_ + logical_index) % capacity_;
-  return buf_.data() + slot * kBinaryRecordSize;
+uint8_t* TraceRing::Slot(size_t slot) const {
+  return blocks_[slot / kBlockRecords].get() +
+         (slot % kBlockRecords) * kBinaryRecordSize;
 }
 
 void TraceRing::Append(const Event& e) {
@@ -18,15 +17,21 @@ void TraceRing::Append(const Event& e) {
   const uint32_t related_id = interner_.Intern(EncodeRelated(e.related));
   size_t slot;
   if (count_ < capacity_) {
-    slot = (head_ + count_) % capacity_;
-    ++count_;
+    // Until the first wrap head_ is 0 and records fill the slots in
+    // order, so the ring grows exactly when the next slot is unallocated.
+    slot = count_++;
+    if (slot == allocated_) {
+      const size_t records = std::min(kBlockRecords, capacity_ - allocated_);
+      blocks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(
+          records * kBinaryRecordSize));
+      allocated_ += records;
+    }
   } else {
     slot = head_;  // overwrite the oldest record
     head_ = (head_ + 1) % capacity_;
     ++dropped_;
   }
-  EncodeBinaryRecord(e, detail_id, related_id,
-                     buf_.data() + slot * kBinaryRecordSize);
+  EncodeBinaryRecord(e, detail_id, related_id, Slot(slot));
 }
 
 void TraceRing::ForEach(const std::function<void(const Event&)>& fn) const {
@@ -38,7 +43,9 @@ void TraceRing::ForEach(const std::function<void(const Event&)>& fn) const {
   for (const std::string& s : interner_.entries()) dict.push_back(s);
   for (size_t i = 0; i < count_; ++i) {
     Event e;
-    if (DecodeBinaryRecord(RecordAt(i), dict, e).ok()) fn(e);
+    if (DecodeBinaryRecord(Slot((head_ + i) % capacity_), dict, e).ok()) {
+      fn(e);
+    }
   }
 }
 

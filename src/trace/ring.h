@@ -1,22 +1,26 @@
-// Fixed-size ring buffer of binary trace records — the storage behind
-// TraceFormat::kBinary.
+// Bounded ring buffer of binary trace records — the one store behind
+// trace::Tracer.
 //
 // Appending encodes the event into one fixed-width record (trace/binary.h)
-// inside a preallocated circular byte buffer: no per-event heap allocation
-// once the dictionary has seen the event's strings, which keeps always-on
-// tracing cheap enough for million-transaction runs. When the ring is
-// full the oldest record is overwritten and counted, so memory is bounded
-// by construction and the trace degrades to a sliding window over the tail
+// in a circular byte buffer: no per-event heap allocation once the
+// dictionary has seen the event's strings and the buffer has room, which
+// keeps always-on tracing cheap enough for million-transaction runs. The
+// buffer starts empty and grows one fixed-size block at a time as records
+// arrive, never past `capacity` records, so a short run pays only for
+// what it records and a grown block is never copied. Once full, the
+// oldest record is overwritten and counted: memory is bounded by
+// construction and the trace degrades to a sliding window over the tail
 // of the run — with the drop count carried in the serialized header so no
-// truncation is ever silent. Dictionary entries are never evicted (detail
-// strings are drawn from small fixed vocabularies), so a surviving record
-// can always resolve its string ids.
+// truncation is ever silent. Dictionary entries are never
+// evicted (detail strings are drawn from small fixed vocabularies), so a
+// surviving record can always resolve its string ids.
 
 #ifndef HERMES_TRACE_RING_H_
 #define HERMES_TRACE_RING_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "trace/binary.h"
@@ -25,16 +29,22 @@ namespace hermes::trace {
 
 class TraceRing {
  public:
-  // `capacity` is in records; at least 1.
+  // Records per block; the last block is cut short at the capacity.
+  static constexpr size_t kBlockRecords = 4096;
+
+  // `capacity` is in records; at least 1. Nothing is allocated until the
+  // first Append.
   explicit TraceRing(size_t capacity);
 
-  // Encodes and appends `e`, evicting (and counting) the oldest record
-  // when the ring is full.
+  // Encodes and appends `e`, growing the buffer while it is below
+  // capacity and evicting (and counting) the oldest record once full.
   void Append(const Event& e);
 
   // Records currently held (<= capacity).
   size_t size() const { return count_; }
   size_t capacity() const { return capacity_; }
+  // Records the allocated blocks have room for (<= capacity).
+  size_t allocated() const { return allocated_; }
   // Records evicted by overflow since construction/Clear.
   int64_t dropped() const { return dropped_; }
 
@@ -45,14 +55,18 @@ class TraceRing {
   // the caller's sampler drop count).
   std::string Serialize(int64_t sampled_out) const;
 
+  // Forgets every record and dictionary entry; the blocks stay
+  // allocated.
   void Clear();
 
  private:
-  const uint8_t* RecordAt(size_t logical_index) const;
+  // Start of physical slot `slot` (< allocated_).
+  uint8_t* Slot(size_t slot) const;
 
   size_t capacity_;
-  std::vector<uint8_t> buf_;  // capacity_ * kBinaryRecordSize bytes
-  size_t head_ = 0;           // logical index of the oldest record
+  std::vector<std::unique_ptr<uint8_t[]>> blocks_;
+  size_t allocated_ = 0;  // slots in blocks_
+  size_t head_ = 0;       // physical slot of the oldest record
   size_t count_ = 0;
   int64_t dropped_ = 0;
   StringInterner interner_;

@@ -122,7 +122,7 @@ class SpanForestBuilder : public EventFold {
 // id contribute only to trace_end.
 SpanForest BuildSpanForest(const std::vector<Event>& events);
 
-// Streams the tracer's stored events (either backend) into the forest
+// Streams the tracer's stored events into the forest
 // without materializing a vector or a JSONL string.
 SpanForest BuildSpanForest(const Tracer& tracer);
 

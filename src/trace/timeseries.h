@@ -62,7 +62,7 @@ struct TimeSeries {
 // a consistent snapshot at any point, take the series at the end.
 // Attachable to a Tracer as a streaming fold — the workload driver grows
 // the run's series this way while the simulation executes, so the series
-// stays complete even when a fixed-size ring has evicted early records.
+// stays complete even when the bounded ring has evicted early records.
 // Feeding the same events BuildTimeSeries would receive yields an
 // identical series.
 class TimeSeriesBuilder : public EventFold {
@@ -94,7 +94,7 @@ class TimeSeriesBuilder : public EventFold {
 TimeSeries BuildTimeSeries(const std::vector<Event>& events,
                            sim::Duration window_us = TimeSeries::kDefaultWindow);
 
-// Streams the tracer's stored events (either backend) into a series.
+// Streams the tracer's stored events into a series.
 TimeSeries BuildTimeSeries(const Tracer& tracer,
                            sim::Duration window_us = TimeSeries::kDefaultWindow);
 

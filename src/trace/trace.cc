@@ -1,10 +1,10 @@
 #include "trace/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 #include "common/str.h"
-#include "trace/binary.h"
 #include "trace/ring.h"
 
 namespace hermes::trace {
@@ -121,16 +121,6 @@ const char* RefuseKindName(RefuseKind kind) {
   return "?";
 }
 
-const char* TraceFormatName(TraceFormat format) {
-  switch (format) {
-    case TraceFormat::kJsonl:
-      return "jsonl";
-    case TraceFormat::kBinary:
-      return "binary";
-  }
-  return "?";
-}
-
 void AppendJsonString(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
@@ -164,6 +154,20 @@ void AppendJsonString(std::string& out, std::string_view s) {
   out += '"';
 }
 
+namespace {
+
+// Parses all of `text` as a decimal T. Fails on empty input, trailing
+// characters or a value outside T's range, so a corrupt number is never
+// truncated or wrapped into a plausible one.
+template <typename T>
+bool ParseWhole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 std::string EncodeTxnId(const TxnId& id) {
   if (!id.valid()) return "-";
   return StrCat(id.global() ? "G" : "L", id.site, ".", id.seq);
@@ -171,22 +175,18 @@ std::string EncodeTxnId(const TxnId& id) {
 
 Result<TxnId> DecodeTxnId(const std::string& text) {
   if (text == "-") return TxnId{};
-  if (text.size() < 4 || (text[0] != 'G' && text[0] != 'L')) {
+  const std::string_view view(text);
+  const size_t dot = view.find('.');
+  SiteId site = 0;
+  int64_t seq = 0;
+  if (view.empty() || (view[0] != 'G' && view[0] != 'L') ||
+      dot == std::string_view::npos ||
+      !ParseWhole(view.substr(1, dot - 1), site) ||
+      !ParseWhole(view.substr(dot + 1), seq)) {
     return Status::InvalidArgument(StrCat("bad txn id: ", text));
   }
-  const size_t dot = text.find('.');
-  if (dot == std::string::npos) {
-    return Status::InvalidArgument(StrCat("bad txn id: ", text));
-  }
-  try {
-    const SiteId site =
-        static_cast<SiteId>(std::stol(text.substr(1, dot - 1)));
-    const int64_t seq = std::stoll(text.substr(dot + 1));
-    return text[0] == 'G' ? TxnId::MakeGlobal(site, seq)
-                          : TxnId::MakeLocal(site, seq);
-  } catch (...) {
-    return Status::InvalidArgument(StrCat("bad txn id: ", text));
-  }
+  return view[0] == 'G' ? TxnId::MakeGlobal(site, seq)
+                        : TxnId::MakeLocal(site, seq);
 }
 
 std::string EncodeSerialNumber(const core::SerialNumber& sn) {
@@ -196,21 +196,16 @@ std::string EncodeSerialNumber(const core::SerialNumber& sn) {
 
 Result<core::SerialNumber> DecodeSerialNumber(const std::string& text) {
   if (text == "-") return core::SerialNumber{};
-  const size_t a = text.find('/');
-  const size_t b = a == std::string::npos ? a : text.find('/', a + 1);
-  if (b == std::string::npos) {
+  const std::string_view view(text);
+  const size_t a = view.find('/');
+  const size_t b = a == std::string_view::npos ? a : view.find('/', a + 1);
+  core::SerialNumber sn;
+  if (b == std::string_view::npos || !ParseWhole(view.substr(0, a), sn.clock) ||
+      !ParseWhole(view.substr(a + 1, b - a - 1), sn.coordinator) ||
+      !ParseWhole(view.substr(b + 1), sn.seq)) {
     return Status::InvalidArgument(StrCat("bad serial number: ", text));
   }
-  try {
-    core::SerialNumber sn;
-    sn.clock = std::stoll(text.substr(0, a));
-    sn.coordinator =
-        static_cast<SiteId>(std::stol(text.substr(a + 1, b - a - 1)));
-    sn.seq = std::stoll(text.substr(b + 1));
-    return sn;
-  } catch (...) {
-    return Status::InvalidArgument(StrCat("bad serial number: ", text));
-  }
+  return sn;
 }
 
 std::string Event::ToJson() const {
@@ -271,11 +266,9 @@ uint64_t Mix64(uint64_t x) {
 Tracer::Tracer(const sim::EventLoop* loop) : Tracer(TracerOptions{}, loop) {}
 
 Tracer::Tracer(const TracerOptions& options, const sim::EventLoop* loop)
-    : loop_(loop), options_(options) {
-  if (options_.format == TraceFormat::kBinary) {
-    ring_ = std::make_unique<TraceRing>(options_.ring_capacity);
-  }
-}
+    : loop_(loop),
+      options_(options),
+      ring_(std::make_unique<TraceRing>(options.ring_capacity)) {}
 
 Tracer::~Tracer() = default;
 
@@ -302,30 +295,19 @@ void Tracer::Record(Event e) {
     return;
   }
   for (EventFold* fold : folds_) fold->Fold(e);
-  if (ring_ != nullptr) {
-    ring_->Append(e);
-    stats_.dropped = ring_->dropped();
-  } else {
-    events_.push_back(std::move(e));
-  }
+  ring_->Append(e);
+  stats_.dropped = ring_->dropped();
 }
 
-size_t Tracer::size() const {
-  return ring_ != nullptr ? ring_->size() : events_.size();
-}
+size_t Tracer::size() const { return ring_->size(); }
 
 void Tracer::Clear() {
-  events_.clear();
-  if (ring_ != nullptr) ring_->Clear();
+  ring_->Clear();
   stats_ = TracerStats{};
 }
 
 void Tracer::ForEach(const std::function<void(const Event&)>& fn) const {
-  if (ring_ != nullptr) {
-    ring_->ForEach(fn);
-  } else {
-    for (const Event& e : events_) fn(e);
-  }
+  ring_->ForEach(fn);
 }
 
 void Tracer::AddFold(EventFold* fold) { folds_.push_back(fold); }
@@ -368,11 +350,7 @@ bool Tracer::WriteJsonl(const std::string& path) const {
 }
 
 std::string Tracer::ToBinary() const {
-  if (ring_ != nullptr) return ring_->Serialize(stats_.sampled_out);
-  BinaryTraceWriter writer;
-  writer.AddSampledOut(stats_.sampled_out);
-  for (const Event& e : events_) writer.Add(e);
-  return writer.Finish();
+  return ring_->Serialize(stats_.sampled_out);
 }
 
 bool Tracer::WriteBinary(const std::string& path) const {
@@ -420,9 +398,9 @@ class LineParser {
   Status ParseValue(const std::string& key, Event& out) {
     if (key == "seq") return ParseInt(out.seq);
     if (key == "t") return ParseInt(out.at);
-    if (key == "site") return ParseInt32(out.site);
-    if (key == "peer") return ParseInt32(out.peer);
-    if (key == "resub") return ParseInt32(out.resubmission);
+    if (key == "site") return ParseInt(out.site);
+    if (key == "peer") return ParseInt(out.peer);
+    if (key == "resub") return ParseInt(out.resubmission);
     if (key == "value") return ParseInt(out.value);
     if (key == "ok") return ParseBool(out.ok);
     if (key == "kind") {
@@ -546,24 +524,17 @@ class LineParser {
     return Err("unterminated string");
   }
 
-  Status ParseInt(int64_t& out) {
+  // Scans `-?[0-9]+` into `out`; a value outside T's range is an error,
+  // never a truncation.
+  template <typename T>
+  Status ParseInt(T& out) {
     const size_t start = pos_;
     if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
     while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') ++pos_;
     if (pos_ == start) return Err("expected integer");
-    try {
-      out = std::stoll(std::string(in_.substr(start, pos_ - start)));
-    } catch (...) {
+    if (!ParseWhole(in_.substr(start, pos_ - start), out)) {
       return Err("integer out of range");
     }
-    return Status::Ok();
-  }
-
-  Status ParseInt32(int32_t& out) {
-    int64_t v = 0;
-    Status s = ParseInt(v);
-    if (!s.ok()) return s;
-    out = static_cast<int32_t>(v);
     return Status::Ok();
   }
 
@@ -606,28 +577,6 @@ class LineParser {
 
 }  // namespace
 
-Result<std::vector<Event>> ParseJsonl(const std::string& text) {
-  std::vector<Event> events;
-  size_t start = 0;
-  size_t line_no = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    ++line_no;
-    start = end + 1;
-    if (line.empty()) continue;
-    Event e;
-    const Status s = LineParser(line).Parse(e);
-    if (!s.ok()) {
-      return Status::InvalidArgument(
-          StrCat("line ", line_no, ": ", s.message()));
-    }
-    events.push_back(std::move(e));
-  }
-  return events;
-}
-
 LenientParse ParseJsonlLenient(const std::string& text) {
   LenientParse out;
   size_t start = 0;
@@ -651,6 +600,14 @@ LenientParse ParseJsonlLenient(const std::string& text) {
     out.events.push_back(std::move(e));
   }
   return out;
+}
+
+Result<std::vector<Event>> ParseJsonl(const std::string& text) {
+  LenientParse parsed = ParseJsonlLenient(text);
+  if (parsed.skipped_lines > 0) {
+    return Status::InvalidArgument(parsed.warnings.front());
+  }
+  return std::move(parsed.events);
 }
 
 }  // namespace hermes::trace

@@ -214,26 +214,28 @@ struct Event {
 // attached to a Tracer see every *stored* event (after sampling, before
 // any ring-buffer eviction), so an analysis built on a fold — the driver's
 // windowed time series, a live span forest — stays complete even when the
-// fixed-size ring has long overwritten the early records.
+// bounded ring has long overwritten the early records.
 class EventFold {
  public:
   virtual ~EventFold() = default;
   virtual void Fold(const Event& e) = 0;
 };
 
-// Storage backend of a Tracer.
+// Export encoding of a capture: one JSON object per line, or the binary
+// trace format (docs/FORMATS.md). Both encode the same stored events.
 enum class TraceFormat : uint8_t {
-  kJsonl,   // std::vector<Event>, unbounded; exports one JSON object/line
-  kBinary,  // fixed-size ring of fixed-width binary records + dictionary
+  kJsonl,
+  kBinary,
 };
 
-const char* TraceFormatName(TraceFormat format);
-
 struct TracerOptions {
+  // Which export a harness fills for this capture (runner::RunAll, E20).
+  // The Tracer itself never reads it: both exports are always available.
   TraceFormat format = TraceFormat::kJsonl;
-  // Capacity of the binary ring in records (kBinary only). When full, the
-  // oldest record is overwritten and counted in stats().dropped — the
-  // trace is a sliding window over the tail of the run.
+  // Bound of the trace ring in records. The ring grows to it as events
+  // arrive; once full, the oldest record is overwritten and counted in
+  // stats().dropped — the trace is a sliding window over the tail of the
+  // run.
   size_t ring_capacity = 1 << 20;
   // Keep 1 of every `sample_period` global transactions (whole-gtid,
   // seeded by `sample_seed`): either every event of a transaction is kept
@@ -275,13 +277,10 @@ class Tracer {
 
   // Stamps `e.seq` (emit index — sampled-out events consume one too, so a
   // sampled trace shows honest gaps) and `e.at`, then stores the event in
-  // the configured backend. Callers fill the typed fields.
+  // the ring. Callers fill the typed fields.
   void Record(Event e);
 
-  // The stored events. Valid in kJsonl mode only; the binary ring has no
-  // materialized Event vector — use ForEach there.
-  const std::vector<Event>& events() const { return events_; }
-  // Number of events currently stored (ring mode: at most ring_capacity).
+  // Number of events currently stored (at most ring_capacity).
   size_t size() const;
   void Clear();
 
@@ -292,9 +291,9 @@ class Tracer {
   // non-global ids). Deterministic in (sample_seed, txn).
   bool KeepsTxn(const TxnId& txn) const;
 
-  // Visits every stored event in record order, decoding binary records on
-  // the fly — the streaming seam the span/series folds consume, with no
-  // JSONL string ever materialized.
+  // Visits every stored event in record order, decoding the ring's binary
+  // records on the fly — the streaming seam the span/series folds
+  // consume, with no JSONL string ever materialized.
   void ForEach(const std::function<void(const Event&)>& fn) const;
 
   // Attaches/detaches a streaming fold; attached folds see each stored
@@ -303,7 +302,7 @@ class Tracer {
   void AddFold(EventFold* fold);
   void RemoveFold(EventFold* fold);
 
-  // One JSON object per line, in record order (both backends).
+  // One JSON object per line, in record order.
   std::string ToJsonl() const;
   // Streams the JSONL export to `path` in bounded chunks — no monolithic
   // string is built, so exporting a million-event trace needs O(chunk)
@@ -311,7 +310,7 @@ class Tracer {
   bool WriteJsonl(const std::string& path) const;
 
   // Serializes the stored events to the binary trace format (magic
-  // "HTRB"; see docs/FORMATS.md) from either backend.
+  // "HTRB"; see docs/FORMATS.md).
   std::string ToBinary() const;
   // Writes ToBinary() to `path`; returns false on I/O failure.
   bool WriteBinary(const std::string& path) const;
@@ -320,14 +319,14 @@ class Tracer {
   const sim::EventLoop* loop_;
   TracerOptions options_;
   TracerStats stats_;
-  std::vector<Event> events_;        // kJsonl backend
-  std::unique_ptr<TraceRing> ring_;  // kBinary backend
+  std::unique_ptr<TraceRing> ring_;  // the stored events
   std::vector<EventFold*> folds_;
 };
 
 // Parses a JSONL trace produced by Tracer::ToJsonl back into events
-// (round-trip: ParseJsonl(t.ToJsonl()) == t.events()). Unknown keys are
-// rejected; blank lines are skipped.
+// (round-trip: ParseJsonl(t.ToJsonl()) yields exactly the events
+// t.ForEach visits). Unknown keys, out-of-range numbers and ids with
+// trailing characters are rejected; blank lines are skipped.
 Result<std::vector<Event>> ParseJsonl(const std::string& text);
 
 // Lenient variant for analysis tools reading traces of unknown provenance

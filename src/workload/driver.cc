@@ -157,8 +157,7 @@ RunResult Driver::Run(const WorkloadConfig& config) {
   loop.set_max_events(200'000'000);
   // The run's series grows as a streaming fold on the tracer instead of a
   // post-hoc pass over a materialized event vector, so it stays complete
-  // even when a fixed-size binary ring has evicted the early records —
-  // and works identically for both tracer backends.
+  // even when the tracer's bounded ring has evicted the early records.
   trace::TimeSeriesBuilder series_builder;
   trace::TracerStats trace_before;
   if (config.tracer != nullptr) {

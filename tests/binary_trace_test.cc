@@ -1,8 +1,9 @@
-// Tests of the binary ring-buffer trace backend: record round-trips over
-// every EventKind, ring overflow accounting, per-gtid sampling, streaming
-// folds and format interchangeability (JSONL vs binary captures of the
-// same seeded run), the deterministic multi-run merge, truncation
-// handling, the chunked JSONL writer and the driver's mid-run flush hook.
+// Tests of the Tracer's binary ring buffer and the binary trace format:
+// record round-trips over every EventKind, ring growth and overflow
+// accounting, per-gtid sampling, streaming folds and export
+// interchangeability (the JSONL and binary exports of one capture), the
+// deterministic multi-run merge, truncation handling, the chunked JSONL
+// writer and the driver's mid-run flush hook.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "runner/runner.h"
 #include "trace/binary.h"
 #include "trace/critical_path.h"
+#include "trace/ring.h"
 #include "trace/span.h"
 #include "trace/trace.h"
 #include "workload/driver.h"
@@ -117,7 +119,6 @@ TEST(BinaryTrace, DictionaryDeduplicatesRepeatedStrings) {
 
 TEST(BinaryTrace, RingOverflowKeepsTailAndCountsDrops) {
   TracerOptions options;
-  options.format = TraceFormat::kBinary;
   options.ring_capacity = 8;
   Tracer tracer(options);
   for (int i = 0; i < 20; ++i) {
@@ -143,11 +144,37 @@ TEST(BinaryTrace, RingOverflowKeepsTailAndCountsDrops) {
   EXPECT_EQ(parsed.dropped, 12);
   EXPECT_EQ(parsed.events.size(), 8u);
   EXPECT_EQ(parsed.events.front().seq, 12);
+
+  // A bound the ring reaches over several growth steps: nothing is
+  // allocated up front, the buffer never holds room for more than the
+  // bound, and once full it wraps exactly like the small ring above.
+  constexpr size_t kBound = 3 * trace::TraceRing::kBlockRecords + 100;
+  constexpr int kAppends = static_cast<int>(kBound) + 500;
+  trace::TraceRing ring(kBound);
+  EXPECT_EQ(ring.allocated(), 0u);
+  std::vector<size_t> growth;
+  for (int i = 0; i < kAppends; ++i) {
+    ring.Append(FullEvent(EventKind::kMsgSend, i));
+    ASSERT_LE(ring.allocated(), kBound) << "after append " << i;
+    ASSERT_GE(ring.allocated(), ring.size());
+    if (growth.empty() || growth.back() != ring.allocated()) {
+      growth.push_back(ring.allocated());
+    }
+  }
+  EXPECT_EQ(growth.size(), 4u);
+  EXPECT_EQ(growth.back(), kBound);
+  EXPECT_EQ(ring.size(), kBound);
+  EXPECT_EQ(ring.dropped(), kAppends - static_cast<int64_t>(kBound));
+  int64_t next = kAppends - static_cast<int64_t>(kBound);
+  ring.ForEach([&](const Event& e) {
+    EXPECT_EQ(e, FullEvent(EventKind::kMsgSend, static_cast<int>(next)));
+    ++next;
+  });
+  EXPECT_EQ(next, kAppends);
 }
 
 TEST(BinaryTrace, SerializedRingDictionaryOmitsEvictedStrings) {
   TracerOptions options;
-  options.format = TraceFormat::kBinary;
   options.ring_capacity = 2;
   Tracer tracer(options);
   for (int i = 0; i < 10; ++i) {
@@ -223,7 +250,6 @@ TEST(BinaryTrace, SamplingKeepsOrDropsWholeTransactions) {
 TEST(BinaryTrace, SampledTraceYieldsWellFormedSpanForest) {
   workload::WorkloadConfig config = SmallConfig(501);
   TracerOptions sampled;
-  sampled.format = TraceFormat::kBinary;
   sampled.sample_period = 4;
   sampled.sample_seed = 11;
   Tracer sampled_tracer(sampled);
@@ -256,37 +282,37 @@ TEST(BinaryTrace, SampledTraceYieldsWellFormedSpanForest) {
   }
 }
 
-// --- format interchangeability ----------------------------------------------
+// --- export interchangeability ----------------------------------------------
 
 TEST(BinaryTrace, JsonlAndBinaryCapturesOfSameRunAgree) {
   workload::WorkloadConfig config = SmallConfig(502);
-  Tracer jsonl_tracer;
-  config.tracer = &jsonl_tracer;
+  Tracer tracer;
+  config.tracer = &tracer;
   workload::Driver::Run(config);
 
-  TracerOptions binary;
-  binary.format = TraceFormat::kBinary;
-  Tracer binary_tracer(binary);
-  config.tracer = &binary_tracer;
-  workload::Driver::Run(config);
-
-  ASSERT_GT(jsonl_tracer.size(), 0u);
-  ASSERT_EQ(jsonl_tracer.size(), binary_tracer.size());
-  // The JSONL rendering of the binary ring equals the vector backend's.
-  EXPECT_EQ(binary_tracer.ToJsonl(), jsonl_tracer.ToJsonl());
-  // And the derived analyses are byte-identical whichever capture fed
+  std::vector<Event> stored;
+  tracer.ForEach([&](const Event& e) { stored.push_back(e); });
+  ASSERT_GT(stored.size(), 0u);
+  ASSERT_EQ(stored.size(), tracer.size());
+  // Both export encodings round-trip to exactly the stored events.
+  Result<std::vector<Event>> from_jsonl = trace::ParseJsonl(tracer.ToJsonl());
+  ASSERT_TRUE(from_jsonl.ok()) << from_jsonl.status().ToString();
+  EXPECT_EQ(*from_jsonl, stored);
+  Result<std::vector<Event>> from_binary =
+      trace::ParseBinary(tracer.ToBinary());
+  ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
+  EXPECT_EQ(*from_binary, stored);
+  // And the derived analyses are byte-identical whichever export fed
   // them — the acceptance bar for format interchangeability.
-  EXPECT_EQ(trace::AnalyzeCriticalPath(binary_tracer).ToString(),
-            trace::AnalyzeCriticalPath(jsonl_tracer).ToString());
-  EXPECT_EQ(trace::BuildSpanForest(binary_tracer).ToString(),
-            trace::BuildSpanForest(jsonl_tracer).ToString());
-  // Round-trip through the serialized binary file, too.
-  Result<std::vector<Event>> parsed =
-      trace::ParseBinary(binary_tracer.ToBinary());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(trace::AnalyzeCriticalPath(trace::BuildSpanForest(*parsed))
+  const std::string report = trace::AnalyzeCriticalPath(tracer).ToString();
+  EXPECT_EQ(trace::AnalyzeCriticalPath(trace::BuildSpanForest(*from_jsonl))
                 .ToString(),
-            trace::AnalyzeCriticalPath(jsonl_tracer).ToString());
+            report);
+  EXPECT_EQ(trace::AnalyzeCriticalPath(trace::BuildSpanForest(*from_binary))
+                .ToString(),
+            report);
+  EXPECT_EQ(trace::BuildSpanForest(*from_binary).ToString(),
+            trace::BuildSpanForest(tracer).ToString());
 }
 
 // --- multi-run merge ---------------------------------------------------------
@@ -406,7 +432,6 @@ TEST(BinaryTrace, WriteJsonlStreamsIdenticalBytes) {
 TEST(BinaryTrace, TraceCountersReachRunMetrics) {
   workload::WorkloadConfig config = SmallConfig(503);
   TracerOptions options;
-  options.format = TraceFormat::kBinary;
   options.sample_period = 4;
   options.sample_seed = 3;
   Tracer tracer(options);

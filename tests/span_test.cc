@@ -68,7 +68,7 @@ TracedRun RunTraced(uint64_t seed, bool chaos = false) {
   }
   TracedRun run;
   run.result = workload::Driver::Run(config);
-  run.events = tracer.events();
+  tracer.ForEach([&](const Event& e) { run.events.push_back(e); });
   return run;
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/mdbs.h"
 #include "trace/analyzer.h"
@@ -28,6 +30,13 @@ using trace::Histogram;
 using trace::RefuseKind;
 using trace::TraceAnalyzer;
 using trace::Tracer;
+
+// The tracer's stored events, collected through its streaming seam.
+std::vector<Event> Stored(const Tracer& tracer) {
+  std::vector<Event> events;
+  tracer.ForEach([&](const Event& e) { events.push_back(e); });
+  return events;
+}
 
 // --- histogram ---------------------------------------------------------------
 
@@ -194,10 +203,11 @@ TEST(TracerTest, AssignsSequentialSeqAndVirtualTime) {
   });
   loop.Run();
   ASSERT_EQ(tracer.size(), 2u);
-  EXPECT_EQ(tracer.events()[0].seq, 0);
-  EXPECT_EQ(tracer.events()[0].at, 0);
-  EXPECT_EQ(tracer.events()[1].seq, 1);
-  EXPECT_EQ(tracer.events()[1].at, 5 * sim::kMillisecond);
+  const std::vector<Event> events = Stored(tracer);
+  EXPECT_EQ(events[0].seq, 0);
+  EXPECT_EQ(events[0].at, 0);
+  EXPECT_EQ(events[1].seq, 1);
+  EXPECT_EQ(events[1].at, 5 * sim::kMillisecond);
 }
 
 TEST(TracerTest, TxnIdEncodingRoundTrips) {
@@ -235,9 +245,11 @@ TEST(TracerTest, JsonlRoundTripPreservesEveryField) {
   const std::string jsonl = tracer.ToJsonl();
   const auto parsed = trace::ParseJsonl(jsonl);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(*parsed, Stored(tracer));
   ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ((*parsed)[0], tracer.events()[0]);
-  EXPECT_EQ((*parsed)[1], tracer.events()[1]);
+  EXPECT_EQ((*parsed)[0].detail, full.detail);
+  EXPECT_EQ((*parsed)[0].related, full.related);
+  EXPECT_EQ((*parsed)[0].sn, full.sn);
 }
 
 TEST(TracerTest, ParseRejectsMalformedInput) {
@@ -247,6 +259,28 @@ TEST(TracerTest, ParseRejectsMalformedInput) {
   const auto empty = trace::ParseJsonl("\n\n");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
+}
+
+TEST(TracerTest, ImportRejectsCorruptNumbers) {
+  // Each line carries one number the encoder can never have written: an
+  // int32 field past its range, a txn id with junk inside or after its
+  // numbers, an SN coordinator past int32. Truncating or wrapping any of
+  // them would silently turn it into a different, plausible event.
+  const std::vector<std::string> corrupt = {
+      R"({"seq":0,"t":0,"kind":"txn_begin","site":4294967297,"ok":true})",
+      R"({"seq":0,"t":0,"kind":"txn_begin","txn":"G1x.5","ok":true})",
+      R"({"seq":0,"t":0,"kind":"txn_begin","txn":"G0.7junk","ok":true})",
+      R"({"seq":0,"t":0,"kind":"txn_begin","sn":"5/4294967296/1","ok":true})",
+  };
+  const std::string good = R"({"seq":1,"t":0,"kind":"txn_end","ok":true})";
+  for (const std::string& line : corrupt) {
+    EXPECT_FALSE(trace::ParseJsonl(line).ok()) << line;
+    const trace::LenientParse lenient =
+        trace::ParseJsonlLenient(line + "\n" + good + "\n");
+    EXPECT_EQ(lenient.skipped_lines, 1) << line;
+    ASSERT_EQ(lenient.events.size(), 1u) << line;
+    EXPECT_EQ(lenient.events[0].kind, EventKind::kTxnEnd);
+  }
 }
 
 // --- end-to-end: forced resubmission, analyzed -------------------------------
@@ -318,7 +352,7 @@ TEST(TraceAnalyzerTest, ReconstructsResubmissionChainAndRefusal) {
   EXPECT_TRUE(s.t1->status.ok()) << s.t1->status;
   EXPECT_FALSE(s.t2->status.ok());
 
-  TraceAnalyzer analyzer(s.tracer.events());
+  TraceAnalyzer analyzer(Stored(s.tracer));
 
   // T1's resubmission chain at site a: one unilateral abort, one completed
   // resubmission attempt, then the local commit.

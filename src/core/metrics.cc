@@ -1,118 +1,91 @@
 #include "core/metrics.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/str.h"
 
 namespace hermes::core {
 
+namespace {
+
+constexpr MetricsCounter kCounters[] = {
+    {"global_committed", &Metrics::global_committed},
+    {"global_aborted", &Metrics::global_aborted},
+    {"global_aborted_cert", &Metrics::global_aborted_cert},
+    {"global_aborted_dml", &Metrics::global_aborted_dml},
+    {"global_aborted_timeout", &Metrics::global_aborted_timeout},
+    {"retransmits", &Metrics::retransmits},
+    {"dup_msgs_absorbed", &Metrics::dup_msgs_absorbed},
+    {"coordinator_crashes", &Metrics::coordinator_crashes},
+    {"coordinator_redelivered_decisions",
+     &Metrics::coordinator_redelivered_decisions},
+    {"global_aborted_crash", &Metrics::global_aborted_crash},
+    {"inquiries_sent", &Metrics::inquiries_sent},
+    {"inquiries_answered_presumed_abort",
+     &Metrics::inquiries_answered_presumed_abort},
+    {"prepares_received", &Metrics::prepares_received},
+    {"refuse_extension", &Metrics::refuse_extension},
+    {"refuse_interval", &Metrics::refuse_interval},
+    {"refuse_snapshot", &Metrics::refuse_snapshot},
+    {"refuse_dead", &Metrics::refuse_dead},
+    {"commit_cert_retries", &Metrics::commit_cert_retries},
+    {"alive_checks", &Metrics::alive_checks},
+    {"resubmissions", &Metrics::resubmissions},
+    {"resubmission_failures", &Metrics::resubmission_failures},
+    {"short_commits_1pc", &Metrics::short_commits_1pc},
+    {"short_commits_readonly", &Metrics::short_commits_readonly},
+    {"csn_assigned", &Metrics::csn_assigned},
+    {"single_site_committed", &Metrics::single_site_committed},
+    {"single_site_latency_total_us", &Metrics::single_site_latency_total},
+    {"local_committed", &Metrics::local_committed},
+    {"local_aborted", &Metrics::local_aborted},
+    {"latency_samples", &Metrics::latency_samples},
+    {"latency_total_us", &Metrics::latency_total},
+    {"latency_max_us", &Metrics::latency_max},
+    {"cgm_graph_rejections", &Metrics::cgm_graph_rejections},
+    {"cgm_lock_timeouts", &Metrics::cgm_lock_timeouts},
+    {"paxos_forced_writes", &Metrics::paxos_forced_writes},
+    {"paxos_votes_accepted", &Metrics::paxos_votes_accepted},
+    {"paxos_resolutions", &Metrics::paxos_resolutions},
+    {"paxos_elections", &Metrics::paxos_elections},
+    {"paxos_decided_fast", &Metrics::paxos_decided_fast},
+    {"paxos_decided_resolved", &Metrics::paxos_decided_resolved},
+    {"epoch_refusals", &Metrics::epoch_refusals},
+    {"epoch_map_refreshes", &Metrics::epoch_map_refreshes},
+    {"reconfig_started", &Metrics::reconfig_started},
+    {"reconfig_completed", &Metrics::reconfig_completed},
+    {"reconfig_rows_moved", &Metrics::reconfig_rows_moved},
+    {"reconfig_residue_adopted", &Metrics::reconfig_residue_adopted},
+    {"reconfig_forced_aborts", &Metrics::reconfig_forced_aborts},
+    {"commits_stale_epoch", &Metrics::commits_stale_epoch},
+    {"trace_events_emitted", &Metrics::trace_events_emitted},
+    {"trace_events_dropped", &Metrics::trace_events_dropped},
+    {"trace_sampled_out", &Metrics::trace_sampled_out},
+};
+
+}  // namespace
+
+std::span<const MetricsCounter> MetricsCounters() { return kCounters; }
+
 void Metrics::Merge(const Metrics& o) {
-  global_committed += o.global_committed;
-  global_aborted += o.global_aborted;
-  global_aborted_cert += o.global_aborted_cert;
-  global_aborted_dml += o.global_aborted_dml;
-  global_aborted_timeout += o.global_aborted_timeout;
-  retransmits += o.retransmits;
-  dup_msgs_absorbed += o.dup_msgs_absorbed;
-  coordinator_crashes += o.coordinator_crashes;
-  coordinator_redelivered_decisions += o.coordinator_redelivered_decisions;
-  global_aborted_crash += o.global_aborted_crash;
-  inquiries_sent += o.inquiries_sent;
-  inquiries_answered_presumed_abort += o.inquiries_answered_presumed_abort;
-  prepares_received += o.prepares_received;
-  refuse_extension += o.refuse_extension;
-  refuse_interval += o.refuse_interval;
-  refuse_snapshot += o.refuse_snapshot;
-  refuse_dead += o.refuse_dead;
-  commit_cert_retries += o.commit_cert_retries;
-  alive_checks += o.alive_checks;
-  resubmissions += o.resubmissions;
-  resubmission_failures += o.resubmission_failures;
-  short_commits_1pc += o.short_commits_1pc;
-  short_commits_readonly += o.short_commits_readonly;
-  csn_assigned += o.csn_assigned;
-  single_site_committed += o.single_site_committed;
-  single_site_latency_total += o.single_site_latency_total;
-  local_committed += o.local_committed;
-  local_aborted += o.local_aborted;
-  latency_samples += o.latency_samples;
-  latency_total += o.latency_total;
-  if (o.latency_max > latency_max) latency_max = o.latency_max;
+  for (const MetricsCounter& c : kCounters) {
+    if (c.field == &Metrics::latency_max) {
+      this->*c.field = std::max(this->*c.field, o.*c.field);
+    } else {
+      this->*c.field += o.*c.field;
+    }
+  }
   latency_hist.Merge(o.latency_hist);
-  cgm_graph_rejections += o.cgm_graph_rejections;
-  cgm_lock_timeouts += o.cgm_lock_timeouts;
-  paxos_forced_writes += o.paxos_forced_writes;
-  paxos_votes_accepted += o.paxos_votes_accepted;
-  paxos_resolutions += o.paxos_resolutions;
-  paxos_elections += o.paxos_elections;
-  paxos_decided_fast += o.paxos_decided_fast;
-  paxos_decided_resolved += o.paxos_decided_resolved;
-  epoch_refusals += o.epoch_refusals;
-  epoch_map_refreshes += o.epoch_map_refreshes;
-  reconfig_started += o.reconfig_started;
-  reconfig_completed += o.reconfig_completed;
-  reconfig_rows_moved += o.reconfig_rows_moved;
-  reconfig_residue_adopted += o.reconfig_residue_adopted;
-  reconfig_forced_aborts += o.reconfig_forced_aborts;
-  commits_stale_epoch += o.commits_stale_epoch;
-  trace_events_emitted += o.trace_events_emitted;
-  trace_events_dropped += o.trace_events_dropped;
-  trace_sampled_out += o.trace_sampled_out;
 }
 
 std::vector<std::pair<const char*, int64_t>> Metrics::CounterEntries() const {
-  return {
-      {"global_committed", global_committed},
-      {"global_aborted", global_aborted},
-      {"global_aborted_cert", global_aborted_cert},
-      {"global_aborted_dml", global_aborted_dml},
-      {"global_aborted_timeout", global_aborted_timeout},
-      {"retransmits", retransmits},
-      {"dup_msgs_absorbed", dup_msgs_absorbed},
-      {"coordinator_crashes", coordinator_crashes},
-      {"coordinator_redelivered_decisions",
-       coordinator_redelivered_decisions},
-      {"global_aborted_crash", global_aborted_crash},
-      {"inquiries_sent", inquiries_sent},
-      {"inquiries_answered_presumed_abort",
-       inquiries_answered_presumed_abort},
-      {"prepares_received", prepares_received},
-      {"refuse_extension", refuse_extension},
-      {"refuse_interval", refuse_interval},
-      {"refuse_snapshot", refuse_snapshot},
-      {"refuse_dead", refuse_dead},
-      {"commit_cert_retries", commit_cert_retries},
-      {"alive_checks", alive_checks},
-      {"resubmissions", resubmissions},
-      {"resubmission_failures", resubmission_failures},
-      {"short_commits_1pc", short_commits_1pc},
-      {"short_commits_readonly", short_commits_readonly},
-      {"csn_assigned", csn_assigned},
-      {"single_site_committed", single_site_committed},
-      {"single_site_latency_total_us", single_site_latency_total},
-      {"local_committed", local_committed},
-      {"local_aborted", local_aborted},
-      {"latency_samples", latency_samples},
-      {"latency_total_us", latency_total},
-      {"latency_max_us", latency_max},
-      {"cgm_graph_rejections", cgm_graph_rejections},
-      {"cgm_lock_timeouts", cgm_lock_timeouts},
-      {"paxos_forced_writes", paxos_forced_writes},
-      {"paxos_votes_accepted", paxos_votes_accepted},
-      {"paxos_resolutions", paxos_resolutions},
-      {"paxos_elections", paxos_elections},
-      {"paxos_decided_fast", paxos_decided_fast},
-      {"paxos_decided_resolved", paxos_decided_resolved},
-      {"epoch_refusals", epoch_refusals},
-      {"epoch_map_refreshes", epoch_map_refreshes},
-      {"reconfig_started", reconfig_started},
-      {"reconfig_completed", reconfig_completed},
-      {"reconfig_rows_moved", reconfig_rows_moved},
-      {"reconfig_residue_adopted", reconfig_residue_adopted},
-      {"reconfig_forced_aborts", reconfig_forced_aborts},
-      {"commits_stale_epoch", commits_stale_epoch},
-      {"trace_events_emitted", trace_events_emitted},
-      {"trace_events_dropped", trace_events_dropped},
-      {"trace_sampled_out", trace_sampled_out},
-  };
+  std::vector<std::pair<const char*, int64_t>> out;
+  out.reserve(std::size(kCounters));
+  for (const MetricsCounter& c : kCounters) {
+    out.emplace_back(c.name, this->*c.field);
+  }
+  return out;
 }
 
 std::string MetricsPrometheusText(const Metrics& total,

@@ -5,6 +5,7 @@
 #define HERMES_CORE_METRICS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,6 +118,16 @@ struct Metrics {
 
   std::string ToString() const;
 };
+
+// One scalar counter of Metrics: its export name and the field holding it.
+struct MetricsCounter {
+  const char* name;
+  int64_t Metrics::*field;
+};
+
+// Every scalar counter, in declaration order. Merge and CounterEntries
+// both walk this one table, so a counter is named and merged in one place.
+std::span<const MetricsCounter> MetricsCounters();
 
 // Prometheus text exposition of a run's metrics: every counter as
 // `hermes_<name>`, the same counter per site as `hermes_<name>{site="s"}`

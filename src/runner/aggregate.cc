@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "common/str.h"
@@ -283,9 +284,7 @@ class ArtifactParser {
       return Error();
     }
     if (!Expect(',') || !Key("seed") || !Uint64(out.seed)) return Error();
-    int64_t workers = 0;
-    if (!Expect(',') || !Key("workers") || !Int64(workers)) return Error();
-    out.workers = static_cast<int>(workers);
+    if (!Expect(',') || !Key("workers") || !Int(out.workers)) return Error();
     if (!Expect(',') || !Key("headers") || !StringArray(out.headers)) {
       return Error();
     }
@@ -417,7 +416,7 @@ class ArtifactParser {
 
   bool ParseStat(Stat& stat) {
     double mean = 0;  // derived: sum / count
-    return Expect('{') && Key("count") && Int64(stat.count) &&
+    return Expect('{') && Key("count") && Count(stat.count) &&
            Expect(',') && Key("sum") && Double(stat.sum) && Expect(',') &&
            Key("mean") && Double(mean) && Expect(',') && Key("min") &&
            Double(stat.min) && Expect(',') && Key("max") &&
@@ -440,7 +439,7 @@ class ArtifactParser {
     if (!TryExpect(']')) {
       while (true) {
         int64_t index = 0, n = 0;
-        if (!Expect('[') || !Int64(index) || !Expect(',') || !Int64(n) ||
+        if (!Expect('[') || !Int64(index) || !Expect(',') || !Count(n) ||
             !Expect(']')) {
           return Error();
         }
@@ -564,6 +563,24 @@ class ArtifactParser {
     out = std::strtoll(std::string(in_.substr(start, pos_ - start)).c_str(),
                        nullptr, 10);
     if (errno == ERANGE) return Fail2("integer out of range");
+    return true;
+  }
+
+  bool Int(int& out) {
+    int64_t v = 0;
+    if (!Int64(v)) return false;
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      return Fail2("integer out of range");
+    }
+    out = static_cast<int>(v);
+    return true;
+  }
+
+  // A number of occurrences: an integer that cannot be negative.
+  bool Count(int64_t& out) {
+    if (!Int64(out)) return false;
+    if (out < 0) return Fail2("negative count");
     return true;
   }
 

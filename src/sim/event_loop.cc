@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 namespace hermes::sim {
@@ -28,7 +29,7 @@ bool EventLoop::Cancel(EventId id) {
   return true;
 }
 
-bool EventLoop::PopNext(Event& out) {
+bool EventLoop::DispatchNext(Time deadline) {
   while (!queue_.empty()) {
     // priority_queue::top returns const&; the function object must be moved
     // out before pop, so const_cast the owned element (safe: we pop next).
@@ -38,9 +39,21 @@ bool EventLoop::PopNext(Event& out) {
       queue_.pop();
       continue;
     }
+    if (top.at > deadline) return false;
     pending_.erase(top.id);
-    out = std::move(top);
+    Event ev = std::move(top);
     queue_.pop();
+    now_ = ev.at;
+    ++events_processed_;
+    if (max_events_ != 0 && events_processed_ > max_events_) {
+      std::fprintf(stderr,
+                   "EventLoop: exceeded max_events=%llu at t=%lld; "
+                   "likely livelock\n",
+                   static_cast<unsigned long long>(max_events_),
+                   static_cast<long long>(now_));
+      std::abort();
+    }
+    ev.fn();
     return true;
   }
   return false;
@@ -48,49 +61,13 @@ bool EventLoop::PopNext(Event& out) {
 
 uint64_t EventLoop::Run() {
   uint64_t n = 0;
-  Event ev;
-  while (PopNext(ev)) {
-    now_ = ev.at;
-    ++n;
-    ++events_processed_;
-    if (max_events_ != 0 && events_processed_ > max_events_) {
-      std::fprintf(stderr,
-                   "EventLoop: exceeded max_events=%llu at t=%lld; "
-                   "likely livelock\n",
-                   static_cast<unsigned long long>(max_events_),
-                   static_cast<long long>(now_));
-      std::abort();
-    }
-    ev.fn();
-  }
+  while (DispatchNext(std::numeric_limits<Time>::max())) ++n;
   return n;
 }
 
 uint64_t EventLoop::RunUntil(Time deadline) {
   uint64_t n = 0;
-  Event ev;
-  while (!queue_.empty()) {
-    // Peek the next live event's time without consuming it.
-    if (cancelled_.count(queue_.top().id) != 0) {
-      cancelled_.erase(queue_.top().id);
-      queue_.pop();
-      continue;
-    }
-    if (queue_.top().at > deadline) break;
-    if (!PopNext(ev)) break;
-    now_ = ev.at;
-    ++n;
-    ++events_processed_;
-    if (max_events_ != 0 && events_processed_ > max_events_) {
-      std::fprintf(stderr,
-                   "EventLoop: exceeded max_events=%llu at t=%lld; "
-                   "likely livelock\n",
-                   static_cast<unsigned long long>(max_events_),
-                   static_cast<long long>(now_));
-      std::abort();
-    }
-    ev.fn();
-  }
+  while (DispatchNext(deadline)) ++n;
   // The whole slice up to `deadline` was simulated: advance the clock even
   // when the queue drained early, so back-to-back RunUntil calls measure
   // wall-clock-like virtual time instead of sticking at the last event.
@@ -99,12 +76,7 @@ uint64_t EventLoop::RunUntil(Time deadline) {
 }
 
 bool EventLoop::Step() {
-  Event ev;
-  if (!PopNext(ev)) return false;
-  now_ = ev.at;
-  ++events_processed_;
-  ev.fn();
-  return true;
+  return DispatchNext(std::numeric_limits<Time>::max());
 }
 
 }  // namespace hermes::sim

@@ -63,8 +63,9 @@ class EventLoop {
   bool Empty() const { return pending_.empty(); }
   uint64_t events_processed() const { return events_processed_; }
 
-  // Safety valve for tests: Run() aborts the process after this many events
-  // (0 = unlimited) to turn livelocks into loud failures.
+  // Safety valve for tests: Run(), RunUntil() and Step() abort the process
+  // after this many events (0 = unlimited) to turn livelocks into loud
+  // failures.
   void set_max_events(uint64_t n) { max_events_ = n; }
 
  private:
@@ -80,8 +81,9 @@ class EventLoop {
     }
   };
 
-  // Pops the next non-cancelled event into `out`. Returns false when empty.
-  bool PopNext(Event& out);
+  // Discards cancelled tombstones, then runs the next event if its time is
+  // <= `deadline`. Returns false when no such event is pending.
+  bool DispatchNext(Time deadline);
 
   Time now_ = 0;
   EventId next_id_ = 1;

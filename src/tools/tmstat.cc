@@ -3,12 +3,12 @@
 // Reads a trace file — JSONL or the binary ring-buffer format, detected
 // by the "HTRB" magic bytes (written by any benchmark/sweep via
 // --trace-out, or by Tracer::WriteJsonl / WriteBinary) — and prints
-// reports folded from the causal span pipeline: per-transaction
-// timelines, the 2PC critical-path phase breakdown, prepared
-// blocking-window statistics, certification refusal conflicts,
-// resubmission chains and the windowed virtual-time series. Optionally
-// exports the span forest as a Chrome/Perfetto trace (load the file at
-// https://ui.perfetto.dev).
+// reports read from one fold of it, the causal span forest, or from the
+// parsed events: per-transaction timelines, the 2PC critical-path phase
+// breakdown, prepared blocking-window statistics, certification refusal
+// conflicts, resubmission chains and the windowed virtual-time series.
+// Optionally exports the span forest as a Chrome/Perfetto trace (load the
+// file at https://ui.perfetto.dev).
 //
 // Usage:
 //   tmstat <trace.{jsonl,bin}>
@@ -25,11 +25,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/str.h"
-#include "trace/analyzer.h"
 #include "trace/binary.h"
 #include "trace/critical_path.h"
 #include "trace/perfetto.h"
@@ -86,17 +87,111 @@ bool WantReport(const Options& opt, const char* name) {
   return opt.report == name || opt.report == "all";
 }
 
-void PrintTimeline(const Options& opt, const trace::TraceAnalyzer& analyzer,
-                   const trace::SpanForest& forest,
+// The resubmission history of one global subtransaction at one site
+// (T^s_k0, T^s_k1, ... in the paper): its unilateral aborts and the
+// resubmitted incarnations, read off the span forest.
+struct Chain {
+  int unilateral_aborts = 0;
+  std::vector<const trace::Span*> attempts;  // kResubmission, in order
+  bool locally_committed = false;
+};
+
+using ChainKey = std::pair<TxnId, SiteId>;
+
+// Groups the forest's kResubmission spans and unilateral_abort notes by
+// (txn, site). A note sits on the site's blocked window or resubmission
+// span, or on the root with an "@<site>" suffix. A chain committed
+// locally when its site's blocking window closed with the commit.
+std::map<ChainKey, Chain> CollectChains(const trace::SpanForest& forest) {
+  std::map<ChainKey, Chain> chains;
+  for (const trace::Span& s : forest.spans) {
+    if (s.kind == trace::SpanKind::kResubmission) {
+      chains[{s.txn, s.site}].attempts.push_back(&s);
+    }
+    for (const trace::SpanNote& n : s.notes) {
+      if (n.label.rfind("unilateral_abort", 0) != 0) continue;
+      SiteId site = s.site;
+      if (s.kind == trace::SpanKind::kTxn) {
+        site = std::atoi(n.label.c_str() + n.label.rfind('@') + 1);
+      }
+      chains[{s.txn, site}].unilateral_aborts += 1;
+    }
+  }
+  for (const trace::Span& s : forest.spans) {
+    if (s.kind != trace::SpanKind::kBlocked || !s.closed() || !s.ok) continue;
+    auto it = chains.find({s.txn, s.site});
+    if (it != chains.end()) it->second.locally_committed = true;
+  }
+  return chains;
+}
+
+int64_t CountRefusals(const std::vector<trace::Event>& events) {
+  return std::count_if(events.begin(), events.end(), [](const trace::Event& e) {
+    return e.kind == trace::EventKind::kCertRefuse && e.txn.valid();
+  });
+}
+
+void PrintSummary(const trace::SpanForest& forest,
+                  const std::vector<trace::Event>& events) {
+  Section("summary");
+  int64_t committed = 0, aborted = 0, unfinished = 0;
+  for (int32_t root_id : forest.roots) {
+    const trace::Span& root = forest.spans[static_cast<size_t>(root_id)];
+    if (!root.closed()) {
+      ++unfinished;
+    } else if (root.ok) {
+      ++committed;
+    } else {
+      ++aborted;
+    }
+  }
+  int64_t reconfigs = 0, handoffs = 0, epoch_refused = 0;
+  for (const trace::Event& e : events) {
+    if (e.kind == trace::EventKind::kReconfigDone) ++reconfigs;
+    if (e.kind == trace::EventKind::kReconfigHandoff) ++handoffs;
+    if (e.kind == trace::EventKind::kEpochRefused) ++epoch_refused;
+  }
+  std::string out = StrCat(
+      "trace: ", events.size(), " events, ", forest.roots.size(),
+      " transactions (", committed, " committed, ", aborted, " aborted, ",
+      unfinished, " unfinished), ", CollectChains(forest).size(),
+      " resubmission chain(s), ", CountRefusals(events),
+      " certification refusal(s)");
+  // Membership changes only clutter the summary of runs that had none.
+  if (reconfigs + handoffs + epoch_refused > 0) {
+    StrAppend(out, ", ", reconfigs, " reconfiguration(s) (", handoffs,
+              " shard handoff(s), ", epoch_refused, " epoch refusal(s))");
+  }
+  std::printf("%s\n", out.c_str());
+}
+
+void PrintTimeline(const Options& opt, const trace::SpanForest& forest,
                    const std::vector<trace::Event>& events) {
   Section("timeline");
   if (!opt.txn.empty()) {
+    // One transaction: its root line, then every event it took part in.
     const Result<TxnId> id = trace::DecodeTxnId(opt.txn);
     if (!id.ok()) {
       std::printf("bad --txn value: %s\n", opt.txn.c_str());
       return;
     }
-    std::printf("%s", analyzer.ReportTxn(*id).c_str());
+    const trace::Span* root = forest.Root(*id);
+    if (root == nullptr) {
+      std::printf("%s: not in trace\n", opt.txn.c_str());
+      return;
+    }
+    std::string line =
+        StrCat(trace::EncodeTxnId(*id), " coordinator=", root->site);
+    if (root->closed()) {
+      StrAppend(line, root->ok ? " COMMITTED" : " ABORTED", " latency=",
+                root->length(), "us");
+    } else {
+      line += " UNFINISHED";
+    }
+    std::printf("%s\n", line.c_str());
+    for (const trace::Event& e : events) {
+      if (e.txn == *id) std::printf("  %s\n", e.ToJson().c_str());
+    }
     return;
   }
   // One line per global transaction (outcome and end-to-end latency), with
@@ -221,25 +316,48 @@ void PrintBlocking(const trace::SpanForest& forest,
   }
 }
 
-void PrintRefusals(const trace::TraceAnalyzer& analyzer) {
+// Every certification REFUSE with its kind, the conflicting transactions
+// and the certifier's detail, straight from the kCertRefuse events.
+void PrintRefusals(const std::vector<trace::Event>& events) {
   Section("refusals");
-  if (analyzer.Refusals().empty()) {
+  if (CountRefusals(events) == 0) {
     std::printf("no certification refusals\n");
     return;
   }
-  for (const trace::Refusal& r : analyzer.Refusals()) {
-    std::printf("%s\n", r.ToString().c_str());
+  for (const trace::Event& e : events) {
+    if (e.kind != trace::EventKind::kCertRefuse || !e.txn.valid()) continue;
+    std::string line =
+        StrCat("refuse ", trace::EncodeTxnId(e.txn), "@", e.site, " t=", e.at,
+               " kind=", trace::RefuseKindName(e.refuse));
+    for (size_t i = 0; i < e.related.size(); ++i) {
+      StrAppend(line, i == 0 ? " conflicting=" : ",",
+                trace::EncodeTxnId(e.related[i]));
+    }
+    if (!e.detail.empty()) StrAppend(line, " (", e.detail, ")");
+    std::printf("%s\n", line.c_str());
   }
 }
 
-void PrintResubmissions(const trace::TraceAnalyzer& analyzer) {
+void PrintResubmissions(const trace::SpanForest& forest) {
   Section("resubmissions");
-  if (analyzer.ResubmissionChains().empty()) {
+  const std::map<ChainKey, Chain> chains = CollectChains(forest);
+  if (chains.empty()) {
     std::printf("no resubmission chains\n");
     return;
   }
-  for (const trace::ResubmissionChain& c : analyzer.ResubmissionChains()) {
-    std::printf("%s\n", c.ToString().c_str());
+  for (const auto& [key, c] : chains) {
+    std::string line = StrCat(
+        "chain ", trace::EncodeTxnId(key.first), "@", key.second, ": ",
+        c.unilateral_aborts, " unilateral abort(s), ", c.attempts.size(),
+        " resubmission(s)");
+    for (const trace::Span* a : c.attempts) {
+      StrAppend(line, " [j=", a->resubmission, " attempt=", a->value, " t=",
+                a->begin,
+                a->end >= 0 ? StrCat("..", a->end) : std::string("..died"),
+                "]");
+    }
+    StrAppend(line, c.locally_committed ? " -> committed" : " -> not committed");
+    std::printf("%s\n", line.c_str());
   }
 }
 
@@ -344,26 +462,18 @@ int main(int argc, char** argv) {
 
   const trace::SpanForest forest = trace::BuildSpanForest(events);
   const trace::CriticalPathReport cp = trace::AnalyzeCriticalPath(forest);
-  const trace::TraceAnalyzer analyzer(events);
 
   std::printf("trace: %s — %zu events, %zu global txns, trace_end=%lld us\n",
               opt.path.c_str(), events.size(), forest.roots.size(),
               static_cast<long long>(forest.trace_end));
 
-  if (WantReport(opt, "summary")) {
-    Section("summary");
-    std::string summary = analyzer.Summary();
-    if (summary.empty() || summary.back() != '\n') summary += '\n';
-    std::printf("%s", summary.c_str());
-  }
-  if (opt.report == "timeline") {
-    PrintTimeline(opt, analyzer, forest, events);
-  }
+  if (WantReport(opt, "summary")) PrintSummary(forest, events);
+  if (opt.report == "timeline") PrintTimeline(opt, forest, events);
   if (opt.report == "spans") PrintSpans(opt, forest);
   if (WantReport(opt, "critical-path")) PrintCriticalPath(opt, cp);
   if (WantReport(opt, "blocking")) PrintBlocking(forest, cp);
-  if (WantReport(opt, "refusals")) PrintRefusals(analyzer);
-  if (WantReport(opt, "resubmissions")) PrintResubmissions(analyzer);
+  if (WantReport(opt, "refusals")) PrintRefusals(events);
+  if (WantReport(opt, "resubmissions")) PrintResubmissions(forest);
   if (WantReport(opt, "timeseries")) PrintTimeSeries(opt, events);
 
   if (!opt.perfetto_out.empty()) {

@@ -46,7 +46,7 @@ inline constexpr size_t kBinaryHeaderSize = 40;
 inline constexpr size_t kBinaryRecordSize = 80;
 
 // True when `data` starts with the binary trace magic — the format
-// auto-detection tmstat and the analyzers use before parsing.
+// auto-detection tmstat uses before parsing.
 bool IsBinaryTrace(std::string_view data);
 
 // Interns strings into dense ids. Id 0 is always the empty string;

@@ -244,8 +244,4 @@ CriticalPathReport AnalyzeCriticalPath(const SpanForest& forest) {
   return report;
 }
 
-CriticalPathReport AnalyzeCriticalPath(const Tracer& tracer) {
-  return AnalyzeCriticalPath(BuildSpanForest(tracer));
-}
-
 }  // namespace hermes::trace

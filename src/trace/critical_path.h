@@ -100,10 +100,6 @@ struct CriticalPathReport {
 
 CriticalPathReport AnalyzeCriticalPath(const SpanForest& forest);
 
-// Streams the tracer's stored events into a forest and
-// analyzes it — no event vector or JSONL string is materialized.
-CriticalPathReport AnalyzeCriticalPath(const Tracer& tracer);
-
 }  // namespace hermes::trace
 
 #endif  // HERMES_TRACE_CRITICAL_PATH_H_

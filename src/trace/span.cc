@@ -99,21 +99,20 @@ struct SpanForestBuilder::Impl {
     span->notes.push_back(SpanNote{at, std::move(label)});
   }
 
-  // Attaches a note to the innermost open span that explains it: the
-  // blocking window if one is open at the site, else the in-flight
-  // resubmission, else the transaction root.
+  // The innermost open span at a site that explains an instant there: the
+  // blocking window if one is open, else the in-flight resubmission.
+  Span* OpenAtSite(const TxnId& txn, SiteId site) {
+    if (Span* s = Find(open_blocked, txn, site)) return s;
+    return Find(open_resubmit, txn, site);
+  }
+
+  // Attaches a note to the innermost open span at the site, else to the
+  // transaction root.
   void NoteInnermost(const TxnId& txn, SiteId site, sim::Time at,
                      std::string label) {
-    if (Span* s = Find(open_blocked, txn, site)) {
-      Note(s, at, std::move(label));
-      return;
-    }
-    if (Span* s = Find(open_resubmit, txn, site)) {
-      Note(s, at, std::move(label));
-      return;
-    }
-    Note(&forest.spans[static_cast<size_t>(RootOf(txn, at))], at,
-         std::move(label));
+    Span* s = OpenAtSite(txn, site);
+    if (s == nullptr) s = &forest.spans[static_cast<size_t>(RootOf(txn, at))];
+    Note(s, at, std::move(label));
   }
 
   void Add(const Event& e);
@@ -255,10 +254,17 @@ void SpanForestBuilder::Impl::Add(const Event& e) {
         break;
       }
       case EventKind::kUnilateralAbort: {
-        b.NoteInnermost(e.txn, e.site, e.at,
-                        e.detail.empty()
-                            ? std::string("unilateral_abort")
-                            : StrCat("unilateral_abort(", e.detail, ")"));
+        std::string label = e.detail.empty()
+                                ? std::string("unilateral_abort")
+                                : StrCat("unilateral_abort(", e.detail, ")");
+        if (Span* s = b.OpenAtSite(e.txn, e.site)) {
+          b.Note(s, e.at, std::move(label));
+          break;
+        }
+        // An active subtransaction has no span of its own: the root note
+        // names the site, so the abort still joins its (txn, site) chain.
+        b.Note(&b.forest.spans[static_cast<size_t>(b.RootOf(e.txn, e.at))],
+               e.at, StrCat(label, "@", e.site));
         break;
       }
       case EventKind::kInquirySend: {

@@ -46,7 +46,10 @@ const char* SpanKindName(SpanKind kind);
 
 // A timestamped marker inside a span (an event that has no duration of
 // its own but explains the span's length: an inquiry probe, a
-// retransmission, a unilateral abort, a fault firing).
+// retransmission, a unilateral abort, a fault firing). A site-local note
+// that finds no open span at its site lands on the root and ends in
+// "@<site>": unilateral aborts of still-active subtransactions and Paxos
+// messages outside a consensus round.
 struct SpanNote {
   sim::Time at = -1;
   std::string label;

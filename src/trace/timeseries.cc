@@ -130,10 +130,4 @@ TimeSeries BuildTimeSeries(const std::vector<Event>& events,
   return b.Finish();
 }
 
-TimeSeries BuildTimeSeries(const Tracer& tracer, sim::Duration window_us) {
-  TimeSeriesBuilder b(window_us);
-  tracer.ForEach([&](const Event& e) { b.Add(e); });
-  return b.Finish();
-}
-
 }  // namespace hermes::trace

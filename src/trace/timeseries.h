@@ -94,10 +94,6 @@ class TimeSeriesBuilder : public EventFold {
 TimeSeries BuildTimeSeries(const std::vector<Event>& events,
                            sim::Duration window_us = TimeSeries::kDefaultWindow);
 
-// Streams the tracer's stored events into a series.
-TimeSeries BuildTimeSeries(const Tracer& tracer,
-                           sim::Duration window_us = TimeSeries::kDefaultWindow);
-
 }  // namespace hermes::trace
 
 #endif  // HERMES_TRACE_TIMESERIES_H_

@@ -304,7 +304,8 @@ TEST(BinaryTrace, JsonlAndBinaryCapturesOfSameRunAgree) {
   EXPECT_EQ(*from_binary, stored);
   // And the derived analyses are byte-identical whichever export fed
   // them — the acceptance bar for format interchangeability.
-  const std::string report = trace::AnalyzeCriticalPath(tracer).ToString();
+  const std::string report =
+      trace::AnalyzeCriticalPath(trace::BuildSpanForest(tracer)).ToString();
   EXPECT_EQ(trace::AnalyzeCriticalPath(trace::BuildSpanForest(*from_jsonl))
                 .ToString(),
             report);

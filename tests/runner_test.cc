@@ -1,15 +1,19 @@
 // Tests for the parallel experiment harness: determinism of parallel
-// execution, order-independent aggregation, error propagation, and the
-// round-trip of the consolidated benchmark artifact.
+// execution, order-independent aggregation (per-run Metrics included),
+// error propagation, and the round-trip of the consolidated benchmark
+// artifact.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/metrics.h"
 #include "fault/fault_plan.h"
 #include "runner/aggregate.h"
 #include "runner/runner.h"
@@ -199,6 +203,37 @@ TEST(Runner, CpuBoundSpeedupOnManyCores) {
       << "serial " << serial_ms << "ms, 8 workers " << parallel_ms << "ms";
 }
 
+TEST(Metrics, MergeSumsEveryCounterAndMaxesLatency) {
+  // Every table field nonzero in both operands, with b's latency_max the
+  // smaller one, so a missed or mis-merged field shows in its entry.
+  core::Metrics a, b;
+  const auto counters = core::MetricsCounters();
+  for (size_t i = 0; i < counters.size(); ++i) {
+    a.*counters[i].field = static_cast<int64_t>(i) + 1;
+    b.*counters[i].field = static_cast<int64_t>(i) + 1000;
+  }
+  b.latency_max = 1;
+  a.latency_hist.Add(10);
+  b.latency_hist.Add(2000);
+  core::Metrics merged = a;
+  merged.Merge(b);
+
+  const auto ea = a.CounterEntries();
+  const auto eb = b.CounterEntries();
+  const auto em = merged.CounterEntries();
+  ASSERT_EQ(em.size(), counters.size());
+  for (size_t i = 0; i < em.size(); ++i) {
+    EXPECT_STREQ(em[i].first, counters[i].name);
+    const std::string name = em[i].first;
+    const int64_t want = name == "latency_max_us"
+                             ? std::max(ea[i].second, eb[i].second)
+                             : ea[i].second + eb[i].second;
+    EXPECT_EQ(em[i].second, want) << name;
+  }
+  EXPECT_EQ(merged.latency_hist.count(), 2);
+  EXPECT_EQ(merged.latency_hist.max(), 2000);
+}
+
 TEST(Aggregate, StatTracksCountSumMinMax) {
   Stat s;
   s.Add(3);
@@ -343,6 +378,15 @@ TEST(Aggregate, ParserRejectsCorruptArtifacts) {
   EXPECT_FALSE(runner::ParseBenchArtifact("").ok());
   // Trailing garbage.
   EXPECT_FALSE(runner::ParseBenchArtifact(encoded + "x").ok());
+  // An integer outside its field's range.
+  bad = encoded;
+  bad.replace(bad.find("\"workers\": 2"), 12, "\"workers\": 4294967297");
+  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
+  // A negative stat count.
+  bad = encoded;
+  const size_t count = bad.find("\"count\": ", bad.find("\"stats\""));
+  bad.replace(count, bad.find(',', count) - count, "\"count\": -1");
+  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
 }
 
 TEST(Aggregate, JsonDoubleIsShortestRoundTrip) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "sim/site_clock.h"
 
 namespace hermes::sim {
@@ -131,6 +133,16 @@ TEST(EventLoop, StepExecutesOneEvent) {
   EXPECT_TRUE(loop.Step());
   EXPECT_FALSE(loop.Step());
   EXPECT_EQ(count, 2);
+}
+
+TEST(EventLoopDeathTest, StepPastMaxEventsAborts) {
+  EventLoop loop;
+  loop.set_max_events(2);
+  std::function<void()> forever = [&] { loop.ScheduleAfter(1, forever); };
+  loop.ScheduleAfter(0, forever);
+  EXPECT_TRUE(loop.Step());
+  EXPECT_TRUE(loop.Step());
+  EXPECT_DEATH(loop.Step(), "exceeded max_events=2");
 }
 
 TEST(EventLoop, EventsCanScheduleMoreEvents) {

@@ -182,6 +182,37 @@ TEST(SpanForestTest, ResubmissionSpansChainThroughPrev) {
   EXPECT_EQ(second->length(), 150);
 }
 
+TEST(SpanForestTest, RootNoteNamesSiteOfAbortBeforePrepare) {
+  // Site 1's subtransaction is still active when its LDBS aborts it, so
+  // the note lands on the root; site 2's is prepared, so its note sits on
+  // the blocking window, which already names the site.
+  const TxnId g = TxnId::MakeGlobal(0, 3);
+  std::vector<Event> events;
+  int64_t seq = 0;
+  events.push_back(Ev(seq++, 0, EventKind::kTxnBegin, g, 0));
+  events.push_back(Ev(seq++, 10, EventKind::kStepStart, g, 0, 1));
+  events.push_back(Ev(seq++, 12, EventKind::kCertReady, g, 2));
+  Event active = Ev(seq++, 20, EventKind::kUnilateralAbort, g, 1);
+  active.detail = "lock timeout";
+  events.push_back(active);
+  events.push_back(Ev(seq++, 25, EventKind::kUnilateralAbort, g, 2));
+  events.push_back(Ev(seq++, 30, EventKind::kTxnEnd, g, 0));
+
+  const SpanForest forest = BuildSpanForest(events);
+  const Span* root = forest.Root(g);
+  ASSERT_NE(root, nullptr);
+  ASSERT_EQ(root->notes.size(), 1u) << forest.ToString();
+  EXPECT_EQ(root->notes[0].label, "unilateral_abort(lock timeout)@1");
+  const Span* blocked = nullptr;
+  for (const Span& s : forest.spans) {
+    if (s.kind == SpanKind::kBlocked) blocked = &s;
+  }
+  ASSERT_NE(blocked, nullptr);
+  EXPECT_EQ(blocked->site, 2);
+  ASSERT_EQ(blocked->notes.size(), 1u);
+  EXPECT_EQ(blocked->notes[0].label, "unilateral_abort");
+}
+
 TEST(CriticalPathTest, AttributesHandCraftedTimelineExactly) {
   const TxnId g = TxnId::MakeGlobal(0, 7);
   std::vector<Event> events;

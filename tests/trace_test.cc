@@ -1,6 +1,6 @@
 // Tests of the hermes::trace subsystem: histogram percentiles, tracer
 // record ordering, JSONL round-trips, determinism of traced runs, and the
-// TraceAnalyzer's reconstruction of a forced resubmission chain with its
+// span forest's reconstruction of a forced resubmission chain with its
 // certification-refusal context (an H1-style scenario through the real
 // protocol stack).
 
@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "core/mdbs.h"
-#include "trace/analyzer.h"
 #include "trace/histogram.h"
+#include "trace/span.h"
 #include "trace/trace.h"
 #include "workload/driver.h"
 
@@ -27,8 +27,10 @@ using core::MdbsConfig;
 using trace::Event;
 using trace::EventKind;
 using trace::Histogram;
+using trace::BuildSpanForest;
 using trace::RefuseKind;
-using trace::TraceAnalyzer;
+using trace::SpanForest;
+using trace::SpanKind;
 using trace::Tracer;
 
 // The tracer's stored events, collected through its streaming seam.
@@ -344,7 +346,7 @@ struct TracedScenario {
   }
 };
 
-TEST(TraceAnalyzerTest, ReconstructsResubmissionChainAndRefusal) {
+TEST(SpanForestTest, ReconstructsResubmissionChainAndRefusal) {
   TracedScenario s;
   s.Run();
   ASSERT_TRUE(s.t1.has_value());
@@ -352,64 +354,65 @@ TEST(TraceAnalyzerTest, ReconstructsResubmissionChainAndRefusal) {
   EXPECT_TRUE(s.t1->status.ok()) << s.t1->status;
   EXPECT_FALSE(s.t2->status.ok());
 
-  TraceAnalyzer analyzer(Stored(s.tracer));
+  const std::vector<Event> events = Stored(s.tracer);
+  const SpanForest forest = BuildSpanForest(events);
+  const trace::Span* t1 = forest.Root(s.t1_id);
+  const trace::Span* t2 = forest.Root(s.t2_id);
+  ASSERT_NE(t1, nullptr);
+  ASSERT_NE(t2, nullptr);
+  EXPECT_TRUE(t1->closed() && t1->ok);
+  EXPECT_EQ(t1->site, kC);
+  EXPECT_TRUE(t2->closed() && !t2->ok);
 
-  // T1's resubmission chain at site a: one unilateral abort, one completed
-  // resubmission attempt, then the local commit.
-  const auto* chain = analyzer.ChainOf(s.t1_id, kA);
-  ASSERT_NE(chain, nullptr) << analyzer.Summary();
-  EXPECT_GE(chain->unilateral_aborts, 1);
-  ASSERT_GE(chain->attempts.size(), 1u);
-  EXPECT_EQ(chain->attempts[0].resubmission, 1);
-  EXPECT_GE(chain->attempts[0].started, 0);
-  EXPECT_GE(chain->attempts[0].completed, chain->attempts[0].started);
-  EXPECT_TRUE(chain->locally_committed);
+  // T1's resubmission chain at site a: a unilateral abort, the completed
+  // resubmission j=1, then the prepared window closing with the commit.
+  const trace::Span* resubmit = nullptr;
+  const trace::Span* blocked = nullptr;
+  bool aborted_at_a = false;
+  for (const trace::Span& sp : forest.spans) {
+    if (sp.txn != s.t1_id) continue;
+    for (const trace::SpanNote& n : sp.notes) {
+      if (n.label.rfind("unilateral_abort", 0) == 0 && sp.site == kA) {
+        aborted_at_a = true;
+      }
+    }
+    if (sp.site != kA) continue;
+    if (sp.kind == SpanKind::kResubmission && resubmit == nullptr) {
+      resubmit = &sp;
+    }
+    if (sp.kind == SpanKind::kBlocked) blocked = &sp;
+  }
+  EXPECT_TRUE(aborted_at_a) << forest.ToString();
+  ASSERT_NE(resubmit, nullptr) << forest.ToString();
+  EXPECT_EQ(resubmit->resubmission, 1);
+  EXPECT_TRUE(resubmit->closed());
+  ASSERT_NE(blocked, nullptr) << forest.ToString();
+  EXPECT_TRUE(blocked->closed() && blocked->ok);
 
   // T2 was refused by the basic certification at site a, and the refusal
   // names T1 as the conflicting prepared transaction.
-  bool found = false;
-  for (const auto& refusal : analyzer.Refusals()) {
-    if (refusal.txn != s.t2_id) continue;
-    found = true;
-    EXPECT_EQ(refusal.site, kA);
-    EXPECT_EQ(refusal.kind, RefuseKind::kInterval);
-    EXPECT_TRUE(std::find(refusal.conflicting.begin(),
-                          refusal.conflicting.end(),
-                          s.t1_id) != refusal.conflicting.end())
-        << refusal.ToString();
+  bool refused = false;
+  for (int32_t id : t2->children) {
+    const trace::Span& c = forest.spans[static_cast<size_t>(id)];
+    if (c.kind == SpanKind::kCertification && c.site == kA) {
+      refused = !c.ok && c.refuse == RefuseKind::kInterval;
+    }
   }
-  EXPECT_TRUE(found) << analyzer.Summary();
+  EXPECT_TRUE(refused) << forest.ToString();
+  const auto refusal =
+      std::find_if(events.begin(), events.end(), [&](const Event& e) {
+        return e.kind == EventKind::kCertRefuse && e.txn == s.t2_id;
+      });
+  ASSERT_NE(refusal, events.end());
+  EXPECT_EQ(refusal->site, kA);
+  EXPECT_TRUE(std::find(refusal->related.begin(), refusal->related.end(),
+                        s.t1_id) != refusal->related.end())
+      << refusal->ToJson();
 
-  // Timelines carry the 2PC spans of both transactions.
-  const auto* t1 = analyzer.Timeline(s.t1_id);
-  ASSERT_NE(t1, nullptr);
-  EXPECT_TRUE(t1->finished);
-  EXPECT_TRUE(t1->committed);
-  EXPECT_EQ(t1->coordinator, kC);
-  ASSERT_TRUE(t1->sites.count(kA));
-  EXPECT_TRUE(t1->sites.at(kA).prepare.complete());
-  EXPECT_TRUE(t1->sites.at(kA).vote_ready);
-  EXPECT_GE(t1->sites.at(kA).resubmissions, 1);
-  EXPECT_TRUE(t1->sites.at(kA).locally_committed);
-
-  const auto* t2 = analyzer.Timeline(s.t2_id);
-  ASSERT_NE(t2, nullptr);
-  EXPECT_TRUE(t2->finished);
-  EXPECT_FALSE(t2->committed);
-  EXPECT_EQ(t2->sites.at(kA).refuse, RefuseKind::kInterval);
-
-  // The human-readable report mentions the refusal.
-  EXPECT_NE(analyzer.ReportTxn(s.t2_id).find("cert_refuse"),
-            std::string::npos)
-      << analyzer.ReportTxn(s.t2_id);
-
-  // Round trip: the analyzer over the parsed JSONL sees the same chains.
+  // Round trip: the forest over the parsed JSONL is the same forest.
   const auto parsed = trace::ParseJsonl(s.tracer.ToJsonl());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  TraceAnalyzer reparsed(*parsed);
-  EXPECT_EQ(reparsed.ResubmissionChains().size(),
-            analyzer.ResubmissionChains().size());
-  EXPECT_EQ(reparsed.Refusals().size(), analyzer.Refusals().size());
+  EXPECT_EQ(BuildSpanForest(*parsed).ToString(), forest.ToString());
 }
 
 TEST(TraceDeterminismTest, SameSeedProducesByteIdenticalTraces) {

@@ -39,6 +39,15 @@ enum class OpKind : uint8_t {
 
 const char* OpKindName(OpKind kind);
 
+// Ops that produce a version of their item.
+inline bool IsWriteKind(OpKind k) {
+  return k == OpKind::kWrite || k == OpKind::kDelete;
+}
+// Elementary ops on an item: reads and writes.
+inline bool IsDataKind(OpKind k) {
+  return IsWriteKind(k) || k == OpKind::kRead;
+}
+
 struct Op {
   OpKind kind = OpKind::kRead;
   // The local subtransaction performing the op. For global-level ops

@@ -1,14 +1,16 @@
 #include "history/projection.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/str.h"
 
 namespace hermes::history {
 
-std::map<TxnId, TxnFate> ClassifyTransactions(const std::vector<Op>& h) {
-  std::map<TxnId, TxnFate> fates;
+std::unordered_map<TxnId, TxnFate> ClassifyTransactions(
+    const std::vector<Op>& h) {
+  std::unordered_map<TxnId, TxnFate> fates;
   for (const Op& op : h) {
     const TxnId& id = op.subtxn.txn;
     TxnFate& f = fates[id];
@@ -43,20 +45,14 @@ std::map<TxnId, TxnFate> ClassifyTransactions(const std::vector<Op>& h) {
     }
   }
   for (auto& [id, f] : fates) {
-    if (f.global) {
-      // Sites whose residue migrated away in a shard handoff owe no local
-      // commit: the adopting site settles the outcome in their stead.
-      std::set<SiteId> required;
-      std::set_difference(f.sites.begin(), f.sites.end(),
-                          f.migrated_sites.begin(), f.migrated_sites.end(),
-                          std::inserter(required, required.begin()));
-      f.complete =
-          f.committed &&
-          std::includes(f.committed_sites.begin(), f.committed_sites.end(),
-                        required.begin(), required.end());
-    } else {
-      f.complete = f.committed;
-    }
+    // Sites whose residue migrated away in a shard handoff owe no local
+    // commit: the adopting site settles the outcome in their stead.
+    f.complete = f.committed &&
+                 (!f.global ||
+                  std::all_of(f.sites.begin(), f.sites.end(), [&](SiteId s) {
+                    return f.committed_sites.count(s) != 0 ||
+                           f.migrated_sites.count(s) != 0;
+                  }));
   }
   return fates;
 }

@@ -2,58 +2,193 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
+#include <numeric>
+#include <span>
+#include <unordered_map>
 
 #include "common/str.h"
-#include "history/projection.h"
 
 namespace hermes::history {
 
 namespace {
 
+// Stands for the initial version where a replay names the write a version
+// comes from by its op position.
+constexpr uint32_t kInitial = UINT32_MAX;
 
-// A serial candidate: ops grouped by transaction, groups concatenated in the
-// candidate order, each group preserving its in-history op order.
-std::vector<const Op*> SerialLayout(
-    const std::map<TxnId, std::vector<const Op*>>& groups,
-    const std::vector<TxnId>& order) {
-  std::vector<const Op*> out;
-  for (const TxnId& t : order) {
-    const auto& g = groups.at(t);
-    out.insert(out.end(), g.begin(), g.end());
-  }
-  return out;
-}
+// A history numbered once for all its replays: transactions densely in
+// first-seen order with their op positions grouped, items densely in ItemId
+// order, and each local abort linked to the writes it undoes. A replay in
+// any order that keeps each transaction's ops in history order (H itself,
+// or a serial layout) then runs over flat vectors.
+class ReplayIndex {
+ public:
+  // What a replay saw, by op position: the write each read observed, and
+  // per item index the last surviving write.
+  struct Run {
+    std::vector<uint32_t> observed;
+    std::vector<uint32_t> finals;
+  };
 
-// True when `candidate` replays with exactly the recorded reads-from and the
-// same final versions as the actual execution.
-bool Equivalent(const std::vector<const Op*>& candidate,
-                const std::map<uint64_t, db::VersionTag>& recorded_reads,
-                const std::map<ItemId, db::VersionTag>& actual_finals,
-                std::string* mismatch) {
-  const ReplayOutcome r = Replay(candidate);
-  for (const auto& [seq, tag] : recorded_reads) {
-    auto it = r.reads_from.find(seq);
-    assert(it != r.reads_from.end());
-    if (!(it->second == tag)) {
-      if (mismatch != nullptr) {
-        *mismatch = StrCat("read op#", seq, " observed ", tag.ToString(),
-                           " in H but ", it->second.ToString(),
-                           " in the serial order");
+  explicit ReplayIndex(const std::vector<Op>& ops) : ops_(ops) {
+    const uint32_t n = static_cast<uint32_t>(ops.size());
+    std::vector<uint32_t> txn_of(n);
+    std::unordered_map<ItemId, uint32_t, ItemIdHash> item_index;
+    item_.assign(n, 0);
+    for (uint32_t p = 0; p < n; ++p) {
+      auto [it, inserted] = txn_index_.try_emplace(
+          ops[p].subtxn.txn, static_cast<uint32_t>(txns_.size()));
+      if (inserted) txns_.push_back(ops[p].subtxn.txn);
+      txn_of[p] = it->second;
+      if (IsDataKind(ops[p].kind)) {
+        item_[p] = item_index
+                       .try_emplace(ops[p].item,
+                                    static_cast<uint32_t>(item_index.size()))
+                       .first->second;
       }
+    }
+    // Renumber the items in ItemId order.
+    items_.reserve(item_index.size());
+    for (const auto& [item, i] : item_index) items_.push_back(item);
+    std::sort(items_.begin(), items_.end());
+    std::vector<uint32_t> rank(items_.size());
+    for (uint32_t r = 0; r < items_.size(); ++r) {
+      rank[item_index.at(items_[r])] = r;
+    }
+    for (uint32_t p = 0; p < n; ++p) {
+      if (IsDataKind(ops[p].kind)) item_[p] = rank[item_[p]];
+    }
+    // Group positions by transaction; a counting sort keeps history order.
+    group_start_.assign(txns_.size() + 1, 0);
+    for (uint32_t t : txn_of) ++group_start_[t + 1];
+    std::partial_sum(group_start_.begin(), group_start_.end(),
+                     group_start_.begin());
+    grouped_.resize(n);
+    std::vector<uint32_t> fill(group_start_.begin(), group_start_.end() - 1);
+    for (uint32_t p = 0; p < n; ++p) grouped_[fill[txn_of[p]]++] = p;
+    // A local abort of T^s_kj undoes T^s_kj's writes to site s's items that
+    // precede it and that no earlier abort undid.
+    std::vector<bool> undone(n, false);
+    undo_start_.reserve(n + 1);
+    for (uint32_t p = 0; p < n; ++p) {
+      undo_start_.push_back(static_cast<uint32_t>(undo_.size()));
+      const Op& abort = ops[p];
+      if (abort.kind != OpKind::kLocalAbort) continue;
+      for (uint32_t w : group(txn_of[p])) {
+        if (w >= p) break;
+        const Op& op = ops[w];
+        if (IsWriteKind(op.kind) && !undone[w] &&
+            op.subtxn == abort.subtxn && op.item.site == abort.site) {
+          undone[w] = true;
+          undo_.push_back(w);
+        }
+      }
+    }
+    undo_start_.push_back(static_cast<uint32_t>(undo_.size()));
+  }
+
+  const std::vector<Op>& ops() const { return ops_; }
+  const std::vector<ItemId>& items() const { return items_; }
+  const std::vector<TxnId>& txns() const { return txns_; }
+  bool HasTxn(const TxnId& txn) const { return txn_index_.count(txn) != 0; }
+  // Op positions of `txns()[t]`, in history order.
+  std::span<const uint32_t> group(uint32_t t) const {
+    return {grouped_.data() + group_start_[t],
+            grouped_.data() + group_start_[t + 1]};
+  }
+  std::span<const uint32_t> group(const TxnId& txn) const {
+    return group(txn_index_.at(txn));
+  }
+
+  db::VersionTag Tag(uint32_t write) const {
+    return write == kInitial ? db::VersionTag{} : ops_[write].version;
+  }
+
+  // Replays the ops at the positions `order`: per item a stack of the
+  // writes whose versions survive.
+  Run Replay(const std::vector<uint32_t>& order) const {
+    Run run;
+    run.observed.assign(ops_.size(), kInitial);
+    std::vector<std::vector<uint32_t>> stacks(items_.size());
+    for (uint32_t p : order) {
+      switch (ops_[p].kind) {
+        case OpKind::kRead: {
+          const std::vector<uint32_t>& stack = stacks[item_[p]];
+          if (!stack.empty()) run.observed[p] = stack.back();
+          break;
+        }
+        case OpKind::kWrite:
+        case OpKind::kDelete:
+          stacks[item_[p]].push_back(p);
+          break;
+        case OpKind::kLocalAbort:
+          // RR: the LDBS restores before-images of everything this local
+          // subtransaction wrote at the site.
+          for (uint32_t u = undo_start_[p]; u < undo_start_[p + 1]; ++u) {
+            std::vector<uint32_t>& stack = stacks[item_[undo_[u]]];
+            const auto it = std::find(stack.rbegin(), stack.rend(), undo_[u]);
+            assert(it != stack.rend());
+            stack.erase(std::next(it).base());
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    run.finals.reserve(items_.size());
+    for (const std::vector<uint32_t>& stack : stacks) {
+      run.finals.push_back(stack.empty() ? kInitial : stack.back());
+    }
+    return run;
+  }
+
+  // Replays the history in its own order.
+  Run ReplayHistory() const {
+    std::vector<uint32_t> order(ops_.size());
+    std::iota(order.begin(), order.end(), 0);
+    return Replay(order);
+  }
+
+ private:
+  const std::vector<Op>& ops_;
+  std::vector<TxnId> txns_;
+  std::unordered_map<TxnId, uint32_t> txn_index_;
+  // The op positions of transaction t are
+  // grouped_[group_start_[t] .. group_start_[t + 1]).
+  std::vector<uint32_t> group_start_;
+  std::vector<uint32_t> grouped_;
+  std::vector<ItemId> items_;
+  // By op position: the item index of a data op.
+  std::vector<uint32_t> item_;
+  // The writes the local abort at position p undoes are
+  // undo_[undo_start_[p] .. undo_start_[p + 1]).
+  std::vector<uint32_t> undo_start_;
+  std::vector<uint32_t> undo_;
+};
+
+// True when `serial` observed exactly the recorded reads-from and left the
+// same final versions as the actual execution.
+bool Equivalent(const ReplayIndex& index, const ReplayIndex::Run& serial,
+                const std::vector<uint32_t>& actual_finals,
+                std::string* mismatch) {
+  const std::vector<Op>& ops = index.ops();
+  for (uint32_t p = 0; p < ops.size(); ++p) {
+    if (ops[p].kind != OpKind::kRead) continue;
+    const db::VersionTag seen = index.Tag(serial.observed[p]);
+    if (!(seen == ops[p].version)) {
+      *mismatch = StrCat("read op#", ops[p].seq, " observed ",
+                         ops[p].version.ToString(), " in H but ",
+                         seen.ToString(), " in the serial order");
       return false;
     }
   }
-  for (const auto& [item, tag] : actual_finals) {
-    auto it = r.final_versions.find(item);
-    const db::VersionTag serial_tag =
-        it == r.final_versions.end() ? db::VersionTag{} : it->second;
-    if (!(serial_tag == tag)) {
-      if (mismatch != nullptr) {
-        *mismatch = StrCat("final write of ", item.ToString(), " is ",
-                           tag.ToString(), " in H but ",
-                           serial_tag.ToString(), " in the serial order");
-      }
+  for (size_t i = 0; i < index.items().size(); ++i) {
+    const db::VersionTag actual = index.Tag(actual_finals[i]);
+    const db::VersionTag serial_tag = index.Tag(serial.finals[i]);
+    if (!(serial_tag == actual)) {
+      *mismatch = StrCat("final write of ", index.items()[i].ToString(),
+                         " is ", actual.ToString(), " in H but ",
+                         serial_tag.ToString(), " in the serial order");
       return false;
     }
   }
@@ -74,62 +209,34 @@ const char* VerdictName(Verdict v) {
   return "?";
 }
 
-ReplayOutcome Replay(const std::vector<const Op*>& ops) {
+ReplayOutcome Replay(const std::vector<Op>& ops) {
+  const ReplayIndex index(ops);
+  const ReplayIndex::Run run = index.ReplayHistory();
   ReplayOutcome out;
-  struct Version {
-    SubTxnId owner;
-    db::VersionTag tag;
-  };
-  std::map<ItemId, std::vector<Version>> stacks;
-  for (const Op* op : ops) {
-    switch (op->kind) {
-      case OpKind::kRead: {
-        const auto it = stacks.find(op->item);
-        out.reads_from[op->seq] = (it == stacks.end() || it->second.empty())
-                                      ? db::VersionTag{}
-                                      : it->second.back().tag;
-        break;
-      }
-      case OpKind::kWrite:
-      case OpKind::kDelete:
-        stacks[op->item].push_back(Version{op->subtxn, op->version});
-        break;
-      case OpKind::kLocalAbort: {
-        // RR: the LDBS restores before-images of everything this local
-        // subtransaction wrote.
-        for (auto& [item, stack] : stacks) {
-          if (item.site != op->site) continue;
-          std::erase_if(stack, [&](const Version& v) {
-            return v.owner == op->subtxn;
-          });
-        }
-        break;
-      }
-      default:
-        break;
+  for (uint32_t p = 0; p < ops.size(); ++p) {
+    if (ops[p].kind != OpKind::kRead) continue;
+    if (ops[p].seq >= out.reads_from.size()) {
+      out.reads_from.resize(ops[p].seq + 1);
     }
+    out.reads_from[ops[p].seq] = index.Tag(run.observed[p]);
   }
-  for (const auto& [item, stack] : stacks) {
-    out.final_versions[item] =
-        stack.empty() ? db::VersionTag{} : stack.back().tag;
+  out.items = index.items();
+  for (uint32_t write : run.finals) {
+    out.final_versions.push_back(index.Tag(write));
   }
   return out;
 }
 
 std::string VerifyReplayMatchesRecorded(const std::vector<Op>& committed) {
-  std::vector<const Op*> order;
-  order.reserve(committed.size());
-  for (const Op& op : committed) order.push_back(&op);
-  const ReplayOutcome r = Replay(order);
-  for (const Op& op : committed) {
+  const ReplayIndex index(committed);
+  const ReplayIndex::Run run = index.ReplayHistory();
+  for (uint32_t p = 0; p < committed.size(); ++p) {
+    const Op& op = committed[p];
     if (op.kind != OpKind::kRead) continue;
-    auto it = r.reads_from.find(op.seq);
-    if (it == r.reads_from.end()) {
-      return StrCat("read op#", op.seq, " missing from replay");
-    }
-    if (!(it->second == op.version)) {
+    const db::VersionTag seen = index.Tag(run.observed[p]);
+    if (!(seen == op.version)) {
       return StrCat(op.ToString(), ": replay of C(H) observes ",
-                    it->second.ToString(),
+                    seen.ToString(),
                     " — the execution read from a version outside the "
                     "committed projection");
     }
@@ -138,49 +245,42 @@ std::string VerifyReplayMatchesRecorded(const std::vector<Op>& committed) {
 }
 
 ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
+                                         const TxnGraph& cg,
                                          size_t max_txns) {
   ViewCheckResult result;
-
-  // Group ops by transaction; remember first-appearance order.
-  std::map<TxnId, std::vector<const Op*>> groups;
-  std::vector<TxnId> txns;
-  for (const Op& op : committed) {
-    auto [it, inserted] = groups.try_emplace(op.subtxn.txn);
-    if (inserted) txns.push_back(op.subtxn.txn);
-    it->second.push_back(&op);
-  }
-  if (txns.empty()) {
+  const ReplayIndex index(committed);
+  if (index.txns().empty()) {
     result.verdict = Verdict::kSerializable;
     return result;
   }
 
-  // Actual execution: recorded reads-from and final versions.
-  std::map<uint64_t, db::VersionTag> recorded_reads;
-  std::set<TxnId> committed_set(txns.begin(), txns.end());
   for (const Op& op : committed) {
-    if (op.kind != OpKind::kRead) continue;
-    recorded_reads[op.seq] = op.version;
     // A read from a version whose writer is excluded from C(H) can never be
     // reproduced by a serial order of C(H)'s transactions.
-    if (!op.version.initial() &&
-        committed_set.count(op.version.writer.txn) == 0) {
+    if (op.kind == OpKind::kRead && !op.version.initial() &&
+        !index.HasTxn(op.version.writer.txn)) {
       result.verdict = Verdict::kNotSerializable;
       result.reason = StrCat(op.ToString(),
                              " reads from a transaction outside C(H)");
       return result;
     }
   }
-  std::vector<const Op*> h_order;
-  h_order.reserve(committed.size());
-  for (const Op& op : committed) h_order.push_back(&op);
-  const auto actual_finals = Replay(h_order).final_versions;
+  // Actual execution: the recorded reads-from is in the ops themselves.
+  const std::vector<uint32_t> actual_finals = index.ReplayHistory().finals;
 
   std::string first_mismatch;
   auto try_order = [&](const std::vector<TxnId>& order) {
     ++result.orders_tried;
+    // The serial candidate: each transaction's ops in history order, the
+    // transactions in the candidate order.
+    std::vector<uint32_t> layout;
+    layout.reserve(committed.size());
+    for (const TxnId& t : order) {
+      const std::span<const uint32_t> g = index.group(t);
+      layout.insert(layout.end(), g.begin(), g.end());
+    }
     std::string mismatch;
-    if (Equivalent(SerialLayout(groups, order), recorded_reads, actual_finals,
-                   &mismatch)) {
+    if (Equivalent(index, index.Replay(layout), actual_finals, &mismatch)) {
       result.verdict = Verdict::kSerializable;
       result.witness = order;
       return true;
@@ -192,13 +292,11 @@ ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
   // Fast certificates first: a topological order of CG(C(H)) is the paper's
   // canonical view-serialization order; SG order covers conflict-
   // serializable histories.
-  if (auto topo = BuildCommitOrderGraph(committed).TopologicalOrder()) {
-    // CG only contains transactions with local commits; append any missing
-    // (read-only at every site that failed to commit cannot happen in C(H),
-    // but local transactions without commits are excluded anyway).
-    std::set<TxnId> seen(topo->begin(), topo->end());
-    for (const TxnId& t : txns) {
-      if (seen.count(t) == 0) topo->push_back(t);
+  if (auto topo = cg.TopologicalOrder()) {
+    // CG only contains transactions with local commits; append the rest
+    // (local transactions without commits are excluded from C(H) anyway).
+    for (const TxnId& t : index.txns()) {
+      if (!cg.HasNode(t)) topo->push_back(t);
     }
     if (try_order(*topo)) return result;
   }
@@ -206,6 +304,7 @@ ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
     if (try_order(*topo)) return result;
   }
 
+  const std::vector<TxnId>& txns = index.txns();
   if (txns.size() > max_txns) {
     result.verdict = Verdict::kUnknown;
     result.reason = StrCat("too many transactions (", txns.size(),
@@ -225,6 +324,12 @@ ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
                          result.orders_tried, " orders tried); e.g. ",
                          first_mismatch);
   return result;
+}
+
+ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
+                                         size_t max_txns) {
+  return CheckViewSerializability(committed, BuildCommitOrderGraph(committed),
+                                  max_txns);
 }
 
 bool CommitGraphAcyclic(const std::vector<Op>& committed) {

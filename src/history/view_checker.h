@@ -16,7 +16,6 @@
 #ifndef HERMES_HISTORY_VIEW_CHECKER_H_
 #define HERMES_HISTORY_VIEW_CHECKER_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,8 +27,8 @@ namespace hermes::history {
 enum class Verdict {
   kSerializable,
   kNotSerializable,
-  // Too many transactions for the exact check and the fast certificates
-  // failed; use CommitGraphAcyclic for large histories.
+  // Too many transactions for the exact check, and neither the CG nor the
+  // SG topological order is a witness.
   kUnknown,
 };
 
@@ -46,17 +45,21 @@ struct ViewCheckResult {
   uint64_t orders_tried = 0;
 };
 
-// Outcome of replaying an operation sequence with rollback semantics.
+// Outcome of replaying a history with rollback semantics.
 struct ReplayOutcome {
-  // op.seq of each read -> version observed in the replay.
-  std::map<uint64_t, db::VersionTag> reads_from;
-  // Last surviving version per item at the end.
-  std::map<ItemId, db::VersionTag> final_versions;
+  // Indexed by Op::seq: the version each read observed in the replay
+  // (initial for other ops).
+  std::vector<db::VersionTag> reads_from;
+  // The items the history reads or writes, ascending, and the last
+  // surviving version of each at the same index.
+  std::vector<ItemId> items;
+  std::vector<db::VersionTag> final_versions;
 };
 
-// Replays `ops` (in the given order) maintaining per-item version stacks;
-// kLocalAbort removes the aborting subtransaction's versions (RR).
-ReplayOutcome Replay(const std::vector<const Op*>& ops);
+// Replays `ops` in history order maintaining per-item version stacks;
+// kLocalAbort removes the versions the aborting subtransaction wrote at the
+// site (RR).
+ReplayOutcome Replay(const std::vector<Op>& ops);
 
 // Self-check of the recording pipeline: replaying C(H) in history order must
 // observe exactly the version tags the execution actually recorded, provided
@@ -65,7 +68,11 @@ ReplayOutcome Replay(const std::vector<const Op*>& ops);
 std::string VerifyReplayMatchesRecorded(const std::vector<Op>& committed);
 
 // The exact view-serializability check over a committed projection.
-// `max_txns` bounds the permutation search.
+// `max_txns` bounds the permutation search. `cg` must be
+// BuildCommitOrderGraph(committed), for callers that have already built it.
+ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
+                                         const TxnGraph& cg,
+                                         size_t max_txns = 9);
 ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
                                          size_t max_txns = 9);
 

@@ -7,6 +7,7 @@
 
 #include "common/str.h"
 #include "fault/injector.h"
+#include "history/graphs.h"
 #include "history/projection.h"
 #include "workload/generator.h"
 
@@ -137,7 +138,10 @@ void ValidateHistory(const std::shared_ptr<RunState>& st, RunResult& result) {
   result.history_ops = ops.size();
   const std::vector<history::Op> committed =
       history::CommittedProjection(ops);
-  result.commit_graph_acyclic = history::CommitGraphAcyclic(committed);
+  // One CG serves both its acyclicity check and the view check's
+  // first candidate order.
+  const history::TxnGraph cg = history::BuildCommitOrderGraph(committed);
+  result.commit_graph_acyclic = !cg.HasCycle();
   result.replay_error = history::VerifyReplayMatchesRecorded(committed);
   result.replay_consistent = result.replay_error.empty();
   result.order_invariant_error = history::CheckOrderInvariant(ops);
@@ -145,7 +149,7 @@ void ValidateHistory(const std::shared_ptr<RunState>& st, RunResult& result) {
   result.atomicity_error = history::CheckGlobalAtomicity(ops);
   result.atomicity_ok = result.atomicity_error.empty();
   const history::ViewCheckResult check =
-      history::CheckViewSerializability(committed, /*max_txns=*/8);
+      history::CheckViewSerializability(committed, cg, /*max_txns=*/8);
   result.verdict = check.verdict;
   result.verdict_detail = check.reason;
 }

@@ -1,16 +1,14 @@
 #include "history/projection.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "common/str.h"
 
 namespace hermes::history {
 
-std::unordered_map<TxnId, TxnFate> ClassifyTransactions(
-    const std::vector<Op>& h) {
-  std::unordered_map<TxnId, TxnFate> fates;
+std::map<TxnId, TxnFate> ClassifyTransactions(const std::vector<Op>& h) {
+  std::map<TxnId, TxnFate> fates;
   for (const Op& op : h) {
     const TxnId& id = op.subtxn.txn;
     TxnFate& f = fates[id];

@@ -8,7 +8,7 @@
 #ifndef HERMES_HISTORY_PROJECTION_H_
 #define HERMES_HISTORY_PROJECTION_H_
 
-#include <unordered_map>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -43,8 +43,7 @@ struct TxnFate {
   }
 };
 
-std::unordered_map<TxnId, TxnFate> ClassifyTransactions(
-    const std::vector<Op>& h);
+std::map<TxnId, TxnFate> ClassifyTransactions(const std::vector<Op>& h);
 
 // The paper's committed projection: R/W/P/c/a/C ops of globally committed
 // complete global transactions (including ops of their unilaterally aborted

@@ -249,7 +249,8 @@ ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
                                          size_t max_txns) {
   ViewCheckResult result;
   const ReplayIndex index(committed);
-  if (index.txns().empty()) {
+  const std::vector<TxnId>& txns = index.txns();
+  if (txns.empty()) {
     result.verdict = Verdict::kSerializable;
     return result;
   }
@@ -295,7 +296,7 @@ ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
   if (auto topo = cg.TopologicalOrder()) {
     // CG only contains transactions with local commits; append the rest
     // (local transactions without commits are excluded from C(H) anyway).
-    for (const TxnId& t : index.txns()) {
+    for (const TxnId& t : txns) {
       if (!cg.HasNode(t)) topo->push_back(t);
     }
     if (try_order(*topo)) return result;
@@ -304,7 +305,6 @@ ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
     if (try_order(*topo)) return result;
   }
 
-  const std::vector<TxnId>& txns = index.txns();
   if (txns.size() > max_txns) {
     result.verdict = Verdict::kUnknown;
     result.reason = StrCat("too many transactions (", txns.size(),

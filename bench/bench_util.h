@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/str.h"
 #include "runner/aggregate.h"
 #include "trace/trace.h"
@@ -31,23 +32,27 @@ struct SweepArgs {
 };
 
 // Parses `--workers=N` (or `-jN`), `--quick` and `--trace-out=PATH`; an
-// unknown argument prints a usage message and terminates the process with
-// exit code 2.
+// unknown argument or a worker count that is not a whole int prints a
+// usage message and terminates the process with exit code 2.
 inline SweepArgs ParseSweepArgs(int argc, char** argv) {
   SweepArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    bool ok = true;
     if (std::strcmp(a, "--quick") == 0) {
       args.quick = true;
     } else if (std::strncmp(a, "--workers=", 10) == 0) {
-      args.workers = std::atoi(a + 10);
+      ok = json::ParseInt(a + 10, args.workers);
     } else if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') {
-      args.workers = std::atoi(a + 2);
+      ok = json::ParseInt(a + 2, args.workers);
     } else if (std::strncmp(a, "--trace-out=", 12) == 0) {
       args.trace_out = a + 12;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(stderr,
-                   "unknown argument: %s\nusage: %s [--quick] [--workers=N]"
+                   "bad argument: %s\nusage: %s [--quick] [--workers=N]"
                    " [--trace-out=PATH]\n",
                    a, argv[0]);
       std::exit(2);

@@ -56,7 +56,9 @@ int RunFailureSweep(const SweepArgs& args) {
   runner::Aggregator agg;
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl);
+    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl)) {
+      return 2;
+    }
   }
 
   TablePrinter table({"p_fail", "committed", "aborted", "resub",

@@ -120,7 +120,9 @@ int RunPaxosSweep(const SweepArgs& args) {
   runner::Aggregator agg;
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl);
+    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl)) {
+      return 2;
+    }
   }
 
   TablePrinter table({"protocol", "committed", "aborted", "crash abrt",
@@ -187,32 +189,15 @@ int RunPaxosSweep(const SweepArgs& args) {
     spec.capture_trace = true;
     det.push_back(std::move(spec));
   }
-  Result<std::vector<runner::RunOutput>> det_serial =
-      runner::RunAll(det, {.workers = 1});
-  Result<std::vector<runner::RunOutput>> det_parallel =
-      runner::RunAll(det, {.workers = 2});
-  if (!det_serial.ok() || !det_parallel.ok()) {
-    std::fprintf(stderr, "harness: determinism sub-grid failed\n");
-    return 2;
-  }
-  bool deterministic = true;
-  for (size_t i = 0; i < det.size(); ++i) {
-    if (runner::Fingerprint((*det_serial)[i]) !=
-        runner::Fingerprint((*det_parallel)[i])) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "determinism: paxos run %zu diverged between serial and "
-                   "2-worker execution\n",
-                   i);
-    }
-  }
-  all_ok = all_ok && deterministic;
+  Result<DeterminismRuns> det_runs = RunDeterminismGrid(det, "paxos");
+  if (!det_runs.ok()) return 2;
+  all_ok = all_ok && det_runs->identical;
 
   if (!args.trace_out.empty() && !det.empty()) {
     // Export the F=1 traced run for tmstat / Perfetto (consensus spans).
     const size_t pick = det.size() > 2 ? 2 : det.size() - 1;
-    if (!WriteTraceArtifacts(args.trace_out, (*det_serial)[pick].trace_jsonl,
-                             (*det_serial)[pick].result)) {
+    if (!WriteTraceArtifacts(args.trace_out, det_runs->serial[pick].trace_jsonl,
+                             det_runs->serial[pick].result)) {
       std::fprintf(stderr, "warning: could not write %s\n",
                    args.trace_out.c_str());
     }
@@ -230,7 +215,7 @@ int RunPaxosSweep(const SweepArgs& args) {
       "Determinism sub-grid: serial == 2 workers, %s.\n",
       blocked_p95_paxos_worst, blocked_p95_2pc,
       non_blocking ? "HOLDS" : "VIOLATED",
-      deterministic ? "byte-identical" : "DIVERGED");
+      det_runs->identical ? "byte-identical" : "DIVERGED");
   if (!all_ok) return 1;
   return rc;
 }

@@ -198,7 +198,10 @@ int RunReconfigSweep(const SweepArgs& args) {
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
     if (specs[i].capture_trace) {
-      AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl);
+      if (!AddPhaseStats(agg.Cell(specs[i].cell),
+                         (*outputs)[i].trace_jsonl)) {
+        return 2;
+      }
       timelines[i / static_cast<size_t>(num_seeds)] =
           AnalyzeTimeline((*outputs)[i].trace_jsonl);
     }
@@ -251,30 +254,13 @@ int RunReconfigSweep(const SweepArgs& args) {
   for (size_t i = 0; i < specs.size(); ++i) {
     if (specs[i].capture_trace) det.push_back(specs[i]);
   }
-  Result<std::vector<runner::RunOutput>> det_serial =
-      runner::RunAll(det, {.workers = 1});
-  Result<std::vector<runner::RunOutput>> det_parallel =
-      runner::RunAll(det, {.workers = 2});
-  if (!det_serial.ok() || !det_parallel.ok()) {
-    std::fprintf(stderr, "harness: determinism sub-grid failed\n");
-    return 2;
-  }
-  bool deterministic = true;
-  for (size_t i = 0; i < det.size(); ++i) {
-    if (runner::Fingerprint((*det_serial)[i]) !=
-        runner::Fingerprint((*det_parallel)[i])) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "determinism: reconfig cell %s diverged between serial "
-                   "and 2-worker execution\n",
-                   det[i].cell.c_str());
-    }
-  }
-  all_ok = all_ok && deterministic;
+  Result<DeterminismRuns> det_runs = RunDeterminismGrid(det, "reconfig");
+  if (!det_runs.ok()) return 2;
+  all_ok = all_ok && det_runs->identical;
 
   if (!args.trace_out.empty() && !det.empty()) {
-    if (!WriteTraceArtifacts(args.trace_out, (*det_serial)[0].trace_jsonl,
-                             (*det_serial)[0].result)) {
+    if (!WriteTraceArtifacts(args.trace_out, det_runs->serial[0].trace_jsonl,
+                             det_runs->serial[0].result)) {
       std::fprintf(stderr, "warning: could not write %s\n",
                    args.trace_out.c_str());
     }
@@ -290,7 +276,7 @@ int RunReconfigSweep(const SweepArgs& args) {
       "bounded by the drain window and recovery is immediate after the\n"
       "final map installs. Determinism sub-grid: serial == 2 workers, "
       "%s.\n",
-      deterministic ? "byte-identical" : "DIVERGED");
+      det_runs->identical ? "byte-identical" : "DIVERGED");
   if (!all_ok) return 1;
   return rc;
 }

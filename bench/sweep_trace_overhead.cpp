@@ -292,28 +292,13 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
     det.push_back(spec);
   }
   det.back().trace_options = sampled_opts;
-  Result<std::vector<runner::RunOutput>> det_serial =
-      runner::RunAll(det, {.workers = 1});
-  Result<std::vector<runner::RunOutput>> det_parallel =
-      runner::RunAll(det, {.workers = 2});
-  if (!det_serial.ok() || !det_parallel.ok()) {
-    std::fprintf(stderr, "harness: determinism sub-grid failed\n");
-    return 2;
-  }
-  bool deterministic = true;
-  for (size_t i = 0; i < det.size(); ++i) {
-    if (runner::Fingerprint((*det_serial)[i]) !=
-        runner::Fingerprint((*det_parallel)[i])) {
-      deterministic = false;
-      std::fprintf(stderr,
-                   "determinism: binary-traced run %zu diverged between "
-                   "serial and 2-worker execution\n",
-                   i);
-    }
-  }
-  Result<std::string> merged_serial = runner::MergeBinaryTraces(*det_serial);
+  Result<DeterminismRuns> det_runs = RunDeterminismGrid(det, "binary-traced");
+  if (!det_runs.ok()) return 2;
+  bool deterministic = det_runs->identical;
+  Result<std::string> merged_serial =
+      runner::MergeBinaryTraces(det_runs->serial);
   Result<std::string> merged_parallel =
-      runner::MergeBinaryTraces(*det_parallel);
+      runner::MergeBinaryTraces(det_runs->parallel);
   if (!merged_serial.ok() || !merged_parallel.ok()) {
     std::fprintf(stderr, "harness: MergeBinaryTraces failed: %s\n",
                  (merged_serial.ok() ? merged_parallel : merged_serial)
@@ -376,7 +361,7 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
     // first determinism run's Prometheus metrics.
     if (!WriteFile(args.trace_out, *merged_serial) ||
         !WriteFile(StrCat(args.trace_out, ".prom"),
-                   (*det_serial)[0].result.PrometheusText())) {
+                   det_runs->serial[0].result.PrometheusText())) {
       std::fprintf(stderr, "warning: could not write %s\n",
                    args.trace_out.c_str());
     } else {

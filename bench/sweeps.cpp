@@ -2,19 +2,26 @@
 
 #include <cstdio>
 
-#include "runner/runner.h"
 #include "trace/critical_path.h"
 #include "trace/span.h"
 #include "trace/trace.h"
 
 namespace hermes::bench {
 
-void AddPhaseStats(runner::CellAggregate& cell,
+bool AddPhaseStats(runner::CellAggregate& cell,
                    const std::string& trace_jsonl) {
-  if (trace_jsonl.empty()) return;
-  const trace::LenientParse parsed = trace::ParseJsonlLenient(trace_jsonl);
-  if (parsed.events.empty()) return;
-  const trace::SpanForest forest = trace::BuildSpanForest(parsed.events);
+  if (trace_jsonl.empty()) return true;
+  const Result<std::vector<trace::Event>> events =
+      trace::ParseJsonl(trace_jsonl);
+  if (!events.ok()) {
+    std::fprintf(stderr,
+                 "harness: cell %s captured a trace that does not parse: "
+                 "%s\n",
+                 cell.cell.c_str(), events.status().message().c_str());
+    return false;
+  }
+  if (events->empty()) return true;
+  const trace::SpanForest forest = trace::BuildSpanForest(*events);
   const trace::CriticalPathReport cp = trace::AnalyzeCriticalPath(forest);
   if (cp.committed_txns > 0) {
     const double n = static_cast<double>(cp.committed_txns);
@@ -33,6 +40,33 @@ void AddPhaseStats(runner::CellAggregate& cell,
   cell.Add("blocked_p95_us",
            static_cast<double>(cp.blocking.hist.Percentile(95)));
   cell.Add("blocked_max_us", static_cast<double>(cp.blocking.max_us));
+  return true;
+}
+
+Result<DeterminismRuns> RunDeterminismGrid(
+    const std::vector<runner::RunSpec>& specs, const char* what) {
+  Result<std::vector<runner::RunOutput>> serial =
+      runner::RunAll(specs, {.workers = 1});
+  Result<std::vector<runner::RunOutput>> parallel =
+      runner::RunAll(specs, {.workers = 2});
+  if (!serial.ok() || !parallel.ok()) {
+    const Status& s = serial.ok() ? parallel.status() : serial.status();
+    std::fprintf(stderr, "harness: determinism sub-grid failed: %s\n",
+                 s.ToString().c_str());
+    return s;
+  }
+  DeterminismRuns runs{std::move(*serial), std::move(*parallel)};
+  for (size_t i = 0; i < specs.size(); ++i) {
+    if (runner::Fingerprint(runs.serial[i]) !=
+        runner::Fingerprint(runs.parallel[i])) {
+      runs.identical = false;
+      std::fprintf(stderr,
+                   "determinism: %s run %zu (cell %s) diverged between "
+                   "serial and 2-worker execution\n",
+                   what, i, specs[i].cell.c_str());
+    }
+  }
+  return runs;
 }
 
 bool WriteTraceArtifacts(const std::string& path,

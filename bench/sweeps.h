@@ -12,9 +12,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "runner/aggregate.h"
+#include "runner/runner.h"
 
 namespace hermes::bench {
 
@@ -25,10 +27,26 @@ namespace hermes::bench {
 // (`phase_*_us`: mean virtual µs per committed transaction, including
 // `phase_consensus_us` for Paxos Commit acceptor rounds) and prepared
 // blocking-window stats (`blocked_windows` / `blocked_mean_us` /
-// `blocked_p95_us` / `blocked_max_us`). No-op on an empty or unparseable
-// trace. Stat names are documented in docs/FORMATS.md.
-void AddPhaseStats(runner::CellAggregate& cell,
+// `blocked_p95_us` / `blocked_max_us`). No-op on an empty trace; returns
+// false, after printing why, when the trace does not parse (the caller
+// exits 2: the harness captured a broken trace). Stat names are
+// documented in docs/FORMATS.md.
+bool AddPhaseStats(runner::CellAggregate& cell,
                    const std::string& trace_jsonl);
+
+// The determinism sub-grid every sweep with traced runs checks: `specs`
+// run serially and on 2 workers, and each run's fingerprint must match
+// byte for byte.
+struct DeterminismRuns {
+  std::vector<runner::RunOutput> serial;
+  std::vector<runner::RunOutput> parallel;
+  bool identical = true;  // every run's fingerprints matched
+};
+// Runs the sub-grid and reports each diverging run as "determinism:
+// <what> run <i> (cell <cell>) diverged ...". An error means the harness
+// itself failed (the caller exits 2); it is printed here.
+Result<DeterminismRuns> RunDeterminismGrid(
+    const std::vector<runner::RunSpec>& specs, const char* what);
 
 // Writes `trace_jsonl` to `path` and the run's Prometheus metrics text to
 // `<path>.prom`; prints the paths. Returns false on I/O failure.

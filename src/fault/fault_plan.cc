@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/str.h"
 
@@ -87,153 +88,68 @@ std::string FaultPlan::ToJsonl() const {
 
 namespace {
 
-// Single-line parser mirroring trace::ParseJsonl's hand-rolled style.
-class EventParser {
- public:
-  explicit EventParser(std::string_view line) : in_(line) {}
-
-  Status Parse(FaultEvent& out) {
-    SkipSpace();
-    if (!Consume('{')) return Err("expected '{'");
-    SkipSpace();
-    if (Consume('}')) return Status::Ok();
-    while (true) {
-      SkipSpace();
-      std::string key;
-      Status s = ParseString(key);
-      if (!s.ok()) return s;
-      SkipSpace();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipSpace();
-      s = ParseValue(key, out);
-      if (!s.ok()) return s;
-      SkipSpace();
-      if (Consume('}')) break;
-      if (!Consume(',')) return Err("expected ',' or '}'");
-    }
-    SkipSpace();
-    if (pos_ != in_.size()) return Err("trailing characters");
-    return Status::Ok();
+// Reads the value of `key` into its FaultEvent field.
+bool ReadField(json::Reader& in, const std::string& key, FaultEvent& out) {
+  if (key == "kind") {
+    return json::Name(in, kAllFaultKinds, FaultKindName, out.kind,
+                      "fault kind");
   }
-
- private:
-  Status ParseValue(const std::string& key, FaultEvent& out) {
-    if (key == "kind") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (FaultKind k : kAllFaultKinds) {
-        if (name == FaultKindName(k)) {
-          out.kind = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown fault kind: ", name));
-    }
-    if (key == "trigger") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (TriggerKind k : kAllTriggerKinds) {
-        if (name == TriggerKindName(k)) {
-          out.trigger = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown trigger kind: ", name));
-    }
-    if (key == "at") return ParseInt(out.at);
-    if (key == "watch_site") return ParseInt32(out.watch_site);
-    if (key == "nth") return ParseInt32(out.nth);
-    if (key == "site") return ParseInt32(out.site);
-    if (key == "peer") return ParseInt32(out.peer);
-    if (key == "duration") return ParseInt(out.duration);
-    if (key == "loss_permille") {
-      int64_t permille = 0;
-      Status s = ParseInt(permille);
-      if (!s.ok()) return s;
-      out.loss_prob = static_cast<double>(permille) / 1000.0;
-      return Status::Ok();
-    }
-    return Err(StrCat("unknown key: ", key));
+  if (key == "trigger") {
+    return json::Name(in, kAllTriggerKinds, TriggerKindName, out.trigger,
+                      "trigger kind");
   }
-
-  Status ParseString(std::string& out) {
-    if (!Consume('"')) return Err("expected '\"'");
-    out.clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return Status::Ok();
-      out += c;  // fault-plan strings are bare identifiers, never escaped
+  if (key == "at") return in.Int(out.at);
+  if (key == "watch_site") return in.Int(out.watch_site);
+  if (key == "nth") return in.Int(out.nth);
+  if (key == "site") return in.Int(out.site);
+  if (key == "peer") return in.Int(out.peer);
+  if (key == "duration") return in.Int(out.duration);
+  if (key == "loss_permille") {
+    int32_t permille = 0;
+    if (!in.Int(permille)) return false;
+    if (permille < 0 || permille > 1000) {
+      return in.Fail("loss_permille outside [0, 1000]");
     }
-    return Err("unterminated string");
+    out.loss_prob = static_cast<double>(permille) / 1000.0;
+    return true;
   }
+  return in.Fail(StrCat("unknown key: ", key));
+}
 
-  Status ParseInt(int64_t& out) {
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') ++pos_;
-    if (pos_ == start) return Err("expected integer");
-    try {
-      out = std::stoll(std::string(in_.substr(start, pos_ - start)));
-    } catch (...) {
-      return Err("integer out of range");
-    }
-    return Status::Ok();
-  }
-
-  Status ParseInt32(int32_t& out) {
-    int64_t v = 0;
-    Status s = ParseInt(v);
-    if (!s.ok()) return s;
-    out = static_cast<int32_t>(v);
-    return Status::Ok();
-  }
-
-  void SkipSpace() {
-    while (pos_ < in_.size() && (in_[pos_] == ' ' || in_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Err(std::string msg) const {
-    return Status::InvalidArgument(
-        StrCat("fault plan at offset ", pos_, ": ", msg));
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-};
+// Parses one line: a flat object with the kind, the trigger and the keys
+// its trigger fires on.
+Status ParseLine(std::string_view line, FaultEvent& out) {
+  json::Reader in(line, "fault plan");
+  std::vector<std::string> seen;
+  const bool ok =
+      json::Object(
+          in, {"kind", "trigger"},
+          [&](const std::string& key) { return ReadField(in, key, out); },
+          &seen) &&
+      (out.trigger == TriggerKind::kAtTime
+           ? json::Require(in, seen, {"at"})
+           : json::Require(in, seen, {"watch_site", "nth"})) &&
+      in.End();
+  return in.Done(ok);
+}
 
 }  // namespace
 
 Result<FaultPlan> ParseFaultPlan(const std::string& text) {
   FaultPlan plan;
-  size_t start = 0;
-  size_t line_no = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    ++line_no;
-    start = end + 1;
-    if (line.empty()) continue;
+  Status status;
+  json::ForEachLine(text, [&](size_t line_no, std::string_view line) {
     FaultEvent ev;
-    const Status s = EventParser(line).Parse(ev);
-    if (!s.ok()) {
-      return Status::InvalidArgument(
-          StrCat("line ", line_no, ": ", s.message()));
+    status = ParseLine(line, ev);
+    if (!status.ok()) {
+      status = Status::InvalidArgument(
+          StrCat("line ", line_no, ": ", status.message()));
+      return false;
     }
     plan.events.push_back(ev);
-  }
+    return true;
+  });
+  if (!status.ok()) return status;
   return plan;
 }
 

@@ -75,8 +75,10 @@ struct FaultPlan {
 const char* FaultKindName(FaultKind kind);
 const char* TriggerKindName(TriggerKind kind);
 
-// Parses the ToJsonl encoding. Unknown keys are rejected; blank lines are
-// skipped.
+// Parses the ToJsonl encoding. Unknown or repeated keys, a missing kind,
+// trigger or trigger key (`at`, or `watch_site` and `nth`), out-of-range
+// numbers and a loss_permille outside [0, 1000] are rejected; empty lines
+// are skipped.
 Result<FaultPlan> ParseFaultPlan(const std::string& text);
 
 // Tuning of the seeded plan generator. The defaults give a mild plan; the

@@ -1,15 +1,14 @@
 #include "runner/aggregate.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string_view>
 
+#include "common/json.h"
 #include "common/str.h"
 #include "history/view_checker.h"
-#include "trace/trace.h"
 
 namespace hermes::runner {
 
@@ -147,39 +146,26 @@ void Aggregator::AddRun(const std::string& cell, uint64_t seed,
   Cell(cell).AddRun(seed, r);
 }
 
-void AppendJsonDouble(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[40];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  out += buf;
-}
-
 namespace {
 
 void AppendStatEntry(std::string& out, const std::string& name,
                      const Stat& s, bool last) {
   out += "        ";
-  trace::AppendJsonString(out, name);
+  json::AppendString(out, name);
   StrAppend(out, ": {\"count\": ", s.count, ", \"sum\": ");
-  AppendJsonDouble(out, s.sum);
+  json::AppendDouble(out, s.sum);
   out += ", \"mean\": ";
-  AppendJsonDouble(out, s.mean());
+  json::AppendDouble(out, s.mean());
   out += ", \"min\": ";
-  AppendJsonDouble(out, s.min);
+  json::AppendDouble(out, s.min);
   out += ", \"max\": ";
-  AppendJsonDouble(out, s.max);
+  json::AppendDouble(out, s.max);
   out += last ? "}\n" : "},\n";
 }
 
 void AppendCell(std::string& out, const CellAggregate& cell) {
   out += "    {\n      \"cell\": ";
-  trace::AppendJsonString(out, cell.cell);
+  json::AppendString(out, cell.cell);
   StrAppend(out, ",\n      \"runs\": ", cell.seeds.size(),
             ",\n      \"seeds\": [");
   for (size_t i = 0; i < cell.seeds.size(); ++i) {
@@ -228,23 +214,23 @@ std::string EncodeBenchArtifact(const BenchArtifact& a) {
   std::string out = "{\n  \"schema_version\": ";
   StrAppend(out, a.schema_version);
   out += ",\n  \"bench\": ";
-  trace::AppendJsonString(out, a.bench);
+  json::AppendString(out, a.bench);
   out += ",\n  \"config\": ";
-  trace::AppendJsonString(out, a.config);
+  json::AppendString(out, a.config);
   StrAppend(out, ",\n  \"seed\": ", a.seed, ",\n  \"workers\": ", a.workers,
             ",\n  \"headers\": [");
   for (size_t i = 0; i < a.headers.size(); ++i) {
     if (i > 0) out += ", ";
-    trace::AppendJsonString(out, a.headers[i]);
+    json::AppendString(out, a.headers[i]);
   }
   out += "],\n  \"rows\": [";
   for (size_t r = 0; r < a.rows.size(); ++r) {
     out += r == 0 ? "\n    {" : ",\n    {";
     for (size_t i = 0; i < a.rows[r].size() && i < a.headers.size(); ++i) {
       if (i > 0) out += ", ";
-      trace::AppendJsonString(out, a.headers[i]);
+      json::AppendString(out, a.headers[i]);
       out += ": ";
-      trace::AppendJsonString(out, a.rows[r][i]);
+      json::AppendString(out, a.rows[r][i]);
     }
     out += "}";
   }
@@ -268,386 +254,153 @@ namespace {
 // Encode(Parse(Encode(a))) byte-identical to Encode(a).
 class ArtifactParser {
  public:
-  explicit ArtifactParser(std::string_view in) : in_(in) {}
+  explicit ArtifactParser(std::string_view in) : in_(in, "bench artifact") {}
 
   Status Parse(BenchArtifact& out) {
-    if (!Expect('{')) return Error();
-    int64_t version = 0;
-    if (!Key("schema_version") || !Int64(version)) return Error();
-    if (version != BenchArtifact::kSchemaVersion) {
-      return Status::InvalidArgument(
-          StrCat("unsupported schema_version: ", version));
-    }
-    out.schema_version = static_cast<int>(version);
-    if (!Expect(',') || !Key("bench") || !String(out.bench)) return Error();
-    if (!Expect(',') || !Key("config") || !String(out.config)) {
-      return Error();
-    }
-    if (!Expect(',') || !Key("seed") || !Uint64(out.seed)) return Error();
-    if (!Expect(',') || !Key("workers") || !Int(out.workers)) return Error();
-    if (!Expect(',') || !Key("headers") || !StringArray(out.headers)) {
-      return Error();
-    }
-    if (!Expect(',') || !Key("rows")) return Error();
-    Status s = ParseRows(out);
-    if (!s.ok()) return s;
-    if (!Expect(',') || !Key("cells")) return Error();
-    s = ParseCells(out);
-    if (!s.ok()) return s;
-    if (!Expect('}')) return Error();
-    SkipSpace();
-    if (pos_ != in_.size()) return Fail("trailing characters");
-    return Status::Ok();
+    return in_.Done(Artifact(out) && in_.End());
   }
 
  private:
-  Status ParseRows(BenchArtifact& out) {
-    if (!Expect('[')) return Error();
-    if (TryExpect(']')) return Status::Ok();
-    while (true) {
-      if (!Expect('{')) return Error();
-      std::vector<std::string> row;
-      if (!TryExpect('}')) {
-        while (true) {
-          std::string key, value;
-          if (!String(key) || !Expect(':') || !String(value)) {
-            return Error();
-          }
-          if (row.size() >= out.headers.size() ||
-              key != out.headers[row.size()]) {
-            return Fail(StrCat("row key out of header order: ", key));
-          }
-          row.push_back(std::move(value));
-          if (TryExpect('}')) break;
-          if (!Expect(',')) return Error();
-        }
+  bool Artifact(BenchArtifact& out) {
+    if (!in_.Expect('{') || !in_.Key("schema_version") ||
+        !in_.Int(out.schema_version)) {
+      return false;
+    }
+    if (out.schema_version != BenchArtifact::kSchemaVersion) {
+      return in_.Fail(
+          StrCat("unsupported schema_version: ", out.schema_version));
+    }
+    const auto header = [&] { return in_.String(out.headers.emplace_back()); };
+    const auto row = [&] { return Row(out); };
+    const auto cell = [&] { return Cell(out.cells.emplace_back()); };
+    return in_.Expect(',') && in_.Key("bench") && in_.String(out.bench) &&
+           in_.Expect(',') && in_.Key("config") && in_.String(out.config) &&
+           in_.Expect(',') && in_.Key("seed") && in_.Int(out.seed) &&
+           in_.Expect(',') && in_.Key("workers") && in_.Int(out.workers) &&
+           in_.Expect(',') && in_.Key("headers") && json::Array(in_, header) &&
+           in_.Expect(',') && in_.Key("rows") && json::Array(in_, row) &&
+           in_.Expect(',') && in_.Key("cells") && json::Array(in_, cell) &&
+           in_.Expect('}');
+  }
+
+  // One row: the headers, in order, as keys of string values.
+  bool Row(BenchArtifact& out) {
+    std::vector<std::string>& row = out.rows.emplace_back();
+    return json::Object(in_, {}, [&](const std::string& key) {
+      if (row.size() >= out.headers.size() ||
+          key != out.headers[row.size()]) {
+        return in_.Fail(StrCat("row key out of header order: ", key));
       }
-      out.rows.push_back(std::move(row));
-      if (TryExpect(']')) return Status::Ok();
-      if (!Expect(',')) return Error();
-    }
+      return in_.String(row.emplace_back());
+    });
   }
 
-  Status ParseCells(BenchArtifact& out) {
-    if (!Expect('[')) return Error();
-    if (TryExpect(']')) return Status::Ok();
-    while (true) {
-      CellAggregate cell;
-      Status s = ParseCell(cell);
-      if (!s.ok()) return s;
-      out.cells.push_back(std::move(cell));
-      if (TryExpect(']')) return Status::Ok();
-      if (!Expect(',')) return Error();
-    }
-  }
-
-  Status ParseCell(CellAggregate& cell) {
-    if (!Expect('{')) return Error();
-    if (!Key("cell") || !String(cell.cell)) return Error();
+  bool Cell(CellAggregate& cell) {
     int64_t runs = 0;  // derived: seeds.size()
-    if (!Expect(',') || !Key("runs") || !Int64(runs)) return Error();
-    if (!Expect(',') || !Key("seeds") || !Expect('[')) return Error();
-    if (!TryExpect(']')) {
-      while (true) {
-        uint64_t seed = 0;
-        if (!Uint64(seed)) return Error();
-        cell.seeds.push_back(seed);
-        if (TryExpect(']')) break;
-        if (!Expect(',')) return Error();
-      }
+    if (!in_.Expect('{') || !in_.Key("cell") || !in_.String(cell.cell) ||
+        !in_.Expect(',') || !in_.Key("runs") || !in_.Int(runs) ||
+        !in_.Expect(',') || !in_.Key("seeds") ||
+        !json::Array(in_, [&] { return in_.Int(cell.seeds.emplace_back()); })) {
+      return false;
     }
     if (runs != static_cast<int64_t>(cell.seeds.size())) {
-      return Fail("runs does not match seeds length");
+      return in_.Fail("runs does not match seeds length");
     }
-    if (!Expect(',') || !Key("stats") || !Expect('{')) return Error();
-    if (!TryExpect('}')) {
-      while (true) {
-        std::string name;
-        Stat stat;
-        if (!String(name) || !Expect(':') || !ParseStat(stat)) {
-          return Error();
-        }
-        if (cell.FindStat(name) != nullptr) {
-          return Fail(StrCat("duplicate stat: ", name));
-        }
-        cell.stats.emplace_back(std::move(name), stat);
-        if (TryExpect('}')) break;
-        if (!Expect(',')) return Error();
-      }
+    if (!in_.Expect(',') || !in_.Key("stats") ||
+        !json::Object(in_, {},
+                      [&](const std::string& name) {
+                        return ReadStat(
+                            cell.stats.emplace_back(name, Stat{}).second);
+                      }) ||
+        !in_.Expect(',') || !in_.Key("latency_us") || !Latency(cell)) {
+      return false;
     }
-    if (!Expect(',') || !Key("latency_us")) return Error();
-    Status s = ParseLatency(cell);
-    if (!s.ok()) return s;
-    if (TryExpect(',')) {  // optional trailing series
-      if (!Key("series")) return Error();
-      s = ParseSeries(cell);
-      if (!s.ok()) return s;
+    if (in_.TryExpect(',') && (!in_.Key("series") || !Series(cell))) {
+      return false;  // the series key is optional, and last
     }
-    if (!Expect('}')) return Error();
-    return Status::Ok();
+    return in_.Expect('}');
   }
 
-  Status ParseSeries(CellAggregate& cell) {
-    if (!Expect('{') || !Key("window_us") ||
-        !Int64(cell.series.window_us) || !Expect(',') || !Key("windows") ||
-        !Expect('[')) {
-      return Error();
+  bool Series(CellAggregate& cell) {
+    trace::TimeSeries& series = cell.series;
+    if (!in_.Expect('{') || !in_.Key("window_us") ||
+        !in_.Int(series.window_us)) {
+      return false;
     }
-    if (cell.series.window_us <= 0) return Fail("bad series window_us");
-    while (true) {
-      trace::TimeSeries::Window w;
-      if (!Expect('[') || !Int64(w.begun) || !Expect(',') ||
-          !Int64(w.committed) || !Expect(',') || !Int64(w.aborted) ||
-          !Expect(',') || !Int64(w.refusals) || !Expect(',') ||
-          !Int64(w.resubmissions) || !Expect(',') ||
-          !Int64(w.max_in_flight) || !Expect(',') ||
-          !Int64(w.max_prepared) || !Expect(']')) {
-        return Error();
-      }
-      cell.series.windows.push_back(w);
-      if (TryExpect(']')) break;
-      if (!Expect(',')) return Error();
+    if (series.window_us <= 0) return in_.Fail("bad series window_us");
+    if (!in_.Expect(',') || !in_.Key("windows") ||
+        !json::Array(in_, [&] {
+          trace::TimeSeries::Window& w = series.windows.emplace_back();
+          return in_.Expect('[') && in_.Int(w.begun) && in_.Expect(',') &&
+                 in_.Int(w.committed) && in_.Expect(',') &&
+                 in_.Int(w.aborted) && in_.Expect(',') &&
+                 in_.Int(w.refusals) && in_.Expect(',') &&
+                 in_.Int(w.resubmissions) && in_.Expect(',') &&
+                 in_.Int(w.max_in_flight) && in_.Expect(',') &&
+                 in_.Int(w.max_prepared) && in_.Expect(']');
+        })) {
+      return false;
     }
     // The encoder omits empty series entirely, so one window is the
     // grammar's minimum — and the empty-vs-absent ambiguity never arises.
-    if (!Expect('}')) return Error();
-    return Status::Ok();
+    if (series.windows.empty()) return in_.Fail("series without windows");
+    return in_.Expect('}');
   }
 
-  bool ParseStat(Stat& stat) {
+  bool ReadStat(Stat& stat) {
     double mean = 0;  // derived: sum / count
-    return Expect('{') && Key("count") && Count(stat.count) &&
-           Expect(',') && Key("sum") && Double(stat.sum) && Expect(',') &&
-           Key("mean") && Double(mean) && Expect(',') && Key("min") &&
-           Double(stat.min) && Expect(',') && Key("max") &&
-           Double(stat.max) && Expect('}');
+    return in_.Expect('{') && in_.Key("count") && Count(stat.count) &&
+           in_.Expect(',') && in_.Key("sum") && in_.Double(stat.sum) &&
+           in_.Expect(',') && in_.Key("mean") && in_.Double(mean) &&
+           in_.Expect(',') && in_.Key("min") && in_.Double(stat.min) &&
+           in_.Expect(',') && in_.Key("max") && in_.Double(stat.max) &&
+           in_.Expect('}');
   }
 
-  Status ParseLatency(CellAggregate& cell) {
+  bool Latency(CellAggregate& cell) {
     // count and the percentiles are derived from the buckets; min/max are
     // carried explicitly because buckets only bound them.
-    int64_t count = 0, min = 0, max = 0, p = 0;
-    if (!Expect('{') || !Key("count") || !Int64(count) || !Expect(',') ||
-        !Key("min") || !Int64(min) || !Expect(',') || !Key("max") ||
-        !Int64(max) || !Expect(',') || !Key("p50") || !Int64(p) ||
-        !Expect(',') || !Key("p95") || !Int64(p) || !Expect(',') ||
-        !Key("p99") || !Int64(p) || !Expect(',') || !Key("buckets") ||
-        !Expect('[')) {
-      return Error();
-    }
+    int64_t count = 0, min = 0, max = 0, p = 0, total = 0;
     std::array<int64_t, trace::Histogram::kBuckets> buckets{};
-    if (!TryExpect(']')) {
-      while (true) {
-        int64_t index = 0, n = 0;
-        if (!Expect('[') || !Int64(index) || !Expect(',') || !Count(n) ||
-            !Expect(']')) {
-          return Error();
-        }
-        if (index < 0 || index >= trace::Histogram::kBuckets) {
-          return Fail(StrCat("bucket index out of range: ", index));
-        }
-        buckets[static_cast<size_t>(index)] = n;
-        if (TryExpect(']')) break;
-        if (!Expect(',')) return Error();
+    const auto bucket = [&] {
+      int64_t index = 0, n = 0;
+      if (!in_.Expect('[') || !in_.Int(index) || !in_.Expect(',') ||
+          !Count(n) || !in_.Expect(']')) {
+        return false;
       }
+      if (index < 0 || index >= trace::Histogram::kBuckets) {
+        return in_.Fail(StrCat("bucket index out of range: ", index));
+      }
+      if (n > std::numeric_limits<int64_t>::max() - total) {
+        return in_.Fail("bucket counts overflow");
+      }
+      total += n;
+      buckets[static_cast<size_t>(index)] = n;
+      return true;
+    };
+    if (!in_.Expect('{') || !in_.Key("count") || !in_.Int(count) ||
+        !in_.Expect(',') || !in_.Key("min") || !in_.Int(min) ||
+        !in_.Expect(',') || !in_.Key("max") || !in_.Int(max) ||
+        !in_.Expect(',') || !in_.Key("p50") || !in_.Int(p) ||
+        !in_.Expect(',') || !in_.Key("p95") || !in_.Int(p) ||
+        !in_.Expect(',') || !in_.Key("p99") || !in_.Int(p) ||
+        !in_.Expect(',') || !in_.Key("buckets") ||
+        !json::Array(in_, bucket) || !in_.Expect('}')) {
+      return false;
     }
-    if (!Expect('}')) return Error();
     cell.latency = trace::Histogram::FromParts(buckets, min, max);
     if (cell.latency.count() != count) {
-      return Fail("latency count does not match bucket sum");
+      return in_.Fail("latency count does not match bucket sum");
     }
-    return Status::Ok();
-  }
-
-  // --- lexing helpers -------------------------------------------------
-
-  void SkipSpace() {
-    while (pos_ < in_.size() &&
-           (in_[pos_] == ' ' || in_[pos_] == '\n' || in_[pos_] == '\t' ||
-            in_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Expect(char c) {
-    SkipSpace();
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return Fail2(StrCat("expected '", std::string(1, c), "'"));
-  }
-
-  bool TryExpect(char c) {
-    SkipSpace();
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  // Consumes `"name":`. Any other key fails the parse — the canonical
-  // grammar has no optional or reordered fields.
-  bool Key(std::string_view name) {
-    std::string got;
-    if (!String(got)) return false;
-    if (got != name) {
-      return Fail2(StrCat("expected key \"", std::string(name),
-                          "\", got \"", got, "\""));
-    }
-    return Expect(':');
-  }
-
-  bool String(std::string& out) {
-    SkipSpace();
-    if (pos_ >= in_.size() || in_[pos_] != '"') {
-      return Fail2("expected string");
-    }
-    ++pos_;
-    out.clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= in_.size()) return Fail2("dangling escape");
-      char esc = in_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'u': {
-          if (pos_ + 4 > in_.size()) return Fail2("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = in_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail2("bad \\u escape");
-            }
-          }
-          if (code > 0x7f) return Fail2("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return Fail2("unknown escape");
-      }
-    }
-    return Fail2("unterminated string");
-  }
-
-  bool Int64(int64_t& out) {
-    SkipSpace();
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start || (in_[start] == '-' && pos_ == start + 1)) {
-      return Fail2("expected integer");
-    }
-    errno = 0;
-    out = std::strtoll(std::string(in_.substr(start, pos_ - start)).c_str(),
-                       nullptr, 10);
-    if (errno == ERANGE) return Fail2("integer out of range");
-    return true;
-  }
-
-  bool Int(int& out) {
-    int64_t v = 0;
-    if (!Int64(v)) return false;
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      return Fail2("integer out of range");
-    }
-    out = static_cast<int>(v);
     return true;
   }
 
   // A number of occurrences: an integer that cannot be negative.
   bool Count(int64_t& out) {
-    if (!Int64(out)) return false;
-    if (out < 0) return Fail2("negative count");
-    return true;
+    return in_.Int(out) && (out >= 0 || in_.Fail("negative count"));
   }
 
-  bool Uint64(uint64_t& out) {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail2("expected unsigned integer");
-    errno = 0;
-    out = std::strtoull(std::string(in_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
-    if (errno == ERANGE) return Fail2("integer out of range");
-    return true;
-  }
-
-  bool Double(double& out) {
-    SkipSpace();
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() &&
-           ((in_[pos_] >= '0' && in_[pos_] <= '9') || in_[pos_] == '.' ||
-            in_[pos_] == 'e' || in_[pos_] == 'E' || in_[pos_] == '+' ||
-            in_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail2("expected number");
-    char* end = nullptr;
-    const std::string text(in_.substr(start, pos_ - start));
-    out = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return Fail2("bad number");
-    return true;
-  }
-
-  bool StringArray(std::vector<std::string>& out) {
-    if (!Expect('[')) return false;
-    if (TryExpect(']')) return true;
-    while (true) {
-      std::string s;
-      if (!String(s)) return false;
-      out.push_back(std::move(s));
-      if (TryExpect(']')) return true;
-      if (!Expect(',')) return false;
-    }
-  }
-
-  bool Fail2(std::string message) {
-    if (error_.empty()) {
-      error_ = StrCat(std::move(message), " at offset ", pos_);
-    }
-    return false;
-  }
-
-  Status Fail(std::string message) {
-    Fail2(std::move(message));
-    return Error();
-  }
-
-  Status Error() const {
-    return Status::InvalidArgument(
-        error_.empty() ? "parse error" : error_);
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-  std::string error_;
+  json::Reader in_;
 };
 
 }  // namespace

@@ -108,10 +108,6 @@ Result<BenchArtifact> ParseBenchArtifact(const std::string& json);
 // artifact path. Returns false on I/O failure.
 bool WriteBenchArtifactFile(const BenchArtifact& artifact);
 
-// Appends a double with the shortest decimal representation that parses
-// back to exactly the same value (deterministic, locale-independent).
-void AppendJsonDouble(std::string& out, double v);
-
 }  // namespace hermes::runner
 
 #endif  // HERMES_RUNNER_AGGREGATE_H_

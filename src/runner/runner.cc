@@ -162,7 +162,7 @@ Result<std::string> MergeBinaryTraces(const std::vector<RunOutput>& outputs) {
           StrCat("run ", i, " has no binary trace capture"));
     }
     trace::BinaryParse p = trace::ParseBinaryLenient(outputs[i].trace_binary);
-    if (p.truncated || p.skipped_records > 0) {
+    if (p.damaged()) {
       return Status::InvalidArgument(StrCat(
           "run ", i, ": damaged binary trace",
           p.warnings.empty() ? "" : StrCat(" — ", p.warnings.front())));

@@ -24,12 +24,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/str.h"
 #include "trace/binary.h"
 #include "trace/critical_path.h"
@@ -112,7 +112,11 @@ std::map<ChainKey, Chain> CollectChains(const trace::SpanForest& forest) {
       if (n.label.rfind("unilateral_abort", 0) != 0) continue;
       SiteId site = s.site;
       if (s.kind == trace::SpanKind::kTxn) {
-        site = std::atoi(n.label.c_str() + n.label.rfind('@') + 1);
+        const size_t at = n.label.rfind('@');
+        if (at == std::string::npos ||
+            !json::ParseInt(std::string_view(n.label).substr(at + 1), site)) {
+          continue;  // a damaged label names no site
+        }
       }
       chains[{s.txn, site}].unilateral_aborts += 1;
     }
@@ -380,8 +384,10 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--txn=", 0) == 0) {
       opt.txn = arg.substr(6);
     } else if (arg.rfind("--window-ms=", 0) == 0) {
-      opt.window_ms = std::atoll(arg.c_str() + 12);
-      if (opt.window_ms <= 0) return Usage();
+      if (!json::ParseInt(std::string_view(arg).substr(12), opt.window_ms) ||
+          opt.window_ms <= 0) {
+        return Usage();
+      }
     } else if (arg.rfind("--perfetto=", 0) == 0) {
       opt.perfetto_out = arg.substr(11);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -403,7 +409,7 @@ int main(int argc, char** argv) {
   bool partial = false;
   if (trace::IsBinaryTrace(text)) {
     trace::BinaryParse parsed = trace::ParseBinaryLenient(text);
-    partial = parsed.truncated || parsed.skipped_records > 0;
+    partial = parsed.damaged();
     if (partial) {
       // One line with the whole-records-recovered count: fixed-width
       // records make the loss exact, and pipelines get exit code 1.
@@ -428,20 +434,11 @@ int main(int argc, char** argv) {
     trace::LenientParse parsed = trace::ParseJsonlLenient(text);
     partial = parsed.skipped_lines > 0;
     if (partial) {
-      // Per-line accounting: every non-blank input line either became an
+      // Per-line accounting: every non-empty input line either became an
       // event or was skipped; spell both counts out so the reports below
       // are unmistakably partial.
-      int64_t total_lines = 0;
-      bool blank = true;
-      for (const char c : text) {
-        if (c == '\n') {
-          if (!blank) ++total_lines;
-          blank = true;
-        } else if (c != ' ' && c != '\t' && c != '\r') {
-          blank = false;
-        }
-      }
-      if (!blank) ++total_lines;
+      const int64_t total_lines =
+          static_cast<int64_t>(parsed.events.size()) + parsed.skipped_lines;
       std::fprintf(stderr,
                    "tmstat: %lld line(s) total: %lld parsed, %lld skipped — "
                    "reports reflect partial data\n",

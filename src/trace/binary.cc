@@ -1,7 +1,9 @@
 #include "trace/binary.h"
 
+#include <algorithm>
 #include <cstring>
 #include <iterator>
+#include <limits>
 
 #include "common/str.h"
 
@@ -213,7 +215,10 @@ BinaryParse ForEachBinaryEvent(std::string_view data,
     return p;
   }
   const uint64_t dict_count = GetU64(bytes + 8);
-  p.records_declared = static_cast<int64_t>(GetU64(bytes + 16));
+  // A count past int64 cannot be whole records of any file: it reads as
+  // more than the file holds, so the parse ends truncated.
+  p.records_declared = static_cast<int64_t>(std::min<uint64_t>(
+      GetU64(bytes + 16), std::numeric_limits<int64_t>::max()));
   p.dropped = static_cast<int64_t>(GetU64(bytes + 24));
   p.sampled_out = static_cast<int64_t>(GetU64(bytes + 32));
 
@@ -257,9 +262,9 @@ BinaryParse ForEachBinaryEvent(std::string_view data,
     fn(e);
   }
   if (!p.truncated && pos != data.size()) {
-    Warn(p, StrCat(data.size() - pos, " trailing byte(s) after the last ",
+    p.trailing_bytes = static_cast<int64_t>(data.size() - pos);
+    Warn(p, StrCat(p.trailing_bytes, " trailing byte(s) after the last ",
                    "declared record"));
-    ++p.skipped_records;
   }
   return p;
 }
@@ -274,7 +279,7 @@ BinaryParse ParseBinaryLenient(std::string_view data) {
 
 Result<std::vector<Event>> ParseBinary(std::string_view data) {
   BinaryParse p = ParseBinaryLenient(data);
-  if (p.truncated || p.skipped_records > 0) {
+  if (p.damaged()) {
     return Status::InvalidArgument(StrCat(
         "binary trace damaged: ", p.events.size(), " of ",
         p.records_declared, " record(s) recovered",

@@ -105,17 +105,24 @@ class BinaryTraceWriter {
 
 // Lenient parse for traces of unknown provenance (analysis tools): a
 // truncated tail yields the whole records before the cut, undecodable
-// records are skipped and counted. Mirrors ParseJsonlLenient.
+// records are skipped and counted. Mirrors ParseJsonlLenient: unless the
+// file is truncated, events.size() + skipped_records is records_declared.
 struct BinaryParse {
   static constexpr size_t kMaxWarnings = 10;
 
   std::vector<Event> events;
   int64_t records_declared = 0;  // from the header (0 if unreadable)
   int64_t skipped_records = 0;   // undecodable records
+  int64_t trailing_bytes = 0;    // bytes after the last declared record
   int64_t dropped = 0;           // header: ring-overflow drops at capture
   int64_t sampled_out = 0;       // header: sampler drops at capture
   bool truncated = false;        // file ended before the declared payload
   std::vector<std::string> warnings;  // at most kMaxWarnings entries
+
+  // True when any declared record was lost or the file holds more.
+  bool damaged() const {
+    return truncated || skipped_records > 0 || trailing_bytes > 0;
+  }
 };
 BinaryParse ParseBinaryLenient(std::string_view data);
 

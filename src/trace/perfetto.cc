@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/json.h"
 #include "common/str.h"
 
 namespace hermes::trace {
@@ -24,16 +25,16 @@ void AppendSpanEvent(std::string& out, const SpanForest& forest,
     StrAppend(name, " j=", s.resubmission);
   }
   out += "{\"name\":";
-  AppendJsonString(out, name);
+  json::AppendString(out, name);
   StrAppend(out, ",\"cat\":\"", SpanKindName(s.kind),
             "\",\"ph\":\"X\",\"ts\":", s.begin, ",\"dur\":",
             end - s.begin, ",\"pid\":0,\"tid\":", TrackOf(s));
   out += ",\"args\":{\"txn\":";
-  AppendJsonString(out, EncodeTxnId(s.txn));
+  json::AppendString(out, EncodeTxnId(s.txn));
   StrAppend(out, ",\"ok\":", s.ok);
   if (s.refuse != RefuseKind::kNone) {
     out += ",\"refuse\":";
-    AppendJsonString(out, RefuseKindName(s.refuse));
+    json::AppendString(out, RefuseKindName(s.refuse));
   }
   if (s.resubmission >= 0) StrAppend(out, ",\"j\":", s.resubmission);
   if (unclosed) out += ",\"unclosed\":true";
@@ -61,7 +62,7 @@ void AppendInstant(std::string& out, const Event& e, bool& first) {
   if (!first) out += ",\n";
   first = false;
   out += "{\"name\":";
-  AppendJsonString(out, name);
+  json::AppendString(out, name);
   StrAppend(out, ",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":",
             e.at < 0 ? 0 : e.at, ",\"pid\":0,\"tid\":",
             e.site == kInvalidSite ? 0 : e.site, "}");

@@ -1,9 +1,9 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 
+#include "common/json.h"
 #include "common/str.h"
 #include "trace/ring.h"
 
@@ -121,53 +121,6 @@ const char* RefuseKindName(RefuseKind kind) {
   return "?";
 }
 
-void AppendJsonString(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-namespace {
-
-// Parses all of `text` as a decimal T. Fails on empty input, trailing
-// characters or a value outside T's range, so a corrupt number is never
-// truncated or wrapped into a plausible one.
-template <typename T>
-bool ParseWhole(std::string_view text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-}  // namespace
-
 std::string EncodeTxnId(const TxnId& id) {
   if (!id.valid()) return "-";
   return StrCat(id.global() ? "G" : "L", id.site, ".", id.seq);
@@ -181,8 +134,8 @@ Result<TxnId> DecodeTxnId(const std::string& text) {
   int64_t seq = 0;
   if (view.empty() || (view[0] != 'G' && view[0] != 'L') ||
       dot == std::string_view::npos ||
-      !ParseWhole(view.substr(1, dot - 1), site) ||
-      !ParseWhole(view.substr(dot + 1), seq)) {
+      !json::ParseInt(view.substr(1, dot - 1), site) ||
+      !json::ParseInt(view.substr(dot + 1), seq)) {
     return Status::InvalidArgument(StrCat("bad txn id: ", text));
   }
   return view[0] == 'G' ? TxnId::MakeGlobal(site, seq)
@@ -200,9 +153,10 @@ Result<core::SerialNumber> DecodeSerialNumber(const std::string& text) {
   const size_t a = view.find('/');
   const size_t b = a == std::string_view::npos ? a : view.find('/', a + 1);
   core::SerialNumber sn;
-  if (b == std::string_view::npos || !ParseWhole(view.substr(0, a), sn.clock) ||
-      !ParseWhole(view.substr(a + 1, b - a - 1), sn.coordinator) ||
-      !ParseWhole(view.substr(b + 1), sn.seq)) {
+  if (b == std::string_view::npos ||
+      !json::ParseInt(view.substr(0, a), sn.clock) ||
+      !json::ParseInt(view.substr(a + 1, b - a - 1), sn.coordinator) ||
+      !json::ParseInt(view.substr(b + 1), sn.seq)) {
     return Status::InvalidArgument(StrCat("bad serial number: ", text));
   }
   return sn;
@@ -220,7 +174,7 @@ void Event::AppendJson(std::string& out) const {
             EventKindName(kind), "\"");
   if (txn.valid()) {
     out += ",\"txn\":";
-    AppendJsonString(out, EncodeTxnId(txn));
+    json::AppendString(out, EncodeTxnId(txn));
   }
   if (site != kInvalidSite) StrAppend(out, ",\"site\":", site);
   if (peer != kInvalidSite) StrAppend(out, ",\"peer\":", peer);
@@ -228,7 +182,7 @@ void Event::AppendJson(std::string& out) const {
   if (value >= 0) StrAppend(out, ",\"value\":", value);
   if (sn.valid()) {
     out += ",\"sn\":";
-    AppendJsonString(out, EncodeSerialNumber(sn));
+    json::AppendString(out, EncodeSerialNumber(sn));
   }
   if (refuse != RefuseKind::kNone) {
     StrAppend(out, ",\"refuse\":\"", RefuseKindName(refuse), "\"");
@@ -236,13 +190,13 @@ void Event::AppendJson(std::string& out) const {
   StrAppend(out, ",\"ok\":", ok ? "true" : "false");
   if (!detail.empty()) {
     out += ",\"detail\":";
-    AppendJsonString(out, detail);
+    json::AppendString(out, detail);
   }
   if (!related.empty()) {
     out += ",\"related\":[";
     for (size_t i = 0; i < related.size(); ++i) {
       if (i > 0) out += ',';
-      AppendJsonString(out, EncodeTxnId(related[i]));
+      json::AppendString(out, EncodeTxnId(related[i]));
     }
     out += ']';
   }
@@ -365,240 +319,81 @@ bool Tracer::WriteBinary(const std::string& path) const {
 
 namespace {
 
-// Minimal scanner for the flat JSON objects Tracer emits: keys mapping to
-// integers, booleans, strings, or arrays of strings.
-class LineParser {
- public:
-  explicit LineParser(std::string_view line) : in_(line) {}
+// Reads a string holding one encoded txn id.
+bool ReadTxnId(json::Reader& in, TxnId& out) {
+  std::string text;
+  if (!in.String(text)) return false;
+  Result<TxnId> id = DecodeTxnId(text);
+  if (!id.ok()) return in.Fail(id.status().message());
+  out = *id;
+  return true;
+}
 
-  Status Parse(Event& out) {
-    if (!Consume('{')) return Err("expected '{'");
-    bool first = true;
-    while (true) {
-      SkipSpace();
-      if (Consume('}')) break;
-      if (!first && !Consume(',')) return Err("expected ',' or '}'");
-      first = false;
-      SkipSpace();
-      std::string key;
-      Status s = ParseString(key);
-      if (!s.ok()) return s;
-      SkipSpace();
-      if (!Consume(':')) return Err("expected ':'");
-      SkipSpace();
-      s = ParseValue(key, out);
-      if (!s.ok()) return s;
-    }
-    SkipSpace();
-    if (pos_ != in_.size()) return Err("trailing characters");
-    return Status::Ok();
+// Reads the value of `key` into its Event field.
+bool ReadField(json::Reader& in, const std::string& key, Event& out) {
+  if (key == "seq") return in.Int(out.seq);
+  if (key == "t") return in.Int(out.at);
+  if (key == "site") return in.Int(out.site);
+  if (key == "peer") return in.Int(out.peer);
+  if (key == "resub") return in.Int(out.resubmission);
+  if (key == "value") return in.Int(out.value);
+  if (key == "ok") return in.Bool(out.ok);
+  if (key == "kind") {
+    return json::Name(in, kAllEventKinds, EventKindName, out.kind,
+                      "event kind");
   }
-
- private:
-  Status ParseValue(const std::string& key, Event& out) {
-    if (key == "seq") return ParseInt(out.seq);
-    if (key == "t") return ParseInt(out.at);
-    if (key == "site") return ParseInt(out.site);
-    if (key == "peer") return ParseInt(out.peer);
-    if (key == "resub") return ParseInt(out.resubmission);
-    if (key == "value") return ParseInt(out.value);
-    if (key == "ok") return ParseBool(out.ok);
-    if (key == "kind") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (EventKind k : kAllEventKinds) {
-        if (name == EventKindName(k)) {
-          out.kind = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown event kind: ", name));
-    }
-    if (key == "refuse") {
-      std::string name;
-      Status s = ParseString(name);
-      if (!s.ok()) return s;
-      for (RefuseKind k : kAllRefuseKinds) {
-        if (name == RefuseKindName(k)) {
-          out.refuse = k;
-          return Status::Ok();
-        }
-      }
-      return Err(StrCat("unknown refuse kind: ", name));
-    }
-    if (key == "txn") {
-      std::string text;
-      Status s = ParseString(text);
-      if (!s.ok()) return s;
-      Result<TxnId> id = DecodeTxnId(text);
-      if (!id.ok()) return id.status();
-      out.txn = *id;
-      return Status::Ok();
-    }
-    if (key == "sn") {
-      std::string text;
-      Status s = ParseString(text);
-      if (!s.ok()) return s;
-      Result<core::SerialNumber> sn = DecodeSerialNumber(text);
-      if (!sn.ok()) return sn.status();
-      out.sn = *sn;
-      return Status::Ok();
-    }
-    if (key == "detail") return ParseString(out.detail);
-    if (key == "related") {
-      if (!Consume('[')) return Err("expected '['");
-      SkipSpace();
-      if (Consume(']')) return Status::Ok();
-      while (true) {
-        SkipSpace();
-        std::string text;
-        Status s = ParseString(text);
-        if (!s.ok()) return s;
-        Result<TxnId> id = DecodeTxnId(text);
-        if (!id.ok()) return id.status();
-        out.related.push_back(*id);
-        SkipSpace();
-        if (Consume(']')) return Status::Ok();
-        if (!Consume(',')) return Err("expected ',' or ']'");
-      }
-    }
-    return Err(StrCat("unknown key: ", key));
+  if (key == "refuse") {
+    return json::Name(in, kAllRefuseKinds, RefuseKindName, out.refuse,
+                      "refuse kind");
   }
-
-  Status ParseString(std::string& out) {
-    if (!Consume('"')) return Err("expected '\"'");
-    out.clear();
-    while (pos_ < in_.size()) {
-      char c = in_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= in_.size()) return Err("dangling escape");
-      char esc = in_[pos_++];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'u': {
-          if (pos_ + 4 > in_.size()) return Err("bad \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = in_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Err("bad \\u escape");
-            }
-          }
-          if (code > 0x7f) return Err("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return Err("unknown escape");
-      }
-    }
-    return Err("unterminated string");
+  if (key == "txn") return ReadTxnId(in, out.txn);
+  if (key == "sn") {
+    std::string text;
+    if (!in.String(text)) return false;
+    Result<core::SerialNumber> sn = DecodeSerialNumber(text);
+    if (!sn.ok()) return in.Fail(sn.status().message());
+    out.sn = *sn;
+    return true;
   }
-
-  // Scans `-?[0-9]+` into `out`; a value outside T's range is an error,
-  // never a truncation.
-  template <typename T>
-  Status ParseInt(T& out) {
-    const size_t start = pos_;
-    if (pos_ < in_.size() && in_[pos_] == '-') ++pos_;
-    while (pos_ < in_.size() && in_[pos_] >= '0' && in_[pos_] <= '9') ++pos_;
-    if (pos_ == start) return Err("expected integer");
-    if (!ParseWhole(in_.substr(start, pos_ - start), out)) {
-      return Err("integer out of range");
-    }
-    return Status::Ok();
-  }
-
-  Status ParseBool(bool& out) {
-    if (in_.substr(pos_, 4) == "true") {
-      out = true;
-      pos_ += 4;
-      return Status::Ok();
-    }
-    if (in_.substr(pos_, 5) == "false") {
-      out = false;
-      pos_ += 5;
-      return Status::Ok();
-    }
-    return Err("expected boolean");
-  }
-
-  void SkipSpace() {
-    while (pos_ < in_.size() && (in_[pos_] == ' ' || in_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < in_.size() && in_[pos_] == c) {
-      ++pos_;
+  if (key == "detail") return in.String(out.detail);
+  if (key == "related") {
+    return json::Array(in, [&] {
+      TxnId id;
+      if (!ReadTxnId(in, id)) return false;
+      out.related.push_back(id);
       return true;
-    }
-    return false;
+    });
   }
+  return in.Fail(StrCat("unknown key: ", key));
+}
 
-  Status Err(std::string msg) const {
-    return Status::InvalidArgument(
-        StrCat("trace jsonl at offset ", pos_, ": ", msg));
-  }
-
-  std::string_view in_;
-  size_t pos_ = 0;
-};
+// Parses one line: a flat object with every key the writer always emits.
+Status ParseLine(std::string_view line, Event& out) {
+  json::Reader in(line, "trace jsonl");
+  const bool ok =
+      json::Object(in, {"seq", "t", "kind", "ok"},
+                   [&](const std::string& key) {
+                     return ReadField(in, key, out);
+                   }) &&
+      in.End();
+  return in.Done(ok);
+}
 
 }  // namespace
 
 LenientParse ParseJsonlLenient(const std::string& text) {
   LenientParse out;
-  size_t start = 0;
-  size_t line_no = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    const std::string_view line(text.data() + start, end - start);
-    ++line_no;
-    start = end + 1;
-    if (line.empty()) continue;
+  json::ForEachLine(text, [&](size_t line_no, std::string_view line) {
     Event e;
-    const Status s = LineParser(line).Parse(e);
-    if (!s.ok()) {
-      ++out.skipped_lines;
-      if (out.warnings.size() < LenientParse::kMaxWarnings) {
-        out.warnings.push_back(StrCat("line ", line_no, ": ", s.message()));
-      }
-      continue;
+    const Status s = ParseLine(line, e);
+    if (s.ok()) {
+      out.events.push_back(std::move(e));
+    } else if (++out.skipped_lines <=
+               static_cast<int64_t>(LenientParse::kMaxWarnings)) {
+      out.warnings.push_back(StrCat("line ", line_no, ": ", s.message()));
     }
-    out.events.push_back(std::move(e));
-  }
+    return true;
+  });
   return out;
 }
 

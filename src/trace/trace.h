@@ -22,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/ids.h"
@@ -325,15 +324,17 @@ class Tracer {
 
 // Parses a JSONL trace produced by Tracer::ToJsonl back into events
 // (round-trip: ParseJsonl(t.ToJsonl()) yields exactly the events
-// t.ForEach visits). Unknown keys, out-of-range numbers and ids with
-// trailing characters are rejected; blank lines are skipped.
+// t.ForEach visits). Unknown or repeated keys, a missing seq, t, kind or
+// ok, out-of-range numbers and ids with trailing characters are
+// rejected; empty lines are skipped.
 Result<std::vector<Event>> ParseJsonl(const std::string& text);
 
 // Lenient variant for analysis tools reading traces of unknown provenance
 // (newer writers, truncated files): lines that fail the strict parser —
 // unknown event kinds, unknown keys, a trailing line cut mid-object — are
-// skipped and counted instead of failing the whole parse. The first few
-// skip reasons are kept for diagnostics.
+// skipped and counted instead of failing the whole parse, so
+// events.size() + skipped_lines is the number of non-empty lines. The
+// first few skip reasons are kept for diagnostics.
 struct LenientParse {
   static constexpr size_t kMaxWarnings = 10;
 
@@ -342,10 +343,6 @@ struct LenientParse {
   std::vector<std::string> warnings;  // at most kMaxWarnings entries
 };
 LenientParse ParseJsonlLenient(const std::string& text);
-
-// Appends `s` as a double-quoted JSON string, escaping control characters.
-// Shared by the trace exporter and the benchmark artifact writers.
-void AppendJsonString(std::string& out, std::string_view s);
 
 // Compact encodings used inside the JSONL fields.
 std::string EncodeTxnId(const TxnId& id);

@@ -83,6 +83,32 @@ TEST(FaultPlanJson, RejectsUnknownKeysAndGarbage) {
   EXPECT_FALSE(
       ParseFaultPlan(R"({"kind":"crash_site","trigger":"at_time","at":1} junk)")
           .ok());
+  // Numbers outside their field's range or cut short, and a loss
+  // probability above 1: wrapping or truncating any of them would turn
+  // the line into a different, plausible fault.
+  for (const char* line : {
+           R"({"kind":"crash_site","trigger":"at_time","at":1,"site":4294967297})",
+           R"({"kind":"partition","trigger":"at_time","at":1,"site":0,"peer":4294967297})",
+           R"({"kind":"crash_site","trigger":"on_prepared","watch_site":4294967296,"nth":1,"site":0})",
+           R"({"kind":"crash_site","trigger":"on_prepared","watch_site":0,"nth":4294967297,"site":0})",
+           R"({"kind":"crash_site","trigger":"at_time","at":-})",
+           R"({"kind":"loss_burst","trigger":"at_time","at":1,"site":0,"peer":1,"loss_permille":5000})",
+       }) {
+    EXPECT_FALSE(ParseFaultPlan(line).ok()) << line;
+  }
+  // A repeated key, and lines missing a key the writer always emits.
+  for (const char* line : {
+           R"({"kind":"crash_site","trigger":"at_time","at":5,"at":7})",
+           R"({"kind":"crash_site","trigger":"at_time","at":1,"site":1,"site":2})",
+           "{}",
+           R"({"trigger":"at_time","at":1})",
+           R"({"kind":"crash_site","at":1})",
+           R"({"kind":"crash_site","trigger":"at_time","site":1})",
+           R"({"kind":"crash_site","trigger":"on_prepared","nth":1,"site":0})",
+           R"({"kind":"crash_site","trigger":"on_prepared","watch_site":0,"site":0})",
+       }) {
+    EXPECT_FALSE(ParseFaultPlan(line).ok()) << line;
+  }
 }
 
 TEST(ChaosGenerator, SameSeedSamePlan) {

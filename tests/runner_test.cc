@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "core/metrics.h"
 #include "fault/fault_plan.h"
 #include "runner/aggregate.h"
@@ -387,16 +388,22 @@ TEST(Aggregate, ParserRejectsCorruptArtifacts) {
   const size_t count = bad.find("\"count\": ", bad.find("\"stats\""));
   bad.replace(count, bad.find(',', count) - count, "\"count\": -1");
   EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
+  // Latency bucket counts whose sum overflows int64.
+  bad = encoded;
+  const size_t buckets = bad.find("\"buckets\": [") + 12;
+  bad.replace(buckets, bad.find("]}", buckets) - buckets,
+              "[0, 9223372036854775807], [1, 9223372036854775807]");
+  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
 }
 
 TEST(Aggregate, JsonDoubleIsShortestRoundTrip) {
   for (double v : {0.0, 1.0, -1.5, 0.1, 1.0 / 3.0, 581.48, 1e300, -2e-9}) {
     std::string s;
-    runner::AppendJsonDouble(s, v);
+    json::AppendDouble(s, v);
     EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
   }
   std::string whole;
-  runner::AppendJsonDouble(whole, 42.0);
+  json::AppendDouble(whole, 42.0);
   EXPECT_EQ(whole, "42");
 }
 

@@ -258,6 +258,21 @@ TEST(TracerTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(trace::ParseJsonl("{\"seq\":0").ok());       // truncated
   EXPECT_FALSE(trace::ParseJsonl("{\"wat\":1}").ok());      // unknown key
   EXPECT_FALSE(trace::ParseJsonl("{\"kind\":\"?\"}").ok()); // unknown kind
+  // A repeated key, and lines missing a key the writer always emits.
+  for (const char* line : {
+           R"({"seq":0,"t":5,"t":7,"kind":"txn_begin","ok":true})",
+           R"({"seq":0,"t":0,"kind":"txn_begin","site":1,"site":2,"ok":true})",
+           "{}",
+           R"({"t":0,"kind":"txn_begin","ok":true})",
+           R"({"seq":0,"kind":"txn_begin","ok":true})",
+           R"({"seq":0,"t":0,"ok":true})",
+           R"({"seq":0,"t":0,"kind":"txn_begin"})",
+       }) {
+    EXPECT_FALSE(trace::ParseJsonl(line).ok()) << line;
+    const trace::LenientParse lenient = trace::ParseJsonlLenient(line);
+    EXPECT_EQ(lenient.skipped_lines, 1) << line;
+    EXPECT_TRUE(lenient.events.empty()) << line;
+  }
   const auto empty = trace::ParseJsonl("\n\n");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());

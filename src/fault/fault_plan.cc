@@ -18,8 +18,8 @@ constexpr FaultKind kAllFaultKinds[] = {
 constexpr TriggerKind kAllTriggerKinds[] = {TriggerKind::kAtTime,
                                             TriggerKind::kOnPrepared};
 
-// loss_prob is encoded in permille so the JSON stays integer-only (the
-// repo's parsers never deal in floating point text).
+// loss_prob is encoded in permille so the plan format stays
+// integer-only, like the trace format.
 int64_t ToPermille(double p) {
   return static_cast<int64_t>(p * 1000.0 + (p >= 0 ? 0.5 : -0.5));
 }

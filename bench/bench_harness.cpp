@@ -2,15 +2,16 @@
 //
 // Runs the same multi-seed grid serially and with increasing worker
 // counts, timing each sweep (wall clock) and verifying that every run's
-// fingerprint — the full trace JSONL plus all metrics and oracle
+// fingerprint — the full binary trace capture plus all metrics and oracle
 // verdicts — is byte-identical to the serial execution. Simulated runs
 // are pure functions of their config, so worker count must never change
 // a single byte of output; this binary is the executable proof.
 //
 //   bench_harness [--quick] [--workers=N]
 //
-// `--workers=N` sets the largest worker count tried (default 8). Exit
-// code is nonzero if any parallel execution diverged from serial.
+// `--workers=N` sets the largest worker count tried (default 8). It
+// exports no trace: `--trace-out` is a usage error (exit 2). Exit code is
+// otherwise nonzero if any parallel execution diverged from serial.
 
 #include <chrono>
 #include <cstdio>
@@ -55,6 +56,7 @@ std::vector<runner::RunSpec> BuildGrid(int seed_count, int txns) {
 int main(int argc, char** argv) {
   using namespace hermes;  // NOLINT
   const bench::SweepArgs args = bench::ParseSweepArgs(argc, argv);
+  if (!args.trace_out.empty()) return bench::RefuseTraceOut("bench_harness");
   const int seed_count = args.quick ? 8 : 32;
   const int txns = args.quick ? 40 : 120;
   const int max_workers = args.workers > 1 ? args.workers : 8;

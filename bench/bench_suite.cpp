@@ -10,9 +10,14 @@
 // clock_drift, correctness_sweep, network_faults, chaos, paxos,
 // ablation_matrix, reconfig, trace_overhead); without --only every sweep
 // runs, in table order. `--trace-out` needs --only naming exactly one
-// sweep, since each sweep exports its own representative trace.
-// `--workers=0` uses all hardware threads. Exit code is 2 on a usage
-// error and 1 if any sweep reported a violation or the harness failed.
+// sweep that exports a trace (`exports_trace` in kSweeps,
+// bench/sweeps.h), since each such sweep exports its own representative
+// trace. `--workers=0` uses all hardware threads.
+//
+// Exit code: 2 on a usage error, including a --trace-out the chosen sweep
+// cannot honour; 1 if any sweep reported a violation, the harness failed,
+// or an artifact (a BENCH_<name>.json, or the --trace-out file and its
+// .prom) could not be written; 0 otherwise.
 
 #include <algorithm>
 #include <cstdio>
@@ -27,24 +32,6 @@
 
 int main(int argc, char** argv) {
   using namespace hermes::bench;  // NOLINT
-  struct Entry {
-    const char* id;
-    const char* name;
-    int (*run)(const SweepArgs&);
-  };
-  const Entry sweeps[] = {
-      {"E5", "failure_sweep", RunFailureSweep},
-      {"E6", "scaling", RunScalingSweep},
-      {"E7", "clock_drift", RunClockDriftSweep},
-      {"E9", "correctness_sweep", RunCorrectnessSweep},
-      {"E13", "network_faults", RunNetworkFaultsSweep},
-      {"E15", "chaos", RunChaosSweep},
-      {"E16", "paxos", RunPaxosSweep},
-      {"E18", "ablation_matrix", RunAblationMatrixSweep},
-      {"E19", "reconfig", RunReconfigSweep},
-      {"E20", "trace_overhead", RunTraceOverheadSweep},
-  };
-
   // --only is this binary's own flag; the rest go to the shared parser.
   const char* only = nullptr;
   std::vector<char*> shared_argv = {argv[0]};
@@ -58,40 +45,48 @@ int main(int argc, char** argv) {
   const SweepArgs args =
       ParseSweepArgs(static_cast<int>(shared_argv.size()), shared_argv.data());
 
-  std::vector<bool> chosen(std::size(sweeps), only == nullptr);
+  std::vector<bool> chosen(std::size(kSweeps), only == nullptr);
   std::istringstream names(only != nullptr ? only : "");
   for (std::string name; std::getline(names, name, ',');) {
     const auto it =
-        std::find_if(std::begin(sweeps), std::end(sweeps),
-                     [&](const Entry& e) { return name == e.name; });
-    if (it == std::end(sweeps)) {
+        std::find_if(std::begin(kSweeps), std::end(kSweeps),
+                     [&](const SweepEntry& e) { return name == e.name; });
+    if (it == std::end(kSweeps)) {
       std::fprintf(stderr, "bench_suite: unknown sweep '%s'; known:",
                    name.c_str());
-      for (const Entry& e : sweeps) std::fprintf(stderr, " %s", e.name);
+      for (const SweepEntry& e : kSweeps) std::fprintf(stderr, " %s", e.name);
       std::fprintf(stderr, "\n");
       return 2;
     }
-    chosen[static_cast<size_t>(it - std::begin(sweeps))] = true;
+    chosen[static_cast<size_t>(it - std::begin(kSweeps))] = true;
   }
   const auto num_chosen = std::count(chosen.begin(), chosen.end(), true);
   if (num_chosen == 0) {
     std::fprintf(stderr, "bench_suite: --only names no sweep\n");
     return 2;
   }
-  if (!args.trace_out.empty() && num_chosen != 1) {
-    std::fprintf(stderr,
-                 "bench_suite: --trace-out needs --only naming exactly one "
-                 "sweep\n");
-    return 2;
+  if (!args.trace_out.empty()) {
+    if (num_chosen != 1) {
+      std::fprintf(stderr,
+                   "bench_suite: --trace-out needs --only naming exactly one "
+                   "sweep\n");
+      return 2;
+    }
+    const SweepEntry& e =
+        kSweeps[std::find(chosen.begin(), chosen.end(), true) -
+                chosen.begin()];
+    if (!e.exports_trace) {
+      return RefuseTraceOut(std::string("bench_suite: sweep ") + e.name);
+    }
   }
 
   std::printf("bench_suite: %d worker(s)%s\n\n",
               hermes::runner::EffectiveWorkers(args.workers),
               args.quick ? ", quick grid" : "");
   int rc = 0;
-  for (size_t k = 0; k < std::size(sweeps); ++k) {
+  for (size_t k = 0; k < std::size(kSweeps); ++k) {
     if (!chosen[k]) continue;
-    const Entry& e = sweeps[k];
+    const SweepEntry& e = kSweeps[k];
     std::printf("==== %s %s ====\n", e.id, e.name);
     const int one = e.run(args);
     if (one != 0) {

@@ -25,15 +25,19 @@ struct SweepArgs {
   int workers = 1;
   // Reduced grid (fewer seeds / shorter runs) for CI smoke jobs.
   bool quick = false;
-  // When non-empty, sweeps that capture traces write one representative
-  // run's trace here (JSONL; binary for E20) plus a Prometheus dump at
-  // `<trace_out>.prom`, ready for `tmstat <trace_out>`.
+  // When non-empty, the sweep writes one representative run's trace here
+  // plus a Prometheus dump at `<trace_out>.prom`, ready for
+  // `tmstat <trace_out>`. The file is JSONL decoded from the run's binary
+  // capture (E20 writes its merged binary trace as is). Only the sweeps
+  // marked `exports_trace` in bench/sweeps.h accept it; every other
+  // binary refuses it with exit code 2.
   std::string trace_out;
 };
 
 // Parses `--workers=N` (or `-jN`), `--quick` and `--trace-out=PATH`; an
-// unknown argument or a worker count that is not a whole int prints a
-// usage message and terminates the process with exit code 2.
+// unknown argument, a worker count that is not a whole int or an empty
+// PATH prints a usage message and terminates the process with exit
+// code 2.
 inline SweepArgs ParseSweepArgs(int argc, char** argv) {
   SweepArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -47,6 +51,7 @@ inline SweepArgs ParseSweepArgs(int argc, char** argv) {
       ok = json::ParseInt(a + 2, args.workers);
     } else if (std::strncmp(a, "--trace-out=", 12) == 0) {
       args.trace_out = a + 12;
+      ok = !args.trace_out.empty();
     } else {
       ok = false;
     }

@@ -155,7 +155,7 @@ int RunAblationMatrixSweep(const SweepArgs& args) {
   runner::Aggregator agg;
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl)) {
+    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_binary)) {
       return 2;
     }
   }
@@ -283,16 +283,12 @@ int RunAblationMatrixSweep(const SweepArgs& args) {
   if (!det_runs.ok()) return 2;
   all_ok = all_ok && det_runs->identical;
 
-  if (!args.trace_out.empty() && !det.empty()) {
-    // Export the csn/short/cert traced run for tmstat / Perfetto (the
-    // short_commit and csn_assign span notes).
-    const size_t pick = det.size() > 6 ? 6 : det.size() - 1;
-    if (!WriteTraceArtifacts(args.trace_out, det_runs->serial[pick].trace_jsonl,
-                             det_runs->serial[pick].result)) {
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   args.trace_out.c_str());
-    }
-  }
+  // Export the csn/short/cert traced run for tmstat / Perfetto (the
+  // short_commit and csn_assign span notes).
+  const size_t pick = det.size() > 6 ? 6 : det.size() - 1;
+  const bool exported =
+      args.trace_out.empty() ||
+      WriteTraceArtifacts(args.trace_out, det_runs->serial[pick]);
 
   const int rc = FinishSweep("E18_ablation", base_config, 9300,
                              args.workers, table, agg);
@@ -304,7 +300,7 @@ int RunAblationMatrixSweep(const SweepArgs& args) {
       "Determinism sub-grid: serial == 2 workers, %s.\n",
       short_faster ? "HOLDS" : "VIOLATED",
       det_runs->identical ? "byte-identical" : "DIVERGED");
-  if (!all_ok) return 1;
+  if (!all_ok || !exported) return 1;
   return rc;
 }
 

@@ -94,7 +94,7 @@ int RunChaosSweep(const SweepArgs& args) {
   runner::Aggregator agg;
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl)) {
+    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_binary)) {
       return 2;
     }
   }
@@ -149,15 +149,10 @@ int RunChaosSweep(const SweepArgs& args) {
   if (!det_runs.ok()) return 2;
   all_ok = all_ok && det_runs->identical;
 
-  if (!args.trace_out.empty() && !det.empty()) {
-    // Export the highest-intensity traced run for tmstat / Perfetto.
-    const size_t last = det.size() - 1;
-    if (!WriteTraceArtifacts(args.trace_out, det_runs->serial[last].trace_jsonl,
-                             det_runs->serial[last].result)) {
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   args.trace_out.c_str());
-    }
-  }
+  // Export the highest-intensity traced run for tmstat / Perfetto.
+  const bool exported =
+      args.trace_out.empty() ||
+      WriteTraceArtifacts(args.trace_out, det_runs->serial.back());
 
   const int rc =
       FinishSweep("E15_chaos", base_config, 7000, args.workers, table, agg);
@@ -168,7 +163,7 @@ int RunChaosSweep(const SweepArgs& args) {
       "presumed-abort inquiry path keep every decided transaction atomic.\n"
       "Determinism sub-grid: serial == 2 workers, %s.\n",
       det_runs->identical ? "byte-identical" : "DIVERGED");
-  if (!all_ok) return 1;
+  if (!all_ok || !exported) return 1;
   return rc;
 }
 

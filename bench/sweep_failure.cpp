@@ -56,7 +56,7 @@ int RunFailureSweep(const SweepArgs& args) {
   runner::Aggregator agg;
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl)) {
+    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_binary)) {
       return 2;
     }
   }
@@ -92,15 +92,10 @@ int RunFailureSweep(const SweepArgs& args) {
                  cell.latency.PercentileMs(99), ok ? "VSR" : "VIOLATED");
   }
 
-  if (!args.trace_out.empty()) {
-    // Export the most failure-heavy run (last grid point) for tmstat.
-    const size_t last = specs.size() - 1;
-    if (!WriteTraceArtifacts(args.trace_out, (*outputs)[last].trace_jsonl,
-                             (*outputs)[last].result)) {
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   args.trace_out.c_str());
-    }
-  }
+  // Export the most failure-heavy run (last grid point) for tmstat.
+  const bool exported =
+      args.trace_out.empty() ||
+      WriteTraceArtifacts(args.trace_out, outputs->back());
 
   const int rc =
       FinishSweep("failure_sweep", base_config, 42,
@@ -109,7 +104,7 @@ int RunFailureSweep(const SweepArgs& args) {
       "\nExpected shape: resubmissions and interval-refusals grow with the\n"
       "failure rate; throughput degrades gracefully; the history column\n"
       "never reports a violation (CG acyclic / view serializable).\n");
-  if (!all_ok) return 1;
+  if (!all_ok || !exported) return 1;
   return rc;
 }
 

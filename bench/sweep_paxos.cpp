@@ -120,7 +120,7 @@ int RunPaxosSweep(const SweepArgs& args) {
   runner::Aggregator agg;
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_jsonl)) {
+    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_binary)) {
       return 2;
     }
   }
@@ -193,15 +193,11 @@ int RunPaxosSweep(const SweepArgs& args) {
   if (!det_runs.ok()) return 2;
   all_ok = all_ok && det_runs->identical;
 
-  if (!args.trace_out.empty() && !det.empty()) {
-    // Export the F=1 traced run for tmstat / Perfetto (consensus spans).
-    const size_t pick = det.size() > 2 ? 2 : det.size() - 1;
-    if (!WriteTraceArtifacts(args.trace_out, det_runs->serial[pick].trace_jsonl,
-                             det_runs->serial[pick].result)) {
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   args.trace_out.c_str());
-    }
-  }
+  // Export the F=1 traced run for tmstat / Perfetto (consensus spans).
+  const size_t pick = det.size() > 2 ? 2 : det.size() - 1;
+  const bool exported =
+      args.trace_out.empty() ||
+      WriteTraceArtifacts(args.trace_out, det_runs->serial[pick]);
 
   const int rc =
       FinishSweep("E16_paxos", base_config, 8200, args.workers, table, agg);
@@ -216,7 +212,7 @@ int RunPaxosSweep(const SweepArgs& args) {
       blocked_p95_paxos_worst, blocked_p95_2pc,
       non_blocking ? "HOLDS" : "VIOLATED",
       det_runs->identical ? "byte-identical" : "DIVERGED");
-  if (!all_ok) return 1;
+  if (!all_ok || !exported) return 1;
   return rc;
 }
 

@@ -20,7 +20,7 @@
 #include "bench/sweeps.h"
 #include "fault/fault_plan.h"
 #include "runner/runner.h"
-#include "trace/trace.h"
+#include "trace/binary.h"
 
 namespace hermes::bench {
 
@@ -86,11 +86,11 @@ struct ReconfigTimeline {
   bool valid = false;
 };
 
-ReconfigTimeline AnalyzeTimeline(const std::string& trace_jsonl) {
+ReconfigTimeline AnalyzeTimeline(const std::string& trace_binary) {
   ReconfigTimeline t;
-  if (trace_jsonl.empty()) return t;
+  if (trace_binary.empty()) return t;
   const Result<std::vector<trace::Event>> events =
-      trace::ParseJsonl(trace_jsonl);
+      trace::ParseBinary(trace_binary);
   if (!events.ok() || events->empty()) return t;
 
   sim::Time begin = -1;
@@ -199,11 +199,11 @@ int RunReconfigSweep(const SweepArgs& args) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
     if (specs[i].capture_trace) {
       if (!AddPhaseStats(agg.Cell(specs[i].cell),
-                         (*outputs)[i].trace_jsonl)) {
+                         (*outputs)[i].trace_binary)) {
         return 2;
       }
       timelines[i / static_cast<size_t>(num_seeds)] =
-          AnalyzeTimeline((*outputs)[i].trace_jsonl);
+          AnalyzeTimeline((*outputs)[i].trace_binary);
     }
   }
 
@@ -258,13 +258,9 @@ int RunReconfigSweep(const SweepArgs& args) {
   if (!det_runs.ok()) return 2;
   all_ok = all_ok && det_runs->identical;
 
-  if (!args.trace_out.empty() && !det.empty()) {
-    if (!WriteTraceArtifacts(args.trace_out, det_runs->serial[0].trace_jsonl,
-                             det_runs->serial[0].result)) {
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   args.trace_out.c_str());
-    }
-  }
+  const bool exported =
+      args.trace_out.empty() ||
+      WriteTraceArtifacts(args.trace_out, det_runs->serial.front());
 
   const int rc = FinishSweep("E19_reconfig", base_config, 9100,
                              args.workers, table, agg);
@@ -277,7 +273,7 @@ int RunReconfigSweep(const SweepArgs& args) {
       "final map installs. Determinism sub-grid: serial == 2 workers, "
       "%s.\n",
       det_runs->identical ? "byte-identical" : "DIVERGED");
-  if (!all_ok) return 1;
+  if (!all_ok || !exported) return 1;
   return rc;
 }
 

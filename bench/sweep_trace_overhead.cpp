@@ -5,7 +5,7 @@
 // affordable: at the largest workload cell the traced run must cost < 5%
 // of the untraced run's wall-clock time.
 // Wall time is measured with std::chrono::steady_clock around
-// Driver::Run only — export (ToJsonl / ToBinary) is timed separately
+// Driver::Run only — the export (ToBinary) is timed separately
 // and reported in its own column, because a live deployment serializes
 // once per run, not per event. The timing grid always executes
 // serially (workers would contend for cores and poison the clock);
@@ -99,11 +99,7 @@ TimedRun RunTimed(const OverheadMode& mode,
     workload::RunResult result = workload::Driver::Run(config);
     const auto ran = std::chrono::steady_clock::now();
     std::string capture;
-    if (tracer.has_value()) {
-      capture = mode.options.format == trace::TraceFormat::kBinary
-                    ? tracer->ToBinary()
-                    : tracer->ToJsonl();
-    }
+    if (tracer.has_value()) capture = tracer->ToBinary();
     const auto exported = std::chrono::steady_clock::now();
     const double wall = Ms(ran - start);
     if (r == 0 || wall < out.wall_ms) {
@@ -138,8 +134,7 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
   const int num_seeds = args.quick ? 2 : 3;
   const int repeats = args.quick ? 1 : 3;
 
-  trace::TracerOptions binary_opts;
-  binary_opts.format = trace::TraceFormat::kBinary;
+  const trace::TracerOptions binary_opts;
   trace::TracerOptions sampled_opts = binary_opts;
   sampled_opts.sample_period = 16;
   sampled_opts.sample_seed = 0xE20;
@@ -356,13 +351,16 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
     all_ok = false;
   }
 
+  // Export the merged binary trace (tmstat reads it directly) and the
+  // first determinism run's Prometheus metrics; a failed write fails the
+  // sweep.
+  bool exported = true;
   if (!args.trace_out.empty()) {
-    // Export the merged binary trace (tmstat reads it directly) and the
-    // first determinism run's Prometheus metrics.
-    if (!WriteFile(args.trace_out, *merged_serial) ||
-        !WriteFile(StrCat(args.trace_out, ".prom"),
-                   det_runs->serial[0].result.PrometheusText())) {
-      std::fprintf(stderr, "warning: could not write %s\n",
+    exported = WriteFile(args.trace_out, *merged_serial) &&
+               WriteFile(StrCat(args.trace_out, ".prom"),
+                         det_runs->serial[0].result.PrometheusText());
+    if (!exported) {
+      std::fprintf(stderr, "trace export: could not write %s\n",
                    args.trace_out.c_str());
     } else {
       std::printf("trace: %s (binary)\nmetrics: %s.prom\n",
@@ -381,7 +379,7 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
       binary_overhead_at_largest,
       args.quick ? ", gated in full mode only" : ", gated",
       deterministic ? "byte-identical" : "DIVERGED");
-  if (!all_ok) return 1;
+  if (!all_ok || !exported) return 1;
   return rc;
 }
 

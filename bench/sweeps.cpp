@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "trace/binary.h"
 #include "trace/critical_path.h"
 #include "trace/span.h"
 #include "trace/trace.h"
@@ -9,13 +10,13 @@
 namespace hermes::bench {
 
 bool AddPhaseStats(runner::CellAggregate& cell,
-                   const std::string& trace_jsonl) {
-  if (trace_jsonl.empty()) return true;
+                   const std::string& trace_binary) {
+  if (trace_binary.empty()) return true;
   const Result<std::vector<trace::Event>> events =
-      trace::ParseJsonl(trace_jsonl);
+      trace::ParseBinary(trace_binary);
   if (!events.ok()) {
     std::fprintf(stderr,
-                 "harness: cell %s captured a trace that does not parse: "
+                 "harness: cell %s captured a trace that does not decode: "
                  "%s\n",
                  cell.cell.c_str(), events.status().message().c_str());
     return false;
@@ -70,19 +71,46 @@ Result<DeterminismRuns> RunDeterminismGrid(
 }
 
 bool WriteTraceArtifacts(const std::string& path,
-                         const std::string& trace_jsonl,
-                         const workload::RunResult& result) {
+                         const runner::RunOutput& run) {
+  const Result<std::vector<trace::Event>> events =
+      trace::ParseBinary(run.trace_binary);
+  if (!events.ok()) {
+    std::fprintf(stderr, "trace export: capture does not decode: %s\n",
+                 events.status().message().c_str());
+    return false;
+  }
+  std::string jsonl;
+  for (const trace::Event& e : *events) {
+    e.AppendJson(jsonl);
+    jsonl += '\n';
+  }
   const auto write = [](const std::string& p, const std::string& text) {
     std::FILE* f = std::fopen(p.c_str(), "w");
     if (f == nullptr) return false;
     const size_t written = std::fwrite(text.data(), 1, text.size(), f);
     return std::fclose(f) == 0 && written == text.size();
   };
-  if (!write(path, trace_jsonl)) return false;
   const std::string prom_path = StrCat(path, ".prom");
-  if (!write(prom_path, result.PrometheusText())) return false;
+  if (!write(path, jsonl) || !write(prom_path, run.result.PrometheusText())) {
+    std::fprintf(stderr, "trace export: could not write %s or %s\n",
+                 path.c_str(), prom_path.c_str());
+    return false;
+  }
   std::printf("trace: %s\nmetrics: %s\n", path.c_str(), prom_path.c_str());
   return true;
+}
+
+int RefuseTraceOut(const std::string& who) {
+  std::fprintf(stderr,
+               "%s exports no trace, so --trace-out is refused; "
+               "bench_suite --only=NAME --trace-out=PATH exports one for "
+               "NAME in:",
+               who.c_str());
+  for (const SweepEntry& e : kSweeps) {
+    if (e.exports_trace) std::fprintf(stderr, " %s", e.name);
+  }
+  std::fprintf(stderr, "\n");
+  return 2;
 }
 
 std::string Fixed2(double v) {

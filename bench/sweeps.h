@@ -27,12 +27,14 @@ namespace hermes::bench {
 // (`phase_*_us`: mean virtual µs per committed transaction, including
 // `phase_consensus_us` for Paxos Commit acceptor rounds) and prepared
 // blocking-window stats (`blocked_windows` / `blocked_mean_us` /
-// `blocked_p95_us` / `blocked_max_us`). No-op on an empty trace; returns
-// false, after printing why, when the trace does not parse (the caller
-// exits 2: the harness captured a broken trace). Stat names are
-// documented in docs/FORMATS.md.
+// `blocked_p95_us` / `blocked_max_us`). `trace_binary` is the run's
+// RunOutput::trace_binary, decoded with the strict trace::ParseBinary.
+// No-op on an empty capture (an untraced run); returns false, after
+// printing why, when the capture does not decode (the caller exits 2: the
+// harness captured a broken trace). Stat names are documented in
+// docs/FORMATS.md.
 bool AddPhaseStats(runner::CellAggregate& cell,
-                   const std::string& trace_jsonl);
+                   const std::string& trace_binary);
 
 // The determinism sub-grid every sweep with traced runs checks: `specs`
 // run serially and on 2 workers, and each run's fingerprint must match
@@ -48,11 +50,14 @@ struct DeterminismRuns {
 Result<DeterminismRuns> RunDeterminismGrid(
     const std::vector<runner::RunSpec>& specs, const char* what);
 
-// Writes `trace_jsonl` to `path` and the run's Prometheus metrics text to
-// `<path>.prom`; prints the paths. Returns false on I/O failure.
+// The --trace-out export of one traced run: decodes its binary capture
+// and writes it to `path` as JSONL (one Event::AppendJson line per event),
+// and the run's Prometheus metrics text to `<path>.prom`; prints the
+// paths. Returns false, after printing why, when the capture does not
+// decode or a file cannot be written — the sweep then exits 1, as for an
+// unwritable BENCH_*.json.
 bool WriteTraceArtifacts(const std::string& path,
-                         const std::string& trace_jsonl,
-                         const workload::RunResult& result);
+                         const runner::RunOutput& run);
 
 // `v` with two decimals, matching the table cell formatting.
 std::string Fixed2(double v);
@@ -66,7 +71,8 @@ int FinishSweep(const std::string& name, const std::string& config,
 
 // Each sweep prints its table, writes BENCH_<name>.json and returns a
 // process exit code: 0 on success, 1 when a correctness guarantee was
-// violated, 2 when the harness itself failed.
+// violated or an artifact (BENCH_*.json, --trace-out) could not be
+// written, 2 when the harness itself failed.
 int RunFailureSweep(const SweepArgs& args);        // E5
 int RunScalingSweep(const SweepArgs& args);        // E6
 int RunClockDriftSweep(const SweepArgs& args);     // E7
@@ -77,6 +83,32 @@ int RunPaxosSweep(const SweepArgs& args);          // E16
 int RunAblationMatrixSweep(const SweepArgs& args);  // E18
 int RunReconfigSweep(const SweepArgs& args);        // E19
 int RunTraceOverheadSweep(const SweepArgs& args);   // E20
+
+// The sweep table bench_suite runs, in order. `exports_trace` marks the
+// sweeps that write a representative trace to --trace-out; the others
+// refuse the flag.
+struct SweepEntry {
+  const char* id;
+  const char* name;
+  int (*run)(const SweepArgs&);
+  bool exports_trace;
+};
+inline constexpr SweepEntry kSweeps[] = {
+    {"E5", "failure_sweep", RunFailureSweep, true},
+    {"E6", "scaling", RunScalingSweep, false},
+    {"E7", "clock_drift", RunClockDriftSweep, false},
+    {"E9", "correctness_sweep", RunCorrectnessSweep, false},
+    {"E13", "network_faults", RunNetworkFaultsSweep, false},
+    {"E15", "chaos", RunChaosSweep, true},
+    {"E16", "paxos", RunPaxosSweep, true},
+    {"E18", "ablation_matrix", RunAblationMatrixSweep, true},
+    {"E19", "reconfig", RunReconfigSweep, true},
+    {"E20", "trace_overhead", RunTraceOverheadSweep, true},
+};
+
+// The usage error for a --trace-out that `who` cannot honour: prints it,
+// naming the sweeps that do export a trace, and returns exit code 2.
+int RefuseTraceOut(const std::string& who);
 
 }  // namespace hermes::bench
 

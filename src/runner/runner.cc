@@ -91,13 +91,7 @@ Result<std::vector<RunOutput>> RunAll(const std::vector<RunSpec>& specs,
           config.tracer = &*tracer;
         }
         outputs[i].result = workload::Driver::Run(config);
-        if (tracer.has_value()) {
-          if (tracer->options().format == trace::TraceFormat::kBinary) {
-            outputs[i].trace_binary = tracer->ToBinary();
-          } else {
-            outputs[i].trace_jsonl = tracer->ToJsonl();
-          }
-        }
+        if (tracer.has_value()) outputs[i].trace_binary = tracer->ToBinary();
       });
   if (!status.ok()) return status;
   return outputs;
@@ -137,10 +131,9 @@ std::string Fingerprint(const RunOutput& out) {
     fp += '\n';
   }
   if (!r.series.empty()) StrAppend(fp, r.series.ToString());
-  StrAppend(fp, "trace:\n", out.trace_jsonl);
-  // Binary captures are opaque bytes; fingerprint them verbatim so a
-  // serial-vs-parallel divergence in the binary export fails the same
-  // byte-identity assertions the JSONL capture does.
+  // The capture is opaque bytes; fingerprint it verbatim so any
+  // serial-vs-parallel divergence in the trace fails byte identity.
+  fp += "trace:\n";
   if (!out.trace_binary.empty()) {
     StrAppend(fp, "trace_binary[", out.trace_binary.size(), "]:",
               out.trace_binary, "\n");

@@ -44,19 +44,17 @@ Status ParallelFor(size_t n, int workers,
 struct RunSpec {
   std::string cell;
   workload::WorkloadConfig config;
-  // Collect the run's structured trace and return its export.
+  // Collect the run's structured trace and return its binary export.
   bool capture_trace = false;
-  // Options of the private tracer the harness gives a capture_trace run.
-  // `format` picks the export: the default kJsonl fills
-  // RunOutput::trace_jsonl, TraceFormat::kBinary fills trace_binary.
+  // Options of the private tracer the harness gives a capture_trace run
+  // (ring bound, sampling).
   trace::TracerOptions trace_options;
 };
 
 struct RunOutput {
   workload::RunResult result;
-  // JSONL export of the run's trace (capture_trace, format kJsonl).
-  std::string trace_jsonl;
-  // Binary export ("HTRB") of the run's trace (format kBinary).
+  // Binary export ("HTRB", docs/FORMATS.md) of the run's trace; empty
+  // unless capture_trace. Decode it with trace::ParseBinary.
   std::string trace_binary;
 };
 
@@ -72,8 +70,8 @@ struct SweepOptions {
 Result<std::vector<RunOutput>> RunAll(const std::vector<RunSpec>& specs,
                                       const SweepOptions& options);
 
-// Canonical textual digest of one run — the trace export (JSONL and/or
-// binary) plus every metric and verdict — used to assert byte-identical
+// Canonical textual digest of one run — every metric and verdict plus the
+// binary trace capture, verbatim — used to assert byte-identical
 // serial/parallel execution.
 std::string Fingerprint(const RunOutput& out);
 

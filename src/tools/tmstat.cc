@@ -1,8 +1,9 @@
 // tmstat — offline trace analysis for hermes runs.
 //
 // Reads a trace file — JSONL or the binary ring-buffer format, detected
-// by the "HTRB" magic bytes (written by any benchmark/sweep via
-// --trace-out, or by Tracer::WriteJsonl / WriteBinary) — and prints
+// by the "HTRB" magic bytes (bench_suite --only=<sweep> --trace-out
+// writes JSONL, or E20's merged binary trace; a program can save
+// Tracer::ToJsonl or ToBinary) — and prints
 // reports read from one fold of it, the causal span forest, or from the
 // parsed events: per-transaction timelines, the 2PC critical-path phase
 // breakdown, prepared blocking-window statistics, certification refusal

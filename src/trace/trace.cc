@@ -1,7 +1,6 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/json.h"
 #include "common/str.h"
@@ -279,40 +278,8 @@ std::string Tracer::ToJsonl() const {
   return out;
 }
 
-bool Tracer::WriteJsonl(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  // Stream in bounded chunks: exporting a million-event trace must not
-  // materialize a hundreds-of-MB string first.
-  constexpr size_t kChunk = 64 * 1024;
-  std::string buf;
-  buf.reserve(kChunk + 512);
-  bool ok = true;
-  ForEach([&](const Event& e) {
-    if (!ok) return;
-    e.AppendJson(buf);
-    buf += '\n';
-    if (buf.size() >= kChunk) {
-      ok = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-      buf.clear();
-    }
-  });
-  if (ok && !buf.empty()) {
-    ok = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-  }
-  return std::fclose(f) == 0 && ok;
-}
-
 std::string Tracer::ToBinary() const {
   return ring_->Serialize(stats_.sampled_out);
-}
-
-bool Tracer::WriteBinary(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string blob = ToBinary();
-  const size_t written = std::fwrite(blob.data(), 1, blob.size(), f);
-  return std::fclose(f) == 0 && written == blob.size();
 }
 
 // --- JSONL parsing -----------------------------------------------------------

@@ -220,16 +220,16 @@ class EventFold {
   virtual void Fold(const Event& e) = 0;
 };
 
-// Export encoding of a capture: one JSON object per line, or the binary
-// trace format (docs/FORMATS.md). Both encode the same stored events.
+// Read by nothing: the harness always stores the binary export. Declared
+// only because perfbench/composed_run.cc still assigns `format`; both go
+// when perfbench next changes (ROADMAP item 4, step 2).
 enum class TraceFormat : uint8_t {
   kJsonl,
   kBinary,
 };
 
 struct TracerOptions {
-  // Which export a harness fills for this capture (runner::RunAll, E20).
-  // The Tracer itself never reads it: both exports are always available.
+  // Unused; see TraceFormat.
   TraceFormat format = TraceFormat::kJsonl;
   // Bound of the trace ring in records. The ring grows to it as events
   // arrive; once full, the oldest record is overwritten and counted in
@@ -303,16 +303,10 @@ class Tracer {
 
   // One JSON object per line, in record order.
   std::string ToJsonl() const;
-  // Streams the JSONL export to `path` in bounded chunks — no monolithic
-  // string is built, so exporting a million-event trace needs O(chunk)
-  // transient memory. Returns false on I/O failure.
-  bool WriteJsonl(const std::string& path) const;
 
   // Serializes the stored events to the binary trace format (magic
   // "HTRB"; see docs/FORMATS.md).
   std::string ToBinary() const;
-  // Writes ToBinary() to `path`; returns false on I/O failure.
-  bool WriteBinary(const std::string& path) const;
 
  private:
   const sim::EventLoop* loop_;

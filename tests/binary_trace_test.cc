@@ -2,12 +2,11 @@
 // record round-trips over every EventKind, ring growth and overflow
 // accounting, per-gtid sampling, streaming folds and export
 // interchangeability (the JSONL and binary exports of one capture), the
-// deterministic multi-run merge, truncation handling, the chunked JSONL
-// writer and the driver's mid-run flush hook.
+// deterministic multi-run merge, truncation handling and the driver's
+// mid-run flush hook.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,7 +27,6 @@ using trace::EventKind;
 using trace::RefuseKind;
 using trace::Tracer;
 using trace::TracerOptions;
-using trace::TraceFormat;
 
 // An event exercising every encodable field, varied by `i` so consecutive
 // events never collapse to the same record bytes.
@@ -325,7 +323,6 @@ TEST(BinaryTrace, MergeIsIdenticalAcrossWorkerCounts) {
     spec.cell = "merge";
     spec.config = SmallConfig(600 + static_cast<uint64_t>(s));
     spec.capture_trace = true;
-    spec.trace_options.format = TraceFormat::kBinary;
     specs.push_back(spec);
   }
   Result<std::vector<runner::RunOutput>> serial =
@@ -402,30 +399,6 @@ TEST(BinaryTrace, RejectsWrongMagicAndVersion) {
   EXPECT_TRUE(trace::IsBinaryTrace(bytes));
   bytes[4] = static_cast<char>(trace::kBinaryTraceVersion + 1);
   EXPECT_FALSE(trace::ParseBinary(bytes).ok());
-}
-
-// --- chunked JSONL writer ----------------------------------------------------
-
-TEST(BinaryTrace, WriteJsonlStreamsIdenticalBytes) {
-  Tracer tracer;
-  for (int i = 0; i < 5000; ++i) {
-    Event e = FullEvent(EventKind::kStepEnd, i);
-    e.detail = "padding-" + std::string(64, 'p') + std::to_string(i);
-    tracer.Record(e);
-  }
-  const std::string path = testing::TempDir() + "/hermes_trace_chunked.jsonl";
-  ASSERT_TRUE(tracer.WriteJsonl(path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string read_back;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    read_back.append(buf, n);
-  }
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_EQ(read_back, tracer.ToJsonl());
 }
 
 // --- metrics + flush hook ----------------------------------------------------

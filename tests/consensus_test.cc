@@ -391,7 +391,7 @@ TEST(PaxosWorkload, TracedChaosRunsAreByteIdenticalAcrossWorkers) {
       runner::RunAll(specs, {.workers = 2});
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
-  EXPECT_FALSE((*serial)[0].trace_jsonl.empty());
+  EXPECT_FALSE((*serial)[0].trace_binary.empty());
   EXPECT_EQ(runner::Fingerprint((*serial)[0]),
             runner::Fingerprint((*serial)[1]));
   EXPECT_EQ(runner::Fingerprint((*serial)[0]),

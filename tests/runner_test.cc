@@ -18,7 +18,9 @@
 #include "fault/fault_plan.h"
 #include "runner/aggregate.h"
 #include "runner/runner.h"
+#include "trace/binary.h"
 #include "trace/trace.h"
+#include "workload/driver.h"
 
 namespace hermes {
 namespace {
@@ -122,7 +124,7 @@ TEST(Runner, ParallelMatchesSerialByteForByte) {
       EXPECT_EQ(runner::Fingerprint((*parallel)[i]),
                 runner::Fingerprint((*serial)[i]))
           << "run " << i << " diverged with " << workers << " workers";
-      EXPECT_FALSE((*parallel)[i].trace_jsonl.empty());
+      EXPECT_FALSE((*parallel)[i].trace_binary.empty());
     }
   }
 }
@@ -169,14 +171,40 @@ TEST(Runner, ChaosRunsMatchSerialByteForByte) {
 }
 
 TEST(Runner, CapturedTraceRoundTripsThroughParser) {
+  // The capture decodes to exactly the events a direct Driver::Run with a
+  // private tracer stores for the same config.
   const std::vector<RunSpec> specs = SmallGrid(1, true);
   Result<std::vector<RunOutput>> out = runner::RunAll(specs, {.workers = 1});
   ASSERT_TRUE(out.ok());
-  ASSERT_FALSE((*out)[0].trace_jsonl.empty());
   Result<std::vector<trace::Event>> events =
-      trace::ParseJsonl((*out)[0].trace_jsonl);
+      trace::ParseBinary((*out)[0].trace_binary);
   ASSERT_TRUE(events.ok()) << events.status().ToString();
   EXPECT_FALSE(events->empty());
+
+  workload::WorkloadConfig config = specs[0].config;
+  trace::Tracer tracer(specs[0].trace_options);
+  config.tracer = &tracer;
+  workload::Driver::Run(config);
+  std::vector<trace::Event> stored;
+  tracer.ForEach([&](const trace::Event& e) { stored.push_back(e); });
+  EXPECT_EQ(*events, stored);
+}
+
+TEST(Runner, FingerprintCoversEveryCaptureByte) {
+  // Serial-vs-parallel byte identity of the trace rests on Fingerprint
+  // reading the capture: a single flipped byte must change the digest.
+  Result<std::vector<RunOutput>> out =
+      runner::RunAll(SmallGrid(1, true), {.workers = 1});
+  ASSERT_TRUE(out.ok());
+  const std::string before = runner::Fingerprint((*out)[0]);
+  std::string& capture = (*out)[0].trace_binary;
+  ASSERT_FALSE(capture.empty());
+  for (const size_t at : {size_t{0}, capture.size() / 2, capture.size() - 1}) {
+    capture[at] = static_cast<char>(capture[at] ^ 0x01);
+    EXPECT_NE(runner::Fingerprint((*out)[0]), before) << "byte " << at;
+    capture[at] = static_cast<char>(capture[at] ^ 0x01);
+  }
+  EXPECT_EQ(runner::Fingerprint((*out)[0]), before);
 }
 
 TEST(Runner, CpuBoundSpeedupOnManyCores) {

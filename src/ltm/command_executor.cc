@@ -39,9 +39,12 @@ void CommandExecutor::Finish(const Status& status, db::CmdResult result) {
   ltm_->OnExecutorDone(txn_);
 }
 
-void CommandExecutor::AbortTxn(const Status& reason) {
-  // Keep *this alive across the abort (the LTM drops its reference).
+void CommandExecutor::FailAndAbort(const Status& reason) {
+  // Keep *this alive across both steps: Finish already drops the LTM's
+  // reference, which may be the last one (Start runs under Ltm::Execute,
+  // not under a callback that holds one).
   auto self = shared_from_this();
+  Finish(reason, db::CmdResult{});
   ltm_->UnilateralAbortInternal(txn_, reason);
 }
 
@@ -76,15 +79,13 @@ void CommandExecutor::LockRound() {
   if (++rounds_ > kMaxLockRounds) {
     const Status reason =
         Status::Internal("command could not stabilize its lock set");
-    Finish(reason, db::CmdResult{});
-    AbortTxn(reason);
+    FailAndAbort(reason);
     return;
   }
   if (ltm_->storage()->GetTable(db::CommandTable(cmd_)) == nullptr) {
     const Status reason =
         Status::NotFound(StrCat("table ", db::CommandTable(cmd_)));
-    Finish(reason, db::CmdResult{});
-    AbortTxn(reason);
+    FailAndAbort(reason);
     return;
   }
   to_lock_.clear();
@@ -129,8 +130,7 @@ void CommandExecutor::LockNextKey() {
 void CommandExecutor::OnDluCleared(int64_t key, const Status& s) {
   if (cancelled_ || finished_) return;
   if (!s.ok()) {
-    Finish(s, db::CmdResult{});
-    AbortTxn(s);
+    FailAndAbort(s);
     return;
   }
   const ItemId item =
@@ -152,8 +152,7 @@ void CommandExecutor::OnLockGranted(int64_t key, const Status& s) {
     const Status reason = Status::Timeout(
         StrCat("lock wait timeout on key ", key, " of ",
                db::CommandToString(cmd_)));
-    Finish(reason, db::CmdResult{});
-    AbortTxn(reason);
+    FailAndAbort(reason);
     return;
   }
   const ItemId item =
@@ -239,8 +238,7 @@ void CommandExecutor::Apply() {
     if (existing != nullptr && existing->live() && !ins->upsert) {
       const Status reason = Status::AlreadyExists(
           StrCat("key ", ins->key, " in table ", table->name()));
-      Finish(reason, db::CmdResult{});
-      AbortTxn(reason);
+      FailAndAbort(reason);
       return;
     }
     const db::VersionTag tag = make_tag();
@@ -264,8 +262,7 @@ void CommandExecutor::Apply() {
           if (!sum.has_value()) {
             const Status reason = Status::InvalidArgument(
                 StrCat("non-numeric ADD on field ", a.field));
-            Finish(reason, db::CmdResult{});
-            AbortTxn(reason);
+            FailAndAbort(reason);
             return;
           }
           new_row.Set(a.field, *sum);

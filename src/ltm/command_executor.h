@@ -55,7 +55,8 @@ class CommandExecutor : public std::enable_shared_from_this<CommandExecutor> {
   void ScheduleApply();
   void Apply();
   void Finish(const Status& status, db::CmdResult result);
-  void AbortTxn(const Status& reason);
+  // Fails the command and unilaterally aborts its transaction.
+  void FailAndAbort(const Status& reason);
 
   // Keys the command currently matches (insert: the target key).
   std::vector<int64_t> ComputeKeys() const;

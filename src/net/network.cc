@@ -2,49 +2,70 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <utility>
 
 namespace hermes::net {
-
-namespace {
-
-std::pair<SiteId, SiteId> UnorderedPair(SiteId a, SiteId b) {
-  return {std::min(a, b), std::max(a, b)};
-}
-
-}  // namespace
 
 Network::Network(const NetworkConfig& config, sim::EventLoop* loop,
                  trace::Tracer* tracer)
     : config_(config), loop_(loop), tracer_(tracer), rng_(config.seed) {}
 
-void Network::RegisterEndpoint(SiteId site, Handler handler) {
-  assert(endpoints_.find(site) == endpoints_.end());
-  endpoints_[site] = std::move(handler);
+void Network::Grow(SiteId site) {
+  const size_t n = static_cast<size_t>(site) + 1;
+  if (n > endpoints_.size()) endpoints_.resize(n);
 }
 
-void Network::UnregisterEndpoint(SiteId site) { endpoints_.erase(site); }
+Network::Link& Network::LinkOf(SiteId from, SiteId to) {
+  if (stride_ < endpoints_.size()) {
+    const size_t stride = std::max(endpoints_.size(), 2 * stride_);
+    std::vector<Link> links(stride * stride);
+    for (size_t row = 0; row < stride_; ++row) {
+      std::copy_n(links_.data() + row * stride_, stride_,
+                  links.data() + row * stride);
+    }
+    links_ = std::move(links);
+    stride_ = stride;
+  }
+  return links_[static_cast<size_t>(from) * stride_ +
+                static_cast<size_t>(to)];
+}
+
+void Network::RegisterEndpoint(SiteId site, Handler handler) {
+  if (site < 0) return;
+  Grow(site);
+  assert(!endpoints_[static_cast<size_t>(site)]);
+  endpoints_[static_cast<size_t>(site)] = std::move(handler);
+}
+
+void Network::UnregisterEndpoint(SiteId site) {
+  if (InTable(site)) endpoints_[static_cast<size_t>(site)] = nullptr;
+}
 
 void Network::SetLinkLoss(SiteId from, SiteId to, double p) {
-  link_loss_[{from, to}] = p;
+  if (from < 0 || to < 0) return;
+  Grow(std::max(from, to));
+  Link& link = LinkOf(from, to);
+  link.loss_set = true;
+  link.loss = p;
 }
 
 void Network::ClearLinkLoss(SiteId from, SiteId to) {
-  link_loss_.erase({from, to});
+  if (InTable(from) && InTable(to)) LinkOf(from, to).loss_set = false;
 }
 
 void Network::Partition(SiteId a, SiteId b, sim::Time until) {
-  partitions_[UnorderedPair(a, b)] = until;
+  if (a < 0 || b < 0) return;
+  Grow(std::max(a, b));
+  LinkOf(a, b).partition_until = until;
+  LinkOf(b, a).partition_until = until;
 }
 
 bool Network::Partitioned(SiteId a, SiteId b) const {
-  auto it = partitions_.find(UnorderedPair(a, b));
-  return it != partitions_.end() && loop_->Now() < it->second;
-}
-
-double Network::LinkLoss(SiteId from, SiteId to) const {
-  auto it = link_loss_.find({from, to});
-  return it != link_loss_.end() ? it->second : config_.loss_prob;
+  const auto ua = static_cast<size_t>(a);
+  const auto ub = static_cast<size_t>(b);
+  return ua < stride_ && ub < stride_ &&
+         loop_->Now() < links_[ua * stride_ + ub].partition_until;
 }
 
 void Network::Drop(SiteId from, SiteId to, DropCause cause) {
@@ -84,26 +105,29 @@ void Network::Deliver(SiteId from, SiteId to, sim::Time at,
                       std::any payload) {
   Envelope env{from, to, std::move(payload)};
   loop_->ScheduleAt(at, [this, to, env = std::move(env)]() {
-    auto it = endpoints_.find(to);
-    if (it != endpoints_.end()) it->second(env);
+    // The site may have crashed while the message was in flight.
+    const Handler& handler = endpoints_[static_cast<size_t>(to)];
+    if (handler) handler(env);
   });
 }
 
 void Network::Send(SiteId from, SiteId to, std::any payload) {
   ++messages_sent_;
-  if (endpoints_.find(to) == endpoints_.end()) {
+  if (!InTable(from) || !InTable(to) ||
+      !endpoints_[static_cast<size_t>(to)]) {
     // Destination crashed or never started: a real WAN message to a dead
     // host just vanishes — never abort the simulation.
     Drop(from, to, DropCause::kUnregistered);
     return;
   }
+  Link& link = LinkOf(from, to);
   const bool local = from == to;
   if (!local) {
-    if (Partitioned(from, to)) {
+    if (loop_->Now() < link.partition_until) {
       Drop(from, to, DropCause::kPartition);
       return;
     }
-    const double loss = LinkLoss(from, to);
+    const double loss = link.loss_set ? link.loss : config_.loss_prob;
     if (loss > 0 && rng_.NextBool(loss)) {
       Drop(from, to, DropCause::kLoss);
       return;
@@ -127,9 +151,8 @@ void Network::Send(SiteId from, SiteId to, std::any payload) {
     // FIFO per ordered pair: never deliver before an earlier send. A
     // reordered message neither obeys nor advances the clamp, so it can be
     // overtaken without delaying everything behind it.
-    auto& last = last_delivery_[{from, to}];
-    if (at < last) at = last;
-    last = at;
+    if (at < link.last_delivery) at = link.last_delivery;
+    link.last_delivery = at;
   }
   if (tracer_ != nullptr) {
     trace::Event e;

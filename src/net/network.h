@@ -19,9 +19,9 @@
 #define HERMES_NET_NETWORK_H_
 
 #include <any>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/ids.h"
@@ -72,28 +72,36 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // At most one handler per destination site.
+  // At most one handler per destination site. Site ids are dense from 0
+  // (common/ids.h): the link table grows to the largest id registered or
+  // configured, and a negative id is never registered. The handler table
+  // may move when it grows, so a handler must not register a site beyond
+  // every id seen so far.
   void RegisterEndpoint(SiteId site, Handler handler);
   // Removes a site's handler (site crash): messages addressed to it — both
   // newly sent and already in flight — are dropped and counted. Re-register
-  // when the site recovers. Unknown sites are a no-op.
+  // when the site recovers; the link state (FIFO clamp, loss overrides,
+  // partitions) survives. Unknown sites are a no-op.
   void UnregisterEndpoint(SiteId site);
 
   // Queues `payload` for delivery to `to`'s handler after the modeled
   // latency. Messages between the same ordered pair are delivered in send
   // order (FIFO) even with jitter, unless reordering faults are enabled.
-  // Sends to sites without a registered endpoint (crashed / never started)
-  // are dropped and counted, never a crash.
+  // Sends to sites without a registered endpoint (crashed / never started),
+  // and sends from ids outside the link table, are dropped and counted,
+  // never a crash.
   void Send(SiteId from, SiteId to, std::any payload);
 
   // Overrides the loss probability of the ordered link `from` -> `to`. A
   // per-link entry always wins over the global loss_prob, so p = 0 makes
   // that link lossless even in a lossy network. Remove with ClearLinkLoss.
+  // Negative ids are ignored.
   void SetLinkLoss(SiteId from, SiteId to, double p);
   void ClearLinkLoss(SiteId from, SiteId to);
 
   // Drops every message between `a` and `b` (both directions) until virtual
-  // time `until`. Repeated calls extend/replace the window.
+  // time `until`. Repeated calls extend/replace the window. Negative ids are
+  // ignored.
   void Partition(SiteId a, SiteId b, sim::Time until);
   // True while the (unordered) pair is inside a partition window.
   bool Partitioned(SiteId a, SiteId b) const;
@@ -109,19 +117,43 @@ class Network {
 
   void Drop(SiteId from, SiteId to, DropCause cause);
   void Deliver(SiteId from, SiteId to, sim::Time at, std::any payload);
-  double LinkLoss(SiteId from, SiteId to) const;
   sim::Duration DrawDelay(SiteId from, SiteId to);
+
+  // State of one ordered link from -> to.
+  struct Link {
+    // Latest scheduled delivery time, for the FIFO clamp.
+    sim::Time last_delivery = 0;
+    // Messages are dropped while Now() < partition_until. A partition is
+    // stored on both directions of the pair.
+    sim::Time partition_until = 0;
+    // Per-link loss override (SetLinkLoss); else config_.loss_prob.
+    bool loss_set = false;
+    double loss = 0;
+  };
+
+  // Grows the table to cover site ids [0, site]; `site` >= 0.
+  void Grow(SiteId site);
+  bool InTable(SiteId site) const {
+    return static_cast<size_t>(site) < endpoints_.size();
+  }
+  // The link from -> to, both in the table. Lays links_ out again first
+  // when the table has outgrown it.
+  Link& LinkOf(SiteId from, SiteId to);
 
   NetworkConfig config_;
   sim::EventLoop* loop_;
   trace::Tracer* tracer_;
   Rng rng_;
-  std::map<SiteId, Handler> endpoints_;
-  // Last scheduled delivery time per ordered (from, to) pair, for FIFO.
-  std::map<std::pair<SiteId, SiteId>, sim::Time> last_delivery_;
-  std::map<std::pair<SiteId, SiteId>, double> link_loss_;
-  // Partition end time per unordered pair (min, max).
-  std::map<std::pair<SiteId, SiteId>, sim::Time> partitions_;
+  // Indexed by site id; an empty Handler is an unregistered site. Its size
+  // is the table size: ids outside it (negative ones included) are never
+  // registered.
+  std::vector<Handler> endpoints_;
+  // links_[from * stride_ + to]; links of ids >= stride_ were never used.
+  // The table is laid out on first use rather than on registration, and
+  // stride_ at least doubles, so registering n sites allocates it once and
+  // later growth copies O(n^2) links in total.
+  size_t stride_ = 0;
+  std::vector<Link> links_;
   int64_t messages_sent_ = 0;
   int64_t messages_dropped_ = 0;
   int64_t messages_duplicated_ = 0;

@@ -1,5 +1,6 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -10,9 +11,23 @@ namespace hermes::sim {
 
 EventId EventLoop::ScheduleAt(Time at, std::function<void()> fn) {
   if (at < now_) at = now_;
-  const EventId id = next_id_++;
-  queue_.push(Event{at, id, std::move(fn)});
-  pending_.insert(id);
+  if (next_seq_ > std::numeric_limits<uint32_t>::max()) {
+    std::fprintf(stderr, "EventLoop: more than 2^32 events scheduled\n");
+    std::abort();
+  }
+  uint32_t slot = static_cast<uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const EventId id = (next_seq_++ << 32) | slot;
+  slots_[slot].id = id;
+  slots_[slot].fn = std::move(fn);
+  heap_.push_back(Entry{at, id});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  ++live_;
   return id;
 }
 
@@ -21,29 +36,42 @@ EventId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
+void EventLoop::Release(uint32_t slot) {
+  slots_[slot].id = kInvalidEvent;
+  free_slots_.push_back(slot);
+  --live_;
+}
+
 bool EventLoop::Cancel(EventId id) {
   // Only a still-pending event can be cancelled: an already-executed or
-  // already-cancelled id is rejected, and nothing is recorded for it.
-  if (pending_.erase(id) == 0) return false;
-  cancelled_.insert(id);  // tombstone, discarded lazily when popped
+  // already-cancelled id no longer matches its slot. The heap entry stays
+  // behind as a tombstone.
+  const uint32_t slot = SlotOf(id);
+  if (id == kInvalidEvent || slot >= slots_.size() ||
+      slots_[slot].id != id) {
+    return false;
+  }
+  // Destroy the callback only after the slot is consistent again: its
+  // captures' destructors may schedule or cancel events.
+  std::function<void()> fn = std::move(slots_[slot].fn);
+  Release(slot);
   return true;
 }
 
 bool EventLoop::DispatchNext(Time deadline) {
-  while (!queue_.empty()) {
-    // priority_queue::top returns const&; the function object must be moved
-    // out before pop, so const_cast the owned element (safe: we pop next).
-    Event& top = const_cast<Event&>(queue_.top());
-    if (auto it = cancelled_.find(top.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      queue_.pop();
-      continue;
-    }
-    if (top.at > deadline) return false;
-    pending_.erase(top.id);
-    Event ev = std::move(top);
-    queue_.pop();
-    now_ = ev.at;
+  while (!heap_.empty()) {
+    const Entry top = heap_.front();
+    const uint32_t slot = SlotOf(top.id);
+    const bool live = slots_[slot].id == top.id;
+    if (live && top.at > deadline) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    if (!live) continue;  // tombstone of a cancelled event
+    // Move the callback out and free the slot first: the callback may
+    // schedule (reusing the slot) and must see its own id as executed.
+    std::function<void()> fn = std::move(slots_[slot].fn);
+    Release(slot);
+    now_ = top.at;
     ++events_processed_;
     if (max_events_ != 0 && events_processed_ > max_events_) {
       std::fprintf(stderr,
@@ -53,7 +81,7 @@ bool EventLoop::DispatchNext(Time deadline) {
                    static_cast<long long>(now_));
       std::abort();
     }
-    ev.fn();
+    fn();
     return true;
   }
   return false;

@@ -11,8 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace hermes::sim {
@@ -60,7 +58,7 @@ class EventLoop {
   // empty.
   bool Step();
 
-  bool Empty() const { return pending_.empty(); }
+  bool Empty() const { return live_ == 0; }
   uint64_t events_processed() const { return events_processed_; }
 
   // Safety valve for tests: Run(), RunUntil() and Step() abort the process
@@ -69,34 +67,48 @@ class EventLoop {
   void set_max_events(uint64_t n) { max_events_ = n; }
 
  private:
-  struct Event {
+  // A heap entry: 16 bytes, so sifting never touches a callback. Entries
+  // are ordered by (at, id); the id's high half is the scheduling sequence,
+  // so same-time events run in scheduling order (FIFO).
+  struct Entry {
     Time at;
     EventId id;
-    std::function<void()> fn;
   };
-  struct EventOrder {
-    bool operator()(const Event& a, const Event& b) const {
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;  // FIFO among same-time events
+      return a.id > b.id;
     }
   };
+  struct Slot {
+    EventId id = kInvalidEvent;  // the pending event here, or kInvalidEvent
+    std::function<void()> fn;
+  };
+
+  static uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
 
   // Discards cancelled tombstones, then runs the next event if its time is
   // <= `deadline`. Returns false when no such event is pending.
   bool DispatchNext(Time deadline);
+  // Empties `slot` and puts it on the free list.
+  void Release(uint32_t slot);
 
   Time now_ = 0;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t max_events_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
-  // An id lives in exactly one of these two sets while its Event is still
-  // physically queued: `pending_` until it runs or is cancelled,
-  // `cancelled_` from cancellation until the tombstone is popped. Ids of
-  // already-executed events are in neither, so Cancel can reject them in
-  // O(1) without remembering the whole execution history.
-  std::unordered_set<EventId> pending_;
-  std::unordered_set<EventId> cancelled_;
+  // Invariants. An EventId is (sequence << 32) | slot, and sequences are
+  // never reused. A pending event's id is stored in its slot and in exactly
+  // one heap entry. Running or cancelling the event empties the slot and
+  // frees it for reuse, but leaves the heap entry in place. An entry whose
+  // id no longer matches its slot is therefore a tombstone, skipped when
+  // popped; and Cancel rejects an executed or cancelled id with one
+  // compare, without remembering the execution history.
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  // Number of pending (not yet run, not cancelled) events.
+  uint64_t live_ = 0;
 };
 
 }  // namespace hermes::sim

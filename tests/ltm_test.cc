@@ -279,6 +279,18 @@ TEST_F(LtmTest, DuplicateInsertAbortsTransaction) {
   EXPECT_FALSE(ltm_->IsActive(t));
 }
 
+TEST_F(LtmTest, CommandOnMissingTableAbortsTransaction) {
+  Build();
+  const LtmTxnHandle t = Begin(1);
+  // The executor fails in Start, inside Execute, where the LTM's reference
+  // is the only one; the abort that follows must not touch freed memory
+  // (regression, caught by ASan).
+  auto r = Exec(t, db::MakeAddKey(table_ + 1, 2, "v", int64_t{1}));
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  EXPECT_FALSE(ltm_->IsActive(t));
+}
+
 TEST_F(LtmTest, UpsertOverwritesExistingRow) {
   Build();
   const LtmTxnHandle t = Begin(1);

@@ -108,6 +108,61 @@ TEST(NetworkFaults, UnregisteredDestinationIsDroppedNotFatal) {
   EXPECT_EQ(net.messages_dropped(), 1);
 }
 
+TEST(NetworkFaults, IdsOutsideTheTableAreDroppedNotFatal) {
+  sim::EventLoop loop;
+  Network net(NetworkConfig{}, &loop);
+  int got = 0;
+  net.RegisterEndpoint(0, [&](const Envelope&) { ++got; });
+  net.RegisterEndpoint(1, [&](const Envelope&) { ++got; });
+  const std::vector<SiteId> bad = {-5, kInvalidSite, 99};
+  for (SiteId id : bad) {
+    net.Send(0, id, 1);
+    net.Send(id, 1, 2);
+    net.Send(id, id, 3);
+  }
+  // None of these registers, configures or grows anything.
+  net.RegisterEndpoint(kInvalidSite, [&](const Envelope&) { ++got; });
+  net.UnregisterEndpoint(-5);
+  net.UnregisterEndpoint(99);
+  net.SetLinkLoss(kInvalidSite, 0, 1.0);
+  net.ClearLinkLoss(0, 99);
+  net.Partition(-5, 1, 10 * sim::kMillisecond);
+  EXPECT_FALSE(net.Partitioned(-5, 1));
+  EXPECT_FALSE(net.Partitioned(1, 99));
+  net.Send(0, kInvalidSite, 4);
+  loop.Run();
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(net.messages_sent(), 10);
+  EXPECT_EQ(net.messages_dropped(), 10);
+  net.Send(0, 1, 5);  // the registered pair is unaffected
+  loop.Run();
+  EXPECT_EQ(got, 1);
+}
+
+TEST(NetworkFaults, FifoClampSurvivesReRegistration) {
+  sim::EventLoop loop;
+  NetworkConfig config;
+  config.base_latency = 1 * sim::kMillisecond;
+  config.jitter = 5 * sim::kMillisecond;
+  config.seed = 5;
+  Network net(config, &loop);
+  std::vector<int> got;
+  auto handler = [&](const Envelope& env) {
+    got.push_back(std::any_cast<int>(env.payload));
+  };
+  net.RegisterEndpoint(1, handler);
+  net.RegisterEndpoint(0, [](const Envelope&) {});
+  for (int i = 0; i < 25; ++i) net.Send(0, 1, i);
+  // A crash and recovery in the same instant: the messages in flight reach
+  // the new handler, and the next sends still queue behind them.
+  net.UnregisterEndpoint(1);
+  net.RegisterEndpoint(1, handler);
+  for (int i = 25; i < 50; ++i) net.Send(0, 1, i);
+  loop.Run();
+  ASSERT_EQ(got.size(), 50u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
+}
+
 TEST(NetworkFaults, LossDropsRoughlyTheConfiguredFraction) {
   sim::EventLoop loop;
   NetworkConfig config;
@@ -209,6 +264,34 @@ TEST(NetworkFaults, PartitionDropsBothDirectionsUntilExpiry) {
   loop.Run();
   EXPECT_EQ(got, 2);
   EXPECT_EQ(net.messages_dropped(), 2);
+}
+
+TEST(NetworkFaults, LinkStateSurvivesTableGrowth) {
+  sim::EventLoop loop;
+  Network net(NetworkConfig{}, &loop);
+  int got = 0;
+  net.RegisterEndpoint(0, [&](const Envelope&) { ++got; });
+  // Configure links of sites that are not registered yet.
+  net.Partition(5, 2, 10 * sim::kMillisecond);
+  net.SetLinkLoss(0, 3, 1.0);
+  EXPECT_TRUE(net.Partitioned(2, 5));
+  EXPECT_TRUE(net.Partitioned(5, 2));
+  EXPECT_FALSE(net.Partitioned(2, 4));
+  // Far larger ids outgrow the laid-out links; the next send lays them out
+  // again, and every link keeps its state.
+  for (SiteId s : {2, 3, 5, 40, 300}) {
+    net.RegisterEndpoint(s, [&](const Envelope&) { ++got; });
+  }
+  net.Send(2, 5, 1);  // partitioned
+  net.Send(0, 3, 2);  // lost
+  net.Send(300, 40, 3);
+  net.Send(3, 0, 4);
+  EXPECT_TRUE(net.Partitioned(2, 5));
+  EXPECT_TRUE(net.Partitioned(5, 2));
+  loop.RunUntil(20 * sim::kMillisecond);
+  EXPECT_EQ(got, 2);
+  EXPECT_EQ(net.messages_dropped(), 2);
+  EXPECT_FALSE(net.Partitioned(5, 2));  // the window expired
 }
 
 TEST(NetworkFaults, LocalDeliveryIsExemptFromFaults) {

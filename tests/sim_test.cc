@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "sim/site_clock.h"
 
@@ -107,7 +110,12 @@ TEST(EventLoop, CancelAfterExecutionReturnsFalse) {
   // a later event was still pending).
   EXPECT_FALSE(loop.Cancel(id));
   bool ran = false;
-  loop.ScheduleAt(20, [&] { ran = true; });
+  const EventId next = loop.ScheduleAt(20, [&] { ran = true; });
+  // The new event reuses the executed one's slot, under a new id; the old
+  // id still cancels nothing.
+  ASSERT_NE(next, id);
+  ASSERT_EQ(static_cast<uint32_t>(next), static_cast<uint32_t>(id));
+  EXPECT_FALSE(loop.Cancel(id));
   EXPECT_FALSE(loop.Empty());
   loop.Run();
   EXPECT_TRUE(ran);
@@ -121,6 +129,61 @@ TEST(EventLoop, EmptyIgnoresCancelledEvents) {
   EXPECT_TRUE(loop.Cancel(id));
   EXPECT_TRUE(loop.Empty());  // only a tombstone remains queued
   EXPECT_EQ(loop.Run(), 0u);
+  // A tombstone ahead of a live event past the deadline: RunUntil pops the
+  // tombstone and runs nothing.
+  const EventId a = loop.ScheduleAt(20, [] {});
+  const EventId b = loop.ScheduleAt(40, [] {});
+  EXPECT_TRUE(loop.Cancel(a));
+  EXPECT_EQ(loop.RunUntil(30), 0u);
+  EXPECT_FALSE(loop.Empty());
+  EXPECT_TRUE(loop.Cancel(b));
+  EXPECT_TRUE(loop.Empty());
+  EXPECT_FALSE(loop.Step());
+}
+
+TEST(EventLoop, CancelFromOwnCallbackIsRejected) {
+  EventLoop loop;
+  EventId id = kInvalidEvent;
+  bool cancelled = true;
+  id = loop.ScheduleAt(10, [&] { cancelled = loop.Cancel(id); });
+  loop.Run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_TRUE(loop.Empty());
+}
+
+TEST(EventLoop, SameTimeFifoSurvivesCancelsAndSlotReuse) {
+  EventLoop loop;
+  constexpr int kEvents = 100'000;
+  // Labels follow scheduling order, so the expected run order is the
+  // ascending order of the labels that were not cancelled.
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  int next_label = 0;
+  int cancelled = 0;
+  auto schedule = [&] {
+    const int label = next_label++;
+    ids.push_back(loop.ScheduleAt(5, [&order, label] {
+      order.push_back(label);
+    }));
+  };
+  for (int i = 0; i < kEvents; ++i) {
+    schedule();
+    // Cancelling frees a slot that the next ScheduleAt reuses.
+    if (i % 3 == 2) {
+      ASSERT_TRUE(loop.Cancel(ids[static_cast<size_t>(i - 1)]));
+      ++cancelled;
+    }
+  }
+  // Events scheduled at the same time from inside a callback reuse the
+  // slots of events already run, and still run after every earlier one.
+  loop.ScheduleAt(5, [&] {
+    for (int i = 0; i < 100; ++i) schedule();
+  });
+  loop.Run();
+  ASSERT_EQ(order.size(), static_cast<size_t>(kEvents - cancelled + 100));
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(std::adjacent_find(order.begin(), order.end()), order.end());
+  EXPECT_TRUE(loop.Empty());
 }
 
 TEST(EventLoop, StepExecutesOneEvent) {

@@ -1,8 +1,9 @@
 // E19 — online reconfiguration sweep: epoch-fenced live membership changes
 // under load.
 //
-// Grid: reconfiguration kind {add, remove, replace} x decision protocol
-// {2PC, Paxos Commit f=1} x certifier {SN, CSN} x workload seeds. Every
+// Grid: reconfiguration kind {add, remove, replace} x {2PC/SN, 2PC/CSN,
+// Paxos Commit f=1/SN} x workload seeds (Mdbs runs CSN as SN under Paxos
+// Commit, so a Paxos/CSN cell would only rerun Paxos/SN). Every
 // run starts from a 4-site federation with a 16-shard map, fires exactly
 // one membership change mid-run via the fault plan, and must finish every
 // targeted transaction. Per cell the sweep reports the handoff window, the
@@ -164,6 +165,7 @@ int RunReconfigSweep(const SweepArgs& args) {
     for (consensus::ProtocolKind protocol : protocols) {
       for (cert::CertifierKind certifier : certifiers) {
         const bool paxos = protocol == consensus::ProtocolKind::kPaxosCommit;
+        if (paxos && certifier == cert::CertifierKind::kCsn) continue;
         cells.push_back(ReconfigCell{
             kind, protocol, certifier,
             StrCat(KindLabel(kind), "/", paxos ? "paxos" : "2pc", "/",

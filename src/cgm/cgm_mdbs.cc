@@ -11,11 +11,9 @@ CgmMdbs::CgmMdbs(const CgmConfig& config, sim::EventLoop* loop)
 
   scheduler_endpoint_ = config_.mdbs.num_sites;
   stub_endpoint_ = config_.mdbs.num_sites + 1;
-  CgmSchedulerConfig scheduler_config = config_.scheduler;
-  scheduler_config.lock_timeout = config_.global_lock_timeout;
   scheduler_ = std::make_unique<CgmScheduler>(
-      scheduler_endpoint_, stub_endpoint_, scheduler_config, loop_,
-      &mdbs_->network(), &mdbs_->scheduler_metrics(), config_.mdbs.tracer);
+      scheduler_endpoint_, stub_endpoint_, loop_, &mdbs_->network(),
+      &mdbs_->scheduler_metrics(), config_.mdbs.tracer);
   mdbs_->network().RegisterEndpoint(
       scheduler_endpoint_,
       [this](const net::Envelope& env) { scheduler_->Handle(env); });

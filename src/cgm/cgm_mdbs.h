@@ -23,8 +23,6 @@ namespace hermes::cgm {
 struct CgmConfig {
   core::MdbsConfig mdbs;
   Granularity granularity = Granularity::kSite;
-  sim::Duration global_lock_timeout = 1 * sim::kSecond;
-  CgmSchedulerConfig scheduler;
 };
 
 class CgmMdbs {

@@ -2,18 +2,28 @@
 
 namespace hermes::cgm {
 
+namespace {
+
+// Wait bound for one global granule lock.
+constexpr sim::Duration kLockTimeout = 1 * sim::kSecond;
+// Commit-graph admission is retried (commit processing *waits* for the
+// loop to clear, as in the original CGM) until this deadline, after which
+// the transaction is rejected.
+constexpr sim::Duration kAdmissionRetryInterval = 5 * sim::kMillisecond;
+constexpr sim::Duration kAdmissionTimeout = 500 * sim::kMillisecond;
+
+}  // namespace
+
 CgmScheduler::CgmScheduler(SiteId endpoint, SiteId client_endpoint,
-                           const CgmSchedulerConfig& config,
                            sim::EventLoop* loop, net::Network* network,
                            core::Metrics* metrics, trace::Tracer* tracer)
     : endpoint_(endpoint),
       client_endpoint_(client_endpoint),
-      config_(config),
       loop_(loop),
       network_(network),
       metrics_(metrics),
       tracer_(tracer),
-      locks_(config.lock_timeout, loop) {}
+      locks_(kLockTimeout, loop) {}
 
 void CgmScheduler::TryAdmission(const TxnId& gtid, std::vector<SiteId> sites,
                                 sim::Time deadline) {
@@ -47,7 +57,7 @@ void CgmScheduler::TryAdmission(const TxnId& gtid, std::vector<SiteId> sites,
             Status::Rejected("commit graph: admission would create a loop")}});
     return;
   }
-  loop_->ScheduleAfter(config_.admission_retry_interval,
+  loop_->ScheduleAfter(kAdmissionRetryInterval,
                        [this, gtid, sites = std::move(sites), deadline]() {
                          TryAdmission(gtid, sites, deadline);
                        });
@@ -80,7 +90,7 @@ void CgmScheduler::Handle(const net::Envelope& env) {
     return;
   }
   if (const auto* m = std::get_if<CommitCheckMsg>(msg)) {
-    TryAdmission(m->gtid, m->sites, loop_->Now() + config_.admission_timeout);
+    TryAdmission(m->gtid, m->sites, loop_->Now() + kAdmissionTimeout);
     return;
   }
   if (const auto* m = std::get_if<FinishedMsg>(msg)) {

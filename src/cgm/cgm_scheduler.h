@@ -53,20 +53,10 @@ struct FinishedMsg {
 using CgmMessage = std::variant<LockRequestMsg, LockReplyMsg, CommitCheckMsg,
                                 CommitCheckReplyMsg, FinishedMsg>;
 
-struct CgmSchedulerConfig {
-  sim::Duration lock_timeout = 1 * sim::kSecond;
-  // Commit-graph admission is retried (commit processing *waits* for the
-  // loop to clear, as in the original CGM) until this deadline, after which
-  // the transaction is rejected.
-  sim::Duration admission_retry_interval = 5 * sim::kMillisecond;
-  sim::Duration admission_timeout = 500 * sim::kMillisecond;
-};
-
 class CgmScheduler {
  public:
   // `tracer` may be null (tracing disabled).
-  CgmScheduler(SiteId endpoint, SiteId client_endpoint,
-               const CgmSchedulerConfig& config, sim::EventLoop* loop,
+  CgmScheduler(SiteId endpoint, SiteId client_endpoint, sim::EventLoop* loop,
                net::Network* network, core::Metrics* metrics,
                trace::Tracer* tracer = nullptr);
 
@@ -83,7 +73,6 @@ class CgmScheduler {
 
   SiteId endpoint_;
   SiteId client_endpoint_;
-  CgmSchedulerConfig config_;
   sim::EventLoop* loop_;
   net::Network* network_;
   core::Metrics* metrics_;

@@ -5,6 +5,17 @@
 
 namespace hermes::consensus {
 
+namespace {
+
+// Leader-side wait for the ballot-0 fast path before falling back to a
+// resolution round.
+constexpr sim::Duration kDecideTimeout = 60 * sim::kMillisecond;
+// Resolver round retry backoff (doubled per attempt, capped).
+constexpr sim::Duration kResolveRetryInitial = 50 * sim::kMillisecond;
+constexpr sim::Duration kResolveRetryMax = 400 * sim::kMillisecond;
+
+}  // namespace
+
 PaxosCommit::PaxosCommit(const PaxosConfig& config, sim::EventLoop* loop,
                          net::Network* network, history::Recorder* recorder,
                          core::Metrics* metrics, trace::Tracer* tracer)
@@ -99,13 +110,12 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
   if (decided_.count(gtid) != 0) return;
   LeaderTxn& l2 = leaders_[gtid];  // CheckFastPath may not have finished
   if (l2.decide_timer == sim::kInvalidEvent) {
-    l2.decide_timer = loop_->ScheduleAfter(
-        config_.decide_timeout, [this, gtid]() {
-          auto it = leaders_.find(gtid);
-          if (it == leaders_.end()) return;
-          it->second.decide_timer = sim::kInvalidEvent;
-          if (decided_.count(gtid) == 0) StartResolve(gtid);
-        });
+    l2.decide_timer = loop_->ScheduleAfter(kDecideTimeout, [this, gtid]() {
+      auto it = leaders_.find(gtid);
+      if (it == leaders_.end()) return;
+      it->second.decide_timer = sim::kInvalidEvent;
+      if (decided_.count(gtid) == 0) StartResolve(gtid);
+    });
   }
 }
 
@@ -385,9 +395,9 @@ void PaxosCommit::SendResolvePrepare(const TxnId& gtid, ResolverTxn& r) {
              true);
   SendToAcceptors(core::Message{core::PaxosPrepareMsg{gtid, r.ballot}});
   CancelTimer(r.retry_timer);
-  sim::Duration delay = config_.resolve_retry_initial;
+  sim::Duration delay = kResolveRetryInitial;
   for (int i = 0; i < r.attempt; ++i) {
-    delay = std::min(delay * 2, config_.resolve_retry_max);
+    delay = std::min(delay * 2, kResolveRetryMax);
   }
   r.retry_timer =
       loop_->ScheduleAfter(delay, [this, gtid]() { OnResolveRetry(gtid); });

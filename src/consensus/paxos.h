@@ -50,12 +50,6 @@ struct PaxosConfig {
   // Fault tolerance: 2f+1 acceptors (sites 0..2f) survive any f crashes.
   // Clamped so the acceptor set fits in num_sites.
   int f = 1;
-  // Leader-side wait for the ballot-0 fast path before falling back to a
-  // resolution round.
-  sim::Duration decide_timeout = 60 * sim::kMillisecond;
-  // Resolver round retry backoff (doubled per attempt, capped).
-  sim::Duration resolve_retry_initial = 50 * sim::kMillisecond;
-  sim::Duration resolve_retry_max = 400 * sim::kMillisecond;
 };
 
 class PaxosCommit : public DecisionProtocol {

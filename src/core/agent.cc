@@ -10,6 +10,15 @@ namespace hermes::core {
 
 namespace {
 
+// Backoff before restarting a failed resubmission attempt.
+constexpr sim::Duration kResubmitRetryInterval = 5 * sim::kMillisecond;
+// TW assumption bound; exceeding it only counts a metric (the agent keeps
+// trying — a prepared transaction must eventually commit).
+constexpr int kMaxResubmissionAttempts = 64;
+// Paxos Commit (the only protocol that installs an escalate hook): from
+// this many unanswered inquiries on, the agent escalates to leader election.
+constexpr int kInquiryEscalateAfter = 2;
+
 bool ShardInSet(int shard, const std::vector<int>& shards) {
   return std::find(shards.begin(), shards.end(), shard) != shards.end();
 }
@@ -545,7 +554,7 @@ void TwoPCAgent::StartResubmission(AgentTxn& txn) {
   txn.resubmitting = true;
   ++txn.resubmit_attempts;
   ++metrics_->resubmissions;
-  if (txn.resubmit_attempts > config_.max_resubmission_attempts) {
+  if (txn.resubmit_attempts > kMaxResubmissionAttempts) {
     // The TW assumption promises this does not happen; count it loudly if
     // it ever does, and keep trying — a prepared transaction cannot be
     // abandoned unilaterally by the agent.
@@ -604,7 +613,7 @@ void TwoPCAgent::RunNextResubmitCommand(const TxnId& gtid) {
         if (ltm_->IsActive(t->ltm_handle)) ltm_->Abort(t->ltm_handle);
         const TxnId id = gtid;
         t->resubmit_retry_timer = loop_->ScheduleAfter(
-            config_.resubmit_retry_interval, [this, id]() {
+            kResubmitRetryInterval, [this, id]() {
               AgentTxn* t2 = FindTxn(id);
               if (t2 == nullptr || t2->phase != Phase::kPrepared) return;
               t2->resubmit_retry_timer = sim::kInvalidEvent;
@@ -1002,10 +1011,9 @@ void TwoPCAgent::SendInquiry(const TxnId& gtid) {
   // Paxos Commit: enough unanswered inquiries and the agent presumes the
   // coordinator dead, escalating to the consensus module's resolution round
   // (leader election) instead of probing a corpse forever.
-  if (config_.inquiry_escalate_after > 0 && escalate_hook_ &&
-      txn->inquiry_attempts >= config_.inquiry_escalate_after) {
+  if (escalate_hook_ && txn->inquiry_attempts >= kInquiryEscalateAfter) {
     escalate_hook_(gtid, txn->coordinator,
-                   txn->inquiry_attempts - config_.inquiry_escalate_after);
+                   txn->inquiry_attempts - kInquiryEscalateAfter);
   }
   // Retry with capped exponential backoff until a decision arrives: the
   // coordinator stays silent while still collecting votes, the inquiry or
@@ -1114,15 +1122,17 @@ bool TwoPCAgent::InFlightOnShards(const shard::ShardMap& map,
 }
 
 bool TwoPCAgent::CanMigrateResidue(const shard::ShardMap& map,
-                                   const std::vector<int>& shards) const {
+                                   const std::vector<int>& shards,
+                                   const TwoPCAgent& dest) const {
   // Actives can always be force-aborted (execution autonomy). A *prepared*
   // subtransaction can only relocate whole: if any of its commands touch a
   // shard that is staying, its resubmission would have to split across two
-  // sites — keep draining instead.
+  // sites — keep draining instead. So too while `dest` has logged its own
+  // subtransaction of the gtid: adopting would resubmit that one as well.
   for (const auto& [gtid, txn] : txns_) {
     if (txn.phase != Phase::kPrepared) continue;
     if (TxnTouchesShards(gtid, map, shards) &&
-        !TxnInsideShards(gtid, map, shards)) {
+        (!TxnInsideShards(gtid, map, shards) || dest.log_.Knows(gtid))) {
       return false;
     }
   }

@@ -62,11 +62,6 @@ struct AgentConfig {
   sim::Duration alive_check_interval = 25 * sim::kMillisecond;
   // Commit certification retry timeout (Appendix C).
   sim::Duration commit_retry_interval = 5 * sim::kMillisecond;
-  // Backoff before restarting a failed resubmission attempt.
-  sim::Duration resubmit_retry_interval = 5 * sim::kMillisecond;
-  // TW assumption bound; exceeding it only counts a metric (the agent keeps
-  // trying — a prepared transaction must eventually commit).
-  int max_resubmission_attempts = 64;
   // DLU: bind accessed items while prepared. Disable only for negative
   // experiments.
   bool bind_bound_data = true;
@@ -85,11 +80,6 @@ struct AgentConfig {
   // vote; the chaos sweeps enable it so a crashed coordinator does not
   // leave orphaned lock holders behind for the rest of the run.
   sim::Duration orphan_abort_timeout = 0;
-  // Paxos Commit: after this many unanswered inquiries the agent presumes
-  // the coordinator dead and escalates to leader election (the consensus
-  // module's resolution round). 0 disables; Mdbs defaults it to 2 when the
-  // Paxos Commit protocol is selected.
-  int inquiry_escalate_after = 0;
 };
 
 // Prepared-transaction residue of a shard handoff: everything the adopting
@@ -147,11 +137,13 @@ class TwoPCAgent {
   // logged command touching one of `shards` under `map`.
   bool InFlightOnShards(const shard::ShardMap& map,
                         const std::vector<int>& shards) const;
-  // True when a forced handoff of `shards` is safe: every in-flight
-  // prepared subtransaction touching them has *all* its logged commands
-  // inside the moving set (actives are always force-abortable).
+  // True when a forced handoff of `shards` to `dest` is safe: every
+  // in-flight prepared subtransaction touching them has *all* its logged
+  // commands inside the moving set and is unknown to `dest` (actives are
+  // always force-abortable).
   bool CanMigrateResidue(const shard::ShardMap& map,
-                         const std::vector<int>& shards) const;
+                         const std::vector<int>& shards,
+                         const TwoPCAgent& dest) const;
   // Forced handoff: unilaterally aborts in-flight *active* subtransactions
   // touching `shards` and extracts every *prepared* one as residue —
   // undoing its local work (LDBS autonomy), recording kMigrateOut, and

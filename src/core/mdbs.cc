@@ -105,19 +105,20 @@ Mdbs::Mdbs(const MdbsConfig& config, sim::EventLoop* loop)
   if (config_.num_shards > 0) {
     directory_ = std::make_unique<shard::Directory>(
         shard::ShardMap::MakeInitial(config_.num_shards, config_.num_sites));
-    shard::ControllerConfig rc = config_.reconfig;
+    std::vector<SiteId> protected_sites;
     if (config_.protocol == consensus::ProtocolKind::kPaxosCommit) {
       // The acceptor set is fixed for life: sites 0..2f may never be
       // removed or replaced.
       const int acceptors =
           std::min(2 * config_.paxos_f + 1, config_.num_sites);
-      for (SiteId a = 0; a < acceptors; ++a) rc.protected_sites.push_back(a);
+      for (SiteId a = 0; a < acceptors; ++a) protected_sites.push_back(a);
     }
     // The base conversion must happen here, inside Mdbs, where the
     // private shard::HostOps base is accessible.
     shard::HostOps* host = this;
     controller_ = std::make_unique<shard::Controller>(
-        rc, directory_.get(), host, &scheduler_metrics_, config_.tracer);
+        std::move(protected_sites), directory_.get(), host,
+        &scheduler_metrics_, config_.tracer);
     for (auto& site : sites_) {
       site->agent->set_directory(directory_.get());
       site->coordinator->set_directory(directory_.get());
@@ -132,11 +133,7 @@ void Mdbs::BuildSite(SiteId s) {
       static_cast<size_t>(s) < config_.clock_offsets.size()
           ? config_.clock_offsets[s]
           : 0;
-  const int64_t drift =
-      static_cast<size_t>(s) < config_.clock_drift_ppm.size()
-          ? config_.clock_drift_ppm[s]
-          : 0;
-  site->clock = std::make_unique<sim::SiteClock>(loop_, offset, drift);
+  site->clock = std::make_unique<sim::SiteClock>(loop_, offset);
   site->storage = std::make_unique<db::Storage>(s);
 
   ltm::LtmConfig ltm_config = config_.ltm;
@@ -149,9 +146,6 @@ void Mdbs::BuildSite(SiteId s) {
       config_.protocol == consensus::ProtocolKind::kPaxosCommit;
   AgentConfig agent_config = config_.agent;
   agent_config.site = s;
-  if (paxos && agent_config.inquiry_escalate_after == 0) {
-    agent_config.inquiry_escalate_after = 2;
-  }
   // CSN certification and short commit hook into the 2PC decision
   // machinery (decision-record metadata, 1PC commit point at the agent);
   // under Paxos Commit both downgrade to the paper's defaults.
@@ -458,10 +452,12 @@ bool Mdbs::QuiescentForShards(SiteId site, const std::vector<int>& shards,
   return true;
 }
 
-bool Mdbs::CanForceTransfer(SiteId site, const std::vector<int>& shards,
+bool Mdbs::CanForceTransfer(SiteId site, SiteId to,
+                            const std::vector<int>& shards,
                             bool and_coordinator) {
   const Site& s = *sites_[site];
-  if (!s.agent->CanMigrateResidue(directory_->Current(), shards)) {
+  if (!s.agent->CanMigrateResidue(directory_->Current(), shards,
+                                  *sites_[to]->agent)) {
     return false;
   }
   // The coordinator drain cannot be forced: an in-flight global

@@ -39,9 +39,7 @@ struct MdbsConfig {
   // machinery), or non-blocking Paxos Commit with 2*paxos_f+1 acceptor
   // state machines on sites 0..2*paxos_f (tolerating paxos_f acceptor
   // crashes; paxos_f = 0 degenerates to 2PC message flow with an external
-  // registrar). When Paxos Commit is selected, agents whose
-  // inquiry_escalate_after is 0 default to 2 so an unreachable coordinator
-  // triggers leader election instead of unbounded probing.
+  // registrar).
   consensus::ProtocolKind protocol = consensus::ProtocolKind::k2PC;
   int paxos_f = 1;
   // Certification scheme (see docs/DESIGN-SPACE.md): the paper's serial
@@ -63,14 +61,9 @@ struct MdbsConfig {
   // headroom). Also sets the ballot-number modulus under Paxos Commit so
   // provisioned sites elect with unique ballots.
   int max_sites = 0;
-  // Drain/force tuning and protected sites for the reconfiguration
-  // controller. Under Paxos Commit the acceptor sites 0..2f are always
-  // appended to the protected set (the acceptor set is fixed for life).
-  shard::ControllerConfig reconfig;
   // Optional per-site clock skew (section 5.2 experiments). Missing entries
   // default to zero.
   std::vector<sim::Duration> clock_offsets;
-  std::vector<int64_t> clock_drift_ppm;
   bool record_history = true;
   // Optional structured tracer shared by every component (null = disabled).
   // Not owned; must outlive the Mdbs.
@@ -233,7 +226,8 @@ class Mdbs : private shard::HostOps {
   bool SiteUsable(SiteId site) override;
   bool QuiescentForShards(SiteId site, const std::vector<int>& shards,
                           bool and_coordinator) override;
-  bool CanForceTransfer(SiteId site, const std::vector<int>& shards,
+  bool CanForceTransfer(SiteId site, SiteId to,
+                        const std::vector<int>& shards,
                         bool and_coordinator) override;
   int64_t TransferShards(SiteId from, SiteId to,
                          const std::vector<int>& shards) override;

@@ -8,6 +8,14 @@
 
 namespace hermes::ltm {
 
+namespace {
+
+// Processing time per command, plus per touched row.
+constexpr sim::Duration kCommandLatency = 50 * sim::kMicrosecond;
+constexpr sim::Duration kPerRowLatency = 5 * sim::kMicrosecond;
+
+}  // namespace
+
 CommandExecutor::CommandExecutor(Ltm* ltm, LtmTxnHandle txn, db::Command cmd,
                                  Callback cb)
     : ltm_(ltm), txn_(txn), cmd_(std::move(cmd)), cb_(std::move(cb)) {}
@@ -178,8 +186,7 @@ void CommandExecutor::OnLockGranted(int64_t key, const Status& s) {
 void CommandExecutor::ScheduleApply() {
   if (cancelled_ || finished_) return;
   const sim::Duration delay =
-      ltm_->config().command_latency +
-      ltm_->config().per_row_latency * static_cast<int64_t>(locked_.size());
+      kCommandLatency + kPerRowLatency * static_cast<int64_t>(locked_.size());
   std::weak_ptr<CommandExecutor> wp = weak_from_this();
   apply_event_ = ltm_->loop()->ScheduleAfter(delay, [wp]() {
     if (auto self = wp.lock()) {

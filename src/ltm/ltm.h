@@ -46,9 +46,6 @@ struct LtmConfig {
   // "non-rigorous LDBS" negative experiments.
   bool rigorous = true;
   sim::Duration lock_wait_timeout = 500 * sim::kMillisecond;
-  // Processing time per command, plus per touched row.
-  sim::Duration command_latency = 50 * sim::kMicrosecond;
-  sim::Duration per_row_latency = 5 * sim::kMicrosecond;
   // DLU: how long a local transaction's update may wait for bound data.
   sim::Duration dlu_wait_timeout = 2 * sim::kSecond;
   // If true, local updates of bound data are rejected immediately instead

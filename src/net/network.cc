@@ -7,6 +7,14 @@
 
 namespace hermes::net {
 
+namespace {
+
+// Delay for messages a site sends to itself (coordinator to co-located
+// agent).
+constexpr sim::Duration kLocalLatency = 10 * sim::kMicrosecond;
+
+}  // namespace
+
 Network::Network(const NetworkConfig& config, sim::EventLoop* loop,
                  trace::Tracer* tracer)
     : config_(config), loop_(loop), tracer_(tracer), rng_(config.seed) {}
@@ -92,8 +100,7 @@ void Network::Drop(SiteId from, SiteId to, DropCause cause) {
 }
 
 sim::Duration Network::DrawDelay(SiteId from, SiteId to) {
-  sim::Duration delay =
-      from == to ? config_.local_latency : config_.base_latency;
+  sim::Duration delay = from == to ? kLocalLatency : config_.base_latency;
   if (config_.jitter > 0) {
     delay += static_cast<sim::Duration>(
         rng_.NextUint64(static_cast<uint64_t>(config_.jitter) + 1));

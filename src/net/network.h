@@ -36,9 +36,6 @@ struct NetworkConfig {
   sim::Duration base_latency = 1 * sim::kMillisecond;
   // Uniform random extra delay in [0, jitter].
   sim::Duration jitter = 0;
-  // Delay for messages a site sends to itself (coordinator to co-located
-  // agent).
-  sim::Duration local_latency = 10 * sim::kMicrosecond;
   uint64_t seed = 1;
 
   // --- fault injection (inter-site messages only) -------------------------

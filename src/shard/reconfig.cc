@@ -29,7 +29,7 @@ Status Controller::Start(const ReconfigOp& op, std::function<void(Status)> done)
     if (op.site == kInvalidSite) {
       return Status::InvalidArgument("remove/replace needs a target site");
     }
-    for (SiteId p : config_.protected_sites) {
+    for (SiteId p : protected_sites_) {
       if (p == op.site) {
         return Status::InvalidArgument(
             StrCat("site ", op.site, " is protected (consensus acceptor)"));
@@ -142,7 +142,7 @@ void Controller::Fence(const ReconfigOp& op) {
 
 void Controller::PollDrain() {
   bool all_done = true;
-  const bool deadline = drained_for_ >= config_.drain_deadline;
+  const bool deadline = drained_for_ >= kDrainDeadline;
   for (Move& m : moves_) {
     if (m.done) continue;
     if (!host_->SiteUsable(m.from) || !host_->SiteUsable(to_)) {
@@ -152,7 +152,8 @@ void Controller::PollDrain() {
     const bool quiescent =
         host_->QuiescentForShards(m.from, m.shards, drain_coordinator_);
     const bool force =
-        deadline && host_->CanForceTransfer(m.from, m.shards, drain_coordinator_);
+        deadline &&
+        host_->CanForceTransfer(m.from, to_, m.shards, drain_coordinator_);
     if (!quiescent && !force) {
       all_done = false;
       continue;
@@ -181,8 +182,8 @@ void Controller::PollDrain() {
     m.done = true;
   }
   if (!all_done) {
-    drained_for_ += config_.drain_poll;
-    host_->Schedule(config_.drain_poll, [this] { PollDrain(); });
+    drained_for_ += kDrainPoll;
+    host_->Schedule(kDrainPoll, [this] { PollDrain(); });
     return;
   }
   Finish();

@@ -10,9 +10,10 @@
 //   2. *Drain*: poll until the source site is quiescent for the moving
 //      shards — no active or prepared subtransactions on them (for
 //      remove/replace, also no transactions coordinated there). After
-//      `drain_deadline`, force the transfer instead: active
+//      kDrainDeadline, force the transfer instead: active
 //      subtransactions are unilaterally aborted (the coordinator
-//      resubmits), prepared residue is migrated with the shard.
+//      resubmits), prepared residue is migrated with the shard (unless the
+//      destination has a subtransaction of the same transaction).
 //   3. *Handoff*: committed rows plus prepared-transaction residue move to
 //      the destination in one virtual instant (HostOps::TransferShards),
 //      and a new epoch naming the destination as owner (unwedged) is
@@ -31,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -78,12 +80,14 @@ class HostOps {
   virtual bool QuiescentForShards(SiteId site, const std::vector<int>& shards,
                                   bool and_coordinator) = 0;
 
-  // True when a forced transfer is possible despite remaining in-flight
-  // work: every blocking subtransaction can be unilaterally aborted or
-  // migrated as prepared residue (its logged commands all fall inside
-  // `shards`), and the coordinator drain — which cannot be forced — is
-  // already complete.
-  virtual bool CanForceTransfer(SiteId site, const std::vector<int>& shards,
+  // True when a forced transfer from `site` to `to` is possible despite
+  // remaining in-flight work: every blocking subtransaction can be
+  // unilaterally aborted or migrated as prepared residue (its logged
+  // commands all fall inside `shards`, and `to` holds no subtransaction of
+  // the same transaction), and the coordinator drain — which cannot be
+  // forced — is already complete.
+  virtual bool CanForceTransfer(SiteId site, SiteId to,
+                                const std::vector<int>& shards,
                                 bool and_coordinator) = 0;
 
   // Moves the committed rows of `shards` plus adoptable prepared residue
@@ -99,19 +103,17 @@ class HostOps {
   virtual void Schedule(sim::Time delay, std::function<void()> fn) = 0;
 };
 
-struct ControllerConfig {
-  sim::Time drain_poll = 5'000;        // 5 ms between quiescence checks
-  sim::Time drain_deadline = 250'000;  // then force the transfer
-  // Sites that may never be removed or replaced (Paxos Commit acceptors:
-  // the acceptor set is fixed at construction).
-  std::vector<SiteId> protected_sites;
-};
+// Quiescence poll period, and the drain time after which a transfer is forced.
+inline constexpr sim::Duration kDrainPoll = 5 * sim::kMillisecond;
+inline constexpr sim::Duration kDrainDeadline = 250 * sim::kMillisecond;
 
 class Controller {
  public:
-  Controller(ControllerConfig config, Directory* directory, HostOps* host,
-             core::Metrics* metrics, trace::Tracer* tracer)
-      : config_(config),
+  // `protected_sites` may never be removed or replaced (Paxos Commit
+  // acceptors: the acceptor set is fixed at construction).
+  Controller(std::vector<SiteId> protected_sites, Directory* directory,
+             HostOps* host, core::Metrics* metrics, trace::Tracer* tracer)
+      : protected_sites_(std::move(protected_sites)),
         directory_(directory),
         host_(host),
         metrics_(metrics),
@@ -142,7 +144,7 @@ class Controller {
   void PollDrain();
   void Finish();
 
-  ControllerConfig config_;
+  std::vector<SiteId> protected_sites_;
   Directory* directory_;
   HostOps* host_;
   core::Metrics* metrics_;

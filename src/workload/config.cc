@@ -27,17 +27,12 @@ core::MdbsConfig WorkloadConfig::ToMdbsConfig() const {
   config.network.loss_prob = net_loss_prob;
   config.network.dup_prob = net_dup_prob;
   config.network.reorder_prob = net_reorder_prob;
-  config.network.reorder_window = net_reorder_window;
-  config.coordinator_retry.timeout = retry_timeout;
-  config.coordinator_retry.max_timeout = retry_max_timeout;
-  config.coordinator_retry.max_attempts = retry_max_attempts;
   config.ltm.rigorous = rigorous_ltm;
   config.ltm.lock_wait_timeout = lock_wait_timeout;
   config.ltm.deadlock_detection = deadlock_detection;
   config.ltm.deadlock_check_interval = deadlock_check_interval;
   config.agent.policy = policy;
   config.agent.alive_check_interval = alive_check_interval;
-  config.agent.commit_retry_interval = commit_retry_interval;
   config.agent.bind_bound_data = dlu_binding;
   config.agent.decision_inquiry_timeout = decision_inquiry_timeout;
   config.agent.inquiry_retry_initial = inquiry_retry_initial;
@@ -61,7 +56,6 @@ cgm::CgmConfig WorkloadConfig::ToCgmConfig() const {
   cgm::CgmConfig config;
   config.mdbs = ToMdbsConfig();
   config.granularity = cgm_granularity;
-  config.global_lock_timeout = cgm_global_lock_timeout;
   return config;
 }
 

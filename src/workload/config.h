@@ -55,7 +55,6 @@ struct WorkloadConfig {
   // distinct sites round-robin.
   int cmds_per_global_txn = 4;
   int sites_per_global_txn = 2;
-  int cmds_per_local_txn = 2;
   double global_write_fraction = 0.5;
   double local_write_fraction = 0.5;
   // E18 ablation shaping: fraction of global transactions confined to one
@@ -76,7 +75,6 @@ struct WorkloadConfig {
   double net_loss_prob = 0.0;
   double net_dup_prob = 0.0;
   double net_reorder_prob = 0.0;
-  sim::Duration net_reorder_window = 5 * sim::kMillisecond;
   // Declarative fault schedule (site crashes, partitions, loss bursts),
   // installed by the driver before the clients start. 2CM only: the CGM
   // baseline's centralized scheduler has no crash-recovery story.
@@ -117,18 +115,12 @@ struct WorkloadConfig {
   sim::Duration net_base_latency = 1 * sim::kMillisecond;
   sim::Duration net_jitter = 0;
   sim::Duration alive_check_interval = 25 * sim::kMillisecond;
-  sim::Duration commit_retry_interval = 5 * sim::kMillisecond;
   // Agent-side recovery timers (see core::AgentConfig).
   sim::Duration decision_inquiry_timeout = 500 * sim::kMillisecond;
   sim::Duration inquiry_retry_initial = 20 * sim::kMillisecond;
   sim::Duration inquiry_retry_max = 320 * sim::kMillisecond;
   sim::Duration orphan_abort_timeout = 0;
-  // Coordinator timeout/retransmission (see core::CoordinatorRetryConfig).
-  sim::Duration retry_timeout = 25 * sim::kMillisecond;
-  sim::Duration retry_max_timeout = 400 * sim::kMillisecond;
-  int retry_max_attempts = 10;
   sim::Duration lock_wait_timeout = 500 * sim::kMillisecond;
-  sim::Duration cgm_global_lock_timeout = 1 * sim::kSecond;
   // Per-site clock offsets: site s gets offset (s % 2 ? +1 : -1) *
   // clock_skew (section 5.2 drift experiments).
   sim::Duration clock_skew = 0;

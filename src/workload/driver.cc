@@ -242,11 +242,10 @@ RunResult Driver::Run(const WorkloadConfig& config) {
   // after the last client callback do not surface half-finished
   // transactions to the oracles.
   if (config.drain_grace > 0) {
-    const sim::Time drain_deadline =
+    const sim::Time grace_end =
         std::min(loop.Now() + config.drain_grace, config.max_sim_time);
-    while (!loop.Empty() && loop.Now() < drain_deadline) {
-      loop.RunUntil(std::min(loop.Now() + 100 * sim::kMillisecond,
-                             drain_deadline));
+    while (!loop.Empty() && loop.Now() < grace_end) {
+      loop.RunUntil(std::min(loop.Now() + 100 * sim::kMillisecond, grace_end));
       maybe_flush();
     }
   }

@@ -4,6 +4,13 @@
 
 namespace hermes::workload {
 
+namespace {
+
+// DML commands per local transaction.
+constexpr int kCmdsPerLocalTxn = 2;
+
+}  // namespace
+
 Generator::Generator(const WorkloadConfig& config, uint64_t seed)
     : config_(config),
       zipf_(static_cast<uint64_t>(config.rows_per_table),
@@ -87,7 +94,7 @@ core::LocalTxnSpec Generator::NextLocal(Rng& rng, SiteId site,
                                         db::TableId local_table) const {
   core::LocalTxnSpec spec;
   spec.site = site;
-  for (int c = 0; c < config_.cmds_per_local_txn; ++c) {
+  for (int c = 0; c < kCmdsPerLocalTxn; ++c) {
     const bool write = rng.NextBool(config_.local_write_fraction);
     db::TableId table;
     if (write && local_table >= 0) {

@@ -34,13 +34,12 @@ TEST(Network, LocalDeliveryIsFast) {
   sim::EventLoop loop;
   NetworkConfig config;
   config.base_latency = 5 * sim::kMillisecond;
-  config.local_latency = 10;
   Network net(config, &loop);
   sim::Time at = -1;
   net.RegisterEndpoint(0, [&](const Envelope&) { at = loop.Now(); });
   net.Send(0, 0, 1);
   loop.Run();
-  EXPECT_EQ(at, 10);
+  EXPECT_EQ(at, 10 * sim::kMicrosecond);  // a site's self-send delay
 }
 
 TEST(Network, FifoPerPairUnderJitter) {

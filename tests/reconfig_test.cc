@@ -271,6 +271,66 @@ TEST_F(ReconfigTest, PreparedResidueMigratesAndCommitsExactlyOnce) {
   CheckOracles();
 }
 
+TEST_F(ReconfigTest, ForcedHandoffWaitsWhileTheDestinationKnowsTheResidue) {
+  Build(/*sites=*/2, /*num_shards=*/8, /*max_sites=*/2);
+  // One global transaction with a subtransaction at each site, coordinated
+  // at site 0. Site 1 prepares and votes; then the 0<->1 link is cut, so
+  // the COMMIT reaches site 0 (local delivery) but not site 1. Removing
+  // site 1 hands its shards, and its prepared residue, to site 0 — the
+  // site that has already committed its own subtransaction of the same
+  // transaction. The forced handoff must wait for the decision to reach
+  // site 1 instead of adopting the residue over the committed entry (which
+  // would re-run site 0's own command a second time).
+  const shard::ShardMap& map = mdbs_->directory()->Current();
+  int64_t key0 = -1;
+  int64_t key1 = -1;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    if (map.OwnerOfKey(k) == 0 && key0 < 0) key0 = k;
+    if (map.OwnerOfKey(k) == 1 && key1 < 0) key1 = k;
+  }
+  ASSERT_NE(key0, -1);
+  ASSERT_NE(key1, -1);
+
+  bool cut = false;
+  std::optional<Status> reconfig_done;
+  mdbs_->agent(1)->add_prepared_hook([&](const TxnId&, LtmTxnHandle) {
+    if (cut) return;
+    cut = true;
+    // The READY vote leaves in this instant; the decision, a network
+    // latency later, finds the link cut.
+    loop_.ScheduleAfter(sim::kMillisecond / 2, [&]() {
+      mdbs_->network().Partition(0, 1, loop_.Now() + 400 * sim::kMillisecond);
+    });
+    loop_.ScheduleAfter(2 * sim::kMillisecond, [&]() {
+      ASSERT_TRUE(mdbs_
+                      ->StartReconfig(ReconfigOp{ReconfigKind::kRemoveSite, 1},
+                                      [&](Status s) { reconfig_done = s; })
+                      .ok());
+    });
+  });
+
+  GlobalTxnSpec spec;
+  spec.steps.push_back({0, db::MakeAddKey(table_, key0, "val", int64_t{1})});
+  spec.steps.push_back({1, db::MakeAddKey(table_, key1, "val", int64_t{1})});
+  std::optional<GlobalTxnResult> result;
+  mdbs_->Submit(spec, [&](const GlobalTxnResult& r) { result = r; },
+                /*coordinator_site=*/0);
+  loop_.Run();
+
+  ASSERT_TRUE(cut);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->status.ok()) << result->status;
+  ASSERT_TRUE(reconfig_done.has_value());
+  EXPECT_TRUE(reconfig_done->ok());
+  EXPECT_TRUE(mdbs_->SiteRemoved(1));
+  const auto m = mdbs_->metrics();
+  EXPECT_EQ(m.reconfig_residue_adopted, 0);
+  EXPECT_EQ(m.commits_stale_epoch, 0);
+  // Each of the two increments applied exactly once.
+  EXPECT_EQ(TotalValue(), 2);
+  CheckOracles();
+}
+
 TEST_F(ReconfigTest, HandoffStallsWhileTheSourceIsCrashed) {
   Build(/*sites=*/3, /*num_shards=*/9, /*max_sites=*/3);
   // Crash the removal target mid-drain: the controller must wait (a dead

@@ -18,7 +18,6 @@ namespace hermes {
 namespace {
 
 using shard::Controller;
-using shard::ControllerConfig;
 using shard::Directory;
 using shard::HostOps;
 using shard::ReconfigKind;
@@ -109,7 +108,8 @@ class FakeHost : public HostOps {
     }
     return true;
   }
-  bool CanForceTransfer(SiteId, const std::vector<int>&, bool) override {
+  bool CanForceTransfer(SiteId, SiteId, const std::vector<int>&,
+                        bool) override {
     return can_force;
   }
   int64_t TransferShards(SiteId from, SiteId to,
@@ -143,7 +143,7 @@ class ControllerTest : public ::testing::Test {
   ControllerTest()
       : dir_(ShardMap::MakeInitial(9, 3)),
         host_(&loop_),
-        controller_(ControllerConfig{}, &dir_, &host_, &metrics_,
+        controller_(/*protected_sites=*/{}, &dir_, &host_, &metrics_,
                     /*tracer=*/nullptr) {}
 
   sim::EventLoop loop_;
@@ -234,9 +234,7 @@ TEST_F(ControllerTest, SecondStartWhileBusyIsRejected) {
 }
 
 TEST_F(ControllerTest, ProtectedSiteCannotBeRemoved) {
-  ControllerConfig config;
-  config.protected_sites = {0, 1};
-  Controller c(config, &dir_, &host_, &metrics_, nullptr);
+  Controller c(/*protected_sites=*/{0, 1}, &dir_, &host_, &metrics_, nullptr);
   EXPECT_EQ(c.Start(ReconfigOp{ReconfigKind::kRemoveSite, 0}).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(c.Start(ReconfigOp{ReconfigKind::kReplaceSite, 1}).code(),
@@ -274,7 +272,7 @@ TEST_F(ControllerTest, DeadlineForcesTransferWhenHostPermits) {
   ASSERT_TRUE(done.has_value() && done->ok());
   EXPECT_EQ(host_.transfers.size(), 1u);
   // The force only kicks in after the drain deadline elapsed.
-  EXPECT_GE(loop_.Now(), ControllerConfig{}.drain_deadline);
+  EXPECT_GE(loop_.Now(), shard::kDrainDeadline);
 }
 
 TEST_F(ControllerTest, HandoffStallsWhileEitherEndIsUnusable) {

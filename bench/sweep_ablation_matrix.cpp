@@ -210,10 +210,7 @@ int RunAblationMatrixSweep(const SweepArgs& args) {
     for (size_t i = 0; i < specs.size(); ++i) {
       if (specs[i].cell != variants[c].cell) continue;
       const workload::RunResult& r = (*outputs)[i].result;
-      const bool run_ok = r.history_checked && r.atomicity_ok &&
-                          (r.commit_graph_acyclic || !expect_cg_acyclic) &&
-                          r.replay_consistent && r.order_invariant_ok &&
-                          r.verdict != history::Verdict::kNotSerializable;
+      const bool run_ok = r.GuaranteesHold(expect_cg_acyclic);
       if (!run_ok) {
         std::fprintf(
             stderr,

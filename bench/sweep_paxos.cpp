@@ -140,10 +140,7 @@ int RunPaxosSweep(const SweepArgs& args) {
     for (size_t i = 0; i < specs.size(); ++i) {
       if (specs[i].cell != cell.cell) continue;
       const workload::RunResult& r = (*outputs)[i].result;
-      ok = ok && r.history_checked && r.atomicity_ok &&
-           r.commit_graph_acyclic && r.replay_consistent &&
-           r.order_invariant_ok &&
-           r.verdict != history::Verdict::kNotSerializable;
+      ok = ok && r.GuaranteesHold();
     }
     // Termination: every submitted transaction reached a decision even
     // with its coordinating site crashing mid-protocol.

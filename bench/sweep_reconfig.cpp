@@ -222,9 +222,7 @@ int RunReconfigSweep(const SweepArgs& args) {
     for (size_t i = 0; i < specs.size(); ++i) {
       if (specs[i].cell != cells[c].name) continue;
       const workload::RunResult& r = (*outputs)[i].result;
-      ok = ok && r.history_checked && r.atomicity_ok &&
-           r.commit_graph_acyclic && r.replay_consistent &&
-           r.verdict != history::Verdict::kNotSerializable;
+      ok = ok && r.GuaranteesHold();
       // Every run must complete its membership change and never commit
       // under a stale epoch.
       ok = ok && r.metrics.reconfig_completed >= 1;

@@ -61,10 +61,7 @@ int RunScalingSweep(const SweepArgs& args) {
   for (size_t i = 0; i < specs.size(); ++i) {
     const workload::RunResult& r = (*outputs)[i].result;
     agg.AddRun(specs[i].cell, specs[i].config.seed, r);
-    const bool ok = r.history_checked && r.commit_graph_acyclic &&
-                    r.replay_consistent && r.order_invariant_ok &&
-                    r.atomicity_ok &&
-                    r.verdict != history::Verdict::kNotSerializable;
+    const bool ok = r.GuaranteesHold();
     if (!ok) {
       std::fprintf(stderr, "E6 %s: history oracle failed\n",
                    specs[i].cell.c_str());

@@ -113,12 +113,6 @@ TimedRun RunTimed(const OverheadMode& mode,
   return out;
 }
 
-bool OracleOk(const workload::RunResult& r) {
-  return r.history_checked && r.atomicity_ok && r.commit_graph_acyclic &&
-         r.replay_consistent && r.order_invariant_ok &&
-         r.verdict != history::Verdict::kNotSerializable;
-}
-
 bool WriteFile(const std::string& path, const std::string& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
@@ -175,7 +169,7 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
         wall_ms[{txns, m}] += run.wall_ms;
         export_ms[{txns, m}] += run.export_ms;
 
-        bool ok = OracleOk(run.result);
+        bool ok = run.result.GuaranteesHold();
         if (!ok) {
           std::fprintf(stderr, "oracle: %s seed=%d violated (%s%s%s)\n",
                        cell.c_str(), s, run.result.atomicity_error.c_str(),

@@ -93,7 +93,7 @@ void CsnCertifier::OnCommitted(const TxnId& gtid,
   // Durability first: the XID → CSN record is forced before the commit is
   // acknowledged anywhere (the agent's commit record, also carrying the
   // CSN, was already forced before the local commit itself).
-  log_.ForceAppend(gtid, csn);
+  log_.ForceAppend({.gtid = gtid, .csn = csn});
   csn_of_[gtid] = csn;
   if (csn > max_committed_csn_) {
     max_committed_csn_ = csn;

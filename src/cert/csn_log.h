@@ -3,7 +3,7 @@
 //
 // Every local commit under the CSN scheme force-appends one (gtid, csn)
 // record before the commit acknowledgement leaves the site. Like the agent
-// and coordinator logs, "stable storage" is an in-memory structure that
+// and coordinator logs it is a DurableLog (common/durable_log.h) that
 // survives Crash(): replay rebuilds the committed-CSN high-water mark and
 // the XID → CSN map after a site failure, keeping CSN recovery consistent
 // with the decision-log machinery (the agent's commit record carries the
@@ -13,8 +13,8 @@
 #define HERMES_CERT_CSN_LOG_H_
 
 #include <cstdint>
-#include <vector>
 
+#include "common/durable_log.h"
 #include "common/ids.h"
 
 namespace hermes::cert {
@@ -23,30 +23,10 @@ struct CsnLogRecord {
   TxnId gtid;
   int64_t csn = -1;
   int64_t lsn = 0;
-  bool forced = true;  // every CSN record is force-written
+  bool forced = false;
 };
 
-class CsnLog {
- public:
-  int64_t ForceAppend(const TxnId& gtid, int64_t csn) {
-    CsnLogRecord rec;
-    rec.gtid = gtid;
-    rec.csn = csn;
-    rec.lsn = next_lsn_++;
-    records_.push_back(rec);
-    ++forced_writes_;
-    return rec.lsn;
-  }
-
-  const std::vector<CsnLogRecord>& records() const { return records_; }
-  int64_t forced_writes() const { return forced_writes_; }
-  size_t size() const { return records_.size(); }
-
- private:
-  std::vector<CsnLogRecord> records_;
-  int64_t next_lsn_ = 0;
-  int64_t forced_writes_ = 0;
-};
+using CsnLog = DurableLog<CsnLogRecord>;
 
 }  // namespace hermes::cert
 

@@ -1,7 +1,6 @@
-// Stable storage of one Paxos Commit acceptor, modeled on
-// core::CoordinatorLog: an in-memory append-only record list with an
-// explicit force-write flag, so the log discipline (force before reply)
-// stays visible and testable.
+// Stable storage of one Paxos Commit acceptor: a DurableLog
+// (common/durable_log.h) whose every record is force-written before the
+// reply leaves the site.
 //
 // Three record kinds capture everything an acceptor promises:
 //  - kPromise: highest ballot promised for a transaction (phase 1b).
@@ -21,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/durable_log.h"
 #include "common/ids.h"
 
 namespace hermes::consensus {
@@ -42,20 +42,7 @@ struct AcceptorLogRecord {
   bool forced = false;
 };
 
-class AcceptorLog {
- public:
-  AcceptorLog() = default;
-
-  int64_t ForceAppend(AcceptorLogRecord record);
-
-  const std::vector<AcceptorLogRecord>& records() const { return records_; }
-  int64_t forced_writes() const { return forced_writes_; }
-  size_t size() const { return records_.size(); }
-
- private:
-  std::vector<AcceptorLogRecord> records_;
-  int64_t forced_writes_ = 0;
-};
+using AcceptorLog = DurableLog<AcceptorLogRecord>;
 
 }  // namespace hermes::consensus
 

@@ -34,6 +34,11 @@ PaxosCommit::~PaxosCommit() {
   for (auto& [gtid, r] : resolvers_) CancelTimer(r.retry_timer);
 }
 
+void PaxosCommit::ForceLog(AcceptorLogRecord record) {
+  log_.ForceAppend(std::move(record));
+  ++metrics_->paxos_forced_writes;
+}
+
 void PaxosCommit::CancelTimer(sim::EventId& id) {
   if (id != sim::kInvalidEvent) {
     loop_->Cancel(id);
@@ -259,13 +264,10 @@ void PaxosCommit::OnBegin(SiteId /*from*/, const core::PaxosBeginMsg& msg) {
   if (a.promised > 0 || a.membership_ballot > 0) return;  // resolver took over
   a.membership_ballot = 0;
   a.membership = msg.participants;
-  AcceptorLogRecord rec;
-  rec.kind = AcceptorRecordKind::kMembership;
-  rec.gtid = msg.gtid;
-  rec.ballot = 0;
-  rec.membership = msg.participants;
-  log_.ForceAppend(std::move(rec));
-  ++metrics_->paxos_forced_writes;
+  ForceLog({.kind = AcceptorRecordKind::kMembership,
+            .gtid = msg.gtid,
+            .ballot = 0,
+            .membership = msg.participants});
   network_->Send(config_.site, msg.leader,
                  core::Message{core::PaxosBeginAckMsg{msg.gtid}});
 }
@@ -284,14 +286,11 @@ void PaxosCommit::OnVote(SiteId /*from*/, const core::PaxosVoteMsg& msg) {
   if (a.promised > 0 || s.ballot > 0) return;  // resolver took over
   s.ballot = 0;
   s.ready = msg.ready;
-  AcceptorLogRecord rec;
-  rec.kind = AcceptorRecordKind::kVote;
-  rec.gtid = msg.gtid;
-  rec.ballot = 0;
-  rec.participant = msg.participant;
-  rec.ready = msg.ready;
-  log_.ForceAppend(std::move(rec));
-  ++metrics_->paxos_forced_writes;
+  ForceLog({.kind = AcceptorRecordKind::kVote,
+            .gtid = msg.gtid,
+            .ballot = 0,
+            .participant = msg.participant,
+            .ready = msg.ready});
   ++metrics_->paxos_votes_accepted;
   TraceEvent(trace::EventKind::kPaxosVote, msg.gtid, msg.participant,
              /*value=*/0, msg.ready);
@@ -304,12 +303,9 @@ void PaxosCommit::OnPrepare(SiteId from, const core::PaxosPrepareMsg& msg) {
   AcceptorTxn& a = acceptor_[msg.gtid];
   if (msg.ballot <= a.promised) return;  // an equal/higher ballot holds
   a.promised = msg.ballot;
-  AcceptorLogRecord rec;
-  rec.kind = AcceptorRecordKind::kPromise;
-  rec.gtid = msg.gtid;
-  rec.ballot = msg.ballot;
-  log_.ForceAppend(std::move(rec));
-  ++metrics_->paxos_forced_writes;
+  ForceLog({.kind = AcceptorRecordKind::kPromise,
+            .gtid = msg.gtid,
+            .ballot = msg.ballot});
   TraceEvent(trace::EventKind::kPaxosPromise, msg.gtid, from, msg.ballot,
              true);
   core::PaxosPromiseMsg reply;
@@ -331,27 +327,21 @@ void PaxosCommit::OnPropose(SiteId from, const core::PaxosProposeMsg& msg) {
   a.promised = msg.ballot;
   a.membership_ballot = msg.ballot;
   a.membership = msg.membership;
-  AcceptorLogRecord mrec;
-  mrec.kind = AcceptorRecordKind::kMembership;
-  mrec.gtid = msg.gtid;
-  mrec.ballot = msg.ballot;
-  mrec.membership = msg.membership;
-  log_.ForceAppend(std::move(mrec));
-  ++metrics_->paxos_forced_writes;
+  ForceLog({.kind = AcceptorRecordKind::kMembership,
+            .gtid = msg.gtid,
+            .ballot = msg.ballot,
+            .membership = msg.membership});
   for (SiteId p : msg.membership) {
     Slot& s = a.votes[p];
     s.ballot = msg.ballot;
     s.ready = std::find(msg.ready_participants.begin(),
                         msg.ready_participants.end(),
                         p) != msg.ready_participants.end();
-    AcceptorLogRecord rec;
-    rec.kind = AcceptorRecordKind::kVote;
-    rec.gtid = msg.gtid;
-    rec.ballot = msg.ballot;
-    rec.participant = p;
-    rec.ready = s.ready;
-    log_.ForceAppend(std::move(rec));
-    ++metrics_->paxos_forced_writes;
+    ForceLog({.kind = AcceptorRecordKind::kVote,
+              .gtid = msg.gtid,
+              .ballot = msg.ballot,
+              .participant = p,
+              .ready = s.ready});
   }
   const bool would_commit =
       !msg.membership.empty() &&

@@ -152,6 +152,8 @@ class PaxosCommit : public DecisionProtocol {
   void TraceEvent(trace::EventKind kind, const TxnId& gtid, SiteId peer,
                   int64_t value, bool ok);
   void CancelTimer(sim::EventId& id);
+  // Force-writes an acceptor record (before the reply leaves) and counts it.
+  void ForceLog(AcceptorLogRecord record);
 
   PaxosConfig config_;
   int f_;

@@ -945,49 +945,62 @@ void TwoPCAgent::Crash() {
 
 void TwoPCAgent::Recover() {
   // Restore the scheme's committed ordering state from completed
-  // transactions in the agent log, then let the certifier replay its own
-  // durable state (the CSN log survives a crash like the agent log does).
-  for (const LogRecord& record : log_.records()) {
-    if (record.kind == LogRecordKind::kPrepare &&
-        log_.HasComplete(record.gtid)) {
-      certifier_->OnRecoveredCommitted(record.gtid, record.sn);
-    }
+  // transactions in the agent log, in the log order of their prepare
+  // records (the SN certifier keeps the first of equal serial numbers),
+  // then let the certifier replay its own durable state (the CSN log
+  // survives a crash like the agent log does).
+  std::vector<const LogRecord*> committed;
+  log_.ForEachTxn([&](const TxnId& gtid) {
+    if (!log_.HasComplete(gtid)) return;
+    log_.ForEachOf(gtid, [&](const LogRecord& record) {
+      if (record.kind == LogRecordKind::kPrepare) committed.push_back(&record);
+    });
+  });
+  std::sort(committed.begin(), committed.end(),
+            [](const LogRecord* a, const LogRecord* b) {
+              return a->lsn < b->lsn;
+            });
+  for (const LogRecord* record : committed) {
+    certifier_->OnRecoveredCommitted(record->gtid, record->sn);
   }
   certifier_->Recover();
   // Restore the migrated-residue redirect table: messages for handed-off
   // subtransactions must keep pointing their sender at the adopting site.
-  for (const LogRecord& record : log_.records()) {
-    if (record.kind == LogRecordKind::kMigrated) {
-      migrated_to_[record.gtid] = record.peer;
-    }
-  }
-  // Rebuild every in-doubt subtransaction: prepared, not alive, with its
-  // logged serial number; resubmit, then finish via the logged decision or
-  // a coordinator inquiry.
+  log_.ForEachTxn([&](const TxnId& gtid) {
+    const SiteId to = log_.MigratedToOf(gtid);
+    if (to != kInvalidSite) migrated_to_[gtid] = to;
+  });
+  // Rebuild every in-doubt subtransaction; a logged commit record carries
+  // the decision (and its CSN, if one traveled).
   for (const TxnId& gtid : log_.InDoubt()) {
-    AgentTxn& txn = txns_[gtid];
-    txn.gtid = gtid;
-    txn.coordinator = log_.CoordinatorOf(gtid);
-    txn.phase = Phase::kPrepared;
-    txn.alive = false;
-    txn.resubmission = log_.ResubmissionsOf(gtid);
-    const auto prepare = log_.PrepareRecordOf(gtid);
-    assert(prepare.has_value());
-    txn.sn = prepare->sn;
-    txn.last_completion = loop_->Now();
-    certifier_->OnPrepared(gtid, AliveInterval{loop_->Now(), loop_->Now()},
-                           txn.sn);
-    txn.commit_pending = log_.HasCommit(gtid);
-    if (txn.commit_pending) {
-      // The decision (and its CSN, if one traveled) is already durable in
-      // the commit record: re-stamp the prepared entry before resubmitting.
-      txn.csn = log_.CommitCsnOf(gtid);
-      certifier_->OnCommitDecision(gtid, txn.csn);
-    }
-    StartResubmission(txn);
-    ScheduleAliveCheck(txn);
-    if (!txn.commit_pending) SendInquiry(gtid);
+    Reenter(gtid, log_.HasCommit(gtid), log_.CommitCsnOf(gtid));
   }
+}
+
+void TwoPCAgent::Reenter(const TxnId& gtid, bool commit_pending,
+                         int64_t csn) {
+  const auto prepare = log_.PrepareRecordOf(gtid);
+  assert(prepare.has_value());
+  AgentTxn& txn = txns_[gtid];
+  txn.gtid = gtid;
+  txn.coordinator = log_.CoordinatorOf(gtid);
+  txn.phase = Phase::kPrepared;
+  txn.alive = false;
+  txn.resubmission = log_.ResubmissionsOf(gtid);
+  txn.sn = prepare->sn;
+  txn.acting_for = prepare->peer;
+  txn.last_completion = loop_->Now();
+  certifier_->OnPrepared(gtid, AliveInterval{loop_->Now(), loop_->Now()},
+                         txn.sn);
+  txn.commit_pending = commit_pending;
+  if (commit_pending) {
+    // Re-stamp the prepared entry with the decision before resubmitting.
+    txn.csn = csn;
+    certifier_->OnCommitDecision(gtid, csn);
+  }
+  StartResubmission(txn);
+  ScheduleAliveCheck(txn);
+  if (!commit_pending) SendInquiry(gtid);
 }
 
 void TwoPCAgent::SendInquiry(const TxnId& gtid) {
@@ -1196,7 +1209,7 @@ void TwoPCAgent::AdoptMigrated(const MigratedTxn& m) {
   // Replay the residue into this agent's log so later crash recovery and
   // resubmission treat the adopted subtransaction exactly like a native one
   // (kResubmission records keep ResubmissionsOf in step with the carried
-  // incarnation index).
+  // incarnation index; the prepare record names the origin it acts for).
   log_.Append(LogRecord{.kind = LogRecordKind::kBegin,
                         .gtid = m.gtid,
                         .peer = m.coordinator});
@@ -1207,33 +1220,16 @@ void TwoPCAgent::AdoptMigrated(const MigratedTxn& m) {
   }
   log_.ForceAppend(LogRecord{.kind = LogRecordKind::kPrepare,
                              .gtid = m.gtid,
+                             .peer = m.origin,
                              .sn = m.sn});
   for (int i = 0; i < m.resubmission; ++i) {
     log_.Append(LogRecord{.kind = LogRecordKind::kResubmission,
                           .gtid = m.gtid});
   }
-  AgentTxn& txn = txns_[m.gtid];
-  txn.gtid = m.gtid;
-  txn.coordinator = m.coordinator;
-  txn.phase = Phase::kPrepared;
-  txn.alive = false;
-  txn.resubmission = m.resubmission;
-  txn.sn = m.sn;
-  txn.acting_for = m.origin;
-  txn.last_completion = loop_->Now();
-  certifier_->OnPrepared(m.gtid,
-                         AliveInterval{loop_->Now(), loop_->Now()}, m.sn);
-  txn.commit_pending = m.commit_pending;
-  if (m.commit_pending && m.csn >= 0) {
-    txn.csn = m.csn;
-    certifier_->OnCommitDecision(m.gtid, m.csn);
-  }
   ++metrics_->reconfig_residue_adopted;
-  // Same tail as crash recovery: resubmit the commands against the copied
-  // rows, then finish via the carried decision or a coordinator inquiry.
-  StartResubmission(txn);
-  ScheduleAliveCheck(txn);
-  if (!txn.commit_pending) SendInquiry(m.gtid);
+  // Same re-entry as crash recovery: resubmit the commands against the
+  // copied rows, then finish via the carried decision or an inquiry.
+  Reenter(m.gtid, m.commit_pending, m.csn);
 }
 
 }  // namespace hermes::core

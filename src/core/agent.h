@@ -274,6 +274,12 @@ class TwoPCAgent {
   void OnOrphanTimeout(const TxnId& gtid);
   void CancelTimers(AgentTxn& txn);
   void OnUnilateralAbort(const SubTxnId& id, LtmTxnHandle handle);
+  // The one re-entry path of crash recovery and shard adoption: rebuilds
+  // `gtid` as prepared and not alive from its log records (coordinator,
+  // serial number, origin, resubmission count), resubmits its commands,
+  // then finishes via the known decision (`commit_pending`, with `csn`) or
+  // a coordinator inquiry.
+  void Reenter(const TxnId& gtid, bool commit_pending, int64_t csn);
 
   AgentTxn* FindTxn(const TxnId& gtid);
 

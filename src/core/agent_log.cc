@@ -4,132 +4,26 @@
 
 namespace hermes::core {
 
-int64_t AgentLog::Append(LogRecord record) {
-  record.lsn = static_cast<int64_t>(records_.size());
-  by_txn_[record.gtid].push_back(records_.size());
-  records_.push_back(std::move(record));
-  return records_.back().lsn;
-}
-
-int64_t AgentLog::ForceAppend(LogRecord record) {
-  record.forced = true;
-  ++forced_writes_;
-  return Append(std::move(record));
-}
-
 std::vector<db::Command> AgentLog::CommandsOf(const TxnId& gtid) const {
   std::vector<db::Command> out;
-  auto it = by_txn_.find(gtid);
-  if (it == by_txn_.end()) return out;
-  for (size_t pos : it->second) {
-    const LogRecord& r = records_[pos];
+  ForEachOf(gtid, [&](const LogRecord& r) {
     if (r.kind == LogRecordKind::kCommand && r.command.has_value()) {
       out.push_back(*r.command);
     }
-  }
+  });
   return out;
-}
-
-std::optional<LogRecord> AgentLog::PrepareRecordOf(const TxnId& gtid) const {
-  auto it = by_txn_.find(gtid);
-  if (it == by_txn_.end()) return std::nullopt;
-  std::optional<LogRecord> found;
-  for (size_t pos : it->second) {
-    if (records_[pos].kind == LogRecordKind::kPrepare) found = records_[pos];
-  }
-  return found;
-}
-
-namespace {
-
-bool HasKind(const std::unordered_map<TxnId, std::vector<size_t>>& by_txn,
-             const std::vector<LogRecord>& records, const TxnId& gtid,
-             LogRecordKind kind) {
-  auto it = by_txn.find(gtid);
-  if (it == by_txn.end()) return false;
-  for (size_t pos : it->second) {
-    if (records[pos].kind == kind) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool AgentLog::HasCommit(const TxnId& gtid) const {
-  return HasKind(by_txn_, records_, gtid, LogRecordKind::kCommit);
-}
-
-int64_t AgentLog::CommitCsnOf(const TxnId& gtid) const {
-  auto it = by_txn_.find(gtid);
-  if (it == by_txn_.end()) return -1;
-  for (size_t pos : it->second) {
-    if (records_[pos].kind == LogRecordKind::kCommit) {
-      return records_[pos].csn;
-    }
-  }
-  return -1;
-}
-
-bool AgentLog::HasAbort(const TxnId& gtid) const {
-  return HasKind(by_txn_, records_, gtid, LogRecordKind::kAbort);
-}
-
-bool AgentLog::HasComplete(const TxnId& gtid) const {
-  return HasKind(by_txn_, records_, gtid, LogRecordKind::kComplete);
-}
-
-SiteId AgentLog::CoordinatorOf(const TxnId& gtid) const {
-  auto it = by_txn_.find(gtid);
-  if (it == by_txn_.end()) return kInvalidSite;
-  for (size_t pos : it->second) {
-    if (records_[pos].kind == LogRecordKind::kBegin) {
-      return records_[pos].peer;
-    }
-  }
-  return kInvalidSite;
-}
-
-SiteId AgentLog::MigratedToOf(const TxnId& gtid) const {
-  auto it = by_txn_.find(gtid);
-  if (it == by_txn_.end()) return kInvalidSite;
-  for (size_t pos : it->second) {
-    if (records_[pos].kind == LogRecordKind::kMigrated) {
-      return records_[pos].peer;
-    }
-  }
-  return kInvalidSite;
-}
-
-int AgentLog::ResubmissionsOf(const TxnId& gtid) const {
-  auto it = by_txn_.find(gtid);
-  if (it == by_txn_.end()) return 0;
-  int n = 0;
-  for (size_t pos : it->second) {
-    if (records_[pos].kind == LogRecordKind::kResubmission) ++n;
-  }
-  return n;
 }
 
 std::vector<TxnId> AgentLog::InDoubt() const {
   std::vector<TxnId> out;
-  for (const auto& [gtid, positions] : by_txn_) {
-    bool prepared = false, resolved = false;
-    for (size_t pos : positions) {
-      switch (records_[pos].kind) {
-        case LogRecordKind::kPrepare:
-          prepared = true;
-          break;
-        case LogRecordKind::kComplete:
-        case LogRecordKind::kAbort:
-        case LogRecordKind::kMigrated:
-          resolved = true;
-          break;
-        default:
-          break;
-      }
+  ForEachTxn([&](const TxnId& gtid) {
+    if (Has(gtid, LogRecordKind::kPrepare) &&
+        !Has(gtid, LogRecordKind::kComplete) &&
+        !Has(gtid, LogRecordKind::kAbort) &&
+        !Has(gtid, LogRecordKind::kMigrated)) {
+      out.push_back(gtid);
     }
-    if (prepared && !resolved) out.push_back(gtid);
-  }
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -2,20 +2,17 @@
 //
 // The 2PCA logs every DML command of each global subtransaction so it can
 // *resubmit* them after a unilateral abort, and force-writes prepare/commit
-// records as the 2PC protocol requires. In the simulation "stable storage"
-// is an in-memory structure; the force-write flag is modeled so the log
-// discipline is visible and testable, and the log supports replay-based
-// agent recovery after a site crash.
+// records as the 2PC protocol requires (common/durable_log.h). The log
+// supports replay-based agent recovery after a site crash.
 
 #ifndef HERMES_CORE_AGENT_LOG_H_
 #define HERMES_CORE_AGENT_LOG_H_
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/durable_log.h"
 #include "common/ids.h"
 #include "db/command.h"
 #include "core/serial_number.h"
@@ -41,6 +38,8 @@ struct LogRecord {
   bool forced = false;
   // kBegin: the coordinating site (needed to direct recovery inquiries
   // after a crash). kMigrated: the site that adopted the residue.
+  // kPrepare of an adopted residue: the site it left, which the adopter's
+  // votes and acks name as `on_behalf_of`.
   SiteId peer = kInvalidSite;
   // kCommand only.
   std::optional<db::Command> command;
@@ -51,27 +50,34 @@ struct LogRecord {
   int64_t csn = -1;
 };
 
-class AgentLog {
+class AgentLog : public DurableLog<LogRecord> {
  public:
-  AgentLog() = default;
-
-  int64_t Append(LogRecord record);       // buffered write
-  int64_t ForceAppend(LogRecord record);  // force-write (fsync'd)
-
   // All commands logged for `gtid`, in submission order — the resubmission
   // source.
   std::vector<db::Command> CommandsOf(const TxnId& gtid) const;
 
   // Latest prepare record of `gtid`, if any.
-  std::optional<LogRecord> PrepareRecordOf(const TxnId& gtid) const;
+  std::optional<LogRecord> PrepareRecordOf(const TxnId& gtid) const {
+    const LogRecord* r = Last(gtid, LogRecordKind::kPrepare);
+    return r == nullptr ? std::nullopt : std::optional<LogRecord>(*r);
+  }
 
   // True if a commit (abort) record exists for `gtid`.
-  bool HasCommit(const TxnId& gtid) const;
+  bool HasCommit(const TxnId& gtid) const {
+    return Has(gtid, LogRecordKind::kCommit);
+  }
   // CSN carried by the commit record of `gtid`, -1 if absent — feeds the
   // certifier's OnCommitDecision during in-doubt recovery.
-  int64_t CommitCsnOf(const TxnId& gtid) const;
-  bool HasAbort(const TxnId& gtid) const;
-  bool HasComplete(const TxnId& gtid) const;
+  int64_t CommitCsnOf(const TxnId& gtid) const {
+    const LogRecord* r = First(gtid, LogRecordKind::kCommit);
+    return r == nullptr ? -1 : r->csn;
+  }
+  bool HasAbort(const TxnId& gtid) const {
+    return Has(gtid, LogRecordKind::kAbort);
+  }
+  bool HasComplete(const TxnId& gtid) const {
+    return Has(gtid, LogRecordKind::kComplete);
+  }
 
   // Transactions that were prepared but have no complete/abort/migrated
   // record — the in-doubt set an agent must recover after a crash (migrated
@@ -82,29 +88,25 @@ class AgentLog {
   // Adopting site recorded with the migration record of `gtid`, or
   // kInvalidSite if the residue never left this agent. Rebuilds the
   // redirect table after a crash.
-  SiteId MigratedToOf(const TxnId& gtid) const;
-
-  // True if any record exists for `gtid` — i.e. this agent has ever seen
-  // the transaction, even if all volatile state about it was lost in a
-  // crash.
-  bool Knows(const TxnId& gtid) const { return by_txn_.count(gtid) != 0; }
+  SiteId MigratedToOf(const TxnId& gtid) const {
+    return PeerOf(gtid, LogRecordKind::kMigrated);
+  }
 
   // Coordinating site recorded with the begin record (kInvalidSite if the
   // transaction is unknown).
-  SiteId CoordinatorOf(const TxnId& gtid) const;
+  SiteId CoordinatorOf(const TxnId& gtid) const {
+    return PeerOf(gtid, LogRecordKind::kBegin);
+  }
   // Number of resubmission records logged for `gtid`.
-  int ResubmissionsOf(const TxnId& gtid) const;
-
-  const std::vector<LogRecord>& records() const { return records_; }
-  int64_t forced_writes() const { return forced_writes_; }
-  size_t size() const { return records_.size(); }
+  int ResubmissionsOf(const TxnId& gtid) const {
+    return Count(gtid, LogRecordKind::kResubmission);
+  }
 
  private:
-  std::vector<LogRecord> records_;
-  // Secondary index: gtid -> record positions. Hashed — CommandsOf runs once
-  // per resubmitted command and Knows once per BEGIN.
-  std::unordered_map<TxnId, std::vector<size_t>> by_txn_;
-  int64_t forced_writes_ = 0;
+  SiteId PeerOf(const TxnId& gtid, LogRecordKind kind) const {
+    const LogRecord* r = First(gtid, kind);
+    return r == nullptr ? kInvalidSite : r->peer;
+  }
 };
 
 }  // namespace hermes::core

@@ -1,44 +1,25 @@
 #include "core/coordinator_log.h"
 
+#include <algorithm>
+
 namespace hermes::core {
-
-int64_t CoordinatorLog::AppendImpl(CoordLogRecord record, bool forced) {
-  record.lsn = static_cast<int64_t>(records_.size());
-  record.forced = forced;
-  if (forced) ++forced_writes_;
-  switch (record.kind) {
-    case CoordRecordKind::kDecision:
-      decision_index_[record.gtid] = records_.size();
-      break;
-    case CoordRecordKind::kForget:
-      forgotten_.insert(record.gtid);
-      break;
-    case CoordRecordKind::kEpoch:
-      if (record.epoch > last_epoch_) last_epoch_ = record.epoch;
-      break;
-  }
-  const int64_t lsn = record.lsn;
-  records_.push_back(std::move(record));
-  return lsn;
-}
-
-int64_t CoordinatorLog::Append(CoordLogRecord record) {
-  return AppendImpl(std::move(record), /*forced=*/false);
-}
-
-int64_t CoordinatorLog::ForceAppend(CoordLogRecord record) {
-  return AppendImpl(std::move(record), /*forced=*/true);
-}
 
 std::vector<CoordLogRecord> CoordinatorLog::InFlightDecisions() const {
   std::vector<CoordLogRecord> out;
-  for (const CoordLogRecord& record : records_) {
-    if (record.kind == CoordRecordKind::kDecision &&
-        forgotten_.count(record.gtid) == 0) {
+  for (const CoordLogRecord& record : records()) {
+    if (record.kind == CoordRecordKind::kDecision && !Forgotten(record.gtid)) {
       out.push_back(record);
     }
   }
   return out;
+}
+
+int64_t CoordinatorLog::LastEpoch() const {
+  int64_t last = 0;
+  ForEachOf(TxnId{}, [&](const CoordLogRecord& r) {
+    if (r.kind == CoordRecordKind::kEpoch) last = std::max(last, r.epoch);
+  });
+  return last;
 }
 
 }  // namespace hermes::core

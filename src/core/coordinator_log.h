@@ -10,19 +10,16 @@
 // epoch so post-recovery transaction ids can never collide with pre-crash
 // ones.
 //
-// Like the AgentLog, "stable storage" is an in-memory structure in the
-// simulation; the force-write flag models the log discipline so it is
-// visible and testable (a test removing the force-write demonstrably loses
-// decided transactions).
+// The log discipline itself is common/durable_log.h, shared with the
+// AgentLog.
 
 #ifndef HERMES_CORE_COORDINATOR_LOG_H_
 #define HERMES_CORE_COORDINATOR_LOG_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/durable_log.h"
 #include "common/ids.h"
 
 namespace hermes::core {
@@ -43,48 +40,31 @@ struct CoordLogRecord {
   bool forced = false;
 };
 
-class CoordinatorLog {
+class CoordinatorLog : public DurableLog<CoordLogRecord> {
  public:
-  CoordinatorLog() = default;
-
-  int64_t Append(CoordLogRecord record);       // buffered write
-  int64_t ForceAppend(CoordLogRecord record);  // force-write (fsync'd)
-
   // True if a COMMIT decision record exists for `gtid`.
   bool HasDecision(const TxnId& gtid) const {
-    return decision_index_.count(gtid) != 0;
+    return Has(gtid, CoordRecordKind::kDecision);
   }
   // True if the transaction was fully acknowledged and forgotten.
   bool Forgotten(const TxnId& gtid) const {
-    return forgotten_.count(gtid) != 0;
+    return Has(gtid, CoordRecordKind::kForget);
   }
 
   // CSN carried by the decision record of `gtid`, -1 if absent — lets
   // inquiry replies for logged decisions travel with their CSN.
   int64_t DecisionCsnOf(const TxnId& gtid) const {
-    auto it = decision_index_.find(gtid);
-    return it == decision_index_.end() ? -1 : records_[it->second].csn;
+    const CoordLogRecord* r = Last(gtid, CoordRecordKind::kDecision);
+    return r == nullptr ? -1 : r->csn;
   }
 
   // Decisions without a forget record, in log order — the transactions a
   // recovering coordinator must re-drive to COMMIT.
   std::vector<CoordLogRecord> InFlightDecisions() const;
 
-  // Largest epoch ever force-written (0 if none).
-  int64_t LastEpoch() const { return last_epoch_; }
-
-  const std::vector<CoordLogRecord>& records() const { return records_; }
-  int64_t forced_writes() const { return forced_writes_; }
-  size_t size() const { return records_.size(); }
-
- private:
-  int64_t AppendImpl(CoordLogRecord record, bool forced);
-
-  std::vector<CoordLogRecord> records_;
-  std::unordered_map<TxnId, size_t> decision_index_;
-  std::unordered_set<TxnId> forgotten_;
-  int64_t last_epoch_ = 0;
-  int64_t forced_writes_ = 0;
+  // Largest epoch ever force-written (0 if none). Epoch records carry no
+  // gtid, so they are filed under TxnId{}.
+  int64_t LastEpoch() const;
 };
 
 }  // namespace hermes::core

@@ -8,7 +8,6 @@
 
 #include "common/json.h"
 #include "common/str.h"
-#include "history/view_checker.h"
 
 namespace hermes::runner {
 
@@ -105,12 +104,7 @@ void CellAggregate::AddRun(uint64_t seed, const workload::RunResult& r) {
   Add("end_time_ms", static_cast<double>(r.end_time) / 1000.0);
   Add("tput", r.CommitsPerSecond());
   Add("mean_lat_ms", m.MeanLatencyMs());
-  const bool violated =
-      r.history_checked &&
-      (!r.replay_consistent || !r.order_invariant_ok ||
-       !r.commit_graph_acyclic || !r.atomicity_ok ||
-       r.verdict == history::Verdict::kNotSerializable);
-  Add("violations", violated ? 1.0 : 0.0);
+  Add("violations", (r.history_checked && !r.GuaranteesHold()) ? 1.0 : 0.0);
   latency.Merge(m.latency_hist);
   series.Merge(r.series);
 }

@@ -53,6 +53,18 @@ struct RunResult {
   std::string atomicity_error;
   size_t history_ops = 0;
 
+  // The paper's guarantees held: the history was checked, and it is
+  // globally atomic, replays consistently, keeps order invariant (1), is
+  // not refuted as view serializable and has an acyclic CG(C(H)). Pass
+  // `require_acyclic_cg` = false where commit certification, which the
+  // acyclic CG depends on, is off.
+  bool GuaranteesHold(bool require_acyclic_cg = true) const {
+    return history_checked && atomicity_ok && replay_consistent &&
+           order_invariant_ok &&
+           (commit_graph_acyclic || !require_acyclic_cg) &&
+           verdict != history::Verdict::kNotSerializable;
+  }
+
   double CommitsPerSecond() const {
     return end_time == 0 ? 0.0
                          : static_cast<double>(metrics.global_committed) *

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/mdbs.h"
 #include "history/op.h"
 
@@ -175,6 +180,118 @@ TEST(AgentLog, InDoubtTracksPreparedUnresolved) {
   EXPECT_EQ(log.forced_writes(), 3);
   EXPECT_TRUE(log.HasCommit(g1));
   EXPECT_FALSE(log.HasCommit(g2));
+}
+
+// Differential check of the log's per-transaction index: on seeded random
+// logs (every record kind, 4 to 64 gtids, forced and buffered appends)
+// each query answers what a scan of every record answers.
+TEST(AgentLog, QueriesMatchAFullScanOnRandomLogs) {
+  using core::LogRecord;
+  using core::LogRecordKind;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    // From a few gtids with many records each to many with few.
+    std::vector<TxnId> gtids;
+    for (int64_t i = 0; i < 4 + static_cast<int64_t>(seed % 5) * 15; ++i) {
+      gtids.push_back(TxnId::MakeGlobal(static_cast<SiteId>(i % 3), i));
+    }
+    core::AgentLog log;
+    for (int n = 0; n < 300; ++n) {
+      LogRecord r;
+      r.kind = static_cast<LogRecordKind>(rng() % 8);
+      r.gtid = gtids[rng() % gtids.size()];
+      r.peer = static_cast<SiteId>(rng() % 4);
+      if (r.kind == LogRecordKind::kCommand) {
+        r.command = db::MakeAddKey(1, static_cast<int64_t>(rng() % 8), "v",
+                                   int64_t{n});
+      }
+      r.sn = SerialNumber{static_cast<sim::Time>(rng() % 100), 0, n};
+      r.csn = static_cast<int64_t>(rng() % 5) - 1;
+      if (rng() % 2 == 0) {
+        log.ForceAppend(std::move(r));
+      } else {
+        log.Append(std::move(r));
+      }
+    }
+
+    const std::vector<LogRecord>& records = log.records();
+    ASSERT_EQ(log.size(), 300u);
+    int64_t forced = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].lsn, static_cast<int64_t>(i));
+      forced += records[i].forced;
+    }
+    EXPECT_EQ(log.forced_writes(), forced);
+
+    std::vector<TxnId> in_doubt;
+    std::vector<TxnId> queried = gtids;
+    queried.push_back(TxnId::MakeGlobal(0, 99));  // never logged
+    for (const TxnId& g : queried) {
+      SCOPED_TRACE(g.ToString() + " seed " + std::to_string(seed));
+      std::vector<std::string> commands;
+      const LogRecord* prepare = nullptr;
+      const LogRecord* commit = nullptr;
+      const LogRecord* begin = nullptr;
+      const LogRecord* migrated = nullptr;
+      bool known = false, aborted = false, complete = false;
+      int resubmissions = 0;
+      for (const LogRecord& r : records) {
+        if (r.gtid != g) continue;
+        known = true;
+        switch (r.kind) {
+          case LogRecordKind::kBegin:
+            if (begin == nullptr) begin = &r;
+            break;
+          case LogRecordKind::kCommand:
+            commands.push_back(db::CommandToString(*r.command));
+            break;
+          case LogRecordKind::kPrepare:
+            prepare = &r;
+            break;
+          case LogRecordKind::kResubmission:
+            ++resubmissions;
+            break;
+          case LogRecordKind::kCommit:
+            if (commit == nullptr) commit = &r;
+            break;
+          case LogRecordKind::kAbort:
+            aborted = true;
+            break;
+          case LogRecordKind::kComplete:
+            complete = true;
+            break;
+          case LogRecordKind::kMigrated:
+            if (migrated == nullptr) migrated = &r;
+            break;
+        }
+      }
+      std::vector<std::string> logged;
+      for (const db::Command& c : log.CommandsOf(g)) {
+        logged.push_back(db::CommandToString(c));
+      }
+      EXPECT_EQ(logged, commands);
+      const auto prepare_of = log.PrepareRecordOf(g);
+      ASSERT_EQ(prepare_of.has_value(), prepare != nullptr);
+      if (prepare != nullptr) {
+        EXPECT_EQ(prepare_of->lsn, prepare->lsn);
+      }
+      EXPECT_EQ(log.HasCommit(g), commit != nullptr);
+      EXPECT_EQ(log.CommitCsnOf(g), commit == nullptr ? -1 : commit->csn);
+      EXPECT_EQ(log.HasAbort(g), aborted);
+      EXPECT_EQ(log.HasComplete(g), complete);
+      EXPECT_EQ(log.Knows(g), known);
+      EXPECT_EQ(log.CoordinatorOf(g),
+                begin == nullptr ? kInvalidSite : begin->peer);
+      EXPECT_EQ(log.MigratedToOf(g),
+                migrated == nullptr ? kInvalidSite : migrated->peer);
+      EXPECT_EQ(log.ResubmissionsOf(g), resubmissions);
+      if (prepare != nullptr && !complete && !aborted && migrated == nullptr) {
+        in_doubt.push_back(g);
+      }
+    }
+    std::sort(in_doubt.begin(), in_doubt.end());
+    EXPECT_EQ(log.InDoubt(), in_doubt) << "seed " << seed;
+  }
 }
 
 // --- certifier protocol behavior ---------------------------------------------------

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/mdbs.h"
 
 namespace hermes::core {
@@ -216,6 +221,82 @@ TEST_F(CoordinatorTest, RecoveryBumpsEpochSoGtidsNeverCollide) {
     }
   }
   EXPECT_TRUE(saw_epoch);
+}
+
+// Differential check of the log's per-transaction index: on seeded random
+// logs (decisions, forgets and gtid-less epoch records, forced and
+// buffered) each query answers what a scan of every record answers.
+TEST(CoordinatorLog, QueriesMatchAFullScanOnRandomLogs) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    // From a few gtids with many records each to many with few.
+    std::vector<TxnId> gtids;
+    for (int64_t i = 0; i < 4 + static_cast<int64_t>(seed % 5) * 15; ++i) {
+      gtids.push_back(TxnId::MakeGlobal(0, i));
+    }
+    CoordinatorLog log;
+    for (int n = 0; n < 200; ++n) {
+      CoordLogRecord r;
+      r.kind = static_cast<CoordRecordKind>(rng() % 3);
+      if (r.kind == CoordRecordKind::kEpoch) {
+        r.epoch = static_cast<int64_t>(rng() % 10);
+      } else {
+        r.gtid = gtids[rng() % gtids.size()];
+        r.participants.assign(1 + rng() % 3, static_cast<SiteId>(n % 4));
+        r.csn = static_cast<int64_t>(rng() % 5) - 1;
+      }
+      if (rng() % 2 == 0) {
+        log.ForceAppend(std::move(r));
+      } else {
+        log.Append(std::move(r));
+      }
+    }
+
+    const std::vector<CoordLogRecord>& records = log.records();
+    int64_t forced = 0;
+    int64_t last_epoch = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].lsn, static_cast<int64_t>(i));
+      forced += records[i].forced;
+      if (records[i].kind == CoordRecordKind::kEpoch) {
+        last_epoch = std::max(last_epoch, records[i].epoch);
+      }
+    }
+    EXPECT_EQ(log.forced_writes(), forced);
+    EXPECT_EQ(log.LastEpoch(), last_epoch);
+
+    std::vector<int64_t> in_flight;
+    for (const CoordLogRecord& d : records) {
+      if (d.kind != CoordRecordKind::kDecision) continue;
+      bool forgotten = false;
+      for (const CoordLogRecord& r : records) {
+        forgotten |= r.kind == CoordRecordKind::kForget && r.gtid == d.gtid;
+      }
+      if (!forgotten) in_flight.push_back(d.lsn);
+    }
+    std::vector<int64_t> logged;
+    for (const CoordLogRecord& d : log.InFlightDecisions()) {
+      logged.push_back(d.lsn);
+    }
+    EXPECT_EQ(logged, in_flight) << "seed " << seed;
+
+    std::vector<TxnId> queried = gtids;
+    queried.push_back(TxnId::MakeGlobal(1, 99));  // never logged
+    for (const TxnId& g : queried) {
+      SCOPED_TRACE(g.ToString() + " seed " + std::to_string(seed));
+      const CoordLogRecord* decision = nullptr;
+      bool forgotten = false;
+      for (const CoordLogRecord& r : records) {
+        if (r.gtid != g) continue;
+        if (r.kind == CoordRecordKind::kDecision) decision = &r;
+        if (r.kind == CoordRecordKind::kForget) forgotten = true;
+      }
+      EXPECT_EQ(log.HasDecision(g), decision != nullptr);
+      EXPECT_EQ(log.Forgotten(g), forgotten);
+      EXPECT_EQ(log.DecisionCsnOf(g),
+                decision == nullptr ? -1 : decision->csn);
+    }
+  }
 }
 
 TEST(Messages, ToStringCoversAllKinds) {

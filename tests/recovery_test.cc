@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
+#include <vector>
+
 #include "core/mdbs.h"
 #include "history/projection.h"
 #include "history/view_checker.h"
@@ -373,6 +376,46 @@ TEST_F(RecoveryTest, UndecidedTransactionIsPresumedAbortAfterCrash) {
   EXPECT_GE(mdbs_->metrics().inquiries_answered_presumed_abort, 1);
   EXPECT_EQ(mdbs_->metrics().coordinator_redelivered_decisions, 0);
   EXPECT_EQ(history::CheckGlobalAtomicity(mdbs_->recorder().ops()), "");
+}
+
+// A residue adopted in a shard handoff answers for the site it left. That
+// origin is durable: after the adopter crashes and recovers, its re-vote on
+// a retransmitted PREPARE still names the origin as on_behalf_of, so the
+// coordinator books the vote under the participant it is waiting for.
+TEST_F(RecoveryTest, AdoptedResidueKeepsItsOriginAcrossAnAdopterCrash) {
+  Build(1);
+  // A phantom coordinator at site 5 owns the transaction; its endpoint
+  // captures every vote. The residue's origin, site 3, is long gone.
+  constexpr SiteId kCoordinator = 5;
+  constexpr SiteId kOrigin = 3;
+  std::vector<core::VoteMsg> votes;
+  mdbs_->network().RegisterEndpoint(
+      kCoordinator, [&](const net::Envelope& env) {
+        const auto* msg = std::any_cast<core::Message>(&env.payload);
+        if (msg == nullptr) return;
+        if (const auto* vote = std::get_if<core::VoteMsg>(msg)) {
+          votes.push_back(*vote);
+        }
+      });
+  core::MigratedTxn m;
+  m.gtid = TxnId::MakeGlobal(kCoordinator, 1);
+  m.coordinator = kCoordinator;
+  m.origin = kOrigin;
+  m.sn = core::SerialNumber{100, kCoordinator, 0};
+  m.commands.push_back(db::MakeAddKey(table_, 1, "v", int64_t{1}));
+  mdbs_->agent(0)->AdoptMigrated(m);
+  loop_.RunUntil(loop_.Now() + 20 * sim::kMillisecond);
+  ASSERT_TRUE(mdbs_->CrashSite(0).ok());
+  loop_.RunUntil(loop_.Now() + 20 * sim::kMillisecond);
+  ASSERT_EQ(mdbs_->agent(0)->log().InDoubt(), std::vector<TxnId>{m.gtid});
+
+  votes.clear();
+  mdbs_->network().Send(kCoordinator, 0,
+                        core::Message{core::PrepareMsg{m.gtid, m.sn}});
+  loop_.RunUntil(loop_.Now() + 20 * sim::kMillisecond);
+  ASSERT_EQ(votes.size(), 1u);
+  EXPECT_TRUE(votes[0].ready);
+  EXPECT_EQ(votes[0].on_behalf_of, kOrigin);
 }
 
 }  // namespace

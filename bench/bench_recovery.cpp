@@ -34,9 +34,11 @@ struct CrashRunResult {
   bool conserved = false;
   bool in_doubt_clear = true;
   bool consistent = false;
+  bool within_budget = false;  // the run ended before its event budget
 
   bool ok() const {
-    return conserved && in_doubt_clear && consistent && orphans == 0;
+    return within_budget && conserved && in_doubt_clear && consistent &&
+           orphans == 0;
   }
 };
 
@@ -78,6 +80,7 @@ CrashRunResult Run(int crashes, sim::Duration crash_period) {
     });
   }
   loop.Run();
+  out.within_budget = !loop.budget_exhausted();
 
   int64_t total = 0;
   for (SiteId s = 0; s < 3; ++s) {

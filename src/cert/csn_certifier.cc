@@ -135,13 +135,13 @@ void CsnCertifier::Recover() {
   // post-crash candidates see no recent commits, which can only *admit*
   // more (the snapshot check is a conservative guard, and everything
   // actually in doubt is re-entered through the prepared-set machinery).
-  for (const CsnLogRecord& rec : log_.records()) {
+  log_.ForEachRecord([&](const CsnLogRecord& rec) {
     csn_of_[rec.gtid] = rec.csn;
     if (rec.csn > max_committed_csn_) {
       max_committed_csn_ = rec.csn;
       max_committed_gtid_ = rec.gtid;
     }
-  }
+  });
 }
 
 int64_t CsnCertifier::CsnOf(const TxnId& gtid) const {

@@ -14,6 +14,18 @@
 // last two. The per-transaction lookups also read a `kind` member. Records
 // without a transaction (the coordinator's epoch records) are filed under
 // the invalid TxnId{}.
+//
+// Retirement. A role that no longer needs a finished transaction's records
+// retires the transaction: Retire(gtid) drops its records and its index
+// node, so the log holds O(in-flight) records however long the run. LSNs
+// come from a counter, so they stay unique and monotone across
+// retirements. Retired slots are reclaimed in amortised O(1): once they
+// outnumber the live records, the live ones move down in log order.
+//
+// Pointer validity. A `const Record*` from First/Last, and a record passed
+// to a ForEachOf/ForEachRecord callback, stay valid until the next Append,
+// ForceAppend or Retire: an append may reallocate the storage and a Retire
+// may compact it.
 
 #ifndef HERMES_COMMON_DURABLE_LOG_H_
 #define HERMES_COMMON_DURABLE_LOG_H_
@@ -36,12 +48,19 @@ class DurableLog {
   int64_t Append(Record record) { return Add(std::move(record), false); }
   int64_t ForceAppend(Record record) { return Add(std::move(record), true); }
 
-  const std::vector<Record>& records() const { return records_; }
   int64_t forced_writes() const { return forced_writes_; }
-  size_t size() const { return records_.size(); }
+  // Live records: appended and not retired.
+  size_t size() const { return records_.size() - retired_; }
 
-  // True if any record exists for `gtid`: the role has seen the
-  // transaction, even if a crash lost all volatile state about it.
+  // Calls fn(record) for every live record, in log order.
+  template <typename Fn>
+  void ForEachRecord(Fn&& fn) const {
+    for (size_t pos = 0; pos < records_.size(); ++pos) {
+      if (next_[pos] != kRetired) fn(records_[pos]);
+    }
+  }
+
+  // True if a live record exists for `gtid`.
   bool Knows(const TxnId& gtid) const { return chains_.count(gtid) != 0; }
 
   // Calls fn(record) for every record of `gtid`, in log order.
@@ -54,7 +73,8 @@ class DurableLog {
     }
   }
 
-  // Calls fn(gtid) once for every transaction with a record; unordered.
+  // Calls fn(gtid) once for every transaction with a live record;
+  // unordered. `fn` must not append or retire.
   template <typename Fn>
   void ForEachTxn(Fn&& fn) const {
     for (const auto& [gtid, chain] : chains_) fn(gtid);
@@ -90,8 +110,26 @@ class DurableLog {
     return First(gtid, kind) != nullptr;
   }
 
+  // Drops every record of `gtid` and its index node (a no-op for a gtid
+  // without live records). The records' payloads are freed at once.
+  void Retire(const TxnId& gtid) {
+    auto it = chains_.find(gtid);
+    if (it == chains_.end()) return;
+    for (uint32_t pos = it->second.first; pos != kEnd;) {
+      const uint32_t next = next_[pos];
+      records_[pos] = Record{};
+      next_[pos] = kRetired;
+      ++retired_;
+      pos = next;
+    }
+    chains_.erase(it);
+    if (retired_ > size()) Compact();
+  }
+
  private:
   static constexpr uint32_t kEnd = std::numeric_limits<uint32_t>::max();
+  // next_ value of a retired slot.
+  static constexpr uint32_t kRetired = kEnd - 1;
 
   // One transaction's records as a list threaded through next_: no
   // per-transaction allocation beyond the hash node.
@@ -102,8 +140,8 @@ class DurableLog {
 
   int64_t Add(Record record, bool forced) {
     const auto pos = static_cast<uint32_t>(records_.size());
-    assert(pos != kEnd);
-    record.lsn = pos;
+    assert(pos < kRetired);
+    record.lsn = next_lsn_++;
     record.forced = forced;
     if (forced) ++forced_writes_;
     auto [it, inserted] = chains_.try_emplace(record.gtid, Chain{pos, pos});
@@ -112,13 +150,39 @@ class DurableLog {
       it->second.last = pos;
     }
     next_.push_back(kEnd);
+    const int64_t lsn = record.lsn;
     records_.push_back(std::move(record));
-    return pos;
+    return lsn;
   }
 
-  std::vector<Record> records_;
-  std::vector<uint32_t> next_;  // next_[pos]: the same gtid's next record
+  // Moves the live records down over the retired slots, keeping log order,
+  // and renumbers the chains. The vectors keep their capacity.
+  void Compact() {
+    std::vector<uint32_t> remap(records_.size(), kEnd);  // old → new
+    uint32_t live = 0;
+    for (uint32_t pos = 0; pos < records_.size(); ++pos) {
+      if (next_[pos] != kRetired) remap[pos] = live++;
+    }
+    for (uint32_t pos = 0; pos < records_.size(); ++pos) {
+      const uint32_t to = remap[pos];
+      if (to == kEnd) continue;
+      next_[to] = next_[pos] == kEnd ? kEnd : remap[next_[pos]];
+      if (to != pos) records_[to] = std::move(records_[pos]);
+    }
+    records_.resize(live);
+    next_.resize(live);
+    for (auto& [gtid, chain] : chains_) {
+      chain.first = remap[chain.first];
+      chain.last = remap[chain.last];
+    }
+    retired_ = 0;
+  }
+
+  std::vector<Record> records_;  // live records and retired slots
+  std::vector<uint32_t> next_;   // next_[pos]: the gtid's next record
   std::unordered_map<TxnId, Chain> chains_;
+  int64_t next_lsn_ = 0;
+  size_t retired_ = 0;
   int64_t forced_writes_ = 0;
 };
 

@@ -179,7 +179,7 @@ std::vector<DecisionProtocol::InFlight> PaxosCommit::RecoverInFlight() {
 
 void PaxosCommit::Recover() {
   // Replay the durable records in order; the latest record per key wins.
-  for (const AcceptorLogRecord& rec : log_.records()) {
+  log_.ForEachRecord([&](const AcceptorLogRecord& rec) {
     AcceptorTxn& a = acceptor_[rec.gtid];
     switch (rec.kind) {
       case AcceptorRecordKind::kPromise:
@@ -200,7 +200,7 @@ void PaxosCommit::Recover() {
         break;
       }
     }
-  }
+  });
 }
 
 // --- participant (RM) side ---------------------------------------------------

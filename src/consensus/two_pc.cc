@@ -41,7 +41,7 @@ void TwoPCDecision::Decide(const TxnId& gtid, DecideMode mode,
 
 std::optional<bool> TwoPCDecision::AnswerInquiry(const TxnId& gtid,
                                                  SiteId /*requester*/) {
-  if (log_->HasDecision(gtid) && !log_->Forgotten(gtid)) return true;
+  if (log_->HasDecision(gtid)) return true;
   // Unknown (or forgotten) transaction: presumed abort. The caller layers
   // its own live-transaction knowledge on top before reaching for this.
   return false;
@@ -50,11 +50,7 @@ std::optional<bool> TwoPCDecision::AnswerInquiry(const TxnId& gtid,
 void TwoPCDecision::Forget(const TxnId& gtid) {
   // Only committed transactions have a decision record to forget; aborted
   // ones were never logged in the first place.
-  if (!log_->HasDecision(gtid) || log_->Forgotten(gtid)) return;
-  core::CoordLogRecord rec;
-  rec.kind = core::CoordRecordKind::kForget;
-  rec.gtid = gtid;
-  log_->Append(std::move(rec));
+  if (log_->HasDecision(gtid)) log_->Forget(gtid);
 }
 
 void TwoPCDecision::Crash() {

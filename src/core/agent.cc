@@ -96,9 +96,11 @@ void TwoPCAgent::Handle(SiteId from, const Message& msg) {
     gtid = &m->gtid, epoch = m->epoch, what = "1pc";
   }
   if (gtid != nullptr) {
-    const auto moved = migrated_to_.find(*gtid);
-    if (moved != migrated_to_.end()) {
-      RefuseEpoch(from, *gtid, what, moved->second);
+    // Residue retires the moment it migrates, so only a retired gtid can
+    // have moved; the outcome entry survives crashes.
+    const AgentOutcome* outcome = log_.OutcomeOf(*gtid);
+    if (outcome != nullptr && outcome->migrated_to != kInvalidSite) {
+      RefuseEpoch(from, *gtid, what, outcome->migrated_to);
       return;
     }
     if (directory_ != nullptr && epoch > 0 && epoch < directory_->epoch()) {
@@ -141,23 +143,21 @@ void TwoPCAgent::RefuseEpoch(SiteId from, const TxnId& gtid, const char* what,
 // --- active state ----------------------------------------------------------
 
 void TwoPCAgent::OnBegin(SiteId from, const BeginMsg& msg) {
-  if (FindTxn(msg.gtid) != nullptr) {
-    // Duplicate or retransmitted BEGIN: the subtransaction already exists,
-    // nothing to (re)open and nothing to acknowledge.
+  if (FindTxn(msg.gtid) != nullptr || FindRetired(msg.gtid) != nullptr) {
+    // Duplicate or retransmitted BEGIN: the subtransaction already exists
+    // or existed, nothing to (re)open and nothing to acknowledge.
     ++metrics_->dup_msgs_absorbed;
     return;
   }
   if (log_.Knows(msg.gtid)) {
     // The log knows this transaction but the volatile state does not: a
     // crash wiped it (and recovery did not consider it in-doubt, so its
-    // pre-crash work was rolled back). Re-opening it now would silently
-    // drop the commands executed before the crash, so refuse all further
-    // work: the coordinator's DML requests get "no active subtransaction"
-    // and the global transaction rolls back.
-    AgentTxn& txn = txns_[msg.gtid];
-    txn.gtid = msg.gtid;
-    txn.coordinator = from;
-    txn.phase = Phase::kAborted;
+    // pre-crash work was rolled back and it retired). Re-opening it now
+    // would silently drop the commands executed before the crash, so
+    // refuse all further work: it stands as aborted in this incarnation,
+    // the coordinator's DML requests get "no active subtransaction" and
+    // the global transaction rolls back.
+    log_.Retire(msg.gtid, AgentOutcome::Late{.incarnation = incarnation_});
     return;
   }
   AgentTxn& txn = txns_[msg.gtid];
@@ -174,6 +174,10 @@ void TwoPCAgent::OnBegin(SiteId from, const BeginMsg& msg) {
 void TwoPCAgent::OnDmlRequest(SiteId from, const DmlRequestMsg& msg) {
   AgentTxn* txn = FindTxn(msg.gtid);
   if (txn == nullptr) {
+    if (const AgentOutcome::Late* late = FindRetired(msg.gtid)) {
+      AnswerLateDml(from, msg, *late);
+      return;
+    }
     // The BEGIN was lost (or this is a stray duplicate for a transaction
     // wiped by a crash): stay silent; the coordinator times out and
     // retransmits BEGIN + DML, or rolls back after enough attempts.
@@ -259,11 +263,43 @@ void TwoPCAgent::OnDmlRequest(SiteId from, const DmlRequestMsg& msg) {
                       t->dml_last_status = status;
                       t->dml_last_result = result;
                     }
+                  } else if (AgentOutcome::Late* late = FindRetired(gtid);
+                             late != nullptr &&
+                             late->dml_inflight_index == index) {
+                    // Finished while the command ran (a rollback).
+                    late->dml_inflight_index = -1;
+                    late->dml_done_index = index;
+                    late->dml_last_code = status.code();
                   }
                   network_->Send(config_.site, from,
                                  Message{DmlResponseMsg{gtid, index, status,
                                                         result}});
                 });
+}
+
+// A DML request for a retired subtransaction gets what a finished one got:
+// the duplicate checks, then "no active subtransaction".
+void TwoPCAgent::AnswerLateDml(SiteId from, const DmlRequestMsg& msg,
+                               const AgentOutcome::Late& late) {
+  if (msg.cmd_index == late.dml_inflight_index) {
+    ++metrics_->dup_msgs_absorbed;
+    return;
+  }
+  if (msg.cmd_index <= late.dml_done_index) {
+    ++metrics_->dup_msgs_absorbed;
+    if (msg.cmd_index == late.dml_done_index) {
+      network_->Send(config_.site, from,
+                     Message{DmlResponseMsg{msg.gtid, msg.cmd_index,
+                                            Status(late.dml_last_code, ""),
+                                            db::CmdResult{}}});
+    }
+    return;
+  }
+  network_->Send(config_.site, from,
+                 Message{DmlResponseMsg{
+                     msg.gtid, msg.cmd_index,
+                     Status::Aborted("no active subtransaction"),
+                     db::CmdResult{}}});
 }
 
 // --- prepare certification (Appendix B) -------------------------------------
@@ -292,12 +328,27 @@ void TwoPCAgent::Refuse(AgentTxn& txn, const Status& reason) {
   txn.phase = Phase::kAborted;
   SendVote(txn.gtid, txn.coordinator, /*ready=*/false, reason,
            /*read_only=*/false, txn.acting_for);
+  Retire(txn);
 }
 
 void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   ++metrics_->prepares_received;
   AgentTxn* txn = FindTxn(msg.gtid);
   if (txn == nullptr) {
+    if (const AgentOutcome::Late* late = FindRetired(msg.gtid)) {
+      // Retransmitted PREPARE after the subtransaction finished: re-vote
+      // as below.
+      ++metrics_->dup_msgs_absorbed;
+      if (late->committed) {
+        SendVote(msg.gtid, from, /*ready=*/true, Status::Ok(),
+                 late->read_only, late->acting_for);
+      } else {
+        SendVote(msg.gtid, from, /*ready=*/false,
+                 Status::Aborted("previously refused"), /*read_only=*/false,
+                 late->acting_for);
+      }
+      return;
+    }
     if (tracer_ != nullptr) {
       trace::Event e;
       e.kind = trace::EventKind::kCertRefuse;
@@ -422,6 +473,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
     SendVote(txn->gtid, from, /*ready=*/false,
              Status::Aborted("unilaterally aborted before prepare"),
              /*read_only=*/false, txn->acting_for);
+    Retire(*txn);
     return;
   }
 
@@ -454,6 +506,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
         txn->phase = Phase::kAborted;
         SendVote(txn->gtid, from, /*ready=*/false,
                  Status::Aborted("unilaterally aborted before prepare"));
+        Retire(*txn);
         return;
       }
       txn->phase = Phase::kCommitted;
@@ -481,6 +534,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
           LogRecord{.kind = LogRecordKind::kComplete, .gtid = txn->gtid});
       SendVote(txn->gtid, from, /*ready=*/true, Status::Ok(),
                /*read_only=*/true);
+      Retire(*txn);
       return;
     }
   }
@@ -543,8 +597,11 @@ void TwoPCAgent::OnAliveCheck(const TxnId& gtid) {
     // No failure: extend the end of the alive time interval.
     certifier_->table().ExtendEnd(gtid, loop_->Now());
   } else {
-    // Unilaterally aborted: resubmit the commands from the Agent log.
+    // Unilaterally aborted: resubmit the commands from the Agent log. With
+    // no commands to run, the resubmission may commit and retire at once.
     StartResubmission(*txn);
+    txn = FindTxn(gtid);
+    if (txn == nullptr) return;
   }
   ScheduleAliveCheck(*txn);
 }
@@ -648,7 +705,16 @@ void TwoPCAgent::OnResubmissionComplete(AgentTxn& txn) {
 void TwoPCAgent::OnDecision(SiteId from, const DecisionMsg& msg) {
   AgentTxn* txn = FindTxn(msg.gtid);
   if (txn == nullptr) {
-    // Rollback of a transaction we refused (and already forgot): ack.
+    if (const AgentOutcome::Late* late = FindRetired(msg.gtid)) {
+      // A duplicate decision for a finished subtransaction: re-ack, as the
+      // branches below do. A COMMIT for an aborted one is ignored.
+      if (msg.commit && !late->committed) return;
+      if (msg.commit == late->committed) ++metrics_->dup_msgs_absorbed;
+      network_->Send(config_.site, from,
+                     Message{AckMsg{msg.gtid, msg.commit, late->acting_for}});
+      return;
+    }
+    // Rollback of a transaction this incarnation never held: ack.
     network_->Send(config_.site, from,
                    Message{AckMsg{msg.gtid, msg.commit}});
     return;
@@ -786,6 +852,7 @@ void TwoPCAgent::CompleteCommit(AgentTxn& txn) {
   log_.Append(LogRecord{.kind = LogRecordKind::kComplete, .gtid = txn.gtid});
   network_->Send(config_.site, txn.coordinator,
                  Message{AckMsg{txn.gtid, /*commit=*/true, txn.acting_for}});
+  Retire(txn);
 }
 
 void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
@@ -808,6 +875,7 @@ void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
   log_.Append(LogRecord{.kind = LogRecordKind::kAbort, .gtid = txn.gtid});
   network_->Send(config_.site, txn.coordinator,
                  Message{AckMsg{txn.gtid, /*commit=*/false, txn.acting_for}});
+  Retire(txn);
 }
 
 // --- short-commit 1PC (single-site fast path) --------------------------------
@@ -815,6 +883,13 @@ void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
 void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
   AgentTxn* txn = FindTxn(msg.gtid);
   if (txn == nullptr) {
+    if (const AgentOutcome::Late* late = FindRetired(msg.gtid)) {
+      // Retransmission after the subtransaction finished: re-ack.
+      ++metrics_->dup_msgs_absorbed;
+      network_->Send(config_.site, from,
+                     Message{AckMsg{msg.gtid, late->committed}});
+      return;
+    }
     // A crash wiped the volatile state. The log is the truth: a committed
     // 1PC transaction left commit + completion records; anything else is
     // presumed abort (an in-doubt 1PC cannot exist — the commit record is
@@ -878,6 +953,7 @@ void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
     }
     log_.Append(LogRecord{.kind = LogRecordKind::kAbort, .gtid = txn->gtid});
     network_->Send(config_.site, from, Message{AckMsg{msg.gtid, false}});
+    Retire(*txn);
     return;
   }
   // Fuse prepare + commit: a momentary prepared state with the invalid
@@ -939,40 +1015,31 @@ void TwoPCAgent::UnbindAll(AgentTxn& txn) {
 void TwoPCAgent::Crash() {
   for (auto& [gtid, txn] : txns_) CancelTimers(txn);
   txns_.clear();
-  migrated_to_.clear();  // volatile; Recover() rebuilds it from the log
+  ++incarnation_;  // invalidates every retired entry's late answers
   certifier_->Crash();
 }
 
 void TwoPCAgent::Recover() {
-  // Restore the scheme's committed ordering state from completed
-  // transactions in the agent log, in the log order of their prepare
-  // records (the SN certifier keeps the first of equal serial numbers),
-  // then let the certifier replay its own durable state (the CSN log
-  // survives a crash like the agent log does).
-  std::vector<const LogRecord*> committed;
-  log_.ForEachTxn([&](const TxnId& gtid) {
-    if (!log_.HasComplete(gtid)) return;
-    log_.ForEachOf(gtid, [&](const LogRecord& record) {
-      if (record.kind == LogRecordKind::kPrepare) committed.push_back(&record);
-    });
-  });
-  std::sort(committed.begin(), committed.end(),
-            [](const LogRecord* a, const LogRecord* b) {
-              return a->lsn < b->lsn;
-            });
-  for (const LogRecord* record : committed) {
-    certifier_->OnRecoveredCommitted(record->gtid, record->sn);
-  }
+  // Restore the scheme's committed ordering state: the SN high-water mark
+  // of completed transactions, which the log keeps as a checkpoint; then
+  // let the certifier replay its own durable state (the CSN log survives
+  // a crash like the agent log does).
+  const AgentLog::HighWater committed = log_.CommittedHighWater();
+  certifier_->OnRecoveredCommitted(committed.gtid, committed.sn);
   certifier_->Recover();
-  // Restore the migrated-residue redirect table: messages for handed-off
-  // subtransactions must keep pointing their sender at the adopting site.
+  // A live subtransaction that is not in doubt lost its work to the crash
+  // (it was active, or refused before it prepared): it retires.
+  const std::vector<TxnId> in_doubt = log_.InDoubt();
+  std::vector<TxnId> lost;
   log_.ForEachTxn([&](const TxnId& gtid) {
-    const SiteId to = log_.MigratedToOf(gtid);
-    if (to != kInvalidSite) migrated_to_[gtid] = to;
+    if (!std::binary_search(in_doubt.begin(), in_doubt.end(), gtid)) {
+      lost.push_back(gtid);
+    }
   });
+  for (const TxnId& gtid : lost) log_.Retire(gtid, AgentOutcome::Late{});
   // Rebuild every in-doubt subtransaction; a logged commit record carries
   // the decision (and its CSN, if one traveled).
-  for (const TxnId& gtid : log_.InDoubt()) {
+  for (const TxnId& gtid : in_doubt) {
     Reenter(gtid, log_.HasCommit(gtid), log_.CommitCsnOf(gtid));
   }
 }
@@ -999,8 +1066,32 @@ void TwoPCAgent::Reenter(const TxnId& gtid, bool commit_pending,
     certifier_->OnCommitDecision(gtid, csn);
   }
   StartResubmission(txn);
-  ScheduleAliveCheck(txn);
+  // With no commands to run, the resubmission may commit and retire at once.
+  AgentTxn* live = FindTxn(gtid);
+  if (live == nullptr) return;
+  ScheduleAliveCheck(*live);
   if (!commit_pending) SendInquiry(gtid);
+}
+
+void TwoPCAgent::Retire(AgentTxn& txn) {
+  assert(txn.phase == Phase::kCommitted || txn.phase == Phase::kAborted);
+  log_.Retire(txn.gtid,
+              AgentOutcome::Late{
+                  .incarnation = incarnation_,
+                  .committed = txn.phase == Phase::kCommitted,
+                  .read_only = txn.read_only,
+                  .acting_for = txn.acting_for,
+                  .dml_done_index = txn.dml_done_index,
+                  .dml_inflight_index = txn.dml_inflight_index,
+                  .dml_last_code = txn.dml_last_status.code()});
+  const TxnId gtid = txn.gtid;
+  txns_.erase(gtid);
+}
+
+AgentOutcome::Late* TwoPCAgent::FindRetired(const TxnId& gtid) {
+  AgentOutcome::Late* late = log_.LateOf(gtid);
+  if (late == nullptr || late->incarnation != incarnation_) return nullptr;
+  return late;
 }
 
 void TwoPCAgent::SendInquiry(const TxnId& gtid) {
@@ -1198,7 +1289,9 @@ std::vector<MigratedTxn> TwoPCAgent::ExtractResidueForShards(
     log_.ForceAppend(LogRecord{.kind = LogRecordKind::kMigrated,
                                .gtid = gtid,
                                .peer = dest});
-    migrated_to_[gtid] = dest;
+    // Retiring keeps the redirect: Handle() answers every later message
+    // for the gtid with the adopting site.
+    log_.Retire(gtid, AgentOutcome::Late{});
     out.push_back(std::move(m));
   }
   return out;

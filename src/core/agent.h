@@ -181,16 +181,21 @@ class TwoPCAgent {
   // Current LTM handle of a global transaction's subtransaction (tests).
   LtmTxnHandle HandleOf(const TxnId& gtid) const;
   int ResubmissionsOf(const TxnId& gtid) const;
+  // Subtransactions the agent holds volatile state for: the in-flight
+  // ones. A finished subtransaction retires into the log's outcome table.
+  size_t held_txns() const { return txns_.size(); }
 
   // --- site crash recovery ------------------------------------------------
   // Crash() discards all volatile state (transactions, alive intervals,
-  // certification high-water mark); only the Agent log — stable storage —
-  // survives. Recover() rebuilds from the log: in-doubt subtransactions are
-  // re-entered into the prepared state, resubmitted, and completed via the
-  // logged commit record or a coordinator inquiry (presumed abort when the
-  // coordinator no longer knows the transaction). Called by
-  // Mdbs::CrashSite(), which also collectively aborts everything inside the
-  // LTM first.
+  // certification high-water mark, the late-message answers of retired
+  // subtransactions); only the Agent log — stable storage — survives.
+  // Recover() rebuilds from the log: the SN high-water mark from its
+  // checkpoint, and in-doubt subtransactions are re-entered into the
+  // prepared state, resubmitted, and completed via the logged commit record
+  // or a coordinator inquiry (presumed abort when the coordinator no longer
+  // knows the transaction). Every other live subtransaction's work was
+  // rolled back by the crash: it retires. Called by Mdbs::CrashSite(),
+  // which also collectively aborts everything inside the LTM first.
   void Crash();
   void Recover();
 
@@ -280,6 +285,15 @@ class TwoPCAgent {
   // then finishes via the known decision (`commit_pending`, with `csn`) or
   // a coordinator inquiry.
   void Reenter(const TxnId& gtid, bool commit_pending, int64_t csn);
+  // A finished subtransaction (committed or aborted, its final ACK sent)
+  // leaves txns_; the log keeps its outcome and late-message answers.
+  void Retire(AgentTxn& txn);
+  // Late-message answers of a subtransaction this incarnation retired,
+  // nullptr if there are none (never seen, live, or retired before a
+  // crash).
+  AgentOutcome::Late* FindRetired(const TxnId& gtid);
+  void AnswerLateDml(SiteId from, const DmlRequestMsg& msg,
+                     const AgentOutcome::Late& late);
 
   AgentTxn* FindTxn(const TxnId& gtid);
 
@@ -298,11 +312,12 @@ class TwoPCAgent {
   std::unique_ptr<cert::Certifier> certifier_;
 
   // Hashed: FindTxn is on the hot path of every protocol message. Iteration
-  // only happens in Crash/Recover paths where order is immaterial.
+  // only happens in Crash/Recover paths where order is immaterial. Holds
+  // in-flight subtransactions only (see Retire).
   std::unordered_map<TxnId, AgentTxn> txns_;
-  // Subtransactions whose residue left in a shard handoff: any later
-  // message for them is answered with EpochRefusedMsg naming the adopter.
-  std::unordered_map<TxnId, SiteId> migrated_to_;
+  // Counts crashes, from 1; stamps the late-message answers of retired
+  // subtransactions so a crash invalidates them in O(1).
+  uint32_t incarnation_ = 1;
   std::vector<PreparedHook> prepared_hooks_;
   VoteHook vote_hook_;
   EscalateHook escalate_hook_;

@@ -6,11 +6,11 @@ namespace hermes::core {
 
 std::vector<CoordLogRecord> CoordinatorLog::InFlightDecisions() const {
   std::vector<CoordLogRecord> out;
-  for (const CoordLogRecord& record : records()) {
-    if (record.kind == CoordRecordKind::kDecision && !Forgotten(record.gtid)) {
+  ForEachRecord([&](const CoordLogRecord& record) {
+    if (record.kind == CoordRecordKind::kDecision) {
       out.push_back(record);
     }
-  }
+  });
   return out;
 }
 

@@ -1,14 +1,16 @@
 // The Coordinator log (stable storage of one Coordinator).
 //
 // 2PC with presumed abort: the coordinator force-writes a COMMIT decision
-// record *before* the first COMMIT message leaves the site, and appends a
-// (buffered) forget record once every participant has acknowledged. Abort
-// decisions are never logged — an inquiry about a transaction the log does
-// not know is answered "presumed abort". After a crash the log is the only
-// coordinator state that survives: Recover() re-drives decision delivery
-// for every decision without a forget record, and bumps the submission
-// epoch so post-recovery transaction ids can never collide with pre-crash
-// ones.
+// record *before* the first COMMIT message leaves the site. Once every
+// participant has acknowledged, Forget() appends a (buffered) forget record
+// and retires the transaction: its records leave the log, and an inquiry
+// about it, like one about an aborted transaction (abort decisions are
+// never logged), is answered "presumed abort". The log therefore holds only
+// the decisions still in flight, plus the epoch records. After a crash the
+// log is the only coordinator state that survives: Recover() re-drives
+// decision delivery for every decision still in the log, and bumps the
+// submission epoch so post-recovery transaction ids can never collide with
+// pre-crash ones.
 //
 // The log discipline itself is common/durable_log.h, shared with the
 // AgentLog.
@@ -42,13 +44,17 @@ struct CoordLogRecord {
 
 class CoordinatorLog : public DurableLog<CoordLogRecord> {
  public:
-  // True if a COMMIT decision record exists for `gtid`.
+  // True if a COMMIT decision record exists for `gtid`: decided and not
+  // yet forgotten.
   bool HasDecision(const TxnId& gtid) const {
     return Has(gtid, CoordRecordKind::kDecision);
   }
-  // True if the transaction was fully acknowledged and forgotten.
-  bool Forgotten(const TxnId& gtid) const {
-    return Has(gtid, CoordRecordKind::kForget);
+
+  // Every participant acknowledged the decision on `gtid`: appends the
+  // buffered forget record and retires the transaction.
+  void Forget(const TxnId& gtid) {
+    Append(CoordLogRecord{.kind = CoordRecordKind::kForget, .gtid = gtid});
+    Retire(gtid);
   }
 
   // CSN carried by the decision record of `gtid`, -1 if absent — lets
@@ -58,12 +64,12 @@ class CoordinatorLog : public DurableLog<CoordLogRecord> {
     return r == nullptr ? -1 : r->csn;
   }
 
-  // Decisions without a forget record, in log order — the transactions a
+  // Decisions still in the log, in log order — the transactions a
   // recovering coordinator must re-drive to COMMIT.
   std::vector<CoordLogRecord> InFlightDecisions() const;
 
   // Largest epoch ever force-written (0 if none). Epoch records carry no
-  // gtid, so they are filed under TxnId{}.
+  // gtid, so they are filed under TxnId{} and never retired.
   int64_t LastEpoch() const;
 };
 

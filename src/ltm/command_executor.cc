@@ -207,7 +207,7 @@ void CommandExecutor::Apply() {
     }
   }
   LocalTxn* txn = ltm_->FindMutable(txn_);
-  assert(txn != nullptr && txn->state == TxnState::kActive);
+  assert(txn != nullptr);
   db::Table* table = ltm_->storage()->GetTable(db::CommandTable(cmd_));
   assert(table != nullptr);
   history::Recorder* rec = ltm_->recorder();

@@ -28,12 +28,12 @@ struct UndoRecord {
 
 enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
+// An active transaction; the LTM erases it when it commits or aborts.
 struct LocalTxn {
   LtmTxnHandle handle = kInvalidLtmTxn;
   // Identity in the global history model: a local transaction L_o or the
   // j-th local subtransaction T^s_kj of a global transaction.
   SubTxnId id;
-  TxnState state = TxnState::kActive;
   sim::Time begin_time = 0;
 
   std::vector<UndoRecord> undo;

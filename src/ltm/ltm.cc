@@ -37,8 +37,19 @@ const LocalTxn* Ltm::Find(LtmTxnHandle txn) const {
 }
 
 bool Ltm::IsActive(LtmTxnHandle txn) const {
-  const LocalTxn* t = Find(txn);
-  return t != nullptr && t->state == TxnState::kActive;
+  return txns_.count(txn) != 0;
+}
+
+std::optional<TxnState> Ltm::StateOf(LtmTxnHandle txn) const {
+  if (txn < 1 || txn >= next_handle_) return std::nullopt;
+  return states_[static_cast<size_t>(txn - 1)];
+}
+
+std::unique_ptr<LocalTxn> Ltm::Finish(LtmTxnHandle txn, TxnState state) {
+  auto node = txns_.extract(txn);
+  assert(!node.empty());
+  states_[static_cast<size_t>(txn - 1)] = state;
+  return std::move(node.mapped());
 }
 
 LtmTxnHandle Ltm::Begin(const SubTxnId& id) {
@@ -48,13 +59,14 @@ LtmTxnHandle Ltm::Begin(const SubTxnId& id) {
   txn->begin_time = loop_->Now();
   const LtmTxnHandle handle = txn->handle;
   txns_[handle] = std::move(txn);
+  states_.push_back(TxnState::kActive);
   ++stats_.begun;
   return handle;
 }
 
 void Ltm::Execute(LtmTxnHandle handle, db::Command cmd, CommandCallback cb) {
   LocalTxn* txn = FindMutable(handle);
-  if (txn == nullptr || txn->state != TxnState::kActive) {
+  if (txn == nullptr) {
     loop_->ScheduleAfter(0, [cb = std::move(cb)]() {
       cb(Status::Aborted("transaction is not active"), db::CmdResult{});
     });
@@ -79,19 +91,18 @@ void Ltm::OnExecutorDone(LtmTxnHandle handle) {
 }
 
 Status Ltm::Commit(LtmTxnHandle handle) {
-  LocalTxn* txn = FindMutable(handle);
-  if (txn == nullptr) return Status::NotFound("no such transaction");
-  if (txn->state == TxnState::kAborted) {
+  const std::optional<TxnState> state = StateOf(handle);
+  if (!state.has_value()) return Status::NotFound("no such transaction");
+  if (*state == TxnState::kAborted) {
     return Status::Aborted("transaction was aborted");
   }
-  if (txn->state == TxnState::kCommitted) {
+  if (*state == TxnState::kCommitted) {
     return Status::Ok();  // idempotent
   }
-  if (txn->executor != nullptr) {
+  if (FindMutable(handle)->executor != nullptr) {
     return Status::Rejected("commit with a command in flight");
   }
-  txn->state = TxnState::kCommitted;
-  txn->undo.clear();
+  const std::unique_ptr<LocalTxn> txn = Finish(handle, TxnState::kCommitted);
   recorder_->RecordLocalCommit(txn->id, config_.site);
   locks_.ReleaseAll(handle);
   ++stats_.committed;
@@ -125,14 +136,14 @@ void Ltm::RollbackUndo(LocalTxn& txn) {
 
 Status Ltm::AbortInternal(LtmTxnHandle handle, bool unilateral,
                           const Status& reason) {
-  LocalTxn* txn = FindMutable(handle);
-  if (txn == nullptr) return Status::NotFound("no such transaction");
-  if (txn->state != TxnState::kActive) {
+  const std::optional<TxnState> state = StateOf(handle);
+  if (!state.has_value()) return Status::NotFound("no such transaction");
+  if (*state != TxnState::kActive) {
     return Status::Rejected(
         StrCat("transaction already ",
-               txn->state == TxnState::kCommitted ? "committed" : "aborted"));
+               *state == TxnState::kCommitted ? "committed" : "aborted"));
   }
-  txn->state = TxnState::kAborted;
+  const std::unique_ptr<LocalTxn> txn = Finish(handle, TxnState::kAborted);
   // Fail the in-flight command, if any, then detach its executor.
   if (txn->executor != nullptr) {
     std::shared_ptr<CommandExecutor> executor = std::move(txn->executor);
@@ -169,9 +180,8 @@ Status Ltm::AbortInternal(LtmTxnHandle handle, bool unilateral,
 
 std::vector<LtmTxnHandle> Ltm::ActiveHandles() const {
   std::vector<LtmTxnHandle> out;
-  for (const auto& [handle, txn] : txns_) {
-    if (txn->state == TxnState::kActive) out.push_back(handle);
-  }
+  out.reserve(txns_.size());
+  for (const auto& [handle, txn] : txns_) out.push_back(handle);
   return out;
 }
 

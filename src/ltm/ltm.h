@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -101,6 +102,10 @@ class Ltm {
   // Single-phase commit. Fails with kAborted/kNotFound if the transaction
   // was already (unilaterally) aborted — the situation the agent handles by
   // resubmission.
+  //
+  // Commit and every abort erase the transaction's LocalTxn; only its final
+  // state stays, one byte per handle, so Commit/Abort/IsActive answer a
+  // finished handle as before and Find returns nullptr for it.
   Status Commit(LtmTxnHandle txn);
 
   // Rollback requested by the client/agent (not a unilateral abort).
@@ -111,9 +116,12 @@ class Ltm {
   Status InjectUnilateralAbort(LtmTxnHandle txn);
 
   bool IsActive(LtmTxnHandle txn) const;
+  // The active transaction `txn`, nullptr if it is finished or unknown.
   const LocalTxn* Find(LtmTxnHandle txn) const;
-  // Handles of all currently active transactions (site-crash support).
+  // Handles of all currently active transactions, ascending (site-crash
+  // support).
   std::vector<LtmTxnHandle> ActiveHandles() const;
+  size_t active_count() const { return txns_.size(); }
 
   void SetUanListener(UanListener listener) {
     uan_listener_ = std::move(listener);
@@ -157,6 +165,12 @@ class Ltm {
   friend class CommandExecutor;
 
   LocalTxn* FindMutable(LtmTxnHandle txn);
+  // Final state of an issued handle (kActive while it runs); nullopt for a
+  // handle never issued.
+  std::optional<TxnState> StateOf(LtmTxnHandle txn) const;
+  // Removes an active transaction and records its final state; the caller
+  // finishes it through the returned LocalTxn.
+  std::unique_ptr<LocalTxn> Finish(LtmTxnHandle txn, TxnState state);
   // Shared abort path; unilateral selects UAN notification.
   Status AbortInternal(LtmTxnHandle txn, bool unilateral,
                        const Status& reason);
@@ -171,7 +185,10 @@ class Ltm {
   LockManager locks_;
 
   LtmTxnHandle next_handle_ = 1;
+  // Active transactions only.
   std::map<LtmTxnHandle, std::unique_ptr<LocalTxn>> txns_;
+  // states_[h - 1]: state of handle h (handles are dense from 1).
+  std::vector<TxnState> states_;
   UanListener uan_listener_;
 
   std::set<ItemId> bound_;

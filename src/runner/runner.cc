@@ -116,6 +116,7 @@ std::string Fingerprint(const RunOutput& out) {
             " duplicated=", r.msgs_duplicated,
             " reordered=", r.msgs_reordered, "\n");
   StrAppend(fp, "sim: end_time=", r.end_time, " events=", r.events, "\n");
+  if (r.event_budget_exhausted) fp += "sim: event budget exhausted\n";
   StrAppend(fp, "oracle: checked=", r.history_checked ? 1 : 0,
             " cg_acyclic=", r.commit_graph_acyclic ? 1 : 0,
             " verdict=", history::VerdictName(r.verdict),

@@ -64,6 +64,17 @@ bool EventLoop::DispatchNext(Time deadline) {
     const uint32_t slot = SlotOf(top.id);
     const bool live = slots_[slot].id == top.id;
     if (live && top.at > deadline) return false;
+    if (live && max_events_ != 0 && events_processed_ >= max_events_) {
+      if (!budget_exhausted_) {
+        std::fprintf(stderr,
+                     "EventLoop: exhausted max_events=%llu at t=%lld; "
+                     "likely livelock\n",
+                     static_cast<unsigned long long>(max_events_),
+                     static_cast<long long>(now_));
+      }
+      budget_exhausted_ = true;
+      return false;
+    }
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     if (!live) continue;  // tombstone of a cancelled event
@@ -73,14 +84,6 @@ bool EventLoop::DispatchNext(Time deadline) {
     Release(slot);
     now_ = top.at;
     ++events_processed_;
-    if (max_events_ != 0 && events_processed_ > max_events_) {
-      std::fprintf(stderr,
-                   "EventLoop: exceeded max_events=%llu at t=%lld; "
-                   "likely livelock\n",
-                   static_cast<unsigned long long>(max_events_),
-                   static_cast<long long>(now_));
-      std::abort();
-    }
     fn();
     return true;
   }

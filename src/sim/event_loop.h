@@ -61,10 +61,13 @@ class EventLoop {
   bool Empty() const { return live_ == 0; }
   uint64_t events_processed() const { return events_processed_; }
 
-  // Safety valve for tests: Run(), RunUntil() and Step() abort the process
-  // after this many events (0 = unlimited) to turn livelocks into loud
-  // failures.
+  // Event budget (0 = unlimited), a safety valve against livelocks: once
+  // this many events ran, Run(), RunUntil() and Step() run no more, the
+  // next event stays pending and budget_exhausted() turns true, so the
+  // caller reports the failure. RunUntil() still advances the clock to its
+  // deadline, so a caller slicing virtual time reaches its end.
   void set_max_events(uint64_t n) { max_events_ = n; }
+  bool budget_exhausted() const { return budget_exhausted_; }
 
  private:
   // A heap entry: 16 bytes, so sifting never touches a callback. Entries
@@ -97,6 +100,7 @@ class EventLoop {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   uint64_t max_events_ = 0;
+  bool budget_exhausted_ = false;
   // Invariants. An EventId is (sequence << 32) | slot, and sequences are
   // never reused. A pending event's id is stored in its slot and in exactly
   // one heap entry. Running or cancelling the event empties the slot and

@@ -156,6 +156,17 @@ void ValidateHistory(const std::shared_ptr<RunState>& st, RunResult& result) {
 
 }  // namespace
 
+bool Driver::RunInSlices(sim::EventLoop& loop, sim::Time until,
+                         const std::function<bool()>& done,
+                         const std::function<void()>& after_slice) {
+  while (!done() && loop.Now() < until && !loop.Empty() &&
+         !loop.budget_exhausted()) {
+    loop.RunUntil(std::min(loop.Now() + 100 * sim::kMillisecond, until));
+    after_slice();
+  }
+  return !loop.budget_exhausted();
+}
+
 RunResult Driver::Run(const WorkloadConfig& config) {
   sim::EventLoop loop;
   loop.set_max_events(200'000'000);
@@ -231,12 +242,9 @@ RunResult Driver::Run(const WorkloadConfig& config) {
 
   // Run in slices so periodic background timers (deadlock detection) do
   // not stretch the measured completion time past the real end of work.
-  while (st->done_at < 0 && loop.Now() < config.max_sim_time &&
-         !loop.Empty()) {
-    loop.RunUntil(std::min(loop.Now() + 100 * sim::kMillisecond,
-                           config.max_sim_time));
-    maybe_flush();
-  }
+  RunInSlices(
+      loop, config.max_sim_time, [&st]() { return st->done_at >= 0; },
+      maybe_flush);
   // Let in-flight recovery work (decision re-deliveries, resubmissions,
   // inquiries) drain before judging the history, so runs truncated right
   // after the last client callback do not surface half-finished
@@ -244,10 +252,7 @@ RunResult Driver::Run(const WorkloadConfig& config) {
   if (config.drain_grace > 0) {
     const sim::Time grace_end =
         std::min(loop.Now() + config.drain_grace, config.max_sim_time);
-    while (!loop.Empty() && loop.Now() < grace_end) {
-      loop.RunUntil(std::min(loop.Now() + 100 * sim::kMillisecond, grace_end));
-      maybe_flush();
-    }
+    RunInSlices(loop, grace_end, []() { return false; }, maybe_flush);
   }
 
   RunResult result;
@@ -271,6 +276,7 @@ RunResult Driver::Run(const WorkloadConfig& config) {
   result.msgs_reordered = mdbs->network().messages_reordered();
   result.end_time = st->done_at >= 0 ? st->done_at : loop.Now();
   result.events = loop.events_processed();
+  result.event_budget_exhausted = loop.budget_exhausted();
   // num_sites() (not config.num_sites): reconfiguration may have
   // provisioned sites mid-run, and their LTM work counts too.
   for (SiteId s = 0; s < mdbs->num_sites(); ++s) {
@@ -303,6 +309,7 @@ std::string RunResult::Summary() const {
     StrAppend(out, " drops=", msgs_dropped, " dups=", msgs_duplicated,
               " retx=", metrics.retransmits);
   }
+  if (event_budget_exhausted) StrAppend(out, " EVENT-BUDGET-EXHAUSTED");
   if (history_checked) {
     StrAppend(out, " | CG=", commit_graph_acyclic ? "acyclic" : "CYCLIC",
               " oracle=", history::VerdictName(verdict),

@@ -6,6 +6,7 @@
 #ifndef HERMES_WORKLOAD_DRIVER_H_
 #define HERMES_WORKLOAD_DRIVER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/metrics.h"
 #include "history/view_checker.h"
 #include "ltm/ltm.h"
+#include "sim/event_loop.h"
 #include "trace/timeseries.h"
 #include "workload/config.h"
 
@@ -35,6 +37,9 @@ struct RunResult {
   int64_t msgs_reordered = 0;
   sim::Time end_time = 0;
   uint64_t events = 0;
+  // The run hit the event loop's event budget (a livelock guard) and was
+  // cut short: a failed gate.
+  bool event_budget_exhausted = false;
   // Mid-run observability flushes delivered to config.flush_hook.
   int64_t flushes = 0;
   // History validation (when record_history).
@@ -53,14 +58,15 @@ struct RunResult {
   std::string atomicity_error;
   size_t history_ops = 0;
 
-  // The paper's guarantees held: the history was checked, and it is
-  // globally atomic, replays consistently, keeps order invariant (1), is
-  // not refuted as view serializable and has an acyclic CG(C(H)). Pass
-  // `require_acyclic_cg` = false where commit certification, which the
-  // acyclic CG depends on, is off.
+  // The paper's guarantees held: the run finished within its event
+  // budget, the history was checked, and it is globally atomic, replays
+  // consistently, keeps order invariant (1), is not refuted as view
+  // serializable and has an acyclic CG(C(H)). Pass `require_acyclic_cg` =
+  // false where commit certification, which the acyclic CG depends on, is
+  // off.
   bool GuaranteesHold(bool require_acyclic_cg = true) const {
-    return history_checked && atomicity_ok && replay_consistent &&
-           order_invariant_ok &&
+    return !event_budget_exhausted && history_checked && atomicity_ok &&
+           replay_consistent && order_invariant_ok &&
            (commit_graph_acyclic || !require_acyclic_cg) &&
            verdict != history::Verdict::kNotSerializable;
   }
@@ -90,6 +96,15 @@ class Driver {
   // Runs the workload to completion (or max_sim_time) and returns the
   // collected metrics and oracle verdicts.
   static RunResult Run(const WorkloadConfig& config);
+
+  // Runs `loop` in 100 ms slices of virtual time up to `until`, calling
+  // `after_slice` after each, and stops early once `done()` holds, the
+  // loop is empty or its event budget (set_max_events) has run out.
+  // Returns false iff the budget ran out. Run() drives a workload, and
+  // then its drain grace, this way.
+  static bool RunInSlices(sim::EventLoop& loop, sim::Time until,
+                          const std::function<bool()>& done,
+                          const std::function<void()>& after_slice);
 };
 
 }  // namespace hermes::workload

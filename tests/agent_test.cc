@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -182,10 +183,16 @@ TEST(AgentLog, InDoubtTracksPreparedUnresolved) {
   EXPECT_FALSE(log.HasCommit(g2));
 }
 
-// Differential check of the log's per-transaction index: on seeded random
-// logs (every record kind, 4 to 64 gtids, forced and buffered appends)
-// each query answers what a scan of every record answers.
+// Differential check of the log's per-transaction index and of
+// retirement: on seeded random logs (every record kind, 4 to 64 gtids,
+// forced and buffered appends) finished gtids retire at random points, and
+// at every checkpoint each query answers what a scan of every record ever
+// appended answers: the facts that survive retirement (Knows, HasCommit,
+// HasAbort, HasComplete, MigratedToOf) for every gtid, the per-record
+// queries for live ones, the InDoubt() order, the forced-write count, the
+// live records in LSN order and the SN checkpoint.
 TEST(AgentLog, QueriesMatchAFullScanOnRandomLogs) {
+  using core::AgentOutcome;
   using core::LogRecord;
   using core::LogRecordKind;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
@@ -196,101 +203,175 @@ TEST(AgentLog, QueriesMatchAFullScanOnRandomLogs) {
       gtids.push_back(TxnId::MakeGlobal(static_cast<SiteId>(i % 3), i));
     }
     core::AgentLog log;
+    std::vector<LogRecord> all;  // every record appended, never retired
+    std::map<TxnId, uint32_t> retired;  // gtid -> last late incarnation
+
+    auto has = [&](const TxnId& g, LogRecordKind kind) {
+      return std::any_of(all.begin(), all.end(), [&](const LogRecord& r) {
+        return r.gtid == g && r.kind == kind;
+      });
+    };
+    auto in_doubt_of = [&](const TxnId& g) {
+      return has(g, LogRecordKind::kPrepare) &&
+             !has(g, LogRecordKind::kComplete) &&
+             !has(g, LogRecordKind::kAbort) &&
+             !has(g, LogRecordKind::kMigrated);
+    };
+
+    auto check = [&](int step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      int64_t forced = 0;
+      std::vector<int64_t> live_lsns;
+      for (size_t i = 0; i < all.size(); ++i) {
+        EXPECT_EQ(all[i].lsn, static_cast<int64_t>(i));
+        forced += all[i].forced;
+        if (retired.count(all[i].gtid) == 0) live_lsns.push_back(all[i].lsn);
+      }
+      EXPECT_EQ(log.forced_writes(), forced);
+      std::vector<int64_t> lsns;
+      log.ForEachRecord([&](const LogRecord& r) { lsns.push_back(r.lsn); });
+      EXPECT_EQ(lsns, live_lsns);
+      EXPECT_EQ(log.size(), live_lsns.size());
+      EXPECT_EQ(log.retired(), retired.size());
+
+      // The SN checkpoint: the committed high-water mark recovery restored
+      // before retirement existed, by replaying every prepare record of a
+      // completed gtid in LSN order.
+      SerialNumber max_sn;
+      TxnId max_gtid;
+      for (const LogRecord& r : all) {
+        if (r.kind == LogRecordKind::kPrepare &&
+            has(r.gtid, LogRecordKind::kComplete) && max_sn < r.sn) {
+          max_sn = r.sn;
+          max_gtid = r.gtid;
+        }
+      }
+      const core::AgentLog::HighWater hw = log.CommittedHighWater();
+      EXPECT_EQ(hw.sn, max_sn);
+      EXPECT_EQ(hw.gtid, max_gtid);
+
+      std::vector<TxnId> in_doubt;
+      std::vector<TxnId> queried = gtids;
+      queried.push_back(TxnId::MakeGlobal(0, 99));  // never logged
+      for (const TxnId& g : queried) {
+        SCOPED_TRACE(g.ToString());
+        std::vector<std::string> commands;
+        const LogRecord* prepare = nullptr;
+        const LogRecord* commit = nullptr;
+        const LogRecord* begin = nullptr;
+        const LogRecord* migrated = nullptr;
+        bool known = false, aborted = false, complete = false;
+        int resubmissions = 0;
+        for (const LogRecord& r : all) {
+          if (r.gtid != g) continue;
+          known = true;
+          switch (r.kind) {
+            case LogRecordKind::kBegin:
+              if (begin == nullptr) begin = &r;
+              break;
+            case LogRecordKind::kCommand:
+              commands.push_back(db::CommandToString(*r.command));
+              break;
+            case LogRecordKind::kPrepare:
+              prepare = &r;
+              break;
+            case LogRecordKind::kResubmission:
+              ++resubmissions;
+              break;
+            case LogRecordKind::kCommit:
+              if (commit == nullptr) commit = &r;
+              break;
+            case LogRecordKind::kAbort:
+              aborted = true;
+              break;
+            case LogRecordKind::kComplete:
+              complete = true;
+              break;
+            case LogRecordKind::kMigrated:
+              if (migrated == nullptr) migrated = &r;
+              break;
+          }
+        }
+        EXPECT_EQ(log.HasCommit(g), commit != nullptr);
+        EXPECT_EQ(log.HasAbort(g), aborted);
+        EXPECT_EQ(log.HasComplete(g), complete);
+        EXPECT_EQ(log.Knows(g), known);
+        EXPECT_EQ(log.MigratedToOf(g),
+                  migrated == nullptr ? kInvalidSite : migrated->peer);
+        if (prepare != nullptr && !complete && !aborted &&
+            migrated == nullptr) {
+          in_doubt.push_back(g);
+        }
+        const auto it = retired.find(g);
+        if (it != retired.end()) {
+          // Retired: only the outcome entry is left.
+          const AgentOutcome* outcome = log.OutcomeOf(g);
+          ASSERT_NE(outcome, nullptr);
+          EXPECT_EQ(outcome->late.incarnation, it->second);
+          EXPECT_TRUE(log.CommandsOf(g).empty());
+          EXPECT_FALSE(log.PrepareRecordOf(g).has_value());
+          continue;
+        }
+        EXPECT_EQ(log.OutcomeOf(g), nullptr);
+        std::vector<std::string> logged;
+        for (const db::Command& c : log.CommandsOf(g)) {
+          logged.push_back(db::CommandToString(c));
+        }
+        EXPECT_EQ(logged, commands);
+        const auto prepare_of = log.PrepareRecordOf(g);
+        ASSERT_EQ(prepare_of.has_value(), prepare != nullptr);
+        if (prepare != nullptr) {
+          EXPECT_EQ(prepare_of->lsn, prepare->lsn);
+          EXPECT_EQ(prepare_of->sn, prepare->sn);
+        }
+        EXPECT_EQ(log.CommitCsnOf(g), commit == nullptr ? -1 : commit->csn);
+        EXPECT_EQ(log.CoordinatorOf(g),
+                  begin == nullptr ? kInvalidSite : begin->peer);
+        EXPECT_EQ(log.ResubmissionsOf(g), resubmissions);
+      }
+      std::sort(in_doubt.begin(), in_doubt.end());
+      EXPECT_EQ(log.InDoubt(), in_doubt);
+    };
+
     for (int n = 0; n < 300; ++n) {
+      if (n % 50 == 49) check(n);
+      const TxnId g = gtids[rng() % gtids.size()];
+      const bool known =
+          std::any_of(all.begin(), all.end(),
+                      [&](const LogRecord& r) { return r.gtid == g; });
+      if (rng() % 10 == 0) {
+        // Retire `g` if it is known and not in doubt; re-retiring only
+        // replaces the late answers.
+        if (retired.count(g) == 0 && (!known || in_doubt_of(g))) continue;
+        const auto incarnation = static_cast<uint32_t>(n + 1);
+        log.Retire(g, AgentOutcome::Late{.incarnation = incarnation});
+        retired[g] = incarnation;
+        continue;
+      }
+      if (retired.count(g) != 0) continue;  // no appends after retirement
       LogRecord r;
       r.kind = static_cast<LogRecordKind>(rng() % 8);
-      r.gtid = gtids[rng() % gtids.size()];
+      r.gtid = g;
       r.peer = static_cast<SiteId>(rng() % 4);
       if (r.kind == LogRecordKind::kCommand) {
         r.command = db::MakeAddKey(1, static_cast<int64_t>(rng() % 8), "v",
                                    int64_t{n});
       }
-      r.sn = SerialNumber{static_cast<sim::Time>(rng() % 100), 0, n};
+      // Few distinct serial numbers, so equal ones (and the invalid one of
+      // a 1PC prepare) compete for the checkpoint.
+      if (rng() % 5 != 0) {
+        r.sn = SerialNumber{static_cast<sim::Time>(rng() % 20), 0, 0};
+      }
       r.csn = static_cast<int64_t>(rng() % 5) - 1;
-      if (rng() % 2 == 0) {
-        log.ForceAppend(std::move(r));
-      } else {
-        log.Append(std::move(r));
-      }
+      const bool force = rng() % 2 == 0;
+      LogRecord copy = r;
+      copy.forced = force;
+      copy.lsn = force ? log.ForceAppend(std::move(r))
+                       : log.Append(std::move(r));
+      all.push_back(std::move(copy));
     }
-
-    const std::vector<LogRecord>& records = log.records();
-    ASSERT_EQ(log.size(), 300u);
-    int64_t forced = 0;
-    for (size_t i = 0; i < records.size(); ++i) {
-      EXPECT_EQ(records[i].lsn, static_cast<int64_t>(i));
-      forced += records[i].forced;
-    }
-    EXPECT_EQ(log.forced_writes(), forced);
-
-    std::vector<TxnId> in_doubt;
-    std::vector<TxnId> queried = gtids;
-    queried.push_back(TxnId::MakeGlobal(0, 99));  // never logged
-    for (const TxnId& g : queried) {
-      SCOPED_TRACE(g.ToString() + " seed " + std::to_string(seed));
-      std::vector<std::string> commands;
-      const LogRecord* prepare = nullptr;
-      const LogRecord* commit = nullptr;
-      const LogRecord* begin = nullptr;
-      const LogRecord* migrated = nullptr;
-      bool known = false, aborted = false, complete = false;
-      int resubmissions = 0;
-      for (const LogRecord& r : records) {
-        if (r.gtid != g) continue;
-        known = true;
-        switch (r.kind) {
-          case LogRecordKind::kBegin:
-            if (begin == nullptr) begin = &r;
-            break;
-          case LogRecordKind::kCommand:
-            commands.push_back(db::CommandToString(*r.command));
-            break;
-          case LogRecordKind::kPrepare:
-            prepare = &r;
-            break;
-          case LogRecordKind::kResubmission:
-            ++resubmissions;
-            break;
-          case LogRecordKind::kCommit:
-            if (commit == nullptr) commit = &r;
-            break;
-          case LogRecordKind::kAbort:
-            aborted = true;
-            break;
-          case LogRecordKind::kComplete:
-            complete = true;
-            break;
-          case LogRecordKind::kMigrated:
-            if (migrated == nullptr) migrated = &r;
-            break;
-        }
-      }
-      std::vector<std::string> logged;
-      for (const db::Command& c : log.CommandsOf(g)) {
-        logged.push_back(db::CommandToString(c));
-      }
-      EXPECT_EQ(logged, commands);
-      const auto prepare_of = log.PrepareRecordOf(g);
-      ASSERT_EQ(prepare_of.has_value(), prepare != nullptr);
-      if (prepare != nullptr) {
-        EXPECT_EQ(prepare_of->lsn, prepare->lsn);
-      }
-      EXPECT_EQ(log.HasCommit(g), commit != nullptr);
-      EXPECT_EQ(log.CommitCsnOf(g), commit == nullptr ? -1 : commit->csn);
-      EXPECT_EQ(log.HasAbort(g), aborted);
-      EXPECT_EQ(log.HasComplete(g), complete);
-      EXPECT_EQ(log.Knows(g), known);
-      EXPECT_EQ(log.CoordinatorOf(g),
-                begin == nullptr ? kInvalidSite : begin->peer);
-      EXPECT_EQ(log.MigratedToOf(g),
-                migrated == nullptr ? kInvalidSite : migrated->peer);
-      EXPECT_EQ(log.ResubmissionsOf(g), resubmissions);
-      if (prepare != nullptr && !complete && !aborted && migrated == nullptr) {
-        in_doubt.push_back(g);
-      }
-    }
-    std::sort(in_doubt.begin(), in_doubt.end());
-    EXPECT_EQ(log.InDoubt(), in_doubt) << "seed " << seed;
+    check(300);
   }
 }
 
@@ -319,6 +400,9 @@ class AgentProtocolTest : public ::testing::Test {
     }
     loop_.set_max_events(1'000'000);
   }
+
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
 
   TxnId Gtid(int64_t n) { return TxnId::MakeGlobal(0, 1000 + n); }
 

@@ -149,7 +149,7 @@ TEST(CsnCertifier, CrashLosesVolatileStateRecoverReplaysLog) {
   csn.Recover();
   EXPECT_EQ(csn.CsnOf(a), 3);
   EXPECT_EQ(csn.max_committed_csn(), 3);
-  EXPECT_EQ(csn.log().records().size(), 1u);
+  EXPECT_EQ(csn.log().size(), 1u);
 }
 
 // --- agent-level protocol behavior ------------------------------------------
@@ -175,6 +175,9 @@ class AgentCsnTest : public ::testing::Test {
     }
     loop_.set_max_events(1'000'000);
   }
+
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
 
   TxnId Gtid(int64_t n) { return TxnId::MakeGlobal(0, 1000 + n); }
 
@@ -295,6 +298,9 @@ class CsnRecoveryTest : public ::testing::Test {
     }
     loop_.set_max_events(10'000'000);
   }
+
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
 
   int64_t Val(SiteId site, int64_t key) {
     const db::RowEntry* e = mdbs_->storage(site)->GetTable(table_)->Get(key);

@@ -112,6 +112,9 @@ class CgmSystemTest : public ::testing::Test {
     loop_.set_max_events(10'000'000);
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   core::GlobalTxnSpec TwoSiteTxn(SiteId a, SiteId b, int64_t key) {
     core::GlobalTxnSpec spec;
     spec.steps.push_back({a, db::MakeAddKey(table_, key, "v", int64_t{1})});

@@ -45,6 +45,9 @@ class PaxosMdbsTest : public ::testing::Test {
     return mdbs;
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   int64_t Val(core::Mdbs& mdbs, SiteId site) {
     const db::RowEntry* entry =
         mdbs.storage(site)->GetTable(table_)->Get(1);
@@ -234,6 +237,9 @@ class PaxosHarnessTest : public ::testing::Test {
     }
     loop_.set_max_events(1'000'000);
   }
+
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
 
   void Drain() { loop_.RunUntil(loop_.Now() + 100 * sim::kMillisecond); }
 

@@ -32,6 +32,9 @@ class CoordinatorTest : public ::testing::Test {
     loop_.set_max_events(1'000'000);
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   int64_t Val(SiteId site, int64_t key) {
     return std::get<int64_t>(
         *mdbs_->storage(site)->GetTable(table_)->Get(key)->row->Get("v"));
@@ -154,23 +157,30 @@ TEST_F(CoordinatorTest, CommitDecisionIsForceLoggedThenForgotten) {
   const TxnId gtid = mdbs_->Submit(
       spec, [&](const GlobalTxnResult& r) { result = r; },
       /*coordinator_site=*/0);
+  // Step until the decision is logged: the transaction is still in flight.
+  const CoordinatorLog& log = mdbs_->coordinator(0)->log();
+  while (!log.HasDecision(gtid) && loop_.Step()) {
+  }
+  ASSERT_TRUE(log.HasDecision(gtid));
+  ASSERT_EQ(log.size(), 1u);
+  // The decision record is force-written *before* any COMMIT leaves the
+  // site and names every participant owed a COMMIT.
+  const std::vector<CoordLogRecord> in_flight = log.InFlightDecisions();
+  ASSERT_EQ(in_flight.size(), 1u);
+  EXPECT_EQ(in_flight[0].kind, CoordRecordKind::kDecision);
+  EXPECT_EQ(in_flight[0].gtid, gtid);
+  EXPECT_TRUE(in_flight[0].forced);
+  EXPECT_EQ(in_flight[0].participants.size(), 2u);
+  EXPECT_EQ(log.forced_writes(), 1);
+
   loop_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->status.ok());
-
-  const CoordinatorLog& log = mdbs_->coordinator(0)->log();
-  EXPECT_TRUE(log.HasDecision(gtid));
-  EXPECT_TRUE(log.Forgotten(gtid));
+  // Every participant acked: the decision was forgotten with a buffered
+  // forget record, and the transaction retired from the log.
+  EXPECT_FALSE(log.HasDecision(gtid));
   EXPECT_TRUE(log.InFlightDecisions().empty());
-  ASSERT_EQ(log.size(), 2u);
-  // The decision record is force-written *before* any COMMIT leaves the
-  // site and names every participant owed a COMMIT; the forget record is a
-  // buffered append.
-  EXPECT_EQ(log.records()[0].kind, CoordRecordKind::kDecision);
-  EXPECT_TRUE(log.records()[0].forced);
-  EXPECT_EQ(log.records()[0].participants.size(), 2u);
-  EXPECT_EQ(log.records()[1].kind, CoordRecordKind::kForget);
-  EXPECT_FALSE(log.records()[1].forced);
+  EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.forced_writes(), 1);
 }
 
@@ -213,19 +223,20 @@ TEST_F(CoordinatorTest, RecoveryBumpsEpochSoGtidsNeverCollide) {
   const CoordinatorLog& log = mdbs_->coordinator(0)->log();
   ASSERT_GE(log.size(), 1u);
   bool saw_epoch = false;
-  for (const CoordLogRecord& r : log.records()) {
+  log.ForEachRecord([&](const CoordLogRecord& r) {
     if (r.kind == CoordRecordKind::kEpoch) {
       saw_epoch = true;
       EXPECT_TRUE(r.forced);
       EXPECT_GE(r.epoch, 1);
     }
-  }
+  });
   EXPECT_TRUE(saw_epoch);
 }
 
-// Differential check of the log's per-transaction index: on seeded random
-// logs (decisions, forgets and gtid-less epoch records, forced and
-// buffered) each query answers what a scan of every record answers.
+// Differential check of the log's per-transaction index and of
+// retirement: on seeded random logs (decisions, forgets that retire their
+// gtid, and gtid-less epoch records, forced and buffered) each query
+// answers what a scan of every record ever appended answers.
 TEST(CoordinatorLog, QueriesMatchAFullScanOnRandomLogs) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     std::mt19937_64 rng(seed);
@@ -235,67 +246,100 @@ TEST(CoordinatorLog, QueriesMatchAFullScanOnRandomLogs) {
       gtids.push_back(TxnId::MakeGlobal(0, i));
     }
     CoordinatorLog log;
+    std::vector<CoordLogRecord> all;  // every record appended
+    auto forgotten = [&](const TxnId& g) {
+      return std::any_of(all.begin(), all.end(), [&](const CoordLogRecord& r) {
+        return r.kind == CoordRecordKind::kForget && r.gtid == g;
+      });
+    };
+
+    auto check = [&](int step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      int64_t forced = 0;
+      int64_t last_epoch = 0;
+      std::vector<int64_t> live;
+      std::vector<int64_t> in_flight;
+      for (size_t i = 0; i < all.size(); ++i) {
+        const CoordLogRecord& r = all[i];
+        EXPECT_EQ(r.lsn, static_cast<int64_t>(i));
+        forced += r.forced;
+        if (r.kind == CoordRecordKind::kEpoch) {
+          last_epoch = std::max(last_epoch, r.epoch);
+        }
+        if (!r.gtid.valid() || !forgotten(r.gtid)) live.push_back(r.lsn);
+        if (r.kind == CoordRecordKind::kDecision && !forgotten(r.gtid)) {
+          in_flight.push_back(r.lsn);
+        }
+      }
+      EXPECT_EQ(log.forced_writes(), forced);
+      EXPECT_EQ(log.LastEpoch(), last_epoch);
+      std::vector<int64_t> lsns;
+      log.ForEachRecord(
+          [&](const CoordLogRecord& r) { lsns.push_back(r.lsn); });
+      EXPECT_EQ(lsns, live);
+      EXPECT_EQ(log.size(), live.size());
+      std::vector<int64_t> logged;
+      for (const CoordLogRecord& d : log.InFlightDecisions()) {
+        logged.push_back(d.lsn);
+      }
+      EXPECT_EQ(logged, in_flight);
+
+      std::vector<TxnId> queried = gtids;
+      queried.push_back(TxnId::MakeGlobal(1, 99));  // never logged
+      for (const TxnId& g : queried) {
+        SCOPED_TRACE(g.ToString());
+        const CoordLogRecord* decision = nullptr;
+        for (const CoordLogRecord& r : all) {
+          if (r.gtid == g && r.kind == CoordRecordKind::kDecision) {
+            decision = &r;
+          }
+        }
+        // A forgotten decision is gone: presumed abort.
+        if (forgotten(g)) decision = nullptr;
+        EXPECT_EQ(log.HasDecision(g), decision != nullptr);
+        EXPECT_EQ(log.Knows(g), decision != nullptr);
+        EXPECT_EQ(log.DecisionCsnOf(g),
+                  decision == nullptr ? -1 : decision->csn);
+      }
+    };
+
     for (int n = 0; n < 200; ++n) {
-      CoordLogRecord r;
-      r.kind = static_cast<CoordRecordKind>(rng() % 3);
-      if (r.kind == CoordRecordKind::kEpoch) {
-        r.epoch = static_cast<int64_t>(rng() % 10);
-      } else {
-        r.gtid = gtids[rng() % gtids.size()];
-        r.participants.assign(1 + rng() % 3, static_cast<SiteId>(n % 4));
-        r.csn = static_cast<int64_t>(rng() % 5) - 1;
-      }
-      if (rng() % 2 == 0) {
-        log.ForceAppend(std::move(r));
-      } else {
-        log.Append(std::move(r));
+      if (n % 40 == 39) check(n);
+      const TxnId g = gtids[rng() % gtids.size()];
+      const int64_t next_lsn = static_cast<int64_t>(all.size());
+      switch (rng() % 3) {
+        case 0: {  // a decision, for a gtid not yet forgotten
+          if (forgotten(g)) break;
+          CoordLogRecord r{.kind = CoordRecordKind::kDecision, .gtid = g};
+          r.participants.assign(1 + rng() % 3, static_cast<SiteId>(n % 4));
+          r.csn = static_cast<int64_t>(rng() % 5) - 1;
+          r.forced = rng() % 2 == 0;
+          CoordLogRecord copy = r;
+          copy.lsn = r.forced ? log.ForceAppend(std::move(r))
+                              : log.Append(std::move(r));
+          all.push_back(std::move(copy));
+          break;
+        }
+        case 1:  // every participant acked a decision
+          if (!log.HasDecision(g)) break;
+          log.Forget(g);
+          all.push_back(CoordLogRecord{
+              .kind = CoordRecordKind::kForget, .gtid = g, .lsn = next_lsn});
+          break;
+        default: {
+          CoordLogRecord r{.kind = CoordRecordKind::kEpoch,
+                           .epoch = static_cast<int64_t>(rng() % 10)};
+          r.forced = rng() % 2 == 0;
+          CoordLogRecord copy = r;
+          copy.lsn = r.forced ? log.ForceAppend(std::move(r))
+                              : log.Append(std::move(r));
+          all.push_back(std::move(copy));
+          break;
+        }
       }
     }
-
-    const std::vector<CoordLogRecord>& records = log.records();
-    int64_t forced = 0;
-    int64_t last_epoch = 0;
-    for (size_t i = 0; i < records.size(); ++i) {
-      EXPECT_EQ(records[i].lsn, static_cast<int64_t>(i));
-      forced += records[i].forced;
-      if (records[i].kind == CoordRecordKind::kEpoch) {
-        last_epoch = std::max(last_epoch, records[i].epoch);
-      }
-    }
-    EXPECT_EQ(log.forced_writes(), forced);
-    EXPECT_EQ(log.LastEpoch(), last_epoch);
-
-    std::vector<int64_t> in_flight;
-    for (const CoordLogRecord& d : records) {
-      if (d.kind != CoordRecordKind::kDecision) continue;
-      bool forgotten = false;
-      for (const CoordLogRecord& r : records) {
-        forgotten |= r.kind == CoordRecordKind::kForget && r.gtid == d.gtid;
-      }
-      if (!forgotten) in_flight.push_back(d.lsn);
-    }
-    std::vector<int64_t> logged;
-    for (const CoordLogRecord& d : log.InFlightDecisions()) {
-      logged.push_back(d.lsn);
-    }
-    EXPECT_EQ(logged, in_flight) << "seed " << seed;
-
-    std::vector<TxnId> queried = gtids;
-    queried.push_back(TxnId::MakeGlobal(1, 99));  // never logged
-    for (const TxnId& g : queried) {
-      SCOPED_TRACE(g.ToString() + " seed " + std::to_string(seed));
-      const CoordLogRecord* decision = nullptr;
-      bool forgotten = false;
-      for (const CoordLogRecord& r : records) {
-        if (r.gtid != g) continue;
-        if (r.kind == CoordRecordKind::kDecision) decision = &r;
-        if (r.kind == CoordRecordKind::kForget) forgotten = true;
-      }
-      EXPECT_EQ(log.HasDecision(g), decision != nullptr);
-      EXPECT_EQ(log.Forgotten(g), forgotten);
-      EXPECT_EQ(log.DecisionCsnOf(g),
-                decision == nullptr ? -1 : decision->csn);
-    }
+    check(200);
   }
 }
 

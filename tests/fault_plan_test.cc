@@ -362,6 +362,7 @@ TEST(FaultInjector, OnPreparedTriggerCrashesAfterNthPrepare) {
   EXPECT_TRUE(mdbs.SiteUp(1));  // downtime elapsed inside the run
   // The first transaction committed before the trigger fired.
   EXPECT_GE(mdbs.metrics().global_committed, 1);
+  EXPECT_FALSE(loop.budget_exhausted());
 }
 
 }  // namespace

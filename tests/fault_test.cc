@@ -42,6 +42,9 @@ class FaultMatrixTest : public ::testing::Test {
     return mdbs;
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   void Send(core::Mdbs& mdbs, const Message& msg) {
     mdbs.network().Send(0, 0, msg);
   }
@@ -73,6 +76,9 @@ TEST_F(FaultMatrixTest, EveryProtocolMessageDuplicatedIsAbsorbedOnce) {
   Send(*mdbs, Message{PrepareMsg{g, SerialNumber{100, 0, 0}}});
   Send(*mdbs, Message{PrepareMsg{g, SerialNumber{100, 0, 0}}});  // duplicate
   Drain();
+  // The command was logged once (checked while prepared: the records
+  // retire with the transaction).
+  EXPECT_EQ(mdbs->agent(0)->log().CommandsOf(g).size(), 1u);
   Send(*mdbs, Message{DecisionMsg{g, true}});
   Send(*mdbs, Message{DecisionMsg{g, true}});  // duplicate
   Drain();
@@ -80,7 +86,6 @@ TEST_F(FaultMatrixTest, EveryProtocolMessageDuplicatedIsAbsorbedOnce) {
   // The add was applied exactly once and the transaction committed once.
   EXPECT_EQ(Val(*mdbs, 1), 1);
   EXPECT_TRUE(mdbs->agent(0)->log().HasComplete(g));
-  EXPECT_EQ(mdbs->agent(0)->log().CommandsOf(g).size(), 1u);
   EXPECT_EQ(mdbs->agent(0)->alive_table().size(), 0u);
   EXPECT_GE(mdbs->metrics().dup_msgs_absorbed, 5);
 }
@@ -109,6 +114,9 @@ TEST_F(FaultMatrixTest, ReplayedOutOfOrderRunMatchesCleanFinalState) {
   Send(*hostile, Message{DecisionMsg{g, true}});
   Send(*hostile, Message{PrepareMsg{g, SerialNumber{100, 0, 0}}});
   Drain();
+  // The command was logged once (checked while prepared: the records
+  // retire with the transaction).
+  EXPECT_EQ(hostile->agent(0)->log().CommandsOf(g).size(), 1u);
   // Stray rollback for a transaction this agent never saw: just acked.
   Send(*hostile, Message{DecisionMsg{stray, false}});
   // The retransmitted COMMIT (plus one duplicate) completes the protocol.
@@ -122,7 +130,6 @@ TEST_F(FaultMatrixTest, ReplayedOutOfOrderRunMatchesCleanFinalState) {
   }
   EXPECT_EQ(Val(*hostile, 1), 5);
   EXPECT_TRUE(hostile->agent(0)->log().HasComplete(g));
-  EXPECT_EQ(hostile->agent(0)->log().CommandsOf(g).size(), 1u);
 }
 
 TEST_F(FaultMatrixTest, RetransmittedBeginCannotResurrectCrashedTxn) {
@@ -132,11 +139,15 @@ TEST_F(FaultMatrixTest, RetransmittedBeginCannotResurrectCrashedTxn) {
   Send(*mdbs, Message{DmlRequestMsg{
                   g, 0, db::MakeAddKey(table_, 1, "v", int64_t{1})}});
   Drain();
+  // The command is logged (checked before the crash: recovery retires the
+  // subtransaction, whose work the crash rolled back).
+  EXPECT_EQ(mdbs->agent(0)->log().CommandsOf(g).size(), 1u);
 
   // The site crashes before PREPARE: the add is rolled back, the volatile
   // transaction is gone, but the agent log still knows the gtid.
   mdbs->CrashSite(0);
   EXPECT_EQ(Val(*mdbs, 1), 0);
+  EXPECT_TRUE(mdbs->agent(0)->log().Knows(g));
 
   // A retransmitted BEGIN + a later DML must not silently re-open the
   // subtransaction — the command executed before the crash would be lost,
@@ -152,7 +163,8 @@ TEST_F(FaultMatrixTest, RetransmittedBeginCannotResurrectCrashedTxn) {
   // coordinator will roll the global transaction back.
   EXPECT_EQ(Val(*mdbs, 1), 0);
   EXPECT_EQ(Val(*mdbs, 2), 0);
-  EXPECT_EQ(mdbs->agent(0)->log().CommandsOf(g).size(), 1u);
+  // The later DML was not logged either.
+  EXPECT_TRUE(mdbs->agent(0)->log().CommandsOf(g).empty());
   EXPECT_EQ(mdbs->agent(0)->alive_table().size(), 0u);
   EXPECT_FALSE(mdbs->ltm(0)->IsActive(mdbs->agent(0)->HandleOf(g)));
 }
@@ -315,6 +327,7 @@ TEST(CoordinatorCrashFault, PreparedParticipantBlocksUntilRecovery) {
   const db::RowEntry* entry = mdbs.storage(1)->GetTable(table)->Get(1);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(std::get<int64_t>(*entry->row->Get("v")), 7);
+  EXPECT_FALSE(loop.budget_exhausted());
 }
 
 // The inquiry retransmission backoff must stop doubling at
@@ -357,6 +370,7 @@ TEST(CoordinatorCrashFault, InquiryBackoffCapsAtConfiguredMax) {
   // probing would blow far past it.
   EXPECT_GE(probes, 20);
   EXPECT_LE(probes, 27);
+  EXPECT_FALSE(loop.budget_exhausted());
 }
 
 // orphan_abort_timeout interaction with the coordinator-crash machinery: an
@@ -430,6 +444,7 @@ TEST(CoordinatorCrashFault, OrphanTimeoutAbandonsActiveButNeverPreparedTxns) {
   EXPECT_FALSE(mdbs.agent(1)->log().HasCommit(b));
   EXPECT_FALSE(mdbs.agent(1)->log().HasAbort(b));
   EXPECT_GT(mdbs.metrics().inquiries_sent, probes_before);
+  EXPECT_FALSE(loop.budget_exhausted());
 }
 
 TEST(CoordinatorCrashFault, CrashingADownSiteIsADeterministicNoOp) {
@@ -479,6 +494,7 @@ TEST(CoordinatorCrashFault, DuplicateInquiriesAreAnsweredIdempotently) {
   loop.Run();
   EXPECT_EQ(mdbs.metrics().inquiries_answered_presumed_abort, 2);
   EXPECT_FALSE(mdbs.agent(0)->log().HasCommit(g));
+  EXPECT_FALSE(loop.budget_exhausted());
 }
 
 // Loss and crashes combined: a lossy network plus timed and

@@ -28,6 +28,9 @@ class LtmTest : public ::testing::Test {
     loop_.set_max_events(1'000'000);
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   LtmTxnHandle Begin(int64_t n) {
     return ltm_->Begin(SubTxnId{TxnId::MakeLocal(0, n), 0});
   }

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
+
 #include "history/projection.h"
 #include "history/view_checker.h"
 
@@ -37,6 +41,9 @@ class MdbsTest : public ::testing::Test {
     }
     loop_.set_max_events(10'000'000);
   }
+
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
 
   int64_t Balance(SiteId site, int64_t key) {
     const db::RowEntry* entry =
@@ -294,6 +301,136 @@ TEST_F(MdbsTest, RepeatedCrashAndRecoverAreIdempotent) {
 
   EXPECT_TRUE(mdbs_->RecoverSite(1).ok());
   EXPECT_TRUE(mdbs_->SiteUp(1));
+}
+
+// --- bounded state -----------------------------------------------------------
+
+// Peaks over a run, and the end state, of the per-transaction structures
+// that finished transactions used to leave behind.
+struct StateFootprint {
+  size_t peak_agent_records = 0;  // live Agent log records, one site
+  size_t peak_agent_txns = 0;     // TwoPCAgent volatile entries, one site
+  size_t peak_coord_records = 0;  // live Coordinator log records, one site
+  size_t peak_ltm_active = 0;     // live LocalTxns, one site
+  size_t end_live = 0;            // all four, summed over sites, at the end
+  size_t outcomes = 0;            // Agent outcome entries, all sites
+};
+
+// Runs `txns` global transactions from 6 closed-loop clients over 4 sites,
+// with one local client per site, a guard that rolls 1 in 8 global
+// transactions back and unilateral aborts of 1 in 4 prepared
+// subtransactions (resubmitted), sampling the footprint every 5 ms.
+StateFootprint RunClosedLoop(int64_t txns) {
+  constexpr int kSites = 4;
+  constexpr int kClients = 6;
+  sim::EventLoop loop;
+  loop.set_max_events(10'000'000);
+  MdbsConfig config;
+  config.num_sites = kSites;
+  config.agent.alive_check_interval = 5 * sim::kMillisecond;
+  Mdbs mdbs(config, &loop);
+  const db::TableId table = *mdbs.CreateTableEverywhere("acc");
+  for (SiteId s = 0; s < kSites; ++s) {
+    for (int64_t k = 0; k < 16; ++k) {
+      EXPECT_TRUE(mdbs.LoadRow(s, table, k,
+                               db::Row{{"bal", db::Value(int64_t{100})}})
+                      .ok());
+    }
+  }
+  std::mt19937_64 rng(7);
+  for (SiteId s = 0; s < kSites; ++s) {
+    ltm::Ltm* ltm = mdbs.ltm(s);
+    mdbs.agent(s)->add_prepared_hook([&loop, &rng, ltm](const TxnId&,
+                                                        LtmTxnHandle h) {
+      if (rng() % 4 != 0) return;
+      loop.ScheduleAfter(1 * sim::kMillisecond,
+                         [ltm, h]() { (void)ltm->InjectUnilateralAbort(h); });
+    });
+  }
+
+  int64_t submitted = 0;
+  int64_t finished = 0;
+  std::function<void()> submit_global = [&]() {
+    if (submitted == txns) return;
+    ++submitted;
+    const auto a = static_cast<SiteId>(rng() % kSites);
+    const auto b = static_cast<SiteId>((a + 1 + rng() % (kSites - 1)) % kSites);
+    GlobalTxnSpec spec;
+    spec.steps.push_back(
+        {a, db::MakeAddKey(table, static_cast<int64_t>(rng() % 16), "bal",
+                           int64_t{-1})});
+    const int64_t key =
+        rng() % 8 == 0 ? 777 : static_cast<int64_t>(rng() % 16);
+    GlobalTxnSpec::Step to{b, db::MakeAddKey(table, key, "bal", int64_t{1})};
+    to.min_affected = 1;  // key 777 does not exist: a rollback
+    spec.steps.push_back(to);
+    mdbs.Submit(spec, [&](const GlobalTxnResult&) {
+      ++finished;
+      submit_global();
+    });
+  };
+  std::function<void(SiteId)> submit_local = [&](SiteId s) {
+    if (finished == txns) return;
+    core::LocalTxnSpec spec;
+    spec.site = s;
+    spec.commands.push_back(db::MakeAddKey(
+        table, static_cast<int64_t>(rng() % 16), "bal", int64_t{0}));
+    mdbs.SubmitLocal(spec, [&, s](const core::LocalTxnResult&) {
+      loop.ScheduleAfter(1 * sim::kMillisecond, [&, s]() { submit_local(s); });
+    });
+  };
+  for (int c = 0; c < kClients; ++c) submit_global();
+  for (SiteId s = 0; s < kSites; ++s) submit_local(s);
+
+  StateFootprint f;
+  auto sample = [&]() {
+    size_t live = 0;
+    for (SiteId s = 0; s < kSites; ++s) {
+      const core::TwoPCAgent& agent = *mdbs.agent(s);
+      const size_t records = agent.log().size();
+      const size_t agent_txns = agent.held_txns();
+      const size_t coord = mdbs.coordinator(s)->log().size();
+      const size_t ltm = mdbs.ltm(s)->active_count();
+      f.peak_agent_records = std::max(f.peak_agent_records, records);
+      f.peak_agent_txns = std::max(f.peak_agent_txns, agent_txns);
+      f.peak_coord_records = std::max(f.peak_coord_records, coord);
+      f.peak_ltm_active = std::max(f.peak_ltm_active, ltm);
+      live += records + agent_txns + coord + ltm;
+    }
+    f.end_live = live;
+  };
+  while (!loop.Empty() && !loop.budget_exhausted()) {
+    loop.RunUntil(loop.Now() + 5 * sim::kMillisecond);
+    sample();
+  }
+  EXPECT_EQ(finished, txns);
+  EXPECT_FALSE(loop.budget_exhausted());
+  for (SiteId s = 0; s < kSites; ++s) {
+    f.outcomes += mdbs.agent(s)->log().retired();
+  }
+  return f;
+}
+
+// Every per-transaction structure is O(in-flight): at T and at 4T global
+// transactions the peaks are bounded by the clients' concurrent work, and
+// once the run drains nothing is left but the fixed-size outcome entries,
+// which alone grow with T.
+TEST(BoundedState, FinishedTransactionsLeaveOnlyOutcomeEntries) {
+  const StateFootprint small = RunClosedLoop(150);
+  const StateFootprint large = RunClosedLoop(600);
+  for (const StateFootprint* f : {&small, &large}) {
+    // 6 clients: at most 6 global subtransactions per site at once (each
+    // of a handful of records), plus one local transaction.
+    EXPECT_LE(f->peak_agent_txns, 6u);
+    EXPECT_LE(f->peak_agent_records, 6u * 12);
+    EXPECT_LE(f->peak_coord_records, 6u);
+    EXPECT_LE(f->peak_ltm_active, 6u + 1);
+    EXPECT_EQ(f->end_live, 0u);
+  }
+  // Each global transaction leaves one outcome entry per participant
+  // (two sites each), however it ended.
+  EXPECT_EQ(small.outcomes, 2u * 150);
+  EXPECT_EQ(large.outcomes, 2u * 600);
 }
 
 }  // namespace

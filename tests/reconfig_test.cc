@@ -48,6 +48,9 @@ class ReconfigTest : public ::testing::Test {
     loop_.set_max_events(20'000'000);
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   // Submits `n` two-key global transactions back to back (each next one
   // from the previous one's completion callback), re-reading the shard map
   // for routing every time. Key pairs cycle deterministically.

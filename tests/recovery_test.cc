@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <any>
 #include <vector>
 
 #include "core/mdbs.h"
 #include "history/projection.h"
 #include "history/view_checker.h"
+#include "shard/shard_map.h"
 
 namespace hermes {
 namespace {
@@ -37,6 +39,9 @@ class RecoveryTest : public ::testing::Test {
     }
     loop_.set_max_events(10'000'000);
   }
+
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
 
   int64_t Val(SiteId site, int64_t key) {
     const db::RowEntry* e = mdbs_->storage(site)->GetTable(table_)->Get(key);
@@ -293,7 +298,7 @@ TEST_F(RecoveryTest, CoordinatorCrashAfterLoggedDecisionRedrivesCommit) {
   // The participants probed while blocked, and the re-driven transaction
   // was fully acknowledged and forgotten.
   EXPECT_GE(mdbs_->metrics().inquiries_sent, 1);
-  EXPECT_TRUE(mdbs_->coordinator(0)->log().Forgotten(gtid));
+  EXPECT_FALSE(mdbs_->coordinator(0)->log().HasDecision(gtid));
   EXPECT_TRUE(mdbs_->coordinator(0)->log().InFlightDecisions().empty());
   EXPECT_EQ(history::CheckGlobalAtomicity(mdbs_->recorder().ops()), "");
   ExpectSerializable();
@@ -416,6 +421,141 @@ TEST_F(RecoveryTest, AdoptedResidueKeepsItsOriginAcrossAnAdopterCrash) {
   ASSERT_EQ(votes.size(), 1u);
   EXPECT_TRUE(votes[0].ready);
   EXPECT_EQ(votes[0].on_behalf_of, kOrigin);
+}
+
+// Recovery reads only live records and the outcome table. After a crash
+// that follows many retired subtransactions, the agent rebuilds the SN
+// high-water mark (from the log's checkpoint), the in-doubt set and the
+// migration redirect it had before the crash, and answers a retransmitted
+// 1PC-COMMIT for a retired committed gtid with a commit ACK.
+TEST_F(RecoveryTest, CrashAfterManyRetiredTransactionsRecoversFromOutcomes) {
+  Build(1);
+  constexpr SiteId kCoordinator = 5;  // a phantom coordinator
+  constexpr SiteId kAdopter = 3;      // where the migrated residue went
+  std::vector<core::AckMsg> acks;
+  std::vector<core::VoteMsg> votes;
+  std::vector<core::EpochRefusedMsg> redirects;
+  mdbs_->network().RegisterEndpoint(
+      kCoordinator, [&](const net::Envelope& env) {
+        const auto* msg = std::any_cast<core::Message>(&env.payload);
+        if (msg == nullptr) return;
+        if (const auto* ack = std::get_if<core::AckMsg>(msg)) {
+          acks.push_back(*ack);
+        } else if (const auto* vote = std::get_if<core::VoteMsg>(msg)) {
+          votes.push_back(*vote);
+        } else if (const auto* r = std::get_if<core::EpochRefusedMsg>(msg)) {
+          redirects.push_back(*r);
+        }
+      });
+  auto send = [&](core::Message msg) {
+    mdbs_->network().Send(kCoordinator, 0, std::move(msg));
+    loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
+  };
+  int64_t seq = 0;
+  auto begin = [&](int64_t key) {
+    const TxnId gtid = TxnId::MakeGlobal(kCoordinator, ++seq);
+    send(core::Message{core::BeginMsg{gtid}});
+    send(core::Message{core::DmlRequestMsg{
+        gtid, 0, db::MakeAddKey(table_, key, "v", int64_t{1})}});
+    return gtid;
+  };
+  auto sn = [&](sim::Time clock) {
+    return core::SerialNumber{clock, kCoordinator, 0};
+  };
+  core::TwoPCAgent& agent = *mdbs_->agent(0);
+
+  // 40 finished subtransactions on keys 0..3: 2PC commits with rising
+  // serial numbers, rollbacks after prepare, and 1PC commits.
+  std::vector<TxnId> one_phase;
+  std::vector<TxnId> rolled_back;
+  std::vector<TxnId> committed;
+  for (int i = 0; i < 40; ++i) {
+    const TxnId g = begin(i % 4);
+    if (i % 10 == 3) {
+      send(core::Message{core::OnePhaseCommitMsg{g}});
+      one_phase.push_back(g);
+      continue;
+    }
+    send(core::Message{core::PrepareMsg{g, sn(100 + i)}});
+    const bool commit = i % 5 != 4;
+    send(core::Message{core::DecisionMsg{g, commit}});
+    (commit ? committed : rolled_back).push_back(g);
+  }
+  // A prepared residue on key 7 migrates away.
+  const TxnId moved = begin(7);
+  send(core::Message{core::PrepareMsg{moved, sn(200)}});
+  ASSERT_EQ(agent
+                .ExtractResidueForShards(shard::ShardMap::MakeInitial(8, 1),
+                                         {7}, kAdopter)
+                .size(),
+            1u);
+  // Two subtransactions stay in doubt: prepared, no decision.
+  const TxnId doubt_hi = begin(1);
+  send(core::Message{core::PrepareMsg{doubt_hi, sn(500)}});
+  const TxnId doubt_lo = begin(2);
+  send(core::Message{core::PrepareMsg{doubt_lo, sn(300)}});
+
+  ASSERT_EQ(acks.size(), 40u);
+  for (const core::AckMsg& ack : acks) {
+    EXPECT_EQ(ack.commit, std::find(rolled_back.begin(), rolled_back.end(),
+                                     ack.gtid) == rolled_back.end());
+  }
+  // Only the two in-doubt subtransactions hold records or volatile state;
+  // the 41 others retired into outcome entries.
+  const core::AgentLog& log = agent.log();
+  EXPECT_EQ(agent.held_txns(), 2u);
+  EXPECT_EQ(log.retired(), 41u);
+  EXPECT_EQ(log.size(), 6u);  // begin, command, prepare per in-doubt txn
+  const core::SerialNumber high_water = agent.max_committed_sn();
+  EXPECT_EQ(high_water, sn(138));  // the last committed 2PC prepare
+  const std::vector<TxnId> in_doubt = log.InDoubt();
+  ASSERT_EQ(in_doubt.size(), 2u);
+  // Before the crash a retransmitted PREPARE is re-voted READY.
+  votes.clear();
+  send(core::Message{core::PrepareMsg{committed[0], sn(100)}});
+  ASSERT_EQ(votes.size(), 1u);
+  EXPECT_TRUE(votes[0].ready);
+
+  ASSERT_TRUE(mdbs_->CrashSite(0).ok());
+  loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
+
+  // The same SN state, in-doubt set and redirect as before the crash.
+  EXPECT_EQ(agent.max_committed_sn(), high_water);
+  EXPECT_EQ(log.InDoubt(), in_doubt);
+  EXPECT_EQ(agent.alive_table().size(), 2u);
+  EXPECT_EQ(log.MigratedToOf(moved), kAdopter);
+  send(core::Message{core::PrepareMsg{moved, sn(200)}});
+  ASSERT_EQ(redirects.size(), 1u);
+  EXPECT_EQ(redirects[0].gtid, moved);
+  EXPECT_EQ(redirects[0].moved_to, kAdopter);
+
+  // Retransmitted 1PC-COMMITs for retired committed gtids are acked commit,
+  // from the outcome entries alone.
+  acks.clear();
+  for (const TxnId& g : one_phase) {
+    EXPECT_TRUE(log.HasCommit(g) && log.HasComplete(g));
+    send(core::Message{core::OnePhaseCommitMsg{g}});
+  }
+  ASSERT_EQ(acks.size(), one_phase.size());
+  for (const core::AckMsg& ack : acks) EXPECT_TRUE(ack.commit);
+  for (const TxnId& g : rolled_back) EXPECT_TRUE(log.HasAbort(g));
+  // The late answers were volatile: after the crash a retransmitted
+  // PREPARE finds no subtransaction, as before retirement existed.
+  votes.clear();
+  send(core::Message{core::PrepareMsg{committed[0], sn(100)}});
+  ASSERT_EQ(votes.size(), 1u);
+  EXPECT_FALSE(votes[0].ready);
+  EXPECT_EQ(votes[0].reason.code(), StatusCode::kNotFound);
+
+  // The in-doubt subtransactions still finish normally.
+  acks.clear();
+  send(core::Message{core::DecisionMsg{doubt_hi, true}});
+  send(core::Message{core::DecisionMsg{doubt_lo, false}});
+  ASSERT_EQ(acks.size(), 2u);
+  EXPECT_EQ(agent.max_committed_sn(), sn(500));
+  EXPECT_TRUE(log.InDoubt().empty());
+  EXPECT_EQ(agent.held_txns(), 0u);
+  EXPECT_EQ(log.size(), 0u);
 }
 
 }  // namespace

@@ -52,6 +52,9 @@ class ScenarioTest : public ::testing::Test {
     loop_.set_max_events(10'000'000);
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   history::ViewCheckResult Check() {
     const auto committed =
         history::CommittedProjection(mdbs_->recorder().ops());

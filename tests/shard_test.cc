@@ -313,6 +313,9 @@ class EpochFencingTest : public ::testing::Test {
     loop_.set_max_events(10'000'000);
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   // Installs an ownership-identical successor map, so every cached epoch
   // view in the system becomes stale without any shard actually moving.
   void BumpEpoch() {

@@ -40,6 +40,9 @@ class ShortCommitTest : public ::testing::Test {
     loop_.set_max_events(10'000'000);
   }
 
+  // A livelock stops the loop at its event budget; fail the test then.
+  void TearDown() override { EXPECT_FALSE(loop_.budget_exhausted()); }
+
   int64_t Val(SiteId site, int64_t key) {
     const db::RowEntry* e = mdbs_->storage(site)->GetTable(table_)->Get(key);
     EXPECT_NE(e, nullptr);

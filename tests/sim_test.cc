@@ -198,14 +198,23 @@ TEST(EventLoop, StepExecutesOneEvent) {
   EXPECT_EQ(count, 2);
 }
 
-TEST(EventLoopDeathTest, StepPastMaxEventsAborts) {
+TEST(EventLoop, StepPastMaxEventsStopsAndReports) {
   EventLoop loop;
   loop.set_max_events(2);
   std::function<void()> forever = [&] { loop.ScheduleAfter(1, forever); };
   loop.ScheduleAfter(0, forever);
   EXPECT_TRUE(loop.Step());
   EXPECT_TRUE(loop.Step());
-  EXPECT_DEATH(loop.Step(), "exceeded max_events=2");
+  EXPECT_FALSE(loop.budget_exhausted());
+  // The livelock is cut at the budget instead of killing the process: the
+  // next event stays pending and the loop reports the exhaustion.
+  EXPECT_FALSE(loop.Step());
+  EXPECT_TRUE(loop.budget_exhausted());
+  EXPECT_FALSE(loop.Empty());
+  EXPECT_EQ(loop.Run(), 0u);
+  EXPECT_EQ(loop.RunUntil(100), 0u);
+  EXPECT_EQ(loop.Now(), 100);  // RunUntil still reaches its deadline
+  EXPECT_EQ(loop.events_processed(), 2u);
 }
 
 TEST(EventLoop, EventsCanScheduleMoreEvents) {

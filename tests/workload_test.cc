@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
 
 #include "common/str.h"
 #include "workload/generator.h"
@@ -49,6 +51,39 @@ TEST(Driver, FailureFreeRunCommitsEverythingAndIsSerializable) {
   EXPECT_NE(result.verdict, history::Verdict::kNotSerializable)
       << result.verdict_detail;
   EXPECT_GT(result.metrics.global_committed, 0);
+}
+
+// The event budget (sim::EventLoop::set_max_events, exercised with a tiny
+// budget in sim_test) stops a livelocked run instead of killing the
+// process; Driver::Run reports it, and a run cut short fails the gate.
+TEST(Driver, ExhaustedEventBudgetFailsTheGate) {
+  RunResult result = Driver::Run(SmallConfig(1));
+  EXPECT_FALSE(result.event_budget_exhausted);
+  EXPECT_TRUE(result.GuaranteesHold());
+  EXPECT_EQ(result.Summary().find("EVENT-BUDGET-EXHAUSTED"),
+            std::string::npos);
+  result.event_budget_exhausted = true;
+  EXPECT_FALSE(result.GuaranteesHold());
+  EXPECT_NE(result.Summary().find("EVENT-BUDGET-EXHAUSTED"),
+            std::string::npos);
+}
+
+// Driver::Run's slicing stops a livelock at the loop's event budget and
+// reports it, instead of running on to the end of virtual time.
+TEST(Driver, RunInSlicesStopsAtAnExhaustedEventBudget) {
+  sim::EventLoop loop;
+  loop.set_max_events(50);
+  std::function<void()> forever = [&] {
+    loop.ScheduleAfter(sim::kMillisecond, forever);
+  };
+  loop.ScheduleAfter(0, forever);
+  int slices = 0;
+  EXPECT_FALSE(Driver::RunInSlices(
+      loop, 10 * sim::kSecond, []() { return false; }, [&] { ++slices; }));
+  EXPECT_TRUE(loop.budget_exhausted());
+  EXPECT_EQ(loop.events_processed(), 50u);
+  EXPECT_EQ(slices, 1);  // the budget ran out inside the first slice
+  EXPECT_EQ(loop.Now(), 100 * sim::kMillisecond);
 }
 
 TEST(Driver, CgmRunsTheSameWorkload) {

@@ -1,18 +1,17 @@
-// The one entry point of the sweep experiments (E5, E6, E7, E9, E13, E15,
-// E16, E18, E19, E20): runs them through the parallel runner in a single
-// process — the regeneration path for the EXPERIMENTS.md sweep tables and
-// their BENCH_<name>.json artifacts.
+// The one entry point of the experiments of EXPERIMENTS.md (E1 ... E20):
+// runs them in a single process — the regeneration path for their tables
+// and BENCH_<name>.json artifacts. Each experiment gates its own claim.
 //
 //   bench_suite [--only=NAME[,NAME...]] [--quick] [--workers=N]
 //               [--trace-out=PATH]
 //
-// NAME is a sweep name from the table in main (failure_sweep, scaling,
-// clock_drift, correctness_sweep, network_faults, chaos, paxos,
-// ablation_matrix, reconfig, trace_overhead); without --only every sweep
-// runs, in table order. `--trace-out` needs --only naming exactly one
-// sweep that exports a trace (`exports_trace` in kSweeps,
-// bench/sweeps.h), since each such sweep exports its own representative
-// trace. `--workers=0` uses all hardware threads.
+// NAME is a sweep name from kSweeps (bench/sweeps.h); without --only every
+// sweep runs, in kSweeps order. `--trace-out` needs --only naming exactly
+// one sweep that exports a trace (`exports_trace` in kSweeps), since each
+// such sweep exports its own representative trace. `--workers=N` (or
+// `-jN`) sets the worker threads of each run fan-out, and 0 uses all
+// hardware threads; `harness` (E14) instead reads it as the largest worker
+// count whose speedup it measures: N if N > 1, else 8.
 //
 // Exit code: 2 on a usage error, including a --trace-out the chosen sweep
 // cannot honour; 1 if any sweep reported a violation, the harness failed,
@@ -28,22 +27,53 @@
 #include <vector>
 
 #include "bench/sweeps.h"
+#include "common/json.h"
 #include "runner/runner.h"
 
-int main(int argc, char** argv) {
-  using namespace hermes::bench;  // NOLINT
-  // --only is this binary's own flag; the rest go to the shared parser.
-  const char* only = nullptr;
-  std::vector<char*> shared_argv = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--only=", 7) == 0) {
-      only = argv[i] + 7;
-    } else {
-      shared_argv.push_back(argv[i]);
+namespace {
+
+using hermes::bench::kSweeps;
+using hermes::bench::SweepEntry;
+
+void PrintSweepNames(bool trace_exporters_only) {
+  for (const SweepEntry& e : kSweeps) {
+    if (e.exports_trace || !trace_exporters_only) {
+      std::fprintf(stderr, " %s", e.name);
     }
   }
-  const SweepArgs args =
-      ParseSweepArgs(static_cast<int>(shared_argv.size()), shared_argv.data());
+  std::fprintf(stderr, "\n");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  hermes::bench::SweepArgs args;
+  const char* only = nullptr;
+  for (int i = 1; i < argc; ++i) {
+    const char* a = argv[i];
+    bool ok = true;
+    if (std::strcmp(a, "--quick") == 0) {
+      args.quick = true;
+    } else if (std::strncmp(a, "--only=", 7) == 0) {
+      only = a + 7;
+    } else if (std::strncmp(a, "--workers=", 10) == 0) {
+      ok = hermes::json::ParseInt(a + 10, args.workers);
+    } else if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') {
+      ok = hermes::json::ParseInt(a + 2, args.workers);
+    } else if (std::strncmp(a, "--trace-out=", 12) == 0) {
+      args.trace_out = a + 12;
+      ok = !args.trace_out.empty();
+    } else {
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "bad argument: %s\nusage: %s [--only=NAME[,NAME...]]"
+                   " [--quick] [--workers=N] [--trace-out=PATH]\n",
+                   a, argv[0]);
+      return 2;
+    }
+  }
 
   std::vector<bool> chosen(std::size(kSweeps), only == nullptr);
   std::istringstream names(only != nullptr ? only : "");
@@ -54,8 +84,7 @@ int main(int argc, char** argv) {
     if (it == std::end(kSweeps)) {
       std::fprintf(stderr, "bench_suite: unknown sweep '%s'; known:",
                    name.c_str());
-      for (const SweepEntry& e : kSweeps) std::fprintf(stderr, " %s", e.name);
-      std::fprintf(stderr, "\n");
+      PrintSweepNames(false);
       return 2;
     }
     chosen[static_cast<size_t>(it - std::begin(kSweeps))] = true;
@@ -76,7 +105,12 @@ int main(int argc, char** argv) {
         kSweeps[std::find(chosen.begin(), chosen.end(), true) -
                 chosen.begin()];
     if (!e.exports_trace) {
-      return RefuseTraceOut(std::string("bench_suite: sweep ") + e.name);
+      std::fprintf(stderr,
+                   "bench_suite: sweep %s exports no trace, so --trace-out "
+                   "is refused; these sweeps export one:",
+                   e.name);
+      PrintSweepNames(true);
+      return 2;
     }
   }
 

@@ -1,70 +1,19 @@
-// Shared helpers for the experiment harnesses: aligned table printing and
-// run shortcuts. Each bench binary reproduces one experiment of
-// EXPERIMENTS.md and prints its rows to stdout.
+// Shared helpers of the experiments in bench/sweeps.h: the aligned text
+// table each one prints (and FinishSweep writes to its BENCH_<name>.json)
+// and the verdict cell of a run's history.
 
 #ifndef HERMES_BENCH_BENCH_UTIL_H_
 #define HERMES_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/str.h"
-#include "runner/aggregate.h"
-#include "trace/trace.h"
 #include "workload/driver.h"
 
 namespace hermes::bench {
-
-// Command-line options shared by every experiment binary.
-struct SweepArgs {
-  // Worker threads for the run fan-out; <= 0 means hardware concurrency.
-  int workers = 1;
-  // Reduced grid (fewer seeds / shorter runs) for CI smoke jobs.
-  bool quick = false;
-  // When non-empty, the sweep writes one representative run's trace here
-  // plus a Prometheus dump at `<trace_out>.prom`, ready for
-  // `tmstat <trace_out>`. The file is JSONL decoded from the run's binary
-  // capture (E20 writes its merged binary trace as is). Only the sweeps
-  // marked `exports_trace` in bench/sweeps.h accept it; every other
-  // binary refuses it with exit code 2.
-  std::string trace_out;
-};
-
-// Parses `--workers=N` (or `-jN`), `--quick` and `--trace-out=PATH`; an
-// unknown argument, a worker count that is not a whole int or an empty
-// PATH prints a usage message and terminates the process with exit
-// code 2.
-inline SweepArgs ParseSweepArgs(int argc, char** argv) {
-  SweepArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    bool ok = true;
-    if (std::strcmp(a, "--quick") == 0) {
-      args.quick = true;
-    } else if (std::strncmp(a, "--workers=", 10) == 0) {
-      ok = json::ParseInt(a + 10, args.workers);
-    } else if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') {
-      ok = json::ParseInt(a + 2, args.workers);
-    } else if (std::strncmp(a, "--trace-out=", 12) == 0) {
-      args.trace_out = a + 12;
-      ok = !args.trace_out.empty();
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      std::fprintf(stderr,
-                   "bad argument: %s\nusage: %s [--quick] [--workers=N]"
-                   " [--trace-out=PATH]\n",
-                   a, argv[0]);
-      std::exit(2);
-    }
-  }
-  return args;
-}
 
 // Fixed-width text table.
 class TablePrinter {
@@ -131,26 +80,6 @@ class TablePrinter {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// Machine-readable companion of a printed table: writes
-// `BENCH_<name>.json` next to the binary with the experiment name, the
-// free-form config description (typically WorkloadConfig::ToString of the
-// base configuration), the seed and every table row keyed by its header.
-// Delegates to the schema-versioned artifact writer (docs/FORMATS.md), so
-// single-run benchmarks emit the same consolidated format as the sweeps
-// (with an empty cells array). Returns false on I/O failure (the textual
-// table is the source of truth; callers only warn).
-inline bool WriteBenchArtifact(const std::string& name,
-                               const std::string& config, uint64_t seed,
-                               const TablePrinter& table) {
-  runner::BenchArtifact artifact;
-  artifact.bench = name;
-  artifact.config = config;
-  artifact.seed = seed;
-  artifact.headers = table.headers();
-  artifact.rows = table.rows();
-  return runner::WriteBenchArtifactFile(artifact);
-}
 
 inline const char* VerdictCell(const workload::RunResult& r) {
   if (!r.history_checked) return "-";

@@ -141,24 +141,13 @@ int RunAblationMatrixSweep(const SweepArgs& args) {
     }
   }
 
+  runner::Aggregator agg;
   Result<std::vector<runner::RunOutput>> outputs =
-      runner::RunAll(specs, {.workers = args.workers});
-  if (!outputs.ok()) {
-    std::fprintf(stderr, "harness: %s\n",
-                 outputs.status().ToString().c_str());
-    return 2;
-  }
+      RunGrid(specs, args.workers, agg);
+  if (!outputs.ok()) return 2;
 
   const double sn_ns = MeasureCertNsPerCheck(cert::CertifierKind::kSn);
   const double csn_ns = MeasureCertNsPerCheck(cert::CertifierKind::kCsn);
-
-  runner::Aggregator agg;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_binary)) {
-      return 2;
-    }
-  }
 
   TablePrinter table({"cell", "committed", "aborted", "cert abrt",
                       "unnec rfsl", "1pc", "ro fast", "csn", "ss lat us",

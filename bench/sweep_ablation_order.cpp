@@ -1,0 +1,82 @@
+// E10 — serial number generation: commit-time vs predefined order
+// (paper section 5.2).
+//
+// "A simple possibility is to guarantee that the transaction identifiers
+// are picked up from a totally ordered set ... This would be quite
+// restrictive, because it would require all global transactions to be
+// serialized in the same order even if they could not have caused any
+// problems." The ablation assigns SN at submission time (a predefined
+// total order) instead of at global-commit time and measures the extra
+// extension-refusals and commit-certification stalls.
+//
+// Gate: every cell passes every history oracle. The submit-time gap is a
+// shape claim: printed, not gated.
+
+#include <cstdio>
+#include <vector>
+
+#include "bench/sweeps.h"
+#include "runner/runner.h"
+
+namespace hermes::bench {
+
+int RunAblationOrderSweep(const SweepArgs& args) {
+  std::printf(
+      "E10 — SN at commit time (paper) vs SN at submit time (static\n"
+      "predefined order), sweeping transaction length\n\n");
+  std::vector<runner::RunSpec> specs;
+  for (int cmds : {2, 4, 8}) {
+    for (int mode = 0; mode < 2; ++mode) {
+      runner::RunSpec spec;
+      spec.cell = StrCat(mode == 0 ? "commit-time" : "submit-time",
+                         "/cmds=", cmds);
+      spec.config.seed = 3100 + static_cast<uint64_t>(cmds);
+      spec.config.num_sites = 4;
+      spec.config.rows_per_table = 64;
+      spec.config.global_clients = 10;
+      spec.config.target_global_txns = 120;
+      spec.config.cmds_per_global_txn = cmds;
+      spec.config.sn_at_submit = mode == 1;
+      spec.config.p_prepared_abort = 0.05;
+      spec.config.alive_check_interval = 10 * sim::kMillisecond;
+      specs.push_back(std::move(spec));
+    }
+  }
+
+  runner::Aggregator agg;
+  Result<std::vector<runner::RunOutput>> outputs =
+      RunGrid(specs, args.workers, agg);
+  if (!outputs.ok()) return 2;
+
+  TablePrinter table({"sn policy", "cmds/txn", "committed", "aborted",
+                      "refuse ext", "commit retries", "tput/s",
+                      "mean lat ms", "history"});
+  bool all_ok = true;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const workload::WorkloadConfig& config = specs[i].config;
+    const workload::RunResult& r = (*outputs)[i].result;
+    if (!r.GuaranteesHold()) {
+      std::fprintf(stderr, "E10: cell %s broke a guarantee: %s\n",
+                   specs[i].cell.c_str(), r.Summary().c_str());
+      all_ok = false;
+    }
+    table.AddRow(config.sn_at_submit ? "submit-time" : "commit-time",
+                 config.cmds_per_global_txn, r.metrics.global_committed,
+                 r.metrics.global_aborted, r.metrics.refuse_extension,
+                 r.metrics.commit_cert_retries, r.CommitsPerSecond(),
+                 r.metrics.MeanLatencyMs(), VerdictCell(r));
+  }
+
+  const int rc = FinishSweep("ablation_order",
+                             "4 sites, 10 global clients, p_fail=0.05", 3100,
+                             args.workers, table, agg);
+  std::printf(
+      "\nExpected shape: both variants stay correct, but submit-time\n"
+      "numbering suffers more extension refusals and commit stalls —\n"
+      "and the gap widens with transaction length, because long\n"
+      "transactions hold their (early) number while shorter, later-\n"
+      "numbered ones race ahead.\n");
+  return all_ok ? rc : 1;
+}
+
+}  // namespace hermes::bench

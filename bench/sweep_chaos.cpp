@@ -83,21 +83,10 @@ int RunChaosSweep(const SweepArgs& args) {
     }
   }
 
-  Result<std::vector<runner::RunOutput>> outputs =
-      runner::RunAll(specs, {.workers = args.workers});
-  if (!outputs.ok()) {
-    std::fprintf(stderr, "harness: %s\n",
-                 outputs.status().ToString().c_str());
-    return 2;
-  }
-
   runner::Aggregator agg;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_binary)) {
-      return 2;
-    }
-  }
+  Result<std::vector<runner::RunOutput>> outputs =
+      RunGrid(specs, args.workers, agg);
+  if (!outputs.ok()) return 2;
 
   TablePrinter table({"crashes/plan", "committed", "aborted", "crash abrt",
                       "site crashes", "redelivered", "inquiries",

@@ -37,21 +37,16 @@ int RunClockDriftSweep(const SweepArgs& args) {
     specs.push_back(std::move(spec));
   }
 
-  Result<std::vector<runner::RunOutput>> outputs =
-      runner::RunAll(specs, {.workers = args.workers});
-  if (!outputs.ok()) {
-    std::fprintf(stderr, "harness: %s\n",
-                 outputs.status().ToString().c_str());
-    return 2;
-  }
-
   runner::Aggregator agg;
+  Result<std::vector<runner::RunOutput>> outputs =
+      RunGrid(specs, args.workers, agg);
+  if (!outputs.ok()) return 2;
+
   TablePrinter table({"skew ms", "skew/latency", "committed", "aborted",
                       "refuse ext", "commit retries", "tput/s", "history"});
   bool all_ok = true;
   for (size_t i = 0; i < specs.size(); ++i) {
     const workload::RunResult& r = (*outputs)[i].result;
-    agg.AddRun(specs[i].cell, specs[i].config.seed, r);
     all_ok = all_ok && r.replay_consistent && r.commit_graph_acyclic &&
              r.verdict != history::Verdict::kNotSerializable;
     table.AddRow(static_cast<double>(skews[i]) / 1000.0,

@@ -65,18 +65,10 @@ int RunCorrectnessSweep(const SweepArgs& args) {
     }
   }
 
-  Result<std::vector<runner::RunOutput>> outputs =
-      runner::RunAll(specs, {.workers = args.workers});
-  if (!outputs.ok()) {
-    std::fprintf(stderr, "harness: %s\n",
-                 outputs.status().ToString().c_str());
-    return 2;
-  }
-
   runner::Aggregator agg;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
-  }
+  Result<std::vector<runner::RunOutput>> outputs =
+      RunGrid(specs, args.workers, agg);
+  if (!outputs.ok()) return 2;
 
   TablePrinter table({"policy", "DLU", "p_fail", "runs", "violations",
                       "CG cycles", "refusals", "resub"});

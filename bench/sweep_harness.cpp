@@ -5,13 +5,10 @@
 // fingerprint — the full binary trace capture plus all metrics and oracle
 // verdicts — is byte-identical to the serial execution. Simulated runs
 // are pure functions of their config, so worker count must never change
-// a single byte of output; this binary is the executable proof.
+// a single byte of output; this sweep is the executable proof.
 //
-//   bench_harness [--quick] [--workers=N]
-//
-// `--workers=N` sets the largest worker count tried (default 8). It
-// exports no trace: `--trace-out` is a usage error (exit 2). Exit code is
-// otherwise nonzero if any parallel execution diverged from serial.
+// Here `--workers=N` sets the largest worker count tried: N if N > 1,
+// else 8. Gate: every parallel execution matches the serial one.
 
 #include <chrono>
 #include <cstdio>
@@ -21,7 +18,7 @@
 #include "bench/sweeps.h"
 #include "runner/runner.h"
 
-namespace hermes {
+namespace hermes::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -51,12 +48,8 @@ std::vector<runner::RunSpec> BuildGrid(int seed_count, int txns) {
 }
 
 }  // namespace
-}  // namespace hermes
 
-int main(int argc, char** argv) {
-  using namespace hermes;  // NOLINT
-  const bench::SweepArgs args = bench::ParseSweepArgs(argc, argv);
-  if (!args.trace_out.empty()) return bench::RefuseTraceOut("bench_harness");
+int RunHarnessSweep(const SweepArgs& args) {
   const int seed_count = args.quick ? 8 : 32;
   const int txns = args.quick ? 40 : 120;
   const int max_workers = args.workers > 1 ? args.workers : 8;
@@ -82,8 +75,7 @@ int main(int argc, char** argv) {
     expected.push_back(runner::Fingerprint(out));
   }
 
-  bench::TablePrinter table(
-      {"workers", "wall ms", "speedup", "identical"});
+  TablePrinter table({"workers", "wall ms", "speedup", "identical"});
   table.AddRow(1, serial_ms, 1.0, "yes");
 
   bool all_identical = true;
@@ -110,7 +102,7 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < specs.size(); ++i) {
     agg.AddRun(specs[i].cell, specs[i].config.seed, (*serial)[i].result);
   }
-  const int rc = bench::FinishSweep(
+  const int rc = FinishSweep(
       "harness", StrCat(seed_count, " seeds, ", specs[0].config.ToString()),
       4242, args.workers, table, agg);
 
@@ -119,8 +111,10 @@ int main(int argc, char** argv) {
       "the hardware thread count; the identical column must always say\n"
       "yes (bit-for-bit deterministic runs regardless of scheduling).\n");
   if (!all_identical) {
-    std::fprintf(stderr, "bench_harness: DETERMINISM VIOLATION\n");
+    std::fprintf(stderr, "E14: DETERMINISM VIOLATION\n");
     return 1;
   }
   return rc;
 }
+
+}  // namespace hermes::bench

@@ -187,23 +187,14 @@ int RunReconfigSweep(const SweepArgs& args) {
     }
   }
 
-  Result<std::vector<runner::RunOutput>> outputs =
-      runner::RunAll(specs, {.workers = args.workers});
-  if (!outputs.ok()) {
-    std::fprintf(stderr, "harness: %s\n",
-                 outputs.status().ToString().c_str());
-    return 2;
-  }
-
   runner::Aggregator agg;
+  Result<std::vector<runner::RunOutput>> outputs =
+      RunGrid(specs, args.workers, agg);
+  if (!outputs.ok()) return 2;
+
   std::vector<ReconfigTimeline> timelines(cells.size());
   for (size_t i = 0; i < specs.size(); ++i) {
-    agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
     if (specs[i].capture_trace) {
-      if (!AddPhaseStats(agg.Cell(specs[i].cell),
-                         (*outputs)[i].trace_binary)) {
-        return 2;
-      }
       timelines[i / static_cast<size_t>(num_seeds)] =
           AnalyzeTimeline((*outputs)[i].trace_binary);
     }

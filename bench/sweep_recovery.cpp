@@ -11,18 +11,18 @@
 // detection is on: a coordinator that crashes before PREPARE forgets its
 // transaction (presumed abort), and without the agent's orphan timeout the
 // participant's active subtransaction would hold its locks and uncommitted
-// writes forever. Exits 1 unless every row passes.
+// writes forever. Gate: every row passes.
 
 #include <cstdio>
 #include <functional>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/sweeps.h"
 #include "core/mdbs.h"
 #include "history/projection.h"
 #include "history/view_checker.h"
 
-namespace hermes {
+namespace hermes::bench {
 namespace {
 
 struct CrashRunResult {
@@ -106,17 +106,15 @@ CrashRunResult Run(int crashes, sim::Duration crash_period) {
 }
 
 }  // namespace
-}  // namespace hermes
 
-int main() {
-  using namespace hermes;  // NOLINT
+int RunRecoverySweep(const SweepArgs&) {
   std::printf(
       "E12 — crash-recovery: 120 transfers over 3 sites, crashing one site\n"
       "every period (round-robin); money conservation must hold and the\n"
       "history must stay consistent.\n\n");
-  bench::TablePrinter table({"crashes", "period ms", "committed", "aborted",
-                             "collective aborts", "resub", "orphans",
-                             "conserved", "in-doubt clear", "history"});
+  TablePrinter table({"crashes", "period ms", "committed", "aborted",
+                      "collective aborts", "resub", "orphans", "conserved",
+                      "in-doubt clear", "history"});
   struct Point {
     int crashes;
     sim::Duration period;
@@ -133,10 +131,9 @@ int main() {
                  r.conserved ? "yes" : "NO", r.in_doubt_clear ? "yes" : "NO",
                  r.consistent ? "consistent" : "VIOLATED");
   }
-  table.Print();
-  bench::WriteBenchArtifact("recovery",
-                            "120 transfers, 3 sites, round-robin crashes", 7,
-                            table);
+  const int rc = FinishSweep("recovery",
+                             "120 transfers, 3 sites, round-robin crashes", 7,
+                             1, table, runner::Aggregator());
   std::printf(
       "\nExpected shape: commits dominate even under repeated crashes;\n"
       "conservation, atomicity and history consistency hold and no\n"
@@ -145,5 +142,7 @@ int main() {
     std::fprintf(stderr, "E12: a row failed\n");
     return 1;
   }
-  return 0;
+  return rc;
 }
+
+}  // namespace hermes::bench

@@ -45,22 +45,17 @@ int RunScalingSweep(const SweepArgs& args) {
     }
   }
 
-  Result<std::vector<runner::RunOutput>> outputs =
-      runner::RunAll(specs, {.workers = args.workers});
-  if (!outputs.ok()) {
-    std::fprintf(stderr, "harness: %s\n",
-                 outputs.status().ToString().c_str());
-    return 2;
-  }
-
   runner::Aggregator agg;
+  Result<std::vector<runner::RunOutput>> outputs =
+      RunGrid(specs, args.workers, agg);
+  if (!outputs.ok()) return 2;
+
   TablePrinter table({"system", "sites", "committed", "aborted", "tput/s",
                       "tput/site/s", "mean lat ms", "p50 ms", "p95 ms",
                       "p99 ms", "messages", "history"});
   bool all_ok = true;
   for (size_t i = 0; i < specs.size(); ++i) {
     const workload::RunResult& r = (*outputs)[i].result;
-    agg.AddRun(specs[i].cell, specs[i].config.seed, r);
     const bool ok = r.GuaranteesHold();
     if (!ok) {
       std::fprintf(stderr, "E6 %s: history oracle failed\n",

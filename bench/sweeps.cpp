@@ -44,6 +44,25 @@ bool AddPhaseStats(runner::CellAggregate& cell,
   return true;
 }
 
+Result<std::vector<runner::RunOutput>> RunGrid(
+    const std::vector<runner::RunSpec>& specs, int workers,
+    runner::Aggregator& agg) {
+  Result<std::vector<runner::RunOutput>> outputs =
+      runner::RunAll(specs, {.workers = workers});
+  if (!outputs.ok()) {
+    std::fprintf(stderr, "harness: %s\n",
+                 outputs.status().ToString().c_str());
+    return outputs;
+  }
+  for (size_t i = 0; i < specs.size(); ++i) {
+    agg.AddRun(specs[i].cell, specs[i].config.seed, (*outputs)[i].result);
+    if (!AddPhaseStats(agg.Cell(specs[i].cell), (*outputs)[i].trace_binary)) {
+      return Status::Internal("a traced run does not decode");
+    }
+  }
+  return outputs;
+}
+
 Result<DeterminismRuns> RunDeterminismGrid(
     const std::vector<runner::RunSpec>& specs, const char* what) {
   Result<std::vector<runner::RunOutput>> serial =
@@ -98,19 +117,6 @@ bool WriteTraceArtifacts(const std::string& path,
   }
   std::printf("trace: %s\nmetrics: %s\n", path.c_str(), prom_path.c_str());
   return true;
-}
-
-int RefuseTraceOut(const std::string& who) {
-  std::fprintf(stderr,
-               "%s exports no trace, so --trace-out is refused; "
-               "bench_suite --only=NAME --trace-out=PATH exports one for "
-               "NAME in:",
-               who.c_str());
-  for (const SweepEntry& e : kSweeps) {
-    if (e.exports_trace) std::fprintf(stderr, " %s", e.name);
-  }
-  std::fprintf(stderr, "\n");
-  return 2;
 }
 
 std::string Fixed2(double v) {

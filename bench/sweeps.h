@@ -1,11 +1,13 @@
-// The sweep experiments of EXPERIMENTS.md (E5 ... E20), ported
-// onto the parallel runner harness: every (config, seed) point of a grid
-// becomes one runner::RunSpec, the whole grid fans out across worker
-// threads, and per-cell aggregates feed both the printed table and the
-// consolidated BENCH_<name>.json artifact (schema in docs/FORMATS.md).
+// The experiments of EXPERIMENTS.md (E1 ... E20), one function each. The
+// workload sweeps run on the parallel runner harness: every (config,
+// seed) point of a grid becomes one runner::RunSpec, the whole grid fans
+// out across worker threads, and per-cell aggregates feed both the
+// printed table and the consolidated BENCH_<name>.json artifact (schema in
+// docs/FORMATS.md). The scripted experiments (E1/E2, E12) drive a
+// core::Mdbs directly and write the same artifact, with no cells.
 //
-// Each sweep is a function; bench_suite is the one binary that runs them
-// (all, or a subset picked with --only).
+// bench_suite is the one binary that runs them (all, or a subset picked
+// with --only), and each gates its own claim through its exit code.
 
 #ifndef HERMES_BENCH_SWEEPS_H_
 #define HERMES_BENCH_SWEEPS_H_
@@ -20,8 +22,19 @@
 
 namespace hermes::bench {
 
-// SweepArgs / ParseSweepArgs live in bench/bench_util.h (included above)
-// so non-sweep binaries share the same flag handling.
+// The options bench_suite hands every sweep.
+struct SweepArgs {
+  // Worker threads for the run fan-out; <= 0 means hardware concurrency.
+  int workers = 1;
+  // Reduced grid (fewer seeds / shorter runs) for CI smoke jobs.
+  bool quick = false;
+  // When non-empty, the sweep writes one representative run's trace here
+  // plus a Prometheus dump at `<trace_out>.prom`, ready for
+  // `tmstat <trace_out>`. The file is JSONL decoded from the run's binary
+  // capture (E20 writes its merged binary trace as is). Only the sweeps
+  // marked `exports_trace` in kSweeps accept it.
+  std::string trace_out;
+};
 
 // Folds one traced run into the cell's critical-path phase stats
 // (`phase_*_us`: mean virtual µs per committed transaction, including
@@ -35,6 +48,13 @@ namespace hermes::bench {
 // docs/FORMATS.md.
 bool AddPhaseStats(runner::CellAggregate& cell,
                    const std::string& trace_binary);
+
+// Runs `specs` on `workers` threads and folds every run into `agg` under
+// its cell, with AddPhaseStats for a traced run. An error means the
+// harness itself failed (the caller exits 2); it is printed here.
+Result<std::vector<runner::RunOutput>> RunGrid(
+    const std::vector<runner::RunSpec>& specs, int workers,
+    runner::Aggregator& agg);
 
 // The determinism sub-grid every sweep with traced runs checks: `specs`
 // run serially and on 2 workers, and each run's fingerprint must match
@@ -70,19 +90,25 @@ int FinishSweep(const std::string& name, const std::string& config,
                 const runner::Aggregator& agg);
 
 // Each sweep prints its table, writes BENCH_<name>.json and returns a
-// process exit code: 0 on success, 1 when a correctness guarantee was
-// violated or an artifact (BENCH_*.json, --trace-out) could not be
-// written, 2 when the harness itself failed.
-int RunFailureSweep(const SweepArgs& args);        // E5
-int RunScalingSweep(const SweepArgs& args);        // E6
-int RunClockDriftSweep(const SweepArgs& args);     // E7
-int RunCorrectnessSweep(const SweepArgs& args);    // E9
-int RunNetworkFaultsSweep(const SweepArgs& args);  // E13
-int RunChaosSweep(const SweepArgs& args);          // E15
-int RunPaxosSweep(const SweepArgs& args);          // E16
-int RunAblationMatrixSweep(const SweepArgs& args);  // E18
-int RunReconfigSweep(const SweepArgs& args);        // E19
-int RunTraceOverheadSweep(const SweepArgs& args);   // E20
+// process exit code: 0 on success, 1 when its claim or a correctness
+// guarantee was violated or an artifact (BENCH_*.json, --trace-out) could
+// not be written, 2 when the harness itself failed.
+int RunFig2HistoriesSweep(const SweepArgs& args);    // E1, E2
+int RunRestrictivenessSweep(const SweepArgs& args);  // E3, E4
+int RunFailureSweep(const SweepArgs& args);          // E5
+int RunScalingSweep(const SweepArgs& args);          // E6
+int RunClockDriftSweep(const SweepArgs& args);       // E7
+int RunCorrectnessSweep(const SweepArgs& args);      // E9
+int RunAblationOrderSweep(const SweepArgs& args);    // E10
+int RunDeadlockSweep(const SweepArgs& args);         // E11
+int RunRecoverySweep(const SweepArgs& args);         // E12
+int RunNetworkFaultsSweep(const SweepArgs& args);    // E13
+int RunHarnessSweep(const SweepArgs& args);          // E14
+int RunChaosSweep(const SweepArgs& args);            // E15
+int RunPaxosSweep(const SweepArgs& args);            // E16
+int RunAblationMatrixSweep(const SweepArgs& args);   // E18
+int RunReconfigSweep(const SweepArgs& args);         // E19
+int RunTraceOverheadSweep(const SweepArgs& args);    // E20
 
 // The sweep table bench_suite runs, in order. `exports_trace` marks the
 // sweeps that write a representative trace to --trace-out; the others
@@ -94,21 +120,23 @@ struct SweepEntry {
   bool exports_trace;
 };
 inline constexpr SweepEntry kSweeps[] = {
+    {"E1/E2", "fig2_histories", RunFig2HistoriesSweep, false},
+    {"E3/E4", "restrictiveness", RunRestrictivenessSweep, false},
     {"E5", "failure_sweep", RunFailureSweep, true},
     {"E6", "scaling", RunScalingSweep, false},
     {"E7", "clock_drift", RunClockDriftSweep, false},
     {"E9", "correctness_sweep", RunCorrectnessSweep, false},
+    {"E10", "ablation_order", RunAblationOrderSweep, false},
+    {"E11", "deadlock", RunDeadlockSweep, false},
+    {"E12", "recovery", RunRecoverySweep, false},
     {"E13", "network_faults", RunNetworkFaultsSweep, false},
+    {"E14", "harness", RunHarnessSweep, false},
     {"E15", "chaos", RunChaosSweep, true},
     {"E16", "paxos", RunPaxosSweep, true},
     {"E18", "ablation_matrix", RunAblationMatrixSweep, true},
     {"E19", "reconfig", RunReconfigSweep, true},
     {"E20", "trace_overhead", RunTraceOverheadSweep, true},
 };
-
-// The usage error for a --trace-out that `who` cannot honour: prints it,
-// naming the sweeps that do export a trace, and returns exit code 2.
-int RefuseTraceOut(const std::string& who);
 
 }  // namespace hermes::bench
 

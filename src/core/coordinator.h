@@ -115,10 +115,10 @@ class Coordinator {
 
   void set_hooks(CoordinatorHooks hooks) { hooks_ = std::move(hooks); }
 
-  // Ablation (bench_ablation_order): generate the serial number when the
-  // transaction is *submitted* instead of when the application commits —
-  // the "predefined total order" alternative the paper rejects in
-  // section 5.2 as overly restrictive.
+  // Ablation (E10, `bench_suite --only=ablation_order`): generate the
+  // serial number when the transaction is *submitted* instead of when the
+  // application commits — the "predefined total order" alternative the
+  // paper rejects in section 5.2 as overly restrictive.
   void set_sn_at_submit(bool v) { sn_at_submit_ = v; }
 
   // Ablation for the lost-decision test: skip the decision force-write so a

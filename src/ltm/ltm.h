@@ -53,7 +53,8 @@ struct LtmConfig {
   // of blocking.
   bool dlu_reject = false;
   // Optional wait-for-graph deadlock detection (the paper's 2CM assumes
-  // timeout-only; detection is an ablation, see bench_deadlock).
+  // timeout-only; detection is the E11 ablation,
+  // `bench_suite --only=deadlock`).
   bool deadlock_detection = false;
   sim::Duration deadlock_check_interval = 50 * sim::kMillisecond;
 };

@@ -107,9 +107,8 @@ struct WorkloadConfig {
   // E10 ablation: assign serial numbers at submission (static total order).
   bool sn_at_submit = false;
   // E11: wait-for-graph deadlock detection in the LTMs instead of
-  // timeout-only resolution.
+  // timeout-only resolution, searching the wait-for graph every 10 ms.
   bool deadlock_detection = false;
-  sim::Duration deadlock_check_interval = 20 * sim::kMillisecond;
 
   // --- tunables forwarded to the components ------------------------------------
   sim::Duration net_base_latency = 1 * sim::kMillisecond;

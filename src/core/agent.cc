@@ -995,8 +995,8 @@ void TwoPCAgent::BindAccessedItems(AgentTxn& txn) {
   const ltm::LocalTxn* local = ltm_->Find(txn.ltm_handle);
   if (local == nullptr) return;
   std::vector<ItemId> fresh;
-  for (const auto& set : {local->read_set, local->write_set}) {
-    for (const ItemId& item : set) {
+  for (const std::set<ItemId>* set : {&local->read_set, &local->write_set}) {
+    for (const ItemId& item : *set) {
       if (txn.bound_items.insert(item).second) fresh.push_back(item);
     }
   }

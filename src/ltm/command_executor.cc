@@ -18,7 +18,11 @@ constexpr sim::Duration kPerRowLatency = 5 * sim::kMicrosecond;
 
 CommandExecutor::CommandExecutor(Ltm* ltm, LtmTxnHandle txn, db::Command cmd,
                                  Callback cb)
-    : ltm_(ltm), txn_(txn), cmd_(std::move(cmd)), cb_(std::move(cb)) {}
+    : ltm_(ltm),
+      txn_(txn),
+      cmd_(std::move(cmd)),
+      cb_(std::move(cb)),
+      exact_key_(db::CommandExactKey(cmd_)) {}
 
 void CommandExecutor::Start() { LockRound(); }
 
@@ -111,8 +115,13 @@ void CommandExecutor::LockRound() {
 void CommandExecutor::LockNextKey() {
   if (cancelled_ || finished_) return;
   if (to_lock_.empty()) {
-    // Revalidate the match under the locks just taken.
-    LockRound();
+    // Revalidate the match under the locks just taken -- unless the command
+    // pins one key and holds it, so that nothing new can match.
+    if (exact_key_.has_value() && locked_.count(*exact_key_) != 0) {
+      ScheduleApply();
+    } else {
+      LockRound();
+    }
     return;
   }
   const int64_t key = to_lock_.back();
@@ -199,8 +208,10 @@ void CommandExecutor::ScheduleApply() {
 void CommandExecutor::Apply() {
   if (cancelled_ || finished_) return;
   // The database may have changed while the processing delay elapsed; if
-  // new rows now match, go lock them too.
-  for (int64_t key : ComputeKeys()) {
+  // new rows now match, go lock them too. Otherwise `keys` is what the
+  // command reads, updates or deletes.
+  const std::vector<int64_t> keys = ComputeKeys();
+  for (int64_t key : keys) {
     if (locked_.count(key) == 0) {
       LockRound();
       return;
@@ -230,8 +241,8 @@ void CommandExecutor::Apply() {
 
   std::vector<ItemId> shared_locked;  // for early release (non-rigorous)
 
-  if (const auto* sel = std::get_if<db::SelectCmd>(&cmd_)) {
-    for (int64_t key : table->Match(sel->pred)) {
+  if (std::holds_alternative<db::SelectCmd>(cmd_)) {
+    for (int64_t key : keys) {
       const db::RowEntry* entry = table->Get(key);
       assert(entry != nullptr && entry->live());
       record_read(key, *entry);
@@ -255,7 +266,7 @@ void CommandExecutor::Apply() {
     record_write(ins->key, tag, /*is_delete=*/false);
     result.affected = 1;
   } else if (const auto* upd = std::get_if<db::UpdateCmd>(&cmd_)) {
-    for (int64_t key : table->Match(upd->pred)) {
+    for (int64_t key : keys) {
       const db::RowEntry* entry = table->Get(key);
       assert(entry != nullptr && entry->live());
       record_read(key, *entry);
@@ -284,8 +295,7 @@ void CommandExecutor::Apply() {
       ++result.affected;
     }
   } else {
-    const auto& del = std::get<db::DeleteCmd>(cmd_);
-    for (int64_t key : table->Match(del.pred)) {
+    for (int64_t key : keys) {
       const db::RowEntry* entry = table->Get(key);
       assert(entry != nullptr && entry->live());
       record_read(key, *entry);

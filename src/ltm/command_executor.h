@@ -12,6 +12,7 @@
 #define HERMES_LTM_COMMAND_EXECUTOR_H_
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -68,6 +69,8 @@ class CommandExecutor : public std::enable_shared_from_this<CommandExecutor> {
   LtmTxnHandle txn_;
   db::Command cmd_;
   Callback cb_;
+  // The one key the command pins (db::CommandExactKey), if any.
+  std::optional<int64_t> exact_key_;
 
   bool cancelled_ = false;
   bool finished_ = false;

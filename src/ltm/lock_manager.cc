@@ -1,9 +1,29 @@
 #include "ltm/lock_manager.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace hermes::ltm {
+
+namespace {
+
+// The first holder whose handle is not below `txn`.
+template <typename Holders>
+auto HolderLowerBound(Holders& holders, LtmTxnHandle txn) {
+  return std::lower_bound(
+      holders.begin(), holders.end(), txn,
+      [](const auto& holder, LtmTxnHandle t) { return holder.first < t; });
+}
+
+// `txn`'s entry in `holders`, or holders.end().
+template <typename Holders>
+auto FindHolder(Holders& holders, LtmTxnHandle txn) {
+  auto it = HolderLowerBound(holders, txn);
+  return it != holders.end() && it->first == txn ? it : holders.end();
+}
+
+}  // namespace
 
 LockManager::LockManager(const LockManagerConfig& config,
                          sim::EventLoop* loop)
@@ -20,16 +40,38 @@ bool LockManager::Compatible(const LockState& ls, LtmTxnHandle txn,
   return true;
 }
 
-void LockManager::GrantNow(LtmTxnHandle txn, const ItemId& item,
-                           LockMode mode, GrantCallback cb) {
-  LockState& ls = locks_[item];
-  auto it = ls.holders.find(txn);
-  if (it == ls.holders.end()) {
-    ls.holders[txn] = mode;
+void LockManager::Unindex(ItemIndex& index, LtmTxnHandle txn,
+                          const ItemId& item) {
+  auto it = index.find(txn);
+  if (it == index.end()) return;
+  Items& items = it->second;
+  auto pos = std::find(items.begin(), items.end(), item);
+  if (pos == items.end()) return;
+  *pos = items.back();
+  items.pop_back();
+  if (items.empty()) index.erase(it);
+}
+
+LockManager::Items LockManager::TakeSorted(ItemIndex& index,
+                                           LtmTxnHandle txn) {
+  auto it = index.find(txn);
+  if (it == index.end()) return {};
+  Items items = std::move(it->second);
+  index.erase(it);
+  std::sort(items.begin(), items.end());
+  return items;
+}
+
+void LockManager::GrantNow(LockState& ls, LtmTxnHandle txn,
+                           const ItemId& item, LockMode mode,
+                           GrantCallback cb) {
+  auto it = HolderLowerBound(ls.holders, txn);
+  if (it == ls.holders.end() || it->first != txn) {
+    ls.holders.emplace(it, txn, mode);
+    held_[txn].push_back(item);
   } else if (mode == LockMode::kExclusive) {
     it->second = LockMode::kExclusive;  // upgrade
   }
-  held_[txn].insert(item);
   ++grants_;
   loop_->ScheduleAfter(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
 }
@@ -37,7 +79,7 @@ void LockManager::GrantNow(LtmTxnHandle txn, const ItemId& item,
 void LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
                           GrantCallback cb) {
   LockState& ls = locks_[item];
-  auto held_it = ls.holders.find(txn);
+  auto held_it = FindHolder(ls.holders, txn);
   const bool holds_any = held_it != ls.holders.end();
   const bool holds_x =
       holds_any && held_it->second == LockMode::kExclusive;
@@ -56,7 +98,7 @@ void LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
   // keeps upgraders from deadlocking behind newcomers).
   const bool queue_blocks = !upgrade && !ls.queue.empty();
   if (!queue_blocks && Compatible(ls, txn, mode)) {
-    GrantNow(txn, item, mode, std::move(cb));
+    GrantNow(ls, txn, item, mode, std::move(cb));
     return;
   }
 
@@ -72,7 +114,10 @@ void LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
   } else {
     ls.queue.push_back(std::move(w));
   }
-  waiting_[txn].insert(item);
+  Items& waits = waiting_[txn];
+  if (std::find(waits.begin(), waits.end(), item) == waits.end()) {
+    waits.push_back(item);
+  }
 }
 
 void LockManager::OnWaitTimeout(const ItemId& item, LtmTxnHandle txn) {
@@ -83,11 +128,7 @@ void LockManager::OnWaitTimeout(const ItemId& item, LtmTxnHandle txn) {
     if (it->txn == txn) {
       GrantCallback cb = std::move(it->cb);
       ls.queue.erase(it);
-      auto wit = waiting_.find(txn);
-      if (wit != waiting_.end()) {
-        wit->second.erase(item);
-        if (wit->second.empty()) waiting_.erase(wit);
-      }
+      Unindex(waiting_, txn, item);
       ++timeouts_;
       cb(Status::Timeout("lock wait timeout"));
       // The queue head may now be grantable (e.g. the timed-out waiter was
@@ -102,61 +143,42 @@ void LockManager::ProcessQueue(const ItemId& item) {
   auto lit = locks_.find(item);
   if (lit == locks_.end()) return;
   LockState& ls = lit->second;
-  bool granted_any = true;
-  while (granted_any && !ls.queue.empty()) {
-    granted_any = false;
-    // Upgrades first (they sit at the front by construction).
-    Waiter& head = ls.queue.front();
-    if (Compatible(ls, head.txn, head.mode)) {
-      Waiter w = std::move(head);
-      ls.queue.pop_front();
-      loop_->Cancel(w.timeout_event);
-      auto wit = waiting_.find(w.txn);
-      if (wit != waiting_.end()) {
-        wit->second.erase(item);
-        if (wit->second.empty()) waiting_.erase(wit);
-      }
-      GrantNow(w.txn, item, w.mode, std::move(w.cb));
-      granted_any = true;
-      continue;
-    }
-    // Head not grantable: shared waiters behind a blocked upgrade/exclusive
-    // head stay blocked (FIFO fairness, prevents writer starvation).
+  // Grant the longest grantable prefix (upgrades sit at the front by
+  // construction). Shared waiters behind a blocked upgrade/exclusive head
+  // stay blocked (FIFO fairness, prevents writer starvation).
+  size_t granted = 0;
+  while (granted < ls.queue.size() &&
+         Compatible(ls, ls.queue[granted].txn, ls.queue[granted].mode)) {
+    Waiter& w = ls.queue[granted++];
+    loop_->Cancel(w.timeout_event);
+    Unindex(waiting_, w.txn, item);
+    GrantNow(ls, w.txn, item, w.mode, std::move(w.cb));
   }
+  ls.queue.erase(ls.queue.begin(), ls.queue.begin() + granted);
   if (ls.holders.empty() && ls.queue.empty()) locks_.erase(lit);
 }
 
 void LockManager::CancelWaits(LtmTxnHandle txn) {
-  auto wit = waiting_.find(txn);
-  if (wit == waiting_.end()) return;
-  const std::set<ItemId> items = std::move(wit->second);
-  waiting_.erase(wit);
-  for (const ItemId& item : items) {
+  for (const ItemId& item : TakeSorted(waiting_, txn)) {
     auto lit = locks_.find(item);
     if (lit == locks_.end()) continue;
-    LockState& ls = lit->second;
-    for (auto it = ls.queue.begin(); it != ls.queue.end();) {
-      if (it->txn == txn) {
-        loop_->Cancel(it->timeout_event);
-        it = ls.queue.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(lit->second.queue, [this, txn](const Waiter& w) {
+      if (w.txn != txn) return false;
+      loop_->Cancel(w.timeout_event);
+      return true;
+    });
     ProcessQueue(item);
   }
 }
 
 void LockManager::ReleaseAll(LtmTxnHandle txn) {
   CancelWaits(txn);
-  auto hit = held_.find(txn);
-  if (hit == held_.end()) return;
-  const std::set<ItemId> items = std::move(hit->second);
-  held_.erase(hit);
-  for (const ItemId& item : items) {
+  for (const ItemId& item : TakeSorted(held_, txn)) {
     auto lit = locks_.find(item);
     if (lit == locks_.end()) continue;
-    lit->second.holders.erase(txn);
+    LockState& ls = lit->second;
+    auto it = FindHolder(ls.holders, txn);
+    if (it != ls.holders.end()) ls.holders.erase(it);
     ProcessQueue(item);
   }
 }
@@ -164,12 +186,11 @@ void LockManager::ReleaseAll(LtmTxnHandle txn) {
 void LockManager::Release(LtmTxnHandle txn, const ItemId& item) {
   auto lit = locks_.find(item);
   if (lit == locks_.end()) return;
-  if (lit->second.holders.erase(txn) == 0) return;
-  auto hit = held_.find(txn);
-  if (hit != held_.end()) {
-    hit->second.erase(item);
-    if (hit->second.empty()) held_.erase(hit);
-  }
+  LockState& ls = lit->second;
+  auto it = FindHolder(ls.holders, txn);
+  if (it == ls.holders.end()) return;
+  ls.holders.erase(it);
+  Unindex(held_, txn, item);
   ProcessQueue(item);
 }
 
@@ -177,15 +198,23 @@ bool LockManager::Holds(LtmTxnHandle txn, const ItemId& item,
                         LockMode mode) const {
   auto lit = locks_.find(item);
   if (lit == locks_.end()) return false;
-  auto it = lit->second.holders.find(txn);
+  auto it = FindHolder(lit->second.holders, txn);
   if (it == lit->second.holders.end()) return false;
   return mode == LockMode::kShared || it->second == LockMode::kExclusive;
 }
 
 std::vector<std::pair<LtmTxnHandle, LtmTxnHandle>>
 LockManager::WaitForEdges() const {
+  // Only items with waiters have edges; walk them in ItemId order.
+  std::vector<const std::pair<const ItemId, LockState>*> waited;
+  for (const auto& entry : locks_) {
+    if (!entry.second.queue.empty()) waited.push_back(&entry);
+  }
+  std::sort(waited.begin(), waited.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
   std::vector<std::pair<LtmTxnHandle, LtmTxnHandle>> edges;
-  for (const auto& [item, ls] : locks_) {
+  for (const auto* entry : waited) {
+    const LockState& ls = entry->second;
     for (size_t i = 0; i < ls.queue.size(); ++i) {
       const Waiter& w = ls.queue[i];
       // Waits for every incompatible holder...

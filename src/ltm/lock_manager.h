@@ -10,10 +10,9 @@
 #ifndef HERMES_LTM_LOCK_MANAGER_H_
 #define HERMES_LTM_LOCK_MANAGER_H_
 
-#include <deque>
 #include <functional>
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -75,27 +74,41 @@ class LockManager {
     sim::EventId timeout_event;
     bool upgrade;  // txn already holds kShared
   };
+  // Sorted by handle.
+  using Holders = std::vector<std::pair<LtmTxnHandle, LockMode>>;
   struct LockState {
-    std::map<LtmTxnHandle, LockMode> holders;
-    std::deque<Waiter> queue;
+    Holders holders;
+    // FIFO, upgrades first.
+    std::vector<Waiter> queue;
   };
+  // A transaction's items in a reverse index: no duplicates, in no order.
+  using Items = std::vector<ItemId>;
+  using ItemIndex = std::unordered_map<LtmTxnHandle, Items>;
 
   // True if `txn` could hold `mode` given current holders (ignoring queue).
   static bool Compatible(const LockState& ls, LtmTxnHandle txn,
                          LockMode mode);
+  // Drops `item` from `txn`'s entry in `index`, and the entry once empty.
+  static void Unindex(ItemIndex& index, LtmTxnHandle txn, const ItemId& item);
+  // Removes `txn`'s entry from `index`; returns its items in ItemId order.
+  static Items TakeSorted(ItemIndex& index, LtmTxnHandle txn);
 
-  void GrantNow(LtmTxnHandle txn, const ItemId& item, LockMode mode,
-                GrantCallback cb);
+  void GrantNow(LockState& ls, LtmTxnHandle txn, const ItemId& item,
+                LockMode mode, GrantCallback cb);
   // Grants as many queued waiters as possible after a release.
   void ProcessQueue(const ItemId& item);
   void OnWaitTimeout(const ItemId& item, LtmTxnHandle txn);
 
   LockManagerConfig config_;
   sim::EventLoop* loop_;
-  std::map<ItemId, LockState> locks_;
+  // Determinism: nothing observable depends on the hash order of these
+  // tables. ReleaseAll and CancelWaits process a transaction's items in
+  // ItemId order, and WaitForEdges walks items in ItemId order, so grants
+  // and edges come out exactly as from an ordered map.
+  std::unordered_map<ItemId, LockState, ItemIdHash> locks_;
   // Reverse indexes.
-  std::map<LtmTxnHandle, std::set<ItemId>> held_;
-  std::map<LtmTxnHandle, std::set<ItemId>> waiting_;
+  ItemIndex held_;
+  ItemIndex waiting_;
   int64_t grants_ = 0;
   int64_t waits_ = 0;
   int64_t timeouts_ = 0;

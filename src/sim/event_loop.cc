@@ -9,7 +9,7 @@
 
 namespace hermes::sim {
 
-EventId EventLoop::ScheduleAt(Time at, std::function<void()> fn) {
+EventId EventLoop::ScheduleAt(Time at, Callback fn) {
   if (at < now_) at = now_;
   if (next_seq_ > std::numeric_limits<uint32_t>::max()) {
     std::fprintf(stderr, "EventLoop: more than 2^32 events scheduled\n");
@@ -31,7 +31,7 @@ EventId EventLoop::ScheduleAt(Time at, std::function<void()> fn) {
   return id;
 }
 
-EventId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
+EventId EventLoop::ScheduleAfter(Duration delay, Callback fn) {
   assert(delay >= 0);
   return ScheduleAt(now_ + delay, std::move(fn));
 }
@@ -40,6 +40,14 @@ void EventLoop::Release(uint32_t slot) {
   slots_[slot].id = kInvalidEvent;
   free_slots_.push_back(slot);
   --live_;
+  if (tombstones_ > live_ + kTombstoneSlack) {
+    std::erase_if(heap_, [this](const Entry& e) {
+      return slots_[SlotOf(e.id)].id != e.id;
+    });
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    tombstones_ = 0;
+  }
+  assert(heap_.size() == live_ + tombstones_);
 }
 
 bool EventLoop::Cancel(EventId id) {
@@ -53,7 +61,8 @@ bool EventLoop::Cancel(EventId id) {
   }
   // Destroy the callback only after the slot is consistent again: its
   // captures' destructors may schedule or cancel events.
-  std::function<void()> fn = std::move(slots_[slot].fn);
+  Callback fn = std::move(slots_[slot].fn);
+  ++tombstones_;
   Release(slot);
   return true;
 }
@@ -77,10 +86,13 @@ bool EventLoop::DispatchNext(Time deadline) {
     }
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
-    if (!live) continue;  // tombstone of a cancelled event
+    if (!live) {  // tombstone of a cancelled event
+      --tombstones_;
+      continue;
+    }
     // Move the callback out and free the slot first: the callback may
     // schedule (reusing the slot) and must see its own id as executed.
-    std::function<void()> fn = std::move(slots_[slot].fn);
+    Callback fn = std::move(slots_[slot].fn);
     Release(slot);
     now_ = top.at;
     ++events_processed_;

@@ -10,8 +10,9 @@
 #define HERMES_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
+
+#include "sim/callback.h"
 
 namespace hermes::sim {
 
@@ -36,10 +37,11 @@ class EventLoop {
 
   Time Now() const { return now_; }
 
-  // Schedules `fn` to run at virtual time `at` (clamped to Now()). Events
-  // with equal time run in scheduling order (stable).
-  EventId ScheduleAt(Time at, std::function<void()> fn);
-  EventId ScheduleAfter(Duration delay, std::function<void()> fn);
+  // Schedules `fn` (any `void()` callable, moved in) to run at virtual time
+  // `at` (clamped to Now()). Events with equal time run in scheduling order
+  // (stable).
+  EventId ScheduleAt(Time at, Callback fn);
+  EventId ScheduleAfter(Duration delay, Callback fn);
 
   // Cancels a pending event. Returns false if it already ran or was
   // cancelled before.
@@ -60,6 +62,12 @@ class EventLoop {
 
   bool Empty() const { return live_ == 0; }
   uint64_t events_processed() const { return events_processed_; }
+  // Heap entries, cancelled ones not yet dropped included. Stays at most
+  // 2 * pending + kTombstoneSlack.
+  size_t queued_entries() const { return heap_.size(); }
+
+  // Cancelled entries tolerated in the heap beyond one per pending event.
+  static constexpr uint64_t kTombstoneSlack = 64;
 
   // Event budget (0 = unlimited), a safety valve against livelocks: once
   // this many events ran, Run(), RunUntil() and Step() run no more, the
@@ -85,7 +93,7 @@ class EventLoop {
   };
   struct Slot {
     EventId id = kInvalidEvent;  // the pending event here, or kInvalidEvent
-    std::function<void()> fn;
+    Callback fn;
   };
 
   static uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
@@ -93,7 +101,8 @@ class EventLoop {
   // Discards cancelled tombstones, then runs the next event if its time is
   // <= `deadline`. Returns false when no such event is pending.
   bool DispatchNext(Time deadline);
-  // Empties `slot` and puts it on the free list.
+  // Empties `slot` and puts it on the free list; drops the tombstones once
+  // they outnumber the pending events by more than kTombstoneSlack.
   void Release(uint32_t slot);
 
   Time now_ = 0;
@@ -103,16 +112,23 @@ class EventLoop {
   bool budget_exhausted_ = false;
   // Invariants. An EventId is (sequence << 32) | slot, and sequences are
   // never reused. A pending event's id is stored in its slot and in exactly
-  // one heap entry. Running or cancelling the event empties the slot and
-  // frees it for reuse, but leaves the heap entry in place. An entry whose
-  // id no longer matches its slot is therefore a tombstone, skipped when
-  // popped; and Cancel rejects an executed or cancelled id with one
-  // compare, without remembering the execution history.
+  // one heap entry. Running an event pops its entry; cancelling one empties
+  // the slot and frees it for reuse, but leaves the heap entry in place. An
+  // entry whose id no longer matches its slot is therefore a tombstone,
+  // skipped when popped; and Cancel rejects an executed or cancelled id with
+  // one compare, without remembering the execution history.
+  //
+  // heap_.size() == live_ + tombstones_. Once tombstones_ exceeds live_ +
+  // kTombstoneSlack the heap is rebuilt without them, which is amortised
+  // O(1) per cancel. (at, id) is a total order, so the rebuild does not
+  // change which event runs next.
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   // Number of pending (not yet run, not cancelled) events.
   uint64_t live_ = 0;
+  // Number of heap entries of cancelled events.
+  uint64_t tombstones_ = 0;
 };
 
 }  // namespace hermes::sim

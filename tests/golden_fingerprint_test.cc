@@ -1,0 +1,135 @@
+// Golden fingerprints: small runs shaped like the three benchmark workloads
+// (perfbench/workloads.cc), seeds 1-3, must reproduce pinned digests of
+// runner::Fingerprint. A refactor or a speed-up that claims to keep
+// behaviour keeps every value here. A change that alters behaviour on
+// purpose updates the values and says why in CHANGES.md.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "consensus/decision.h"
+#include "runner/runner.h"
+#include "workload/config.h"
+
+namespace hermes {
+namespace {
+
+using runner::RunSpec;
+
+// FNV-1a, 64 bit, as hex.
+std::string Digest(const std::string& text) {
+  uint64_t hash = 1469598103934665603ULL;
+  for (const char c : text) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, hash);
+  return buf;
+}
+
+// oracle_4site: 4 sites, local transactions, unilateral aborts, history on.
+RunSpec Oracle4Site(uint64_t seed) {
+  RunSpec spec;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 4;
+  c.rows_per_table = 128;
+  c.global_clients = 8;
+  c.local_clients_per_site = 1;
+  c.cmds_per_global_txn = 4;
+  c.sites_per_global_txn = 2;
+  c.global_write_fraction = 0.5;
+  c.p_prepared_abort = 0.05;
+  c.record_history = true;
+  c.target_global_txns = 200;
+  return spec;
+}
+
+// wide_256site: 256 sites, failure-free, history off.
+RunSpec Wide256Site(uint64_t seed) {
+  RunSpec spec;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 256;
+  c.rows_per_table = 128;
+  c.global_clients = 512;
+  c.local_clients_per_site = 0;
+  c.sites_per_global_txn = 2;
+  c.record_history = false;
+  c.target_global_txns = 1000;
+  c.lock_wait_timeout = 100 * sim::kMillisecond;
+  return spec;
+}
+
+// chaos_paxos_16site: Paxos Commit, 1% loss, hot keys, unilateral aborts,
+// history on and a binary trace capture.
+RunSpec ChaosPaxos16Site(uint64_t seed) {
+  RunSpec spec;
+  spec.capture_trace = true;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 16;
+  c.rows_per_table = 64;
+  c.zipf_theta = 0.9;
+  c.global_write_fraction = 0.2;
+  c.local_write_fraction = 0.2;
+  c.global_clients = 32;
+  c.local_clients_per_site = 1;
+  c.p_prepared_abort = 0.1;
+  c.net_loss_prob = 0.01;
+  c.protocol = consensus::ProtocolKind::kPaxosCommit;
+  c.paxos_f = 1;
+  c.drain_grace = 2 * sim::kSecond;
+  c.lock_wait_timeout = 100 * sim::kMillisecond;
+  c.record_history = true;
+  c.target_global_txns = 200;
+  return spec;
+}
+
+// Recorded before the tombstone-free event heap, the inline event callbacks
+// and the flat lock table went in; none of them changed a digest.
+struct Golden {
+  const char* workload;
+  RunSpec (*make)(uint64_t seed);
+  // Digests for seeds 1, 2 and 3.
+  const char* digests[3];
+};
+
+const Golden kGolden[] = {
+    {"oracle_4site",
+     Oracle4Site,
+     {"634e42551fb94130", "ee9f281a0beeac17", "d9822a535e898d34"}},
+    {"wide_256site",
+     Wide256Site,
+     {"8a99246c3829796e", "24b20cdd27feb15b", "a4b24aa28ba37c5f"}},
+    {"chaos_paxos_16site",
+     ChaosPaxos16Site,
+     {"5bf75d8199cbf712", "c33e872e37e00241", "4e01b332bf3d9f6d"}},
+};
+
+TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
+  std::vector<RunSpec> specs;
+  for (const Golden& g : kGolden) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) specs.push_back(g.make(seed));
+  }
+  Result<std::vector<runner::RunOutput>> outputs =
+      runner::RunAll(specs, {.workers = 1});
+  ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
+  size_t i = 0;
+  for (const Golden& g : kGolden) {
+    for (int seed = 1; seed <= 3; ++seed, ++i) {
+      const runner::RunOutput& out = (*outputs)[i];
+      EXPECT_FALSE(out.result.event_budget_exhausted) << g.workload;
+      EXPECT_EQ(Digest(runner::Fingerprint(out)), g.digests[seed - 1])
+          << g.workload << " seed " << seed;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace hermes

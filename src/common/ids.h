@@ -14,6 +14,7 @@
 #ifndef HERMES_COMMON_IDS_H_
 #define HERMES_COMMON_IDS_H_
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -34,7 +35,9 @@ struct TxnId {
   // transactions submitted directly at the local interface.
   enum class Kind : uint8_t { kInvalid = 0, kGlobal = 1, kLocal = 2 };
 
-  Kind kind = Kind::kInvalid;
+  // The fields are laid out widest first so that a TxnId takes 16 bytes;
+  // ids still order by (kind, seq, site), see operator<=>.
+  //
   // For kGlobal: coordinator-issued sequence number (unique across sites
   // because it embeds the coordinating site, see MakeGlobal).
   // For kLocal: per-site sequence number.
@@ -42,12 +45,13 @@ struct TxnId {
   // For kLocal: the site the transaction executes at. For kGlobal: the
   // coordinating site.
   SiteId site = kInvalidSite;
+  Kind kind = Kind::kInvalid;
 
   static TxnId MakeGlobal(SiteId coordinator_site, int64_t seq) {
-    return TxnId{Kind::kGlobal, seq, coordinator_site};
+    return TxnId{seq, coordinator_site, Kind::kGlobal};
   }
   static TxnId MakeLocal(SiteId site, int64_t seq) {
-    return TxnId{Kind::kLocal, seq, site};
+    return TxnId{seq, site, Kind::kLocal};
   }
 
   bool valid() const { return kind != Kind::kInvalid; }
@@ -55,7 +59,11 @@ struct TxnId {
   bool local() const { return kind == Kind::kLocal; }
 
   friend bool operator==(const TxnId& a, const TxnId& b) = default;
-  friend auto operator<=>(const TxnId& a, const TxnId& b) = default;
+  friend std::strong_ordering operator<=>(const TxnId& a, const TxnId& b) {
+    if (a.kind != b.kind) return a.kind <=> b.kind;
+    if (a.seq != b.seq) return a.seq <=> b.seq;
+    return a.site <=> b.site;
+  }
 
   std::string ToString() const;
 };

@@ -1,21 +1,18 @@
 #include "history/graphs.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/str.h"
 
 namespace hermes::history {
 
 uint32_t TxnGraph::AddNode(const TxnId& id) {
-  auto [it, inserted] =
-      index_.try_emplace(id, static_cast<uint32_t>(ids_.size()));
-  if (inserted) {
-    ids_.push_back(id);
-    out_.emplace_back();
-  }
-  return it->second;
+  const uint32_t node = index_.Insert(id);
+  if (node == out_.size()) out_.emplace_back();
+  return node;
 }
 
 void TxnGraph::AddEdge(const TxnId& from, const TxnId& to) {
@@ -28,11 +25,11 @@ void TxnGraph::AddEdge(uint32_t from, uint32_t to) {
 }
 
 bool TxnGraph::HasEdge(const TxnId& from, const TxnId& to) const {
-  const auto f = index_.find(from);
-  const auto t = index_.find(to);
-  if (f == index_.end() || t == index_.end()) return false;
-  const std::vector<uint32_t>& out = out_[f->second];
-  return std::find(out.begin(), out.end(), t->second) != out.end();
+  const uint32_t f = index_.Find(from);
+  const uint32_t t = index_.Find(to);
+  if (f == index_.kAbsent || t == index_.kAbsent) return false;
+  const std::vector<uint32_t>& out = out_[f];
+  return std::find(out.begin(), out.end(), t) != out.end();
 }
 
 size_t TxnGraph::edge_count() const {
@@ -48,11 +45,12 @@ bool TxnGraph::HasCycle() const { return FindCycle().has_value(); }
 
 std::optional<std::vector<TxnId>> TxnGraph::FindCycle() const {
   enum class VisitState : uint8_t { kUnvisited, kInProgress, kDone };
-  std::vector<VisitState> state(ids_.size(), VisitState::kUnvisited);
+  const std::vector<TxnId>& id = ids();
+  std::vector<VisitState> state(id.size(), VisitState::kUnvisited);
   // The DFS path, iterative so that a reduced graph's per-site chain of
   // commits cannot overflow the stack: each node with its next out-arc.
   std::vector<std::pair<uint32_t, size_t>> path;
-  for (uint32_t root = 0; root < ids_.size(); ++root) {
+  for (uint32_t root = 0; root < id.size(); ++root) {
     if (state[root] != VisitState::kUnvisited) continue;
     state[root] = VisitState::kInProgress;
     path.emplace_back(root, 0);
@@ -71,9 +69,9 @@ std::optional<std::vector<TxnId>> TxnGraph::FindCycle() const {
         });
         std::vector<TxnId> cycle;
         for (; start != path.end(); ++start) {
-          cycle.push_back(ids_[start->first]);
+          cycle.push_back(id[start->first]);
         }
-        cycle.push_back(ids_[next]);
+        cycle.push_back(id[next]);
         return cycle;
       }
       if (state[next] == VisitState::kUnvisited) {
@@ -86,50 +84,51 @@ std::optional<std::vector<TxnId>> TxnGraph::FindCycle() const {
 }
 
 std::optional<std::vector<TxnId>> TxnGraph::TopologicalOrder() const {
-  std::vector<uint32_t> indegree(ids_.size(), 0);
+  const std::vector<TxnId>& id = ids();
+  std::vector<uint32_t> indegree(id.size(), 0);
   for (const auto& out : out_) {
     for (uint32_t t : out) ++indegree[t];
   }
+  // Each node's rank in id order, so the heap compares integers.
+  const std::vector<uint32_t> by_id = index_.IndicesByKey();
+  std::vector<uint32_t> rank(id.size());
+  for (uint32_t r = 0; r < by_id.size(); ++r) rank[by_id[r]] = r;
   // Kahn's algorithm popping the smallest ready id. A node is ready once
   // all its ancestors are emitted, so the order depends on reachability
   // alone: a graph and its transitive reduction give the same order.
-  auto later = [&](uint32_t a, uint32_t b) { return ids_[b] < ids_[a]; };
-  std::priority_queue<uint32_t, std::vector<uint32_t>, decltype(later)> ready(
-      later);
-  for (uint32_t node = 0; node < ids_.size(); ++node) {
-    if (indegree[node] == 0) ready.push(node);
+  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<>> ready;
+  for (uint32_t node = 0; node < id.size(); ++node) {
+    if (indegree[node] == 0) ready.push(rank[node]);
   }
   std::vector<TxnId> order;
-  order.reserve(ids_.size());
+  order.reserve(id.size());
   while (!ready.empty()) {
-    const uint32_t node = ready.top();
+    const uint32_t node = by_id[ready.top()];
     ready.pop();
-    order.push_back(ids_[node]);
+    order.push_back(id[node]);
     for (uint32_t t : out_[node]) {
-      if (--indegree[t] == 0) ready.push(t);
+      if (--indegree[t] == 0) ready.push(rank[t]);
     }
   }
-  if (order.size() != ids_.size()) return std::nullopt;
+  if (order.size() != id.size()) return std::nullopt;
   return order;
 }
 
 std::string TxnGraph::ToString() const {
-  std::vector<uint32_t> nodes(ids_.size());
-  for (uint32_t i = 0; i < nodes.size(); ++i) nodes[i] = i;
-  auto by_id = [&](uint32_t a, uint32_t b) { return ids_[a] < ids_[b]; };
-  std::sort(nodes.begin(), nodes.end(), by_id);
+  const std::vector<TxnId>& id = ids();
+  auto by_id = [&](uint32_t a, uint32_t b) { return id[a] < id[b]; };
   std::string out;
-  for (uint32_t node : nodes) {
+  for (uint32_t node : index_.IndicesByKey()) {
     std::vector<uint32_t> edges = out_[node];
     std::sort(edges.begin(), edges.end());
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     std::sort(edges.begin(), edges.end(), by_id);
-    StrAppend(out, ids_[node].ToString(), " -> {");
+    StrAppend(out, id[node].ToString(), " -> {");
     bool first = true;
     for (uint32_t t : edges) {
       if (!first) out += ", ";
       first = false;
-      out += ids_[t].ToString();
+      out += id[t].ToString();
     }
     out += "}\n";
   }
@@ -145,11 +144,14 @@ TxnGraph BuildSerializationGraph(const std::vector<Op>& ops) {
     std::optional<uint32_t> writer;
     std::vector<uint32_t> readers;
   };
-  std::unordered_map<ItemId, Access, ItemIdHash> items;
+  DenseIndex<ItemId, ItemIdHash> items;
+  std::vector<Access> access;
   for (const Op& op : ops) {
     const uint32_t txn = g.AddNode(op.subtxn.txn);
     if (!IsDataKind(op.kind)) continue;
-    Access& a = items[op.item];
+    const uint32_t item = items.Insert(op.item);
+    if (item == access.size()) access.emplace_back();
+    Access& a = access[item];
     if (a.writer.has_value()) g.AddEdge(*a.writer, txn);
     if (op.kind == OpKind::kRead) {
       if (a.readers.empty() || a.readers.back() != txn) {
@@ -172,15 +174,15 @@ TxnGraph BuildCommitOrderGraph(const std::vector<Op>& ops) {
   // SN-certified commit order — so the per-site total-order invariant does
   // not apply to them. They stay in C(H) and are still judged by the
   // atomicity, replay and view-serializability oracles.
-  std::unordered_set<TxnId> migrated;
+  DenseIndex<TxnId> migrated;
   for (const Op& op : ops) {
-    if (op.kind == OpKind::kMigrateOut) migrated.insert(op.subtxn.txn);
+    if (op.kind == OpKind::kMigrateOut) migrated.Insert(op.subtxn.txn);
   }
   // Per site, an arc from each local commit to the next one.
   std::unordered_map<SiteId, uint32_t> last_commit;
   for (const Op& op : ops) {
     if (op.kind != OpKind::kLocalCommit) continue;
-    if (migrated.count(op.subtxn.txn) != 0) continue;
+    if (migrated.Contains(op.subtxn.txn)) continue;
     const uint32_t txn = g.AddNode(op.subtxn.txn);
     auto [it, first] = last_commit.try_emplace(op.site, txn);
     if (!first) {

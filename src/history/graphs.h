@@ -21,9 +21,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "history/dense_index.h"
 #include "history/op.h"
 
 namespace hermes::history {
@@ -36,12 +36,12 @@ class TxnGraph {
   // The same, by the dense indices AddNode returned.
   void AddEdge(uint32_t from, uint32_t to);
 
-  bool HasNode(const TxnId& id) const { return index_.count(id) != 0; }
+  bool HasNode(const TxnId& id) const { return index_.Contains(id); }
   // True for a stored arc; the paper's arcs are reachability (FindCycle,
   // TopologicalOrder).
   bool HasEdge(const TxnId& from, const TxnId& to) const;
 
-  size_t node_count() const { return ids_.size(); }
+  size_t node_count() const { return index_.size(); }
   // Distinct stored arcs.
   size_t edge_count() const;
 
@@ -54,11 +54,12 @@ class TxnGraph {
   std::string ToString() const;
 
  private:
-  // Nodes by dense index and their out-arcs. An arc may be stored more
-  // than once; every traversal is indifferent to that.
-  std::vector<TxnId> ids_;
+  // Node i is index_[i]; out_[i] are its out-arcs. An arc may be stored
+  // more than once; every traversal is indifferent to that.
+  const std::vector<TxnId>& ids() const { return index_.keys(); }
+
+  DenseIndex<TxnId> index_;
   std::vector<std::vector<uint32_t>> out_;
-  std::unordered_map<TxnId, uint32_t> index_;
 };
 
 // Conflict serialization graph over `ops` (pass a committed projection for

@@ -48,21 +48,24 @@ inline bool IsDataKind(OpKind k) {
   return IsWriteKind(k) || k == OpKind::kRead;
 }
 
+// A history holds one Op per step, so the fields are ordered to pack:
+// `site`, `kind` and `unilateral` share the word after `subtxn` (96 bytes
+// on LP64).
 struct Op {
-  OpKind kind = OpKind::kRead;
   // The local subtransaction performing the op. For global-level ops
   // (kGlobalCommit/kGlobalAbort) resubmission is 0 and site is the
   // coordinating site. For kPrepare, resubmission is the resubmission index
   // current at prepare time.
   SubTxnId subtxn;
   SiteId site = kInvalidSite;
+  OpKind kind = OpKind::kRead;
+  // True for kLocalAbort events caused by the LDBS itself (unilateral
+  // abort), false for aborts requested by the agent/coordinator.
+  bool unilateral = false;
   // For kRead/kWrite/kDelete.
   ItemId item;
   // kRead: version observed. kWrite/kDelete: version produced.
   db::VersionTag version;
-  // True for kLocalAbort events caused by the LDBS itself (unilateral
-  // abort), false for aborts requested by the agent/coordinator.
-  bool unilateral = false;
   // Position in H (dense, 0-based) and virtual time.
   uint64_t seq = 0;
   sim::Time at = 0;

@@ -8,47 +8,22 @@
 #ifndef HERMES_HISTORY_PROJECTION_H_
 #define HERMES_HISTORY_PROJECTION_H_
 
-#include <map>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "history/op.h"
 
 namespace hermes::history {
 
-// Classification of each transaction appearing in a history.
-struct TxnFate {
-  TxnId id;
-  bool global = false;
-  // Local transactions: locally committed. Global transactions: the global
-  // commit decision C_k was recorded.
-  bool committed = false;
-  // Global transactions only: C^s present for every site the transaction
-  // has operations at ("committed and complete" in the paper).
-  bool complete = false;
-  // Sites at which the transaction has R/W/P ops.
-  std::set<SiteId> sites;
-  // Sites at which a local commit was recorded.
-  std::set<SiteId> committed_sites;
-  // Sites whose prepared residue left in a shard handoff (kMigrateOut):
-  // their local outcome is settled by the adopting site, so completeness
-  // does not require a local commit there.
-  std::set<SiteId> migrated_sites;
-  int resubmissions = 0;  // max resubmission index seen
-  int unilateral_aborts = 0;
-
-  // True if the transaction's operations belong in C(H).
-  bool InCommittedProjection() const {
-    return global ? (committed && complete) : committed;
-  }
-};
-
-std::map<TxnId, TxnFate> ClassifyTransactions(const std::vector<Op>& h);
-
 // The paper's committed projection: R/W/P/c/a/C ops of globally committed
 // complete global transactions (including ops of their unilaterally aborted
 // local subtransactions) plus ops of committed local transactions.
 // Original op order and `seq` values are preserved.
+//
+// A local transaction is committed once it commits locally. A global one
+// is committed when its last global decision is C_k, and complete when
+// every site at which it has R/W/P ops records a local commit or sees its
+// prepared residue leave in a shard handoff (kMigrateOut).
 std::vector<Op> CommittedProjection(const std::vector<Op>& h);
 
 // Projection of a history onto one site's operations — H(^i) in the paper.

@@ -4,9 +4,9 @@
 #include <cassert>
 #include <numeric>
 #include <span>
-#include <unordered_map>
 
 #include "common/str.h"
+#include "history/dense_index.h"
 
 namespace hermes::history {
 
@@ -30,30 +30,23 @@ class ReplayIndex {
     std::vector<uint32_t> finals;
   };
 
-  explicit ReplayIndex(const std::vector<Op>& ops) : ops_(ops) {
+  explicit ReplayIndex(const std::vector<Op>& ops)
+      : ops_(ops), txns_(ops.size() / 4) {
     const uint32_t n = static_cast<uint32_t>(ops.size());
     std::vector<uint32_t> txn_of(n);
-    std::unordered_map<ItemId, uint32_t, ItemIdHash> item_index;
+    DenseIndex<ItemId, ItemIdHash> item_index(n / 4);
     item_.assign(n, 0);
     for (uint32_t p = 0; p < n; ++p) {
-      auto [it, inserted] = txn_index_.try_emplace(
-          ops[p].subtxn.txn, static_cast<uint32_t>(txns_.size()));
-      if (inserted) txns_.push_back(ops[p].subtxn.txn);
-      txn_of[p] = it->second;
-      if (IsDataKind(ops[p].kind)) {
-        item_[p] = item_index
-                       .try_emplace(ops[p].item,
-                                    static_cast<uint32_t>(item_index.size()))
-                       .first->second;
-      }
+      txn_of[p] = txns_.Insert(ops[p].subtxn.txn);
+      if (IsDataKind(ops[p].kind)) item_[p] = item_index.Insert(ops[p].item);
     }
     // Renumber the items in ItemId order.
-    items_.reserve(item_index.size());
-    for (const auto& [item, i] : item_index) items_.push_back(item);
-    std::sort(items_.begin(), items_.end());
-    std::vector<uint32_t> rank(items_.size());
-    for (uint32_t r = 0; r < items_.size(); ++r) {
-      rank[item_index.at(items_[r])] = r;
+    const std::vector<uint32_t> by_id = item_index.IndicesByKey();
+    items_.reserve(by_id.size());
+    std::vector<uint32_t> rank(by_id.size());
+    for (uint32_t r = 0; r < by_id.size(); ++r) {
+      items_.push_back(item_index[by_id[r]]);
+      rank[by_id[r]] = r;
     }
     for (uint32_t p = 0; p < n; ++p) {
       if (IsDataKind(ops[p].kind)) item_[p] = rank[item_[p]];
@@ -89,15 +82,18 @@ class ReplayIndex {
 
   const std::vector<Op>& ops() const { return ops_; }
   const std::vector<ItemId>& items() const { return items_; }
-  const std::vector<TxnId>& txns() const { return txns_; }
-  bool HasTxn(const TxnId& txn) const { return txn_index_.count(txn) != 0; }
+  // The item index of the data op at position p.
+  uint32_t item(uint32_t p) const { return item_[p]; }
+  const std::vector<TxnId>& txns() const { return txns_.keys(); }
+  bool HasTxn(const TxnId& txn) const { return txns_.Contains(txn); }
   // Op positions of `txns()[t]`, in history order.
   std::span<const uint32_t> group(uint32_t t) const {
     return {grouped_.data() + group_start_[t],
             grouped_.data() + group_start_[t + 1]};
   }
   std::span<const uint32_t> group(const TxnId& txn) const {
-    return group(txn_index_.at(txn));
+    assert(txns_.Contains(txn));
+    return group(txns_.Find(txn));
   }
 
   db::VersionTag Tag(uint32_t write) const {
@@ -151,8 +147,7 @@ class ReplayIndex {
 
  private:
   const std::vector<Op>& ops_;
-  std::vector<TxnId> txns_;
-  std::unordered_map<TxnId, uint32_t> txn_index_;
+  DenseIndex<TxnId> txns_;
   // The op positions of transaction t are
   // grouped_[group_start_[t] .. group_start_[t + 1]).
   std::vector<uint32_t> group_start_;
@@ -193,6 +188,47 @@ bool Equivalent(const ReplayIndex& index, const ReplayIndex::Run& serial,
     }
   }
   return true;
+}
+
+// Every serial layout runs a transaction's ops back to back, so until the
+// transaction writes an item itself, all its reads of the item see one
+// version. Finds the earliest read that sees another version than the
+// transaction's first read of the item before any write of it, and returns
+// both reads as the reason no serial order explains the history; "" when
+// there is none.
+std::string FindTwoViews(const ReplayIndex& index) {
+  constexpr uint32_t kUnseen = UINT32_MAX;
+  constexpr uint32_t kWritten = UINT32_MAX - 1;
+  const std::vector<Op>& ops = index.ops();
+  // Per item, the transaction's first read of it, or kWritten.
+  std::vector<uint32_t> first(index.items().size(), kUnseen);
+  std::vector<uint32_t> touched;
+  uint32_t two_views_first = kUnseen, two_views_second = kUnseen;
+  for (uint32_t t = 0; t < index.txns().size(); ++t) {
+    for (uint32_t p : index.group(t)) {
+      if (!IsDataKind(ops[p].kind)) continue;
+      uint32_t& f = first[index.item(p)];
+      if (f == kUnseen) touched.push_back(index.item(p));
+      if (ops[p].kind != OpKind::kRead) {
+        f = kWritten;
+      } else if (f == kUnseen) {
+        f = p;
+      } else if (f != kWritten && p < two_views_second &&
+                 !(ops[f].version == ops[p].version)) {
+        two_views_first = f;
+        two_views_second = p;
+      }
+    }
+    for (uint32_t i : touched) first[i] = kUnseen;
+    touched.clear();
+  }
+  if (two_views_second == kUnseen) return "";
+  const Op& a = ops[two_views_first];
+  const Op& b = ops[two_views_second];
+  return StrCat(a.ToString(), " (op#", a.seq, ") and ", b.ToString(),
+                " (op#", b.seq,
+                ") read two versions of one item before their transaction "
+                "writes it: no serial order gives it both views");
 }
 
 }  // namespace
@@ -306,9 +342,18 @@ ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
   }
 
   if (txns.size() > max_txns) {
+    // A polynomial refutation before giving up.
+    if (std::string two_views = FindTwoViews(index); !two_views.empty()) {
+      result.verdict = Verdict::kNotSerializable;
+      result.reason = std::move(two_views);
+      return result;
+    }
     result.verdict = Verdict::kUnknown;
     result.reason = StrCat("too many transactions (", txns.size(),
                            ") for exhaustive search");
+    if (!first_mismatch.empty()) {
+      StrAppend(result.reason, "; e.g. ", first_mismatch);
+    }
     return result;
   }
 

@@ -27,8 +27,9 @@ namespace hermes::history {
 enum class Verdict {
   kSerializable,
   kNotSerializable,
-  // Too many transactions for the exact check, and neither the CG nor the
-  // SG topological order is a witness.
+  // Too many transactions for the exact check, neither the CG nor the SG
+  // topological order is a witness, and no transaction reads one item from
+  // two versions before writing it (which refutes the history).
   kUnknown,
 };
 
@@ -39,7 +40,9 @@ struct ViewCheckResult {
   // Set when kSerializable: an equivalent serial order of transactions.
   std::vector<TxnId> witness;
   // Set when kNotSerializable: human-readable explanation (first
-  // inequivalence found, checked orders count).
+  // inequivalence found, checked orders count, or the two reads that
+  // refute it). Set when kUnknown: the transaction count and the first
+  // candidate order's mismatch.
   std::string reason;
   // Number of serial orders examined.
   uint64_t orders_tried = 0;
@@ -68,8 +71,11 @@ ReplayOutcome Replay(const std::vector<Op>& ops);
 std::string VerifyReplayMatchesRecorded(const std::vector<Op>& committed);
 
 // The exact view-serializability check over a committed projection.
-// `max_txns` bounds the permutation search. `cg` must be
-// BuildCommitOrderGraph(committed), for callers that have already built it.
+// `max_txns` bounds the permutation search; past it, a history in which a
+// transaction reads one item from two versions before writing it is
+// refuted, and any other that no candidate order explains is kUnknown.
+// `cg` must be BuildCommitOrderGraph(committed), for callers that have
+// already built it.
 ViewCheckResult CheckViewSerializability(const std::vector<Op>& committed,
                                          const TxnGraph& cg,
                                          size_t max_txns = 9);

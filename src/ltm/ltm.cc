@@ -186,27 +186,35 @@ std::vector<LtmTxnHandle> Ltm::ActiveHandles() const {
 }
 
 void Ltm::ClearBindings() {
-  std::vector<ItemId> items(bound_.begin(), bound_.end());
-  UnbindItems(items);
+  while (!bound_.empty()) {
+    const ItemId item = bound_.begin()->first;  // DropBinding erases it
+    DropBinding(item);
+  }
 }
 
 void Ltm::BindItems(const std::vector<ItemId>& items) {
-  for (const ItemId& item : items) bound_.insert(item);
+  for (const ItemId& item : items) ++bound_[item];
 }
 
 void Ltm::UnbindItems(const std::vector<ItemId>& items) {
   for (const ItemId& item : items) {
-    bound_.erase(item);
-    auto it = dlu_waiters_.find(item);
-    if (it == dlu_waiters_.end()) continue;
-    auto waiters = std::move(it->second);
-    dlu_waiters_.erase(it);
-    for (auto& waiter : waiters) {
-      if (waiter->cb == nullptr) continue;  // already timed out
-      loop_->Cancel(waiter->timeout_event);
-      auto cb = std::move(waiter->cb);
-      loop_->ScheduleAfter(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
-    }
+    auto it = bound_.find(item);
+    if (it != bound_.end() && --it->second > 0) continue;  // still bound
+    DropBinding(item);
+  }
+}
+
+void Ltm::DropBinding(const ItemId& item) {
+  bound_.erase(item);
+  auto it = dlu_waiters_.find(item);
+  if (it == dlu_waiters_.end()) return;
+  auto waiters = std::move(it->second);
+  dlu_waiters_.erase(it);
+  for (auto& waiter : waiters) {
+    if (waiter->cb == nullptr) continue;  // already timed out
+    loop_->Cancel(waiter->timeout_event);
+    auto cb = std::move(waiter->cb);
+    loop_->ScheduleAfter(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
   }
 }
 

@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/ids.h"
@@ -131,7 +130,9 @@ class Ltm {
   // --- DLU bound-data registry -------------------------------------------
   // Maintained by the co-located 2PC agent: while a global subtransaction is
   // prepared, the data it accessed are "bound"; local transactions may read
-  // but not update them (paper's DLU assumption).
+  // but not update them (paper's DLU assumption). Bindings are counted: an
+  // item stays bound until every prepared subtransaction that bound it has
+  // unbound it.
 
   void BindItems(const std::vector<ItemId>& items);
   void UnbindItems(const std::vector<ItemId>& items);
@@ -177,6 +178,8 @@ class Ltm {
                        const Status& reason);
   void RollbackUndo(LocalTxn& txn);
   void RunDeadlockDetection();
+  // Unbinds `item` whatever its count and wakes its DLU waiters.
+  void DropBinding(const ItemId& item);
 
   LtmConfig config_;
   sim::EventLoop* loop_;
@@ -192,7 +195,8 @@ class Ltm {
   std::vector<TxnState> states_;
   UanListener uan_listener_;
 
-  std::set<ItemId> bound_;
+  // Bound items and the number of prepared subtransactions binding each.
+  std::map<ItemId, int> bound_;
   struct DluWaiter {
     ItemId item;
     std::function<void(Status)> cb;

@@ -92,7 +92,9 @@ RunSpec ChaosPaxos16Site(uint64_t seed) {
 }
 
 // Recorded before the tombstone-free event heap, the inline event callbacks
-// and the flat lock table went in; none of them changed a digest.
+// and the flat lock table went in; none of them changed a digest. The
+// counted DLU bindings and the DLU back-out that keeps an earlier
+// command's lock changed chaos_paxos_16site seeds 1 and 3.
 struct Golden {
   const char* workload;
   RunSpec (*make)(uint64_t seed);
@@ -109,7 +111,7 @@ const Golden kGolden[] = {
      {"8a99246c3829796e", "24b20cdd27feb15b", "a4b24aa28ba37c5f"}},
     {"chaos_paxos_16site",
      ChaosPaxos16Site,
-     {"5bf75d8199cbf712", "c33e872e37e00241", "4e01b332bf3d9f6d"}},
+     {"fe611e4cc7466e36", "c33e872e37e00241", "e338140269ca0b8d"}},
 };
 
 TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {

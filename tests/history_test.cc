@@ -16,7 +16,12 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
+#include <tuple>
+#include <unordered_map>
 
+#include "common/str.h"
+#include "history/dense_index.h"
 #include "history/graphs.h"
 #include "history/projection.h"
 #include "history/recorder.h"
@@ -382,12 +387,6 @@ TEST(Projection, DropsAbortedGlobalAndKeepsAbortedSubtxnOfCommitted) {
 
   h.Read(aborted, X, t0);  // global transaction that never commits
 
-  const auto fates = ClassifyTransactions(h.ops());
-  EXPECT_TRUE(fates.at(committed0.txn).InCommittedProjection());
-  EXPECT_FALSE(fates.at(aborted.txn).InCommittedProjection());
-  EXPECT_EQ(fates.at(committed0.txn).resubmissions, 1);
-  EXPECT_EQ(fates.at(committed0.txn).unilateral_aborts, 1);
-
   const auto committed = CommittedProjection(h.ops());
   // All of T1's ops survive — including the unilaterally aborted
   // subtransaction's read — and T2's read is dropped.
@@ -408,11 +407,10 @@ TEST(Projection, GlobalTxnMissingALocalCommitIsIncomplete) {
   h.Prepare(t, 1);
   h.GlobalCommit(t.txn);
   h.LocalCommit(t, 0);  // site 1's local commit still missing
-
-  const auto fates = ClassifyTransactions(h.ops());
-  EXPECT_TRUE(fates.at(t.txn).committed);
-  EXPECT_FALSE(fates.at(t.txn).complete);
   EXPECT_TRUE(CommittedProjection(h.ops()).empty());
+
+  h.LocalCommit(t, 1);  // now committed and complete
+  EXPECT_EQ(CommittedProjection(h.ops()).size(), h.ops().size());
 }
 
 TEST(OrderInvariant, HoldsForWellFormedHistories) {
@@ -923,6 +921,345 @@ TEST(Differential, ReducedGraphsAgreeWithTheClosureOnRandomHistories) {
   EXPECT_GT(cyclic_cg, 0);
   EXPECT_GT(serializable, 0);
   EXPECT_GT(not_serializable, 0);
+}
+
+
+// --- differential: the flat oracles against the map-based references --------
+
+// The projection and the two protocol oracles as they were written over
+// ordered maps keyed by TxnId: the references the flat versions must match
+// byte for byte. An ordered map's walk reports the smallest violating id
+// first, and a violating transaction's sites in ascending order.
+struct RefFate {
+  bool global = false;
+  bool committed = false;
+  bool complete = false;
+  std::set<SiteId> sites, committed_sites, migrated_sites;
+};
+
+std::vector<Op> RefCommittedProjection(const std::vector<Op>& h) {
+  std::map<TxnId, RefFate> fates;
+  for (const Op& op : h) {
+    RefFate& f = fates[op.subtxn.txn];
+    f.global = op.subtxn.txn.global();
+    switch (op.kind) {
+      case OpKind::kRead:
+      case OpKind::kWrite:
+      case OpKind::kDelete:
+      case OpKind::kPrepare:
+        f.sites.insert(op.site);
+        break;
+      case OpKind::kLocalCommit:
+        f.committed_sites.insert(op.site);
+        if (!f.global) f.committed = true;
+        break;
+      case OpKind::kLocalAbort:
+        break;
+      case OpKind::kGlobalCommit:
+        f.committed = true;
+        break;
+      case OpKind::kGlobalAbort:
+        f.committed = false;
+        break;
+      case OpKind::kMigrateOut:
+        f.migrated_sites.insert(op.site);
+        break;
+    }
+  }
+  for (auto& [id, f] : fates) {
+    f.complete = f.committed &&
+                 (!f.global ||
+                  std::all_of(f.sites.begin(), f.sites.end(), [&](SiteId s) {
+                    return f.committed_sites.count(s) != 0 ||
+                           f.migrated_sites.count(s) != 0;
+                  }));
+  }
+  std::vector<Op> out;
+  for (const Op& op : h) {
+    const RefFate& f = fates.at(op.subtxn.txn);
+    if (f.global ? f.committed && f.complete : f.committed) out.push_back(op);
+  }
+  return out;
+}
+
+std::string RefCheckOrderInvariant(const std::vector<Op>& h) {
+  struct Marks {
+    int64_t last_prepare = -1;
+    int64_t global_commit = -1;
+    int64_t first_local_commit = -1;
+    std::set<SiteId> write_sites;
+  };
+  std::map<TxnId, Marks> marks;
+  for (const Op& op : h) {
+    if (!op.subtxn.txn.global()) continue;
+    Marks& m = marks[op.subtxn.txn];
+    const int64_t at = static_cast<int64_t>(op.seq);
+    switch (op.kind) {
+      case OpKind::kWrite:
+      case OpKind::kDelete:
+        m.write_sites.insert(op.site);
+        break;
+      case OpKind::kPrepare:
+        if (at > m.last_prepare) m.last_prepare = at;
+        break;
+      case OpKind::kGlobalCommit:
+        m.global_commit = at;
+        break;
+      case OpKind::kLocalCommit:
+        if (m.first_local_commit < 0 && m.write_sites.count(op.site) != 0) {
+          m.first_local_commit = at;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  for (const auto& [txn, m] : marks) {
+    if (m.global_commit < 0) continue;
+    if (m.last_prepare >= 0 && m.last_prepare > m.global_commit) {
+      return StrCat("invariant (1) violated for ", txn.ToString(),
+                    ": a prepare (op#", m.last_prepare,
+                    ") follows the global commit (op#", m.global_commit,
+                    ")");
+    }
+    if (m.first_local_commit >= 0 &&
+        m.first_local_commit < m.global_commit) {
+      return StrCat("invariant (1) violated for ", txn.ToString(),
+                    ": local commit (op#", m.first_local_commit,
+                    ") precedes the global commit (op#", m.global_commit,
+                    ")");
+    }
+  }
+  return "";
+}
+
+std::string RefCheckGlobalAtomicity(const std::vector<Op>& h) {
+  enum class Outcome { kPending, kCommitted, kAborted, kUnilateral, kMigrated };
+  struct TxnState {
+    bool global_commit = false;
+    bool global_abort = false;
+    std::map<SiteId, Outcome> sites;
+    std::set<SiteId> write_sites;
+  };
+  std::map<TxnId, TxnState> txns;
+  for (const Op& op : h) {
+    if (!op.subtxn.txn.global()) continue;
+    TxnState& t = txns[op.subtxn.txn];
+    switch (op.kind) {
+      case OpKind::kWrite:
+      case OpKind::kDelete:
+        t.write_sites.insert(op.site);
+        [[fallthrough]];
+      case OpKind::kRead:
+      case OpKind::kPrepare:
+        t.sites[op.site] = Outcome::kPending;
+        break;
+      case OpKind::kLocalCommit:
+        t.sites[op.site] = Outcome::kCommitted;
+        break;
+      case OpKind::kLocalAbort:
+        t.sites[op.site] =
+            op.unilateral ? Outcome::kUnilateral : Outcome::kAborted;
+        break;
+      case OpKind::kGlobalCommit:
+        t.global_commit = true;
+        break;
+      case OpKind::kGlobalAbort:
+        t.global_abort = true;
+        break;
+      case OpKind::kMigrateOut:
+        t.sites[op.site] = Outcome::kMigrated;
+        break;
+    }
+  }
+  for (const auto& [id, t] : txns) {
+    if (t.global_commit && t.global_abort) {
+      return StrCat("atomicity violated for ", id.ToString(),
+                    ": both C_k and A_k recorded");
+    }
+    for (const auto& [site, outcome] : t.sites) {
+      if (!t.global_commit && outcome == Outcome::kCommitted &&
+          t.write_sites.count(site) != 0) {
+        return StrCat("atomicity violated for ", id.ToString(), ": site ",
+                      site,
+                      " committed locally without a global commit decision");
+      }
+      if (t.global_commit && outcome == Outcome::kAborted) {
+        return StrCat("atomicity violated for ", id.ToString(), ": site ",
+                      site, " rolled back after the commit decision C_k");
+      }
+    }
+  }
+  return "";
+}
+
+// Appends violations of invariant (1) and of atomicity to a few random
+// global transactions of `ops`, each at several sites in descending site
+// order, so that neither the first violating transaction seen nor a
+// violator's first site seen is the one an ordered walk reports.
+// `injected` receives the transactions given a violation.
+std::vector<Op> InjectViolations(std::vector<Op> ops, uint32_t seed,
+                                 std::set<TxnId>* injected) {
+  std::mt19937 rng(seed);
+  std::vector<TxnId> globals;
+  std::map<TxnId, std::set<SiteId>> sites;
+  for (const Op& op : ops) {
+    if (!op.subtxn.txn.global()) continue;
+    if (sites.count(op.subtxn.txn) == 0) globals.push_back(op.subtxn.txn);
+    if (IsDataKind(op.kind)) sites[op.subtxn.txn].insert(op.site);
+  }
+  if (globals.empty()) return ops;
+  auto append = [&](OpKind kind, const TxnId& txn, SiteId site,
+                    bool unilateral = false) {
+    Op op;
+    op.kind = kind;
+    op.subtxn = SubTxnId{txn, 0};
+    op.site = site;
+    op.unilateral = unilateral;
+    op.seq = ops.size();
+    ops.push_back(op);
+  };
+  for (int n = 1 + static_cast<int>(rng() % 3); n > 0; --n) {
+    const TxnId txn = globals[rng() % globals.size()];
+    injected->insert(txn);
+    const std::set<SiteId>& at = sites[txn];
+    switch (rng() % 5) {
+      case 0:  // a prepare after C_k
+        append(OpKind::kGlobalCommit, txn, 2);
+        append(OpKind::kPrepare, txn, at.empty() ? 0 : *at.begin());
+        break;
+      case 1:  // C_k after the local commits
+        append(OpKind::kGlobalCommit, txn, 2);
+        break;
+      case 2:  // both C_k and A_k
+        append(OpKind::kGlobalCommit, txn, 2);
+        append(OpKind::kGlobalAbort, txn, 2);
+        break;
+      case 3:  // requested rollbacks after C_k
+        append(OpKind::kGlobalCommit, txn, 2);
+        for (auto s = at.rbegin(); s != at.rend(); ++s) {
+          append(OpKind::kLocalAbort, txn, *s, /*unilateral=*/false);
+        }
+        break;
+      case 4:  // writes committed locally under a global abort
+        append(OpKind::kGlobalAbort, txn, 2);
+        for (auto s = at.rbegin(); s != at.rend(); ++s) {
+          Op w;
+          w.kind = OpKind::kWrite;
+          w.subtxn = SubTxnId{txn, 0};
+          w.site = *s;
+          w.item = ItemId{*s, 0, 0};
+          w.seq = ops.size();
+          ops.push_back(w);
+          append(OpKind::kLocalCommit, txn, *s);
+        }
+        break;
+    }
+  }
+  return ops;
+}
+
+// True if `error` names the first transaction of `txns` to appear in `ops`.
+bool NamesFirstSeen(const std::vector<Op>& ops, const std::set<TxnId>& txns,
+                    const std::string& error) {
+  for (const Op& op : ops) {
+    if (txns.count(op.subtxn.txn) != 0) {
+      return error.find(StrCat("for ", op.subtxn.txn.ToString(), ":")) !=
+             std::string::npos;
+    }
+  }
+  return false;
+}
+
+TEST(Differential, FlatOraclesMatchTheMapReferencesOnRandomHistories) {
+  int order_violations = 0, atomicity_violations = 0, not_first_seen = 0;
+  for (uint32_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    const int num_txns = seed % 3 == 0 ? 24 : 3 + static_cast<int>(seed % 4);
+    const std::vector<Op> clean = RandomHistory(seed, num_txns);
+    std::set<TxnId> injected;
+    const std::vector<Op> broken = InjectViolations(clean, seed, &injected);
+    for (const std::vector<Op>* ops : {&clean, &broken}) {
+      const std::vector<Op> committed = CommittedProjection(*ops);
+      const std::vector<Op> reference = RefCommittedProjection(*ops);
+      ASSERT_EQ(committed.size(), reference.size());
+      for (size_t i = 0; i < committed.size(); ++i) {
+        EXPECT_EQ(committed[i].seq, reference[i].seq);
+      }
+      EXPECT_EQ(CheckOrderInvariant(*ops), RefCheckOrderInvariant(*ops));
+      EXPECT_EQ(CheckGlobalAtomicity(*ops), RefCheckGlobalAtomicity(*ops));
+    }
+    // The generator's histories are well formed; the injected ones are not.
+    EXPECT_EQ(CheckOrderInvariant(clean), "");
+    EXPECT_EQ(CheckGlobalAtomicity(clean), "");
+    for (const std::string& error :
+         {CheckOrderInvariant(broken), CheckGlobalAtomicity(broken)}) {
+      if (error.empty()) continue;
+      (error.starts_with("invariant") ? order_violations
+                                      : atomicity_violations)++;
+      if (!NamesFirstSeen(broken, injected, error)) ++not_first_seen;
+    }
+  }
+  EXPECT_GT(order_violations, 50);
+  EXPECT_GT(atomicity_violations, 50);
+  // Often the smallest violating id is not the first violator seen.
+  EXPECT_GT(not_first_seen, 20);
+}
+
+TEST(DenseIndex, NumbersKeysInFirstSeenOrderAcrossRehashes) {
+  std::mt19937 rng(7);
+  DenseIndex<TxnId> txns;
+  DenseIndex<ItemId, ItemIdHash> items;
+  std::unordered_map<TxnId, uint32_t> txn_ref;
+  std::unordered_map<ItemId, uint32_t, ItemIdHash> item_ref;
+  for (int i = 0; i < 200000; ++i) {
+    // Narrow ranges repeat keys; sequential seqs stress a weak hash.
+    const TxnId txn = rng() % 2 == 0
+                          ? TxnId::MakeGlobal(rng() % 16, rng() % 30000)
+                          : TxnId::MakeLocal(rng() % 16, i);
+    const uint32_t t = txns.Insert(txn);
+    const uint32_t t_ref =
+        txn_ref.try_emplace(txn, static_cast<uint32_t>(txn_ref.size()))
+            .first->second;
+    ASSERT_EQ(t, t_ref);
+    const ItemId item{static_cast<SiteId>(rng() % 64),
+                      static_cast<int32_t>(rng() % 3),
+                      static_cast<int64_t>(rng() % 5000)};
+    ASSERT_EQ(items.Insert(item),
+              item_ref.try_emplace(item, static_cast<uint32_t>(item_ref.size()))
+                  .first->second);
+  }
+  ASSERT_EQ(txns.size(), txn_ref.size());
+  ASSERT_EQ(items.size(), item_ref.size());
+  for (const auto& [txn, t] : txn_ref) {
+    EXPECT_EQ(txns.Find(txn), t);
+    EXPECT_EQ(txns[t], txn);
+  }
+  for (const auto& [item, i] : item_ref) EXPECT_EQ(items.keys()[i], item);
+  EXPECT_FALSE(txns.Contains(TxnId::MakeGlobal(99, 0)));
+  EXPECT_EQ(items.Find(ItemId{99, 0, 0}), items.kAbsent);
+  EXPECT_FALSE(DenseIndex<TxnId>().Contains(TxnId{}));
+}
+
+static_assert(sizeof(TxnId) == 16);
+static_assert(sizeof(Op) == 96);
+
+TEST(TxnIdOrder, MatchesKindThenSeqThenSite) {
+  std::mt19937 rng(11);
+  auto random_id = [&] {
+    TxnId id;
+    id.kind = static_cast<TxnId::Kind>(rng() % 3);
+    id.seq = static_cast<int64_t>(rng() % 7) - 1;
+    id.site = static_cast<SiteId>(rng() % 5) - 1;
+    return id;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const TxnId a = random_id(), b = random_id();
+    EXPECT_EQ(a <=> b, std::tie(a.kind, a.seq, a.site) <=>
+                           std::tie(b.kind, b.seq, b.site));
+    EXPECT_EQ(a == b, std::tie(a.kind, a.seq, a.site) ==
+                          std::tie(b.kind, b.seq, b.site));
+  }
 }
 
 }  // namespace

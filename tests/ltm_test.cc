@@ -245,6 +245,98 @@ TEST_F(LtmTest, DluBlocksLocalWriterUntilUnbind) {
   EXPECT_EQ(Val(2), 21);
 }
 
+TEST_F(LtmTest, DluBindingsAreCounted) {
+  Build();
+  const ItemId item{0, table_, 2};
+  // Two prepared subtransactions bind the item; the first to finish must
+  // not unbind it for the other.
+  ltm_->BindItems({item});
+  ltm_->BindItems({item});
+  ltm_->UnbindItems({item});
+  EXPECT_TRUE(ltm_->IsBound(item));
+
+  const LtmTxnHandle t = Begin(1);
+  std::optional<Status> status;
+  ltm_->Execute(t, db::MakeAddKey(table_, 2, "v", int64_t{1}),
+                [&](const Status& s, const db::CmdResult&) { status = s; });
+  loop_.RunUntil(10 * sim::kMillisecond);
+  EXPECT_FALSE(status.has_value());  // still waiting on the DLU gate
+
+  ltm_->UnbindItems({item});
+  EXPECT_FALSE(ltm_->IsBound(item));
+  loop_.Run();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(status->ok());
+}
+
+TEST_F(LtmTest, ClearBindingsDropsEveryCount) {
+  Build();
+  const ItemId item{0, table_, 2};
+  ltm_->BindItems({item});
+  ltm_->BindItems({item});
+  const LtmTxnHandle t = Begin(1);
+  std::optional<Status> status;
+  ltm_->Execute(t, db::MakeAddKey(table_, 2, "v", int64_t{1}),
+                [&](const Status& s, const db::CmdResult&) { status = s; });
+  loop_.RunUntil(10 * sim::kMillisecond);
+  EXPECT_FALSE(status.has_value());
+
+  ltm_->ClearBindings();  // a site crash loses every binding
+  EXPECT_FALSE(ltm_->IsBound(item));
+  loop_.Run();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(status->ok());
+}
+
+// A local update whose lock is granted on an item that became bound while
+// it waited backs out that lock and waits for the unbind -- unless the
+// transaction held the lock from an earlier command: releasing it would
+// let a writer in between its reads, so DLU rejects the update.
+TEST_F(LtmTest, DluBackOutKeepsALockOfAnEarlierCommand) {
+  Build();
+  const ItemId item{0, table_, 2};
+  const LtmTxnHandle reader = Begin(1);  // reads, then updates the item
+  ASSERT_TRUE(Exec(reader, db::MakeSelectKey(table_, 2)).ok());
+  const LtmTxnHandle global =
+      ltm_->Begin(SubTxnId{TxnId::MakeGlobal(1, 5), 0});
+  ASSERT_TRUE(Exec(global, db::MakeSelectKey(table_, 2)).ok());
+  const LtmTxnHandle writer = Begin(2);  // only updates it
+
+  std::optional<Status> reader_status, writer_status;
+  ltm_->Execute(reader, db::MakeAddKey(table_, 2, "v", int64_t{1}),
+                [&](const Status& s, const db::CmdResult&) {
+                  reader_status = s;
+                });
+  ltm_->Execute(writer, db::MakeAddKey(table_, 2, "v", int64_t{1}),
+                [&](const Status& s, const db::CmdResult&) {
+                  writer_status = s;
+                });
+  loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
+  // Both wait for the global reader's shared lock.
+  EXPECT_FALSE(reader_status.has_value());
+  EXPECT_FALSE(writer_status.has_value());
+
+  // The global subtransaction prepares and binds the item, then the LDBS
+  // aborts it: its lock goes, its binding stays until it resubmits.
+  ltm_->BindItems({item});
+  ASSERT_TRUE(ltm_->InjectUnilateralAbort(global).ok());
+  loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
+  ASSERT_TRUE(reader_status.has_value());
+  EXPECT_EQ(reader_status->code(), StatusCode::kRejected);
+  EXPECT_FALSE(ltm_->IsActive(reader));
+  EXPECT_EQ(ltm_->stats().dlu_rejections, 1);
+  // The writer took no lock before: it backed out and waits.
+  EXPECT_FALSE(writer_status.has_value());
+  EXPECT_FALSE(ltm_->lock_manager().Holds(writer, item, LockMode::kShared));
+
+  ltm_->UnbindItems({item});
+  loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
+  ASSERT_TRUE(writer_status.has_value());
+  EXPECT_TRUE(writer_status->ok());
+  ASSERT_TRUE(ltm_->Commit(writer).ok());
+  EXPECT_EQ(Val(2), 21);
+}
+
 TEST_F(LtmTest, DluAllowsLocalReadsAndGlobalWrites) {
   Build();
   const ItemId item{0, table_, 2};

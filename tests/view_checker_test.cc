@@ -110,6 +110,57 @@ TEST(ViewChecker, TooManyTransactionsYieldsUnknown) {
   }
   const auto check = CheckViewSerializability(b.ops, /*max_txns=*/4);
   EXPECT_EQ(check.verdict, Verdict::kUnknown);
+  // The reason carries the first candidate order's mismatch.
+  EXPECT_TRUE(check.reason.starts_with(
+      "too many transactions (12) for exhaustive search; e.g. read op#"))
+      << check.reason;
+}
+
+// T1 reads item 0, T2 overwrites it, and T1 reads it again; `fillers`
+// more transactions write items of their own. With `own_write`, T1 also
+// writes item 0 between its two reads.
+std::vector<Op> TwoReadsOfOneItem(bool own_write, int fillers) {
+  Builder b;
+  const SubTxnId t1 = b.L(1), t2 = b.L(2);
+  b.R(t1, 0, db::VersionTag{});
+  if (own_write) b.W(t1, 0);
+  const db::VersionTag overwrite = b.W(t2, 0);
+  b.C(t2);
+  b.R(t1, 0, overwrite);
+  b.C(t1);
+  for (int i = 0; i < fillers; ++i) {
+    const SubTxnId f = b.L(10 + i);
+    b.W(f, 10 + i);
+    b.C(f);
+  }
+  return b.ops;
+}
+
+TEST(ViewChecker, TwoViewsOfOneItemRefuteALargeHistory) {
+  // Ten transactions: past the permutation limit, yet refuted, because no
+  // serial order lets T1 read item 0 from two versions.
+  const auto check =
+      CheckViewSerializability(TwoReadsOfOneItem(false, 8), /*max_txns=*/8);
+  EXPECT_EQ(check.verdict, Verdict::kNotSerializable);
+  EXPECT_EQ(check.reason,
+            "R_L1@0.0[s0.t0.k0 from T0] (op#0) and R_L1@0.0[s0.t0.k0 from "
+            "L2@0.0#1] (op#3) read two versions of one item before their "
+            "transaction writes it: no serial order gives it both views");
+  // A small history still goes through the exhaustive search.
+  const auto small = CheckViewSerializability(TwoReadsOfOneItem(false, 0));
+  EXPECT_EQ(small.verdict, Verdict::kNotSerializable);
+  EXPECT_TRUE(small.reason.starts_with("no serial order of 2 transactions"))
+      << small.reason;
+}
+
+TEST(ViewChecker, TwoViewsAfterAnOwnWriteAreNotACertificate) {
+  // After T1 writes item 0 itself, its later read may legitimately see
+  // another version than its first: the certificate does not apply.
+  const auto check =
+      CheckViewSerializability(TwoReadsOfOneItem(true, 8), /*max_txns=*/8);
+  EXPECT_EQ(check.verdict, Verdict::kUnknown);
+  EXPECT_TRUE(check.reason.starts_with("too many transactions (10)"))
+      << check.reason;
 }
 
 TEST(ViewChecker, EmptyHistoryIsSerializable) {

@@ -47,8 +47,8 @@ int RunClockDriftSweep(const SweepArgs& args) {
   bool all_ok = true;
   for (size_t i = 0; i < specs.size(); ++i) {
     const workload::RunResult& r = (*outputs)[i].result;
-    all_ok = all_ok && r.replay_consistent && r.commit_graph_acyclic &&
-             r.verdict != history::Verdict::kNotSerializable;
+    // One cell per skew, in spec order.
+    all_ok = all_ok && agg.cells()[i].Sum("violations") == 0;
     table.AddRow(static_cast<double>(skews[i]) / 1000.0,
                  static_cast<double>(skews[i]) / 1000.0,
                  r.metrics.global_committed, r.metrics.global_aborted,

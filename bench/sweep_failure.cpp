@@ -58,13 +58,7 @@ int RunFailureSweep(const SweepArgs& args) {
   bool all_ok = true;
   for (size_t c = 0; c < agg.cells().size(); ++c) {
     const runner::CellAggregate& cell = agg.cells()[c];
-    bool ok = true;
-    for (size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].cell != cell.cell) continue;
-      const workload::RunResult& r = (*outputs)[i].result;
-      ok = ok && r.replay_consistent && r.commit_graph_acyclic &&
-           r.verdict != history::Verdict::kNotSerializable;
-    }
+    const bool ok = cell.Sum("violations") == 0;
     all_ok = all_ok && ok;
     table.AddRow(probs[c], static_cast<int64_t>(cell.Sum("committed")),
                  static_cast<int64_t>(cell.Sum("aborted")),

@@ -1,9 +1,29 @@
 #include "cgm/cgm_mdbs.h"
 
+#include <cassert>
+
+#include "common/str.h"
+
 namespace hermes::cgm {
+
+Status CgmConfig::Validate() const {
+  const Status assembly = mdbs.Validate();
+  if (!assembly.ok()) return assembly;
+  const char* knob =
+      mdbs.num_shards > 0 ? "num_shards > 0"
+      : mdbs.agent.short_commit ? "short_commit"
+      : mdbs.agent.certifier == cert::CertifierKind::kCsn ? "certifier=csn"
+      : mdbs.protocol == consensus::ProtocolKind::kPaxosCommit
+          ? "protocol=paxos-commit"
+          : nullptr;
+  if (knob == nullptr) return Status::Ok();
+  return Status::InvalidArgument(
+      StrCat("system=CGM does not compose with ", knob));
+}
 
 CgmMdbs::CgmMdbs(const CgmConfig& config, sim::EventLoop* loop)
     : config_(config), loop_(loop) {
+  assert(config_.Validate().ok());
   // CGM agents do resubmission but no certification: the global locks and
   // the commit graph provide the serializability protection.
   config_.mdbs.agent.policy = core::CertPolicy::kNone;

@@ -23,6 +23,11 @@ namespace hermes::cgm {
 struct CgmConfig {
   core::MdbsConfig mdbs;
   Granularity granularity = Granularity::kSite;
+
+  // mdbs.Validate(), and the scheduler interposes on unsharded 2PC with
+  // SN only: InvalidArgument for num_shards > 0, short_commit,
+  // certifier=csn or protocol=paxos-commit. CgmMdbs requires it.
+  Status Validate() const;
 };
 
 class CgmMdbs {

@@ -1,6 +1,7 @@
 #include "consensus/paxos.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace hermes::consensus {
@@ -20,13 +21,12 @@ PaxosCommit::PaxosCommit(const PaxosConfig& config, sim::EventLoop* loop,
                          net::Network* network, history::Recorder* recorder,
                          core::Metrics* metrics, trace::Tracer* tracer)
     : config_(config),
-      f_(std::min(config.f, (config.num_sites - 1) / 2)),
       loop_(loop),
       network_(network),
       recorder_(recorder),
       metrics_(metrics),
       tracer_(tracer) {
-  if (f_ < 0) f_ = 0;
+  assert(config.f >= 0 && 2 * config.f + 1 <= config.num_sites);
 }
 
 PaxosCommit::~PaxosCommit() {

@@ -48,7 +48,7 @@ struct PaxosConfig {
   SiteId site = kInvalidSite;
   int num_sites = 0;
   // Fault tolerance: 2f+1 acceptors (sites 0..2f) survive any f crashes.
-  // Clamped so the acceptor set fits in num_sites.
+  // Requires 0 <= f and 2f+1 <= num_sites (core::MdbsConfig::Validate).
   int f = 1;
 };
 
@@ -94,8 +94,8 @@ class PaxosCommit : public DecisionProtocol {
   void Escalate(const TxnId& gtid, SiteId coordinator, int attempt);
 
   const AcceptorLog& log() const { return log_; }
-  int num_acceptors() const { return 2 * f_ + 1; }
-  int quorum() const { return f_ + 1; }
+  int num_acceptors() const { return 2 * config_.f + 1; }
+  int quorum() const { return config_.f + 1; }
 
  private:
   // One participant-vote instance as an acceptor sees it.
@@ -156,7 +156,6 @@ class PaxosCommit : public DecisionProtocol {
   void ForceLog(AcceptorLogRecord record);
 
   PaxosConfig config_;
-  int f_;
   sim::EventLoop* loop_;
   net::Network* network_;
   history::Recorder* recorder_;

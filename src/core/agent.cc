@@ -325,10 +325,9 @@ void TwoPCAgent::SendVote(const TxnId& gtid, SiteId coordinator, bool ready,
 void TwoPCAgent::Refuse(AgentTxn& txn, const Status& reason) {
   if (ltm_->IsActive(txn.ltm_handle)) ltm_->Abort(txn.ltm_handle);
   certifier_->OnRemoved(txn.gtid);
-  txn.phase = Phase::kAborted;
   SendVote(txn.gtid, txn.coordinator, /*ready=*/false, reason,
            /*read_only=*/false, txn.acting_for);
-  Retire(txn);
+  Retire(txn, /*committed=*/false);
 }
 
 void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
@@ -363,23 +362,13 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
              Status::NotFound("unknown transaction"));
     return;
   }
-  if (txn->phase == Phase::kPrepared || txn->phase == Phase::kCommitted) {
+  if (txn->phase == Phase::kPrepared) {
     // Retransmitted PREPARE (the READY vote was lost): re-vote without
     // re-running certification — the prepare record is already forced and
-    // the alive interval already registered. A short-commit read-only
-    // participant re-votes with its flag so the coordinator keeps excluding
-    // it from the decision round.
+    // the alive interval already registered.
     ++metrics_->dup_msgs_absorbed;
-    SendVote(msg.gtid, from, /*ready=*/true, Status::Ok(), txn->read_only,
-             txn->acting_for);
-    return;
-  }
-  if (txn->phase == Phase::kAborted) {
-    // Retransmitted PREPARE after a refusal (the REFUSE vote was lost).
-    ++metrics_->dup_msgs_absorbed;
-    SendVote(msg.gtid, from, /*ready=*/false,
-             Status::Aborted("previously refused"), /*read_only=*/false,
-             txn->acting_for);
+    SendVote(msg.gtid, from, /*ready=*/true, Status::Ok(),
+             /*read_only=*/false, txn->acting_for);
     return;
   }
   txn->coordinator = from;
@@ -469,11 +458,10 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
       e.detail = "unilaterally aborted before prepare";
       tracer_->Record(std::move(e));
     }
-    txn->phase = Phase::kAborted;
     SendVote(txn->gtid, from, /*ready=*/false,
              Status::Aborted("unilaterally aborted before prepare"),
              /*read_only=*/false, txn->acting_for);
-    Retire(*txn);
+    Retire(*txn, /*committed=*/false);
     return;
   }
 
@@ -503,14 +491,11 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
         // Death discovered at the early commit: refuse like the dead branch
         // (the reader holds no prepared state to resubmit for).
         ++metrics_->refuse_dead;
-        txn->phase = Phase::kAborted;
         SendVote(txn->gtid, from, /*ready=*/false,
                  Status::Aborted("unilaterally aborted before prepare"));
-        Retire(*txn);
+        Retire(*txn, /*committed=*/false);
         return;
       }
-      txn->phase = Phase::kCommitted;
-      txn->read_only = true;
       ++metrics_->short_commits_readonly;
       if (tracer_ != nullptr) {
         trace::Event e;
@@ -534,7 +519,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
           LogRecord{.kind = LogRecordKind::kComplete, .gtid = txn->gtid});
       SendVote(txn->gtid, from, /*ready=*/true, Status::Ok(),
                /*read_only=*/true);
-      Retire(*txn);
+      Retire(*txn, /*committed=*/true, /*read_only=*/true);
       return;
     }
   }
@@ -637,13 +622,7 @@ void TwoPCAgent::StartResubmission(AgentTxn& txn) {
 
 void TwoPCAgent::RunNextResubmitCommand(const TxnId& gtid) {
   AgentTxn* txn = FindTxn(gtid);
-  if (txn == nullptr) return;
-  if (txn->phase != Phase::kPrepared) {
-    // A rollback decision arrived mid-resubmission.
-    txn->resubmitting = false;
-    if (ltm_->IsActive(txn->ltm_handle)) ltm_->Abort(txn->ltm_handle);
-    return;
-  }
+  if (txn == nullptr) return;  // rolled back mid-resubmission
   const std::vector<db::Command> commands = log_.CommandsOf(gtid);
   if (txn->resubmit_next_cmd >= commands.size()) {
     OnResubmissionComplete(*txn);
@@ -655,10 +634,6 @@ void TwoPCAgent::RunNextResubmitCommand(const TxnId& gtid) {
       [this, gtid](const Status& status, const db::CmdResult&) {
         AgentTxn* t = FindTxn(gtid);
         if (t == nullptr) return;
-        if (t->phase != Phase::kPrepared) {
-          t->resubmitting = false;
-          return;
-        }
         if (status.ok()) {
           ++t->resubmit_next_cmd;
           RunNextResubmitCommand(gtid);
@@ -672,7 +647,7 @@ void TwoPCAgent::RunNextResubmitCommand(const TxnId& gtid) {
         t->resubmit_retry_timer = loop_->ScheduleAfter(
             kResubmitRetryInterval, [this, id]() {
               AgentTxn* t2 = FindTxn(id);
-              if (t2 == nullptr || t2->phase != Phase::kPrepared) return;
+              if (t2 == nullptr) return;
               t2->resubmit_retry_timer = sim::kInvalidEvent;
               StartResubmission(*t2);
             });
@@ -720,15 +695,6 @@ void TwoPCAgent::OnDecision(SiteId from, const DecisionMsg& msg) {
     return;
   }
   if (msg.commit) {
-    if (txn->phase == Phase::kCommitted) {
-      // Duplicate decision (e.g. the original COMMIT plus a recovery
-      // inquiry reply, or a retransmission whose ACK was lost): re-ack
-      // idempotently.
-      ++metrics_->dup_msgs_absorbed;
-      network_->Send(config_.site, from,
-                     Message{AckMsg{msg.gtid, true, txn->acting_for}});
-      return;
-    }
     if (txn->phase != Phase::kPrepared) return;
     if (txn->commit_pending) ++metrics_->dup_msgs_absorbed;
     txn->commit_pending = true;
@@ -745,20 +711,6 @@ void TwoPCAgent::OnDecision(SiteId from, const DecisionMsg& msg) {
     }
     TryCommit(*txn);
   } else {
-    if (txn->phase == Phase::kAborted) {
-      ++metrics_->dup_msgs_absorbed;
-      network_->Send(config_.site, from,
-                     Message{AckMsg{msg.gtid, false, txn->acting_for}});
-      return;
-    }
-    if (txn->phase == Phase::kCommitted) {
-      // A short-commit read-only participant already committed locally and
-      // released its locks; with no writes there is nothing to undo and the
-      // global order is unaffected. Ack so the sender stops retransmitting.
-      network_->Send(config_.site, from,
-                     Message{AckMsg{msg.gtid, false, txn->acting_for}});
-      return;
-    }
     ProcessRollback(*txn);
   }
 }
@@ -820,7 +772,6 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
 }
 
 void TwoPCAgent::CompleteCommit(AgentTxn& txn) {
-  txn.phase = Phase::kCommitted;
   txn.commit_pending = false;
   CancelTimers(txn);
   // Fencing tripwire: committing a row whose shard now belongs to another
@@ -852,7 +803,7 @@ void TwoPCAgent::CompleteCommit(AgentTxn& txn) {
   log_.Append(LogRecord{.kind = LogRecordKind::kComplete, .gtid = txn.gtid});
   network_->Send(config_.site, txn.coordinator,
                  Message{AckMsg{txn.gtid, /*commit=*/true, txn.acting_for}});
-  Retire(txn);
+  Retire(txn, /*committed=*/true);
 }
 
 void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
@@ -862,7 +813,6 @@ void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
   if (ltm_->IsActive(txn.ltm_handle)) ltm_->Abort(txn.ltm_handle);
   UnbindAll(txn);
   certifier_->OnRemoved(txn.gtid);
-  txn.phase = Phase::kAborted;
   if (tracer_ != nullptr) {
     trace::Event e;
     e.kind = trace::EventKind::kLocalAbort;
@@ -875,7 +825,7 @@ void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
   log_.Append(LogRecord{.kind = LogRecordKind::kAbort, .gtid = txn.gtid});
   network_->Send(config_.site, txn.coordinator,
                  Message{AckMsg{txn.gtid, /*commit=*/false, txn.acting_for}});
-  Retire(txn);
+  Retire(txn, /*committed=*/false);
 }
 
 // --- short-commit 1PC (single-site fast path) --------------------------------
@@ -897,16 +847,6 @@ void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
     const bool committed =
         log_.HasCommit(msg.gtid) && log_.HasComplete(msg.gtid);
     network_->Send(config_.site, from, Message{AckMsg{msg.gtid, committed}});
-    return;
-  }
-  if (txn->phase == Phase::kCommitted) {
-    ++metrics_->dup_msgs_absorbed;
-    network_->Send(config_.site, from, Message{AckMsg{msg.gtid, true}});
-    return;
-  }
-  if (txn->phase == Phase::kAborted) {
-    ++metrics_->dup_msgs_absorbed;
-    network_->Send(config_.site, from, Message{AckMsg{msg.gtid, false}});
     return;
   }
   if (txn->phase == Phase::kPrepared) {
@@ -940,7 +880,6 @@ void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
     // decides abort, like a refused vote plus an immediate rollback.
     if (ltm_->IsActive(txn->ltm_handle)) ltm_->Abort(txn->ltm_handle);
     UnbindAll(*txn);
-    txn->phase = Phase::kAborted;
     ltm_->recorder()->RecordGlobalAbort(txn->gtid, config_.site);
     if (tracer_ != nullptr) {
       trace::Event e;
@@ -953,7 +892,7 @@ void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
     }
     log_.Append(LogRecord{.kind = LogRecordKind::kAbort, .gtid = txn->gtid});
     network_->Send(config_.site, from, Message{AckMsg{msg.gtid, false}});
-    Retire(*txn);
+    Retire(*txn, /*committed=*/false);
     return;
   }
   // Fuse prepare + commit: a momentary prepared state with the invalid
@@ -1073,13 +1012,12 @@ void TwoPCAgent::Reenter(const TxnId& gtid, bool commit_pending,
   if (!commit_pending) SendInquiry(gtid);
 }
 
-void TwoPCAgent::Retire(AgentTxn& txn) {
-  assert(txn.phase == Phase::kCommitted || txn.phase == Phase::kAborted);
+void TwoPCAgent::Retire(AgentTxn& txn, bool committed, bool read_only) {
   log_.Retire(txn.gtid,
               AgentOutcome::Late{
                   .incarnation = incarnation_,
-                  .committed = txn.phase == Phase::kCommitted,
-                  .read_only = txn.read_only,
+                  .committed = committed,
+                  .read_only = read_only,
                   .acting_for = txn.acting_for,
                   .dml_done_index = txn.dml_done_index,
                   .dml_inflight_index = txn.dml_inflight_index,
@@ -1219,7 +1157,6 @@ bool TwoPCAgent::TxnInsideShards(const TxnId& gtid, const shard::ShardMap& map,
 bool TwoPCAgent::InFlightOnShards(const shard::ShardMap& map,
                                   const std::vector<int>& shards) const {
   for (const auto& [gtid, txn] : txns_) {
-    if (txn.phase != Phase::kActive && txn.phase != Phase::kPrepared) continue;
     if (TxnTouchesShards(gtid, map, shards)) return true;
   }
   return false;
@@ -1248,7 +1185,6 @@ std::vector<MigratedTxn> TwoPCAgent::ExtractResidueForShards(
   // Deterministic extraction order: txns_ is an unordered_map.
   std::vector<TxnId> targets;
   for (const auto& [gtid, txn] : txns_) {
-    if (txn.phase != Phase::kActive && txn.phase != Phase::kPrepared) continue;
     if (TxnTouchesShards(gtid, map, shards)) targets.push_back(gtid);
   }
   std::sort(targets.begin(), targets.end());

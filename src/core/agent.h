@@ -200,11 +200,11 @@ class TwoPCAgent {
   void Recover();
 
  private:
+  // A finished subtransaction retires at once (see Retire), so a live
+  // one is only ever active or prepared.
   enum class Phase : uint8_t {
     kActive,
     kPrepared,
-    kCommitted,
-    kAborted,
   };
 
   struct AgentTxn {
@@ -231,9 +231,6 @@ class TwoPCAgent {
     SerialNumber sn;
     // Decision-time commit sequence number (CSN certifier; -1 under SN).
     int64_t csn = -1;
-    // Short-commit read-only participant: committed locally at prepare
-    // time, excluded from the decision round.
-    bool read_only = false;
     // Adopted residue of a shard handoff: the original participant site,
     // carried as on_behalf_of on votes/acks (kInvalidSite = native).
     SiteId acting_for = kInvalidSite;
@@ -287,7 +284,8 @@ class TwoPCAgent {
   void Reenter(const TxnId& gtid, bool commit_pending, int64_t csn);
   // A finished subtransaction (committed or aborted, its final ACK sent)
   // leaves txns_; the log keeps its outcome and late-message answers.
-  void Retire(AgentTxn& txn);
+  // `read_only` marks a short-commit reader committed at prepare time.
+  void Retire(AgentTxn& txn, bool committed, bool read_only = false);
   // Late-message answers of a subtransaction this incarnation retired,
   // nullptr if there are none (never seen, live, or retired before a
   // crash).

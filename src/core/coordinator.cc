@@ -156,9 +156,8 @@ void Coordinator::StartCommit(const TxnId& gtid) {
   txn->commit_start = loop_->Now();
   // Short-commit 1PC: a single-site transaction needs no vote round — its
   // lone participant is the commit point (committing it is indistinguishable
-  // from committing a purely local transaction there). Skipped when a
-  // before_prepare hook is installed: the CGM must still admit the commit.
-  if (short_commit_ && !hooks_.before_prepare && txn->begun.size() == 1) {
+  // from committing a purely local transaction there).
+  if (short_commit_ && txn->begun.size() == 1) {
     StartOnePhaseCommit(*txn);
     return;
   }

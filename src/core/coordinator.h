@@ -137,8 +137,8 @@ class Coordinator {
 
   // Short-commit fast paths: 1PC for single-site transactions (the lone
   // participant becomes the commit point) and no decision round for
-  // read-only participants. 2PC-only — Mdbs never enables this under
-  // Paxos Commit.
+  // read-only participants. 2PC-only and without hooks: MdbsConfig and
+  // cgm::CgmConfig Validate refuse it under Paxos Commit and CGM.
   void set_short_commit(bool v) { short_commit_ = v; }
 
   // CSN certification: the shared decision-time sequence source (owned by

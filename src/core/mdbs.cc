@@ -84,12 +84,32 @@ struct Mdbs::LocalRun : std::enable_shared_from_this<Mdbs::LocalRun> {
   }
 };
 
+Status MdbsConfig::Validate() const {
+  if (num_sites < 1 || num_shards < 0 ||
+      (max_sites != 0 && max_sites < num_sites)) {
+    return Status::InvalidArgument(
+        StrCat("num_sites=", num_sites, " num_shards=", num_shards,
+               " max_sites=", max_sites, ": need num_sites >= 1, ",
+               "num_shards >= 0 and max_sites 0 or >= num_sites"));
+  }
+  if (protocol != consensus::ProtocolKind::kPaxosCommit) return Status::Ok();
+  if (paxos_f < 0 || 2 * paxos_f + 1 > num_sites) {
+    return Status::InvalidArgument(
+        StrCat("protocol=paxos-commit with paxos_f=", paxos_f, " needs ",
+               "2*paxos_f+1 acceptor sites, but num_sites=", num_sites));
+  }
+  const char* knob = agent.certifier == cert::CertifierKind::kCsn
+                         ? "certifier=csn"
+                     : agent.short_commit ? "short_commit" : nullptr;
+  if (knob == nullptr) return Status::Ok();
+  return Status::InvalidArgument(
+      StrCat("protocol=paxos-commit does not compose with ", knob));
+}
+
 Mdbs::Mdbs(const MdbsConfig& config, sim::EventLoop* loop)
     : config_(config), loop_(loop) {
-  assert(config_.num_sites > 0);
-  if (config_.max_sites < config_.num_sites) {
-    config_.max_sites = config_.num_sites;
-  }
+  assert(config_.Validate().ok());
+  if (config_.max_sites == 0) config_.max_sites = config_.num_sites;
   recorder_ = std::make_unique<history::Recorder>(loop_);
   recorder_->set_enabled(config_.record_history);
   network_ = std::make_unique<net::Network>(config_.network, loop_,
@@ -109,9 +129,9 @@ Mdbs::Mdbs(const MdbsConfig& config, sim::EventLoop* loop)
     if (config_.protocol == consensus::ProtocolKind::kPaxosCommit) {
       // The acceptor set is fixed for life: sites 0..2f may never be
       // removed or replaced.
-      const int acceptors =
-          std::min(2 * config_.paxos_f + 1, config_.num_sites);
-      for (SiteId a = 0; a < acceptors; ++a) protected_sites.push_back(a);
+      for (SiteId a = 0; a < 2 * config_.paxos_f + 1; ++a) {
+        protected_sites.push_back(a);
+      }
     }
     // The base conversion must happen here, inside Mdbs, where the
     // private shard::HostOps base is accessible.
@@ -142,19 +162,8 @@ void Mdbs::BuildSite(SiteId s) {
                                          site->storage.get(),
                                          recorder_.get(), config_.tracer);
 
-  const bool paxos =
-      config_.protocol == consensus::ProtocolKind::kPaxosCommit;
   AgentConfig agent_config = config_.agent;
   agent_config.site = s;
-  // CSN certification and short commit hook into the 2PC decision
-  // machinery (decision-record metadata, 1PC commit point at the agent);
-  // under Paxos Commit both downgrade to the paper's defaults.
-  const bool csn =
-      !paxos && config_.certifier == cert::CertifierKind::kCsn;
-  const bool short_commit = !paxos && config_.short_commit;
-  agent_config.certifier =
-      csn ? cert::CertifierKind::kCsn : cert::CertifierKind::kSn;
-  agent_config.short_commit = short_commit;
   Metrics* metrics = &site_metrics_[static_cast<size_t>(s)];
   site->agent = std::make_unique<TwoPCAgent>(agent_config, loop_,
                                              network_.get(),
@@ -163,9 +172,11 @@ void Mdbs::BuildSite(SiteId s) {
   site->coordinator = std::make_unique<Coordinator>(
       s, loop_, network_.get(), site->clock.get(), recorder_.get(),
       metrics, config_.tracer, config_.coordinator_retry);
-  if (csn) site->coordinator->set_csn_source(&csn_source_);
-  if (short_commit) site->coordinator->set_short_commit(true);
-  if (paxos) {
+  if (agent_config.certifier == cert::CertifierKind::kCsn) {
+    site->coordinator->set_csn_source(&csn_source_);
+  }
+  site->coordinator->set_short_commit(agent_config.short_commit);
+  if (config_.protocol == consensus::ProtocolKind::kPaxosCommit) {
     consensus::PaxosConfig pc;
     pc.site = s;
     // max_sites, not num_sites: ballot numbers are unique modulo this

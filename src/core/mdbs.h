@@ -39,17 +39,11 @@ struct MdbsConfig {
   // machinery), or non-blocking Paxos Commit with 2*paxos_f+1 acceptor
   // state machines on sites 0..2*paxos_f (tolerating paxos_f acceptor
   // crashes; paxos_f = 0 degenerates to 2PC message flow with an external
-  // registrar).
+  // registrar). The certification scheme and the short-commit fast paths
+  // are agent.certifier and agent.short_commit; the coordinators follow
+  // them (one shared CsnSource under CSN).
   consensus::ProtocolKind protocol = consensus::ProtocolKind::k2PC;
   int paxos_f = 1;
-  // Certification scheme (see docs/DESIGN-SPACE.md): the paper's serial
-  // numbers, or decision-time commit sequence numbers from one shared
-  // CsnSource. Short-commit enables the 1PC single-site and read-only
-  // fast paths. Both are 2PC-only: under Paxos Commit they silently
-  // downgrade to kSn / off (the acceptor round replaces the decision
-  // machinery they hook into).
-  cert::CertifierKind certifier = cert::CertifierKind::kSn;
-  bool short_commit = false;
   // --- online reconfiguration (src/shard) --------------------------------
   // Number of shards partitioning the key space across sites; 0 keeps the
   // legacy unsharded mode (no directory, no epoch fencing, StartReconfig
@@ -68,6 +62,13 @@ struct MdbsConfig {
   // Optional structured tracer shared by every component (null = disabled).
   // Not owned; must outlive the Mdbs.
   trace::Tracer* tracer = nullptr;
+
+  // The assembly's composition rules, which Mdbs requires: InvalidArgument,
+  // naming the conflicting knobs, for num_sites < 1, num_shards < 0,
+  // 0 < max_sites < num_sites, Paxos Commit on fewer than 2*paxos_f+1
+  // sites, and Paxos Commit with CSN or short commit (both hook into the
+  // 2PC decision machinery that the acceptor round replaces).
+  Status Validate() const;
 };
 
 // A transaction submitted directly at one LDBS's local interface,
@@ -237,7 +238,7 @@ class Mdbs : private shard::HostOps {
   MdbsConfig config_;
   sim::EventLoop* loop_;
   // The federation-wide decision-time CSN authority (the GTM role); used
-  // only when config_.certifier == kCsn under 2PC.
+  // only when config_.agent.certifier == kCsn.
   cert::CsnSource csn_source_;
   std::unique_ptr<history::Recorder> recorder_;
   std::unique_ptr<net::Network> network_;

@@ -80,6 +80,13 @@ Status ParallelFor(size_t n, int workers,
 
 Result<std::vector<RunOutput>> RunAll(const std::vector<RunSpec>& specs,
                                       const SweepOptions& options) {
+  for (const RunSpec& spec : specs) {
+    const Status valid = spec.config.Validate();
+    if (!valid.ok()) {
+      return Status::InvalidArgument(
+          StrCat("cell ", spec.cell, ": ", valid.message()));
+    }
+  }
   std::vector<RunOutput> outputs(specs.size());
   const Status status =
       ParallelFor(specs.size(), options.workers, [&](size_t i) {

@@ -63,7 +63,9 @@ struct SweepOptions {
   int workers = 1;
 };
 
-// Runs every spec and returns the outputs in spec order. Any tracer already
+// Runs every spec and returns the outputs in spec order. A spec whose
+// config WorkloadConfig::Validate refuses fails the sweep before any run
+// starts, with InvalidArgument naming its cell. Any tracer already
 // set on a spec's config is ignored: sharing one tracer across workers
 // would interleave events nondeterministically, so the harness instead
 // gives each capture_trace run a private tracer whose export it returns.

@@ -14,6 +14,24 @@ const char* SystemName(System s) {
   return "?";
 }
 
+Status WorkloadConfig::Validate() const {
+  const Status assembly = system == System::kCGM
+                              ? ToCgmConfig().Validate()
+                              : ToMdbsConfig().Validate();
+  if (!assembly.ok()) return assembly;
+  if (system == System::kCGM && !fault_plan.empty()) {
+    return Status::InvalidArgument(
+        "system=CGM does not compose with a fault plan");
+  }
+  for (const fault::FaultEvent& ev : fault_plan.events) {
+    if (ev.kind == fault::FaultKind::kCrashSite && orphan_abort_timeout <= 0) {
+      return Status::InvalidArgument(
+          "a fault plan with site crashes needs orphan_abort_timeout > 0");
+    }
+  }
+  return Status::Ok();
+}
+
 core::MdbsConfig WorkloadConfig::ToMdbsConfig() const {
   // How often an LTM with deadlock_detection on searches its wait-for graph.
   constexpr sim::Duration kDeadlockCheckInterval = 10 * sim::kMillisecond;
@@ -42,8 +60,8 @@ core::MdbsConfig WorkloadConfig::ToMdbsConfig() const {
   config.agent.orphan_abort_timeout = orphan_abort_timeout;
   config.protocol = protocol;
   config.paxos_f = paxos_f;
-  config.certifier = certifier;
-  config.short_commit = short_commit;
+  config.agent.certifier = certifier;
+  config.agent.short_commit = short_commit;
   if (clock_skew != 0) {
     config.clock_offsets.resize(static_cast<size_t>(num_sites));
     for (int s = 0; s < num_sites; ++s) {

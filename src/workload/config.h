@@ -39,7 +39,7 @@ struct WorkloadConfig {
   int tables_per_site = 1;
   int64_t rows_per_table = 128;
   double zipf_theta = 0.0;  // 0 = uniform access
-  // E19 sharded mode (2CM only): > 0 partitions the key space into this
+  // E19 sharded mode (2CM only, see Validate): > 0 partitions the key space into this
   // many shards owned by sites via a versioned shard::Directory; the
   // generator routes every command to its key's owner, LoadData loads each
   // key only at its owner, and StartReconfig can move shards mid-run.
@@ -97,7 +97,7 @@ struct WorkloadConfig {
   consensus::ProtocolKind protocol = consensus::ProtocolKind::k2PC;
   int paxos_f = 1;
   // Certification scheme and short-commit fast paths (E18; 2CM + 2PC only,
-  // silently downgraded otherwise — see core::MdbsConfig).
+  // refused otherwise — see Validate).
   cert::CertifierKind certifier = cert::CertifierKind::kSn;
   bool short_commit = false;
   cgm::Granularity cgm_granularity = cgm::Granularity::kSite;
@@ -136,6 +136,13 @@ struct WorkloadConfig {
   // byte-identical with and without a hook installed.
   sim::Duration flush_interval = 0;
   std::function<void(const FlushSnapshot&)> flush_hook;
+
+  // InvalidArgument, naming the conflicting knobs, for what
+  // core::MdbsConfig (for CGM, cgm::CgmConfig) Validate refuses, a fault
+  // plan under CGM, and a site crash while orphan_abort_timeout == 0
+  // (orphaned lock holders would stay forever). Driver::Run and
+  // runner::RunAll call it before running anything.
+  Status Validate() const;
 
   core::MdbsConfig ToMdbsConfig() const;
   cgm::CgmConfig ToCgmConfig() const;

@@ -168,6 +168,9 @@ bool Driver::RunInSlices(sim::EventLoop& loop, sim::Time until,
 }
 
 RunResult Driver::Run(const WorkloadConfig& config) {
+  if (const Status valid = config.Validate(); !valid.ok()) {
+    return RunResult{.config_error = valid.message()};
+  }
   sim::EventLoop loop;
   loop.set_max_events(200'000'000);
   // The run's series grows as a streaming fold on the tracer instead of a
@@ -193,9 +196,7 @@ RunResult Driver::Run(const WorkloadConfig& config) {
   }
 
   Generator generator(config, config.seed);
-  if (config.system == System::k2CM && mdbs->directory() != nullptr) {
-    generator.set_directory(mdbs->directory());
-  }
+  if (mdbs->directory() != nullptr) generator.set_directory(mdbs->directory());
   auto st = std::make_shared<RunState>();
   st->config = config;
   st->loop = &loop;
@@ -206,7 +207,7 @@ RunResult Driver::Run(const WorkloadConfig& config) {
   if (config.sn_at_submit) mdbs->SetSnAtSubmit(true);
   LoadData(st);
   InstallFailureInjector(st);
-  if (config.system == System::k2CM && !config.fault_plan.empty()) {
+  if (!config.fault_plan.empty()) {
     fault::InstallFaultPlan(config.fault_plan, mdbs, config.tracer);
   }
 
@@ -297,6 +298,7 @@ RunResult Driver::Run(const WorkloadConfig& config) {
 }
 
 std::string RunResult::Summary() const {
+  if (!config_error.empty()) return StrCat("REFUSED: ", config_error);
   std::string out;
   StrAppend(out, "committed=", metrics.global_committed,
             " aborted=", metrics.global_aborted,

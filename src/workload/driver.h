@@ -21,6 +21,9 @@
 namespace hermes::workload {
 
 struct RunResult {
+  // Why WorkloadConfig::Validate refused the config; nothing ran then, and
+  // GuaranteesHold() fails because the history was not checked.
+  std::string config_error;
   core::Metrics metrics;
   // Per-site metrics snapshots, indexed by site id (ascending, hence
   // deterministic); metrics above is their merge (plus scheduler extras).
@@ -94,7 +97,8 @@ struct RunResult {
 class Driver {
  public:
   // Runs the workload to completion (or max_sim_time) and returns the
-  // collected metrics and oracle verdicts.
+  // collected metrics and oracle verdicts. A config that Validate refuses
+  // does not run: the result carries only config_error.
   static RunResult Run(const WorkloadConfig& config);
 
   // Runs `loop` in 100 ms slices of virtual time up to `until`, calling

@@ -162,7 +162,7 @@ class AgentCsnTest : public ::testing::Test {
   void Build(CertPolicy policy) {
     MdbsConfig config;
     config.num_sites = 1;
-    config.certifier = cert::CertifierKind::kCsn;
+    config.agent.certifier = cert::CertifierKind::kCsn;
     config.agent.policy = policy;
     config.agent.commit_retry_interval = 2 * sim::kMillisecond;
     config.agent.alive_check_interval = 300 * sim::kMillisecond;
@@ -285,7 +285,7 @@ class CsnRecoveryTest : public ::testing::Test {
   void Build(int sites) {
     MdbsConfig config;
     config.num_sites = sites;
-    config.certifier = cert::CertifierKind::kCsn;
+    config.agent.certifier = cert::CertifierKind::kCsn;
     config.agent.alive_check_interval = 5 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");

@@ -29,13 +29,14 @@ constexpr int64_t kKeys = 16;
 class ReconfigTest : public ::testing::Test {
  protected:
   void Build(int sites, int num_shards, int max_sites,
-             consensus::ProtocolKind protocol =
-                 consensus::ProtocolKind::k2PC) {
+             consensus::ProtocolKind protocol = consensus::ProtocolKind::k2PC,
+             cert::CertifierKind certifier = cert::CertifierKind::kSn) {
     MdbsConfig config;
     config.num_sites = sites;
     config.num_shards = num_shards;
     config.max_sites = max_sites;
     config.protocol = protocol;
+    config.agent.certifier = certifier;
     config.agent.alive_check_interval = 5 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");
@@ -333,6 +334,78 @@ TEST_F(ReconfigTest, ForcedHandoffWaitsWhileTheDestinationKnowsTheResidue) {
   EXPECT_EQ(TotalValue(), 2);
   CheckOracles();
 }
+
+// A residue whose COMMIT arrived but could not be performed yet migrates
+// with the decision: the adopter re-enters it commit-pending (no inquiry)
+// and commits it once its blocker is gone.
+class CommitPendingResidueTest
+    : public ReconfigTest,
+      public ::testing::WithParamInterface<cert::CertifierKind> {};
+
+TEST_P(CommitPendingResidueTest, AdopterCommitsWithTheCarriedDecision) {
+  Build(/*sites=*/2, /*num_shards=*/8, /*max_sites=*/2,
+        consensus::ProtocolKind::k2PC, GetParam());
+  // Two subtransactions at site 1, driven by hand from a phantom
+  // coordinator at site 0 (its real coordinator does not know them and
+  // answers inquiries with presumed abort). Both prepare, a < b in SN
+  // order; only b gets COMMIT. Commit certification holds b back behind
+  // the undecided a, so b is commit-pending when site 1 is removed, and
+  // the forced handoff moves both to site 0.
+  const shard::ShardMap& map = mdbs_->directory()->Current();
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < kKeys && keys.size() < 2; ++k) {
+    if (map.OwnerOfKey(k) == 1) keys.push_back(k);
+  }
+  ASSERT_EQ(keys.size(), 2u);
+  const TxnId a = TxnId::MakeGlobal(0, 1000);
+  const TxnId b = TxnId::MakeGlobal(0, 1001);
+  const auto send = [&](const core::Message& msg) {
+    mdbs_->network().Send(0, 1, msg);
+  };
+  for (int i = 0; i < 2; ++i) {
+    const TxnId g = i == 0 ? a : b;
+    send(core::Message{core::BeginMsg{g}});
+    send(core::Message{core::DmlRequestMsg{
+        g, 0, db::MakeAddKey(table_, keys[i], "val", int64_t{1})}});
+  }
+  loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
+  send(core::Message{core::PrepareMsg{a, core::SerialNumber{100, 0, 0}}});
+  send(core::Message{core::PrepareMsg{b, core::SerialNumber{200, 0, 0}}});
+  loop_.RunUntil(loop_.Now() + 5 * sim::kMillisecond);
+  send(core::Message{core::DecisionMsg{b, /*commit=*/true, /*csn=*/1}});
+  loop_.RunUntil(loop_.Now() + 5 * sim::kMillisecond);
+  ASSERT_TRUE(mdbs_->agent(1)->log().PrepareRecordOf(b).has_value());
+  ASSERT_FALSE(mdbs_->agent(1)->log().HasCommit(b));
+
+  std::optional<Status> reconfig_done;
+  ASSERT_TRUE(mdbs_
+                  ->StartReconfig(ReconfigOp{ReconfigKind::kRemoveSite, 1},
+                                  [&](Status s) { reconfig_done = s; })
+                  .ok());
+  loop_.RunUntil(loop_.Now() + 2 * sim::kSecond);
+
+  ASSERT_TRUE(reconfig_done.has_value());
+  EXPECT_TRUE(reconfig_done->ok()) << *reconfig_done;
+  EXPECT_TRUE(mdbs_->SiteRemoved(1));
+  const auto m = mdbs_->metrics();
+  EXPECT_EQ(m.reconfig_residue_adopted, 2);
+  EXPECT_EQ(m.commits_stale_epoch, 0);
+  // b committed at the adopter with the carried decision, a was presumed
+  // aborted there; each increment applied at most once.
+  const core::AgentLog& adopter = mdbs_->agent(0)->log();
+  EXPECT_TRUE(adopter.HasCommit(b));
+  EXPECT_TRUE(adopter.HasComplete(b));
+  EXPECT_TRUE(adopter.HasAbort(a));
+  EXPECT_TRUE(adopter.InDoubt().empty());
+  EXPECT_EQ(TotalValue(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Certifiers, CommitPendingResidueTest,
+    ::testing::Values(cert::CertifierKind::kSn, cert::CertifierKind::kCsn),
+    [](const ::testing::TestParamInfo<cert::CertifierKind>& info) {
+      return std::string(cert::CertifierKindName(info.param));
+    });
 
 TEST_F(ReconfigTest, HandoffStallsWhileTheSourceIsCrashed) {
   Build(/*sites=*/3, /*num_shards=*/9, /*max_sites=*/3);

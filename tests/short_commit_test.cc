@@ -25,7 +25,7 @@ class ShortCommitTest : public ::testing::Test {
   void Build(int sites, double loss_prob = 0) {
     MdbsConfig config;
     config.num_sites = sites;
-    config.short_commit = true;
+    config.agent.short_commit = true;
     config.agent.alive_check_interval = 5 * sim::kMillisecond;
     config.network.loss_prob = loss_prob;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
@@ -112,6 +112,33 @@ TEST_F(ShortCommitTest, SingleSiteAbortWhenParticipantDiesBeforeCommitPoint) {
   EXPECT_FALSE(result->status.ok());
   EXPECT_EQ(Val(0, 1), 0);
   EXPECT_EQ(mdbs_->metrics().short_commits_1pc, 0);
+  ExpectSerializable();
+}
+
+TEST_F(ShortCommitTest, LostOnePhaseCommitIsRetransmitted) {
+  Build(2);
+  // Coordinate from site 1: the DML response reaches the coordinator
+  // around 2.2 ms and the 1PC-COMMIT leaves at once. The 1->0 link drops
+  // everything between 1.5 ms and 10 ms, so that first 1PC-COMMIT is lost
+  // and the coordinator's retry timer (25 ms) must send it again.
+  GlobalTxnSpec spec;
+  spec.steps.push_back({0, db::MakeAddKey(table_, 1, "v", int64_t{5})});
+  std::optional<GlobalTxnResult> result;
+  mdbs_->Submit(spec, [&](const GlobalTxnResult& r) { result = r; },
+                /*coordinator_site=*/1);
+  loop_.ScheduleAfter(1500,
+                      [&]() { mdbs_->network().SetLinkLoss(1, 0, 1.0); });
+  loop_.ScheduleAfter(10 * sim::kMillisecond,
+                      [&]() { mdbs_->network().ClearLinkLoss(1, 0); });
+  loop_.RunUntil(1 * sim::kSecond);
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->status.ok()) << result->status;
+  EXPECT_EQ(Val(0, 1), 5);
+  EXPECT_EQ(mdbs_->network().messages_dropped(), 1);
+  EXPECT_EQ(mdbs_->metrics().retransmits, 1);
+  EXPECT_EQ(mdbs_->metrics().short_commits_1pc, 1);
+  EXPECT_EQ(mdbs_->metrics().prepares_received, 0);
   ExpectSerializable();
 }
 

@@ -9,12 +9,12 @@
 //  * cert::SnCertifier — the paper's scheme, verbatim: prepare-time
 //    extension check against the committed SN high-water mark, alive
 //    interval certification, and commit certification in SN order.
-//  * cert::CsnCertifier — a commit-sequence-number log (XID → CSN, as in
-//    PostgreSQL scale-out's csn_log): ordering numbers are assigned at
-//    *decision* time from one global CsnSource, so they always agree with
-//    decision causality and the prepare-time ordering refusal disappears;
-//    the cost moves to commit time, where a decided subtransaction waits
-//    for co-prepared peers that are still undecided.
+//  * cert::CsnCertifier — commit sequence numbers (as in PostgreSQL
+//    scale-out): ordering numbers are assigned at *decision* time from one
+//    global CsnSource, so they always agree with decision causality and
+//    the prepare-time ordering refusal disappears; the cost moves to
+//    commit time, where a decided subtransaction waits for co-prepared
+//    peers that are still undecided.
 //
 // Both schemes share the alive-interval table (the basic certification of
 // section 4.2 is ordering-scheme independent). See docs/DESIGN-SPACE.md
@@ -40,7 +40,7 @@ namespace hermes::cert {
 
 enum class CertifierKind : uint8_t {
   kSn = 0,   // serial numbers at submit time (the paper)
-  kCsn = 1,  // commit sequence numbers at decision time (CSN log)
+  kCsn = 1,  // commit sequence numbers at decision time
 };
 
 const char* CertifierKindName(CertifierKind kind);
@@ -114,8 +114,8 @@ class Certifier {
                              std::vector<TxnId>* waiting_on) = 0;
 
   // The local commit was performed at `now`: update the ordering state
-  // (SN: high-water mark; CSN: force-append the XID→CSN record) and drop
-  // the prepared entry.
+  // (SN: high-water mark; CSN: the recent-commit window) and drop the
+  // prepared entry.
   virtual void OnCommitted(const TxnId& gtid, const core::SerialNumber& sn,
                            sim::Time now) = 0;
 
@@ -123,13 +123,11 @@ class Certifier {
   // or global rollback).
   virtual void OnRemoved(const TxnId& gtid) { table_.Remove(gtid); }
 
-  // Site crash: all volatile certification state is lost. Durable state
-  // (the CSN log) survives, mirroring the agent log.
+  // Site crash: all certification state is lost. A certifier keeps no
+  // durable state; recovery rebuilds what it needs from the agent log
+  // (OnRecoveredCommitted, then OnPrepared and OnCommitDecision for each
+  // in-doubt subtransaction).
   virtual void Crash() { table_ = core::AliveIntervalTable(); }
-
-  // Replays the scheme's own durable state after a crash. Called before
-  // the agent re-enters in-doubt subtransactions.
-  virtual void Recover() {}
 
   // Agent-log-driven replay: a subtransaction whose prepare record has a
   // matching completion record committed here before the crash.

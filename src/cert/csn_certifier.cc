@@ -90,15 +90,6 @@ void CsnCertifier::OnCommitted(const TxnId& gtid,
                                sim::Time now) {
   auto it = decided_csn_.find(gtid);
   const int64_t csn = it == decided_csn_.end() ? -1 : it->second;
-  // Durability first: the XID → CSN record is forced before the commit is
-  // acknowledged anywhere (the agent's commit record, also carrying the
-  // CSN, was already forced before the local commit itself).
-  log_.ForceAppend({.gtid = gtid, .csn = csn});
-  csn_of_[gtid] = csn;
-  if (csn > max_committed_csn_) {
-    max_committed_csn_ = csn;
-    max_committed_gtid_ = gtid;
-  }
   if (const core::AliveIntervalTable::Entry* entry = table_.Find(gtid)) {
     RecentCommit rc;
     rc.gtid = gtid;
@@ -122,31 +113,10 @@ void CsnCertifier::OnRemoved(const TxnId& gtid) {
 void CsnCertifier::Crash() {
   Certifier::Crash();
   decided_csn_.clear();
+  // Post-crash candidates see no recent commits, which can only admit
+  // more: the snapshot check is a conservative guard, and every
+  // subtransaction in doubt is re-entered from the agent log.
   recent_commits_.clear();
-  csn_of_.clear();
-  max_committed_csn_ = 0;
-  max_committed_gtid_ = TxnId{};
-  // log_ is stable storage and survives.
-}
-
-void CsnCertifier::Recover() {
-  // Replay the durable XID → CSN log: rebuilds the committed high-water
-  // mark and the lookup index. The recent-commit window stays empty —
-  // post-crash candidates see no recent commits, which can only *admit*
-  // more (the snapshot check is a conservative guard, and everything
-  // actually in doubt is re-entered through the prepared-set machinery).
-  log_.ForEachRecord([&](const CsnLogRecord& rec) {
-    csn_of_[rec.gtid] = rec.csn;
-    if (rec.csn > max_committed_csn_) {
-      max_committed_csn_ = rec.csn;
-      max_committed_gtid_ = rec.gtid;
-    }
-  });
-}
-
-int64_t CsnCertifier::CsnOf(const TxnId& gtid) const {
-  auto it = csn_of_.find(gtid);
-  return it == csn_of_.end() ? -1 : it->second;
 }
 
 }  // namespace hermes::cert

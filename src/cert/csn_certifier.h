@@ -1,6 +1,7 @@
 // The commit-sequence-number certifier: ordering numbers assigned at
-// decision time from one global CsnSource, with a durable XID → CSN log
-// and a snapshot-based visibility check at prepare.
+// decision time from one global CsnSource, and a snapshot-based visibility
+// check at prepare. It keeps no durable state of its own: the agent's
+// forced commit record carries the CSN that recovery needs.
 //
 // Why decision-time numbering removes the prepare-time ordering refusal:
 // the SN extension exists because submit-time serial numbers can disagree
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "cert/certifier.h"
-#include "cert/csn_log.h"
 
 namespace hermes::cert {
 
@@ -67,13 +67,14 @@ class CsnCertifier : public Certifier {
   void OnRemoved(const TxnId& gtid) override;
 
   void Crash() override;
-  void Recover() override;
 
-  // CSN of a transaction committed at this site, -1 if unknown. Served
-  // from the volatile index the durable log replays into.
-  int64_t CsnOf(const TxnId& gtid) const;
-  int64_t max_committed_csn() const { return max_committed_csn_; }
-  const CsnLog& log() const { return log_; }
+  // Kept only because perfbench/composed_run.cc still sums
+  // log().forced_writes(); the certifier forces nothing. Goes when
+  // perfbench next changes (ROADMAP item 6, step 2).
+  struct NoLog {
+    int64_t forced_writes() const { return 0; }
+  };
+  NoLog log() const { return {}; }
 
  private:
   struct RecentCommit {
@@ -87,14 +88,10 @@ class CsnCertifier : public Certifier {
     sim::Time committed_at = -1;
   };
 
-  // Volatile: decided-but-not-yet-committed CSNs, the recent-commit window
-  // and the replayable XID → CSN index. Durable: log_.
+  // Volatile, lost in a crash: decided-but-not-yet-committed CSNs and the
+  // recent-commit window.
   std::unordered_map<TxnId, int64_t> decided_csn_;
   std::deque<RecentCommit> recent_commits_;
-  std::unordered_map<TxnId, int64_t> csn_of_;
-  int64_t max_committed_csn_ = 0;
-  TxnId max_committed_gtid_;
-  CsnLog log_;
 };
 
 }  // namespace hermes::cert

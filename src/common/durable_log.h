@@ -1,10 +1,10 @@
 // Stable storage of one protocol role: the one log discipline behind the
-// Agent, Coordinator, Paxos acceptor and CSN logs.
+// Agent, Coordinator and Paxos acceptor logs.
 //
-// Every role force-writes some records before a message leaves the site
-// (the prepare record before READY, the decision before the first COMMIT,
-// an acceptor's promise or vote before its reply, the XID → CSN record
-// before the commit acknowledgement) and appends the rest buffered. In the
+// Every role force-writes the records its recovery reads before they take
+// effect (the prepare record before READY, the commit record before the
+// local commit, the decision before the first COMMIT, an acceptor's
+// promise or vote before its reply) and appends the rest buffered. In the
 // simulation "stable storage" is an in-memory structure that survives a
 // site crash; the force-write flag and count model the discipline so it is
 // visible and testable, and they are the terms of Gray & Lamport's cost

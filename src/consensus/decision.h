@@ -74,7 +74,7 @@ class DecisionProtocol {
   virtual std::optional<bool> AnswerInquiry(const TxnId& gtid,
                                             SiteId requester) = 0;
   // All participants acknowledged the decision; state may be garbage
-  // collected (2PC appends the forget record here).
+  // collected (2PC retires the decision record here).
   virtual void Forget(const TxnId& gtid) = 0;
   virtual void Crash() = 0;
   virtual std::vector<InFlight> RecoverInFlight() = 0;

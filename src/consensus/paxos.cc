@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/backoff.h"
+
 namespace hermes::consensus {
 
 namespace {
@@ -84,7 +86,8 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
                          const std::vector<SiteId>& participants,
                          int64_t /*csn*/, DecidedFn done) {
   // Paxos Commit does not persist per-decision metadata; CSN certification
-  // is 2PC-only (Mdbs downgrades the knob) so the csn is always -1 here.
+  // is 2PC-only (MdbsConfig::Validate refuses it under Paxos Commit) so the
+  // csn is always -1 here.
   if (mode == DecideMode::kAbortFinal) {
     // A definite refusal: no READY value can ever be chosen for the
     // refusing instance (its RM only ever proposed REFUSE at ballot 0, and
@@ -385,12 +388,9 @@ void PaxosCommit::SendResolvePrepare(const TxnId& gtid, ResolverTxn& r) {
              true);
   SendToAcceptors(core::Message{core::PaxosPrepareMsg{gtid, r.ballot}});
   CancelTimer(r.retry_timer);
-  sim::Duration delay = kResolveRetryInitial;
-  for (int i = 0; i < r.attempt; ++i) {
-    delay = std::min(delay * 2, kResolveRetryMax);
-  }
-  r.retry_timer =
-      loop_->ScheduleAfter(delay, [this, gtid]() { OnResolveRetry(gtid); });
+  r.retry_timer = loop_->ScheduleAfter(
+      sim::CappedBackoff(kResolveRetryInitial, kResolveRetryMax, r.attempt),
+      [this, gtid]() { OnResolveRetry(gtid); });
 }
 
 void PaxosCommit::OnResolveRetry(const TxnId& gtid) {

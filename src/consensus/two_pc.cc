@@ -48,9 +48,9 @@ std::optional<bool> TwoPCDecision::AnswerInquiry(const TxnId& gtid,
 }
 
 void TwoPCDecision::Forget(const TxnId& gtid) {
-  // Only committed transactions have a decision record to forget; aborted
+  // Only committed transactions have a decision record to drop; aborted
   // ones were never logged in the first place.
-  if (log_->HasDecision(gtid)) log_->Forget(gtid);
+  log_->Retire(gtid);
 }
 
 void TwoPCDecision::Crash() {

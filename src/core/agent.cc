@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/str.h"
+#include "sim/backoff.h"
 
 namespace hermes::core {
 
@@ -960,12 +961,9 @@ void TwoPCAgent::Crash() {
 
 void TwoPCAgent::Recover() {
   // Restore the scheme's committed ordering state: the SN high-water mark
-  // of completed transactions, which the log keeps as a checkpoint; then
-  // let the certifier replay its own durable state (the CSN log survives
-  // a crash like the agent log does).
+  // of completed transactions, which the log keeps as a checkpoint.
   const AgentLog::HighWater committed = log_.CommittedHighWater();
   certifier_->OnRecoveredCommitted(committed.gtid, committed.sn);
-  certifier_->Recover();
   // A live subtransaction that is not in doubt lost its work to the crash
   // (it was active, or refused before it prepared): it retires.
   const std::vector<TxnId> in_doubt = log_.InDoubt();
@@ -1061,11 +1059,9 @@ void TwoPCAgent::SendInquiry(const TxnId& gtid) {
   // coordinator stays silent while still collecting votes, the inquiry or
   // its reply may be lost, or the coordinator may itself be down — the
   // prepared agent must keep probing (the blocking window).
-  sim::Duration delay = config_.inquiry_retry_initial;
-  for (int i = 1; i < txn->inquiry_attempts; ++i) {
-    delay = std::min(delay * 2, config_.inquiry_retry_max);
-  }
-  ArmInquiryTimer(*txn, delay);
+  ArmInquiryTimer(*txn, sim::CappedBackoff(config_.inquiry_retry_initial,
+                                           config_.inquiry_retry_max,
+                                           txn->inquiry_attempts - 1));
 }
 
 void TwoPCAgent::ArmInquiryTimer(AgentTxn& txn, sim::Duration delay) {

@@ -52,7 +52,7 @@ struct AgentConfig {
   SiteId site = 0;
   CertPolicy policy = CertPolicy::kFull;
   // Ordering scheme behind the cert::Certifier seam: the paper's
-  // submit-time serial numbers or the decision-time CSN log.
+  // submit-time serial numbers or decision-time commit sequence numbers.
   cert::CertifierKind certifier = cert::CertifierKind::kSn;
   // Short-commit fast paths: accept OnePhaseCommitMsg (single-site 1PC)
   // and commit write-free subtransactions at prepare time (read-only
@@ -306,7 +306,7 @@ class TwoPCAgent {
   AgentLog log_;
   // The certification seam: prepared-set membership, prepare/commit
   // certification and the scheme's ordering state (SN high-water mark or
-  // the CSN log) all live behind this interface.
+  // the decided CSNs) all live behind this interface.
   std::unique_ptr<cert::Certifier> certifier_;
 
   // Hashed: FindTxn is on the hot path of every protocol message. Iteration

@@ -1,9 +1,10 @@
 #include "core/coordinator.h"
 
-#include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "common/str.h"
+#include "sim/backoff.h"
 
 namespace hermes::core {
 
@@ -624,10 +625,8 @@ void Coordinator::Recover() {
 
 void Coordinator::ArmRetryTimer(CoordTxn& txn) {
   CancelRetryTimer(txn);
-  sim::Duration timeout = retry_.timeout;
-  for (int i = 0; i < txn.retry_attempt; ++i) {
-    timeout = std::min(timeout * 2, retry_.max_timeout);
-  }
+  const sim::Duration timeout = sim::CappedBackoff(
+      retry_.timeout, retry_.max_timeout, txn.retry_attempt);
   const TxnId gtid = txn.gtid;
   txn.retry_timer = loop_->ScheduleAfter(
       timeout, [this, gtid]() { OnRetryTimeout(gtid); });
@@ -767,9 +766,9 @@ void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
       }
     }
     // Every participant acked the COMMIT: no inquiry can arrive that needs
-    // the decision, so the protocol may garbage-collect it (2PC appends the
-    // buffered forget record — losing it only costs a harmless re-delivery
-    // after a crash).
+    // the decision, so the protocol may garbage-collect it (2PC retires the
+    // decision record; no forget record is written, since recovery would
+    // not read one).
     protocol_->Forget(txn.gtid);
   } else {
     ++metrics_->global_aborted;

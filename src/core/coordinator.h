@@ -162,8 +162,8 @@ class Coordinator {
   // outcome through inquiries), decided ones fall silent until recovery.
   // Only the coordinator log survives. Recover() force-writes a new
   // submission epoch (so fresh transaction ids cannot collide with
-  // pre-crash ones) and re-drives COMMIT delivery for every logged decision
-  // without a forget record. Called by Mdbs::CrashSite / RecoverSite.
+  // pre-crash ones) and re-drives COMMIT delivery for every decision still
+  // in the log. Called by Mdbs::CrashSite / RecoverSite.
   void Crash();
   void Recover();
 

@@ -2,10 +2,10 @@
 //
 // 2PC with presumed abort: the coordinator force-writes a COMMIT decision
 // record *before* the first COMMIT message leaves the site. Once every
-// participant has acknowledged, Forget() appends a (buffered) forget record
-// and retires the transaction: its records leave the log, and an inquiry
-// about it, like one about an aborted transaction (abort decisions are
-// never logged), is answered "presumed abort". The log therefore holds only
+// participant has acknowledged, Retire() drops the transaction: its records
+// leave the log, and an inquiry about it, like one about an aborted
+// transaction (abort decisions are never logged), is answered "presumed
+// abort". The log therefore holds only
 // the decisions still in flight, plus the epoch records. After a crash the
 // log is the only coordinator state that survives: Recover() re-drives
 // decision delivery for every decision still in the log, and bumps the
@@ -28,13 +28,12 @@ namespace hermes::core {
 
 enum class CoordRecordKind : uint8_t {
   kDecision,  // force-written before any COMMIT is sent
-  kForget,    // appended after all commit ACKs arrived
   kEpoch,     // force-written during recovery: new submission epoch
 };
 
 struct CoordLogRecord {
   CoordRecordKind kind = CoordRecordKind::kDecision;
-  TxnId gtid;                        // kDecision / kForget
+  TxnId gtid;                        // kDecision
   std::vector<SiteId> participants;  // kDecision: sites owed a COMMIT
   int64_t csn = -1;                  // kDecision: decision-time CSN, if any
   int64_t epoch = 0;                 // kEpoch
@@ -45,16 +44,9 @@ struct CoordLogRecord {
 class CoordinatorLog : public DurableLog<CoordLogRecord> {
  public:
   // True if a COMMIT decision record exists for `gtid`: decided and not
-  // yet forgotten.
+  // yet retired.
   bool HasDecision(const TxnId& gtid) const {
     return Has(gtid, CoordRecordKind::kDecision);
-  }
-
-  // Every participant acknowledged the decision on `gtid`: appends the
-  // buffered forget record and retires the transaction.
-  void Forget(const TxnId& gtid) {
-    Append(CoordLogRecord{.kind = CoordRecordKind::kForget, .gtid = gtid});
-    Retire(gtid);
   }
 
   // CSN carried by the decision record of `gtid`, -1 if absent — lets

@@ -11,7 +11,6 @@
 
 #include "common/ids.h"
 #include "db/table.h"
-#include "sim/event_loop.h"
 
 namespace hermes::ltm {
 
@@ -34,7 +33,6 @@ struct LocalTxn {
   // Identity in the global history model: a local transaction L_o or the
   // j-th local subtransaction T^s_kj of a global transaction.
   SubTxnId id;
-  sim::Time begin_time = 0;
 
   std::vector<UndoRecord> undo;
   // Items read/written (for the agent's bound-data set and diagnostics).

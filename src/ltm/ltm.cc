@@ -56,7 +56,6 @@ LtmTxnHandle Ltm::Begin(const SubTxnId& id) {
   auto txn = std::make_unique<LocalTxn>();
   txn->handle = next_handle_++;
   txn->id = id;
-  txn->begin_time = loop_->Now();
   const LtmTxnHandle handle = txn->handle;
   txns_[handle] = std::move(txn);
   states_.push_back(TxnState::kActive);

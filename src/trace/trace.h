@@ -222,7 +222,7 @@ class EventFold {
 
 // Read by nothing: the harness always stores the binary export. Declared
 // only because perfbench/composed_run.cc still assigns `format`; both go
-// when perfbench next changes (ROADMAP item 4, step 2).
+// when perfbench next changes (ROADMAP item 6, step 2).
 enum class TraceFormat : uint8_t {
   kJsonl,
   kBinary,

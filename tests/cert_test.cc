@@ -1,10 +1,11 @@
-// CSN-certifier tests: unit tests of the CsnSource / CsnCertifier / CsnLog
-// machinery (decision-time ordering numbers, snapshot check, durable XID →
-// CSN log), agent-level protocol tests driving one agent with hand-crafted
+// CSN-certifier tests: unit tests of the CsnSource / CsnCertifier
+// machinery (decision-time ordering numbers, snapshot check, what a crash
+// loses), agent-level protocol tests driving one agent with hand-crafted
 // messages (mirroring agent_test.cc's SN scenarios), and system-level
 // crash/recovery tests showing the CSN survives both participant and
-// coordinator crashes. See docs/DESIGN-SPACE.md for the SN/CSN comparison
-// these tests pin down.
+// coordinator crashes. Each site's CSN is read from its local-commit trace
+// event. See docs/DESIGN-SPACE.md for the SN/CSN comparison these tests
+// pin down.
 
 #include "cert/csn_certifier.h"
 
@@ -14,6 +15,7 @@
 #include "core/mdbs.h"
 #include "history/projection.h"
 #include "history/view_checker.h"
+#include "trace/trace.h"
 
 namespace hermes {
 namespace {
@@ -26,6 +28,20 @@ using core::Mdbs;
 using core::MdbsConfig;
 using core::Message;
 using core::SerialNumber;
+
+// CSN under which `site` committed `gtid` locally, from its kLocalCommit
+// event; -1 if there is none.
+int64_t CommitCsnAt(const trace::Tracer& tracer, SiteId site,
+                    const TxnId& gtid) {
+  int64_t csn = -1;
+  tracer.ForEach([&](const trace::Event& e) {
+    if (e.kind == trace::EventKind::kLocalCommit && e.site == site &&
+        e.txn == gtid) {
+      csn = e.value;
+    }
+  });
+  return csn;
+}
 
 // --- source & factory -------------------------------------------------------
 
@@ -130,26 +146,36 @@ TEST(CsnCertifier, UndecidedPeerBlocksDecidedCommit) {
   EXPECT_TRUE(csn.CertifyCommit(b, nullptr));
 }
 
-// --- durable log & crash recovery -------------------------------------------
+// --- crash ---------------------------------------------------------------------
 
-TEST(CsnCertifier, CrashLosesVolatileStateRecoverReplaysLog) {
+TEST(CsnCertifier, CrashLosesVolatileState) {
   cert::CsnCertifier csn(CertPolicy::kFull);
   const TxnId a = TxnId::MakeGlobal(0, 1);
+  const TxnId b = TxnId::MakeGlobal(0, 2);
+  const TxnId cand = TxnId::MakeGlobal(0, 3);
   csn.OnPrepared(a, {0, 10}, SerialNumber{});
-  csn.OnCommitDecision(a, 3);
-  csn.OnCommitted(a, SerialNumber{}, 20);
-  EXPECT_EQ(csn.CsnOf(a), 3);
-  EXPECT_EQ(csn.max_committed_csn(), 3);
+  csn.OnCommitDecision(a, 3);  // decided, not yet committed
+  csn.OnPrepared(b, {0, 10}, SerialNumber{});
+  csn.OnCommitDecision(b, 4);
+  csn.OnCommitted(b, SerialNumber{}, 20);
+  // b's commit lies inside the resubmitted candidate's lifetime.
+  EXPECT_FALSE(
+      csn.CertifyPrepare(cand, SerialNumber{}, {15, 40}, 1, false).admit);
 
   csn.Crash();
-  EXPECT_EQ(csn.CsnOf(a), -1);
-  EXPECT_EQ(csn.max_committed_csn(), 0);
   EXPECT_EQ(csn.table().size(), 0u);
-
-  csn.Recover();
-  EXPECT_EQ(csn.CsnOf(a), 3);
-  EXPECT_EQ(csn.max_committed_csn(), 3);
-  EXPECT_EQ(csn.log().size(), 1u);
+  // The recent-commit window is gone: nothing left to straddle.
+  EXPECT_TRUE(
+      csn.CertifyPrepare(cand, SerialNumber{}, {15, 40}, 1, false).admit);
+  // a's decided CSN is gone too: re-entered without its decision, it
+  // commits into the window with no CSN.
+  csn.OnPrepared(a, {50, 50}, SerialNumber{});
+  csn.OnCommitted(a, SerialNumber{}, 60);
+  const cert::PrepareOutcome out =
+      csn.CertifyPrepare(cand, SerialNumber{}, {55, 70}, 1, true);
+  EXPECT_FALSE(out.admit);
+  EXPECT_NE(out.detail.find("commit csn=-1 "), std::string::npos)
+      << out.detail;
 }
 
 // --- agent-level protocol behavior ------------------------------------------
@@ -162,6 +188,7 @@ class AgentCsnTest : public ::testing::Test {
   void Build(CertPolicy policy) {
     MdbsConfig config;
     config.num_sites = 1;
+    config.tracer = &tracer_;
     config.agent.certifier = cert::CertifierKind::kCsn;
     config.agent.policy = policy;
     config.agent.commit_retry_interval = 2 * sim::kMillisecond;
@@ -192,11 +219,6 @@ class AgentCsnTest : public ::testing::Test {
     Drain();
   }
 
-  const cert::CsnCertifier& certifier() {
-    return static_cast<const cert::CsnCertifier&>(
-        mdbs_->agent(0)->certifier());
-  }
-
   bool CommittedBefore(const TxnId& a, const TxnId& b) {
     int64_t a_at = -1, b_at = -1;
     for (const auto& op : mdbs_->recorder().ops()) {
@@ -210,6 +232,7 @@ class AgentCsnTest : public ::testing::Test {
   }
 
   sim::EventLoop loop_;
+  trace::Tracer tracer_{&loop_};
   std::unique_ptr<Mdbs> mdbs_;
   db::TableId table_ = -1;
 };
@@ -237,9 +260,8 @@ TEST_F(AgentCsnTest, CommitsFollowCsnOrderNotArrivalOrder) {
   Drain();
   EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 0u);
   EXPECT_TRUE(CommittedBefore(a, b));
-  EXPECT_EQ(certifier().CsnOf(a), 1);
-  EXPECT_EQ(certifier().CsnOf(b), 2);
-  EXPECT_EQ(certifier().max_committed_csn(), 2);
+  EXPECT_EQ(CommitCsnAt(tracer_, 0, a), 1);
+  EXPECT_EQ(CommitCsnAt(tracer_, 0, b), 2);
 }
 
 TEST_F(AgentCsnTest, LatePrepareAfterCommitIsAdmitted) {
@@ -261,23 +283,6 @@ TEST_F(AgentCsnTest, LatePrepareAfterCommitIsAdmitted) {
   EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 1u);
 }
 
-TEST_F(AgentCsnTest, SiteCrashReplaysCsnLogThroughRecovery) {
-  Build(CertPolicy::kFull);
-  const TxnId a = Gtid(1);
-  RunDml(a, 1);
-  Send(Message{core::PrepareMsg{a, SerialNumber{100, 0, 0}}});
-  Send(Message{core::DecisionMsg{a, true, /*csn=*/5}});
-  Drain();
-  EXPECT_EQ(certifier().CsnOf(a), 5);
-
-  // Crash-and-recover in one step: the volatile XID → CSN index is wiped
-  // and must come back from the durable log replay.
-  mdbs_->CrashSite(0);
-  Drain();
-  EXPECT_EQ(certifier().CsnOf(a), 5);
-  EXPECT_EQ(certifier().max_committed_csn(), 5);
-}
-
 // --- system-level crash recovery --------------------------------------------
 
 class CsnRecoveryTest : public ::testing::Test {
@@ -285,6 +290,7 @@ class CsnRecoveryTest : public ::testing::Test {
   void Build(int sites) {
     MdbsConfig config;
     config.num_sites = sites;
+    config.tracer = &tracer_;
     config.agent.certifier = cert::CertifierKind::kCsn;
     config.agent.alive_check_interval = 5 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
@@ -310,9 +316,7 @@ class CsnRecoveryTest : public ::testing::Test {
   }
 
   int64_t CsnAt(SiteId site, const TxnId& gtid) {
-    return static_cast<const cert::CsnCertifier&>(
-               mdbs_->agent(site)->certifier())
-        .CsnOf(gtid);
+    return CommitCsnAt(tracer_, site, gtid);
   }
 
   void ExpectSerializable() {
@@ -324,6 +328,7 @@ class CsnRecoveryTest : public ::testing::Test {
   }
 
   sim::EventLoop loop_;
+  trace::Tracer tracer_{&loop_};
   std::unique_ptr<Mdbs> mdbs_;
   db::TableId table_ = -1;
 };

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -176,8 +177,8 @@ TEST_F(CoordinatorTest, CommitDecisionIsForceLoggedThenForgotten) {
   loop_.Run();
   ASSERT_TRUE(result.has_value());
   ASSERT_TRUE(result->status.ok());
-  // Every participant acked: the decision was forgotten with a buffered
-  // forget record, and the transaction retired from the log.
+  // Every participant acked: the transaction retired from the log, and no
+  // further record was written.
   EXPECT_FALSE(log.HasDecision(gtid));
   EXPECT_TRUE(log.InFlightDecisions().empty());
   EXPECT_EQ(log.size(), 0u);
@@ -234,9 +235,9 @@ TEST_F(CoordinatorTest, RecoveryBumpsEpochSoGtidsNeverCollide) {
 }
 
 // Differential check of the log's per-transaction index and of
-// retirement: on seeded random logs (decisions, forgets that retire their
-// gtid, and gtid-less epoch records, forced and buffered) each query
-// answers what a scan of every record ever appended answers.
+// retirement: on seeded random logs (decisions, retirements once every
+// participant acked, and gtid-less epoch records, forced and buffered)
+// each query answers what a scan of every record ever appended answers.
 TEST(CoordinatorLog, QueriesMatchAFullScanOnRandomLogs) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     std::mt19937_64 rng(seed);
@@ -247,11 +248,8 @@ TEST(CoordinatorLog, QueriesMatchAFullScanOnRandomLogs) {
     }
     CoordinatorLog log;
     std::vector<CoordLogRecord> all;  // every record appended
-    auto forgotten = [&](const TxnId& g) {
-      return std::any_of(all.begin(), all.end(), [&](const CoordLogRecord& r) {
-        return r.kind == CoordRecordKind::kForget && r.gtid == g;
-      });
-    };
+    std::set<TxnId> retired;
+    auto forgotten = [&](const TxnId& g) { return retired.count(g) != 0; };
 
     auto check = [&](int step) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
@@ -307,7 +305,6 @@ TEST(CoordinatorLog, QueriesMatchAFullScanOnRandomLogs) {
     for (int n = 0; n < 200; ++n) {
       if (n % 40 == 39) check(n);
       const TxnId g = gtids[rng() % gtids.size()];
-      const int64_t next_lsn = static_cast<int64_t>(all.size());
       switch (rng() % 3) {
         case 0: {  // a decision, for a gtid not yet forgotten
           if (forgotten(g)) break;
@@ -323,9 +320,8 @@ TEST(CoordinatorLog, QueriesMatchAFullScanOnRandomLogs) {
         }
         case 1:  // every participant acked a decision
           if (!log.HasDecision(g)) break;
-          log.Forget(g);
-          all.push_back(CoordLogRecord{
-              .kind = CoordRecordKind::kForget, .gtid = g, .lsn = next_lsn});
+          log.Retire(g);
+          retired.insert(g);
           break;
         default: {
           CoordLogRecord r{.kind = CoordRecordKind::kEpoch,

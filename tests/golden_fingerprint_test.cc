@@ -1,5 +1,6 @@
 // Golden fingerprints: small runs shaped like the three benchmark workloads
-// (perfbench/workloads.cc), seeds 1-3, must reproduce pinned digests of
+// (perfbench/workloads.cc), plus one run through CSN crash recovery, which
+// none of them reaches, seeds 1-3, must reproduce pinned digests of
 // runner::Fingerprint. A refactor or a speed-up that claims to keep
 // behaviour keeps every value here. A change that alters behaviour on
 // purpose updates the values and says why in CHANGES.md.
@@ -12,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "cert/certifier.h"
 #include "consensus/decision.h"
+#include "fault/fault_plan.h"
 #include "runner/runner.h"
 #include "workload/config.h"
 
@@ -91,10 +94,45 @@ RunSpec ChaosPaxos16Site(uint64_t seed) {
   return spec;
 }
 
+// csn_2pc_crash: not a benchmark workload. CSN certification with the
+// short-commit fast paths, unilateral aborts, and a crash of site 1 right
+// after its 12th prepare, so that recovery re-enters in-doubt
+// subtransactions (1, 3 and 3 of them for seeds 1-3) and learns their
+// CSNs again.
+RunSpec CsnCrash4Site(uint64_t seed) {
+  RunSpec spec;
+  spec.capture_trace = true;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 4;
+  c.rows_per_table = 64;
+  c.global_clients = 8;
+  c.local_clients_per_site = 1;
+  c.single_site_fraction = 0.2;
+  c.read_only_fraction = 0.2;
+  c.p_prepared_abort = 0.1;
+  c.certifier = cert::CertifierKind::kCsn;
+  c.short_commit = true;
+  c.orphan_abort_timeout = 200 * sim::kMillisecond;
+  c.drain_grace = 2 * sim::kSecond;
+  fault::FaultEvent crash;
+  crash.trigger = fault::TriggerKind::kOnPrepared;
+  crash.watch_site = 1;
+  crash.nth = 12;
+  crash.site = 1;
+  crash.duration = 100 * sim::kMillisecond;
+  c.fault_plan.events.push_back(crash);
+  c.record_history = true;
+  c.target_global_txns = 150;
+  return spec;
+}
+
 // Recorded before the tombstone-free event heap, the inline event callbacks
 // and the flat lock table went in; none of them changed a digest. The
 // counted DLU bindings and the DLU back-out that keeps an earlier
-// command's lock changed chaos_paxos_16site seeds 1 and 3.
+// command's lock changed chaos_paxos_16site seeds 1 and 3. csn_2pc_crash
+// was recorded with the CSN certifier's XID -> CSN log still in place;
+// deleting it changed no digest.
 struct Golden {
   const char* workload;
   RunSpec (*make)(uint64_t seed);
@@ -112,6 +150,9 @@ const Golden kGolden[] = {
     {"chaos_paxos_16site",
      ChaosPaxos16Site,
      {"fe611e4cc7466e36", "c33e872e37e00241", "e338140269ca0b8d"}},
+    {"csn_2pc_crash",
+     CsnCrash4Site,
+     {"4fce1269f4c07aaa", "d6e0ec9abe5c47c9", "041795e8262112ee"}},
 };
 
 TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {

@@ -1,22 +1,25 @@
-// Unit tests of the discrete-event simulation kernel, its callback type and
-// site clocks.
+// Unit tests of the discrete-event simulation kernel, its callback type,
+// site clocks and the capped backoff.
 
 #include "sim/event_loop.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "sim/backoff.h"
 #include "sim/callback.h"
 #include "sim/site_clock.h"
 
@@ -495,6 +498,36 @@ TEST(SiteClock, OffsetAndDrift) {
   loop.Run();
   EXPECT_EQ(fast.Read(), 1'001'000);
   EXPECT_EQ(skewed.Read(), 1'000'500);
+}
+
+// The doubling loop CappedBackoff replaces, one step per doubling.
+Duration LoopBackoff(Duration initial, Duration cap, int doublings) {
+  Duration delay = initial;
+  for (int i = 0; i < doublings; ++i) delay = std::min(delay * 2, cap);
+  return delay;
+}
+
+TEST(CappedBackoff, MatchesTheDoublingLoop) {
+  const std::pair<Duration, Duration> cases[] = {
+      {20, 320}, {50, 400}, {20, 300}, {1, kSecond}, {7, 7},
+      {320, 20},  // initial above the cap
+      {0, 100},
+  };
+  for (const auto& [initial, cap] : cases) {
+    SCOPED_TRACE(std::to_string(initial) + " capped at " +
+                 std::to_string(cap));
+    for (int n = 0; n <= 100; ++n) {
+      EXPECT_EQ(CappedBackoff(initial, cap, n), LoopBackoff(initial, cap, n))
+          << n << " doublings";
+    }
+    // Every case reaches its fixed point well before 100 doublings, so the
+    // loop's value at INT_MAX is its value at 100.
+    EXPECT_EQ(CappedBackoff(initial, cap, INT_MAX),
+              LoopBackoff(initial, cap, 100));
+  }
+  EXPECT_EQ(CappedBackoff(320, 20, 0), 320);
+  EXPECT_EQ(CappedBackoff(320, 20, 1), 20);
+  EXPECT_EQ(CappedBackoff(20, 320, INT_MAX), 320);
 }
 
 }  // namespace

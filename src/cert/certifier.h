@@ -107,11 +107,28 @@ class Certifier {
     (void)csn;
   }
 
-  // Commit-order certification: may `gtid` perform its local commit now?
-  // When refused, `waiting_on` (nullable; trace context) receives the
-  // prepared peers the retry is waiting for.
-  virtual bool CertifyCommit(const TxnId& gtid,
-                             std::vector<TxnId>* waiting_on) = 0;
+  // Commit-order certification, the same rule under both schemes: `gtid`
+  // may perform its local commit only while no prepared peer holds a
+  // smaller serial number (SN: the submit-time number; CSN: the decision
+  // stamp, where an undecided peer's invalid SN sorts below every valid
+  // one). When refused, `waiting_on` (nullable; trace context) receives
+  // the prepared peers the commit is waiting for.
+  bool CertifyCommit(const TxnId& gtid, std::vector<TxnId>* waiting_on) const {
+    if (policy_ != core::CertPolicy::kFull) return true;
+    if (table_.SmallestSerialNumber(gtid)) return true;
+    if (waiting_on != nullptr) *waiting_on = table_.SmallerSerialNumbers(gtid);
+    return false;
+  }
+
+  // The one prepared subtransaction whose commit verdict can turn from
+  // "wait" to "commit": the holder of the smallest serial number (invalid
+  // TxnId when the prepared set is empty, or when commit certification is
+  // off and nothing ever waits). Serial numbers of waiting subtransactions
+  // are valid and unique, so a waiter passes exactly when it is the head.
+  TxnId CommitHead() const {
+    if (policy_ != core::CertPolicy::kFull) return TxnId{};
+    return table_.MinSnTxn();
+  }
 
   // The local commit was performed at `now`: update the ordering state
   // (SN: high-water mark; CSN: the recent-commit window) and drop the

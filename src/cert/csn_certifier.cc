@@ -74,17 +74,6 @@ void CsnCertifier::OnCommitDecision(const TxnId& gtid, int64_t csn) {
   }
 }
 
-bool CsnCertifier::CertifyCommit(const TxnId& gtid,
-                                 std::vector<TxnId>* waiting_on) {
-  if (policy_ != core::CertPolicy::kFull) return true;
-  // CSN-order commit certification: every co-prepared peer must either be
-  // decided with a larger CSN or not constrain us — an undecided peer
-  // (invalid SN) blocks, because its CSN, once assigned, may be smaller.
-  if (table_.SmallestSerialNumber(gtid)) return true;
-  if (waiting_on != nullptr) *waiting_on = table_.SmallerSerialNumbers(gtid);
-  return false;
-}
-
 void CsnCertifier::OnCommitted(const TxnId& gtid,
                                const core::SerialNumber& /*sn*/,
                                sim::Time now) {

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <vector>
 
 #include "cert/certifier.h"
 
@@ -60,8 +59,6 @@ class CsnCertifier : public Certifier {
   void OnPrepared(const TxnId& gtid, const core::AliveInterval& interval,
                   const core::SerialNumber& sn) override;
   void OnCommitDecision(const TxnId& gtid, int64_t csn) override;
-  bool CertifyCommit(const TxnId& gtid,
-                     std::vector<TxnId>* waiting_on) override;
   void OnCommitted(const TxnId& gtid, const core::SerialNumber& sn,
                    sim::Time now) override;
   void OnRemoved(const TxnId& gtid) override;

@@ -59,16 +59,6 @@ void SnCertifier::OnPrepared(const TxnId& gtid,
   table_.Insert(gtid, interval, sn);
 }
 
-bool SnCertifier::CertifyCommit(const TxnId& gtid,
-                                std::vector<TxnId>* waiting_on) {
-  // Commit certification: all other prepared subtransactions at this agent
-  // must have a bigger serial number; otherwise retry later.
-  if (policy_ != core::CertPolicy::kFull) return true;
-  if (table_.SmallestSerialNumber(gtid)) return true;
-  if (waiting_on != nullptr) *waiting_on = table_.SmallerSerialNumbers(gtid);
-  return false;
-}
-
 void SnCertifier::OnCommitted(const TxnId& gtid, const core::SerialNumber& sn,
                               sim::Time /*now*/) {
   table_.Remove(gtid);

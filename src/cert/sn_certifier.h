@@ -2,12 +2,11 @@
 // extracted verbatim from the agent: the prepare-certification extension
 // refuses any PREPARE whose SN is below the largest serial number already
 // committed at this site, and commit certification performs local commits
-// in SN order by retrying while a prepared peer holds a smaller SN.
+// in SN order (Certifier::CertifyCommit) by waiting while a prepared peer
+// holds a smaller SN.
 
 #ifndef HERMES_CERT_SN_CERTIFIER_H_
 #define HERMES_CERT_SN_CERTIFIER_H_
-
-#include <vector>
 
 #include "cert/certifier.h"
 
@@ -25,8 +24,6 @@ class SnCertifier : public Certifier {
                                 int resubmission, bool want_detail) override;
   void OnPrepared(const TxnId& gtid, const core::AliveInterval& interval,
                   const core::SerialNumber& sn) override;
-  bool CertifyCommit(const TxnId& gtid,
-                     std::vector<TxnId>* waiting_on) override;
   void OnCommitted(const TxnId& gtid, const core::SerialNumber& sn,
                    sim::Time now) override;
 

@@ -88,6 +88,14 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
   // Paxos Commit does not persist per-decision metadata; CSN certification
   // is 2PC-only (MdbsConfig::Validate refuses it under Paxos Commit) so the
   // csn is always -1 here.
+  if (auto it = decided_.find(gtid); it != decided_.end()) {
+    // A resolution round at this site (a prepared agent here escalated
+    // while the coordinator still waited for a vote) already chose the
+    // outcome and delivered it to the participants; the coordinator
+    // learns it now.
+    done(gtid, it->second);
+    return;
+  }
   if (mode == DecideMode::kAbortFinal) {
     // A definite refusal: no READY value can ever be chosen for the
     // refusing instance (its RM only ever proposed REFUSE at ballot 0, and

@@ -324,8 +324,9 @@ void TwoPCAgent::SendVote(const TxnId& gtid, SiteId coordinator, bool ready,
 }
 
 void TwoPCAgent::Refuse(AgentTxn& txn, const Status& reason) {
+  // Only an active subtransaction is refused: it never entered the
+  // prepared set, so the certifier has nothing to drop.
   if (ltm_->IsActive(txn.ltm_handle)) ltm_->Abort(txn.ltm_handle);
-  certifier_->OnRemoved(txn.gtid);
   SendVote(txn.gtid, txn.coordinator, /*ready=*/false, reason,
            /*read_only=*/false, txn.acting_for);
   Retire(txn, /*committed=*/false);
@@ -699,16 +700,21 @@ void TwoPCAgent::OnDecision(SiteId from, const DecisionMsg& msg) {
     if (txn->phase != Phase::kPrepared) return;
     if (txn->commit_pending) ++metrics_->dup_msgs_absorbed;
     txn->commit_pending = true;
-    if (msg.csn >= 0) {
-      // Decision-time CSN: stamp the prepared entry so commit certification
-      // can order this subtransaction against co-prepared peers.
-      txn->csn = msg.csn;
-      certifier_->OnCommitDecision(txn->gtid, msg.csn);
-    }
     // The decision arrived: stop probing for it.
     if (txn->inquiry_timer != sim::kInvalidEvent) {
       loop_->Cancel(txn->inquiry_timer);
       txn->inquiry_timer = sim::kInvalidEvent;
+    }
+    if (msg.csn >= 0) {
+      // Decision-time CSN: stamp the prepared entry so commit certification
+      // can order this subtransaction against co-prepared peers. The stamp
+      // can move the head of the commit order, which may be this
+      // subtransaction itself.
+      txn->csn = msg.csn;
+      certifier_->OnCommitDecision(txn->gtid, msg.csn);
+      CommitReadyHead();
+      txn = FindTxn(msg.gtid);
+      if (txn == nullptr) return;
     }
     TryCommit(*txn);
   } else {
@@ -722,8 +728,9 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
 
   // Commit certification: the scheme's ordering rule — SN: all other
   // prepared subtransactions must have a bigger serial number; CSN: no
-  // co-prepared peer may hold a smaller (or still-undecided) CSN. Retry
-  // later otherwise.
+  // co-prepared peer may hold a smaller (or still-undecided) CSN.
+  // Otherwise wait: CommitReadyHead commits this subtransaction once it
+  // heads the commit order.
   std::vector<TxnId> waiting_on;
   if (!certifier_->CertifyCommit(txn.gtid,
                                  tracer_ != nullptr ? &waiting_on : nullptr)) {
@@ -737,16 +744,6 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
       e.sn = txn.sn;
       e.related = std::move(waiting_on);
       tracer_->Record(std::move(e));
-    }
-    if (txn.commit_retry_timer == sim::kInvalidEvent) {
-      const TxnId gtid = txn.gtid;
-      txn.commit_retry_timer = loop_->ScheduleAfter(
-          config_.commit_retry_interval, [this, gtid]() {
-            AgentTxn* t = FindTxn(gtid);
-            if (t == nullptr) return;
-            t->commit_retry_timer = sim::kInvalidEvent;
-            TryCommit(*t);
-          });
     }
     return;
   }
@@ -805,6 +802,24 @@ void TwoPCAgent::CompleteCommit(AgentTxn& txn) {
   network_->Send(config_.site, txn.coordinator,
                  Message{AckMsg{txn.gtid, /*commit=*/true, txn.acting_for}});
   Retire(txn, /*committed=*/true);
+  CommitReadyHead();
+}
+
+void TwoPCAgent::CommitReadyHead() {
+  // Called again from CompleteCommit inside the loop below: the running
+  // loop re-reads the head, so the nested call has nothing to do.
+  if (committing_head_) return;
+  committing_head_ = true;
+  for (;;) {
+    const TxnId head = certifier_->CommitHead();
+    AgentTxn* txn = FindTxn(head);
+    if (txn == nullptr || !txn->commit_pending || txn->resubmitting) break;
+    TryCommit(*txn);
+    // Still held: the commit found the work unilaterally aborted and
+    // resubmits it; OnResubmissionComplete retries.
+    if (FindTxn(head) != nullptr) break;
+  }
+  committing_head_ = false;
 }
 
 void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
@@ -827,6 +842,7 @@ void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
   network_->Send(config_.site, txn.coordinator,
                  Message{AckMsg{txn.gtid, /*commit=*/false, txn.acting_for}});
   Retire(txn, /*committed=*/false);
+  CommitReadyHead();
 }
 
 // --- short-commit 1PC (single-site fast path) --------------------------------
@@ -1106,8 +1122,8 @@ void TwoPCAgent::OnOrphanTimeout(const TxnId& gtid) {
 
 void TwoPCAgent::CancelTimers(AgentTxn& txn) {
   for (sim::EventId* timer :
-       {&txn.alive_timer, &txn.commit_retry_timer, &txn.resubmit_retry_timer,
-        &txn.inquiry_timer, &txn.orphan_timer}) {
+       {&txn.alive_timer, &txn.resubmit_retry_timer, &txn.inquiry_timer,
+        &txn.orphan_timer}) {
     if (*timer != sim::kInvalidEvent) {
       loop_->Cancel(*timer);
       *timer = sim::kInvalidEvent;
@@ -1226,6 +1242,8 @@ std::vector<MigratedTxn> TwoPCAgent::ExtractResidueForShards(
     log_.Retire(gtid, AgentOutcome::Late{});
     out.push_back(std::move(m));
   }
+  // A subtransaction staying here may have waited on extracted residue.
+  CommitReadyHead();
   return out;
 }
 

@@ -17,9 +17,10 @@
 //    serial number is smaller than the largest serial number already
 //    committed at this agent (a COMMIT overtook a PREPARE);
 //  * commit certification (section 5.2, Appendix C): perform local commits
-//    in serial-number order — retry later while any prepared subtransaction
-//    at this site has a smaller SN — keeping the commit order graph
-//    acyclic.
+//    in serial-number order, keeping the commit order graph acyclic. A
+//    COMMIT that arrives while a prepared subtransaction at this site has a
+//    smaller SN waits; the paper's "retry later" happens when that blocker
+//    leaves the prepared set (or, under CSN, when a decision stamps it).
 //
 // The certification policy is configurable so the benchmarks can ablate
 // each mechanism and demonstrate the distortions it prevents.
@@ -60,8 +61,6 @@ struct AgentConfig {
   bool short_commit = false;
   // Period of the alive check while in the prepared state (Appendix A).
   sim::Duration alive_check_interval = 25 * sim::kMillisecond;
-  // Commit certification retry timeout (Appendix C).
-  sim::Duration commit_retry_interval = 5 * sim::kMillisecond;
   // DLU: bind accessed items while prepared. Disable only for negative
   // experiments.
   bool bind_bound_data = true;
@@ -237,7 +236,6 @@ class TwoPCAgent {
     bool commit_pending = false;  // COMMIT received but not yet performed
     int inquiry_attempts = 0;     // drives the capped inquiry backoff
     sim::EventId alive_timer = sim::kInvalidEvent;
-    sim::EventId commit_retry_timer = sim::kInvalidEvent;
     sim::EventId resubmit_retry_timer = sim::kInvalidEvent;
     sim::EventId inquiry_timer = sim::kInvalidEvent;
     sim::EventId orphan_timer = sim::kInvalidEvent;
@@ -262,6 +260,10 @@ class TwoPCAgent {
   void Refuse(AgentTxn& txn, const Status& reason);
   void TryCommit(AgentTxn& txn);
   void CompleteCommit(AgentTxn& txn);
+  // Commits the head of the certifier's commit order while it is
+  // commit-pending, repeatedly: called after each change that can move
+  // the head (a local commit, a rollback, extracted residue, a CSN stamp).
+  void CommitReadyHead();
   void ProcessRollback(AgentTxn& txn);
   void ScheduleAliveCheck(AgentTxn& txn);
   void OnAliveCheck(const TxnId& gtid);
@@ -308,6 +310,8 @@ class TwoPCAgent {
   // certification and the scheme's ordering state (SN high-water mark or
   // the decided CSNs) all live behind this interface.
   std::unique_ptr<cert::Certifier> certifier_;
+  // Set while CommitReadyHead runs its loop.
+  bool committing_head_ = false;
 
   // Hashed: FindTxn is on the hot path of every protocol message. Iteration
   // only happens in Crash/Recover paths where order is immaterial. Holds

@@ -86,7 +86,8 @@ class AliveIntervalTable {
   bool SmallestSerialNumber(const TxnId& gtid) const;
 
   // Transaction holding the smallest stored serial number (invalid TxnId
-  // when the table is empty). Exposed for tests of the min cache.
+  // when the table is empty): the head of the commit order, which the
+  // agent commits when its blocker leaves (cert::Certifier::CommitHead).
   TxnId MinSnTxn() const;
 
   size_t size() const { return entries_.size(); }

@@ -40,6 +40,9 @@ struct Metrics {
   int64_t refuse_interval = 0;    // basic (alive-interval) failures
   int64_t refuse_snapshot = 0;    // CSN snapshot check failures (resubmitted)
   int64_t refuse_dead = 0;        // transaction not alive at prepare
+  // Commit attempts that commit certification blocked. Each blocked
+  // attempt counts once: the waiting subtransaction commits when it heads
+  // the SN order, with no further attempt counted.
   int64_t commit_cert_retries = 0;
   int64_t alive_checks = 0;
   int64_t resubmissions = 0;

@@ -279,7 +279,9 @@ void SpanForestBuilder::Impl::Add(const Event& e) {
         break;
       }
       case EventKind::kCommitRetry: {
-        b.NoteInnermost(e.txn, e.site, e.at, "commit_retry");
+        // Names the blockers: the prepared peers with smaller SNs.
+        b.NoteInnermost(e.txn, e.site, e.at,
+                        StrCat("commit_retry(", StrJoin(e.related, ","), ")"));
         break;
       }
       case EventKind::kShortCommit: {

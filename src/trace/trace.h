@@ -51,7 +51,8 @@ enum class EventKind : uint8_t {
                    // resubmission = new local subtransaction index,
                    // value = attempt number of this prepared period
   kResubmitDone,   // all commands re-executed, new alive interval started
-  kCommitRetry,    // commit certification forced a retry;
+  kCommitRetry,    // commit certification blocked a commit attempt, which
+                   // now waits (one event per blocked attempt);
                    // related = prepared transactions with smaller SNs
   kLocalCommit,    // local single-phase commit performed; sn = SN(k)
   kLocalAbort,     // local rollback performed on coordinator decision

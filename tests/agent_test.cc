@@ -15,6 +15,7 @@
 
 #include "core/mdbs.h"
 #include "history/op.h"
+#include "trace/trace.h"
 
 namespace hermes {
 namespace {
@@ -383,11 +384,11 @@ TEST(AgentLog, QueriesMatchAFullScanOnRandomLogs) {
 // observed directly.
 class AgentProtocolTest : public ::testing::Test {
  protected:
-  void Build(CertPolicy policy) {
+  void Build(CertPolicy policy, bool traced = true) {
     core::MdbsConfig config;
     config.num_sites = 1;
+    if (traced) config.tracer = &tracer_;
     config.agent.policy = policy;
-    config.agent.commit_retry_interval = 2 * sim::kMillisecond;
     // Keep alive checks lazy so injected aborts stay undetected (stale
     // intervals) across a Drain() — the scenarios these tests exercise.
     config.agent.alive_check_interval = 300 * sim::kMillisecond;
@@ -433,7 +434,24 @@ class AgentProtocolTest : public ::testing::Test {
     return a_at < b_at;
   }
 
+  // Virtual time of `gtid`'s first op of `kind` at site 0 (-1 if none).
+  sim::Time OpAt(const TxnId& gtid, history::OpKind kind) {
+    for (const auto& op : mdbs_->recorder().ops()) {
+      if (op.kind == kind && op.subtxn.txn == gtid) return op.at;
+    }
+    return -1;
+  }
+
+  int CommitRetryEvents() {
+    int n = 0;
+    tracer_.ForEach([&](const trace::Event& e) {
+      if (e.kind == trace::EventKind::kCommitRetry) ++n;
+    });
+    return n;
+  }
+
   sim::EventLoop loop_;
+  trace::Tracer tracer_{&loop_};
   std::unique_ptr<core::Mdbs> mdbs_;
   db::TableId table_ = -1;
 };
@@ -451,17 +469,96 @@ TEST_F(AgentProtocolTest, CommitCertificationReordersLocalCommitsBySn) {
   EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 2u);
 
   // COMMIT arrives for the *bigger* serial number first: commit
-  // certification must defer it until the smaller one commits.
+  // certification must defer it until the smaller one commits. The
+  // blocked attempt is recorded once; nothing polls.
   Send(Message{core::DecisionMsg{high, true}});
   Drain();
-  EXPECT_GE(mdbs_->metrics().commit_cert_retries, 1);
+  EXPECT_EQ(mdbs_->metrics().commit_cert_retries, 1);
+  EXPECT_EQ(CommitRetryEvents(), 1);
   EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 2u);  // both still there
 
+  // The waiter commits in the instant its blocker does, right after it.
   Send(Message{core::DecisionMsg{low, true}});
   Drain();
   EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 0u);
   EXPECT_TRUE(CommittedBefore(low, high));
+  EXPECT_EQ(OpAt(high, history::OpKind::kLocalCommit),
+            OpAt(low, history::OpKind::kLocalCommit));
+  EXPECT_EQ(mdbs_->metrics().commit_cert_retries, 1);
+  EXPECT_EQ(CommitRetryEvents(), 1);
   EXPECT_EQ(mdbs_->agent(0)->max_committed_sn(), (SerialNumber{200, 0, 0}));
+}
+
+TEST_F(AgentProtocolTest, RollbackOfTheBlockerReleasesTheWaiterAtOnce) {
+  Build(CertPolicy::kFull);
+  const TxnId low = Gtid(1), high = Gtid(2);
+  RunDml(low, 1);
+  RunDml(high, 2);
+  Send(Message{core::PrepareMsg{low, SerialNumber{100, 0, 0}}});
+  Send(Message{core::PrepareMsg{high, SerialNumber{200, 0, 0}}});
+  Drain();
+  Send(Message{core::DecisionMsg{high, true}});
+  Drain();
+  ASSERT_EQ(mdbs_->agent(0)->alive_table().size(), 2u);
+
+  Send(Message{core::DecisionMsg{low, false}});
+  Drain();
+  EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 0u);
+  const sim::Time rolled_back = OpAt(low, history::OpKind::kLocalAbort);
+  ASSERT_GE(rolled_back, 0);
+  EXPECT_EQ(OpAt(high, history::OpKind::kLocalCommit), rolled_back);
+  EXPECT_EQ(mdbs_->metrics().commit_cert_retries, 1);
+}
+
+TEST_F(AgentProtocolTest, ChainOfWaitersCommitsInSnOrderInOneInstant) {
+  // Untraced: each waiter's commit_retry event would list every smaller
+  // SN, O(n^2) trace context.
+  Build(CertPolicy::kFull, /*traced=*/false);
+  // One key per transaction, so every subtransaction holds its own lock
+  // and all of them are alive, and then prepared, together.
+  constexpr int kTxns = 1200;
+  for (int64_t k = 8; k < kTxns; ++k) {
+    ASSERT_TRUE(mdbs_->LoadRow(0, table_, k,
+                               db::Row{{"v", db::Value(int64_t{0})}})
+                    .ok());
+  }
+  for (int i = 0; i < kTxns; ++i) {
+    Send(Message{core::BeginMsg{Gtid(i)}});
+    Send(Message{core::DmlRequestMsg{
+        Gtid(i), 0, db::MakeAddKey(table_, i, "v", int64_t{1})}});
+  }
+  Drain();
+  for (int i = 0; i < kTxns; ++i) {
+    Send(Message{core::PrepareMsg{Gtid(i), SerialNumber{100 + i, 0, 0}}});
+  }
+  Drain();
+  ASSERT_EQ(mdbs_->agent(0)->alive_table().size(), static_cast<size_t>(kTxns));
+
+  // Every COMMIT but the smallest SN's arrives first, largest SN first:
+  // each one waits.
+  for (int i = kTxns - 1; i >= 1; --i) {
+    Send(Message{core::DecisionMsg{Gtid(i), true}});
+  }
+  Drain();
+  EXPECT_EQ(mdbs_->metrics().commit_cert_retries, kTxns - 1);
+  ASSERT_EQ(mdbs_->agent(0)->alive_table().size(), static_cast<size_t>(kTxns));
+
+  Send(Message{core::DecisionMsg{Gtid(0), true}});
+  Drain();
+  EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 0u);
+  EXPECT_EQ(mdbs_->metrics().commit_cert_retries, kTxns - 1);
+  std::vector<TxnId> order;
+  std::vector<sim::Time> at;
+  for (const auto& op : mdbs_->recorder().ops()) {
+    if (op.kind != history::OpKind::kLocalCommit) continue;
+    order.push_back(op.subtxn.txn);
+    at.push_back(op.at);
+  }
+  ASSERT_EQ(order.size(), static_cast<size_t>(kTxns));
+  for (int i = 0; i < kTxns; ++i) {
+    EXPECT_EQ(order[i], Gtid(i)) << "commit #" << i;
+    EXPECT_EQ(at[i], at[0]) << "commit #" << i;
+  }
 }
 
 TEST_F(AgentProtocolTest, WithoutCommitCertificationCommitsArriveOutOfOrder) {

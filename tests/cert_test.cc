@@ -191,7 +191,6 @@ class AgentCsnTest : public ::testing::Test {
     config.tracer = &tracer_;
     config.agent.certifier = cert::CertifierKind::kCsn;
     config.agent.policy = policy;
-    config.agent.commit_retry_interval = 2 * sim::kMillisecond;
     config.agent.alive_check_interval = 300 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTable(0, "t");
@@ -262,6 +261,39 @@ TEST_F(AgentCsnTest, CommitsFollowCsnOrderNotArrivalOrder) {
   EXPECT_TRUE(CommittedBefore(a, b));
   EXPECT_EQ(CommitCsnAt(tracer_, 0, a), 1);
   EXPECT_EQ(CommitCsnAt(tracer_, 0, b), 2);
+}
+
+TEST_F(AgentCsnTest, StampOfTheUndecidedBlockerReleasesTheWaiterAtOnce) {
+  Build(CertPolicy::kFull);
+  const TxnId a = Gtid(1), b = Gtid(2);
+  RunDml(a, 1);
+  RunDml(b, 2);
+  Send(Message{core::PrepareMsg{a, SerialNumber{100, 0, 0}}});
+  Send(Message{core::PrepareMsg{b, SerialNumber{200, 0, 0}}});
+  Drain();
+  // b is decided (csn 1) but waits on the undecided a.
+  Send(Message{core::DecisionMsg{b, true, /*csn=*/1}});
+  Drain();
+  EXPECT_EQ(mdbs_->metrics().commit_cert_retries, 1);
+  ASSERT_EQ(mdbs_->agent(0)->alive_table().size(), 2u);
+
+  // a is stamped with a larger CSN: b no longer waits on anything and
+  // commits at the stamp, then a in the same instant. a never waits.
+  Send(Message{core::DecisionMsg{a, true, /*csn=*/2}});
+  Drain();
+  EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 0u);
+  EXPECT_TRUE(CommittedBefore(b, a));
+  sim::Time a_at = -1, b_at = -1;
+  for (const auto& op : mdbs_->recorder().ops()) {
+    if (op.kind != history::OpKind::kLocalCommit) continue;
+    if (op.subtxn.txn == a) a_at = op.at;
+    if (op.subtxn.txn == b) b_at = op.at;
+  }
+  EXPECT_GE(b_at, 0);
+  EXPECT_EQ(b_at, a_at);
+  EXPECT_EQ(mdbs_->metrics().commit_cert_retries, 1);
+  EXPECT_EQ(CommitCsnAt(tracer_, 0, b), 1);
+  EXPECT_EQ(CommitCsnAt(tracer_, 0, a), 2);
 }
 
 TEST_F(AgentCsnTest, LatePrepareAfterCommitIsAdmitted) {

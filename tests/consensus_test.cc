@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "consensus/paxos.h"
@@ -332,6 +333,27 @@ TEST_F(PaxosHarnessTest, ResolverRefusesCommitWhenAVoteIsMissing) {
   Drain();
   ASSERT_TRUE(decisions_.count(g));
   EXPECT_FALSE(decisions_[g]);
+}
+
+TEST_F(PaxosHarnessTest, LeaderLearnsAnOutcomeSealedBeforeItDecides) {
+  // The leader's site escalates and resolves the transaction while the
+  // co-located coordinator still waits for a vote. When the coordinator
+  // then asks to decide, it is answered with the chosen outcome at once.
+  const TxnId g = TxnId::MakeGlobal(0, 4);
+  nodes_[0]->BeginDecision(g, {1, 2});
+  nodes_[1]->BroadcastVote(g, /*ready=*/true, /*leader=*/0);
+  nodes_[2]->BroadcastVote(g, /*ready=*/true, /*leader=*/0);
+  Drain();
+  nodes_[0]->Escalate(g, /*coordinator=*/0, /*attempt=*/0);
+  Drain();
+  ASSERT_TRUE(decisions_.count(g));
+  ASSERT_TRUE(decisions_[g]);
+
+  std::optional<bool> answered;
+  nodes_[0]->Decide(g, consensus::DecideMode::kCommit, {1, 2}, /*csn=*/-1,
+                    [&](const TxnId&, bool commit) { answered = commit; });
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_TRUE(*answered);
 }
 
 // --- full workload under chaos ----------------------------------------------

@@ -337,7 +337,8 @@ TEST_F(ReconfigTest, ForcedHandoffWaitsWhileTheDestinationKnowsTheResidue) {
 
 // A residue whose COMMIT arrived but could not be performed yet migrates
 // with the decision: the adopter re-enters it commit-pending (no inquiry)
-// and commits it once its blocker is gone.
+// and commits it once its blocker is gone. A subtransaction that stays at
+// the source, waiting behind the residue, commits as the residue leaves.
 class CommitPendingResidueTest
     : public ReconfigTest,
       public ::testing::WithParamInterface<cert::CertifierKind> {};
@@ -350,7 +351,9 @@ TEST_P(CommitPendingResidueTest, AdopterCommitsWithTheCarriedDecision) {
   // answers inquiries with presumed abort). Both prepare, a < b in SN
   // order; only b gets COMMIT. Commit certification holds b back behind
   // the undecided a, so b is commit-pending when site 1 is removed, and
-  // the forced handoff moves both to site 0.
+  // the forced handoff moves both to site 0. A third, c, has no commands,
+  // so it touches no moving shard and stays; its COMMIT waits behind a
+  // and b.
   const shard::ShardMap& map = mdbs_->directory()->Current();
   std::vector<int64_t> keys;
   for (int64_t k = 0; k < kKeys && keys.size() < 2; ++k) {
@@ -359,6 +362,7 @@ TEST_P(CommitPendingResidueTest, AdopterCommitsWithTheCarriedDecision) {
   ASSERT_EQ(keys.size(), 2u);
   const TxnId a = TxnId::MakeGlobal(0, 1000);
   const TxnId b = TxnId::MakeGlobal(0, 1001);
+  const TxnId c = TxnId::MakeGlobal(0, 1002);
   const auto send = [&](const core::Message& msg) {
     mdbs_->network().Send(0, 1, msg);
   };
@@ -368,14 +372,19 @@ TEST_P(CommitPendingResidueTest, AdopterCommitsWithTheCarriedDecision) {
     send(core::Message{core::DmlRequestMsg{
         g, 0, db::MakeAddKey(table_, keys[i], "val", int64_t{1})}});
   }
+  send(core::Message{core::BeginMsg{c}});
   loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
   send(core::Message{core::PrepareMsg{a, core::SerialNumber{100, 0, 0}}});
   send(core::Message{core::PrepareMsg{b, core::SerialNumber{200, 0, 0}}});
+  send(core::Message{core::PrepareMsg{c, core::SerialNumber{300, 0, 0}}});
   loop_.RunUntil(loop_.Now() + 5 * sim::kMillisecond);
   send(core::Message{core::DecisionMsg{b, /*commit=*/true, /*csn=*/1}});
+  send(core::Message{core::DecisionMsg{c, /*commit=*/true, /*csn=*/2}});
   loop_.RunUntil(loop_.Now() + 5 * sim::kMillisecond);
   ASSERT_TRUE(mdbs_->agent(1)->log().PrepareRecordOf(b).has_value());
   ASSERT_FALSE(mdbs_->agent(1)->log().HasCommit(b));
+  ASSERT_TRUE(mdbs_->agent(1)->log().PrepareRecordOf(c).has_value());
+  ASSERT_FALSE(mdbs_->agent(1)->log().HasCommit(c));
 
   std::optional<Status> reconfig_done;
   ASSERT_TRUE(mdbs_
@@ -398,6 +407,19 @@ TEST_P(CommitPendingResidueTest, AdopterCommitsWithTheCarriedDecision) {
   EXPECT_TRUE(adopter.HasAbort(a));
   EXPECT_TRUE(adopter.InDoubt().empty());
   EXPECT_EQ(TotalValue(), 1);
+  // c committed at the source in the instant the residue left it.
+  sim::Time migrated_at = -1, c_at = -1;
+  for (const auto& op : mdbs_->recorder().ops()) {
+    if (op.kind == history::OpKind::kMigrateOut && op.subtxn.txn == a) {
+      migrated_at = op.at;
+    }
+    if (op.kind == history::OpKind::kLocalCommit && op.subtxn.txn == c) {
+      c_at = op.at;
+    }
+  }
+  EXPECT_TRUE(mdbs_->agent(1)->log().HasComplete(c));
+  EXPECT_GE(migrated_at, 0);
+  EXPECT_EQ(c_at, migrated_at);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -24,10 +24,11 @@ using core::MdbsConfig;
 
 class RecoveryTest : public ::testing::Test {
  protected:
-  void Build(int sites) {
+  void Build(int sites, sim::Duration orphan_abort_timeout = 0) {
     MdbsConfig config;
     config.num_sites = sites;
     config.agent.alive_check_interval = 5 * sim::kMillisecond;
+    config.agent.orphan_abort_timeout = orphan_abort_timeout;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");
     for (SiteId s = 0; s < sites; ++s) {
@@ -207,7 +208,10 @@ TEST_F(RecoveryTest, InquiryForForgottenTransactionGetsPresumedAbort) {
 }
 
 TEST_F(RecoveryTest, WorkloadSurvivesMidRunCrash) {
-  Build(3);
+  // The crash can orphan an active subtransaction whose coordinator was
+  // site 1 (its DML in flight to another site); the orphan timeout, as in
+  // E12, aborts it there instead of leaving its uncommitted write behind.
+  Build(3, /*orphan_abort_timeout=*/800 * sim::kMillisecond);
   // A stream of transfers; site 1 crashes in the middle of the run.
   int committed = 0, aborted = 0, submitted = 0;
   constexpr int kTxns = 40;
@@ -240,6 +244,9 @@ TEST_F(RecoveryTest, WorkloadSurvivesMidRunCrash) {
     for (int64_t k = 0; k < 8; ++k) total += Val(s, k);
   }
   EXPECT_EQ(total, 0);
+  for (SiteId s = 0; s < 3; ++s) {
+    EXPECT_EQ(mdbs_->ltm(s)->active_count(), 0u) << "site " << s;
+  }
   EXPECT_TRUE(mdbs_->agent(1)->log().InDoubt().empty());
   ExpectSerializable();
 }

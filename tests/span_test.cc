@@ -182,6 +182,31 @@ TEST(SpanForestTest, ResubmissionSpansChainThroughPrev) {
   EXPECT_EQ(second->length(), 150);
 }
 
+TEST(SpanForestTest, CommitRetryNoteNamesTheBlockers) {
+  // A prepared subtransaction's commit waits on two peers with smaller
+  // SNs: the note on its blocking window names both.
+  const TxnId g = TxnId::MakeGlobal(0, 7);
+  const TxnId b1 = TxnId::MakeGlobal(0, 3);
+  const TxnId b2 = TxnId::MakeGlobal(1, 4);
+  std::vector<Event> events;
+  int64_t seq = 0;
+  events.push_back(Ev(seq++, 0, EventKind::kTxnBegin, g, 0));
+  events.push_back(Ev(seq++, 12, EventKind::kCertReady, g, 2));
+  Event retry = Ev(seq++, 20, EventKind::kCommitRetry, g, 2);
+  retry.related = {b1, b2};
+  events.push_back(retry);
+  events.push_back(Ev(seq++, 30, EventKind::kTxnEnd, g, 0));
+
+  const SpanForest forest = BuildSpanForest(events);
+  const Span* blocked = nullptr;
+  for (const Span& s : forest.spans) {
+    if (s.kind == SpanKind::kBlocked) blocked = &s;
+  }
+  ASSERT_NE(blocked, nullptr) << forest.ToString();
+  ASSERT_EQ(blocked->notes.size(), 1u) << forest.ToString();
+  EXPECT_EQ(blocked->notes[0].label, "commit_retry(G3@0,G4@1)");
+}
+
 TEST(SpanForestTest, RootNoteNamesSiteOfAbortBeforePrepare) {
   // Site 1's subtransaction is still active when its LDBS aborts it, so
   // the note lands on the root; site 2's is prepared, so its note sits on

@@ -119,29 +119,6 @@ void BM_CsnCommitCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_CsnCommitCheck)->Arg(1)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_CsnSnapshotCheck(benchmark::State& state) {
-  // CSN prepare-time snapshot check of a resubmitted candidate against a
-  // full recent-commit window (the bounded O(window) prepare path).
-  cert::CsnCertifier certifier(core::CertPolicy::kFull);
-  const int window =
-      static_cast<int>(cert::CsnCertifier::kRecentCommitWindow);
-  for (int i = 0; i < window; ++i) {
-    const TxnId id = TxnId::MakeGlobal(0, i);
-    certifier.OnPrepared(id, core::AliveInterval{i * 10, i * 10 + 100},
-                         core::SerialNumber{});
-    certifier.OnCommitDecision(id, i + 1);
-    certifier.OnCommitted(id, core::SerialNumber{}, i * 10 + 200);
-  }
-  const TxnId probe = TxnId::MakeGlobal(1, 999);
-  const core::AliveInterval candidate{500, 600};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(certifier.CertifyPrepare(
-        probe, core::SerialNumber{}, candidate, /*resubmission=*/1,
-        /*want_detail=*/false));
-  }
-}
-BENCHMARK(BM_CsnSnapshotCheck);
-
 void BM_CgmCommitGraphAdmission(benchmark::State& state) {
   // Steady state: `range` transactions in commit processing across 16
   // sites; measure one admission attempt (the paper's comparison point:

@@ -75,7 +75,6 @@ double MeasureCertNsPerCheck(cert::CertifierKind kind) {
                           core::AliveInterval{i * 10, i * 10 + 1000},
                           core::SerialNumber{i, 0, 0});
   }
-  const TxnId probe = TxnId::MakeGlobal(1, 999);
   const core::AliveInterval candidate{500, 600};
   const core::SerialNumber sn{100, 1, 0};
   constexpr int kIters = 200000;
@@ -83,9 +82,7 @@ double MeasureCertNsPerCheck(cert::CertifierKind kind) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kIters; ++i) {
     admitted += certifier
-                    ->CertifyPrepare(probe, sn, candidate,
-                                     /*resubmission=*/0,
-                                     /*want_detail=*/false)
+                    ->CertifyPrepare(sn, candidate, /*want_detail=*/false)
                     .admit
                     ? 1
                     : 0;

@@ -2,6 +2,7 @@
 
 #include "cert/csn_certifier.h"
 #include "cert/sn_certifier.h"
+#include "common/str.h"
 
 namespace hermes::cert {
 
@@ -13,6 +14,29 @@ const char* CertifierKindName(CertifierKind kind) {
       return "csn";
   }
   return "unknown";
+}
+
+PrepareOutcome Certifier::CertifyPrepare(const core::SerialNumber& sn,
+                                         const core::AliveInterval& candidate,
+                                         bool want_detail) const {
+  PrepareOutcome out;
+  if (RefusesOrder(sn, want_detail, &out)) return out;
+  // Basic prepare certification: the candidate's alive interval must
+  // intersect the alive interval of every subtransaction currently in the
+  // prepared state at this site.
+  if (policy_ != core::CertPolicy::kNone &&
+      !table_.CertifiableAgainstAll(candidate)) {
+    out.admit = false;
+    out.refuse = trace::RefuseKind::kInterval;
+    out.reason = Status::Rejected(
+        "basic prepare certification: alive intervals do not intersect");
+    if (want_detail) {
+      out.detail = StrCat("candidate alive interval [", candidate.begin, ",",
+                          candidate.end, "] disjoint from prepared peer(s)");
+      out.related = table_.NonIntersecting(candidate);
+    }
+  }
+  return out;
 }
 
 std::unique_ptr<Certifier> MakeCertifier(CertifierKind kind,

@@ -16,9 +16,12 @@
 //    commit time, where a decided subtransaction waits for co-prepared
 //    peers that are still undecided.
 //
-// Both schemes share the alive-interval table (the basic certification of
-// section 4.2 is ordering-scheme independent). See docs/DESIGN-SPACE.md
-// for the full comparison and the refusal/blocking trade.
+// Both schemes share the alive-interval table, the basic certification of
+// section 4.2 (CertifyPrepare) and commit certification (CertifyCommit);
+// a scheme only supplies its ordering state. A subtransaction is certified
+// once, at its first PREPARE: a resubmission restarts its alive interval
+// but is never certified again. See docs/DESIGN-SPACE.md for the full
+// comparison and the refusal/blocking trade.
 
 #ifndef HERMES_CERT_CERTIFIER_H_
 #define HERMES_CERT_CERTIFIER_H_
@@ -82,15 +85,12 @@ class Certifier {
 
   // Prepare-time certification of `candidate` under the configured policy:
   // the scheme's ordering admission check (SN: extension against the
-  // committed high-water mark; CSN: snapshot visibility of recent commits)
-  // followed by the shared basic alive-interval test. Pure — does not
-  // mutate the prepared set. `resubmission` is the subtransaction's local
-  // incarnation index; `want_detail` requests the trace strings.
-  virtual PrepareOutcome CertifyPrepare(const TxnId& gtid,
-                                        const core::SerialNumber& sn,
-                                        const core::AliveInterval& candidate,
-                                        int resubmission,
-                                        bool want_detail) = 0;
+  // committed high-water mark; CSN: none) followed by the basic
+  // alive-interval test. Pure — does not mutate the prepared set.
+  // `want_detail` requests the trace strings.
+  PrepareOutcome CertifyPrepare(const core::SerialNumber& sn,
+                                const core::AliveInterval& candidate,
+                                bool want_detail) const;
 
   // Admission: the subtransaction enters the prepared set with its
   // certified alive interval. Also used during agent recovery to re-enter
@@ -130,15 +130,16 @@ class Certifier {
     return table_.MinSnTxn();
   }
 
-  // The local commit was performed at `now`: update the ordering state
-  // (SN: high-water mark; CSN: the recent-commit window) and drop the
-  // prepared entry.
-  virtual void OnCommitted(const TxnId& gtid, const core::SerialNumber& sn,
-                           sim::Time now) = 0;
+  // The local commit was performed: drop the prepared entry (and, under
+  // SN, raise the high-water mark).
+  virtual void OnCommitted(const TxnId& gtid, const core::SerialNumber& sn) {
+    (void)sn;
+    table_.Remove(gtid);
+  }
 
-  // The subtransaction left the prepared set without committing (refusal
-  // or global rollback).
-  virtual void OnRemoved(const TxnId& gtid) { table_.Remove(gtid); }
+  // The subtransaction left the prepared set without committing (global
+  // rollback, or residue extracted in a shard handoff).
+  void OnRemoved(const TxnId& gtid) { table_.Remove(gtid); }
 
   // Site crash: all certification state is lost. A certifier keeps no
   // durable state; recovery rebuilds what it needs from the agent log
@@ -165,6 +166,16 @@ class Certifier {
   const core::AliveIntervalTable& table() const { return table_; }
 
  protected:
+  // The scheme's ordering admission check, run before the basic test: true
+  // fills `out` with a refusal. The default (CSN) admits every candidate.
+  virtual bool RefusesOrder(const core::SerialNumber& sn, bool want_detail,
+                            PrepareOutcome* out) const {
+    (void)sn;
+    (void)want_detail;
+    (void)out;
+    return false;
+  }
+
   core::CertPolicy policy_;
   core::AliveIntervalTable table_;
 };

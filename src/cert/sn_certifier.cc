@@ -4,53 +4,27 @@
 
 namespace hermes::cert {
 
-PrepareOutcome SnCertifier::CertifyPrepare(const TxnId& /*gtid*/,
-                                           const core::SerialNumber& sn,
-                                           const core::AliveInterval& candidate,
-                                           int /*resubmission*/,
-                                           bool want_detail) {
-  PrepareOutcome out;
+bool SnCertifier::RefusesOrder(const core::SerialNumber& sn, bool want_detail,
+                               PrepareOutcome* out) const {
   const bool extension = policy_ == core::CertPolicy::kPrepareExtended ||
                          policy_ == core::CertPolicy::kFull;
-  if (extension && sn < max_committed_sn_) {
-    // Certification extension failed: a subtransaction with a bigger serial
-    // number is already committed here — this PREPARE arrived out of order
-    // and committing it later could close a cycle in CG(H).
-    out.admit = false;
-    out.refuse = trace::RefuseKind::kExtension;
-    // The REFUSE reason is a static message: SN details are only rendered
-    // (ToString/StrCat) into the trace event, so certification never builds
-    // strings when tracing is disabled.
-    out.reason = Status::Rejected(
-        "prepare certification extension: SN below committed high-water "
-        "mark");
-    if (want_detail) {
-      out.detail = StrCat("prepare certification extension: ", sn.ToString(),
-                          " < committed ", max_committed_sn_.ToString());
-      if (max_committed_gtid_.valid()) {
-        out.related.push_back(max_committed_gtid_);
-      }
-    }
-    return out;
+  if (!extension || !(sn < max_committed_sn_)) return false;
+  // Certification extension failed: a subtransaction with a bigger serial
+  // number is already committed here — this PREPARE arrived out of order
+  // and committing it later could close a cycle in CG(H).
+  out->admit = false;
+  out->refuse = trace::RefuseKind::kExtension;
+  // The REFUSE reason is a static message: SN details are only rendered
+  // (ToString/StrCat) into the trace event, so certification never builds
+  // strings when tracing is disabled.
+  out->reason = Status::Rejected(
+      "prepare certification extension: SN below committed high-water mark");
+  if (want_detail) {
+    out->detail = StrCat("prepare certification extension: ", sn.ToString(),
+                         " < committed ", max_committed_sn_.ToString());
+    if (max_committed_gtid_.valid()) out->related.push_back(max_committed_gtid_);
   }
-
-  // Basic prepare certification: the candidate's alive interval must
-  // intersect the alive interval of every subtransaction currently in the
-  // prepared state at this site.
-  if (policy_ != core::CertPolicy::kNone &&
-      !table_.CertifiableAgainstAll(candidate)) {
-    out.admit = false;
-    out.refuse = trace::RefuseKind::kInterval;
-    out.reason = Status::Rejected(
-        "basic prepare certification: alive intervals do not intersect");
-    if (want_detail) {
-      out.detail = StrCat("candidate alive interval [", candidate.begin, ",",
-                          candidate.end, "] disjoint from prepared peer(s)");
-      out.related = table_.NonIntersecting(candidate);
-    }
-    return out;
-  }
-  return out;
+  return true;
 }
 
 void SnCertifier::OnPrepared(const TxnId& gtid,
@@ -59,8 +33,8 @@ void SnCertifier::OnPrepared(const TxnId& gtid,
   table_.Insert(gtid, interval, sn);
 }
 
-void SnCertifier::OnCommitted(const TxnId& gtid, const core::SerialNumber& sn,
-                              sim::Time /*now*/) {
+void SnCertifier::OnCommitted(const TxnId& gtid,
+                              const core::SerialNumber& sn) {
   table_.Remove(gtid);
   if (max_committed_sn_ < sn) {
     max_committed_sn_ = sn;

@@ -18,14 +18,9 @@ class SnCertifier : public Certifier {
 
   CertifierKind kind() const override { return CertifierKind::kSn; }
 
-  PrepareOutcome CertifyPrepare(const TxnId& gtid,
-                                const core::SerialNumber& sn,
-                                const core::AliveInterval& candidate,
-                                int resubmission, bool want_detail) override;
   void OnPrepared(const TxnId& gtid, const core::AliveInterval& interval,
                   const core::SerialNumber& sn) override;
-  void OnCommitted(const TxnId& gtid, const core::SerialNumber& sn,
-                   sim::Time now) override;
+  void OnCommitted(const TxnId& gtid, const core::SerialNumber& sn) override;
 
   void Crash() override;
   void OnRecoveredCommitted(const TxnId& gtid,
@@ -34,6 +29,10 @@ class SnCertifier : public Certifier {
   core::SerialNumber committed_high_water() const override {
     return max_committed_sn_;
   }
+
+ protected:
+  bool RefusesOrder(const core::SerialNumber& sn, bool want_detail,
+                    PrepareOutcome* out) const override;
 
  private:
   // Extension state: largest committed SN and the transaction holding it

@@ -13,9 +13,6 @@ namespace {
 
 // Backoff before restarting a failed resubmission attempt.
 constexpr sim::Duration kResubmitRetryInterval = 5 * sim::kMillisecond;
-// TW assumption bound; exceeding it only counts a metric (the agent keeps
-// trying — a prepared transaction must eventually commit).
-constexpr int kMaxResubmissionAttempts = 64;
 // Paxos Commit (the only protocol that installs an escalate hook): from
 // this many unanswered inquiries on, the agent escalates to leader election.
 constexpr int kInquiryEscalateAfter = 2;
@@ -68,11 +65,6 @@ TwoPCAgent::AgentTxn* TwoPCAgent::FindTxn(const TxnId& gtid) {
 LtmTxnHandle TwoPCAgent::HandleOf(const TxnId& gtid) const {
   auto it = txns_.find(gtid);
   return it == txns_.end() ? kInvalidLtmTxn : it->second.ltm_handle;
-}
-
-int TwoPCAgent::ResubmissionsOf(const TxnId& gtid) const {
-  auto it = txns_.find(gtid);
-  return it == txns_.end() ? 0 : it->second.resubmission;
 }
 
 void TwoPCAgent::Handle(SiteId from, const Message& msg) {
@@ -411,23 +403,18 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   }
 
   // Prepare certification behind the certifier seam: the scheme's ordering
-  // admission check (SN extension / CSN snapshot) plus the basic alive-
-  // interval test, with trace detail strings built only when tracing.
+  // admission check (the SN extension) plus the basic alive-interval test,
+  // with trace detail strings built only when tracing. Only an active
+  // subtransaction gets here, so this is its one certification: a
+  // resubmission restarts its alive interval without being re-certified.
   const AliveInterval candidate{txn->last_completion, loop_->Now()};
   cert::PrepareOutcome verdict = certifier_->CertifyPrepare(
-      txn->gtid, msg.sn, candidate, txn->resubmission,
-      /*want_detail=*/tracer_ != nullptr);
+      msg.sn, candidate, /*want_detail=*/tracer_ != nullptr);
   if (!verdict.admit) {
-    switch (verdict.refuse) {
-      case trace::RefuseKind::kExtension:
-        ++metrics_->refuse_extension;
-        break;
-      case trace::RefuseKind::kSnapshot:
-        ++metrics_->refuse_snapshot;
-        break;
-      default:
-        ++metrics_->refuse_interval;
-        break;
+    if (verdict.refuse == trace::RefuseKind::kExtension) {
+      ++metrics_->refuse_extension;
+    } else {
+      ++metrics_->refuse_interval;
     }
     if (tracer_ != nullptr) {
       trace::Event e;
@@ -488,16 +475,12 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
       }
       ltm_->recorder()->RecordPrepare(SubTxnId{txn->gtid, txn->resubmission},
                                       config_.site);
-      const Status commit_status = ltm_->Commit(txn->ltm_handle);
-      if (!commit_status.ok()) {
-        // Death discovered at the early commit: refuse like the dead branch
-        // (the reader holds no prepared state to resubmit for).
-        ++metrics_->refuse_dead;
-        SendVote(txn->gtid, from, /*ready=*/false,
-                 Status::Aborted("unilaterally aborted before prepare"));
-        Retire(*txn, /*committed=*/false);
-        return;
-      }
+      // The dead branch above returned, and the coordinator sends PREPARE
+      // only after every DML answered: the handle is active with no command
+      // in flight, so the commit cannot fail.
+      [[maybe_unused]] const Status commit_status =
+          ltm_->Commit(txn->ltm_handle);
+      assert(commit_status.ok());
       ++metrics_->short_commits_readonly;
       if (tracer_ != nullptr) {
         trace::Event e;
@@ -598,12 +581,6 @@ void TwoPCAgent::StartResubmission(AgentTxn& txn) {
   txn.resubmitting = true;
   ++txn.resubmit_attempts;
   ++metrics_->resubmissions;
-  if (txn.resubmit_attempts > kMaxResubmissionAttempts) {
-    // The TW assumption promises this does not happen; count it loudly if
-    // it ever does, and keep trying — a prepared transaction cannot be
-    // abandoned unilaterally by the agent.
-    ++metrics_->resubmission_failures;
-  }
   ++txn.resubmission;
   if (tracer_ != nullptr) {
     trace::Event e;
@@ -759,13 +736,10 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
   log_.ForceAppend(LogRecord{.kind = LogRecordKind::kCommit,
                              .gtid = txn.gtid,
                              .csn = txn.csn});
-  const Status status = ltm_->Commit(txn.ltm_handle);
-  if (!status.ok()) {
-    // Death discovered at commit: treat like a failed alive check.
-    txn.alive = false;
-    StartResubmission(txn);
-    return;
-  }
+  // Alive and active just above, and not resubmitting: no command is in
+  // flight, so the commit cannot fail.
+  [[maybe_unused]] const Status status = ltm_->Commit(txn.ltm_handle);
+  assert(status.ok());
   CompleteCommit(txn);
 }
 
@@ -787,7 +761,7 @@ void TwoPCAgent::CompleteCommit(AgentTxn& txn) {
     }
   }
   UnbindAll(txn);
-  certifier_->OnCommitted(txn.gtid, txn.sn, loop_->Now());
+  certifier_->OnCommitted(txn.gtid, txn.sn);
   if (tracer_ != nullptr) {
     trace::Event e;
     e.kind = trace::EventKind::kLocalCommit;
@@ -850,42 +824,22 @@ void TwoPCAgent::ProcessRollback(AgentTxn& txn) {
 void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
   AgentTxn* txn = FindTxn(msg.gtid);
   if (txn == nullptr) {
-    if (const AgentOutcome::Late* late = FindRetired(msg.gtid)) {
-      // Retransmission after the subtransaction finished: re-ack.
-      ++metrics_->dup_msgs_absorbed;
-      network_->Send(config_.site, from,
-                     Message{AckMsg{msg.gtid, late->committed}});
-      return;
-    }
-    // A crash wiped the volatile state. The log is the truth: a committed
-    // 1PC transaction left commit + completion records; anything else is
-    // presumed abort (an in-doubt 1PC cannot exist — the commit record is
-    // the decision).
+    // A retransmission after the subtransaction finished, or after a crash
+    // wiped the volatile state. The log is the truth: a committed 1PC
+    // transaction left commit + completion records (retired ones answer
+    // from their outcome entry); anything else is presumed abort.
     const bool committed =
         log_.HasCommit(msg.gtid) && log_.HasComplete(msg.gtid);
     network_->Send(config_.site, from, Message{AckMsg{msg.gtid, committed}});
     return;
   }
-  if (txn->phase == Phase::kPrepared) {
-    if (!txn->commit_pending) {
-      // Crash-recovered in-doubt 1PC: the prepare record proves the whole
-      // fused handler ran before the crash (handlers are atomic), so the
-      // global commit was already recorded — the retransmitted 1PC-COMMIT
-      // re-drives the local commit the crash interrupted.
-      if (txn->inquiry_timer != sim::kInvalidEvent) {
-        loop_->Cancel(txn->inquiry_timer);
-        txn->inquiry_timer = sim::kInvalidEvent;
-      }
-      txn->coordinator = from;
-      txn->commit_pending = true;
-      TryCommit(*txn);
-      return;
-    }
-    // Retransmission while the first 1PC-COMMIT is still in flight (e.g. a
-    // resubmission running): the in-flight machinery acks when done.
-    ++metrics_->dup_msgs_absorbed;
-    return;
-  }
+  // Only the coordinator of a single-site transaction sends a 1PC-COMMIT,
+  // and never a PREPARE; the fused handler below forces the prepare and
+  // commit records and commits in one event (the invalid serial number
+  // never waits), and stable storage keeps every record. So a 1PC
+  // subtransaction is never prepared when a 1PC-COMMIT arrives, not even
+  // after a crash: it is active here, or retired above.
+  assert(txn->phase == Phase::kActive);
   txn->coordinator = from;
   if (txn->orphan_timer != sim::kInvalidEvent) {
     loop_->Cancel(txn->orphan_timer);

@@ -179,7 +179,6 @@ class TwoPCAgent {
 
   // Current LTM handle of a global transaction's subtransaction (tests).
   LtmTxnHandle HandleOf(const TxnId& gtid) const;
-  int ResubmissionsOf(const TxnId& gtid) const;
   // Subtransactions the agent holds volatile state for: the in-flight
   // ones. A finished subtransaction retires into the log's outcome table.
   size_t held_txns() const { return txns_.size(); }

@@ -114,8 +114,6 @@ const char* RefuseKindName(RefuseKind kind) {
       return "dead";
     case RefuseKind::kUnknownTxn:
       return "unknown_txn";
-    case RefuseKind::kSnapshot:
-      return "snapshot";
   }
   return "?";
 }

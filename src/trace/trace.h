@@ -142,8 +142,6 @@ enum class RefuseKind : uint8_t {
   kExtension,   // extension: SN below the committed high-water mark
   kDead,        // subtransaction not alive at prepare time
   kUnknownTxn,  // PREPARE for a transaction the agent does not know
-  kSnapshot,    // CSN snapshot check: a resubmitted candidate straddles a
-                // recent commit it was never concurrently alive with
 };
 
 const char* EventKindName(EventKind kind);
@@ -180,7 +178,7 @@ inline constexpr EventKind kAllEventKinds[] = {
 
 inline constexpr RefuseKind kAllRefuseKinds[] = {
     RefuseKind::kNone, RefuseKind::kInterval, RefuseKind::kExtension,
-    RefuseKind::kDead, RefuseKind::kUnknownTxn, RefuseKind::kSnapshot,
+    RefuseKind::kDead, RefuseKind::kUnknownTxn,
 };
 
 // One trace record. Only `kind` is always meaningful; the other fields are

@@ -76,48 +76,20 @@ TEST(CsnCertifier, NoOrderingRefusalWhereSnSchemeRefuses) {
 
   cert::SnCertifier sn(CertPolicy::kFull);
   sn.OnPrepared(a, {0, 10}, SerialNumber{500, 0, 0});
-  sn.OnCommitted(a, SerialNumber{500, 0, 0}, 20);
-  const auto sn_out =
-      sn.CertifyPrepare(b, SerialNumber{300, 0, 0}, {15, 25}, 0, false);
+  sn.OnCommitted(a, SerialNumber{500, 0, 0});
+  const auto sn_out = sn.CertifyPrepare(SerialNumber{300, 0, 0}, {15, 25},
+                                        /*want_detail=*/true);
   EXPECT_FALSE(sn_out.admit);
   EXPECT_EQ(sn_out.refuse, trace::RefuseKind::kExtension);
+  EXPECT_EQ(sn_out.related, std::vector<TxnId>{a});
 
   cert::CsnCertifier csn(CertPolicy::kFull);
   csn.OnPrepared(a, {0, 10}, SerialNumber{});
   csn.OnCommitDecision(a, 1);
-  csn.OnCommitted(a, SerialNumber{}, 20);
+  csn.OnCommitted(a, SerialNumber{});
   const auto csn_out =
-      csn.CertifyPrepare(b, SerialNumber{300, 0, 0}, {15, 25}, 0, false);
+      csn.CertifyPrepare(SerialNumber{300, 0, 0}, {15, 25}, false);
   EXPECT_TRUE(csn_out.admit);
-}
-
-TEST(CsnCertifier, SnapshotRefusesOnlyStraddlingResubmissions) {
-  // One commit at t=50 whose recorded alive interval was [0,10].
-  cert::CsnCertifier csn(CertPolicy::kFull);
-  const TxnId a = TxnId::MakeGlobal(0, 1);
-  const TxnId cand = TxnId::MakeGlobal(0, 2);
-  csn.OnPrepared(a, {0, 10}, SerialNumber{});
-  csn.OnCommitDecision(a, 1);
-  ASSERT_TRUE(csn.CertifyCommit(a, nullptr));
-  csn.OnCommitted(a, SerialNumber{}, /*now=*/50);
-
-  // Resubmitted candidate alive [20,60]: never concurrent with the commit's
-  // interval, and the commit landed inside its lifetime — refused.
-  auto out = csn.CertifyPrepare(cand, SerialNumber{}, {20, 60}, 1, true);
-  EXPECT_FALSE(out.admit);
-  EXPECT_EQ(out.refuse, trace::RefuseKind::kSnapshot);
-  ASSERT_EQ(out.related.size(), 1u);
-  EXPECT_EQ(out.related[0], a);
-
-  // First incarnation of the same interval: cannot straddle — admitted.
-  EXPECT_TRUE(csn.CertifyPrepare(cand, SerialNumber{}, {20, 60}, 0, false)
-                  .admit);
-  // Resubmitted but provably concurrent (intervals intersect) — admitted.
-  EXPECT_TRUE(
-      csn.CertifyPrepare(cand, SerialNumber{}, {5, 60}, 1, false).admit);
-  // Resubmitted but begun after the commit — nothing to straddle.
-  EXPECT_TRUE(
-      csn.CertifyPrepare(cand, SerialNumber{}, {55, 60}, 1, false).admit);
 }
 
 // --- commit-order certification ---------------------------------------------
@@ -142,40 +114,33 @@ TEST(CsnCertifier, UndecidedPeerBlocksDecidedCommit) {
   csn.OnCommitDecision(b, 7);
   EXPECT_TRUE(csn.CertifyCommit(a, nullptr));
   EXPECT_FALSE(csn.CertifyCommit(b, nullptr));
-  csn.OnCommitted(a, SerialNumber{}, 20);
+  csn.OnCommitted(a, SerialNumber{});
   EXPECT_TRUE(csn.CertifyCommit(b, nullptr));
 }
 
 // --- crash ---------------------------------------------------------------------
 
 TEST(CsnCertifier, CrashLosesVolatileState) {
+  // The prepared table is all the state a CSN certifier keeps: a crash
+  // empties it, and an entry re-entered without its decision parks below
+  // every decided peer again.
   cert::CsnCertifier csn(CertPolicy::kFull);
   const TxnId a = TxnId::MakeGlobal(0, 1);
   const TxnId b = TxnId::MakeGlobal(0, 2);
-  const TxnId cand = TxnId::MakeGlobal(0, 3);
   csn.OnPrepared(a, {0, 10}, SerialNumber{});
   csn.OnCommitDecision(a, 3);  // decided, not yet committed
   csn.OnPrepared(b, {0, 10}, SerialNumber{});
   csn.OnCommitDecision(b, 4);
-  csn.OnCommitted(b, SerialNumber{}, 20);
-  // b's commit lies inside the resubmitted candidate's lifetime.
-  EXPECT_FALSE(
-      csn.CertifyPrepare(cand, SerialNumber{}, {15, 40}, 1, false).admit);
+  EXPECT_TRUE(csn.CertifyCommit(a, nullptr));
 
   csn.Crash();
   EXPECT_EQ(csn.table().size(), 0u);
-  // The recent-commit window is gone: nothing left to straddle.
-  EXPECT_TRUE(
-      csn.CertifyPrepare(cand, SerialNumber{}, {15, 40}, 1, false).admit);
-  // a's decided CSN is gone too: re-entered without its decision, it
-  // commits into the window with no CSN.
+  EXPECT_FALSE(csn.CommitHead().valid());
   csn.OnPrepared(a, {50, 50}, SerialNumber{});
-  csn.OnCommitted(a, SerialNumber{}, 60);
-  const cert::PrepareOutcome out =
-      csn.CertifyPrepare(cand, SerialNumber{}, {55, 70}, 1, true);
-  EXPECT_FALSE(out.admit);
-  EXPECT_NE(out.detail.find("commit csn=-1 "), std::string::npos)
-      << out.detail;
+  csn.OnPrepared(b, {50, 50}, SerialNumber{});
+  csn.OnCommitDecision(b, 4);
+  EXPECT_FALSE(csn.CertifyCommit(b, nullptr));
+  EXPECT_EQ(csn.CommitHead(), a);
 }
 
 // --- agent-level protocol behavior ------------------------------------------
@@ -311,7 +276,6 @@ TEST_F(AgentCsnTest, LatePrepareAfterCommitIsAdmitted) {
   Send(Message{core::PrepareMsg{late, SerialNumber{300, 0, 0}}});
   Drain();
   EXPECT_EQ(mdbs_->metrics().refuse_extension, 0);
-  EXPECT_EQ(mdbs_->metrics().refuse_snapshot, 0);
   EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 1u);
 }
 

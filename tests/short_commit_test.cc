@@ -212,60 +212,6 @@ TEST_F(ShortCommitTest, MixedWorkloadNeverShortCommitsMultiSiteWriter) {
   ExpectSerializable();
 }
 
-// Drives the agent at site 0 with hand-crafted messages from a phantom
-// coordinator at site 1 (agent_test.cc's idiom, remote so inquiry traffic
-// can be swallowed by crashing site 1).
-class ShortCommitProtocolTest : public ShortCommitTest {
- protected:
-  void SetUp() override {
-    Build(2);
-    loop_.set_max_events(1'000'000);
-  }
-
-  TxnId Gtid(int64_t n) { return TxnId::MakeGlobal(1, 1000 + n); }
-
-  void Send(const Message& msg) { mdbs_->network().Send(1, 0, msg); }
-
-  void Drain() { loop_.RunUntil(loop_.Now() + 50 * sim::kMillisecond); }
-};
-
-TEST_F(ShortCommitProtocolTest, RecoveredInDoubtOnePhaseCommitRedrives) {
-  // The fused 1PC handler is atomic in the simulator, so a *recovered*
-  // prepared transaction receiving a retransmitted 1PC-COMMIT with no
-  // commit decision in its log is unreachable through the public API; the
-  // state is constructed here with a bare PREPARE plus a crash to pin the
-  // defensive re-drive branch: the prepare record proves the fused handler
-  // ran, so the retransmission must re-drive the interrupted local commit.
-  const TxnId g = Gtid(1);
-  Send(Message{core::BeginMsg{g}});
-  Send(Message{core::DmlRequestMsg{
-      g, 0, db::MakeAddKey(table_, 1, "v", int64_t{1})}});
-  Drain();
-  Send(Message{core::PrepareMsg{g, SerialNumber{100, 0, 0}}});
-  Drain();
-  EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 1u);
-
-  // Take the phantom coordinator's site down for good (its real coordinator
-  // would answer the recovered agent's inquiry with presumed abort), then
-  // crash-and-recover site 0: the subtransaction comes back in doubt and
-  // is resubmitted.
-  mdbs_->CrashSite(1, /*downtime=*/-1);
-  mdbs_->CrashSite(0);
-  Drain();
-  ASSERT_TRUE(mdbs_->agent(0)->log().PrepareRecordOf(g).has_value());
-  ASSERT_FALSE(mdbs_->agent(0)->log().HasCommit(g));
-  ASSERT_EQ(mdbs_->agent(0)->log().InDoubt().size(), 1u);
-
-  // The retransmitted 1PC-COMMIT (sent locally so it cannot vanish against
-  // the downed site 1) re-drives the commit.
-  mdbs_->network().Send(0, 0, Message{core::OnePhaseCommitMsg{g}});
-  Drain();
-  EXPECT_EQ(Val(0, 1), 1);
-  EXPECT_TRUE(mdbs_->agent(0)->log().HasCommit(g));
-  EXPECT_TRUE(mdbs_->agent(0)->log().HasComplete(g));
-  EXPECT_TRUE(mdbs_->agent(0)->log().InDoubt().empty());
-}
-
 TEST_F(ShortCommitTest, CrashedParticipantPresumesAbortForUnknownOnePhase) {
   Build(2);
   // The participant crashes after executing the DML but before the

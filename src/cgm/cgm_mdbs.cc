@@ -55,7 +55,7 @@ CgmMdbs::CgmMdbs(const CgmConfig& config, sim::EventLoop* loop)
   };
   hooks.before_prepare = [this](const TxnId& gtid,
                                 const std::vector<SiteId>& sites,
-                                std::function<void(const Status&)> done) {
+                                std::function<void()> done) {
     pending_checks_[gtid] = std::move(done);
     mdbs_->network().Send(stub_endpoint_, scheduler_endpoint_,
                           CgmMessage{CommitCheckMsg{gtid, sites}});
@@ -83,7 +83,7 @@ void CgmMdbs::HandleReply(const net::Envelope& env) {
     if (it == pending_checks_.end()) return;
     auto done = std::move(it->second);
     pending_checks_.erase(it);
-    done(m->status);
+    done();
   }
 }
 

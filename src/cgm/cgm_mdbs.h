@@ -62,7 +62,7 @@ class CgmMdbs {
   uint64_t next_request_id_ = 1;
   // In-flight lock requests / commit checks awaiting scheduler replies.
   std::map<uint64_t, std::function<void(const Status&)>> pending_locks_;
-  std::map<TxnId, std::function<void(const Status&)>> pending_checks_;
+  std::map<TxnId, std::function<void()>> pending_checks_;
 };
 
 }  // namespace hermes::cgm

@@ -6,11 +6,6 @@ namespace {
 
 // Wait bound for one global granule lock.
 constexpr sim::Duration kLockTimeout = 1 * sim::kSecond;
-// Commit-graph admission is retried (commit processing *waits* for the
-// loop to clear, as in the original CGM) until this deadline, after which
-// the transaction is rejected.
-constexpr sim::Duration kAdmissionRetryInterval = 5 * sim::kMillisecond;
-constexpr sim::Duration kAdmissionTimeout = 500 * sim::kMillisecond;
 
 }  // namespace
 
@@ -19,48 +14,24 @@ CgmScheduler::CgmScheduler(SiteId endpoint, SiteId client_endpoint,
                            core::Metrics* metrics, trace::Tracer* tracer)
     : endpoint_(endpoint),
       client_endpoint_(client_endpoint),
-      loop_(loop),
       network_(network),
       metrics_(metrics),
       tracer_(tracer),
       locks_(kLockTimeout, loop) {}
 
-void CgmScheduler::TryAdmission(const TxnId& gtid, std::vector<SiteId> sites,
-                                sim::Time deadline) {
-  if (graph_.TryAdd(gtid, sites)) {
-    if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCgmAdmission;
-      e.txn = gtid;
-      e.site = endpoint_;
-      tracer_->Record(std::move(e));
-    }
-    network_->Send(endpoint_, client_endpoint_,
-                   CgmMessage{CommitCheckReplyMsg{gtid, Status::Ok()}});
-    return;
+bool CgmScheduler::TryAdmission(const TxnId& gtid,
+                                const std::vector<SiteId>& sites) {
+  if (!graph_.TryAdd(gtid, sites)) return false;
+  if (tracer_ != nullptr) {
+    trace::Event e;
+    e.kind = trace::EventKind::kCgmAdmission;
+    e.txn = gtid;
+    e.site = endpoint_;
+    tracer_->Record(std::move(e));
   }
-  if (loop_->Now() >= deadline) {
-    ++metrics_->cgm_graph_rejections;
-    if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kCgmAdmission;
-      e.txn = gtid;
-      e.site = endpoint_;
-      e.ok = false;
-      e.detail = "commit graph: admission would create a loop";
-      tracer_->Record(std::move(e));
-    }
-    network_->Send(
-        endpoint_, client_endpoint_,
-        CgmMessage{CommitCheckReplyMsg{
-            gtid,
-            Status::Rejected("commit graph: admission would create a loop")}});
-    return;
-  }
-  loop_->ScheduleAfter(kAdmissionRetryInterval,
-                       [this, gtid, sites = std::move(sites), deadline]() {
-                         TryAdmission(gtid, sites, deadline);
-                       });
+  network_->Send(endpoint_, client_endpoint_,
+                 CgmMessage{CommitCheckReplyMsg{gtid}});
+  return true;
 }
 
 void CgmScheduler::Handle(const net::Envelope& env) {
@@ -90,12 +61,31 @@ void CgmScheduler::Handle(const net::Envelope& env) {
     return;
   }
   if (const auto* m = std::get_if<CommitCheckMsg>(msg)) {
-    TryAdmission(m->gtid, m->sites, loop_->Now() + kAdmissionTimeout);
+    // Commit processing waits for the loop to clear, as in the original
+    // CGM: only a FinishedMsg removes edges, so that is when waiters retry.
+    if (!TryAdmission(m->gtid, m->sites)) {
+      ++metrics_->cgm_graph_rejections;
+      if (tracer_ != nullptr) {
+        trace::Event e;
+        e.kind = trace::EventKind::kCgmAdmission;
+        e.txn = m->gtid;
+        e.site = endpoint_;
+        e.ok = false;
+        e.detail = "commit graph: admission would create a loop; waiting";
+        tracer_->Record(std::move(e));
+      }
+      waiters_.push_back(Waiter{m->gtid, m->sites});
+    }
     return;
   }
   if (const auto* m = std::get_if<FinishedMsg>(msg)) {
     locks_.ReleaseAll(m->gtid);
     graph_.Remove(m->gtid);
+    // Retry the waiters in arrival order; an admission adds edges that the
+    // later waiters see.
+    std::erase_if(waiters_, [this](const Waiter& w) {
+      return TryAdmission(w.gtid, w.sites);
+    });
   }
 }
 

@@ -3,7 +3,8 @@
 // CGM's DTM runs a central component that (a) grants global S2PL locks on
 // coarse granules before a global subtransaction's commands execute, and
 // (b) admits transactions into commit processing only if their edges keep
-// the commit graph loop-free. The scheduler is a separate network node, so
+// the commit graph loop-free; a transaction whose edges would close a loop
+// waits until a finished transaction's edges leave. The scheduler is a separate network node, so
 // every interaction costs real message latency — the price of
 // centralization the reproduced paper's decentralized design avoids
 // (benchmarked by the E6 scaling sweep).
@@ -39,9 +40,10 @@ struct CommitCheckMsg {
   std::vector<SiteId> sites;
 };
 
+// Admission into commit processing; the scheduler answers only once the
+// transaction is admitted.
 struct CommitCheckReplyMsg {
   TxnId gtid;
-  Status status;
 };
 
 // Transaction left commit processing (committed or aborted): release its
@@ -68,17 +70,23 @@ class CgmScheduler {
   const CommitGraph& commit_graph() const { return graph_; }
 
  private:
-  void TryAdmission(const TxnId& gtid, std::vector<SiteId> sites,
-                    sim::Time deadline);
+  struct Waiter {
+    TxnId gtid;
+    std::vector<SiteId> sites;
+  };
+
+  // Admits `gtid` and replies if its edges close no loop.
+  bool TryAdmission(const TxnId& gtid, const std::vector<SiteId>& sites);
 
   SiteId endpoint_;
   SiteId client_endpoint_;
-  sim::EventLoop* loop_;
   net::Network* network_;
   core::Metrics* metrics_;
   trace::Tracer* tracer_;
   GlobalLockManager locks_;
   CommitGraph graph_;
+  // Admissions blocked by a loop, in arrival order.
+  std::vector<Waiter> waiters_;
 };
 
 }  // namespace hermes::cgm

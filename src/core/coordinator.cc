@@ -165,15 +165,9 @@ void Coordinator::StartCommit(const TxnId& gtid) {
   txn->phase = Phase::kPreparing;
   if (hooks_.before_prepare) {
     std::vector<SiteId> sites(txn->begun.begin(), txn->begun.end());
-    hooks_.before_prepare(gtid, sites, [this, gtid](const Status& s) {
+    hooks_.before_prepare(gtid, sites, [this, gtid]() {
       CoordTxn* t = FindTxn(gtid);
       if (t == nullptr || t->phase != Phase::kPreparing) return;
-      if (!s.ok()) {
-        ++metrics_->global_aborted_cert;
-        t->certification_refused = true;
-        StartRollback(*t, s);
-        return;
-      }
       SendPrepares(*t);
     });
     return;

@@ -86,9 +86,11 @@ struct CoordinatorHooks {
   std::function<void(const TxnId&, const GlobalTxnSpec::Step&,
                      std::function<void(const Status&)>)>
       before_step;
-  // Invoked when the application submits Commit, before PREPARE fan-out.
+  // Invoked when the application submits Commit, before PREPARE fan-out;
+  // call done() to send the PREPAREs. It cannot refuse: a hook that must
+  // hold the commit back (CGM's commit graph) calls done() later.
   std::function<void(const TxnId&, const std::vector<SiteId>&,
-                     std::function<void(const Status&)>)>
+                     std::function<void()>)>
       before_prepare;
   // Invoked when the transaction finishes (acks collected).
   std::function<void(const TxnId&, bool committed)> on_finished;

@@ -178,6 +178,36 @@ TEST_F(CgmSystemTest, ItemGranularityAllowsDisjointConcurrency) {
   EXPECT_TRUE(r2->status.ok());
 }
 
+TEST_F(CgmSystemTest, LoopedAdmissionWaitsForTheFinishedTransaction) {
+  // Item granules let three transactions on the same two sites reach
+  // commit together; the commit graph admits one at a time, since any two
+  // of them close a loop. The others wait, not fail: each FinishedMsg
+  // retries the waiters in arrival order, so they commit in submission
+  // order, each right after the one before it finished.
+  Build(Granularity::kItem);
+  std::vector<int64_t> order;
+  std::vector<sim::Time> done_at;
+  std::vector<Status> status;
+  for (int64_t key = 1; key <= 3; ++key) {
+    cgm_->Submit(TwoSiteTxn(0, 1, key), [&, key](const core::GlobalTxnResult& r) {
+      order.push_back(key);
+      done_at.push_back(loop_.Now());
+      status.push_back(r.status);
+    });
+  }
+  loop_.Run();
+  ASSERT_EQ(order, (std::vector<int64_t>{1, 2, 3}));
+  for (const Status& s : status) EXPECT_TRUE(s.ok()) << s;
+  // Two admissions waited; none was refused.
+  EXPECT_EQ(cgm_->mdbs().metrics().cgm_graph_rejections, 2);
+  EXPECT_EQ(cgm_->mdbs().metrics().global_aborted, 0);
+  // A waiter's commit round starts when its predecessor's edges leave:
+  // one commit round later, far below any timeout.
+  EXPECT_LT(done_at[1] - done_at[0], 20 * sim::kMillisecond);
+  EXPECT_LT(done_at[2] - done_at[1], 20 * sim::kMillisecond);
+  EXPECT_EQ(cgm_->scheduler().commit_graph().txn_count(), 0u);
+}
+
 TEST_F(CgmSystemTest, FailureRecoveryViaResubmissionStillWorks) {
   Build(Granularity::kSite);
   bool injected = false;

@@ -397,7 +397,7 @@ TEST(CoordinatorCrashFault, OrphanTimeoutAbandonsActiveButNeverPreparedTxns) {
   // site 1.
   core::CoordinatorHooks hooks;
   hooks.before_prepare = [&](const TxnId&, const std::vector<SiteId>&,
-                             std::function<void(const Status&)>) {
+                             std::function<void()>) {
     loop.ScheduleAfter(0, [&]() { mdbs.CrashSite(0, /*downtime=*/-1); });
     // `done` is never called: the crash wipes the transaction.
   };

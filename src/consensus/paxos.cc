@@ -227,13 +227,11 @@ void PaxosCommit::BroadcastVote(const TxnId& gtid, bool ready, SiteId leader) {
 
 void PaxosCommit::Escalate(const TxnId& gtid, SiteId coordinator,
                            int attempt) {
+  // No answer from the cache of decided outcomes: whoever decided here
+  // (the co-located coordinator, or a resolver fanning out to membership
+  // and inquirers) already sent the decision to this participant, a local
+  // delivery. StartResolve ignores a decided transaction.
   requesters_[gtid].insert(config_.site);
-  auto it = decided_.find(gtid);
-  if (it != decided_.end()) {
-    network_->Send(config_.site, config_.site,
-                   core::Message{core::DecisionMsg{gtid, it->second}});
-    return;
-  }
   if (resolvers_.count(gtid) != 0) return;  // election already running
   ++metrics_->paxos_elections;
   TraceEvent(trace::EventKind::kPaxosElect, gtid, coordinator, attempt, true);

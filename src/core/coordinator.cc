@@ -349,10 +349,11 @@ void Coordinator::SendDecisions(CoordTxn& txn, bool commit) {
                    Message{DecisionMsg{txn.gtid, commit, txn.csn,
                                        epoch_view_}});
   }
-  if (txn.acks_pending.empty()) {
-    FinishTxn(txn, commit);
-    return;
-  }
+  // Someone is always owed the decision: OnVote finishes an all-read-only
+  // transaction without deciding, so a commit has a writer; an abort comes
+  // before every participant voted read-only READY, and each one that did
+  // not is owed the rollback.
+  assert(!txn.acks_pending.empty());
   ArmRetryTimer(txn);
 }
 

@@ -72,7 +72,6 @@ TEST(CsnCertifier, NoOrderingRefusalWhereSnSchemeRefuses) {
   // decision-time CSNs cannot contradict the commit order, so the same
   // arrival is admitted.
   const TxnId a = TxnId::MakeGlobal(0, 1);
-  const TxnId b = TxnId::MakeGlobal(0, 2);
 
   cert::SnCertifier sn(CertPolicy::kFull);
   sn.OnPrepared(a, {0, 10}, SerialNumber{500, 0, 0});

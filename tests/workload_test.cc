@@ -175,34 +175,56 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 // all be proven view serializable. Two DLU bugs once left six of seeds
 // 1-8 kUnknown, each with a transaction reading one item from two
 // versions.
-class ChaosSweep : public ::testing::TestWithParam<uint64_t> {};
+class ChaosSweep : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static WorkloadConfig ChaosConfig(uint64_t seed) {
+    WorkloadConfig config;
+    config.seed = seed;
+    config.num_sites = 16;
+    config.rows_per_table = 64;
+    config.zipf_theta = 0.9;
+    config.global_write_fraction = 0.2;
+    config.local_write_fraction = 0.2;
+    config.global_clients = 32;
+    config.local_clients_per_site = 1;
+    config.p_prepared_abort = 0.1;
+    config.net_loss_prob = 0.01;
+    config.protocol = consensus::ProtocolKind::kPaxosCommit;
+    config.paxos_f = 1;
+    config.drain_grace = 2 * sim::kSecond;
+    config.lock_wait_timeout = 100 * sim::kMillisecond;
+    config.record_history = true;
+    config.target_global_txns = 1000;
+    return config;
+  }
+
+  static void ExpectProvenViewSerializable(const RunResult& result) {
+    EXPECT_FALSE(result.event_budget_exhausted);
+    EXPECT_TRUE(result.commit_graph_acyclic);
+    EXPECT_TRUE(result.replay_consistent) << result.replay_error;
+    EXPECT_TRUE(result.order_invariant_ok) << result.order_invariant_error;
+    EXPECT_TRUE(result.atomicity_ok) << result.atomicity_error;
+    EXPECT_EQ(result.verdict, history::Verdict::kSerializable)
+        << result.verdict_detail;
+  }
+};
 
 TEST_P(ChaosSweep, EveryRunIsProvenViewSerializable) {
-  WorkloadConfig config;
-  config.seed = GetParam();
-  config.num_sites = 16;
-  config.rows_per_table = 64;
-  config.zipf_theta = 0.9;
-  config.global_write_fraction = 0.2;
-  config.local_write_fraction = 0.2;
-  config.global_clients = 32;
-  config.local_clients_per_site = 1;
-  config.p_prepared_abort = 0.1;
-  config.net_loss_prob = 0.01;
-  config.protocol = consensus::ProtocolKind::kPaxosCommit;
-  config.paxos_f = 1;
-  config.drain_grace = 2 * sim::kSecond;
-  config.lock_wait_timeout = 100 * sim::kMillisecond;
-  config.record_history = true;
-  config.target_global_txns = 1000;
+  ExpectProvenViewSerializable(Driver::Run(ChaosConfig(GetParam())));
+}
+
+// The same shape under 2PC with CSN certification (Validate refuses CSN
+// with Paxos Commit). A resubmission is never certified again, under CSN
+// as under SN; these runs resubmit and must still be proven view
+// serializable.
+TEST_P(ChaosSweep, CsnResubmissionsStayProvenViewSerializable) {
+  WorkloadConfig config = ChaosConfig(GetParam());
+  config.protocol = consensus::ProtocolKind::k2PC;
+  config.certifier = cert::CertifierKind::kCsn;
   const RunResult result = Driver::Run(config);
-  EXPECT_FALSE(result.event_budget_exhausted);
-  EXPECT_TRUE(result.commit_graph_acyclic);
-  EXPECT_TRUE(result.replay_consistent) << result.replay_error;
-  EXPECT_TRUE(result.order_invariant_ok) << result.order_invariant_error;
-  EXPECT_TRUE(result.atomicity_ok) << result.atomicity_error;
-  EXPECT_EQ(result.verdict, history::Verdict::kSerializable)
-      << result.verdict_detail;
+  ASSERT_TRUE(result.config_error.empty()) << result.config_error;
+  EXPECT_GT(result.metrics.resubmissions, 0);
+  ExpectProvenViewSerializable(result);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,

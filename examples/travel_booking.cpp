@@ -141,9 +141,10 @@ int main() {
   std::printf("airline seats taken: %lld\n",
               static_cast<long long>(seats_taken));
   std::printf("hotel front-desk local transactions committed: %d "
-              "(DLU waits at hotel: %lld)\n",
+              "(DLU refusals at hotel: %lld)\n",
               local_done,
-              static_cast<long long>(mdbs.ltm(kHotel)->stats().dlu_waits));
+              static_cast<long long>(
+                  mdbs.ltm(kHotel)->stats().dlu_rejections));
 
   const auto committed =
       history::CommittedProjection(mdbs.recorder().ops());

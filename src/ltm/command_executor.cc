@@ -127,30 +127,23 @@ void CommandExecutor::LockNextKey() {
   const int64_t key = to_lock_.back();
   const ItemId item =
       ltm_->storage()->MakeItemId(db::CommandTable(cmd_), key);
-  if (NeedsDluGate() && ltm_->IsBound(item)) {
-    // DLU: a local transaction's update of bound data waits until the item
-    // is unbound (or times out / is rejected).
-    std::weak_ptr<CommandExecutor> wp = weak_from_this();
-    ltm_->WaitUnbound(item, [wp, key](Status s) {
-      if (auto self = wp.lock()) self->OnDluCleared(key, s);
-    });
-    return;
-  }
+  if (RefusedByDlu(item)) return;
   Acquire(key, item);
 }
 
-void CommandExecutor::OnDluCleared(int64_t key, const Status& s) {
-  if (cancelled_ || finished_) return;
-  if (!s.ok()) {
-    FailAndAbort(s);
-    return;
-  }
-  Acquire(key, ltm_->storage()->MakeItemId(db::CommandTable(cmd_), key));
+bool CommandExecutor::RefusedByDlu(const ItemId& item) {
+  if (!NeedsDluGate() || !ltm_->IsBound(item)) return false;
+  // DLU: a local transaction may not update data bound to a prepared
+  // subtransaction. It is refused rather than delayed: while waiting it
+  // would keep the locks it already holds, which the prepared
+  // subtransaction may need to resubmit, so a wait can only end in a
+  // timeout.
+  ++ltm_->stats_.dlu_rejections;
+  FailAndAbort(Status::Rejected("DLU: item is bound to a prepared transaction"));
+  return true;
 }
 
 void CommandExecutor::Acquire(int64_t key, const ItemId& item) {
-  held_before_acquire_ =
-      ltm_->lock_manager().Holds(txn_, item, LockMode::kShared);
   std::weak_ptr<CommandExecutor> wp = weak_from_this();
   ltm_->lock_manager().Acquire(txn_, item, NeededMode(),
                                [wp, key](Status st) {
@@ -171,29 +164,9 @@ void CommandExecutor::OnLockGranted(int64_t key, const Status& s) {
     FailAndAbort(reason);
     return;
   }
-  const ItemId item =
-      ltm_->storage()->MakeItemId(db::CommandTable(cmd_), key);
-  if (NeedsDluGate() && ltm_->IsBound(item)) {
-    // The item became bound while we were waiting for the lock (a global
-    // subtransaction prepared in between).
-    if (held_before_acquire_) {
-      // The transaction locked the item in an earlier command and may have
-      // read it: releasing would let a writer in before its next read. The
-      // update cannot wait for the binding while keeping the lock either,
-      // since the prepared subtransaction may need it to resubmit. DLU
-      // rejects it.
-      ++ltm_->stats_.dlu_rejections;
-      FailAndAbort(
-          Status::Rejected("DLU: item is bound to a prepared transaction"));
-      return;
-    }
-    // Back out this one untouched lock and re-enter the DLU gate; releasing
-    // is 2PL-safe because no data was accessed under the lock yet.
-    ltm_->lock_manager().Release(txn_, item);
-    std::weak_ptr<CommandExecutor> wp = weak_from_this();
-    ltm_->WaitUnbound(item, [wp, key](Status st) {
-      if (auto self = wp.lock()) self->OnDluCleared(key, st);
-    });
+  // The item may have become bound while we waited for the lock (a global
+  // subtransaction prepared in between).
+  if (RefusedByDlu(ltm_->storage()->MakeItemId(db::CommandTable(cmd_), key))) {
     return;
   }
   locked_.insert(key);

@@ -51,7 +51,9 @@ class CommandExecutor : public std::enable_shared_from_this<CommandExecutor> {
   // fully locked and stable.
   void LockRound();
   void LockNextKey();
-  void OnDluCleared(int64_t key, const Status& s);
+  // DLU: fails and aborts the command's local transaction when it updates
+  // bound `item`; returns whether it did.
+  bool RefusedByDlu(const ItemId& item);
   // Requests the command's lock mode on `item` (the item of `key`).
   void Acquire(int64_t key, const ItemId& item);
   void OnLockGranted(int64_t key, const Status& s);
@@ -79,9 +81,6 @@ class CommandExecutor : public std::enable_shared_from_this<CommandExecutor> {
   int rounds_ = 0;
   std::vector<int64_t> to_lock_;
   std::set<int64_t> locked_;
-  // Whether the transaction already held a lock on the item of the pending
-  // Acquire, taken by an earlier command.
-  bool held_before_acquire_ = false;
   sim::EventId apply_event_ = sim::kInvalidEvent;
 };
 

@@ -184,13 +184,6 @@ std::vector<LtmTxnHandle> Ltm::ActiveHandles() const {
   return out;
 }
 
-void Ltm::ClearBindings() {
-  while (!bound_.empty()) {
-    const ItemId item = bound_.begin()->first;  // DropBinding erases it
-    DropBinding(item);
-  }
-}
-
 void Ltm::BindItems(const std::vector<ItemId>& items) {
   for (const ItemId& item : items) ++bound_[item];
 }
@@ -198,49 +191,8 @@ void Ltm::BindItems(const std::vector<ItemId>& items) {
 void Ltm::UnbindItems(const std::vector<ItemId>& items) {
   for (const ItemId& item : items) {
     auto it = bound_.find(item);
-    if (it != bound_.end() && --it->second > 0) continue;  // still bound
-    DropBinding(item);
+    if (it != bound_.end() && --it->second == 0) bound_.erase(it);
   }
-}
-
-void Ltm::DropBinding(const ItemId& item) {
-  bound_.erase(item);
-  auto it = dlu_waiters_.find(item);
-  if (it == dlu_waiters_.end()) return;
-  auto waiters = std::move(it->second);
-  dlu_waiters_.erase(it);
-  for (auto& waiter : waiters) {
-    if (waiter->cb == nullptr) continue;  // already timed out
-    loop_->Cancel(waiter->timeout_event);
-    auto cb = std::move(waiter->cb);
-    loop_->ScheduleAfter(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
-  }
-}
-
-void Ltm::WaitUnbound(const ItemId& item, std::function<void(Status)> cb) {
-  if (bound_.count(item) == 0) {
-    loop_->ScheduleAfter(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
-    return;
-  }
-  if (config_.dlu_reject) {
-    ++stats_.dlu_rejections;
-    loop_->ScheduleAfter(0, [cb = std::move(cb)]() {
-      cb(Status::Rejected("DLU: item is bound to a prepared transaction"));
-    });
-    return;
-  }
-  ++stats_.dlu_waits;
-  auto waiter = std::make_shared<DluWaiter>();
-  waiter->item = item;
-  waiter->cb = std::move(cb);
-  waiter->timeout_event =
-      loop_->ScheduleAfter(config_.dlu_wait_timeout, [this, waiter]() {
-        if (waiter->cb == nullptr) return;
-        auto cb = std::move(waiter->cb);
-        waiter->cb = nullptr;
-        cb(Status::Timeout("DLU wait timeout"));
-      });
-  dlu_waiters_[item].push_back(std::move(waiter));
 }
 
 void Ltm::RunDeadlockDetection() {

@@ -46,11 +46,6 @@ struct LtmConfig {
   // "non-rigorous LDBS" negative experiments.
   bool rigorous = true;
   sim::Duration lock_wait_timeout = 500 * sim::kMillisecond;
-  // DLU: how long a local transaction's update may wait for bound data.
-  sim::Duration dlu_wait_timeout = 2 * sim::kSecond;
-  // If true, local updates of bound data are rejected immediately instead
-  // of blocking.
-  bool dlu_reject = false;
   // Optional wait-for-graph deadlock detection (the paper's 2CM assumes
   // timeout-only; detection is the E11 ablation,
   // `bench_suite --only=deadlock`).
@@ -67,6 +62,8 @@ struct LtmStats {
   int64_t lock_timeout_aborts = 0;
   int64_t deadlock_victim_aborts = 0;
   int64_t commands_executed = 0;
+  // Always 0: a local update of bound data is refused, never delayed. Kept
+  // because perfbench sums it.
   int64_t dlu_waits = 0;
   int64_t dlu_rejections = 0;
 };
@@ -130,15 +127,16 @@ class Ltm {
   // --- DLU bound-data registry -------------------------------------------
   // Maintained by the co-located 2PC agent: while a global subtransaction is
   // prepared, the data it accessed are "bound"; local transactions may read
-  // but not update them (paper's DLU assumption). Bindings are counted: an
-  // item stays bound until every prepared subtransaction that bound it has
-  // unbound it.
+  // but not update them (paper's DLU assumption): a local update of a bound
+  // item aborts the local transaction (counted in dlu_rejections). Bindings
+  // are counted: an item stays bound until every prepared subtransaction
+  // that bound it has unbound it.
 
   void BindItems(const std::vector<ItemId>& items);
   void UnbindItems(const std::vector<ItemId>& items);
-  // Drops all bindings and wakes DLU waiters (volatile state lost in a
-  // site crash; the recovering agent re-binds after resubmission).
-  void ClearBindings();
+  // Drops all bindings (volatile state lost in a site crash; the
+  // recovering agent re-binds after resubmission).
+  void ClearBindings() { bound_.clear(); }
   bool IsBound(const ItemId& item) const { return bound_.count(item) != 0; }
 
   // --- accessors for the executor and tests -------------------------------
@@ -154,11 +152,6 @@ class Ltm {
   // victim, injected failure). Reported as unilateral via UAN when the
   // transaction belongs to a global transaction.
   void UnilateralAbortInternal(LtmTxnHandle txn, const Status& reason);
-
-  // Internal: called by the executor when a local transaction's update hits
-  // bound data. `cb` fires with OK once the item is unbound, kTimeout on
-  // timeout, kRejected in dlu_reject mode.
-  void WaitUnbound(const ItemId& item, std::function<void(Status)> cb);
 
   // Internal: executor lifecycle hooks.
   void OnExecutorDone(LtmTxnHandle txn);
@@ -178,8 +171,6 @@ class Ltm {
                        const Status& reason);
   void RollbackUndo(LocalTxn& txn);
   void RunDeadlockDetection();
-  // Unbinds `item` whatever its count and wakes its DLU waiters.
-  void DropBinding(const ItemId& item);
 
   LtmConfig config_;
   sim::EventLoop* loop_;
@@ -197,12 +188,6 @@ class Ltm {
 
   // Bound items and the number of prepared subtransactions binding each.
   std::map<ItemId, int> bound_;
-  struct DluWaiter {
-    ItemId item;
-    std::function<void(Status)> cb;
-    sim::EventId timeout_event;
-  };
-  std::map<ItemId, std::vector<std::shared_ptr<DluWaiter>>> dlu_waiters_;
 
   sim::EventId deadlock_timer_ = sim::kInvalidEvent;
   LtmStats stats_;

@@ -224,24 +224,25 @@ TEST_F(LtmTest, CommitOfAbortedTransactionFails) {
 }
 
 TEST_F(LtmTest, DluBlocksLocalWriterUntilUnbind) {
+  // A local update of bound data is refused at once, aborting the local
+  // transaction; once the item is unbound a local update goes through.
   Build();
   const ItemId item{0, table_, 2};
   ltm_->BindItems({item});
   EXPECT_TRUE(ltm_->IsBound(item));
 
   const LtmTxnHandle t = Begin(1);
-  std::optional<Status> status;
-  ltm_->Execute(t, db::MakeAddKey(table_, 2, "v", int64_t{1}),
-                [&](const Status& s, const db::CmdResult&) { status = s; });
-  loop_.RunUntil(10 * sim::kMillisecond);
-  EXPECT_FALSE(status.has_value());  // still waiting on the DLU gate
-  EXPECT_GE(ltm_->stats().dlu_waits, 1);
+  const auto refused = Exec(t, db::MakeAddKey(table_, 2, "v", int64_t{1}));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kRejected);
+  EXPECT_FALSE(ltm_->IsActive(t));
+  EXPECT_EQ(ltm_->stats().dlu_rejections, 1);
+  EXPECT_EQ(ltm_->stats().dlu_waits, 0);
 
   ltm_->UnbindItems({item});
-  loop_.Run();
-  ASSERT_TRUE(status.has_value());
-  EXPECT_TRUE(status->ok());
-  ASSERT_TRUE(ltm_->Commit(t).ok());
+  const LtmTxnHandle t2 = Begin(2);
+  ASSERT_TRUE(Exec(t2, db::MakeAddKey(table_, 2, "v", int64_t{1})).ok());
+  ASSERT_TRUE(ltm_->Commit(t2).ok());
   EXPECT_EQ(Val(2), 21);
 }
 
@@ -254,19 +255,11 @@ TEST_F(LtmTest, DluBindingsAreCounted) {
   ltm_->BindItems({item});
   ltm_->UnbindItems({item});
   EXPECT_TRUE(ltm_->IsBound(item));
-
-  const LtmTxnHandle t = Begin(1);
-  std::optional<Status> status;
-  ltm_->Execute(t, db::MakeAddKey(table_, 2, "v", int64_t{1}),
-                [&](const Status& s, const db::CmdResult&) { status = s; });
-  loop_.RunUntil(10 * sim::kMillisecond);
-  EXPECT_FALSE(status.has_value());  // still waiting on the DLU gate
+  EXPECT_FALSE(Exec(Begin(1), db::MakeAddKey(table_, 2, "v", int64_t{1})).ok());
 
   ltm_->UnbindItems({item});
   EXPECT_FALSE(ltm_->IsBound(item));
-  loop_.Run();
-  ASSERT_TRUE(status.has_value());
-  EXPECT_TRUE(status->ok());
+  EXPECT_TRUE(Exec(Begin(2), db::MakeAddKey(table_, 2, "v", int64_t{1})).ok());
 }
 
 TEST_F(LtmTest, ClearBindingsDropsEveryCount) {
@@ -274,24 +267,16 @@ TEST_F(LtmTest, ClearBindingsDropsEveryCount) {
   const ItemId item{0, table_, 2};
   ltm_->BindItems({item});
   ltm_->BindItems({item});
-  const LtmTxnHandle t = Begin(1);
-  std::optional<Status> status;
-  ltm_->Execute(t, db::MakeAddKey(table_, 2, "v", int64_t{1}),
-                [&](const Status& s, const db::CmdResult&) { status = s; });
-  loop_.RunUntil(10 * sim::kMillisecond);
-  EXPECT_FALSE(status.has_value());
-
   ltm_->ClearBindings();  // a site crash loses every binding
   EXPECT_FALSE(ltm_->IsBound(item));
-  loop_.Run();
-  ASSERT_TRUE(status.has_value());
-  EXPECT_TRUE(status->ok());
+  EXPECT_TRUE(Exec(Begin(1), db::MakeAddKey(table_, 2, "v", int64_t{1})).ok());
 }
 
 // A local update whose lock is granted on an item that became bound while
-// it waited backs out that lock and waits for the unbind -- unless the
-// transaction held the lock from an earlier command: releasing it would
-// let a writer in between its reads, so DLU rejects the update.
+// it waited is refused too, whether the transaction took the lock in this
+// command or held it from an earlier one: releasing a lock from an earlier
+// command would let a writer in between its reads, and waiting would keep
+// a lock the prepared subtransaction may need to resubmit.
 TEST_F(LtmTest, DluBackOutKeepsALockOfAnEarlierCommand) {
   Build();
   const ItemId item{0, table_, 2};
@@ -323,18 +308,12 @@ TEST_F(LtmTest, DluBackOutKeepsALockOfAnEarlierCommand) {
   loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
   ASSERT_TRUE(reader_status.has_value());
   EXPECT_EQ(reader_status->code(), StatusCode::kRejected);
-  EXPECT_FALSE(ltm_->IsActive(reader));
-  EXPECT_EQ(ltm_->stats().dlu_rejections, 1);
-  // The writer took no lock before: it backed out and waits.
-  EXPECT_FALSE(writer_status.has_value());
-  EXPECT_FALSE(ltm_->lock_manager().Holds(writer, item, LockMode::kShared));
-
-  ltm_->UnbindItems({item});
-  loop_.RunUntil(loop_.Now() + 10 * sim::kMillisecond);
   ASSERT_TRUE(writer_status.has_value());
-  EXPECT_TRUE(writer_status->ok());
-  ASSERT_TRUE(ltm_->Commit(writer).ok());
-  EXPECT_EQ(Val(2), 21);
+  EXPECT_EQ(writer_status->code(), StatusCode::kRejected);
+  EXPECT_FALSE(ltm_->IsActive(reader));
+  EXPECT_FALSE(ltm_->IsActive(writer));
+  EXPECT_EQ(ltm_->stats().dlu_rejections, 2);
+  EXPECT_EQ(Val(2), 20);
 }
 
 TEST_F(LtmTest, DluAllowsLocalReadsAndGlobalWrites) {
@@ -355,13 +334,16 @@ TEST_F(LtmTest, DluAllowsLocalReadsAndGlobalWrites) {
 }
 
 TEST_F(LtmTest, DluRejectModeFailsImmediately) {
-  LtmConfig config;
-  config.dlu_reject = true;
-  Build(config);
+  // Refusal is the only DLU rule: no virtual time passes before it.
+  Build();
   ltm_->BindItems({ItemId{0, table_, 2}});
   const LtmTxnHandle t = Begin(1);
-  auto r = Exec(t, db::MakeAddKey(table_, 2, "v", int64_t{1}));
-  EXPECT_FALSE(r.ok());
+  std::optional<Status> status;
+  ltm_->Execute(t, db::MakeAddKey(table_, 2, "v", int64_t{1}),
+                [&](const Status& s, const db::CmdResult&) { status = s; });
+  loop_.RunUntil(loop_.Now());
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->code(), StatusCode::kRejected);
   EXPECT_EQ(ltm_->stats().dlu_rejections, 1);
 }
 

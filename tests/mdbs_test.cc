@@ -224,11 +224,57 @@ TEST_F(MdbsTest, LocalTransactionsRunDirectly) {
             107);
 }
 
+TEST_F(MdbsTest, LocalReaderThatUpdatesBoundDataDoesNotStallAResubmission) {
+  // T's prepared subtransaction at site 0 is unilaterally aborted. A local
+  // transaction reads the bound row (DLU allows reads) and then updates it.
+  // T's resubmission needs the row's lock, which the local reader holds.
+  // Refusing the local update releases that lock at once; had the update
+  // waited for the unbind, it would have kept the lock until the DLU wait
+  // timed out, and T's resubmission would have timed out on it meanwhile.
+  Build(2);
+  GlobalTxnSpec spec;
+  spec.steps.push_back({0, db::MakeAddKey(table_, 1, "bal", int64_t{-10})});
+  spec.steps.push_back({1, db::MakeAddKey(table_, 1, "bal", int64_t{10})});
+  std::optional<GlobalTxnResult> gresult;
+  std::optional<core::LocalTxnResult> lresult;
+  sim::Time aborted_at = -1, committed_at = -1;
+  bool first = true;
+  mdbs_->agent(0)->set_prepared_hook([&](const TxnId&, LtmTxnHandle handle) {
+    if (!first) return;
+    first = false;
+    loop_.ScheduleAfter(1 * sim::kMillisecond, [&, handle]() {
+      aborted_at = loop_.Now();
+      (void)mdbs_->ltm(0)->InjectUnilateralAbort(handle);
+      core::LocalTxnSpec local;
+      local.site = 0;
+      local.commands.push_back(db::MakeSelectKey(table_, 1));
+      local.commands.push_back(
+          db::MakeAddKey(table_, 1, "bal", int64_t{1000}));
+      mdbs_->SubmitLocal(local,
+                         [&](const core::LocalTxnResult& r) { lresult = r; });
+    });
+  });
+  mdbs_->Submit(spec, [&](const GlobalTxnResult& r) {
+    gresult = r;
+    committed_at = loop_.Now();
+  });
+  loop_.Run();
+  ASSERT_TRUE(gresult.has_value());
+  ASSERT_TRUE(lresult.has_value());
+  EXPECT_TRUE(gresult->status.ok()) << gresult->status;
+  EXPECT_EQ(lresult->status.code(), StatusCode::kRejected) << lresult->status;
+  EXPECT_EQ(mdbs_->metrics().resubmission_failures, 0);
+  EXPECT_EQ(mdbs_->ltm(0)->stats().lock_timeout_aborts, 0);
+  EXPECT_LT(committed_at - aborted_at, 50 * sim::kMillisecond);
+  EXPECT_EQ(Balance(0, 1), 90);
+  EXPECT_EQ(CheckHistory().verdict, history::Verdict::kSerializable);
+}
+
 TEST_F(MdbsTest, DluBlocksLocalUpdateOfBoundData) {
   Build(2);
   // Freeze T in the prepared state by delaying the commit decision: inject
   // a unilateral abort so the agent resubmits; meanwhile a local writer
-  // targets the bound row and must wait (not update) until T commits.
+  // targets the bound row and is refused (DLU), never updating it.
   GlobalTxnSpec spec;
   spec.steps.push_back({0, db::MakeAddKey(table_, 1, "bal", int64_t{-10})});
   spec.steps.push_back({1, db::MakeAddKey(table_, 1, "bal", int64_t{10})});
@@ -243,7 +289,7 @@ TEST_F(MdbsTest, DluBlocksLocalUpdateOfBoundData) {
     if (!first) return;
     first = false;
     // Kill the prepared subtransaction; its locks drop, but the row stays
-    // *bound*, so the local writer below must keep waiting.
+    // *bound*, so the local writer below is refused.
     loop_.ScheduleAfter(1 * sim::kMillisecond, [this, handle]() {
       (void)mdbs_->ltm(0)->InjectUnilateralAbort(handle);
     });
@@ -266,10 +312,11 @@ TEST_F(MdbsTest, DluBlocksLocalUpdateOfBoundData) {
   ASSERT_TRUE(gresult.has_value());
   ASSERT_TRUE(lresult.has_value());
   EXPECT_TRUE(gresult->status.ok()) << gresult->status;
-  EXPECT_TRUE(lresult->status.ok()) << lresult->status;
-  EXPECT_GE(mdbs_->ltm(0)->stats().dlu_waits, 1);
-  // Both updates applied: -10 from the global, +1000 from the local.
-  EXPECT_EQ(Balance(0, 1), 1090);
+  EXPECT_EQ(lresult->status.code(), StatusCode::kRejected) << lresult->status;
+  EXPECT_EQ(mdbs_->ltm(0)->stats().dlu_rejections, 1);
+  EXPECT_EQ(mdbs_->ltm(0)->stats().dlu_waits, 0);
+  // Only the global update applied.
+  EXPECT_EQ(Balance(0, 1), 90);
   const auto check = CheckHistory();
   EXPECT_EQ(check.verdict, history::Verdict::kSerializable);
 }

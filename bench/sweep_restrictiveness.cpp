@@ -8,9 +8,12 @@
 // its coarse global locks.
 //
 // E3 sweeps the multiprogramming level with zero failures and reports
-// certification-caused aborts (2CM: refusals; CGM: commit-graph rejections
-// plus global-lock timeouts). E4 sweeps contention (rows per table, skew)
-// at fixed load across CGM granularities.
+// certification-caused aborts (2CM: refusals; CGM: admissions that found
+// a commit-graph loop, which wait for it to clear and never abort, and
+// under site granules never occur: two transactions sharing a site are
+// already serialized by its global lock). Every CGM abort here is a lock
+// or DML abort. E4 sweeps contention (rows per table, skew) at fixed load
+// across CGM granularities.
 //
 // Gate: 2CM's certification refusals are 0 at every MPL (E3). E4's
 // granularity ordering is a shape claim: printed, not gated.

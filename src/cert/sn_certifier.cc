@@ -22,7 +22,9 @@ bool SnCertifier::RefusesOrder(const core::SerialNumber& sn, bool want_detail,
   if (want_detail) {
     out->detail = StrCat("prepare certification extension: ", sn.ToString(),
                          " < committed ", max_committed_sn_.ToString());
-    if (max_committed_gtid_.valid()) out->related.push_back(max_committed_gtid_);
+    if (max_committed_gtid_.valid()) {
+      out->related.push_back(max_committed_gtid_);
+    }
   }
   return true;
 }

@@ -4,10 +4,10 @@
 // coarse granules before a global subtransaction's commands execute, and
 // (b) admits transactions into commit processing only if their edges keep
 // the commit graph loop-free; a transaction whose edges would close a loop
-// waits until a finished transaction's edges leave. The scheduler is a separate network node, so
-// every interaction costs real message latency — the price of
-// centralization the reproduced paper's decentralized design avoids
-// (benchmarked by the E6 scaling sweep).
+// waits until a finished transaction's edges leave. The scheduler is a
+// separate network node, so every interaction costs real message latency —
+// the price of centralization the reproduced paper's decentralized design
+// avoids (benchmarked by the E6 scaling sweep).
 
 #ifndef HERMES_CGM_CGM_SCHEDULER_H_
 #define HERMES_CGM_CGM_SCHEDULER_H_

@@ -38,7 +38,7 @@ struct Metrics {
   int64_t prepares_received = 0;
   int64_t refuse_extension = 0;   // extended prepare certification failures
   int64_t refuse_interval = 0;    // basic (alive-interval) failures
-  int64_t refuse_snapshot = 0;    // CSN snapshot check failures (resubmitted)
+  int64_t refuse_snapshot = 0;    // always 0 (the CSN snapshot check is gone)
   int64_t refuse_dead = 0;        // transaction not alive at prepare
   // Commit attempts that commit certification blocked. Each blocked
   // attempt counts once: the waiting subtransaction commits when it heads
@@ -67,7 +67,9 @@ struct Metrics {
   trace::Histogram latency_hist;
 
   // CGM baseline specifics.
-  int64_t cgm_graph_rejections = 0;   // commit-graph loop refusals
+  // Commit-graph admissions that found a loop and waited for it to clear
+  // (the name predates the wait; none is refused).
+  int64_t cgm_graph_rejections = 0;
   int64_t cgm_lock_timeouts = 0;      // global lock waits that timed out
 
   // Paxos Commit (consensus subsystem).

@@ -139,7 +139,8 @@ bool CommandExecutor::RefusedByDlu(const ItemId& item) {
   // subtransaction may need to resubmit, so a wait can only end in a
   // timeout.
   ++ltm_->stats_.dlu_rejections;
-  FailAndAbort(Status::Rejected("DLU: item is bound to a prepared transaction"));
+  FailAndAbort(
+      Status::Rejected("DLU: item is bound to a prepared transaction"));
   return true;
 }
 

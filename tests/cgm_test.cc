@@ -189,11 +189,12 @@ TEST_F(CgmSystemTest, LoopedAdmissionWaitsForTheFinishedTransaction) {
   std::vector<sim::Time> done_at;
   std::vector<Status> status;
   for (int64_t key = 1; key <= 3; ++key) {
-    cgm_->Submit(TwoSiteTxn(0, 1, key), [&, key](const core::GlobalTxnResult& r) {
-      order.push_back(key);
-      done_at.push_back(loop_.Now());
-      status.push_back(r.status);
-    });
+    cgm_->Submit(TwoSiteTxn(0, 1, key),
+                 [&, key](const core::GlobalTxnResult& r) {
+                   order.push_back(key);
+                   done_at.push_back(loop_.Now());
+                   status.push_back(r.status);
+                 });
   }
   loop_.Run();
   ASSERT_EQ(order, (std::vector<int64_t>{1, 2, 3}));

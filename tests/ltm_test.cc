@@ -277,7 +277,7 @@ TEST_F(LtmTest, ClearBindingsDropsEveryCount) {
 // command or held it from an earlier one: releasing a lock from an earlier
 // command would let a writer in between its reads, and waiting would keep
 // a lock the prepared subtransaction may need to resubmit.
-TEST_F(LtmTest, DluBackOutKeepsALockOfAnEarlierCommand) {
+TEST_F(LtmTest, DluRefusesUpdatesWhoseLockCameAfterTheBinding) {
   Build();
   const ItemId item{0, table_, 2};
   const LtmTxnHandle reader = Begin(1);  // reads, then updates the item

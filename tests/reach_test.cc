@@ -236,7 +236,7 @@ TEST_F(ReachTest, PaxosCoordinatorMissingAVoteResolvesAtOnce) {
   EXPECT_EQ(Val(1, 1), 1);
 }
 
-// --- shard handoff ------------------------------------------------------------
+// --- shard handoff ------------------------------------------------------
 
 TEST_F(ReachTest, DmlForAKeyWhoseShardMovedIsRefused) {
   // A subtransaction opened before an add-site handoff (it had no commands,

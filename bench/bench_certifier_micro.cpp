@@ -194,17 +194,6 @@ void BM_TracerDisabledGuard(benchmark::State& state) {
 }
 BENCHMARK(BM_TracerDisabledGuard);
 
-void BM_TracerExportJsonl(benchmark::State& state) {
-  sim::EventLoop loop;
-  trace::Tracer tracer(&loop);
-  for (int i = 0; i < state.range(0); ++i) tracer.Record(MakeCertEvent());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tracer.ToJsonl());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TracerExportJsonl)->Arg(64)->Arg(1024);
-
 }  // namespace
 }  // namespace hermes
 

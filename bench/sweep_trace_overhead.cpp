@@ -17,9 +17,9 @@
 //  * committed and aborted counts are identical across all three modes
 //    for every (size, seed) — tracing, whatever the sampling rate, must
 //    never perturb the simulation;
-//  * the critical-path reports computed from the JSONL export and from
-//    the binary export of the same capture are byte-identical — the two
-//    formats are interchangeable encodings of the same events;
+//  * the critical-path report folded live from the tracer and the one
+//    from its decoded binary export are byte-identical — the export
+//    carries every event the analyses read;
 //  * a serial and a 2-worker RunAll over binary-traced specs produce
 //    byte-identical fingerprints and byte-identical MergeBinaryTraces
 //    outputs;
@@ -77,7 +77,7 @@ struct TimedRun {
   trace::TracerStats stats;   // tracer counters (traced modes)
   std::string capture;        // export bytes (traced modes)
   double wall_ms = 0.0;       // best-of-repeats Driver::Run wall time
-  double export_ms = 0.0;     // best-of-repeats ToJsonl/ToBinary time
+  double export_ms = 0.0;     // best-of-repeats ToBinary time
 };
 
 double Ms(std::chrono::steady_clock::duration d) {
@@ -147,13 +147,6 @@ double PairedOverheadPct(const OverheadMode& off, const OverheadMode& traced,
                             ? ratios[n / 2]
                             : (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0;
   return (median - 1.0) * 100.0;
-}
-
-bool WriteFile(const std::string& path, const std::string& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  return std::fclose(f) == 0 && written == bytes.size();
 }
 
 }  // namespace
@@ -270,38 +263,38 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
     }
   }
 
-  // Format interchangeability: for the first seed of every size, the
-  // critical-path reports from the JSONL export and from the binary
-  // export of one capture must be byte-identical.
-  bool formats_agree = true;
+  // Export round trip: for the first seed of every size, the
+  // critical-path report folded live from the tracer must be
+  // byte-identical to the one from its decoded binary export.
+  bool export_agrees = true;
   for (int txns : sizes) {
     workload::WorkloadConfig config = OverheadConfig(7100, txns);
     trace::Tracer tracer;
     config.tracer = &tracer;
     workload::Driver::Run(config);
-    Result<std::vector<trace::Event>> jp =
-        trace::ParseJsonl(tracer.ToJsonl());
-    Result<std::vector<trace::Event>> bp =
+    Result<std::vector<trace::Event>> decoded =
         trace::ParseBinary(tracer.ToBinary());
-    if (!jp.ok() || !bp.ok()) {
+    if (!decoded.ok()) {
       std::fprintf(stderr, "export parse (%d txns): %s\n", txns,
-                   (jp.ok() ? bp : jp).status().ToString().c_str());
-      formats_agree = false;
+                   decoded.status().ToString().c_str());
+      export_agrees = false;
       continue;
     }
-    const std::string from_jsonl =
-        trace::AnalyzeCriticalPath(trace::BuildSpanForest(*jp)).ToString();
-    const std::string from_binary =
-        trace::AnalyzeCriticalPath(trace::BuildSpanForest(*bp)).ToString();
-    if (from_jsonl != from_binary) {
-      formats_agree = false;
+    const std::string live =
+        trace::AnalyzeCriticalPath(trace::BuildSpanForest(tracer)).ToString();
+    const std::string from_export =
+        trace::AnalyzeCriticalPath(trace::BuildSpanForest(*decoded))
+            .ToString();
+    if (live != from_export) {
+      export_agrees = false;
       std::fprintf(stderr,
-                   "format divergence (%d txns): critical-path report "
-                   "differs between the JSONL and binary exports\n",
+                   "export divergence (%d txns): critical-path report "
+                   "differs between the live tracer and its binary "
+                   "export\n",
                    txns);
     }
   }
-  all_ok = all_ok && formats_agree;
+  all_ok = all_ok && export_agrees;
 
   // Determinism sub-grid: binary-traced specs through RunAll serially and
   // on 2 workers — per-run fingerprints and the deterministic multi-run
@@ -405,11 +398,11 @@ int RunTraceOverheadSweep(const SweepArgs& args) {
                              args.workers, table, agg);
   std::printf(
       "\nExpected shape: all three modes decide the same transactions on "
-      "every\nseed (tracing never perturbs the run), the JSONL and binary "
-      "exports\nyield byte-identical critical-path reports, and at the "
-      "largest cell the\nbinary tracer costs %.2f%% wall time (median of "
-      "paired runs; budget\n5%%%s). Determinism sub-grid incl. merged "
-      "binary trace: %s.\n",
+      "every\nseed (tracing never perturbs the run), the live tracer and "
+      "its binary\nexport yield byte-identical critical-path reports, and "
+      "at the largest\ncell the binary tracer costs %.2f%% wall time "
+      "(median of paired runs;\nbudget 5%%%s). Determinism sub-grid incl. "
+      "merged binary trace: %s.\n",
       binary_overhead_at_largest,
       args.quick ? ", gated in full mode only" : ", gated",
       deterministic ? "byte-identical" : "DIVERGED");

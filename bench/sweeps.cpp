@@ -89,6 +89,13 @@ Result<DeterminismRuns> RunDeterminismGrid(
   return runs;
 }
 
+bool WriteFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  return std::fclose(f) == 0 && written == bytes.size();
+}
+
 bool WriteTraceArtifacts(const std::string& path,
                          const runner::RunOutput& run) {
   const Result<std::vector<trace::Event>> events =
@@ -98,19 +105,9 @@ bool WriteTraceArtifacts(const std::string& path,
                  events.status().message().c_str());
     return false;
   }
-  std::string jsonl;
-  for (const trace::Event& e : *events) {
-    e.AppendJson(jsonl);
-    jsonl += '\n';
-  }
-  const auto write = [](const std::string& p, const std::string& text) {
-    std::FILE* f = std::fopen(p.c_str(), "w");
-    if (f == nullptr) return false;
-    const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-    return std::fclose(f) == 0 && written == text.size();
-  };
   const std::string prom_path = StrCat(path, ".prom");
-  if (!write(path, jsonl) || !write(prom_path, run.result.PrometheusText())) {
+  if (!WriteFile(path, run.trace_binary) ||
+      !WriteFile(prom_path, run.result.PrometheusText())) {
     std::fprintf(stderr, "trace export: could not write %s or %s\n",
                  path.c_str(), prom_path.c_str());
     return false;

@@ -28,11 +28,11 @@ struct SweepArgs {
   int workers = 1;
   // Reduced grid (fewer seeds / shorter runs) for CI smoke jobs.
   bool quick = false;
-  // When non-empty, the sweep writes one representative run's trace here
-  // plus a Prometheus dump at `<trace_out>.prom`, ready for
-  // `tmstat <trace_out>`. The file is JSONL decoded from the run's binary
-  // capture (E20 writes its merged binary trace as is). Only the sweeps
-  // marked `exports_trace` in kSweeps accept it.
+  // When non-empty, the sweep writes one representative run's binary
+  // trace here (the run's capture as is; E20 writes its merged multi-run
+  // trace) plus a Prometheus dump at `<trace_out>.prom`, ready for
+  // `tmstat <trace_out>`. Only the sweeps marked `exports_trace` in
+  // kSweeps accept it.
   std::string trace_out;
 };
 
@@ -70,12 +70,15 @@ struct DeterminismRuns {
 Result<DeterminismRuns> RunDeterminismGrid(
     const std::vector<runner::RunSpec>& specs, const char* what);
 
-// The --trace-out export of one traced run: decodes its binary capture
-// and writes it to `path` as JSONL (one Event::AppendJson line per event),
-// and the run's Prometheus metrics text to `<path>.prom`; prints the
-// paths. Returns false, after printing why, when the capture does not
-// decode or a file cannot be written — the sweep then exits 1, as for an
-// unwritable BENCH_*.json.
+// Writes `bytes` to `path`; false when the file cannot be written.
+bool WriteFile(const std::string& path, const std::string& bytes);
+
+// The --trace-out export of one traced run: writes its binary capture to
+// `path` byte for byte, and the run's Prometheus metrics text to
+// `<path>.prom`; prints the paths. Returns false, after printing why, when
+// the capture does not decode under the strict trace::ParseBinary or a
+// file cannot be written — the sweep then exits 1, as for an unwritable
+// BENCH_*.json.
 bool WriteTraceArtifacts(const std::string& path,
                          const runner::RunOutput& run);
 

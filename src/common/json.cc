@@ -69,17 +69,6 @@ bool Reader::TryExpect(char c) {
   return false;
 }
 
-bool Reader::Key(std::string_view name) {
-  const size_t start = pos_;
-  std::string got;
-  if (!String(got)) return false;
-  if (got != name) {
-    pos_ = start;
-    return Fail(StrCat("expected key \"", name, "\", got \"", got, "\""));
-  }
-  return Expect(':');
-}
-
 bool Reader::String(std::string& out) {
   if (!Expect('"')) return false;
   out.clear();
@@ -144,35 +133,6 @@ bool Reader::BadInt(std::string_view token) {
   return Fail(digits ? "integer out of range" : "expected integer");
 }
 
-bool Reader::Bool(bool& out) {
-  SkipSpace();
-  for (const bool value : {true, false}) {
-    const std::string_view word = value ? "true" : "false";
-    if (in_.substr(pos_, word.size()) == word) {
-      pos_ += word.size();
-      out = value;
-      return true;
-    }
-  }
-  return Fail("expected boolean");
-}
-
-bool Reader::Double(double& out) {
-  SkipSpace();
-  const size_t start = pos_;
-  while (pos_ < in_.size() &&
-         std::string_view("0123456789.eE+-").find(in_[pos_]) !=
-             std::string_view::npos) {
-    ++pos_;
-  }
-  const char* first = in_.data() + start;
-  const char* last = in_.data() + pos_;
-  const auto [ptr, ec] = std::from_chars(first, last, out);
-  if (ec == std::errc() && ptr == last) return true;
-  pos_ = start;
-  return Fail("expected number");
-}
-
 bool Reader::End() {
   SkipSpace();
   return pos_ == in_.size() || Fail("trailing characters");
@@ -199,20 +159,11 @@ void Reader::SkipSpace() {
   }
 }
 
-bool Array(Reader& in, const std::function<bool()>& element) {
-  if (!in.Expect('[')) return false;
-  if (in.TryExpect(']')) return true;
-  do {
-    if (!element()) return false;
-  } while (in.TryExpect(','));
-  return in.Expect(']');
-}
-
 bool Object(Reader& in, std::initializer_list<std::string_view> required,
             const std::function<bool(const std::string& key)>& field,
             std::vector<std::string>* seen) {
   std::vector<std::string> keys;
-  keys.reserve(16);  // a trace or fault-plan line has at most 13 keys
+  keys.reserve(16);  // a fault-plan line has at most 9 keys
   if (!in.Expect('{')) return false;
   if (!in.TryExpect('}')) {
     do {

@@ -1,10 +1,10 @@
 // The repository's JSON text format, read and written in one place.
 //
-// Every JSON text the repository emits — trace JSONL (trace/trace.h),
-// fault-plan JSONL (fault/fault_plan.h), BENCH_*.json artifacts
-// (runner/aggregate.h) and the Perfetto export — writes its strings and
-// doubles with the Append* writers below, and the three that are read
-// back are parsed with one strict Reader. Strict means: a number is a whole token in its
+// Every JSON text the repository emits — fault-plan JSONL
+// (fault/fault_plan.h), BENCH_*.json artifacts (runner/aggregate.h) and
+// the Perfetto export — writes its strings and doubles with the Append*
+// writers below. The one that is read back, the fault plan, is parsed
+// with a strict Reader. Strict means: a number is a whole token in its
 // field's range (never truncated or wrapped), a string escape is one the
 // writer emits, a flat object repeats no key and omits no required one,
 // and the first error is kept with its byte offset.
@@ -47,15 +47,11 @@ bool ParseInt(std::string_view text, T& out) {
 // "<what> at offset N: <message>".
 class Reader {
  public:
-  // `what` names the input in error messages ("trace jsonl", ...).
+  // `what` names the input in error messages ("fault plan", ...).
   Reader(std::string_view in, std::string_view what) : in_(in), what_(what) {}
 
   // Consumes `c`, or fails.
   bool Expect(char c);
-  // Consumes `c` if it is next; never fails.
-  bool TryExpect(char c);
-  // Consumes `"name":`; any other key fails (fixed-order grammars).
-  bool Key(std::string_view name);
   // Reads a string, unescaping \" \\ \/ \n \t \r and ASCII \uXXXX.
   bool String(std::string& out);
   // Reads an integer token `-?[0-9]+` that fits T.
@@ -64,8 +60,6 @@ class Reader {
     const std::string_view token = IntToken();
     return ParseInt(token, out) || BadInt(token);
   }
-  bool Bool(bool& out);
-  bool Double(double& out);
   // Succeeds when only whitespace is left.
   bool End();
 
@@ -76,6 +70,13 @@ class Reader {
   Status Done(bool ok) const;
 
  private:
+  friend bool Object(Reader& in,
+                     std::initializer_list<std::string_view> required,
+                     const std::function<bool(const std::string& key)>& field,
+                     std::vector<std::string>* seen);
+
+  // Consumes `c` if it is next; never fails.
+  bool TryExpect(char c);
   void SkipSpace();
   // Skips whitespace and consumes `-?[0-9]*`.
   std::string_view IntToken();
@@ -103,9 +104,6 @@ bool Name(Reader& in, const Range& all, const char* (*name_of)(E), E& out,
   }
   return in.Fail(StrCat("unknown ", what, ": ", name));
 }
-
-// Reads `[]` or `[e, e, ...]`, calling `element` to read each e.
-bool Array(Reader& in, const std::function<bool()>& element);
 
 // Walks one flat object `{}` or `{"key": value, ...}`. For each pair,
 // `field(key)` is called with the reader at the value; it reads the

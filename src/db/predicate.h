@@ -48,7 +48,6 @@ class Predicate {
   // the fast path that avoids a table scan.
   std::optional<int64_t> ExactKey() const;
 
-  bool IsTrue() const { return conds_.empty(); }
   const std::vector<Condition>& conditions() const { return conds_; }
 
   std::string ToString() const;

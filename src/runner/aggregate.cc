@@ -1,10 +1,7 @@
 #include "runner/aggregate.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
-#include <limits>
-#include <string_view>
 
 #include "common/json.h"
 #include "common/str.h"
@@ -235,175 +232,6 @@ std::string EncodeBenchArtifact(const BenchArtifact& a) {
     AppendCell(out, a.cells[c]);
   }
   out += a.cells.empty() ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
-}
-
-namespace {
-
-// Recursive-descent parser for the exact grammar EncodeBenchArtifact
-// emits: whitespace-insensitive, but keys must appear in the canonical
-// order and nothing else is accepted (so any unknown key is a parse
-// error by construction). Derived fields (runs, mean, percentiles) are
-// parsed and discarded; Encode recomputes them, which is what makes
-// Encode(Parse(Encode(a))) byte-identical to Encode(a).
-class ArtifactParser {
- public:
-  explicit ArtifactParser(std::string_view in) : in_(in, "bench artifact") {}
-
-  Status Parse(BenchArtifact& out) {
-    return in_.Done(Artifact(out) && in_.End());
-  }
-
- private:
-  bool Artifact(BenchArtifact& out) {
-    if (!in_.Expect('{') || !in_.Key("schema_version") ||
-        !in_.Int(out.schema_version)) {
-      return false;
-    }
-    if (out.schema_version != BenchArtifact::kSchemaVersion) {
-      return in_.Fail(
-          StrCat("unsupported schema_version: ", out.schema_version));
-    }
-    const auto header = [&] { return in_.String(out.headers.emplace_back()); };
-    const auto row = [&] { return Row(out); };
-    const auto cell = [&] { return Cell(out.cells.emplace_back()); };
-    return in_.Expect(',') && in_.Key("bench") && in_.String(out.bench) &&
-           in_.Expect(',') && in_.Key("config") && in_.String(out.config) &&
-           in_.Expect(',') && in_.Key("seed") && in_.Int(out.seed) &&
-           in_.Expect(',') && in_.Key("workers") && in_.Int(out.workers) &&
-           in_.Expect(',') && in_.Key("headers") && json::Array(in_, header) &&
-           in_.Expect(',') && in_.Key("rows") && json::Array(in_, row) &&
-           in_.Expect(',') && in_.Key("cells") && json::Array(in_, cell) &&
-           in_.Expect('}');
-  }
-
-  // One row: the headers, in order, as keys of string values.
-  bool Row(BenchArtifact& out) {
-    std::vector<std::string>& row = out.rows.emplace_back();
-    return json::Object(in_, {}, [&](const std::string& key) {
-      if (row.size() >= out.headers.size() ||
-          key != out.headers[row.size()]) {
-        return in_.Fail(StrCat("row key out of header order: ", key));
-      }
-      return in_.String(row.emplace_back());
-    });
-  }
-
-  bool Cell(CellAggregate& cell) {
-    int64_t runs = 0;  // derived: seeds.size()
-    if (!in_.Expect('{') || !in_.Key("cell") || !in_.String(cell.cell) ||
-        !in_.Expect(',') || !in_.Key("runs") || !in_.Int(runs) ||
-        !in_.Expect(',') || !in_.Key("seeds") ||
-        !json::Array(in_, [&] { return in_.Int(cell.seeds.emplace_back()); })) {
-      return false;
-    }
-    if (runs != static_cast<int64_t>(cell.seeds.size())) {
-      return in_.Fail("runs does not match seeds length");
-    }
-    if (!in_.Expect(',') || !in_.Key("stats") ||
-        !json::Object(in_, {},
-                      [&](const std::string& name) {
-                        return ReadStat(
-                            cell.stats.emplace_back(name, Stat{}).second);
-                      }) ||
-        !in_.Expect(',') || !in_.Key("latency_us") || !Latency(cell)) {
-      return false;
-    }
-    if (in_.TryExpect(',') && (!in_.Key("series") || !Series(cell))) {
-      return false;  // the series key is optional, and last
-    }
-    return in_.Expect('}');
-  }
-
-  bool Series(CellAggregate& cell) {
-    trace::TimeSeries& series = cell.series;
-    if (!in_.Expect('{') || !in_.Key("window_us") ||
-        !in_.Int(series.window_us)) {
-      return false;
-    }
-    if (series.window_us <= 0) return in_.Fail("bad series window_us");
-    if (!in_.Expect(',') || !in_.Key("windows") ||
-        !json::Array(in_, [&] {
-          trace::TimeSeries::Window& w = series.windows.emplace_back();
-          return in_.Expect('[') && in_.Int(w.begun) && in_.Expect(',') &&
-                 in_.Int(w.committed) && in_.Expect(',') &&
-                 in_.Int(w.aborted) && in_.Expect(',') &&
-                 in_.Int(w.refusals) && in_.Expect(',') &&
-                 in_.Int(w.resubmissions) && in_.Expect(',') &&
-                 in_.Int(w.max_in_flight) && in_.Expect(',') &&
-                 in_.Int(w.max_prepared) && in_.Expect(']');
-        })) {
-      return false;
-    }
-    // The encoder omits empty series entirely, so one window is the
-    // grammar's minimum — and the empty-vs-absent ambiguity never arises.
-    if (series.windows.empty()) return in_.Fail("series without windows");
-    return in_.Expect('}');
-  }
-
-  bool ReadStat(Stat& stat) {
-    double mean = 0;  // derived: sum / count
-    return in_.Expect('{') && in_.Key("count") && Count(stat.count) &&
-           in_.Expect(',') && in_.Key("sum") && in_.Double(stat.sum) &&
-           in_.Expect(',') && in_.Key("mean") && in_.Double(mean) &&
-           in_.Expect(',') && in_.Key("min") && in_.Double(stat.min) &&
-           in_.Expect(',') && in_.Key("max") && in_.Double(stat.max) &&
-           in_.Expect('}');
-  }
-
-  bool Latency(CellAggregate& cell) {
-    // count and the percentiles are derived from the buckets; min/max are
-    // carried explicitly because buckets only bound them.
-    int64_t count = 0, min = 0, max = 0, p = 0, total = 0;
-    std::array<int64_t, trace::Histogram::kBuckets> buckets{};
-    const auto bucket = [&] {
-      int64_t index = 0, n = 0;
-      if (!in_.Expect('[') || !in_.Int(index) || !in_.Expect(',') ||
-          !Count(n) || !in_.Expect(']')) {
-        return false;
-      }
-      if (index < 0 || index >= trace::Histogram::kBuckets) {
-        return in_.Fail(StrCat("bucket index out of range: ", index));
-      }
-      if (n > std::numeric_limits<int64_t>::max() - total) {
-        return in_.Fail("bucket counts overflow");
-      }
-      total += n;
-      buckets[static_cast<size_t>(index)] = n;
-      return true;
-    };
-    if (!in_.Expect('{') || !in_.Key("count") || !in_.Int(count) ||
-        !in_.Expect(',') || !in_.Key("min") || !in_.Int(min) ||
-        !in_.Expect(',') || !in_.Key("max") || !in_.Int(max) ||
-        !in_.Expect(',') || !in_.Key("p50") || !in_.Int(p) ||
-        !in_.Expect(',') || !in_.Key("p95") || !in_.Int(p) ||
-        !in_.Expect(',') || !in_.Key("p99") || !in_.Int(p) ||
-        !in_.Expect(',') || !in_.Key("buckets") ||
-        !json::Array(in_, bucket) || !in_.Expect('}')) {
-      return false;
-    }
-    cell.latency = trace::Histogram::FromParts(buckets, min, max);
-    if (cell.latency.count() != count) {
-      return in_.Fail("latency count does not match bucket sum");
-    }
-    return true;
-  }
-
-  // A number of occurrences: an integer that cannot be negative.
-  bool Count(int64_t& out) {
-    return in_.Int(out) && (out >= 0 || in_.Fail("negative count"));
-  }
-
-  json::Reader in_;
-};
-
-}  // namespace
-
-Result<BenchArtifact> ParseBenchArtifact(const std::string& json) {
-  BenchArtifact out;
-  ArtifactParser parser(json);
-  Status s = parser.Parse(out);
-  if (!s.ok()) return s;
   return out;
 }
 

@@ -8,9 +8,9 @@
 // and associative — aggregate order cannot change the result.
 //
 // The consolidated `BENCH_<name>.json` artifact (schema_version 2) carries
-// the printed table plus the full per-cell aggregates, and round-trips
-// through ParseBenchArtifact: Encode(Parse(Encode(a))) == Encode(a)
-// byte-for-byte. The schema is documented in docs/FORMATS.md.
+// the printed table plus the full per-cell aggregates. It is write-only:
+// no program reads it back (CI loads every artifact with Python's json
+// module). The schema is documented in docs/FORMATS.md.
 
 #ifndef HERMES_RUNNER_AGGREGATE_H_
 #define HERMES_RUNNER_AGGREGATE_H_
@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "trace/histogram.h"
 #include "workload/driver.h"
 
@@ -96,13 +95,6 @@ struct BenchArtifact {
 // Deterministic JSON encoding (fixed field order, shortest round-tripping
 // double representation).
 std::string EncodeBenchArtifact(const BenchArtifact& artifact);
-
-// Parses an artifact produced by EncodeBenchArtifact. Unknown keys are
-// rejected. Derived fields are consistency-checked where cheap (runs vs
-// seeds, latency count vs bucket sum) and otherwise discarded — Encode
-// recomputes them, which is what makes Encode(Parse(Encode(a)))
-// byte-identical to Encode(a).
-Result<BenchArtifact> ParseBenchArtifact(const std::string& json);
 
 // Writes `BENCH_<bench>.json` into the current directory and prints the
 // artifact path. Returns false on I/O failure.

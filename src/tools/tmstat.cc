@@ -1,9 +1,7 @@
 // tmstat — offline trace analysis for hermes runs.
 //
-// Reads a trace file — JSONL or the binary ring-buffer format, detected
-// by the "HTRB" magic bytes (bench_suite --only=<sweep> --trace-out
-// writes JSONL, or E20's merged binary trace; a program can save
-// Tracer::ToJsonl or ToBinary) — and prints
+// Reads a binary trace (magic "HTRB": what bench_suite --only=<sweep>
+// --trace-out writes, or a program's Tracer::ToBinary) and prints
 // reports read from one fold of it, the causal span forest, or from the
 // parsed events: per-transaction timelines, the 2PC critical-path phase
 // breakdown, prepared blocking-window statistics, certification refusal
@@ -12,16 +10,17 @@
 // file at https://ui.perfetto.dev).
 //
 // Usage:
-//   tmstat <trace.{jsonl,bin}>
+//   tmstat <trace.bin>
 //          [--report=summary|timeline|spans|critical-path|
 //                    blocking|refusals|resubmissions|timeseries|all]
 //          [--txn=G0.1] [--window-ms=N] [--perfetto=OUT.trace.json]
 //
-// Parsing is lenient: unknown event kinds, truncated trailing lines and
-// binary files cut mid-record are skipped with a counted warning instead
-// of aborting the report — but the exit code is then nonzero (1) and a
-// recovery count is printed, so pipelines cannot mistake a partially-read
-// trace for a complete one.
+// Parsing is lenient: a file cut mid-record yields its whole records and
+// undecodable records are skipped, instead of aborting the report — but
+// the exit code is then nonzero (1) and one line gives the recovered
+// record count, so pipelines cannot mistake a partially-read trace for a
+// complete one. A file that is not a binary trace (no magic) takes the
+// same path with nothing recovered.
 
 #include <algorithm>
 #include <cstdio>
@@ -46,7 +45,7 @@ using namespace hermes;  // NOLINT: single-file CLI
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: tmstat <trace.{jsonl,bin}> [--report=summary|timeline|spans|\n"
+      "usage: tmstat <trace.bin> [--report=summary|timeline|spans|\n"
       "               critical-path|blocking|refusals|resubmissions|\n"
       "               timeseries|all]\n"
       "              [--txn=G0.1] [--window-ms=N]\n"
@@ -70,6 +69,25 @@ bool WriteFile(const std::string& path, const std::string& text) {
   if (f == nullptr) return false;
   const size_t written = std::fwrite(text.data(), 1, text.size(), f);
   return std::fclose(f) == 0 && written == text.size();
+}
+
+// One event of a --txn timeline: its time, kind and the fields it sets.
+std::string EventLine(const trace::Event& e) {
+  std::string line =
+      StrCat("t=", e.at, " ", trace::EventKindName(e.kind), " site=", e.site);
+  if (e.peer != kInvalidSite) StrAppend(line, " peer=", e.peer);
+  if (e.resubmission >= 0) StrAppend(line, " resub=", e.resubmission);
+  if (e.value >= 0) StrAppend(line, " value=", e.value);
+  if (e.sn.valid()) StrAppend(line, " ", e.sn.ToString());
+  if (e.refuse != trace::RefuseKind::kNone) {
+    StrAppend(line, " refuse=", trace::RefuseKindName(e.refuse));
+  }
+  StrAppend(line, e.ok ? " ok" : " not-ok");
+  if (!e.related.empty()) {
+    StrAppend(line, " related=", trace::EncodeRelated(e.related));
+  }
+  if (!e.detail.empty()) StrAppend(line, " (", e.detail, ")");
+  return line;
 }
 
 void Section(const char* title) {
@@ -195,7 +213,7 @@ void PrintTimeline(const Options& opt, const trace::SpanForest& forest,
     }
     std::printf("%s\n", line.c_str());
     for (const trace::Event& e : events) {
-      if (e.txn == *id) std::printf("  %s\n", e.ToJson().c_str());
+      if (e.txn == *id) std::printf("  %s\n", EventLine(e).c_str());
     }
     return;
   }
@@ -406,57 +424,28 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tmstat: cannot read %s\n", opt.path.c_str());
     return 1;
   }
-  std::vector<trace::Event> events;
-  bool partial = false;
-  if (trace::IsBinaryTrace(text)) {
-    trace::BinaryParse parsed = trace::ParseBinaryLenient(text);
-    partial = parsed.damaged();
-    if (partial) {
-      // One line with the whole-records-recovered count: fixed-width
-      // records make the loss exact, and pipelines get exit code 1.
-      std::fprintf(stderr,
-                   "tmstat: damaged binary trace: %lld of %lld whole "
-                   "record(s) recovered (%s) — reports reflect partial "
-                   "data\n",
-                   static_cast<long long>(parsed.events.size()),
-                   static_cast<long long>(parsed.records_declared),
-                   parsed.warnings.empty() ? "no detail"
-                                           : parsed.warnings.front().c_str());
-    }
-    if (parsed.dropped > 0 || parsed.sampled_out > 0) {
-      std::fprintf(stderr,
-                   "tmstat: note: capture dropped %lld record(s) to ring "
-                   "overflow, sampled out %lld\n",
-                   static_cast<long long>(parsed.dropped),
-                   static_cast<long long>(parsed.sampled_out));
-    }
-    events = std::move(parsed.events);
-  } else {
-    trace::LenientParse parsed = trace::ParseJsonlLenient(text);
-    partial = parsed.skipped_lines > 0;
-    if (partial) {
-      // Per-line accounting: every non-empty input line either became an
-      // event or was skipped; spell both counts out so the reports below
-      // are unmistakably partial.
-      const int64_t total_lines =
-          static_cast<int64_t>(parsed.events.size()) + parsed.skipped_lines;
-      std::fprintf(stderr,
-                   "tmstat: %lld line(s) total: %lld parsed, %lld skipped — "
-                   "reports reflect partial data\n",
-                   static_cast<long long>(total_lines),
-                   static_cast<long long>(parsed.events.size()),
-                   static_cast<long long>(parsed.skipped_lines));
-      for (const std::string& w : parsed.warnings) {
-        std::fprintf(stderr, "tmstat:   %s\n", w.c_str());
-      }
-      if (parsed.skipped_lines >
-          static_cast<int64_t>(parsed.warnings.size())) {
-        std::fprintf(stderr,
-                     "tmstat:   (further skip reasons suppressed)\n");
-      }
-    }
-    events = std::move(parsed.events);
+  trace::BinaryParse parsed = trace::ParseBinaryLenient(text);
+  const bool partial = parsed.damaged();
+  if (partial) {
+    // One line with the whole-records-recovered count: fixed-width
+    // records make the loss exact, and pipelines get exit code 1.
+    std::fprintf(stderr,
+                 "tmstat: damaged binary trace: %lld of %lld whole "
+                 "record(s) recovered (%s) — reports reflect partial "
+                 "data\n",
+                 static_cast<long long>(parsed.events.size()),
+                 static_cast<long long>(parsed.records_declared),
+                 parsed.warnings.empty() ? "no detail"
+                                         : parsed.warnings.front().c_str());
   }
+  if (parsed.dropped > 0 || parsed.sampled_out > 0) {
+    std::fprintf(stderr,
+                 "tmstat: note: capture dropped %lld record(s) to ring "
+                 "overflow, sampled out %lld\n",
+                 static_cast<long long>(parsed.dropped),
+                 static_cast<long long>(parsed.sampled_out));
+  }
+  const std::vector<trace::Event> events = std::move(parsed.events);
 
   const trace::SpanForest forest = trace::BuildSpanForest(events);
   const trace::CriticalPathReport cp = trace::AnalyzeCriticalPath(forest);
@@ -485,6 +474,6 @@ int main(int argc, char** argv) {
   }
   // Partial input is a failure even though the reports were printed:
   // callers scripting tmstat must not trust stats folded from a trace
-  // with unparseable lines or records.
+  // with unparseable records.
   return partial ? 1 : 0;
 }

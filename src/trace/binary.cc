@@ -37,13 +37,13 @@ int32_t GetI32(const uint8_t* p) { return static_cast<int32_t>(GetU32(p)); }
 constexpr size_t kNumEventKinds = std::size(kAllEventKinds);
 constexpr size_t kNumRefuseKinds = std::size(kAllRefuseKinds);
 
-}  // namespace
-
 bool IsBinaryTrace(std::string_view data) {
   return data.size() >= sizeof(kBinaryTraceMagic) &&
          std::memcmp(data.data(), kBinaryTraceMagic,
                      sizeof(kBinaryTraceMagic)) == 0;
 }
+
+}  // namespace
 
 uint32_t StringInterner::Intern(std::string_view s) {
   if (s.empty()) return 0;
@@ -105,6 +105,16 @@ void EncodeBinaryRecord(const Event& e, uint32_t detail_id,
   out[78] = static_cast<uint8_t>((e.ok ? 1u : 0u) |
                                  (static_cast<uint8_t>(e.txn.kind) << 1));
   out[79] = 0;
+}
+
+std::pair<uint32_t, uint32_t> RecordStringIds(const uint8_t* record) {
+  return {GetU32(record + 68), GetU32(record + 72)};
+}
+
+void SetRecordStringIds(uint8_t* record, uint32_t detail_id,
+                        uint32_t related_id) {
+  PutU32(record + 68, detail_id);
+  PutU32(record + 72, related_id);
 }
 
 Status DecodeBinaryRecord(const uint8_t* in,

@@ -24,8 +24,8 @@
 // mid-record yields exactly the whole records before the cut, with the
 // header's declared count spelling out how many were lost. Encoding is
 // deterministic (dictionary ids follow first use in record order), so the
-// binary export of a seeded run is byte-identical across replays — the
-// same golden-file property the JSONL export has.
+// binary export of a seeded run is byte-identical across replays, which
+// makes it fit for golden files and cross-run diffs.
 
 #ifndef HERMES_TRACE_BINARY_H_
 #define HERMES_TRACE_BINARY_H_
@@ -34,6 +34,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "trace/trace.h"
@@ -44,10 +45,6 @@ inline constexpr char kBinaryTraceMagic[4] = {'H', 'T', 'R', 'B'};
 inline constexpr uint8_t kBinaryTraceVersion = 1;
 inline constexpr size_t kBinaryHeaderSize = 40;
 inline constexpr size_t kBinaryRecordSize = 80;
-
-// True when `data` starts with the binary trace magic — the format
-// auto-detection tmstat uses before parsing.
-bool IsBinaryTrace(std::string_view data);
 
 // Interns strings into dense ids. Id 0 is always the empty string;
 // non-empty strings get ids 1.. in first-appearance order, which makes the
@@ -78,6 +75,12 @@ Result<std::vector<TxnId>> DecodeRelated(const std::string& text);
 void EncodeBinaryRecord(const Event& e, uint32_t detail_id,
                         uint32_t related_id, uint8_t* out);
 
+// The dictionary ids of a record's detail and related fields, and their
+// in-place rewrite — what the ring needs to re-intern its dictionary.
+std::pair<uint32_t, uint32_t> RecordStringIds(const uint8_t* record);
+void SetRecordStringIds(uint8_t* record, uint32_t detail_id,
+                        uint32_t related_id);
+
 // Decodes one record. `dict` is indexed by id with dict[0] == "". Fails on
 // an out-of-range kind/refuse byte or dictionary id (a corrupt record).
 Status DecodeBinaryRecord(const uint8_t* in,
@@ -105,8 +108,8 @@ class BinaryTraceWriter {
 
 // Lenient parse for traces of unknown provenance (analysis tools): a
 // truncated tail yields the whole records before the cut, undecodable
-// records are skipped and counted. Mirrors ParseJsonlLenient: unless the
-// file is truncated, events.size() + skipped_records is records_declared.
+// records are skipped and counted: unless the file is truncated,
+// events.size() + skipped_records is records_declared.
 struct BinaryParse {
   static constexpr size_t kMaxWarnings = 10;
 

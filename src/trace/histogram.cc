@@ -21,18 +21,6 @@ void Histogram::Add(int64_t value) {
   ++count_;
 }
 
-Histogram Histogram::FromParts(const std::array<int64_t, kBuckets>& buckets,
-                               int64_t min, int64_t max) {
-  Histogram h;
-  h.buckets_ = buckets;
-  for (int64_t b : buckets) h.count_ += b;
-  if (h.count_ > 0) {
-    h.min_ = min;
-    h.max_ = max;
-  }
-  return h;
-}
-
 void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) return;
   for (int i = 0; i < kBuckets; ++i) {

@@ -26,12 +26,6 @@ class Histogram {
   void Merge(const Histogram& other);
   void Clear() { *this = Histogram(); }
 
-  // Reconstructs a histogram from its serialized parts (the consolidated
-  // benchmark artifacts store buckets + observed min/max). The count is the
-  // bucket sum; an all-zero bucket array yields an empty histogram.
-  static Histogram FromParts(const std::array<int64_t, kBuckets>& buckets,
-                             int64_t min, int64_t max);
-
   int64_t count() const { return count_; }
   int64_t min() const { return count_ == 0 ? 0 : min_; }
   int64_t max() const { return max_; }

@@ -11,9 +11,12 @@
 // oldest record is overwritten and counted: memory is bounded by
 // construction and the trace degrades to a sliding window over the tail
 // of the run — with the drop count carried in the serialized header so no
-// truncation is ever silent. Dictionary entries are never
-// evicted (detail strings are drawn from small fixed vocabularies), so a
-// surviving record can always resolve its string ids.
+// truncation is ever silent. The string dictionary is bounded too:
+// details (Status messages) and related lists are mostly unique, so after
+// every `capacity` overwrites the ring re-interns only the strings the
+// held records reference and rewrites their ids. That costs amortized
+// O(1) per append, never runs before the first wrap, and holds the
+// dictionary to at most 4 x capacity entries.
 
 #ifndef HERMES_TRACE_RING_H_
 #define HERMES_TRACE_RING_H_
@@ -47,6 +50,8 @@ class TraceRing {
   size_t allocated() const { return allocated_; }
   // Records evicted by overflow since construction/Clear.
   int64_t dropped() const { return dropped_; }
+  // Strings in the dictionary (<= 4 x capacity).
+  size_t dictionary_size() const { return interner_.entries().size(); }
 
   // Visits the held records oldest -> newest, decoded back into Events.
   void ForEach(const std::function<void(const Event&)>& fn) const;
@@ -62,6 +67,8 @@ class TraceRing {
  private:
   // Start of physical slot `slot` (< allocated_).
   uint8_t* Slot(size_t slot) const;
+  // Re-interns the strings the held records reference, dropping the rest.
+  void RebuildDictionary();
 
   size_t capacity_;
   std::vector<std::unique_ptr<uint8_t[]>> blocks_;

@@ -121,12 +121,12 @@ class SpanForestBuilder : public EventFold {
 };
 
 // Folds a flat event stream (as recorded by Tracer or parsed back from
-// JSONL) into the span forest. Events without a valid global transaction
+// its binary export) into the span forest. Events without a valid global transaction
 // id contribute only to trace_end.
 SpanForest BuildSpanForest(const std::vector<Event>& events);
 
 // Streams the tracer's stored events into the forest
-// without materializing a vector or a JSONL string.
+// without materializing a vector.
 SpanForest BuildSpanForest(const Tracer& tracer);
 
 }  // namespace hermes::trace

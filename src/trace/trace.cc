@@ -139,67 +139,6 @@ Result<TxnId> DecodeTxnId(const std::string& text) {
                         : TxnId::MakeLocal(site, seq);
 }
 
-std::string EncodeSerialNumber(const core::SerialNumber& sn) {
-  if (!sn.valid()) return "-";
-  return StrCat(sn.clock, "/", sn.coordinator, "/", sn.seq);
-}
-
-Result<core::SerialNumber> DecodeSerialNumber(const std::string& text) {
-  if (text == "-") return core::SerialNumber{};
-  const std::string_view view(text);
-  const size_t a = view.find('/');
-  const size_t b = a == std::string_view::npos ? a : view.find('/', a + 1);
-  core::SerialNumber sn;
-  if (b == std::string_view::npos ||
-      !json::ParseInt(view.substr(0, a), sn.clock) ||
-      !json::ParseInt(view.substr(a + 1, b - a - 1), sn.coordinator) ||
-      !json::ParseInt(view.substr(b + 1), sn.seq)) {
-    return Status::InvalidArgument(StrCat("bad serial number: ", text));
-  }
-  return sn;
-}
-
-std::string Event::ToJson() const {
-  std::string out;
-  out.reserve(96 + detail.size() + 16 * related.size());
-  AppendJson(out);
-  return out;
-}
-
-void Event::AppendJson(std::string& out) const {
-  StrAppend(out, "{\"seq\":", seq, ",\"t\":", at, ",\"kind\":\"",
-            EventKindName(kind), "\"");
-  if (txn.valid()) {
-    out += ",\"txn\":";
-    json::AppendString(out, EncodeTxnId(txn));
-  }
-  if (site != kInvalidSite) StrAppend(out, ",\"site\":", site);
-  if (peer != kInvalidSite) StrAppend(out, ",\"peer\":", peer);
-  if (resubmission >= 0) StrAppend(out, ",\"resub\":", resubmission);
-  if (value >= 0) StrAppend(out, ",\"value\":", value);
-  if (sn.valid()) {
-    out += ",\"sn\":";
-    json::AppendString(out, EncodeSerialNumber(sn));
-  }
-  if (refuse != RefuseKind::kNone) {
-    StrAppend(out, ",\"refuse\":\"", RefuseKindName(refuse), "\"");
-  }
-  StrAppend(out, ",\"ok\":", ok ? "true" : "false");
-  if (!detail.empty()) {
-    out += ",\"detail\":";
-    json::AppendString(out, detail);
-  }
-  if (!related.empty()) {
-    out += ",\"related\":[";
-    for (size_t i = 0; i < related.size(); ++i) {
-      if (i > 0) out += ',';
-      json::AppendString(out, EncodeTxnId(related[i]));
-    }
-    out += ']';
-  }
-  out += '}';
-}
-
 namespace {
 
 // SplitMix64 finisher — a deterministic, platform-independent mixer for
@@ -267,107 +206,8 @@ void Tracer::RemoveFold(EventFold* fold) {
   folds_.erase(std::remove(folds_.begin(), folds_.end(), fold), folds_.end());
 }
 
-std::string Tracer::ToJsonl() const {
-  std::string out;
-  ForEach([&](const Event& e) {
-    e.AppendJson(out);
-    out += '\n';
-  });
-  return out;
-}
-
 std::string Tracer::ToBinary() const {
   return ring_->Serialize(stats_.sampled_out);
-}
-
-// --- JSONL parsing -----------------------------------------------------------
-
-namespace {
-
-// Reads a string holding one encoded txn id.
-bool ReadTxnId(json::Reader& in, TxnId& out) {
-  std::string text;
-  if (!in.String(text)) return false;
-  Result<TxnId> id = DecodeTxnId(text);
-  if (!id.ok()) return in.Fail(id.status().message());
-  out = *id;
-  return true;
-}
-
-// Reads the value of `key` into its Event field.
-bool ReadField(json::Reader& in, const std::string& key, Event& out) {
-  if (key == "seq") return in.Int(out.seq);
-  if (key == "t") return in.Int(out.at);
-  if (key == "site") return in.Int(out.site);
-  if (key == "peer") return in.Int(out.peer);
-  if (key == "resub") return in.Int(out.resubmission);
-  if (key == "value") return in.Int(out.value);
-  if (key == "ok") return in.Bool(out.ok);
-  if (key == "kind") {
-    return json::Name(in, kAllEventKinds, EventKindName, out.kind,
-                      "event kind");
-  }
-  if (key == "refuse") {
-    return json::Name(in, kAllRefuseKinds, RefuseKindName, out.refuse,
-                      "refuse kind");
-  }
-  if (key == "txn") return ReadTxnId(in, out.txn);
-  if (key == "sn") {
-    std::string text;
-    if (!in.String(text)) return false;
-    Result<core::SerialNumber> sn = DecodeSerialNumber(text);
-    if (!sn.ok()) return in.Fail(sn.status().message());
-    out.sn = *sn;
-    return true;
-  }
-  if (key == "detail") return in.String(out.detail);
-  if (key == "related") {
-    return json::Array(in, [&] {
-      TxnId id;
-      if (!ReadTxnId(in, id)) return false;
-      out.related.push_back(id);
-      return true;
-    });
-  }
-  return in.Fail(StrCat("unknown key: ", key));
-}
-
-// Parses one line: a flat object with every key the writer always emits.
-Status ParseLine(std::string_view line, Event& out) {
-  json::Reader in(line, "trace jsonl");
-  const bool ok =
-      json::Object(in, {"seq", "t", "kind", "ok"},
-                   [&](const std::string& key) {
-                     return ReadField(in, key, out);
-                   }) &&
-      in.End();
-  return in.Done(ok);
-}
-
-}  // namespace
-
-LenientParse ParseJsonlLenient(const std::string& text) {
-  LenientParse out;
-  json::ForEachLine(text, [&](size_t line_no, std::string_view line) {
-    Event e;
-    const Status s = ParseLine(line, e);
-    if (s.ok()) {
-      out.events.push_back(std::move(e));
-    } else if (++out.skipped_lines <=
-               static_cast<int64_t>(LenientParse::kMaxWarnings)) {
-      out.warnings.push_back(StrCat("line ", line_no, ": ", s.message()));
-    }
-    return true;
-  });
-  return out;
-}
-
-Result<std::vector<Event>> ParseJsonl(const std::string& text) {
-  LenientParse parsed = ParseJsonlLenient(text);
-  if (parsed.skipped_lines > 0) {
-    return Status::InvalidArgument(parsed.warnings.front());
-  }
-  return std::move(parsed.events);
 }
 
 }  // namespace hermes::trace

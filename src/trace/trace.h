@@ -12,8 +12,8 @@
 // (`if (tracer_ != nullptr)`), cheap enough for the certifier hot paths
 // (measured by bench_certifier_micro). Because all components run on one
 // deterministic EventLoop, two runs with the same seed produce byte-
-// identical traces — the JSONL export is suitable for golden files and for
-// cross-run diffing.
+// identical traces — the binary export (trace/binary.h) is suitable for
+// golden files and for cross-run diffing.
 
 #ifndef HERMES_TRACE_TRACE_H_
 #define HERMES_TRACE_TRACE_H_
@@ -148,9 +148,8 @@ const char* EventKindName(EventKind kind);
 const char* RefuseKindName(RefuseKind kind);
 
 // Every EventKind / RefuseKind value, in declaration order. Shared by the
-// JSONL parser (name -> kind lookup), the binary decoder (range check on
-// the kind byte) and the round-trip tests, so a kind added to the enum but
-// missing here fails loudly in all three places.
+// binary decoder (range check on the kind byte) and the round-trip tests,
+// so a kind added to the enum but missing here fails loudly in both.
 inline constexpr EventKind kAllEventKinds[] = {
     EventKind::kTxnBegin,       EventKind::kStepStart,
     EventKind::kStepEnd,        EventKind::kPrepareSend,
@@ -183,7 +182,7 @@ inline constexpr RefuseKind kAllRefuseKinds[] = {
 
 // One trace record. Only `kind` is always meaningful; the other fields are
 // populated per kind as documented on EventKind. Unset fields keep their
-// defaults and are omitted from the JSONL encoding.
+// defaults.
 struct Event {
   int64_t seq = -1;   // assigned by the Tracer: position in the trace
   sim::Time at = -1;  // virtual time, stamped by the Tracer
@@ -200,12 +199,6 @@ struct Event {
   std::vector<TxnId> related;    // other transactions involved
 
   friend bool operator==(const Event& a, const Event& b) = default;
-
-  // One-line JSON object (no trailing newline). Field order is fixed and
-  // default-valued fields are omitted, so encoding is deterministic.
-  std::string ToJson() const;
-  // Appends ToJson() to `out` without the intermediate allocation.
-  void AppendJson(std::string& out) const;
 };
 
 // A streaming consumer of the event stream as it is recorded. Folds
@@ -219,17 +212,16 @@ class EventFold {
   virtual void Fold(const Event& e) = 0;
 };
 
-// Read by nothing: the harness always stores the binary export. Declared
+// Read by nothing: the binary format is the only trace format. Declared
 // only because perfbench/composed_run.cc still assigns `format`; both go
-// when perfbench next changes (ROADMAP item 6, step 2).
+// when perfbench next changes (ROADMAP item 5, step 2).
 enum class TraceFormat : uint8_t {
-  kJsonl,
   kBinary,
 };
 
 struct TracerOptions {
   // Unused; see TraceFormat.
-  TraceFormat format = TraceFormat::kJsonl;
+  TraceFormat format = TraceFormat::kBinary;
   // Bound of the trace ring in records. The ring grows to it as events
   // arrive; once full, the oldest record is overwritten and counted in
   // stats().dropped — the trace is a sliding window over the tail of the
@@ -291,7 +283,7 @@ class Tracer {
 
   // Visits every stored event in record order, decoding the ring's binary
   // records on the fly — the streaming seam the span/series folds
-  // consume, with no JSONL string ever materialized.
+  // consume.
   void ForEach(const std::function<void(const Event&)>& fn) const;
 
   // Attaches/detaches a streaming fold; attached folds see each stored
@@ -299,9 +291,6 @@ class Tracer {
   // registration.
   void AddFold(EventFold* fold);
   void RemoveFold(EventFold* fold);
-
-  // One JSON object per line, in record order.
-  std::string ToJsonl() const;
 
   // Serializes the stored events to the binary trace format (magic
   // "HTRB"; see docs/FORMATS.md).
@@ -315,33 +304,11 @@ class Tracer {
   std::vector<EventFold*> folds_;
 };
 
-// Parses a JSONL trace produced by Tracer::ToJsonl back into events
-// (round-trip: ParseJsonl(t.ToJsonl()) yields exactly the events
-// t.ForEach visits). Unknown or repeated keys, a missing seq, t, kind or
-// ok, out-of-range numbers and ids with trailing characters are
-// rejected; empty lines are skipped.
-Result<std::vector<Event>> ParseJsonl(const std::string& text);
-
-// Lenient variant for analysis tools reading traces of unknown provenance
-// (newer writers, truncated files): lines that fail the strict parser —
-// unknown event kinds, unknown keys, a trailing line cut mid-object — are
-// skipped and counted instead of failing the whole parse, so
-// events.size() + skipped_lines is the number of non-empty lines. The
-// first few skip reasons are kept for diagnostics.
-struct LenientParse {
-  static constexpr size_t kMaxWarnings = 10;
-
-  std::vector<Event> events;
-  int64_t skipped_lines = 0;
-  std::vector<std::string> warnings;  // at most kMaxWarnings entries
-};
-LenientParse ParseJsonlLenient(const std::string& text);
-
-// Compact encodings used inside the JSONL fields.
+// The text form of a transaction id ("G<site>.<seq>", "L<site>.<seq>",
+// "-" for none): tmstat's --txn flag and reports, and the `related` lists
+// in the binary trace dictionary.
 std::string EncodeTxnId(const TxnId& id);
 Result<TxnId> DecodeTxnId(const std::string& text);
-std::string EncodeSerialNumber(const core::SerialNumber& sn);
-Result<core::SerialNumber> DecodeSerialNumber(const std::string& text);
 
 }  // namespace hermes::trace
 

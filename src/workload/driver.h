@@ -79,13 +79,6 @@ struct RunResult {
                          : static_cast<double>(metrics.global_committed) *
                                sim::kSecond / static_cast<double>(end_time);
   }
-  double GlobalAbortRate() const {
-    const int64_t total =
-        metrics.global_committed + metrics.global_aborted;
-    return total == 0 ? 0.0
-                      : static_cast<double>(metrics.global_aborted) /
-                            static_cast<double>(total);
-  }
 
   std::string Summary() const;
   // Prometheus text exposition of the run's metrics (totals + per-site).

@@ -1,10 +1,13 @@
-// Unit tests for ids, status, string helpers and the seeded RNG.
+// Unit tests for ids, status, string helpers, JSON strings and the seeded
+// RNG.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/ids.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/str.h"
@@ -62,6 +65,30 @@ TEST(Str, CatJoinAppend) {
   std::string s = "x";
   StrAppend(s, "y", 7);
   EXPECT_EQ(s, "xy7");
+}
+
+TEST(Json, StringEscapesRoundTrip) {
+  // Every character the writer escapes reads back as itself.
+  const std::string text =
+      std::string("q\" b\\ n\n t\t r\r bell") + static_cast<char>(7);
+  std::string encoded;
+  json::AppendString(encoded, text);
+  EXPECT_EQ(encoded, R"("q\" b\\ n\n t\t r\r bell\u0007")");
+  json::Reader in(encoded, "test");
+  std::string decoded;
+  ASSERT_TRUE(in.String(decoded));
+  EXPECT_EQ(decoded, text);
+  EXPECT_TRUE(in.End());
+
+  // The reader also takes `\/` and ASCII `\u`, and nothing else.
+  json::Reader other(R"("a\/b\u0041")", "test");
+  ASSERT_TRUE(other.String(decoded));
+  EXPECT_EQ(decoded, "a/bA");
+  for (const char* bad : {R"("\q")", R"("\u00zz")", R"("\u00e9")", R"("\)",
+                          R"("open)"}) {
+    json::Reader r(bad, "test");
+    EXPECT_FALSE(r.String(decoded)) << bad;
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

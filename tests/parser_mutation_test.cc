@@ -1,18 +1,18 @@
-// Robustness of the strict parsers against damaged files: each golden
-// input — a traced run's JSONL and binary exports, a chaos fault plan and
-// a BENCH artifact — is mutated about a thousand times with seeded byte
-// flips, deletions, insertions and truncations. Every parser must return
-// a value or a Status (never crash, hang or read out of bounds; the
-// sanitizer builds run this too), and the lenient parsers must account
-// for every line or record they were given.
+// Robustness of the parsers against damaged files: each golden input —
+// a traced run's binary export and a chaos fault plan — is mutated about
+// a thousand times with seeded byte flips, deletions, insertions and
+// truncations. Every parser must return a value or a Status (never crash,
+// hang or read out of bounds; the sanitizer builds run this too), and the
+// lenient binary parser must account for every record it was given.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "fault/fault_plan.h"
-#include "runner/aggregate.h"
 #include "trace/binary.h"
 #include "trace/trace.h"
 #include "workload/driver.h"
@@ -46,18 +46,6 @@ std::string Mutate(const std::string& golden, Rng& rng) {
   return m;
 }
 
-int64_t NonEmptyLines(const std::string& text) {
-  int64_t lines = 0;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    if (end > start) ++lines;
-    start = end + 1;
-  }
-  return lines;
-}
-
 TEST(ParserMutation, DamagedInputsNeverCrashTheParsers) {
   // Golden inputs, all built here from seeded runs. This small run has
   // certification refusals and resubmissions, so every trace field occurs.
@@ -69,8 +57,7 @@ TEST(ParserMutation, DamagedInputsNeverCrashTheParsers) {
   config.p_prepared_abort = 0.3;
   trace::Tracer tracer;
   config.tracer = &tracer;
-  const workload::RunResult run = workload::Driver::Run(config);
-  const std::string jsonl = tracer.ToJsonl();
+  workload::Driver::Run(config);
   const std::string binary = tracer.ToBinary();
 
   fault::ChaosOptions chaos;
@@ -79,37 +66,20 @@ TEST(ParserMutation, DamagedInputsNeverCrashTheParsers) {
   chaos.reconfigs = 2;
   const std::string plan = fault::GenerateChaosPlan(7, chaos).ToJsonl();
 
-  runner::Aggregator agg;
-  agg.AddRun("first", 6, run);
-  agg.AddRun("second", 7, run);
-  runner::BenchArtifact artifact;
-  artifact.bench = "mutation";
-  artifact.config = "golden \"artifact\"";
-  artifact.seed = 6;
-  artifact.headers = {"cell", "committed"};
-  artifact.rows = {{"first", "8"}, {"second", "8"}};
-  artifact.cells = agg.cells();
-  const std::string bench = runner::EncodeBenchArtifact(artifact);
-
-  // The golden inputs themselves parse.
-  ASSERT_NE(jsonl.find("\"kind\":\"resubmit_start\""), std::string::npos);
-  ASSERT_NE(jsonl.find("\"related\":"), std::string::npos);
-  ASSERT_TRUE(trace::ParseJsonl(jsonl).ok());
-  ASSERT_TRUE(trace::ParseBinary(binary).ok());
+  // The golden inputs themselves parse, and the trace holds every
+  // variable-length field.
+  Result<std::vector<trace::Event>> events = trace::ParseBinary(binary);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  const auto has = [&](const auto& pred) {
+    return std::any_of(events->begin(), events->end(), pred);
+  };
+  ASSERT_TRUE(has([](const trace::Event& e) {
+    return e.kind == trace::EventKind::kResubmitStart;
+  }));
+  ASSERT_TRUE(has([](const trace::Event& e) { return !e.related.empty(); }));
   ASSERT_TRUE(fault::ParseFaultPlan(plan).ok());
-  ASSERT_TRUE(runner::ParseBenchArtifact(bench).ok());
-  ASSERT_FALSE(artifact.cells[0].series.empty());
 
   Rng rng(20240611);
-  for (int i = 0; i < kMutantsPerInput; ++i) {
-    const std::string m = Mutate(jsonl, rng);
-    (void)trace::ParseJsonl(m);
-    const trace::LenientParse lenient = trace::ParseJsonlLenient(m);
-    EXPECT_EQ(static_cast<int64_t>(lenient.events.size()) +
-                  lenient.skipped_lines,
-              NonEmptyLines(m))
-        << "jsonl mutant " << i;
-  }
   for (int i = 0; i < kMutantsPerInput; ++i) {
     const std::string m = Mutate(binary, rng);
     (void)trace::ParseBinary(m);
@@ -123,9 +93,6 @@ TEST(ParserMutation, DamagedInputsNeverCrashTheParsers) {
   }
   for (int i = 0; i < kMutantsPerInput; ++i) {
     (void)fault::ParseFaultPlan(Mutate(plan, rng));
-  }
-  for (int i = 0; i < kMutantsPerInput; ++i) {
-    (void)runner::ParseBenchArtifact(Mutate(bench, rng));
   }
 }
 

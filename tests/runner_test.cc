@@ -1,7 +1,6 @@
 // Tests for the parallel experiment harness: determinism of parallel
 // execution, order-independent aggregation (per-run Metrics included),
-// error propagation, and the round-trip of the consolidated benchmark
-// artifact.
+// error propagation, and the artifact's shortest round-tripping doubles.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,6 @@
 namespace hermes {
 namespace {
 
-using runner::BenchArtifact;
 using runner::CellAggregate;
 using runner::RunOutput;
 using runner::RunSpec;
@@ -328,100 +326,6 @@ TEST(Aggregate, CellRunAggregationIsOrderIndependent) {
   }
   EXPECT_EQ(fwd.latency.count(), rev.latency.count());
   EXPECT_EQ(fwd.latency.Percentile(95), rev.latency.Percentile(95));
-}
-
-TEST(Aggregate, HistogramFromPartsRoundTrips) {
-  trace::Histogram h;
-  for (int64_t v : {0, 1, 2, 3, 900, 70000}) h.Add(v);
-  std::array<int64_t, trace::Histogram::kBuckets> buckets{};
-  for (int i = 0; i < trace::Histogram::kBuckets; ++i) {
-    buckets[static_cast<size_t>(i)] = h.bucket(i);
-  }
-  const trace::Histogram back =
-      trace::Histogram::FromParts(buckets, h.min(), h.max());
-  EXPECT_EQ(back.count(), h.count());
-  EXPECT_EQ(back.min(), h.min());
-  EXPECT_EQ(back.max(), h.max());
-  EXPECT_EQ(back.Percentile(50), h.Percentile(50));
-  EXPECT_EQ(back.Percentile(99), h.Percentile(99));
-}
-
-BenchArtifact SampleArtifact() {
-  const std::vector<RunSpec> specs = SmallGrid(4, false);
-  Result<std::vector<RunOutput>> outs = runner::RunAll(specs, {.workers = 2});
-  EXPECT_TRUE(outs.ok());
-  runner::Aggregator agg;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    agg.AddRun(specs[i].cell, specs[i].config.seed, (*outs)[i].result);
-  }
-  BenchArtifact a;
-  a.bench = "runner_test";
-  a.config = "with \"quotes\"\nand newline";
-  a.seed = 1000;
-  a.workers = 2;
-  a.headers = {"cell", "committed"};
-  a.rows = {{"even", "40"}, {"odd", "40"}};
-  a.cells = agg.cells();
-  return a;
-}
-
-TEST(Aggregate, ArtifactEncodeParseRoundTripsByteForByte) {
-  const BenchArtifact a = SampleArtifact();
-  const std::string encoded = runner::EncodeBenchArtifact(a);
-  Result<BenchArtifact> parsed = runner::ParseBenchArtifact(encoded);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(runner::EncodeBenchArtifact(*parsed), encoded);
-  EXPECT_EQ(parsed->bench, a.bench);
-  EXPECT_EQ(parsed->config, a.config);
-  EXPECT_EQ(parsed->seed, a.seed);
-  EXPECT_EQ(parsed->workers, a.workers);
-  EXPECT_EQ(parsed->rows, a.rows);
-  ASSERT_EQ(parsed->cells.size(), a.cells.size());
-  for (size_t c = 0; c < a.cells.size(); ++c) {
-    EXPECT_EQ(parsed->cells[c].cell, a.cells[c].cell);
-    EXPECT_EQ(parsed->cells[c].seeds, a.cells[c].seeds);
-    EXPECT_EQ(parsed->cells[c].latency.count(), a.cells[c].latency.count());
-    ASSERT_EQ(parsed->cells[c].stats.size(), a.cells[c].stats.size());
-    for (size_t i = 0; i < a.cells[c].stats.size(); ++i) {
-      EXPECT_EQ(parsed->cells[c].stats[i].first, a.cells[c].stats[i].first);
-      EXPECT_DOUBLE_EQ(parsed->cells[c].stats[i].second.sum,
-                       a.cells[c].stats[i].second.sum);
-    }
-  }
-}
-
-TEST(Aggregate, ParserRejectsCorruptArtifacts) {
-  const std::string encoded = runner::EncodeBenchArtifact(SampleArtifact());
-  // Unknown schema version.
-  std::string bad = encoded;
-  bad.replace(bad.find("\"schema_version\": 2"), 19,
-              "\"schema_version\": 9");
-  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
-  // Unknown/reordered key.
-  bad = encoded;
-  bad.replace(bad.find("\"bench\""), 7, "\"wrong\"");
-  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
-  // Truncation.
-  EXPECT_FALSE(
-      runner::ParseBenchArtifact(encoded.substr(0, encoded.size() / 2)).ok());
-  EXPECT_FALSE(runner::ParseBenchArtifact("").ok());
-  // Trailing garbage.
-  EXPECT_FALSE(runner::ParseBenchArtifact(encoded + "x").ok());
-  // An integer outside its field's range.
-  bad = encoded;
-  bad.replace(bad.find("\"workers\": 2"), 12, "\"workers\": 4294967297");
-  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
-  // A negative stat count.
-  bad = encoded;
-  const size_t count = bad.find("\"count\": ", bad.find("\"stats\""));
-  bad.replace(count, bad.find(',', count) - count, "\"count\": -1");
-  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
-  // Latency bucket counts whose sum overflows int64.
-  bad = encoded;
-  const size_t buckets = bad.find("\"buckets\": [") + 12;
-  bad.replace(buckets, bad.find("]}", buckets) - buckets,
-              "[0, 9223372036854775807], [1, 9223372036854775807]");
-  EXPECT_FALSE(runner::ParseBenchArtifact(bad).ok());
 }
 
 TEST(Aggregate, JsonDoubleIsShortestRoundTrip) {

@@ -3,7 +3,7 @@
 // attribution (including its exact-partition invariant), prepared
 // blocking-window statistics under chaos plans, virtual-time series
 // bucketing and merge algebra, Perfetto export determinism, and the
-// lenient JSONL parser used by offline tools.
+// analyses' survival of the binary export round trip.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
+#include "trace/binary.h"
 #include "trace/critical_path.h"
 #include "trace/perfetto.h"
 #include "trace/span.h"
@@ -40,6 +41,7 @@ using trace::Tracer;
 // contains blocking windows, inquiries and retransmissions.
 struct TracedRun {
   std::vector<Event> events;
+  std::string binary;  // the tracer's binary export
   workload::RunResult result;
 };
 
@@ -69,6 +71,7 @@ TracedRun RunTraced(uint64_t seed, bool chaos = false) {
   TracedRun run;
   run.result = workload::Driver::Run(config);
   tracer.ForEach([&](const Event& e) { run.events.push_back(e); });
+  run.binary = tracer.ToBinary();
   return run;
 }
 
@@ -123,16 +126,18 @@ TEST(SpanForestTest, SameSeedProducesByteIdenticalForestAndExport) {
   EXPECT_NE(ExportPerfetto(fa, a.events), ExportPerfetto(fc, c.events));
 }
 
-TEST(SpanForestTest, SurvivesJsonlRoundTrip) {
-  // Re-encode through the strict writer; reparsing must rebuild the same
-  // forest byte for byte.
+TEST(SpanForestTest, SurvivesBinaryRoundTrip) {
+  // Decoding the binary export must yield the stored events, and so
+  // rebuild the same forest and critical-path report byte for byte.
   const TracedRun run = RunTraced(77);
-  std::string jsonl;
-  for (const Event& e : run.events) jsonl += e.ToJson() + "\n";
-  const auto parsed = trace::ParseJsonl(jsonl);
+  const auto parsed = trace::ParseBinary(run.binary);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(BuildSpanForest(*parsed).ToString(),
-            BuildSpanForest(run.events).ToString());
+  EXPECT_EQ(*parsed, run.events);
+  const SpanForest forest = BuildSpanForest(run.events);
+  const SpanForest decoded = BuildSpanForest(*parsed);
+  EXPECT_EQ(decoded.ToString(), forest.ToString());
+  EXPECT_EQ(AnalyzeCriticalPath(decoded).ToString(),
+            AnalyzeCriticalPath(forest).ToString());
 }
 
 // --- hand-crafted streams ----------------------------------------------------
@@ -404,44 +409,6 @@ TEST(PerfettoTest, EmitsTracksSpansAndInstants) {
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("site_crash"), std::string::npos);
   }
-}
-
-// --- lenient parsing ---------------------------------------------------------
-
-TEST(LenientParseTest, SkipsBadLinesAndCounts) {
-  const TracedRun run = RunTraced(123);
-  std::string jsonl;
-  for (const Event& e : run.events) jsonl += e.ToJson() + "\n";
-  const size_t total = run.events.size();
-
-  // Inject garbage, an unknown event kind (a future writer), an unknown
-  // key, and truncate the trailing line mid-object.
-  std::string dirty = "this is not json\n";
-  dirty += jsonl;
-  dirty += "{\"seq\":9999,\"t\":1,\"kind\":\"warp_drive\"}\n";
-  dirty += "{\"seq\":10000,\"wat\":1}\n";
-  dirty += "{\"seq\":10001,\"t\":2,\"ki";
-
-  // The strict parser rejects the stream outright...
-  EXPECT_FALSE(trace::ParseJsonl(dirty).ok());
-  // ...the lenient one keeps every good event and counts the bad lines.
-  const trace::LenientParse parsed = trace::ParseJsonlLenient(dirty);
-  EXPECT_EQ(parsed.events.size(), total);
-  EXPECT_EQ(parsed.skipped_lines, 4);
-  EXPECT_FALSE(parsed.warnings.empty());
-  EXPECT_LE(parsed.warnings.size(), trace::LenientParse::kMaxWarnings);
-  EXPECT_EQ(BuildSpanForest(parsed.events).ToString(),
-            BuildSpanForest(run.events).ToString());
-}
-
-TEST(LenientParseTest, CleanInputParsesWithoutWarnings) {
-  const TracedRun run = RunTraced(123);
-  std::string jsonl;
-  for (const Event& e : run.events) jsonl += e.ToJson() + "\n";
-  const trace::LenientParse parsed = trace::ParseJsonlLenient(jsonl);
-  EXPECT_EQ(parsed.events.size(), run.events.size());
-  EXPECT_EQ(parsed.skipped_lines, 0);
-  EXPECT_TRUE(parsed.warnings.empty());
 }
 
 }  // namespace

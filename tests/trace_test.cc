@@ -1,16 +1,19 @@
 // Tests of the hermes::trace subsystem: histogram percentiles, tracer
-// record ordering, JSONL round-trips, determinism of traced runs, and the
-// span forest's reconstruction of a forced resubmission chain with its
-// certification-refusal context (an H1-style scenario through the real
-// protocol stack).
+// record ordering, kind names, rejection of corrupt ids in a binary
+// trace, determinism of traced runs, and the span forest's reconstruction
+// of a forced resubmission chain with its certification-refusal context
+// (an H1-style scenario through the real protocol stack).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/mdbs.h"
+#include "trace/binary.h"
 #include "trace/histogram.h"
 #include "trace/span.h"
 #include "trace/trace.h"
@@ -222,80 +225,52 @@ TEST(TracerTest, TxnIdEncodingRoundTrips) {
   EXPECT_FALSE(trace::DecodeTxnId("bogus").ok());
 }
 
-TEST(TracerTest, JsonlRoundTripPreservesEveryField) {
-  sim::EventLoop loop;
-  Tracer tracer(&loop);
-
-  Event full;
-  full.kind = EventKind::kCertRefuse;
-  full.txn = TxnId::MakeGlobal(2, 9);
-  full.site = 1;
-  full.peer = 2;
-  full.resubmission = 3;
-  full.value = 4567;
-  full.sn = core::SerialNumber{1000, 2, 9};
-  full.refuse = RefuseKind::kInterval;
-  full.ok = false;
-  full.detail = "tricky \"quoted\"\nnew\tline \\ backslash";
-  full.related = {TxnId::MakeGlobal(0, 1), TxnId::MakeLocal(1, 5)};
-  tracer.Record(full);
-
-  Event sparse;  // everything at defaults except the kind
-  sparse.kind = EventKind::kSiteRecover;
-  tracer.Record(sparse);
-
-  const std::string jsonl = tracer.ToJsonl();
-  const auto parsed = trace::ParseJsonl(jsonl);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(*parsed, Stored(tracer));
-  ASSERT_EQ(parsed->size(), 2u);
-  EXPECT_EQ((*parsed)[0].detail, full.detail);
-  EXPECT_EQ((*parsed)[0].related, full.related);
-  EXPECT_EQ((*parsed)[0].sn, full.sn);
-}
-
-TEST(TracerTest, ParseRejectsMalformedInput) {
-  EXPECT_FALSE(trace::ParseJsonl("{\"seq\":0").ok());       // truncated
-  EXPECT_FALSE(trace::ParseJsonl("{\"wat\":1}").ok());      // unknown key
-  EXPECT_FALSE(trace::ParseJsonl("{\"kind\":\"?\"}").ok()); // unknown kind
-  // A repeated key, and lines missing a key the writer always emits.
-  for (const char* line : {
-           R"({"seq":0,"t":5,"t":7,"kind":"txn_begin","ok":true})",
-           R"({"seq":0,"t":0,"kind":"txn_begin","site":1,"site":2,"ok":true})",
-           "{}",
-           R"({"t":0,"kind":"txn_begin","ok":true})",
-           R"({"seq":0,"kind":"txn_begin","ok":true})",
-           R"({"seq":0,"t":0,"ok":true})",
-           R"({"seq":0,"t":0,"kind":"txn_begin"})",
-       }) {
-    EXPECT_FALSE(trace::ParseJsonl(line).ok()) << line;
-    const trace::LenientParse lenient = trace::ParseJsonlLenient(line);
-    EXPECT_EQ(lenient.skipped_lines, 1) << line;
-    EXPECT_TRUE(lenient.events.empty()) << line;
+TEST(TracerTest, EveryKindHasADistinctName) {
+  // tmstat's reports and the Perfetto export name kinds by these strings.
+  std::set<std::string> events;
+  for (EventKind kind : trace::kAllEventKinds) {
+    const std::string name = trace::EventKindName(kind);
+    EXPECT_NE(name, "?");
+    EXPECT_TRUE(events.insert(name).second) << name;
   }
-  const auto empty = trace::ParseJsonl("\n\n");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
+  std::set<std::string> refusals;
+  for (RefuseKind kind : trace::kAllRefuseKinds) {
+    const std::string name = trace::RefuseKindName(kind);
+    EXPECT_NE(name, "?");
+    EXPECT_TRUE(refusals.insert(name).second) << name;
+  }
 }
 
 TEST(TracerTest, ImportRejectsCorruptNumbers) {
-  // Each line carries one number the encoder can never have written: an
-  // int32 field past its range, a txn id with junk inside or after its
-  // numbers, an SN coordinator past int32. Truncating or wrapping any of
-  // them would silently turn it into a different, plausible event.
-  const std::vector<std::string> corrupt = {
-      R"({"seq":0,"t":0,"kind":"txn_begin","site":4294967297,"ok":true})",
-      R"({"seq":0,"t":0,"kind":"txn_begin","txn":"G1x.5","ok":true})",
-      R"({"seq":0,"t":0,"kind":"txn_begin","txn":"G0.7junk","ok":true})",
-      R"({"seq":0,"t":0,"kind":"txn_begin","sn":"5/4294967296/1","ok":true})",
+  // A related list is the one place a binary trace carries ids as text:
+  // each case swaps a valid id in the dictionary for a corrupt one of the
+  // same length — a site past int32, junk inside or after the numbers.
+  // Truncating or wrapping it would silently turn the record into a
+  // different, plausible event, so the record is skipped and counted.
+  const std::vector<std::pair<TxnId, std::string>> cases = {
+      {TxnId::MakeGlobal(1000000000, 1), "G4294967297.1"},
+      {TxnId::MakeGlobal(10, 5), "G1x.5"},
+      {TxnId::MakeGlobal(0, 7000), "G0.7jnk"},
   };
-  const std::string good = R"({"seq":1,"t":0,"kind":"txn_end","ok":true})";
-  for (const std::string& line : corrupt) {
-    EXPECT_FALSE(trace::ParseJsonl(line).ok()) << line;
-    const trace::LenientParse lenient =
-        trace::ParseJsonlLenient(line + "\n" + good + "\n");
-    EXPECT_EQ(lenient.skipped_lines, 1) << line;
-    ASSERT_EQ(lenient.events.size(), 1u) << line;
+  for (const auto& [valid, corrupt] : cases) {
+    Event refusal;
+    refusal.kind = EventKind::kCertRefuse;
+    refusal.related = {valid};
+    Event end;
+    end.seq = 1;
+    end.kind = EventKind::kTxnEnd;
+    trace::BinaryTraceWriter writer;
+    writer.Add(refusal);
+    writer.Add(end);
+    std::string bytes = writer.Finish();
+    const std::string text = trace::EncodeTxnId(valid);
+    ASSERT_EQ(text.size(), corrupt.size());
+    bytes.replace(bytes.find(text), text.size(), corrupt);
+
+    EXPECT_FALSE(trace::ParseBinary(bytes).ok()) << corrupt;
+    const trace::BinaryParse lenient = trace::ParseBinaryLenient(bytes);
+    EXPECT_EQ(lenient.skipped_records, 1) << corrupt;
+    ASSERT_EQ(lenient.events.size(), 1u) << corrupt;
     EXPECT_EQ(lenient.events[0].kind, EventKind::kTxnEnd);
   }
 }
@@ -422,10 +397,10 @@ TEST(SpanForestTest, ReconstructsResubmissionChainAndRefusal) {
   EXPECT_EQ(refusal->site, kA);
   EXPECT_TRUE(std::find(refusal->related.begin(), refusal->related.end(),
                         s.t1_id) != refusal->related.end())
-      << refusal->ToJson();
+      << trace::EncodeRelated(refusal->related);
 
-  // Round trip: the forest over the parsed JSONL is the same forest.
-  const auto parsed = trace::ParseJsonl(s.tracer.ToJsonl());
+  // Round trip: the forest over the decoded export is the same forest.
+  const auto parsed = trace::ParseBinary(s.tracer.ToBinary());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(BuildSpanForest(*parsed).ToString(), forest.ToString());
 }
@@ -444,7 +419,7 @@ TEST(TraceDeterminismTest, SameSeedProducesByteIdenticalTraces) {
     config.alive_check_interval = 10 * sim::kMillisecond;
     config.tracer = &tracer;
     (void)workload::Driver::Run(config);
-    return tracer.ToJsonl();
+    return tracer.ToBinary();
   };
   const std::string a = traced_run(123);
   const std::string b = traced_run(123);

@@ -18,10 +18,12 @@ unexecuted line of that file with that text. Line numbers are not part of
 the key, so edits elsewhere in a file do not invalidate the list.
 
 Exit 1 if an unexecuted line is missing from the allowlist (each is
-printed as file:line: text). Allowlisted entries that matched no
-unexecuted line now run: they are printed so the list can shrink, but do
-not fail the gate. Exit 2 on usage errors: a malformed allowlist line, or
-no coverage data under the build directory.
+printed as file:line: text), or if an allowlist entry is stale: its text
+matches no line of its file in the current tree (the code was deleted or
+rewritten). Allowlisted entries that matched no unexecuted line but
+still exist now run: they are printed so the list can shrink, but do not
+fail the gate. Exit 2 on usage errors: a malformed allowlist line, or no
+coverage data under the build directory.
 """
 
 import argparse
@@ -53,6 +55,19 @@ def read_allowlist(path):
                 fail_usage(f"{path}:{number}: expected 'src/<file>.cc: <text>'")
             entries.add((name, text.strip()))
     return entries
+
+
+def stale_entries(entries):
+    """Returns the (file, text) entries whose text is no line of their file."""
+    lines = {}
+    for name in {name for name, _ in entries}:
+        try:
+            with open(os.path.join(ROOT, name), encoding="utf-8") as f:
+                lines[name] = {line.strip() for line in f}
+        except FileNotFoundError:
+            lines[name] = set()
+    return sorted((name, text) for name, text in entries
+                  if text not in lines[name])
 
 
 def unexecuted_lines(build_dir):
@@ -96,13 +111,17 @@ def main():
         else:
             missing.append(f"{name}:{number}: {text}")
 
-    for name, text in sorted(allowed - used):
+    stale = stale_entries(allowed)
+    for name, text in sorted(allowed - used - set(stale)):
         print(f"now executed, remove from the allowlist: {name}: {text}")
     print(f"{total} unexecuted src/*.cc lines, {total - len(missing)} "
-          f"allowlisted, {len(missing)} not")
+          f"allowlisted, {len(missing)} not; {len(stale)} stale "
+          "allowlist entries")
     for line in missing:
         print(f"unexecuted and not allowlisted: {line}")
-    return 1 if missing else 0
+    for name, text in stale:
+        print(f"stale allowlist entry, no such line: {name}: {text}")
+    return 1 if missing or stale else 0
 
 
 if __name__ == "__main__":

@@ -50,8 +50,6 @@ class Reader {
   // `what` names the input in error messages ("fault plan", ...).
   Reader(std::string_view in, std::string_view what) : in_(in), what_(what) {}
 
-  // Consumes `c`, or fails.
-  bool Expect(char c);
   // Reads a string, unescaping \" \\ \/ \n \t \r and ASCII \uXXXX.
   bool String(std::string& out);
   // Reads an integer token `-?[0-9]+` that fits T.
@@ -75,6 +73,8 @@ class Reader {
                      const std::function<bool(const std::string& key)>& field,
                      std::vector<std::string>* seen);
 
+  // Consumes `c`, or fails.
+  bool Expect(char c);
   // Consumes `c` if it is next; never fails.
   bool TryExpect(char c);
   void SkipSpace();

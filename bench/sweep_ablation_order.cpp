@@ -38,7 +38,6 @@ int RunAblationOrderSweep(const SweepArgs& args) {
       spec.config.cmds_per_global_txn = cmds;
       spec.config.sn_at_submit = mode == 1;
       spec.config.p_prepared_abort = 0.05;
-      spec.config.alive_check_interval = 10 * sim::kMillisecond;
       specs.push_back(std::move(spec));
     }
   }

@@ -33,7 +33,6 @@ int RunClockDriftSweep(const SweepArgs& args) {
     spec.config.target_global_txns = txns;
     spec.config.clock_skew = skew;
     spec.config.p_prepared_abort = 0.05;  // some failures exercise recovery
-    spec.config.alive_check_interval = 10 * sim::kMillisecond;
     specs.push_back(std::move(spec));
   }
 

@@ -57,7 +57,6 @@ int RunCorrectnessSweep(const SweepArgs& args) {
         spec.config.cmds_per_global_txn = 3;
         spec.config.global_write_fraction = 0.7;
         spec.config.p_prepared_abort = p;
-        spec.config.alive_check_interval = 4 * sim::kMillisecond;
         spec.config.policy = row.value;
         spec.config.dlu_binding = row.dlu;
         specs.push_back(std::move(spec));

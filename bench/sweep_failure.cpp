@@ -36,7 +36,6 @@ int RunFailureSweep(const SweepArgs& args) {
       spec.config.local_clients_per_site = 1;
       spec.config.target_global_txns = txns;
       spec.config.p_prepared_abort = p;
-      spec.config.alive_check_interval = 10 * sim::kMillisecond;
       // Every run is traced: the cells carry critical-path phase stats
       // and the merged virtual-time series.
       spec.capture_trace = true;
@@ -75,10 +74,19 @@ int RunFailureSweep(const SweepArgs& args) {
                  cell.latency.PercentileMs(99), ok ? "VSR" : "VIOLATED");
   }
 
-  // Export the most failure-heavy run (last grid point) for tmstat.
+  // Export, for tmstat, the run with the most certification refusals,
+  // the latest (highest p_fail) on a tie: its trace shows a REFUSE.
+  const auto refusals = [](const runner::RunOutput& out) {
+    const core::Metrics& m = out.result.metrics;
+    return m.refuse_interval + m.refuse_extension + m.refuse_dead;
+  };
+  const runner::RunOutput* most_refused = &outputs->front();
+  for (const runner::RunOutput& out : *outputs) {
+    if (refusals(out) >= refusals(*most_refused)) most_refused = &out;
+  }
   const bool exported =
       args.trace_out.empty() ||
-      WriteTraceArtifacts(args.trace_out, outputs->back());
+      WriteTraceArtifacts(args.trace_out, *most_refused);
 
   const int rc =
       FinishSweep("failure_sweep", base_config, 42,

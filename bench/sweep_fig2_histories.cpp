@@ -9,18 +9,22 @@
 // table shows, per policy, the transaction outcomes and the exact
 // view-serializability verdict of the recorded history.
 //
+// The failure window comes from the lock manager, as in a real LDBS: the
+// intruder's conflicting command queues on a lock of T1's prepared
+// subtransaction at site a before that subtransaction is unilaterally
+// aborted, so it is granted ahead of T1's resubmission.
+//
 // Gate: in both histories the `none` policy is NOT-VIEW-SERIALIZABLE with
 // a cyclic commit graph, every certifying policy is view-serializable
-// with an acyclic one, and no run exhausts its event budget.
+// with an acyclic one, the committed projection replays to the recorded
+// values, and no run exhausts its event budget.
 
 #include <cstdio>
 #include <functional>
 
 #include "bench/sweeps.h"
 #include "core/mdbs.h"
-#include "history/graphs.h"
 #include "history/projection.h"
-#include "history/view_checker.h"
 
 namespace hermes::bench {
 namespace {
@@ -32,27 +36,24 @@ using core::GlobalTxnSpec;
 constexpr SiteId kA = 0, kB = 1, kC = 2;
 constexpr int64_t kX = 0, kY = 1, kZ = 2, kQ = 3, kU = 4;
 
-struct ScenarioResult {
-  bool t1_committed = false;
-  bool other_committed = false;
-  bool local_committed = false;
-  int64_t resubmissions = 0;
-  int64_t refusals = 0;
-  bool cg_acyclic = true;
-  history::Verdict verdict = history::Verdict::kUnknown;
-  bool budget_exhausted = false;  // the run was cut at its event budget
-};
+// From T1's prepare at a to the unilateral abort there. The intruder's
+// conflicting command reaches a's LTM within tens of µs (it is coordinated
+// at a, or is a local transaction), while T1's COMMIT needs two 1 ms hops
+// through its coordinator at c: 1 ms later the command has queued and the
+// decision has not arrived.
+constexpr sim::Duration kAbortAfter = 1 * sim::kMillisecond;
 
 struct Harness {
   sim::EventLoop loop;
   std::unique_ptr<core::Mdbs> mdbs;
   db::TableId table = -1;
+  TxnId t1_id, intruder_id;
+  HistoryRun out;
 
   explicit Harness(CertPolicy policy) {
     core::MdbsConfig config;
     config.num_sites = 3;
     config.agent.policy = policy;
-    config.agent.alive_check_interval = 200 * sim::kMillisecond;
     mdbs = std::make_unique<core::Mdbs>(config, &loop);
     table = *mdbs->CreateTableEverywhere("t");
     for (SiteId s : {kA, kB}) {
@@ -63,127 +64,80 @@ struct Harness {
     loop.set_max_events(10'000'000);
   }
 
-  void Finish(ScenarioResult& out) {
+  // On T1's prepare at a, `intrude` starts the intruders; kAbortAfter
+  // later, T1's subtransaction there is unilaterally aborted.
+  void OnT1Prepared(std::function<void()> intrude) {
+    mdbs->agent(kA)->set_prepared_hook(
+        [this, intrude = std::move(intrude), injected = false](
+            const TxnId& gtid, LtmTxnHandle handle) mutable {
+          if (injected || !(gtid == t1_id)) return;
+          injected = true;
+          intrude();
+          loop.ScheduleAfter(kAbortAfter, [this, handle]() {
+            (void)mdbs->ltm(kA)->InjectUnilateralAbort(handle);
+          });
+        });
+  }
+
+  void SubmitIntruder(const GlobalTxnSpec& spec, SiteId coordinator) {
+    intruder_id = mdbs->Submit(
+        spec,
+        [this](const GlobalTxnResult& r) {
+          out.intruder_committed = r.status.ok();
+          out.intruder_refused = r.certification_refused;
+        },
+        coordinator);
+  }
+
+  // T1 (coordinated at c): reads X@a, updates Y@a, updates Z@b.
+  void SubmitT1() {
+    GlobalTxnSpec t1;
+    t1.steps.push_back({kA, db::MakeSelectKey(table, kX)});
+    t1.steps.push_back({kA, db::MakeAddKey(table, kY, "v", int64_t{10})});
+    t1.steps.push_back({kB, db::MakeAddKey(table, kZ, "v", int64_t{10})});
+    t1_id = mdbs->Submit(
+        t1,
+        [this](const GlobalTxnResult& r) { out.t1_committed = r.status.ok(); },
+        kC);
+  }
+
+  HistoryRun Finish() {
     loop.Run();
     out.budget_exhausted = loop.budget_exhausted();
+    const core::Metrics& m = mdbs->metrics();
+    out.resubmissions = m.resubmissions;
+    out.refuse_interval = m.refuse_interval;
+    out.refusals = m.refuse_interval + m.refuse_extension + m.refuse_dead;
+    const db::RowEntry* y = mdbs->storage(kA)->GetTable(table)->Get(kY);
+    if (y != nullptr && y->live()) {
+      out.y_at_a = std::get<int64_t>(*y->row->Get("v"));
+    }
+    for (const history::Op& op : mdbs->recorder().ops()) {
+      if (op.kind != history::OpKind::kLocalCommit || op.site > kB) continue;
+      const auto seq = static_cast<int64_t>(op.seq);
+      if (op.subtxn.txn == t1_id) out.t1_commit_seq[op.site] = seq;
+      if (op.subtxn.txn == intruder_id) {
+        out.intruder_commit_seq[op.site] = seq;
+      }
+    }
     const auto committed =
         history::CommittedProjection(mdbs->recorder().ops());
-    out.resubmissions = mdbs->metrics().resubmissions;
-    out.refusals = mdbs->metrics().refuse_interval +
-                   mdbs->metrics().refuse_extension +
-                   mdbs->metrics().refuse_dead;
+    out.replay_error = history::VerifyReplayMatchesRecorded(committed);
     out.cg_acyclic = history::CommitGraphAcyclic(committed);
     out.verdict = history::CheckViewSerializability(committed).verdict;
+    return out;
   }
 };
 
-// H1: T1 dies at site a after READY; T2 deletes Y / rewrites X in the
-// window; T1's resubmission re-decomposes and reads T2's X.
-ScenarioResult RunH1(CertPolicy policy) {
-  Harness h(policy);
-  ScenarioResult out;
-  TxnId t1_id;
-  bool injected = false;
-  h.mdbs->agent(kA)->set_prepared_hook([&](const TxnId& gtid,
-                                           LtmTxnHandle handle) {
-    if (injected || !(gtid == t1_id)) return;
-    injected = true;
-    h.loop.ScheduleAfter(0, [&h, handle]() {
-      (void)h.mdbs->ltm(kA)->InjectUnilateralAbort(handle);
-    });
-    GlobalTxnSpec t2;
-    t2.steps.push_back({kA, db::MakeDeleteKey(h.table, kY)});
-    t2.steps.push_back({kA, db::MakeAddKey(h.table, kX, "v", int64_t{100})});
-    t2.steps.push_back({kB, db::MakeAddKey(h.table, kZ, "v", int64_t{100})});
-    h.mdbs->Submit(
-        t2,
-        [&out](const GlobalTxnResult& r) {
-          out.other_committed = r.status.ok();
-        },
-        kA);
-  });
-  GlobalTxnSpec t1;
-  t1.steps.push_back({kA, db::MakeSelectKey(h.table, kX)});
-  t1.steps.push_back({kA, db::MakeAddKey(h.table, kY, "v", int64_t{10})});
-  t1.steps.push_back({kB, db::MakeAddKey(h.table, kZ, "v", int64_t{10})});
-  t1_id = h.mdbs->Submit(
-      t1,
-      [&out](const GlobalTxnResult& r) { out.t1_committed = r.status.ok(); },
-      kC);
-  h.Finish(out);
-  return out;
-}
-
-// H2: T1 dies at a; T3 reads T1's Z at b and commits at a before T1's
-// resubmission; local L4 brackets the window (reads Y early, Q late).
-ScenarioResult RunH2(CertPolicy policy) {
-  Harness h(policy);
-  ScenarioResult out;
-  TxnId t1_id;
-  bool injected = false;
-  h.mdbs->agent(kA)->set_prepared_hook([&](const TxnId& gtid,
-                                           LtmTxnHandle handle) {
-    if (injected || !(gtid == t1_id)) return;
-    injected = true;
-    h.loop.ScheduleAfter(0, [&h, handle]() {
-      (void)h.mdbs->ltm(kA)->InjectUnilateralAbort(handle);
-    });
-    GlobalTxnSpec t3;
-    t3.steps.push_back({kB, db::MakeSelectKey(h.table, kZ)});
-    t3.steps.push_back({kA, db::MakeAddKey(h.table, kQ, "v", int64_t{7})});
-    h.mdbs->Submit(
-        t3,
-        [&out](const GlobalTxnResult& r) {
-          out.other_committed = r.status.ok();
-        },
-        kC);
-    ltm::Ltm* ltm = h.mdbs->ltm(kA);
-    h.loop.ScheduleAfter(200 * sim::kMicrosecond, [&h, &out, ltm]() {
-      const LtmTxnHandle l4 =
-          ltm->Begin(SubTxnId{TxnId::MakeLocal(kA, 9999), 0});
-      ltm->Execute(l4, db::MakeSelectKey(h.table, kY),
-                   [&h, &out, ltm, l4](const Status& s, const db::CmdResult&) {
-                     if (!s.ok()) return;
-                     h.loop.ScheduleAfter(5 * sim::kMillisecond, [&h, &out,
-                                                                 ltm, l4]() {
-                       ltm->Execute(
-                           l4, db::MakeSelectKey(h.table, kQ),
-                           [&out, ltm, l4](const Status& s2,
-                                           const db::CmdResult&) {
-                             if (!s2.ok()) return;
-                             ltm->Execute(
-                                 l4,
-                                 db::MakeAddKey(ltm->storage()
-                                                    ->GetTable(0)
-                                                    ->id(),
-                                                kU, "v", int64_t{1}),
-                                 [&out, ltm, l4](const Status& s3,
-                                                 const db::CmdResult&) {
-                                   if (!s3.ok()) return;
-                                   out.local_committed =
-                                       ltm->Commit(l4).ok();
-                                 });
-                           });
-                     });
-                   });
-    });
-  });
-  GlobalTxnSpec t1;
-  t1.steps.push_back({kA, db::MakeSelectKey(h.table, kX)});
-  t1.steps.push_back({kA, db::MakeAddKey(h.table, kY, "v", int64_t{10})});
-  t1.steps.push_back({kB, db::MakeAddKey(h.table, kZ, "v", int64_t{10})});
-  t1_id = h.mdbs->Submit(
-      t1,
-      [&out](const GlobalTxnResult& r) { out.t1_committed = r.status.ok(); },
-      kC);
-  h.Finish(out);
-  return out;
+const char* Outcome(const std::optional<bool>& committed) {
+  if (!committed.has_value()) return "unfinished";
+  return *committed ? "commit" : "abort";
 }
 
 // Runs one history under every policy, writes its artifact and returns 0,
 // or 1 when the gate fails or the artifact cannot be written.
 int Report(const char* title, const char* artifact_name,
-           const std::function<ScenarioResult(CertPolicy)>& run) {
+           HistoryRun (*run)(CertPolicy)) {
   bool gate_ok = true;
   std::printf("%s\n", title);
   TablePrinter table({"policy", "T1", "intruder", "local", "resub",
@@ -191,21 +145,22 @@ int Report(const char* title, const char* artifact_name,
   for (const auto policy :
        {CertPolicy::kNone, CertPolicy::kPrepareOnly,
         CertPolicy::kPrepareExtended, CertPolicy::kFull}) {
-    const ScenarioResult r = run(policy);
+    const HistoryRun r = run(policy);
     const bool distorted = r.verdict == history::Verdict::kNotSerializable &&
                            !r.cg_acyclic;
     const bool clean =
         r.verdict == history::Verdict::kSerializable && r.cg_acyclic;
-    if (r.budget_exhausted ||
+    if (r.budget_exhausted || !r.replay_error.empty() ||
         !(policy == CertPolicy::kNone ? distorted : clean)) {
-      std::fprintf(stderr, "%s: policy %s broke the gate%s\n", artifact_name,
-                   core::CertPolicyName(policy),
-                   r.budget_exhausted ? " (event budget exhausted)" : "");
+      std::fprintf(stderr, "%s: policy %s broke the gate%s%s%s\n",
+                   artifact_name, core::CertPolicyName(policy),
+                   r.budget_exhausted ? " (event budget exhausted)" : "",
+                   r.replay_error.empty() ? "" : "; replay: ",
+                   r.replay_error.c_str());
       gate_ok = false;
     }
-    table.AddRow(core::CertPolicyName(policy),
-                 r.t1_committed ? "commit" : "abort",
-                 r.other_committed ? "commit" : "abort",
+    table.AddRow(core::CertPolicyName(policy), Outcome(r.t1_committed),
+                 Outcome(r.intruder_committed),
                  r.local_committed ? "commit" : "-", r.resubmissions,
                  r.refusals, r.cg_acyclic ? "acyclic" : "CYCLIC",
                  history::VerdictName(r.verdict));
@@ -217,6 +172,59 @@ int Report(const char* title, const char* artifact_name,
 }
 
 }  // namespace
+
+// H1: T2 (coordinated at a) updates X@a, deletes Y@a and updates Z@b. Its
+// update of X queues behind T1's read lock and is granted at T1's abort;
+// T1's resubmission then waits for T2's lock on X, re-decomposes (Y is
+// gone) and reads T2's X — two views for T1. (Were T2 to delete Y first,
+// T2 and the resubmission would deadlock until the lock-wait timeout.)
+HistoryRun RunH1(CertPolicy policy) {
+  Harness h(policy);
+  h.OnT1Prepared([&h]() {
+    GlobalTxnSpec t2;
+    t2.steps.push_back({kA, db::MakeAddKey(h.table, kX, "v", int64_t{100})});
+    t2.steps.push_back({kA, db::MakeDeleteKey(h.table, kY)});
+    t2.steps.push_back({kB, db::MakeAddKey(h.table, kZ, "v", int64_t{100})});
+    h.SubmitIntruder(t2, kA);
+  });
+  h.SubmitT1();
+  return h.Finish();
+}
+
+// H2: T3 (coordinated at c) reads T1's Z at b and updates Q at a. The
+// local transaction L4 at a brackets the failure window: its read of Y
+// queues behind T1's write lock and is granted at T1's abort, so T1's
+// resubmitted write of Y waits for L4; 5 ms later L4 reads Q, waiting for
+// T3's write, then updates U and commits. L4 sees T3 but not T1, while T3
+// read from T1, and T3 commits at a before T1's resubmission does.
+HistoryRun RunH2(CertPolicy policy) {
+  Harness h(policy);
+  h.OnT1Prepared([&h]() {
+    GlobalTxnSpec t3;
+    t3.steps.push_back({kB, db::MakeSelectKey(h.table, kZ)});
+    t3.steps.push_back({kA, db::MakeAddKey(h.table, kQ, "v", int64_t{7})});
+    h.SubmitIntruder(t3, kC);
+    ltm::Ltm* ltm = h.mdbs->ltm(kA);
+    const LtmTxnHandle l4 =
+        ltm->Begin(SubTxnId{TxnId::MakeLocal(kA, 9999), 0});
+    ltm->Execute(l4, db::MakeSelectKey(h.table, kY),
+                 [&h, ltm, l4](const Status& s, const db::CmdResult&) {
+      if (!s.ok()) return;
+      h.loop.ScheduleAfter(5 * sim::kMillisecond, [&h, ltm, l4]() {
+        ltm->Execute(l4, db::MakeSelectKey(h.table, kQ),
+                     [&h, ltm, l4](const Status& s2, const db::CmdResult&) {
+          if (!s2.ok()) return;
+          ltm->Execute(l4, db::MakeAddKey(h.table, kU, "v", int64_t{1}),
+                       [&h, ltm, l4](const Status& s3, const db::CmdResult&) {
+            if (s3.ok()) h.out.local_committed = ltm->Commit(l4).ok();
+          });
+        });
+      });
+    });
+  });
+  h.SubmitT1();
+  return h.Finish();
+}
 
 int RunFig2HistoriesSweep(const SweepArgs&) {
   std::printf("E1/E2 — paper histories H1 and H2 through the live stack\n\n");

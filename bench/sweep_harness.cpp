@@ -41,7 +41,6 @@ std::vector<runner::RunSpec> BuildGrid(int seed_count, int txns) {
     spec.config.local_clients_per_site = 1;
     spec.config.target_global_txns = txns;
     spec.config.p_prepared_abort = 0.1;
-    spec.config.alive_check_interval = 10 * sim::kMillisecond;
     specs.push_back(std::move(spec));
   }
   return specs;

@@ -47,7 +47,6 @@ CrashRunResult Run(int crashes, sim::Duration crash_period) {
   loop.set_max_events(50'000'000);
   core::MdbsConfig config;
   config.num_sites = 3;
-  config.agent.alive_check_interval = 5 * sim::kMillisecond;
   config.agent.orphan_abort_timeout = 800 * sim::kMillisecond;
   core::Mdbs mdbs(config, &loop);
   const db::TableId t = *mdbs.CreateTableEverywhere("t");

@@ -12,11 +12,15 @@
 #ifndef HERMES_BENCH_SWEEPS_H_
 #define HERMES_BENCH_SWEEPS_H_
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/cert_policy.h"
+#include "history/view_checker.h"
 #include "runner/aggregate.h"
 #include "runner/runner.h"
 
@@ -91,6 +95,35 @@ std::string Fixed2(double v);
 int FinishSweep(const std::string& name, const std::string& config,
                 uint64_t seed, int workers, const TablePrinter& table,
                 const runner::Aggregator& agg);
+
+// One run of the paper's history H1 (section 3, the global view
+// distortion) or H2 (section 5.1, the local view distortion) through the
+// live stack under one certification policy: what E1/E2's table shows
+// and tests/scenario_test.cc asserts. T1 is the transaction whose prepared
+// subtransaction at site a (0) dies; the intruder is T2 in H1 and T3 in
+// H2; the local transaction L4 runs in H2 only.
+struct HistoryRun {
+  // Global outcomes, empty while the transaction has not finished.
+  std::optional<bool> t1_committed;
+  std::optional<bool> intruder_committed;
+  bool intruder_refused = false;  // its GlobalTxnResult::certification_refused
+  bool local_committed = false;
+  int64_t resubmissions = 0;
+  int64_t refuse_interval = 0;
+  int64_t refusals = 0;  // interval + extension + dead refusals
+  std::optional<int64_t> y_at_a;  // Y's value at site a; empty once deleted
+  // History positions of T1's and the intruder's local commits at sites a
+  // and b (-1: no local commit there).
+  std::array<int64_t, 2> t1_commit_seq{-1, -1};
+  std::array<int64_t, 2> intruder_commit_seq{-1, -1};
+  bool cg_acyclic = true;
+  history::Verdict verdict = history::Verdict::kUnknown;
+  // history::VerifyReplayMatchesRecorded on the committed projection.
+  std::string replay_error;
+  bool budget_exhausted = false;  // the run was cut at its event budget
+};
+HistoryRun RunH1(core::CertPolicy policy);
+HistoryRun RunH2(core::CertPolicy policy);
 
 // Each sweep prints its table, writes BENCH_<name>.json and returns a
 // process exit code: 0 on success, 1 when its claim or a correctness

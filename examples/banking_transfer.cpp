@@ -31,7 +31,6 @@ int main() {
   sim::EventLoop loop;
   core::MdbsConfig config;
   config.num_sites = kBanks;
-  config.agent.alive_check_interval = 10 * sim::kMillisecond;
   core::Mdbs mdbs(config, &loop);
 
   const db::TableId accounts = *mdbs.CreateTableEverywhere("accounts");

@@ -230,7 +230,7 @@ void TwoPCAgent::OnDmlRequest(SiteId from, const DmlRequestMsg& msg) {
   log_.Append(LogRecord{.kind = LogRecordKind::kCommand,
                         .gtid = msg.gtid,
                         .command = msg.cmd});
-  if (!txn->alive) {
+  if (!ltm_->IsActive(txn->ltm_handle)) {
     // Unilaterally aborted while still active: fail the command; the
     // coordinator will roll the global transaction back. (Resubmission is
     // reserved for the prepared state.)
@@ -385,18 +385,18 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   }
 
   // Refresh the stored intervals first: for every prepared subtransaction
-  // that is *currently* alive (known from UAN without touching the LDBS),
-  // the interval end extends to now. This keeps the certification exact
-  // between periodic alive checks — without it, a transaction preparing
-  // shortly after another's last alive check would be refused spuriously,
-  // violating the paper's failure-free-no-aborts property.
+  // that is *currently* alive (its LTM handle is active; a dead one's
+  // interval already ended at its UAN), the interval end extends to now.
+  // Without it, a transaction preparing after another prepared would be
+  // refused spuriously, violating the paper's failure-free-no-aborts
+  // property.
   // (Allocation-free: ExtendEnd only mutates the entry's interval in place,
   // never the hash table itself, so iterating `entries()` directly is safe;
   // the refresh is order-independent.)
   AliveIntervalTable& table = certifier_->table();
   for (const auto& [entry_gtid, entry] : table.entries()) {
     AgentTxn* other = FindTxn(entry_gtid);
-    if (other != nullptr && !other->resubmitting && other->alive &&
+    if (other != nullptr && !other->resubmitting &&
         ltm_->IsActive(other->ltm_handle)) {
       table.ExtendEnd(entry_gtid, loop_->Now());
     }
@@ -433,7 +433,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
     return;
   }
 
-  if (!txn->alive || !ltm_->IsActive(txn->ltm_handle)) {
+  if (!ltm_->IsActive(txn->ltm_handle)) {
     ++metrics_->refuse_dead;
     if (tracer_ != nullptr) {
       trace::Event e;
@@ -529,7 +529,6 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   if (config_.bind_bound_data) BindAccessedItems(*txn);
   SendVote(txn->gtid, txn->coordinator, /*ready=*/true, Status::Ok(),
            /*read_only=*/false, txn->acting_for);
-  ScheduleAliveCheck(*txn);
   // Arm the decision wait: if no COMMIT/ROLLBACK arrives in time the agent
   // starts probing the coordinator — the 2PC blocking window made visible.
   if (config_.decision_inquiry_timeout > 0) {
@@ -546,35 +545,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg) {
   }
 }
 
-// --- alive checks and resubmission (Appendix A) ------------------------------
-
-void TwoPCAgent::ScheduleAliveCheck(AgentTxn& txn) {
-  const TxnId gtid = txn.gtid;
-  txn.alive_timer = loop_->ScheduleAfter(
-      config_.alive_check_interval, [this, gtid]() { OnAliveCheck(gtid); });
-}
-
-void TwoPCAgent::OnAliveCheck(const TxnId& gtid) {
-  AgentTxn* txn = FindTxn(gtid);
-  if (txn == nullptr || txn->phase != Phase::kPrepared) return;
-  txn->alive_timer = sim::kInvalidEvent;
-  ++metrics_->alive_checks;
-  if (txn->resubmitting) {
-    ScheduleAliveCheck(*txn);
-    return;
-  }
-  if (txn->alive && ltm_->IsActive(txn->ltm_handle)) {
-    // No failure: extend the end of the alive time interval.
-    certifier_->table().ExtendEnd(gtid, loop_->Now());
-  } else {
-    // Unilaterally aborted: resubmit the commands from the Agent log. With
-    // no commands to run, the resubmission may commit and retire at once.
-    StartResubmission(*txn);
-    txn = FindTxn(gtid);
-    if (txn == nullptr) return;
-  }
-  ScheduleAliveCheck(*txn);
-}
+// --- resubmission (Appendix A) ----------------------------------------------
 
 void TwoPCAgent::StartResubmission(AgentTxn& txn) {
   assert(txn.phase == Phase::kPrepared);
@@ -593,7 +564,6 @@ void TwoPCAgent::StartResubmission(AgentTxn& txn) {
   }
   log_.Append(
       LogRecord{.kind = LogRecordKind::kResubmission, .gtid = txn.gtid});
-  txn.alive = true;
   txn.resubmit_next_cmd = 0;
   txn.ltm_handle = ltm_->Begin(SubTxnId{txn.gtid, txn.resubmission});
   RunNextResubmitCommand(txn.gtid);
@@ -725,9 +695,11 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
     return;
   }
 
-  if (!txn.alive || !ltm_->IsActive(txn.ltm_handle)) {
-    // Unilaterally aborted after the last alive check: resubmit first, then
-    // commit (TW guarantees eventual success).
+  if (!ltm_->IsActive(txn.ltm_handle)) {
+    // Unilaterally aborted in this very instant: the LTM delivers its UAN
+    // as a zero-delay event, and this COMMIT ran first. Resubmit now, then
+    // commit (TW guarantees eventual success); the UAN then names a
+    // superseded handle and is dropped.
     StartResubmission(txn);
     return;
   }
@@ -736,7 +708,7 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
   log_.ForceAppend(LogRecord{.kind = LogRecordKind::kCommit,
                              .gtid = txn.gtid,
                              .csn = txn.csn});
-  // Alive and active just above, and not resubmitting: no command is in
+  // Active just above, and not resubmitting: no command is in
   // flight, so the commit cannot fail.
   [[maybe_unused]] const Status status = ltm_->Commit(txn.ltm_handle);
   assert(status.ok());
@@ -845,11 +817,10 @@ void TwoPCAgent::OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg) {
     loop_->Cancel(txn->orphan_timer);
     txn->orphan_timer = sim::kInvalidEvent;
   }
-  if (!txn->alive || !ltm_->IsActive(txn->ltm_handle)) {
+  if (!ltm_->IsActive(txn->ltm_handle)) {
     // Unilaterally aborted while still active: with no prepare record there
     // is nothing to resubmit for — the agent is the commit point here and
     // decides abort, like a refused vote plus an immediate rollback.
-    if (ltm_->IsActive(txn->ltm_handle)) ltm_->Abort(txn->ltm_handle);
     UnbindAll(*txn);
     ltm_->recorder()->RecordGlobalAbort(txn->gtid, config_.site);
     if (tracer_ != nullptr) {
@@ -959,7 +930,6 @@ void TwoPCAgent::Reenter(const TxnId& gtid, bool commit_pending,
   txn.gtid = gtid;
   txn.coordinator = log_.CoordinatorOf(gtid);
   txn.phase = Phase::kPrepared;
-  txn.alive = false;
   txn.resubmission = log_.ResubmissionsOf(gtid);
   txn.sn = prepare->sn;
   txn.acting_for = prepare->peer;
@@ -973,10 +943,7 @@ void TwoPCAgent::Reenter(const TxnId& gtid, bool commit_pending,
     certifier_->OnCommitDecision(gtid, csn);
   }
   StartResubmission(txn);
-  // With no commands to run, the resubmission may commit and retire at once.
-  AgentTxn* live = FindTxn(gtid);
-  if (live == nullptr) return;
-  ScheduleAliveCheck(*live);
+  // Undecided, it cannot have retired: probe the coordinator.
   if (!commit_pending) SendInquiry(gtid);
 }
 
@@ -1066,7 +1033,7 @@ void TwoPCAgent::OnOrphanTimeout(const TxnId& gtid) {
   // the LDBS can unilaterally abort at any time (execution autonomy).
   // A silent coordinator usually means it crashed before reaching PREPARE;
   // releasing the orphan's locks keeps the rest of the workload moving.
-  if (txn->phase != Phase::kActive || !txn->alive) return;
+  if (txn->phase != Phase::kActive) return;
   if (ltm_->IsActive(txn->ltm_handle)) {
     ltm_->InjectUnilateralAbort(txn->ltm_handle);
   }
@@ -1076,8 +1043,7 @@ void TwoPCAgent::OnOrphanTimeout(const TxnId& gtid) {
 
 void TwoPCAgent::CancelTimers(AgentTxn& txn) {
   for (sim::EventId* timer :
-       {&txn.alive_timer, &txn.resubmit_retry_timer, &txn.inquiry_timer,
-        &txn.orphan_timer}) {
+       {&txn.resubmit_retry_timer, &txn.inquiry_timer, &txn.orphan_timer}) {
     if (*timer != sim::kInvalidEvent) {
       loop_->Cancel(*timer);
       *timer = sim::kInvalidEvent;
@@ -1092,10 +1058,15 @@ void TwoPCAgent::OnUnilateralAbort(const SubTxnId& id,
   if (handle != txn->ltm_handle || id.resubmission != txn->resubmission) {
     return;  // stale notification about a superseded local subtransaction
   }
-  txn->alive = false;
-  // If a resubmission attempt is in flight its command callback handles the
-  // retry; otherwise the next alive check (or the commit attempt) triggers
-  // the resubmission — exactly the Appendix A/C algorithms.
+  // An active subtransaction's death surfaces at its next command, its
+  // vote or its 1PC commit; a resubmission attempt's in its command
+  // callback, which retries.
+  if (txn->phase != Phase::kPrepared || txn->resubmitting) return;
+  // Appendix A's alive check, run at the instant of the abort: the alive
+  // interval ends here, and the commands are resubmitted from the Agent
+  // log. With none to run, the resubmission may commit and retire at once.
+  certifier_->table().ExtendEnd(id.txn, loop_->Now());
+  StartResubmission(*txn);
 }
 
 // --- shard handoff -----------------------------------------------------------
@@ -1160,7 +1131,7 @@ std::vector<MigratedTxn> TwoPCAgent::ExtractResidueForShards(
     if (txn.phase == Phase::kActive) {
       // Force-abort: before the READY vote the LDBS may kill active work at
       // any time; the coordinator sees failing DML and rolls back globally.
-      if (txn.alive && ltm_->IsActive(txn.ltm_handle)) {
+      if (ltm_->IsActive(txn.ltm_handle)) {
         ltm_->InjectUnilateralAbort(txn.ltm_handle);
         ++metrics_->reconfig_forced_aborts;
       }

@@ -59,8 +59,6 @@ struct AgentConfig {
   // and commit write-free subtransactions at prepare time (read-only
   // optimization). Mirrors the coordinator's short_commit knob.
   bool short_commit = false;
-  // Period of the alive check while in the prepared state (Appendix A).
-  sim::Duration alive_check_interval = 25 * sim::kMillisecond;
   // DLU: bind accessed items while prepared. Disable only for negative
   // experiments.
   bool bind_bound_data = true;
@@ -211,8 +209,6 @@ class TwoPCAgent {
     Phase phase = Phase::kActive;
     LtmTxnHandle ltm_handle = kInvalidLtmTxn;
     int resubmission = 0;
-    // Aliveness of the *current* local subtransaction, maintained from UAN.
-    bool alive = true;
     bool resubmitting = false;
     int resubmit_attempts = 0;
     size_t resubmit_next_cmd = 0;
@@ -234,7 +230,6 @@ class TwoPCAgent {
     SiteId acting_for = kInvalidSite;
     bool commit_pending = false;  // COMMIT received but not yet performed
     int inquiry_attempts = 0;     // drives the capped inquiry backoff
-    sim::EventId alive_timer = sim::kInvalidEvent;
     sim::EventId resubmit_retry_timer = sim::kInvalidEvent;
     sim::EventId inquiry_timer = sim::kInvalidEvent;
     sim::EventId orphan_timer = sim::kInvalidEvent;
@@ -264,8 +259,6 @@ class TwoPCAgent {
   // the head (a local commit, a rollback, extracted residue, a CSN stamp).
   void CommitReadyHead();
   void ProcessRollback(AgentTxn& txn);
-  void ScheduleAliveCheck(AgentTxn& txn);
-  void OnAliveCheck(const TxnId& gtid);
   void StartResubmission(AgentTxn& txn);
   void RunNextResubmitCommand(const TxnId& gtid);
   void OnResubmissionComplete(AgentTxn& txn);
@@ -278,10 +271,10 @@ class TwoPCAgent {
   void CancelTimers(AgentTxn& txn);
   void OnUnilateralAbort(const SubTxnId& id, LtmTxnHandle handle);
   // The one re-entry path of crash recovery and shard adoption: rebuilds
-  // `gtid` as prepared and not alive from its log records (coordinator,
-  // serial number, origin, resubmission count), resubmits its commands,
-  // then finishes via the known decision (`commit_pending`, with `csn`) or
-  // a coordinator inquiry.
+  // `gtid` as prepared, with no live local subtransaction, from its log
+  // records (coordinator, serial number, origin, resubmission count),
+  // resubmits its commands, then finishes via the known decision
+  // (`commit_pending`, with `csn`) or a coordinator inquiry.
   void Reenter(const TxnId& gtid, bool commit_pending, int64_t csn);
   // A finished subtransaction (committed or aborted, its final ACK sent)
   // leaves txns_; the log keeps its outcome and late-message answers.

@@ -70,7 +70,8 @@ class AliveIntervalTable {
   void Remove(const TxnId& gtid);
   bool Contains(const TxnId& gtid) const { return entries_.count(gtid) != 0; }
 
-  // Extends the stored interval's end (successful alive check).
+  // Extends the stored interval's end: to now before a prepare certifies
+  // (the subtransaction is alive), or to the instant of its unilateral abort.
   void ExtendEnd(const TxnId& gtid, sim::Time end);
   // Overwrites the stored serial number (CSN certifier: a prepared entry
   // parked with an invalid SN is stamped with its decision-time CSN).

@@ -44,7 +44,7 @@ struct Metrics {
   // attempt counts once: the waiting subtransaction commits when it heads
   // the SN order, with no further attempt counted.
   int64_t commit_cert_retries = 0;
-  int64_t alive_checks = 0;
+  int64_t alive_checks = 0;       // always 0 (the alive check runs on UAN)
   int64_t resubmissions = 0;
   int64_t resubmission_failures = 0;  // a resubmission attempt itself died
 

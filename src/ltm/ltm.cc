@@ -7,6 +7,13 @@
 
 namespace hermes::ltm {
 
+namespace {
+
+// How often an LTM with deadlock_detection on searches its wait-for graph.
+constexpr sim::Duration kDeadlockCheckInterval = 10 * sim::kMillisecond;
+
+}  // namespace
+
 Ltm::Ltm(const LtmConfig& config, sim::EventLoop* loop, db::Storage* storage,
          history::Recorder* recorder, trace::Tracer* tracer)
     : config_(config),
@@ -18,7 +25,7 @@ Ltm::Ltm(const LtmConfig& config, sim::EventLoop* loop, db::Storage* storage,
   assert(storage_->site() == config_.site);
   if (config_.deadlock_detection) {
     deadlock_timer_ = loop_->ScheduleAfter(
-        config_.deadlock_check_interval, [this]() { RunDeadlockDetection(); });
+        kDeadlockCheckInterval, [this]() { RunDeadlockDetection(); });
   }
 }
 
@@ -196,7 +203,7 @@ void Ltm::UnbindItems(const std::vector<ItemId>& items) {
 }
 
 void Ltm::RunDeadlockDetection() {
-  deadlock_timer_ = loop_->ScheduleAfter(config_.deadlock_check_interval,
+  deadlock_timer_ = loop_->ScheduleAfter(kDeadlockCheckInterval,
                                          [this]() { RunDeadlockDetection(); });
   const auto edges = locks_.WaitForEdges();
   if (edges.empty()) return;

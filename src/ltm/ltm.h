@@ -46,11 +46,10 @@ struct LtmConfig {
   // "non-rigorous LDBS" negative experiments.
   bool rigorous = true;
   sim::Duration lock_wait_timeout = 500 * sim::kMillisecond;
-  // Optional wait-for-graph deadlock detection (the paper's 2CM assumes
-  // timeout-only; detection is the E11 ablation,
-  // `bench_suite --only=deadlock`).
+  // Optional wait-for-graph deadlock detection, searching the graph every
+  // 10 ms (the paper's 2CM assumes timeout-only; detection is the E11
+  // ablation, `bench_suite --only=deadlock`).
   bool deadlock_detection = false;
-  sim::Duration deadlock_check_interval = 50 * sim::kMillisecond;
 };
 
 struct LtmStats {

@@ -33,8 +33,6 @@ Status WorkloadConfig::Validate() const {
 }
 
 core::MdbsConfig WorkloadConfig::ToMdbsConfig() const {
-  // How often an LTM with deadlock_detection on searches its wait-for graph.
-  constexpr sim::Duration kDeadlockCheckInterval = 10 * sim::kMillisecond;
   core::MdbsConfig config;
   config.num_sites = num_sites;
   config.num_shards = num_shards;
@@ -50,9 +48,7 @@ core::MdbsConfig WorkloadConfig::ToMdbsConfig() const {
   config.ltm.rigorous = rigorous_ltm;
   config.ltm.lock_wait_timeout = lock_wait_timeout;
   config.ltm.deadlock_detection = deadlock_detection;
-  config.ltm.deadlock_check_interval = kDeadlockCheckInterval;
   config.agent.policy = policy;
-  config.agent.alive_check_interval = alive_check_interval;
   config.agent.bind_bound_data = dlu_binding;
   config.agent.decision_inquiry_timeout = decision_inquiry_timeout;
   config.agent.inquiry_retry_initial = inquiry_retry_initial;

@@ -113,7 +113,6 @@ struct WorkloadConfig {
   // --- tunables forwarded to the components ------------------------------------
   sim::Duration net_base_latency = 1 * sim::kMillisecond;
   sim::Duration net_jitter = 0;
-  sim::Duration alive_check_interval = 25 * sim::kMillisecond;
   // Agent-side recovery timers (see core::AgentConfig).
   sim::Duration decision_inquiry_timeout = 500 * sim::kMillisecond;
   sim::Duration inquiry_retry_initial = 20 * sim::kMillisecond;

@@ -389,9 +389,6 @@ class AgentProtocolTest : public ::testing::Test {
     config.num_sites = 1;
     if (traced) config.tracer = &tracer_;
     config.agent.policy = policy;
-    // Keep alive checks lazy so injected aborts stay undetected (stale
-    // intervals) across a Drain() — the scenarios these tests exercise.
-    config.agent.alive_check_interval = 300 * sim::kMillisecond;
     mdbs_ = std::make_unique<core::Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTable(0, "t");
     for (int64_t k = 0; k < 8; ++k) {
@@ -409,9 +406,23 @@ class AgentProtocolTest : public ::testing::Test {
 
   void Send(const Message& msg) { mdbs_->network().Send(0, 0, msg); }
 
-  // Prepared transactions keep periodic alive-check timers alive, so a full
-  // Run() would never return; drain a bounded slice of virtual time instead.
+  // Prepared transactions keep probing their silent (phantom) coordinator,
+  // so a full Run() would never return; drain a bounded slice of virtual
+  // time instead.
   void Drain() { loop_.RunUntil(loop_.Now() + 50 * sim::kMillisecond); }
+
+  // Opens a local transaction whose read of `key` queues behind a prepared
+  // subtransaction's write lock. At that subtransaction's unilateral abort
+  // the reader is granted ahead of the resubmission, which then waits for
+  // the open reader.
+  LtmTxnHandle QueueLocalReader(int64_t key) {
+    ltm::Ltm* ltm = mdbs_->ltm(0);
+    const LtmTxnHandle reader =
+        ltm->Begin(SubTxnId{TxnId::MakeLocal(0, key), 0});
+    ltm->Execute(reader, db::MakeSelectKey(table_, key),
+                 [](const Status&, const db::CmdResult&) {});
+    return reader;
+  }
 
   // Runs BEGIN + one update command for `gtid` and waits for completion.
   void RunDml(const TxnId& gtid, int64_t key) {
@@ -651,7 +662,9 @@ TEST_F(AgentProtocolTest, BasicCertificationRefusesNonOverlappingIntervals) {
   RunDml(t1, 1);
   Send(Message{core::PrepareMsg{t1, SerialNumber{10, 0, 0}}});
   Drain();
-  // Kill T1's prepared subtransaction; its alive interval goes stale.
+  // Kill T1's prepared subtransaction: its alive interval ends here. A
+  // local reader of key 1 keeps T1 resubmitting while T2 prepares.
+  QueueLocalReader(1);
   ASSERT_TRUE(
       mdbs_->ltm(0)->InjectUnilateralAbort(mdbs_->agent(0)->HandleOf(t1))
           .ok());
@@ -661,6 +674,82 @@ TEST_F(AgentProtocolTest, BasicCertificationRefusesNonOverlappingIntervals) {
   Send(Message{core::PrepareMsg{t2, SerialNumber{20, 0, 0}}});
   Drain();
   EXPECT_EQ(mdbs_->metrics().refuse_interval, 1);
+}
+
+// --- the alive check runs on UAN (Appendix A) --------------------------------
+
+TEST_F(AgentProtocolTest, PreparedSubtransactionResubmitsAtItsAbort) {
+  Build(CertPolicy::kFull);
+  const TxnId t1 = Gtid(1);
+  RunDml(t1, 1);
+  Send(Message{core::PrepareMsg{t1, SerialNumber{10, 0, 0}}});
+  Drain();
+  const LtmTxnHandle dead = mdbs_->agent(0)->HandleOf(t1);
+  ASSERT_TRUE(mdbs_->ltm(0)->InjectUnilateralAbort(dead).ok());
+  // No decision is in sight (the coordinator is a phantom): nothing but the
+  // UAN can start the resubmission, and it does so at once.
+  loop_.RunUntil(loop_.Now() + 1 * sim::kMillisecond);
+  EXPECT_EQ(mdbs_->metrics().resubmissions, 1);
+  EXPECT_EQ(mdbs_->metrics().resubmission_failures, 0);
+  const LtmTxnHandle fresh = mdbs_->agent(0)->HandleOf(t1);
+  EXPECT_NE(fresh, dead);
+  EXPECT_TRUE(mdbs_->ltm(0)->IsActive(fresh));
+  EXPECT_EQ(mdbs_->metrics().alive_checks, 0);
+}
+
+TEST_F(AgentProtocolTest, BlockedResubmissionsIntervalEndsAtTheAbort) {
+  Build(CertPolicy::kFull);
+  const TxnId t1 = Gtid(1);
+  RunDml(t1, 1);
+  Send(Message{core::PrepareMsg{t1, SerialNumber{10, 0, 0}}});
+  Drain();
+  const LtmTxnHandle reader = QueueLocalReader(1);
+  ltm::Ltm* ltm = mdbs_->ltm(0);
+  const sim::Time aborted_at = loop_.Now();
+  ASSERT_TRUE(ltm->InjectUnilateralAbort(mdbs_->agent(0)->HandleOf(t1)).ok());
+  Drain();
+  ASSERT_EQ(mdbs_->metrics().resubmissions, 1);
+  const AliveIntervalTable::Entry* entry =
+      mdbs_->agent(0)->alive_table().Find(t1);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->interval.end, aborted_at);
+  EXPECT_LT(entry->interval.begin, aborted_at);
+
+  // Once the reader commits, the resubmission completes and restarts the
+  // interval.
+  ASSERT_TRUE(ltm->Commit(reader).ok());
+  Drain();
+  entry = mdbs_->agent(0)->alive_table().Find(t1);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_GT(entry->interval.begin, aborted_at);
+}
+
+TEST_F(AgentProtocolTest, CommitInTheAbortsInstantResubmitsOnce) {
+  Build(CertPolicy::kFull);
+  const TxnId t1 = Gtid(1);
+  RunDml(t1, 1);
+  Send(Message{core::PrepareMsg{t1, SerialNumber{10, 0, 0}}});
+  Drain();
+  // The LTM delivers the UAN as a zero-delay event; a COMMIT handled in the
+  // abort's instant runs before it, finds the work dead and resubmits
+  // itself. The UAN then names a superseded handle and is dropped.
+  ASSERT_TRUE(
+      mdbs_->ltm(0)->InjectUnilateralAbort(mdbs_->agent(0)->HandleOf(t1))
+          .ok());
+  mdbs_->agent(0)->Handle(0, Message{core::DecisionMsg{t1, true}});
+  EXPECT_EQ(mdbs_->metrics().resubmissions, 1);
+  Drain();
+  EXPECT_EQ(mdbs_->metrics().resubmissions, 1);
+  EXPECT_EQ(mdbs_->agent(0)->alive_table().size(), 0u);
+  EXPECT_TRUE(mdbs_->agent(0)->log().HasCommit(t1));
+  int commits = 0;
+  for (const auto& op : mdbs_->recorder().ops()) {
+    if (op.kind == history::OpKind::kLocalCommit && op.subtxn.txn == t1) {
+      ++commits;
+      EXPECT_EQ(op.subtxn.resubmission, 1);
+    }
+  }
+  EXPECT_EQ(commits, 1);
 }
 
 }  // namespace

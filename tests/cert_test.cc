@@ -155,7 +155,6 @@ class AgentCsnTest : public ::testing::Test {
     config.tracer = &tracer_;
     config.agent.certifier = cert::CertifierKind::kCsn;
     config.agent.policy = policy;
-    config.agent.alive_check_interval = 300 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTable(0, "t");
     for (int64_t k = 0; k < 8; ++k) {
@@ -287,7 +286,6 @@ class CsnRecoveryTest : public ::testing::Test {
     config.num_sites = sites;
     config.tracer = &tracer_;
     config.agent.certifier = cert::CertifierKind::kCsn;
-    config.agent.alive_check_interval = 5 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");
     for (SiteId s = 0; s < sites; ++s) {

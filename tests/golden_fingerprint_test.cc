@@ -136,7 +136,10 @@ RunSpec CsnCrash4Site(uint64_t seed) {
 // certification stopped polling on a 5 ms timer and began committing a
 // waiter at the instant its blocker leaves. Refusing, instead of delaying,
 // a local update of bound data changed every digest of the three workloads
-// with local transactions; wide_256site has none.
+// with local transactions; wide_256site has none. Running the alive check
+// on the UAN (a prepared subtransaction resubmits at the instant of its
+// unilateral abort, not at the next 25 ms poll) changed oracle_4site seed
+// 3, chaos_paxos_16site seeds 1-3 and csn_2pc_crash seeds 1-2.
 struct Golden {
   const char* workload;
   RunSpec (*make)(uint64_t seed);
@@ -147,16 +150,16 @@ struct Golden {
 const Golden kGolden[] = {
     {"oracle_4site",
      Oracle4Site,
-     {"f4918cf4adb1c4e1", "32eb3fef227e9c6a", "4b044e02c4743b16"}},
+     {"f4918cf4adb1c4e1", "32eb3fef227e9c6a", "159cc8112b66469c"}},
     {"wide_256site",
      Wide256Site,
      {"e8121047814f89af", "c5f050fa209196ca", "10df582d3f73d5f7"}},
     {"chaos_paxos_16site",
      ChaosPaxos16Site,
-     {"fa481d73b83f6434", "8cbb82978af479ff", "19edde49772698d7"}},
+     {"39f2582337223db8", "9b9510b0502e8868", "58bd6c1858eb86d0"}},
     {"csn_2pc_crash",
      CsnCrash4Site,
-     {"caaa45f0a8dc72e2", "4e5d3d3df5e58011", "5a9419ecfba2d9fc"}},
+     {"f2bdd8bab8f01fde", "5e4792c8ca7265c7", "5a9419ecfba2d9fc"}},
 };
 
 TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {

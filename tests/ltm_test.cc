@@ -381,7 +381,6 @@ TEST_F(LtmTest, UpsertOverwritesExistingRow) {
 TEST_F(LtmTest, DeadlockDetectionAbortsVictim) {
   LtmConfig config;
   config.deadlock_detection = true;
-  config.deadlock_check_interval = 5 * sim::kMillisecond;
   config.lock_wait_timeout = 10 * sim::kSecond;  // detection, not timeout
   Build(config);
 

@@ -35,7 +35,6 @@ TEST_P(TopologySweep, InvariantsHoldAcrossSitesAndSpan) {
   config.global_clients = 4;
   config.target_global_txns = 24;
   config.p_prepared_abort = 0.15;
-  config.alive_check_interval = 8 * sim::kMillisecond;
   const RunResult r = Driver::Run(config);
 
   EXPECT_EQ(r.metrics.global_committed + r.metrics.global_aborted,
@@ -73,7 +72,6 @@ TEST_P(SkewSweep, ClockSkewNeverBreaksCorrectness) {
   config.global_clients = 6;
   config.target_global_txns = 24;
   config.p_prepared_abort = 0.2;
-  config.alive_check_interval = 8 * sim::kMillisecond;
   config.clock_skew = GetParam() * sim::kMillisecond;
   const RunResult r = Driver::Run(config);
   EXPECT_TRUE(r.commit_graph_acyclic);
@@ -99,7 +97,6 @@ TEST_P(ZipfSweep, HotKeysStaySerializable) {
   config.local_clients_per_site = 1;
   config.target_global_txns = 24;
   config.p_prepared_abort = 0.25;
-  config.alive_check_interval = 8 * sim::kMillisecond;
   const RunResult r = Driver::Run(config);
   EXPECT_TRUE(r.commit_graph_acyclic);
   EXPECT_TRUE(r.replay_consistent) << r.replay_error;
@@ -125,7 +122,6 @@ TEST_P(CgmSweep, CgmStaysCorrectUnderFailures) {
   config.local_clients_per_site = 1;
   config.target_global_txns = 20;
   config.p_prepared_abort = 0.15;
-  config.alive_check_interval = 8 * sim::kMillisecond;
   const RunResult r = Driver::Run(config);
   EXPECT_EQ(r.metrics.global_committed + r.metrics.global_aborted,
             config.target_global_txns);
@@ -165,7 +161,6 @@ TEST(NonRigorousLdbs, CertifierAssumptionIsLoadBearing) {
     config.cmds_per_global_txn = 3;
     config.global_write_fraction = 0.5;
     config.p_prepared_abort = 0.2;
-    config.alive_check_interval = 4 * sim::kMillisecond;
     const RunResult r = Driver::Run(config);
     if (!r.replay_consistent || !r.commit_graph_acyclic ||
         r.verdict == history::Verdict::kNotSerializable) {

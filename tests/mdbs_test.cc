@@ -28,7 +28,6 @@ class MdbsTest : public ::testing::Test {
     MdbsConfig config;
     config.num_sites = sites;
     config.agent.policy = policy;
-    config.agent.alive_check_interval = 5 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("acc");
     for (SiteId s = 0; s < sites; ++s) {
@@ -166,28 +165,17 @@ TEST_F(MdbsTest, UnilateralAbortInPreparedStateIsResubmittedAndCommits) {
 
 TEST_F(MdbsTest, RepeatedUnilateralAbortsEventuallyCommit) {
   Build(2);
-  int injections = 0;
-  mdbs_->agent(0)->set_prepared_hook(
-      [&](const TxnId&, LtmTxnHandle handle) {
-        // Kill the first three incarnations (prepared + two resubmissions).
-        loop_.ScheduleAfter(1 * sim::kMillisecond, [this, handle]() {
-          (void)mdbs_->ltm(0)->InjectUnilateralAbort(handle);
-        });
-        ++injections;
+  // Kill the first three incarnations at site 0 (prepared + two
+  // resubmissions), 200 us apart: each resubmission of the one command
+  // takes 55 us, and the COMMIT is two 1 ms hops away.
+  mdbs_->agent(0)->set_prepared_hook([&](const TxnId& gtid, LtmTxnHandle) {
+    for (int i = 1; i <= 3; ++i) {
+      loop_.ScheduleAfter(i * 200 * sim::kMicrosecond, [this, gtid]() {
+        (void)mdbs_->ltm(0)->InjectUnilateralAbort(
+            mdbs_->agent(0)->HandleOf(gtid));
       });
-  // Also kill resubmitted incarnations: watch the agent's handle after each
-  // alive check round by killing whatever is active at fixed times.
-  for (int i = 1; i <= 2; ++i) {
-    loop_.ScheduleAfter(i * 12 * sim::kMillisecond, [this]() {
-      // Abort every active global subtransaction at site 0.
-      for (LtmTxnHandle h = 1; h < 16; ++h) {
-        if (mdbs_->ltm(0)->IsActive(h) &&
-            mdbs_->ltm(0)->Find(h)->global()) {
-          (void)mdbs_->ltm(0)->InjectUnilateralAbort(h);
-        }
-      }
-    });
-  }
+    }
+  });
 
   GlobalTxnSpec spec;
   spec.steps.push_back({0, db::MakeAddKey(table_, 1, "bal", int64_t{-10})});
@@ -199,7 +187,7 @@ TEST_F(MdbsTest, RepeatedUnilateralAbortsEventuallyCommit) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->status.ok()) << result->status;
   EXPECT_EQ(Balance(0, 1), 90);
-  EXPECT_GE(mdbs_->metrics().resubmissions, 1);
+  EXPECT_EQ(mdbs_->metrics().resubmissions, 3);
   const auto check = CheckHistory();
   EXPECT_EQ(check.verdict, history::Verdict::kSerializable);
 }
@@ -225,12 +213,14 @@ TEST_F(MdbsTest, LocalTransactionsRunDirectly) {
 }
 
 TEST_F(MdbsTest, LocalReaderThatUpdatesBoundDataDoesNotStallAResubmission) {
-  // T's prepared subtransaction at site 0 is unilaterally aborted. A local
-  // transaction reads the bound row (DLU allows reads) and then updates it.
-  // T's resubmission needs the row's lock, which the local reader holds.
-  // Refusing the local update releases that lock at once; had the update
-  // waited for the unbind, it would have kept the lock until the DLU wait
-  // timed out, and T's resubmission would have timed out on it meanwhile.
+  // A local transaction reads T's bound row (DLU allows reads) and then
+  // updates it. Its read waits on T's write lock when T's prepared
+  // subtransaction at site 0 is unilaterally aborted, so it is granted
+  // ahead of T's resubmission, which then needs the row's lock that the
+  // local reader holds. Refusing the local update releases that lock at
+  // once; had the update waited for the unbind, it would have kept the lock
+  // until the DLU wait timed out, and T's resubmission would have timed out
+  // on it meanwhile.
   Build(2);
   GlobalTxnSpec spec;
   spec.steps.push_back({0, db::MakeAddKey(table_, 1, "bal", int64_t{-10})});
@@ -242,16 +232,15 @@ TEST_F(MdbsTest, LocalReaderThatUpdatesBoundDataDoesNotStallAResubmission) {
   mdbs_->agent(0)->set_prepared_hook([&](const TxnId&, LtmTxnHandle handle) {
     if (!first) return;
     first = false;
+    core::LocalTxnSpec local;
+    local.site = 0;
+    local.commands.push_back(db::MakeSelectKey(table_, 1));
+    local.commands.push_back(db::MakeAddKey(table_, 1, "bal", int64_t{1000}));
+    mdbs_->SubmitLocal(local,
+                       [&](const core::LocalTxnResult& r) { lresult = r; });
     loop_.ScheduleAfter(1 * sim::kMillisecond, [&, handle]() {
       aborted_at = loop_.Now();
       (void)mdbs_->ltm(0)->InjectUnilateralAbort(handle);
-      core::LocalTxnSpec local;
-      local.site = 0;
-      local.commands.push_back(db::MakeSelectKey(table_, 1));
-      local.commands.push_back(
-          db::MakeAddKey(table_, 1, "bal", int64_t{1000}));
-      mdbs_->SubmitLocal(local,
-                         [&](const core::LocalTxnResult& r) { lresult = r; });
     });
   });
   mdbs_->Submit(spec, [&](const GlobalTxnResult& r) {
@@ -272,9 +261,9 @@ TEST_F(MdbsTest, LocalReaderThatUpdatesBoundDataDoesNotStallAResubmission) {
 
 TEST_F(MdbsTest, DluBlocksLocalUpdateOfBoundData) {
   Build(2);
-  // Freeze T in the prepared state by delaying the commit decision: inject
-  // a unilateral abort so the agent resubmits; meanwhile a local writer
-  // targets the bound row and is refused (DLU), never updating it.
+  // Inject a unilateral abort into T's prepared subtransaction so the agent
+  // resubmits; in the same instant a local writer targets the bound row and
+  // is refused (DLU), never updating it.
   GlobalTxnSpec spec;
   spec.steps.push_back({0, db::MakeAddKey(table_, 1, "bal", int64_t{-10})});
   spec.steps.push_back({1, db::MakeAddKey(table_, 1, "bal", int64_t{10})});
@@ -289,12 +278,9 @@ TEST_F(MdbsTest, DluBlocksLocalUpdateOfBoundData) {
     if (!first) return;
     first = false;
     // Kill the prepared subtransaction; its locks drop, but the row stays
-    // *bound*, so the local writer below is refused.
-    loop_.ScheduleAfter(1 * sim::kMillisecond, [this, handle]() {
+    // *bound*, so the local writer on it is refused.
+    loop_.ScheduleAfter(1 * sim::kMillisecond, [&, handle]() {
       (void)mdbs_->ltm(0)->InjectUnilateralAbort(handle);
-    });
-    // Local writer on the bound row.
-    loop_.ScheduleAfter(2 * sim::kMillisecond, [&]() {
       core::LocalTxnSpec local;
       local.site = 0;
       local.commands.push_back(
@@ -374,7 +360,6 @@ StateFootprint RunClosedLoop(int64_t txns) {
   loop.set_max_events(10'000'000);
   MdbsConfig config;
   config.num_sites = kSites;
-  config.agent.alive_check_interval = 5 * sim::kMillisecond;
   Mdbs mdbs(config, &loop);
   const db::TableId table = *mdbs.CreateTableEverywhere("acc");
   for (SiteId s = 0; s < kSites; ++s) {

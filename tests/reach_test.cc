@@ -95,7 +95,6 @@ class ReachTest : public ::testing::Test {
     config.num_sites = sites;
     config.num_shards = 8;
     config.max_sites = max_sites;
-    config.agent.alive_check_interval = 5 * sim::kMillisecond;
     return config;
   }
 
@@ -322,7 +321,7 @@ TEST_F(ReachTest, AdoptedResidueKeepsItsIncarnationCount) {
   Send(1, core::PrepareMsg{g, SerialNumber{10, kProbe, 0}});
   ASSERT_TRUE(
       mdbs_->ltm(1)->InjectUnilateralAbort(mdbs_->agent(1)->HandleOf(g)).ok());
-  Drain();  // the alive check resubmits
+  Drain();  // the UAN resubmits
   ASSERT_EQ(mdbs_->metrics().resubmissions, 1);
 
   Reconfigure(shard::ReconfigOp{shard::ReconfigKind::kReplaceSite, 1});

@@ -37,7 +37,6 @@ class ReconfigTest : public ::testing::Test {
     config.max_sites = max_sites;
     config.protocol = protocol;
     config.agent.certifier = certifier;
-    config.agent.alive_check_interval = 5 * sim::kMillisecond;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");
     for (int64_t k = 0; k < kKeys; ++k) {

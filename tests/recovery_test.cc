@@ -27,7 +27,6 @@ class RecoveryTest : public ::testing::Test {
   void Build(int sites, sim::Duration orphan_abort_timeout = 0) {
     MdbsConfig config;
     config.num_sites = sites;
-    config.agent.alive_check_interval = 5 * sim::kMillisecond;
     config.agent.orphan_abort_timeout = orphan_abort_timeout;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");

@@ -42,7 +42,6 @@ std::vector<RunSpec> SmallGrid(int seeds, bool capture_trace) {
     spec.config.local_clients_per_site = 1;
     spec.config.target_global_txns = 20;
     spec.config.p_prepared_abort = 0.1;
-    spec.config.alive_check_interval = 10 * sim::kMillisecond;
     specs.push_back(std::move(spec));
   }
   return specs;

@@ -26,7 +26,6 @@ class ShortCommitTest : public ::testing::Test {
     MdbsConfig config;
     config.num_sites = sites;
     config.agent.short_commit = true;
-    config.agent.alive_check_interval = 5 * sim::kMillisecond;
     config.network.loss_prob = loss_prob;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");

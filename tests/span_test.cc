@@ -55,7 +55,6 @@ TracedRun RunTraced(uint64_t seed, bool chaos = false) {
   config.local_clients_per_site = 1;
   config.target_global_txns = 30;
   config.p_prepared_abort = 0.3;
-  config.alive_check_interval = 10 * sim::kMillisecond;
   config.tracer = &tracer;
   if (chaos) {
     config.rows_per_table = 32;

@@ -281,13 +281,14 @@ constexpr SiteId kA = 0;
 constexpr SiteId kB = 1;
 constexpr SiteId kC = 2;
 
-// H1-style scenario (see scenario_test.cc): T1 updates key 1 at site a and
-// key 2 at site b; its prepared subtransaction at a is unilaterally
-// aborted. T2 starts inside the failure window, writes the same keys, and
-// so (a) holds key 1 at a, blocking T1's resubmission there, while (b)
-// waiting for T1's key-2 lock at b. When T2 finally prepares at a, the dead
-// T1 is still in the alive table with a stale interval — the basic prepare
-// certification refuses T2, whose abort then unblocks T1's resubmission.
+// H1-style scenario (see bench/sweep_fig2_histories.cpp): T1 updates key 1
+// at site a and key 2 at site b. T2 writes the same keys; its update of
+// key 1 queues on T1's lock at a, and T1's prepared subtransaction there is
+// unilaterally aborted. So T2 (a) holds key 1 at a, blocking T1's
+// resubmission there, while (b) waiting for T1's key-2 lock at b. When T2
+// finally prepares at a, T1's interval in the alive table ended at its
+// abort — the basic prepare certification refuses T2, whose abort then
+// unblocks T1's resubmission.
 struct TracedScenario {
   sim::EventLoop loop;
   Tracer tracer{&loop};
@@ -300,7 +301,6 @@ struct TracedScenario {
     MdbsConfig config;
     config.num_sites = 3;
     config.agent.policy = CertPolicy::kFull;
-    config.agent.alive_check_interval = 200 * sim::kMillisecond;
     config.tracer = &tracer;
     mdbs = std::make_unique<Mdbs>(config, &loop);
     table = *mdbs->CreateTableEverywhere("t");
@@ -317,14 +317,16 @@ struct TracedScenario {
                                            LtmTxnHandle handle) {
       if (injected || !(gtid == t1_id)) return;
       injected = true;
-      loop.ScheduleAfter(0, [this, handle]() {
-        (void)mdbs->ltm(kA)->InjectUnilateralAbort(handle);
-      });
       GlobalTxnSpec spec2;
       spec2.steps.push_back({kA, db::MakeAddKey(table, 1, "v", int64_t{5})});
       spec2.steps.push_back({kB, db::MakeAddKey(table, 2, "v", int64_t{5})});
       t2_id = mdbs->Submit(
           spec2, [this](const GlobalTxnResult& r) { t2 = r; }, kA);
+      // T2's update of key 1 has queued on T1's lock by then; T1's COMMIT
+      // is still a network round trip away.
+      loop.ScheduleAfter(1 * sim::kMillisecond, [this, handle]() {
+        (void)mdbs->ltm(kA)->InjectUnilateralAbort(handle);
+      });
     });
 
     GlobalTxnSpec spec1;
@@ -416,7 +418,6 @@ TEST(TraceDeterminismTest, SameSeedProducesByteIdenticalTraces) {
     config.local_clients_per_site = 1;
     config.target_global_txns = 30;
     config.p_prepared_abort = 0.3;
-    config.alive_check_interval = 10 * sim::kMillisecond;
     config.tracer = &tracer;
     (void)workload::Driver::Run(config);
     return tracer.ToBinary();

@@ -120,7 +120,6 @@ TEST_P(SerializabilitySweep, FullCertifierAlwaysViewSerializable) {
   WorkloadConfig config = SmallConfig(param.seed);
   config.policy = param.policy;
   config.p_prepared_abort = param.p_fail;
-  config.alive_check_interval = 10 * sim::kMillisecond;
   const RunResult result = Driver::Run(config);
 
   EXPECT_GT(result.metrics.global_committed, 0);
@@ -156,7 +155,6 @@ TEST_P(SeedSweep, FullCertifierUnderHeavyFailures) {
   WorkloadConfig config = SmallConfig(GetParam());
   config.policy = core::CertPolicy::kFull;
   config.p_prepared_abort = 0.4;
-  config.alive_check_interval = 8 * sim::kMillisecond;
   config.target_global_txns = 25;
   const RunResult result = Driver::Run(config);
   EXPECT_TRUE(result.commit_graph_acyclic);
@@ -240,7 +238,6 @@ TEST(Driver, NaiveAgentEventuallyViolatesSerializability) {
     config.policy = core::CertPolicy::kNone;
     config.dlu_binding = false;  // drop DLU too: fully naive
     config.p_prepared_abort = 0.5;
-    config.alive_check_interval = 4 * sim::kMillisecond;
     config.rows_per_table = 6;  // very hot keys
     config.local_clients_per_site = 2;
     const RunResult result = Driver::Run(config);

@@ -17,10 +17,13 @@
 // Gate: in both histories the `none` policy is NOT-VIEW-SERIALIZABLE with
 // a cyclic commit graph, every certifying policy is view-serializable
 // with an acyclic one, the committed projection replays to the recorded
-// values, and no run exhausts its event budget.
+// values, H2's local transaction L4 commits, and no run exhausts its event
+// budget.
 
 #include <cstdio>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "bench/sweeps.h"
 #include "core/mdbs.h"
@@ -83,7 +86,7 @@ struct Harness {
     intruder_id = mdbs->Submit(
         spec,
         [this](const GlobalTxnResult& r) {
-          out.intruder_committed = r.status.ok();
+          out.intruder_status = r.status;
           out.intruder_refused = r.certification_refused;
         },
         coordinator);
@@ -97,7 +100,7 @@ struct Harness {
     t1.steps.push_back({kB, db::MakeAddKey(table, kZ, "v", int64_t{10})});
     t1_id = mdbs->Submit(
         t1,
-        [this](const GlobalTxnResult& r) { out.t1_committed = r.status.ok(); },
+        [this](const GlobalTxnResult& r) { out.t1_status = r.status; },
         kC);
   }
 
@@ -109,6 +112,7 @@ struct Harness {
     out.refuse_interval = m.refuse_interval;
     out.refusals = m.refuse_interval + m.refuse_extension + m.refuse_dead;
     const db::RowEntry* y = mdbs->storage(kA)->GetTable(table)->Get(kY);
+    out.y_exists = y != nullptr;
     if (y != nullptr && y->live()) {
       out.y_at_a = std::get<int64_t>(*y->row->Get("v"));
     }
@@ -124,20 +128,24 @@ struct Harness {
         history::CommittedProjection(mdbs->recorder().ops());
     out.replay_error = history::VerifyReplayMatchesRecorded(committed);
     out.cg_acyclic = history::CommitGraphAcyclic(committed);
-    out.verdict = history::CheckViewSerializability(committed).verdict;
+    history::ViewCheckResult check =
+        history::CheckViewSerializability(committed);
+    out.verdict = check.verdict;
+    out.verdict_reason = std::move(check.reason);
     return out;
   }
 };
 
-const char* Outcome(const std::optional<bool>& committed) {
-  if (!committed.has_value()) return "unfinished";
-  return *committed ? "commit" : "abort";
+const char* Outcome(const std::optional<Status>& status) {
+  if (!status.has_value()) return "unfinished";
+  return status->ok() ? "commit" : "abort";
 }
 
 // Runs one history under every policy, writes its artifact and returns 0,
-// or 1 when the gate fails or the artifact cannot be written.
+// or 1 when the gate fails or the artifact cannot be written. With
+// `runs_local` the gate also requires L4 to commit.
 int Report(const char* title, const char* artifact_name,
-           HistoryRun (*run)(CertPolicy)) {
+           HistoryRun (*run)(CertPolicy), bool runs_local) {
   bool gate_ok = true;
   std::printf("%s\n", title);
   TablePrinter table({"policy", "T1", "intruder", "local", "resub",
@@ -150,18 +158,27 @@ int Report(const char* title, const char* artifact_name,
                            !r.cg_acyclic;
     const bool clean =
         r.verdict == history::Verdict::kSerializable && r.cg_acyclic;
-    if (r.budget_exhausted || !r.replay_error.empty() ||
-        !(policy == CertPolicy::kNone ? distorted : clean)) {
-      std::fprintf(stderr, "%s: policy %s broke the gate%s%s%s\n",
-                   artifact_name, core::CertPolicyName(policy),
-                   r.budget_exhausted ? " (event budget exhausted)" : "",
-                   r.replay_error.empty() ? "" : "; replay: ",
-                   r.replay_error.c_str());
+    const bool local_committed = r.local_status && r.local_status->ok();
+    std::string broken;
+    if (r.budget_exhausted) broken += "; event budget exhausted";
+    if (!r.replay_error.empty()) broken += "; replay: " + r.replay_error;
+    if (runs_local && !local_committed) {
+      broken += "; L4 did not commit: " +
+                (r.local_status ? r.local_status->ToString() : "unfinished");
+    }
+    if (!(policy == CertPolicy::kNone ? distorted : clean)) {
+      broken += std::string("; ") + history::VerdictName(r.verdict) +
+                (r.cg_acyclic ? ", acyclic CG" : ", cyclic CG");
+      if (!r.verdict_reason.empty()) broken += ": " + r.verdict_reason;
+    }
+    if (!broken.empty()) {
+      std::fprintf(stderr, "%s: policy %s broke the gate%s\n", artifact_name,
+                   core::CertPolicyName(policy), broken.c_str());
       gate_ok = false;
     }
-    table.AddRow(core::CertPolicyName(policy), Outcome(r.t1_committed),
-                 Outcome(r.intruder_committed),
-                 r.local_committed ? "commit" : "-", r.resubmissions,
+    table.AddRow(core::CertPolicyName(policy), Outcome(r.t1_status),
+                 Outcome(r.intruder_status),
+                 local_committed ? "commit" : "-", r.resubmissions,
                  r.refusals, r.cg_acyclic ? "acyclic" : "CYCLIC",
                  history::VerdictName(r.verdict));
   }
@@ -209,14 +226,20 @@ HistoryRun RunH2(CertPolicy policy) {
         ltm->Begin(SubTxnId{TxnId::MakeLocal(kA, 9999), 0});
     ltm->Execute(l4, db::MakeSelectKey(h.table, kY),
                  [&h, ltm, l4](const Status& s, const db::CmdResult&) {
-      if (!s.ok()) return;
+      if (!s.ok()) {
+        h.out.local_status = s;
+        return;
+      }
       h.loop.ScheduleAfter(5 * sim::kMillisecond, [&h, ltm, l4]() {
         ltm->Execute(l4, db::MakeSelectKey(h.table, kQ),
                      [&h, ltm, l4](const Status& s2, const db::CmdResult&) {
-          if (!s2.ok()) return;
+          if (!s2.ok()) {
+            h.out.local_status = s2;
+            return;
+          }
           ltm->Execute(l4, db::MakeAddKey(h.table, kU, "v", int64_t{1}),
                        [&h, ltm, l4](const Status& s3, const db::CmdResult&) {
-            if (s3.ok()) h.out.local_committed = ltm->Commit(l4).ok();
+            h.out.local_status = s3.ok() ? ltm->Commit(l4) : s3;
           });
         });
       });
@@ -229,9 +252,11 @@ HistoryRun RunH2(CertPolicy policy) {
 int RunFig2HistoriesSweep(const SweepArgs&) {
   std::printf("E1/E2 — paper histories H1 and H2 through the live stack\n\n");
   const int h1 = Report("H1 — global view distortion (section 3):",
-                        "fig2_histories_h1", RunH1);
+                        "fig2_histories_h1", RunH1,
+                        /*runs_local=*/false);
   const int h2 = Report("H2 — local view distortion (section 5.1):",
-                        "fig2_histories_h2", RunH2);
+                        "fig2_histories_h2", RunH2,
+                        /*runs_local=*/true);
   std::printf(
       "Expectation (paper): with certification disabled both anomalies\n"
       "materialize (NOT-VIEW-SERIALIZABLE); every certifying policy\n"

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/status.h"
 #include "core/cert_policy.h"
 #include "history/view_checker.h"
 #include "runner/aggregate.h"
@@ -104,20 +105,24 @@ int FinishSweep(const std::string& name, const std::string& config,
 // H2; the local transaction L4 runs in H2 only.
 struct HistoryRun {
   // Global outcomes, empty while the transaction has not finished.
-  std::optional<bool> t1_committed;
-  std::optional<bool> intruder_committed;
+  std::optional<Status> t1_status;
+  std::optional<Status> intruder_status;
   bool intruder_refused = false;  // its GlobalTxnResult::certification_refused
-  bool local_committed = false;
+  // L4's outcome: the status of its first failed command, else of its
+  // commit; empty in H1 and while L4 has not finished.
+  std::optional<Status> local_status;
   int64_t resubmissions = 0;
   int64_t refuse_interval = 0;
   int64_t refusals = 0;  // interval + extension + dead refusals
-  std::optional<int64_t> y_at_a;  // Y's value at site a; empty once deleted
+  bool y_exists = false;          // site a holds an entry for Y, live or not
+  std::optional<int64_t> y_at_a;  // Y's value at site a; empty unless live
   // History positions of T1's and the intruder's local commits at sites a
   // and b (-1: no local commit there).
   std::array<int64_t, 2> t1_commit_seq{-1, -1};
   std::array<int64_t, 2> intruder_commit_seq{-1, -1};
   bool cg_acyclic = true;
   history::Verdict verdict = history::Verdict::kUnknown;
+  std::string verdict_reason;  // history::ViewCheckResult::reason
   // history::VerifyReplayMatchesRecorded on the committed projection.
   std::string replay_error;
   bool budget_exhausted = false;  // the run was cut at its event budget

@@ -694,7 +694,6 @@ TEST_F(AgentProtocolTest, PreparedSubtransactionResubmitsAtItsAbort) {
   const LtmTxnHandle fresh = mdbs_->agent(0)->HandleOf(t1);
   EXPECT_NE(fresh, dead);
   EXPECT_TRUE(mdbs_->ltm(0)->IsActive(fresh));
-  EXPECT_EQ(mdbs_->metrics().alive_checks, 0);
 }
 
 TEST_F(AgentProtocolTest, BlockedResubmissionsIntervalEndsAtTheAbort) {

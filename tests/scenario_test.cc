@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "bench/sweeps.h"
 
 namespace hermes {
@@ -25,6 +27,16 @@ constexpr SiteId kB = 1;
 void ExpectSound(const HistoryRun& run) {
   EXPECT_EQ(run.replay_error, "");
   EXPECT_FALSE(run.budget_exhausted);
+}
+
+void ExpectCommitted(const std::optional<Status>& status, const char* who) {
+  ASSERT_TRUE(status.has_value()) << who << " did not finish";
+  EXPECT_TRUE(status->ok()) << who << ": " << *status;
+}
+
+void ExpectAborted(const std::optional<Status>& status, const char* who) {
+  ASSERT_TRUE(status.has_value()) << who << " did not finish";
+  EXPECT_FALSE(status->ok()) << who << " committed";
 }
 
 // Whether T1 committed before the intruder at `site`; both must have
@@ -48,14 +60,16 @@ bool T1CommittedFirst(const HistoryRun& run, SiteId site) {
 TEST(ScenarioTest, H1NaiveAgentProducesGlobalViewDistortion) {
   const HistoryRun run = bench::RunH1(CertPolicy::kNone);
   ExpectSound(run);
-  EXPECT_EQ(run.t1_committed, true);
-  EXPECT_EQ(run.intruder_committed, true);
+  ExpectCommitted(run.t1_status, "T1");
+  ExpectCommitted(run.intruder_status, "T2");
   EXPECT_GE(run.resubmissions, 1);
 
   // Y was deleted by T2, so T1's resubmitted update matched nothing.
+  EXPECT_TRUE(run.y_exists);
   EXPECT_FALSE(run.y_at_a.has_value());
 
-  EXPECT_EQ(run.verdict, history::Verdict::kNotSerializable);
+  EXPECT_EQ(run.verdict, history::Verdict::kNotSerializable)
+      << run.verdict_reason;
 }
 
 TEST(ScenarioTest, H1FullCertifierPreventsTheDistortion) {
@@ -64,8 +78,8 @@ TEST(ScenarioTest, H1FullCertifierPreventsTheDistortion) {
   // T1 survives the failure via resubmission; T2 is filtered out by the
   // basic prepare certification (its alive interval cannot intersect the
   // dead T1's).
-  EXPECT_EQ(run.t1_committed, true);
-  EXPECT_EQ(run.intruder_committed, false);
+  ExpectCommitted(run.t1_status, "T1");
+  ExpectAborted(run.intruder_status, "T2");
   EXPECT_TRUE(run.intruder_refused);
   EXPECT_GE(run.refuse_interval, 1);
 
@@ -73,7 +87,8 @@ TEST(ScenarioTest, H1FullCertifierPreventsTheDistortion) {
   ASSERT_TRUE(run.y_at_a.has_value());
   EXPECT_EQ(*run.y_at_a, 10);
 
-  EXPECT_EQ(run.verdict, history::Verdict::kSerializable);
+  EXPECT_EQ(run.verdict, history::Verdict::kSerializable)
+      << run.verdict_reason;
 }
 
 // --- H2: local view distortion -----------------------------------------------
@@ -87,9 +102,9 @@ TEST(ScenarioTest, H1FullCertifierPreventsTheDistortion) {
 TEST(ScenarioTest, H2NaiveAgentProducesLocalViewDistortion) {
   const HistoryRun run = bench::RunH2(CertPolicy::kNone);
   ExpectSound(run);
-  EXPECT_EQ(run.t1_committed, true);
-  EXPECT_EQ(run.intruder_committed, true);
-  EXPECT_TRUE(run.local_committed);
+  ExpectCommitted(run.t1_status, "T1");
+  ExpectCommitted(run.intruder_status, "T3");
+  ExpectCommitted(run.local_status, "L4");
 
   // The reversed local commit orders of the paper's H2: T1 before T3 at b,
   // T3 before T1 at a.
@@ -97,19 +112,23 @@ TEST(ScenarioTest, H2NaiveAgentProducesLocalViewDistortion) {
   EXPECT_FALSE(T1CommittedFirst(run, kA));
   EXPECT_FALSE(run.cg_acyclic);
 
-  EXPECT_EQ(run.verdict, history::Verdict::kNotSerializable);
+  EXPECT_EQ(run.verdict, history::Verdict::kNotSerializable)
+      << run.verdict_reason;
 }
 
 TEST(ScenarioTest, H2FullCertifierKeepsHistoryViewSerializable) {
   const HistoryRun run = bench::RunH2(CertPolicy::kFull);
   ExpectSound(run);
-  EXPECT_EQ(run.t1_committed, true);
+  ExpectCommitted(run.t1_status, "T1");
   // T3 is refused by the prepare certification at site a (T1 was not alive
   // simultaneously with it).
-  EXPECT_EQ(run.intruder_committed, false);
+  ExpectAborted(run.intruder_status, "T3");
+  // L4's commands and commit succeed under certification too.
+  ExpectCommitted(run.local_status, "L4");
 
   EXPECT_TRUE(run.cg_acyclic);
-  EXPECT_EQ(run.verdict, history::Verdict::kSerializable);
+  EXPECT_EQ(run.verdict, history::Verdict::kSerializable)
+      << run.verdict_reason;
 }
 
 }  // namespace

@@ -82,7 +82,8 @@ void GlobalLockManager::AcquireNext(
   const Granule& g = (*granules)[index];
   const LtmTxnHandle handle = HandleOf(txn);
   locks_.Acquire(handle, g.id, g.mode,
-                 [this, txn, granules, index, cb](Status s) mutable {
+                 [this, txn, granules = std::move(granules), index,
+                  cb = std::move(cb)](Status s) mutable {
                    if (!s.ok()) {
                      cb(std::move(s));
                      return;

@@ -43,19 +43,21 @@ void CommandExecutor::FailNow(const Status& status) {
 void CommandExecutor::Finish(const Status& status, db::CmdResult result) {
   if (finished_) return;
   finished_ = true;
-  Callback cb = std::move(cb_);
-  ltm_->loop()->ScheduleAfter(
-      0, [cb = std::move(cb), status, result = std::move(result)]() {
-        cb(status, result);
-      });
+  // The outcome waits in the executor, which the event keeps alive: a
+  // closure carrying the callback, status and result would not fit inline.
+  status_ = status;
+  result_ = std::move(result);
+  auto deliver = [self = shared_from_this()]() {
+    self->cb_(self->status_, self->result_);
+  };
+  static_assert(sim::Callback::kStoredInline<decltype(deliver)>);
+  ltm_->loop()->ScheduleAfter(0, std::move(deliver));
   ltm_->OnExecutorDone(txn_);
 }
 
 void CommandExecutor::FailAndAbort(const Status& reason) {
-  // Keep *this alive across both steps: Finish already drops the LTM's
-  // reference, which may be the last one (Start runs under Ltm::Execute,
-  // not under a callback that holds one).
-  auto self = shared_from_this();
+  // Finish's pending delivery keeps *this alive past the LTM's reference,
+  // which Finish drops.
   Finish(reason, db::CmdResult{});
   ltm_->UnilateralAbortInternal(txn_, reason);
 }
@@ -145,13 +147,11 @@ bool CommandExecutor::RefusedByDlu(const ItemId& item) {
 }
 
 void CommandExecutor::Acquire(int64_t key, const ItemId& item) {
-  std::weak_ptr<CommandExecutor> wp = weak_from_this();
-  ltm_->lock_manager().Acquire(txn_, item, NeededMode(),
-                               [wp, key](Status st) {
-                                 if (auto self = wp.lock()) {
-                                   self->OnLockGranted(key, st);
-                                 }
-                               });
+  auto on_grant = [wp = weak_from_this(), key](Status st) {
+    if (auto self = wp.lock()) self->OnLockGranted(key, st);
+  };
+  static_assert(LockManager::GrantCallback::kStoredInline<decltype(on_grant)>);
+  ltm_->lock_manager().Acquire(txn_, item, NeededMode(), std::move(on_grant));
 }
 
 void CommandExecutor::OnLockGranted(int64_t key, const Status& s) {

@@ -73,6 +73,9 @@ class CommandExecutor : public std::enable_shared_from_this<CommandExecutor> {
   LtmTxnHandle txn_;
   db::Command cmd_;
   Callback cb_;
+  // The outcome Finish delivers, kept here until the delivery event runs.
+  Status status_;
+  db::CmdResult result_;
   // The one key the command pins (db::CommandExactKey), if any.
   std::optional<int64_t> exact_key_;
 

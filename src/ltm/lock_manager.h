@@ -10,13 +10,13 @@
 #ifndef HERMES_LTM_LOCK_MANAGER_H_
 #define HERMES_LTM_LOCK_MANAGER_H_
 
-#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/status.h"
+#include "sim/callback.h"
 #include "sim/event_loop.h"
 
 namespace hermes::ltm {
@@ -32,8 +32,10 @@ struct LockManagerConfig {
 
 class LockManager {
  public:
-  // Invoked with OK when granted, kTimeout when the wait timed out.
-  using GrantCallback = std::function<void(Status)>;
+  // Invoked with OK when granted, kTimeout when the wait timed out. Small
+  // enough that the zero-delay event delivering a grant keeps it inline
+  // (sim::Callback), and roomy enough for the executor's `[weak_ptr, key]`.
+  using GrantCallback = sim::InlineFunction<void(Status), 32>;
 
   LockManager(const LockManagerConfig& config, sim::EventLoop* loop);
 

@@ -15,9 +15,12 @@
 //
 //  * Short-commit latency. Skipping the prepare round for single-site
 //    transactions (1PC) and the decision round for read-only participants
-//    must strictly reduce the mean critical path of committed single-site
-//    transactions in every {certifier, certification} pairing — the sweep
-//    exits nonzero otherwise.
+//    must strictly reduce the mean commit path (Commit to the last ACK) of
+//    committed single-site transactions in every {certifier,
+//    certification} pairing — the sweep exits nonzero otherwise. Client
+//    latency ties on single-site transactions: 2PC reports at the decision
+//    after PREPARE and vote, 1PC at the ACK after 1PC-COMMIT, two message
+//    delays each.
 //
 // The certifier hot-path cost (`cert ns/chk`) is a wall-clock micro-loop
 // over CertifyPrepare against a 64-entry prepared set, measured once per
@@ -231,8 +234,8 @@ int RunAblationMatrixSweep(const SweepArgs& args) {
   }
 
   // Short-commit acceptance gate: in every {certifier, certification}
-  // pairing the short-commit cell's mean committed single-site critical
-  // path must be *strictly* below its full-2PC sibling's.
+  // pairing the short-commit cell's mean committed single-site commit path
+  // to the last ACK must be *strictly* below its full-2PC sibling's.
   bool short_faster = true;
   for (size_t c = 0; c < variants.size(); ++c) {
     if (!variants[c].short_commit) continue;
@@ -279,7 +282,8 @@ int RunAblationMatrixSweep(const SweepArgs& args) {
       "\nExpected shape: under ±2ms skew the SN cells refuse (and abort) a\n"
       "nonzero share of perfectly serializable prepares, the CSN cells\n"
       "refuse none (unnec rfsl = 0). Short-commit strictly reduces the\n"
-      "committed single-site critical path in every pairing: %s.\n"
+      "committed single-site commit path to the last ACK in every\n"
+      "pairing: %s.\n"
       "Determinism sub-grid: serial == 2 workers, %s.\n",
       short_faster ? "HOLDS" : "VIOLATED",
       det_runs->identical ? "byte-identical" : "DIVERGED");

@@ -307,10 +307,15 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
 void Coordinator::OnDecided(const TxnId& gtid, bool commit) {
   CoordTxn* txn = FindTxn(gtid);
   if (txn == nullptr || txn->phase != Phase::kDeciding) return;
+  // The outcome is final here: 2PC has force-written its decision record,
+  // Paxos Commit's acceptors have chosen it. The participants must follow
+  // it (resubmitting after a unilateral abort if they have to), so the
+  // client hears it now; the ACK wait that follows is cleanup.
   if (commit) {
     recorder_->RecordGlobalCommit(gtid, site_);
     txn->phase = Phase::kCommitting;
     SendDecisions(*txn, /*commit=*/true);
+    Report(*txn, /*committed=*/true);
     return;
   }
   recorder_->RecordGlobalAbort(gtid, site_);
@@ -319,11 +324,11 @@ void Coordinator::OnDecided(const TxnId& gtid, bool commit) {
     txn->failure = Status::Aborted("decision protocol aborted");
   }
   if (txn->begun.empty()) {
-    CancelRetryTimer(*txn);
     FinishTxn(*txn, /*committed=*/false);
     return;
   }
   SendDecisions(*txn, /*commit=*/false);
+  Report(*txn, /*committed=*/false);
 }
 
 void Coordinator::SendDecisions(CoordTxn& txn, bool commit) {
@@ -534,40 +539,26 @@ void Coordinator::Crash() {
   ++metrics_->coordinator_crashes;
   for (auto& [gtid, txn] : txns_) {
     CancelRetryTimer(txn);
-    switch (txn.phase) {
-      case Phase::kCommitting:
-        // Under 2PC the decision record is force-written: Recover()
-        // re-drives the COMMIT delivery and FinishTxn counts the commit
-        // then. (Exception: a short-commit 1PC has no decision record —
-        // the agent holds the durable outcome and needs no re-drive; its
-        // commit simply goes uncounted, like any undecided transaction.)
-        // Only the client callback fails now — the pre-crash
-        // coordinator can no longer report the outcome. Paxos Commit has
-        // no redelivery pass (the acceptor quorum is the durable truth and
-        // participants pull from it), so the chosen commit is tallied
-        // here or it would never be counted.
-        if (!protocol_->PresumesAbortOnCrash()) ++metrics_->global_committed;
-        break;
-      case Phase::kRollingBack:
-        // The abort was already recorded by OnDecided; only the metrics
-        // counter (normally bumped in FinishTxn) is still owed.
-        ++metrics_->global_aborted;
-        break;
-      case Phase::kExecuting:
-      case Phase::kPreparing:
-      case Phase::kDeciding:
-        // Undecided towards this client either way (the pre-crash
-        // coordinator can no longer report an outcome). Under 2PC the
-        // transaction is presumed aborted and recorded as such; under
-        // Paxos Commit the outcome may still be sealed COMMIT by the
-        // acceptors and delivered by a resolver, so nothing is recorded
-        // here — the resolver records whatever gets chosen.
-        if (protocol_->PresumesAbortOnCrash()) {
-          recorder_->RecordGlobalAbort(txn.gtid, site_);
-        }
-        ++metrics_->global_aborted;
-        ++metrics_->global_aborted_crash;
-        break;
+    // A decided transaction was reported at its decision: counted, and its
+    // client told. The protocol keeps the outcome (2PC's decision log,
+    // which Recover() re-drives; Paxos Commit's acceptors, which the
+    // participants ask).
+    if (txn.reported) continue;
+    // Unreported and committing is a short-commit 1PC awaiting its ACK:
+    // the agent holds the durable outcome and needs no re-drive, but the
+    // coordinator will never hear it, so the transaction goes uncounted.
+    if (txn.phase != Phase::kCommitting) {
+      // Undecided towards this client either way (the pre-crash
+      // coordinator can no longer report an outcome). Under 2PC the
+      // transaction is presumed aborted and recorded as such; under Paxos
+      // Commit the outcome may still be sealed COMMIT by the acceptors and
+      // delivered by a resolver, so nothing is recorded here — the
+      // resolver records whatever gets chosen.
+      if (protocol_->PresumesAbortOnCrash()) {
+        recorder_->RecordGlobalAbort(txn.gtid, site_);
+      }
+      ++metrics_->global_aborted;
+      ++metrics_->global_aborted_crash;
     }
     if (txn.cb) {
       GlobalTxnResult result;
@@ -607,6 +598,8 @@ void Coordinator::Recover() {
     CoordTxn& txn = txns_[rec.gtid];
     txn.gtid = rec.gtid;
     txn.phase = Phase::kCommitting;
+    // Its client heard the commit before the crash.
+    txn.reported = true;
     txn.recovered = true;
     txn.csn = rec.csn;
     txn.begun.insert(rec.participants.begin(), rec.participants.end());
@@ -741,30 +734,13 @@ void Coordinator::OnRetryTimeout(const TxnId& gtid) {
   }
 }
 
-void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
-  CancelRetryTimer(txn);
+void Coordinator::Report(CoordTxn& txn, bool committed) {
+  assert(!txn.reported);
+  txn.reported = true;
+  const sim::Duration latency = loop_->Now() - txn.start_time;
   if (committed) {
     ++metrics_->global_committed;
-    // Recovered transactions span a crash: their start_time was rebuilt at
-    // recovery and would poison the latency distribution.
-    if (!txn.recovered) {
-      metrics_->AddLatency(loop_->Now() - txn.start_time);
-      // Single-site commits get their own latency tally: the short-commit
-      // ablation (E18) compares exactly this population across 1PC vs 2PC.
-      // Measured from StartCommit, not txn begin — the execution phase is
-      // identical in both arms, and its lock waits would drown the
-      // commit-path difference the ablation is after.
-      if (txn.begun.size() == 1) {
-        ++metrics_->single_site_committed;
-        metrics_->single_site_latency_total +=
-            loop_->Now() - txn.commit_start;
-      }
-    }
-    // Every participant acked the COMMIT: no inquiry can arrive that needs
-    // the decision, so the protocol may garbage-collect it (2PC retires the
-    // decision record; no forget record is written, since recovery would
-    // not read one).
-    protocol_->Forget(txn.gtid);
+    metrics_->AddLatency(latency);
   } else {
     ++metrics_->global_aborted;
   }
@@ -773,12 +749,11 @@ void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
     e.kind = trace::EventKind::kTxnEnd;
     e.txn = txn.gtid;
     e.site = site_;
-    e.value = loop_->Now() - txn.start_time;
+    e.value = latency;
     e.ok = committed;
     if (!committed) e.detail = txn.failure.ToString();
     tracer_->Record(std::move(e));
   }
-  if (hooks_.on_finished) hooks_.on_finished(txn.gtid, committed);
   GlobalTxnResult result;
   result.gtid = txn.gtid;
   result.status = committed ? Status::Ok() : txn.failure;
@@ -786,12 +761,36 @@ void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
     result.status = Status::Aborted("global transaction aborted");
   }
   result.results = std::move(txn.results);
-  result.latency = loop_->Now() - txn.start_time;
+  result.latency = latency;
   result.certification_refused = txn.certification_refused;
   GlobalTxnCallback cb = std::move(txn.cb);
-  const TxnId gtid = txn.gtid;
-  txns_.erase(gtid);
   if (cb) cb(result);
+}
+
+void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
+  CancelRetryTimer(txn);
+  if (committed) {
+    // Single-site commits get their own latency tally: the short-commit
+    // ablation (E18) compares exactly this population across 1PC vs 2PC.
+    // Measured from StartCommit to the last ACK, not from txn begin to the
+    // client report — the execution phase is identical in both arms, and
+    // its lock waits would drown the commit-path difference the ablation
+    // is after. Recovered transactions span a crash: their timestamps were
+    // rebuilt at recovery and would poison the tally.
+    if (!txn.recovered && txn.begun.size() == 1) {
+      ++metrics_->single_site_committed;
+      metrics_->single_site_latency_total += loop_->Now() - txn.commit_start;
+    }
+    // Every participant acked the COMMIT: no inquiry can arrive that needs
+    // the decision, so the protocol may garbage-collect it (2PC retires the
+    // decision record; no forget record is written, since recovery would
+    // not read one).
+    protocol_->Forget(txn.gtid);
+  }
+  if (hooks_.on_finished) hooks_.on_finished(txn.gtid, committed);
+  // Out of the table before the client callback runs, which may submit.
+  auto node = txns_.extract(txn.gtid);
+  if (!node.mapped().reported) Report(node.mapped(), committed);
 }
 
 }  // namespace hermes::core

@@ -92,7 +92,8 @@ struct CoordinatorHooks {
   std::function<void(const TxnId&, const std::vector<SiteId>&,
                      std::function<void()>)>
       before_prepare;
-  // Invoked when the transaction finishes (acks collected).
+  // Invoked when the transaction finishes (acks collected), which may be
+  // after its client heard the outcome.
   std::function<void(const TxnId&, bool committed)> on_finished;
 };
 
@@ -108,8 +109,12 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  // Starts a global transaction; the callback fires when it commits or
-  // aborts globally (all acks collected).
+  // Starts a global transaction; the callback fires once, when its outcome
+  // is final: at the commit or abort decision (2PC's forced decision
+  // record, Paxos Commit's chosen outcome), at the votes when every
+  // participant was read-only, and at the ACK under short-commit 1PC,
+  // whose agent is the commit point. The ACK wait after a decision is
+  // cleanup the client does not wait for.
   TxnId Submit(GlobalTxnSpec spec, GlobalTxnCallback cb);
 
   // Coordinator-bound protocol messages (DML-RESP, READY/REFUSE, ACK).
@@ -161,7 +166,8 @@ class Coordinator {
   // --- site crash recovery ------------------------------------------------
   // Crash() discards all volatile state: every undecided transaction is
   // failed towards its client (presumed abort — participants learn the
-  // outcome through inquiries), decided ones fall silent until recovery.
+  // outcome through inquiries); decided ones were already reported and
+  // fall silent until recovery.
   // Only the coordinator log survives. Recover() force-writes a new
   // submission epoch (so fresh transaction ids cannot collide with
   // pre-crash ones) and re-drives COMMIT delivery for every decision still
@@ -208,8 +214,10 @@ class Coordinator {
     std::set<SiteId> acks_pending;
     Status failure;
     bool certification_refused = false;
-    // Rebuilt from the log by Recover(): the decision is already recorded,
-    // so only re-drive delivery (and skip the latency sample).
+    // The client callback ran, and the outcome was counted (Report).
+    bool reported = false;
+    // Rebuilt from the log by Recover(): the decision is already recorded
+    // and reported, so only re-drive delivery.
     bool recovered = false;
     sim::Time start_time = 0;
     // When Commit was submitted — the start of the commit protocol path
@@ -253,6 +261,14 @@ class Coordinator {
   void RefreshRouting(CoordTxn& txn);
   void TraceInquiryReply(const TxnId& gtid, SiteId peer, bool commit,
                          const char* detail);
+  // Tells the client the final outcome, exactly once per transaction:
+  // counts it, samples its latency, records kTxnEnd and runs the callback.
+  // The callback may re-enter the coordinator (submit, even crash the
+  // site), so callers touch `txn` no more after it.
+  void Report(CoordTxn& txn, bool committed);
+  // Every ACK is in (or no participant is owed one): forgets the decision,
+  // runs the on_finished hook, erases the transaction and reports it if
+  // that has not happened yet.
   void FinishTxn(CoordTxn& txn, bool committed);
 
   // Retransmission machinery.

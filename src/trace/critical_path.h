@@ -3,8 +3,8 @@
 //
 // The coordinator timeline of a committed transaction is cut at the phase
 // boundaries the spans expose (last DML reply, PREPARE fan-out, last vote,
-// decision fan-out, last ACK) and every microsecond between submission and
-// completion is assigned to exactly one bucket:
+// decision fan-out) and every microsecond between submission and the
+// client report (txn_end) is assigned to exactly one bucket:
 //
 //   dml       executing DML steps at the participants
 //   prepare   PREPARE -> vote round-trips (minus the certification work)
@@ -14,7 +14,9 @@
 //   blocked   votes all in but no decision out yet (coordinator crash /
 //             decision-log force-write window); under Paxos Commit the
 //             part of that window after the outcome was chosen
-//   decision  decision -> ACK round-trips
+//   decision  decision fan-out -> client report: 0 where the report
+//             comes at the decision (2PC, Paxos Commit); the ACK round
+//             after it is cleanup outside the latency
 //   retx_wait tail of a phase spent waiting for a retransmitted message
 //   other     submission bookkeeping and inter-phase gaps
 //

@@ -209,6 +209,41 @@ TEST_F(CgmSystemTest, LoopedAdmissionWaitsForTheFinishedTransaction) {
   EXPECT_EQ(cgm_->scheduler().commit_graph().txn_count(), 0u);
 }
 
+// The client hears a commit at the decision, but CGM's global locks stay
+// held until the last ACK (on_finished). T1's COMMIT to site 1 is lost
+// once, so its last ACK comes a retransmission after its report; T2,
+// submitted from T1's callback on the same sites, waits for the site locks
+// that long, and is decided only after T1 committed at site 1.
+TEST_F(CgmSystemTest, GlobalLocksAreReleasedAtTheLastAckNotAtTheReport) {
+  Build(Granularity::kSite);
+  core::Mdbs& mdbs = cgm_->mdbs();
+  int prepared = 0;
+  auto on_prepared = [&](const TxnId&, LtmTxnHandle) {
+    if (++prepared == 2) mdbs.network().SetLinkLoss(0, 1, 1.0);
+  };
+  mdbs.agent(0)->add_prepared_hook(on_prepared);
+  mdbs.agent(1)->add_prepared_hook(on_prepared);
+  TxnId t1;
+  std::optional<core::GlobalTxnResult> r2;
+  bool t1_committed_at_t2_report = false;
+  cgm_->Submit(TwoSiteTxn(0, 1, 1), [&](const core::GlobalTxnResult& r1) {
+    EXPECT_TRUE(r1.status.ok()) << r1.status;
+    EXPECT_FALSE(mdbs.agent(1)->log().HasCommit(r1.gtid));
+    mdbs.network().ClearLinkLoss(0, 1);
+    t1 = r1.gtid;
+    cgm_->Submit(TwoSiteTxn(0, 1, 2), [&](const core::GlobalTxnResult& r) {
+      r2 = r;
+      t1_committed_at_t2_report = mdbs.agent(1)->log().HasCommit(t1);
+    });
+  });
+  loop_.Run();
+  ASSERT_TRUE(r2.has_value());
+  EXPECT_TRUE(r2->status.ok()) << r2->status;
+  EXPECT_TRUE(t1_committed_at_t2_report);
+  EXPECT_GE(mdbs.metrics().retransmits, 1);
+  EXPECT_EQ(cgm_->scheduler().commit_graph().txn_count(), 0u);
+}
+
 TEST_F(CgmSystemTest, FailureRecoveryViaResubmissionStillWorks) {
   Build(Granularity::kSite);
   bool injected = false;

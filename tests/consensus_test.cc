@@ -90,6 +90,31 @@ TEST_F(PaxosMdbsTest, FastPathCommitsWithoutResolution) {
   EXPECT_EQ(Val(*mdbs, 2), 7);
 }
 
+// The client hears the commit once the acceptors chose it, before any
+// participant applied the COMMIT (so before any ACK).
+TEST_F(PaxosMdbsTest, CommitIsReportedAtTheChosenOutcome) {
+  auto mdbs = Build(/*num_sites=*/3, /*f=*/1);
+  int reports = 0;
+  mdbs->Submit(
+      TwoSiteSpec(1, 2),
+      [&](const core::GlobalTxnResult& r) {
+        ++reports;
+        EXPECT_TRUE(r.status.ok()) << r.status;
+        EXPECT_EQ(mdbs->metrics().paxos_decided_fast, 1);
+        for (SiteId s : {1, 2}) {
+          EXPECT_FALSE(mdbs->agent(s)->log().HasCommit(r.gtid)) << s;
+        }
+        EXPECT_EQ(mdbs->coordinator(0)->active_transactions(), 1);
+      },
+      /*coordinator_site=*/0);
+  loop_.Run();
+  EXPECT_EQ(reports, 1);
+  EXPECT_EQ(mdbs->metrics().global_committed, 1);
+  EXPECT_EQ(mdbs->coordinator(0)->active_transactions(), 0);
+  EXPECT_EQ(Val(*mdbs, 1), 7);
+  EXPECT_EQ(Val(*mdbs, 2), 7);
+}
+
 TEST_F(PaxosMdbsTest, DefiniteAbortIsSealedWithoutAcceptorRound) {
   auto mdbs = Build(/*num_sites=*/3, /*f=*/1);
   // A DML against a nonexistent table fails before any vote exists: the

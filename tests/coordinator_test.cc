@@ -18,8 +18,7 @@ namespace {
 
 class CoordinatorTest : public ::testing::Test {
  protected:
-  void Build(int sites = 2) {
-    MdbsConfig config;
+  void Build(int sites = 2, MdbsConfig config = {}) {
     config.num_sites = sites;
     mdbs_ = std::make_unique<Mdbs>(config, &loop_);
     table_ = *mdbs_->CreateTableEverywhere("t");
@@ -130,9 +129,10 @@ TEST_F(CoordinatorTest, LatencyIsMeasuredInVirtualTime) {
                 /*coordinator_site=*/0);
   loop_.Run();
   ASSERT_TRUE(result.has_value());
-  // At least 6 cross-site hops (BEGIN+DML, response, PREPARE, vote,
-  // COMMIT, ack) at 1 ms each.
-  EXPECT_GE(result->latency, 6 * sim::kMillisecond);
+  // 4 cross-site hops (BEGIN+DML, response, PREPARE, vote) at 1 ms each:
+  // the client hears the commit at the decision, not after COMMIT and ACK.
+  EXPECT_GE(result->latency, 4 * sim::kMillisecond);
+  EXPECT_LT(result->latency, 6 * sim::kMillisecond);
 }
 
 TEST_F(CoordinatorTest, GtidsAreUniquePerCoordinator) {
@@ -232,6 +232,173 @@ TEST_F(CoordinatorTest, RecoveryBumpsEpochSoGtidsNeverCollide) {
     }
   });
   EXPECT_TRUE(saw_epoch);
+}
+
+// --- the client report --------------------------------------------------
+
+// 2PC: the client hears the commit in the instant the decision record is
+// forced, before any participant applied the COMMIT (so before any ACK),
+// and the commit is counted there, once.
+TEST_F(CoordinatorTest, TwoPcReportsTheCommitAtTheDecisionForce) {
+  Build(3);
+  GlobalTxnSpec spec;
+  spec.steps.push_back({1, db::MakeAddKey(table_, 1, "v", int64_t{1})});
+  spec.steps.push_back({2, db::MakeAddKey(table_, 1, "v", int64_t{1})});
+  const CoordinatorLog& log = mdbs_->coordinator(0)->log();
+  int reports = 0;
+  const TxnId gtid = mdbs_->Submit(
+      spec,
+      [&](const GlobalTxnResult& r) {
+        ++reports;
+        EXPECT_TRUE(r.status.ok()) << r.status;
+        EXPECT_TRUE(log.HasDecision(r.gtid));
+        for (SiteId s : {1, 2}) {
+          EXPECT_FALSE(mdbs_->agent(s)->log().HasCommit(r.gtid)) << s;
+        }
+        EXPECT_EQ(mdbs_->coordinator(0)->active_transactions(), 1);
+        EXPECT_EQ(mdbs_->metrics().global_committed, 1);
+      },
+      /*coordinator_site=*/0);
+  loop_.Run();
+  EXPECT_EQ(reports, 1);
+  EXPECT_EQ(mdbs_->metrics().global_committed, 1);
+  EXPECT_EQ(Val(1, 1), 1);
+  EXPECT_EQ(Val(2, 1), 1);
+  // The ACK wait still ran: the decision was forgotten after the last one.
+  EXPECT_FALSE(log.HasDecision(gtid));
+  EXPECT_EQ(mdbs_->coordinator(0)->active_transactions(), 0);
+}
+
+// An abort reaches the client at the abort decision, while the participant
+// that executed a step still holds its subtransaction awaiting ROLLBACK.
+TEST_F(CoordinatorTest, AbortIsReportedAtTheAbortDecision) {
+  Build(3);
+  GlobalTxnSpec spec;
+  spec.steps.push_back({1, db::MakeAddKey(table_, 1, "v", int64_t{1})});
+  GlobalTxnSpec::Step missing{2, db::MakeAddKey(table_, 999, "v", int64_t{1})};
+  missing.min_affected = 1;  // key 999 does not exist: a rollback
+  spec.steps.push_back(missing);
+  int reports = 0;
+  const TxnId gtid = mdbs_->Submit(
+      spec,
+      [&](const GlobalTxnResult& r) {
+        ++reports;
+        EXPECT_FALSE(r.status.ok());
+        EXPECT_FALSE(mdbs_->agent(1)->log().HasAbort(r.gtid));
+        EXPECT_EQ(mdbs_->ltm(1)->active_count(), 1u);
+        EXPECT_EQ(mdbs_->coordinator(0)->active_transactions(), 1);
+        EXPECT_EQ(mdbs_->metrics().global_aborted, 1);
+      },
+      /*coordinator_site=*/0);
+  loop_.Run();
+  EXPECT_EQ(reports, 1);
+  EXPECT_EQ(mdbs_->metrics().global_aborted, 1);
+  EXPECT_EQ(mdbs_->metrics().global_committed, 0);
+  EXPECT_TRUE(mdbs_->agent(1)->log().HasAbort(gtid));
+  EXPECT_EQ(Val(1, 1), 0);
+  EXPECT_EQ(mdbs_->coordinator(0)->active_transactions(), 0);
+}
+
+// Short-commit 1PC: the lone participant is the commit point, so the client
+// hears the commit at its ACK, after it committed.
+TEST_F(CoordinatorTest, OnePhaseCommitIsReportedAtTheAck) {
+  MdbsConfig config;
+  config.agent.short_commit = true;
+  Build(2, config);
+  GlobalTxnSpec spec;
+  spec.steps.push_back({1, db::MakeAddKey(table_, 1, "v", int64_t{1})});
+  int reports = 0;
+  mdbs_->Submit(
+      spec,
+      [&](const GlobalTxnResult& r) {
+        ++reports;
+        EXPECT_TRUE(r.status.ok()) << r.status;
+        EXPECT_TRUE(mdbs_->agent(1)->log().HasCommit(r.gtid));
+        EXPECT_EQ(mdbs_->coordinator(0)->active_transactions(), 0);
+      },
+      /*coordinator_site=*/0);
+  loop_.Run();
+  EXPECT_EQ(reports, 1);
+  EXPECT_EQ(mdbs_->metrics().global_committed, 1);
+  EXPECT_EQ(mdbs_->metrics().single_site_committed, 1);
+  EXPECT_EQ(Val(1, 1), 1);
+}
+
+// The coordinating site crashes after sending a short-commit 1PC-COMMIT
+// and before the ACK: the participant commits (it is the commit point),
+// the client hears of the outage, and the coordinator, which never learns
+// the outcome, counts the transaction neither committed nor aborted.
+TEST_F(CoordinatorTest, CrashBeforeTheOnePhaseAckLeavesTheCommitUncounted) {
+  MdbsConfig config;
+  config.agent.short_commit = true;
+  Build(2, config);
+  GlobalTxnSpec spec;
+  spec.steps.push_back({1, db::MakeAddKey(table_, 1, "v", int64_t{1})});
+  std::optional<GlobalTxnResult> result;
+  const TxnId gtid = mdbs_->Submit(
+      spec, [&](const GlobalTxnResult& r) { result = r; },
+      /*coordinator_site=*/0);
+  // BEGIN+DML and the response take 2 ms, the 1PC-COMMIT and its ACK two
+  // more: at 3 ms the COMMIT is in flight.
+  loop_.ScheduleAfter(3 * sim::kMillisecond, [this]() {
+    ASSERT_TRUE(mdbs_->CrashSite(0, /*downtime=*/10 * sim::kMillisecond).ok());
+  });
+  loop_.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status.code(), StatusCode::kUnavailable) << result->status;
+  EXPECT_TRUE(mdbs_->agent(1)->log().HasCommit(gtid));
+  EXPECT_EQ(Val(1, 1), 1);
+  EXPECT_EQ(mdbs_->metrics().short_commits_1pc, 1);
+  EXPECT_EQ(mdbs_->metrics().global_committed, 0);
+  EXPECT_EQ(mdbs_->metrics().global_aborted, 0);
+}
+
+// A prepared participant whose ROLLBACK was lost asks the coordinator,
+// which is still collecting rollback ACKs: the coordinator answers with the
+// abort at once, before its own retransmission of the ROLLBACK, and does
+// not need to presume it.
+TEST_F(CoordinatorTest, InquiryWhileRollingBackIsAnsweredWithTheAbort) {
+  MdbsConfig config;
+  config.agent.decision_inquiry_timeout = 10 * sim::kMillisecond;
+  config.agent.inquiry_retry_initial = 5 * sim::kMillisecond;
+  config.agent.inquiry_retry_max = 5 * sim::kMillisecond;
+  config.coordinator_retry.max_attempts = 2;
+  Build(3, config);
+  // Site 1 prepares first; from then on site 2's votes and everything the
+  // coordinator sends site 1 are lost, so the PREPARE round times out into
+  // an abort whose ROLLBACK never reaches site 1.
+  bool lossy = false;
+  mdbs_->agent(1)->add_prepared_hook([&](const TxnId&, LtmTxnHandle) {
+    lossy = true;
+    mdbs_->network().SetLinkLoss(0, 1, 1.0);
+    mdbs_->network().SetLinkLoss(2, 0, 1.0);
+  });
+  GlobalTxnSpec spec;
+  spec.steps.push_back({1, db::MakeAddKey(table_, 1, "v", int64_t{1})});
+  spec.steps.push_back({2, db::MakeAddKey(table_, 1, "v", int64_t{1})});
+  sim::Time reported_at = -1;
+  const TxnId gtid = mdbs_->Submit(
+      spec,
+      [&](const GlobalTxnResult& r) {
+        EXPECT_FALSE(r.status.ok());
+        reported_at = loop_.Now();
+        mdbs_->network().ClearLinkLoss(0, 1);
+        mdbs_->network().ClearLinkLoss(2, 0);
+      },
+      /*coordinator_site=*/0);
+  while (reported_at < 0 && loop_.Step()) {
+  }
+  ASSERT_TRUE(lossy);
+  ASSERT_GE(reported_at, 0);
+  EXPECT_FALSE(mdbs_->agent(1)->log().HasAbort(gtid));
+  // Site 1 inquires every 5 ms; the ROLLBACK retransmission is 25 ms away.
+  loop_.RunUntil(reported_at + 10 * sim::kMillisecond);
+  EXPECT_TRUE(mdbs_->agent(1)->log().HasAbort(gtid));
+  loop_.Run();
+  EXPECT_EQ(Val(1, 1), 0);
+  EXPECT_EQ(mdbs_->metrics().global_aborted, 1);
+  EXPECT_EQ(mdbs_->metrics().inquiries_answered_presumed_abort, 0);
+  EXPECT_EQ(mdbs_->coordinator(0)->active_transactions(), 0);
 }
 
 // Differential check of the log's per-transaction index and of

@@ -451,12 +451,24 @@ TEST(BoundedState, FinishedTransactionsLeaveOnlyOutcomeEntries) {
   const StateFootprint small = RunClosedLoop(150);
   const StateFootprint large = RunClosedLoop(600);
   for (const StateFootprint* f : {&small, &large}) {
-    // 6 clients: at most 6 global subtransactions per site at once (each
-    // of a handful of records), plus one local transaction.
-    EXPECT_LE(f->peak_agent_txns, 6u);
-    EXPECT_LE(f->peak_agent_records, 6u * 12);
+    // 6 clients, each with at most one transaction its coordinator has not
+    // reported. The coordinator reports at the decision; the transaction
+    // then keeps a subtransaction at a participant until the COMMIT lands
+    // and commits there, one message delay later -- the delay the client's
+    // next BEGIN needs to reach any site. So a site holds, per client, the
+    // current transaction and the previous one while its COMMIT lands: at
+    // most 2 * 6 global subtransactions (each of a handful of records),
+    // plus one local transaction. A subtransaction that must resubmit
+    // first (1 in 4, aborted 1 ms after its prepare) stays longer, but it
+    // redoes one command: sampled every 5 ms, these runs peak at 7. A
+    // coordinator keeps a decision record only while a reported
+    // transaction awaits its ACKs, at most the previous transaction of each
+    // client.
+    constexpr size_t kSubtxns = 2 * 6;
+    EXPECT_LE(f->peak_agent_txns, kSubtxns);
+    EXPECT_LE(f->peak_agent_records, kSubtxns * 12);
     EXPECT_LE(f->peak_coord_records, 6u);
-    EXPECT_LE(f->peak_ltm_active, 6u + 1);
+    EXPECT_LE(f->peak_ltm_active, kSubtxns + 1);
     EXPECT_EQ(f->end_live, 0u);
   }
   // Each global transaction leaves one outcome entry per participant

@@ -357,5 +357,41 @@ TEST_F(ReachTest, RemovedSiteForwardsTheCommitProtocolOnly) {
   EXPECT_FALSE(mdbs_->agent(0)->log().Knows(g));
 }
 
+TEST_F(ReachTest, AckFromTheForwardOfARemovedParticipantIsBookedForIt) {
+  // T executes at site 1, then waits for site 2 while site 1 is removed:
+  // the forced handoff aborts T's active subtransaction there, and site 1
+  // forwards to a successor that never held T. T's PREPARE, routed to the
+  // successor, is refused; the successor acks the ROLLBACK under its own
+  // id, and the coordinator books that ACK for site 1, else the ROLLBACK
+  // would be retransmitted forever.
+  Build(Sharded(3, 3));
+  const shard::ShardMap& map = mdbs_->directory()->Current();
+  int64_t key1 = -1, key2 = -1;
+  for (int64_t k = 0; k < 8; ++k) {
+    if (map.OwnerOfKey(k) == 1 && key1 < 0) key1 = k;
+    if (map.OwnerOfKey(k) == 2 && key2 < 0) key2 = k;
+  }
+  ASSERT_GE(key1, 0);
+  ASSERT_GE(key2, 0);
+  mdbs_->network().SetLinkLoss(0, 2, 1.0);
+  core::GlobalTxnSpec spec;
+  spec.steps.push_back({1, db::MakeAddKey(table_, key1, "v", int64_t{1})});
+  spec.steps.push_back({2, db::MakeAddKey(table_, key2, "v", int64_t{1})});
+  std::optional<core::GlobalTxnResult> result;
+  mdbs_->Submit(
+      spec, [&](const core::GlobalTxnResult& r) { result = r; },
+      /*coordinator_site=*/0);
+  loop_.RunUntil(loop_.Now() + 5 * sim::kMillisecond);
+  Reconfigure(shard::ReconfigOp{shard::ReconfigKind::kRemoveSite, 1});
+  ASSERT_TRUE(mdbs_->SiteRemoved(1));
+  ASSERT_FALSE(result.has_value());
+  mdbs_->network().ClearLinkLoss(0, 2);
+  loop_.RunUntil(loop_.Now() + 5 * sim::kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->status.ok());
+  EXPECT_EQ(mdbs_->metrics().global_aborted, 1);
+  EXPECT_EQ(mdbs_->coordinator(0)->active_transactions(), 0);
+}
+
 }  // namespace
 }  // namespace hermes

@@ -291,10 +291,12 @@ TEST_F(RecoveryTest, CoordinatorCrashAfterLoggedDecisionRedrivesCommit) {
   });
   loop_.Run();
 
-  // The client saw the outage...
+  // The client heard the commit at the decision, before the crash...
   ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->status.ok());
-  // ...but the decided transaction still committed everywhere.
+  EXPECT_TRUE(result->status.ok()) << result->status;
+  // ...and the decided transaction committed everywhere, counted once.
+  EXPECT_EQ(mdbs_->metrics().global_committed, 1);
+  EXPECT_EQ(mdbs_->metrics().global_aborted, 0);
   EXPECT_EQ(Val(1, 1), -10);
   EXPECT_EQ(Val(2, 1), 10);
   EXPECT_TRUE(mdbs_->agent(1)->log().HasComplete(gtid));
@@ -308,6 +310,41 @@ TEST_F(RecoveryTest, CoordinatorCrashAfterLoggedDecisionRedrivesCommit) {
   EXPECT_TRUE(mdbs_->coordinator(0)->log().InFlightDecisions().empty());
   EXPECT_EQ(history::CheckGlobalAtomicity(mdbs_->recorder().ops()), "");
   ExpectSerializable();
+}
+
+// The coordinating site crashes right after it reported a commit: the
+// COMMITs already left, their ACKs die with the site, and recovery
+// re-drives the logged decision. The transaction commits everywhere and is
+// counted once, at the report, not again when recovery collects the ACKs.
+TEST_F(RecoveryTest, CoordinatorCrashRightAfterTheReportCountsTheCommitOnce) {
+  Build(3);
+  GlobalTxnSpec spec;
+  spec.steps.push_back({1, db::MakeAddKey(table_, 1, "v", int64_t{-10})});
+  spec.steps.push_back({2, db::MakeAddKey(table_, 1, "v", int64_t{10})});
+  std::optional<GlobalTxnResult> result;
+  const TxnId gtid = mdbs_->Submit(
+      spec,
+      [&](const GlobalTxnResult& r) {
+        result = r;
+        loop_.ScheduleAfter(0, [this]() {
+          mdbs_->CrashSite(0, /*downtime=*/600 * sim::kMillisecond);
+        });
+      },
+      /*coordinator_site=*/0);
+  loop_.Run();
+
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->status.ok()) << result->status;
+  EXPECT_EQ(Val(1, 1), -10);
+  EXPECT_EQ(Val(2, 1), 10);
+  EXPECT_TRUE(mdbs_->agent(1)->log().HasComplete(gtid));
+  EXPECT_TRUE(mdbs_->agent(2)->log().HasComplete(gtid));
+  EXPECT_EQ(mdbs_->metrics().coordinator_crashes, 1);
+  EXPECT_EQ(mdbs_->metrics().coordinator_redelivered_decisions, 1);
+  EXPECT_EQ(mdbs_->metrics().global_committed, 1);
+  EXPECT_EQ(mdbs_->metrics().global_aborted, 0);
+  EXPECT_FALSE(mdbs_->coordinator(0)->log().HasDecision(gtid));
+  EXPECT_EQ(history::CheckGlobalAtomicity(mdbs_->recorder().ops()), "");
 }
 
 // Ablation of the force-write: with the decision log disabled the same
@@ -341,10 +378,11 @@ TEST_F(RecoveryTest, SkippingDecisionLogSplitsTheTransaction) {
   });
   loop_.Run();
 
+  // The client heard the commit at the decision; the COMMIT decision was
+  // recorded in the history, but recovery knew nothing: the participants
+  // were told presumed abort and rolled back.
   ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->status.ok());
-  // The COMMIT decision was recorded in the history, but recovery knew
-  // nothing: the participants were told presumed abort and rolled back.
+  EXPECT_TRUE(result->status.ok()) << result->status;
   EXPECT_EQ(Val(1, 1), 0);
   EXPECT_EQ(Val(2, 1), 0);
   EXPECT_TRUE(mdbs_->agent(1)->log().HasAbort(gtid));

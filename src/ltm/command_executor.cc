@@ -151,7 +151,10 @@ void CommandExecutor::Acquire(int64_t key, const ItemId& item) {
     if (auto self = wp.lock()) self->OnLockGranted(key, st);
   };
   static_assert(LockManager::GrantCallback::kStoredInline<decltype(on_grant)>);
-  ltm_->lock_manager().Acquire(txn_, item, NeededMode(), std::move(on_grant));
+  if (ltm_->lock_manager().Acquire(txn_, item, NeededMode(),
+                                   std::move(on_grant))) {
+    ltm_->ArmDeadlockCheck();
+  }
 }
 
 void CommandExecutor::OnLockGranted(int64_t key, const Status& s) {

@@ -76,7 +76,7 @@ void LockManager::GrantNow(LockState& ls, LtmTxnHandle txn,
   loop_->ScheduleAfter(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
 }
 
-void LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
+bool LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
                           GrantCallback cb) {
   LockState& ls = locks_[item];
   auto held_it = FindHolder(ls.holders, txn);
@@ -88,7 +88,7 @@ void LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
   if (holds_x || (holds_any && mode == LockMode::kShared)) {
     ++grants_;
     loop_->ScheduleAfter(0, [cb = std::move(cb)]() { cb(Status::Ok()); });
-    return;
+    return false;
   }
 
   const bool upgrade = holds_any;  // holds S, wants X
@@ -99,7 +99,7 @@ void LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
   const bool queue_blocks = !upgrade && !ls.queue.empty();
   if (!queue_blocks && Compatible(ls, txn, mode)) {
     GrantNow(ls, txn, item, mode, std::move(cb));
-    return;
+    return false;
   }
 
   // Enqueue; upgrades go in front of non-upgrades.
@@ -118,6 +118,7 @@ void LockManager::Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
   if (std::find(waits.begin(), waits.end(), item) == waits.end()) {
     waits.push_back(item);
   }
+  return true;
 }
 
 void LockManager::OnWaitTimeout(const ItemId& item, LtmTxnHandle txn) {

@@ -44,8 +44,9 @@ class LockManager {
 
   // Requests `mode` on `item` for `txn`. Re-acquisition of an already-held
   // (or stronger) lock succeeds immediately; S->X upgrades are supported and
-  // are granted before ordinary waiters.
-  void Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
+  // are granted before ordinary waiters. Returns true when the request was
+  // queued behind a conflicting holder or waiter.
+  bool Acquire(LtmTxnHandle txn, const ItemId& item, LockMode mode,
                GrantCallback cb);
 
   // Releases everything `txn` holds and cancels its pending waits (without

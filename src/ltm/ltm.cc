@@ -9,7 +9,8 @@ namespace hermes::ltm {
 
 namespace {
 
-// How often an LTM with deadlock_detection on searches its wait-for graph.
+// How often an LTM with deadlock_detection on searches its wait-for graph
+// while some lock request waits.
 constexpr sim::Duration kDeadlockCheckInterval = 10 * sim::kMillisecond;
 
 }  // namespace
@@ -23,10 +24,6 @@ Ltm::Ltm(const LtmConfig& config, sim::EventLoop* loop, db::Storage* storage,
       tracer_(tracer),
       locks_(LockManagerConfig{config.lock_wait_timeout}, loop) {
   assert(storage_->site() == config_.site);
-  if (config_.deadlock_detection) {
-    deadlock_timer_ = loop_->ScheduleAfter(
-        kDeadlockCheckInterval, [this]() { RunDeadlockDetection(); });
-  }
 }
 
 Ltm::~Ltm() {
@@ -202,11 +199,20 @@ void Ltm::UnbindItems(const std::vector<ItemId>& items) {
   }
 }
 
-void Ltm::RunDeadlockDetection() {
+void Ltm::ArmDeadlockCheck() {
+  if (!config_.deadlock_detection || deadlock_timer_ != sim::kInvalidEvent) {
+    return;
+  }
   deadlock_timer_ = loop_->ScheduleAfter(kDeadlockCheckInterval,
                                          [this]() { RunDeadlockDetection(); });
+}
+
+void Ltm::RunDeadlockDetection() {
+  deadlock_timer_ = sim::kInvalidEvent;
   const auto edges = locks_.WaitForEdges();
+  // Nothing waits: the detector sleeps until the next lock wait.
   if (edges.empty()) return;
+  ArmDeadlockCheck();
   // Wait-for graph cycle search; victim = youngest (largest handle) on the
   // first cycle found.
   std::map<LtmTxnHandle, std::vector<LtmTxnHandle>> adj;

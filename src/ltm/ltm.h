@@ -46,9 +46,11 @@ struct LtmConfig {
   // "non-rigorous LDBS" negative experiments.
   bool rigorous = true;
   sim::Duration lock_wait_timeout = 500 * sim::kMillisecond;
-  // Optional wait-for-graph deadlock detection, searching the graph every
-  // 10 ms (the paper's 2CM assumes timeout-only; detection is the E11
-  // ablation, `bench_suite --only=deadlock`).
+  // Optional wait-for-graph deadlock detection: while some lock request
+  // waits, the graph is searched every 10 ms and the youngest transaction
+  // on a cycle is aborted unilaterally. Off by default, so a bare LTM
+  // resolves every deadlock by timeout; workload::WorkloadConfig turns it
+  // on (E11, `bench_suite --only=deadlock`, compares both).
   bool deadlock_detection = false;
 };
 
@@ -169,6 +171,10 @@ class Ltm {
   Status AbortInternal(LtmTxnHandle txn, bool unilateral,
                        const Status& reason);
   void RollbackUndo(LocalTxn& txn);
+  // Schedules a wait-for-graph search kDeadlockCheckInterval from now,
+  // unless detection is off or one is already pending (executor hook: a
+  // lock request just started to wait).
+  void ArmDeadlockCheck();
   void RunDeadlockDetection();
 
   LtmConfig config_;

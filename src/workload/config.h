@@ -106,9 +106,12 @@ struct WorkloadConfig {
   bool rigorous_ltm = true;
   // E10 ablation: assign serial numbers at submission (static total order).
   bool sn_at_submit = false;
-  // E11: wait-for-graph deadlock detection in the LTMs instead of
-  // timeout-only resolution, searching the wait-for graph every 10 ms.
-  bool deadlock_detection = false;
+  // Wait-for-graph deadlock detection in each LTM, searching its graph
+  // every 10 ms while a lock request waits: an LDBS breaks a cycle among its
+  // own transactions by aborting one, while a deadlock across sites, which
+  // no LDBS sees, still ends only by lock-wait timeout (2CM's assumption).
+  // False gives timeout-only resolution everywhere (E11 compares the two).
+  bool deadlock_detection = true;
 
   // --- tunables forwarded to the components ------------------------------------
   sim::Duration net_base_latency = 1 * sim::kMillisecond;

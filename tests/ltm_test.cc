@@ -44,8 +44,8 @@ class LtmTest : public ::testing::Test {
                     status = s;
                     result = r;
                   });
-    // RunUntil instead of Run: with deadlock detection enabled the periodic
-    // detector timer keeps the queue non-empty forever.
+    // RunUntil bounds the wait: a command blocked on a lock completes at
+    // the grant or at the lock-wait timeout.
     loop_.RunUntil(loop_.Now() + 5 * sim::kSecond);
     if (!status->ok()) return *status;
     return result;
@@ -398,6 +398,37 @@ TEST_F(LtmTest, DeadlockDetectionAbortsVictim) {
   loop_.RunUntil(loop_.Now() + sim::kSecond);
   EXPECT_EQ(ltm_->stats().deadlock_victim_aborts, 1);
   // Exactly one of the two died; the survivor's command completed.
+  ASSERT_TRUE(s1.has_value());
+  ASSERT_TRUE(s2.has_value());
+  EXPECT_NE(s1->ok(), s2->ok());
+}
+
+TEST_F(LtmTest, DeadlockDetectorRunsOnlyWhileALockRequestWaits) {
+  LtmConfig config;
+  config.deadlock_detection = true;
+  config.lock_wait_timeout = 10 * sim::kSecond;  // detection, not timeout
+  Build(config);
+  EXPECT_TRUE(loop_.Empty());  // nothing waits, nothing is scheduled
+
+  const LtmTxnHandle t1 = Begin(1);
+  const LtmTxnHandle t2 = Begin(2);
+  ASSERT_TRUE(Exec(t1, db::MakeAddKey(table_, 1, "v", int64_t{1})).ok());
+  ASSERT_TRUE(Exec(t2, db::MakeAddKey(table_, 2, "v", int64_t{1})).ok());
+  EXPECT_TRUE(loop_.Empty());
+
+  std::optional<Status> s1, s2;
+  ltm_->Execute(t1, db::MakeAddKey(table_, 2, "v", int64_t{1}),
+                [&](const Status& s, const db::CmdResult&) { s1 = s; });
+  ltm_->Execute(t2, db::MakeAddKey(table_, 1, "v", int64_t{1}),
+                [&](const Status& s, const db::CmdResult&) { s2 = s; });
+  // Run to an empty queue: the search that finds the cycle aborts a
+  // victim, the next finds no waiter and schedules nothing more.
+  const sim::Time start = loop_.Now();
+  loop_.Run();
+  EXPECT_TRUE(loop_.Empty());
+  EXPECT_LT(loop_.Now() - start, 100 * sim::kMillisecond);
+  EXPECT_EQ(ltm_->stats().deadlock_victim_aborts, 1);
+  EXPECT_EQ(ltm_->stats().lock_timeout_aborts, 0);
   ASSERT_TRUE(s1.has_value());
   ASSERT_TRUE(s2.has_value());
   EXPECT_NE(s1->ok(), s2->ok());

@@ -263,6 +263,38 @@ TEST(Driver, DeterministicAcrossRuns) {
   EXPECT_EQ(a.history_ops, b.history_ops);
 }
 
+// The workload's LTMs break a deadlock inside one site by aborting a
+// victim. In this oracle_4site-shaped run (seed found by search) a global
+// subtransaction and a local transaction deadlock at site 3; timeout-only
+// resolution waits out the 500 ms lock-wait timeout while every global
+// client queues behind the cycle, and the run is half again as long.
+TEST(Driver, LocalDeadlockEndsInAVictimAbortNotALockTimeout) {
+  WorkloadConfig config;
+  config.seed = 4000013;
+  config.num_sites = 4;
+  config.rows_per_table = 128;
+  config.global_clients = 8;
+  config.local_clients_per_site = 1;
+  config.cmds_per_global_txn = 4;
+  config.sites_per_global_txn = 2;
+  config.global_write_fraction = 0.5;
+  config.p_prepared_abort = 0.05;
+  config.record_history = false;
+  config.target_global_txns = 1000;
+  const RunResult detected = Driver::Run(config);
+  EXPECT_EQ(detected.metrics.global_committed, 1000);
+  EXPECT_EQ(detected.ltm.deadlock_victim_aborts, 1);
+  EXPECT_EQ(detected.ltm.lock_timeout_aborts, 0);
+  EXPECT_LT(detected.end_time, 1 * sim::kSecond);
+
+  config.deadlock_detection = false;
+  const RunResult timed_out = Driver::Run(config);
+  EXPECT_EQ(timed_out.metrics.global_committed, 1000);
+  EXPECT_EQ(timed_out.ltm.deadlock_victim_aborts, 0);
+  EXPECT_EQ(timed_out.ltm.lock_timeout_aborts, 1);
+  EXPECT_GT(timed_out.end_time, detected.end_time + 300 * sim::kMillisecond);
+}
+
 TEST(Generator, GlobalTxnsRespectSiteAndCommandCounts) {
   WorkloadConfig config = SmallConfig(7);
   config.num_sites = 5;

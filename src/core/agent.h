@@ -24,13 +24,20 @@
 //
 // The certification policy is configurable so the benchmarks can ablate
 // each mechanism and demonstrate the distortions it prevents.
+//
+// The agent is one state machine per subtransaction: AgentState says where
+// a subtransaction is, AgentInput names what can happen to it, and
+// kAgentTransitions lists every transition the agent may make. DESIGN.md,
+// "Agent state machine", maps each to Appendix A, B or C.
 
 #ifndef HERMES_CORE_AGENT_H_
 #define HERMES_CORE_AGENT_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -78,6 +85,143 @@ struct AgentConfig {
   // leave orphaned lock holders behind for the rest of the run.
   sim::Duration orphan_abort_timeout = 0;
 };
+
+// Where a subtransaction is at its agent. The live states hold volatile
+// state in the agent:
+//  * kActive: executing DML, not yet voted;
+//  * kPrepared: voted READY, waiting for the decision;
+//  * kResubmitting: prepared, re-executing its commands (Appendix A);
+//  * kCommitPending: COMMIT received, waiting to head the commit order;
+//  * kCommitResubmitting: COMMIT received, re-executing its commands.
+// The retired ones are what the log's outcome entry says of a finished
+// subtransaction: kCommitted, kRolledBack (refused, rolled back or lost in
+// a crash) and kMigrated (its residue left in a shard handoff). kUnknown:
+// the agent holds nothing and the log no outcome.
+enum class AgentState : uint8_t {
+  kUnknown, kActive, kPrepared, kResubmitting, kCommitPending,
+  kCommitResubmitting, kCommitted, kRolledBack, kMigrated,
+};
+
+// What can happen to a subtransaction: a message from its coordinator
+// (kBegin ... kOnePhaseCommit); the LTM finishing a DML command
+// (kDmlDone), reporting its unilateral abort (kUan), or finishing or
+// failing a resubmitted command (kResubmitDone, kResubmitFailed); the
+// backoff after a failed resubmission attempt (kRetryTimer); a silent
+// coordinator, probed while prepared (kInquiryTimer) and abandoned while
+// active (kOrphanTimer); reaching the head of the commit order while
+// commit-pending (kHead); crash recovery rebuilding it from the log
+// (kReenter); a forced shard handoff taking it (kExtract) and another site
+// adopting its residue (kAdopt).
+enum class AgentInput : uint8_t {
+  kBegin, kDml, kDmlDone, kPrepare, kCommit, kRollback, kOnePhaseCommit,
+  kUan, kResubmitDone, kResubmitFailed, kRetryTimer, kInquiryTimer,
+  kOrphanTimer, kHead, kReenter, kExtract, kAdopt,
+};
+
+// One edge of the state diagram: each of `inputs` (a bit per AgentInput)
+// takes a subtransaction from `from` to `to`.
+struct AgentTransition {
+  AgentState from;
+  uint32_t inputs;
+  AgentState to;
+};
+
+template <typename... In>
+constexpr uint32_t AgentInputs(In... inputs) {
+  return ((uint32_t{1} << static_cast<int>(inputs)) | ...);
+}
+
+// Every transition the agent makes; DESIGN.md, "Agent state machine",
+// lists them by input. An input whose (state, input) pair is on no edge is
+// a protocol violation: debug builds assert on it, and on a next state no
+// edge allows.
+inline constexpr auto kAgentTransitions = [] {
+  using enum AgentState;
+  using enum AgentInput;
+  const auto in = [](auto... inputs) { return AgentInputs(inputs...); };
+  return std::to_array<AgentTransition>({
+      // Inputs a state absorbs, answers (from the cached response or the
+      // retired outcome) or leaves to a later step: duplicates and late
+      // messages; an active subtransaction's UAN, which surfaces at its
+      // next command or vote; a resubmission's own progress. With no
+      // command to run, a resubmission completes in the instant it starts
+      // (kUan in kPrepared and kCommitPending).
+      {kUnknown,
+       in(kDml, kDmlDone, kPrepare, kCommit, kRollback, kOnePhaseCommit),
+       kUnknown},
+      {kActive,
+       in(kBegin, kDml, kDmlDone, kCommit, kUan, kOrphanTimer, kExtract),
+       kActive},
+      {kPrepared, in(kBegin, kDml, kPrepare, kUan, kInquiryTimer), kPrepared},
+      {kResubmitting,
+       in(kBegin, kDml, kPrepare, kUan, kResubmitDone, kResubmitFailed,
+          kRetryTimer, kInquiryTimer),
+       kResubmitting},
+      {kCommitPending, in(kBegin, kDml, kPrepare, kCommit, kUan),
+       kCommitPending},
+      {kCommitResubmitting,
+       in(kBegin, kDml, kPrepare, kCommit, kUan, kResubmitDone,
+          kResubmitFailed, kRetryTimer),
+       kCommitResubmitting},
+      {kCommitted,
+       in(kBegin, kDml, kPrepare, kCommit, kRollback, kOnePhaseCommit),
+       kCommitted},
+      {kRolledBack,
+       in(kBegin, kDml, kDmlDone, kPrepare, kCommit, kRollback,
+          kOnePhaseCommit),
+       kRolledBack},
+      // BEGIN opens the subtransaction. Prepare certification (Appendix
+      // B): READY, REFUSE, or a read-only short commit; a short-commit
+      // 1PC-COMMIT commits, or aborts work found dead.
+      {kUnknown, in(kBegin), kActive},
+      {kActive, in(kPrepare), kPrepared},
+      {kActive, in(kPrepare, kOnePhaseCommit), kCommitted},
+      {kActive, in(kPrepare, kRollback, kOnePhaseCommit), kRolledBack},
+      // The alive check on the UAN and resubmission (Appendix A); a
+      // commit finds its work dead in the abort's instant.
+      {kPrepared, in(kUan), kResubmitting},
+      {kResubmitting, in(kResubmitDone), kPrepared},
+      {kCommitPending, in(kUan, kHead), kCommitResubmitting},
+      {kCommitResubmitting, in(kResubmitDone), kCommitPending},
+      // Commit certification in SN order (Appendix C): commit at once,
+      // wait to head the commit order, or resubmit first.
+      {kPrepared, in(kCommit), kCommitPending},
+      {kPrepared, in(kCommit), kCommitResubmitting},
+      {kResubmitting, in(kCommit), kCommitResubmitting},
+      {kPrepared, in(kCommit), kCommitted},
+      {kCommitPending, in(kHead), kCommitted},
+      {kCommitResubmitting, in(kResubmitDone), kCommitted},
+      {kPrepared, in(kRollback), kRolledBack},
+      {kResubmitting, in(kRollback), kRolledBack},
+      {kCommitPending, in(kRollback), kRolledBack},
+      {kCommitResubmitting, in(kRollback), kRolledBack},
+      // Crash recovery re-enters an in-doubt subtransaction as prepared
+      // and resubmits it, and retires the rest, whose work the crash
+      // rolled back; a crash never falls between a commit record and its
+      // completion record. A forced shard handoff extracts prepared
+      // residue, which the adopting site re-enters with its decision.
+      {kUnknown, in(kReenter, kAdopt), kResubmitting},
+      {kUnknown, in(kAdopt), kCommitResubmitting},
+      {kUnknown, in(kReenter), kRolledBack},
+      {kPrepared, in(kExtract), kMigrated},
+      {kResubmitting, in(kExtract), kMigrated},
+      {kCommitPending, in(kExtract), kMigrated},
+      {kCommitResubmitting, in(kExtract), kMigrated},
+  });
+}();
+
+// True when an edge takes `input` from `from` to `to`, or with no `to`
+// anywhere.
+constexpr bool AgentTransitionAllowed(AgentState from, AgentInput input,
+                                      std::optional<AgentState> to = {}) {
+  for (const AgentTransition& t : kAgentTransitions) {
+    if (t.from == from && (t.inputs & AgentInputs(input)) != 0 &&
+        (!to || t.to == *to)) {
+      return true;
+    }
+  }
+  return false;
+}
 
 // Prepared-transaction residue of a shard handoff: everything the adopting
 // agent needs to re-enter the subtransaction as prepared and resubmit its
@@ -177,6 +321,8 @@ class TwoPCAgent {
 
   // Current LTM handle of a global transaction's subtransaction (tests).
   LtmTxnHandle HandleOf(const TxnId& gtid) const;
+  // Where a global transaction's subtransaction is at this agent (tests).
+  AgentState StateOf(const TxnId& gtid) const;
   // Subtransactions the agent holds volatile state for: the in-flight
   // ones. A finished subtransaction retires into the log's outcome table.
   size_t held_txns() const { return txns_.size(); }
@@ -196,20 +342,15 @@ class TwoPCAgent {
   void Recover();
 
  private:
-  // A finished subtransaction retires at once (see Retire), so a live
-  // one is only ever active or prepared.
-  enum class Phase : uint8_t {
-    kActive,
-    kPrepared,
-  };
-
   struct AgentTxn {
     TxnId gtid;
+    AgentState state = AgentState::kActive;
     SiteId coordinator = kInvalidSite;
-    Phase phase = Phase::kActive;
+    // Adopted residue of a shard handoff: the original participant site,
+    // carried as on_behalf_of on votes/acks (kInvalidSite = native).
+    SiteId acting_for = kInvalidSite;
     LtmTxnHandle ltm_handle = kInvalidLtmTxn;
-    int resubmission = 0;
-    bool resubmitting = false;
+    int resubmission = 0;  // index of the current local subtransaction
     int resubmit_attempts = 0;
     size_t resubmit_next_cmd = 0;
     // Completion time of the last DML command of the current local
@@ -225,50 +366,79 @@ class TwoPCAgent {
     SerialNumber sn;
     // Decision-time commit sequence number (CSN certifier; -1 under SN).
     int64_t csn = -1;
-    // Adopted residue of a shard handoff: the original participant site,
-    // carried as on_behalf_of on votes/acks (kInvalidSite = native).
-    SiteId acting_for = kInvalidSite;
-    bool commit_pending = false;  // COMMIT received but not yet performed
-    int inquiry_attempts = 0;     // drives the capped inquiry backoff
-    sim::EventId resubmit_retry_timer = sim::kInvalidEvent;
-    sim::EventId inquiry_timer = sim::kInvalidEvent;
-    sim::EventId orphan_timer = sim::kInvalidEvent;
-    std::set<ItemId> bound_items;
+    int inquiry_attempts = 0;  // drives the capped inquiry backoff
+    // Each timer belongs to the states that arm it, and Enter cancels it
+    // when the subtransaction leaves them. The coordinator timer fires on
+    // a silent coordinator: the orphan timer while active, the inquiry
+    // timer while prepared and undecided. The retry timer restarts a
+    // failed resubmission. An id whose event already ran is harmless:
+    // EventLoop::Cancel ignores it.
+    sim::EventId coordinator_timer = sim::kInvalidEvent;
+    sim::EventId retry_timer = sim::kInvalidEvent;
+    std::vector<ItemId> bound_items;  // sorted
   };
 
-  void OnBegin(SiteId from, const BeginMsg& msg);
-  void OnDmlRequest(SiteId from, const DmlRequestMsg& msg);
-  void OnPrepare(SiteId from, const PrepareMsg& msg);
-  void OnDecision(SiteId from, const DecisionMsg& msg);
-  void OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg);
+  // One lookup of a gtid: its state, the volatile state of a live one, and
+  // the late-message answers of one this incarnation retired (a crash
+  // invalidates them).
+  struct Lookup {
+    AgentState state = AgentState::kUnknown;
+    AgentTxn* txn = nullptr;
+    AgentOutcome::Late* late = nullptr;
+  };
+  Lookup Find(const TxnId& gtid);
+  AgentTxn* FindTxn(const TxnId& gtid);
 
+  // Applies one input to `gtid`, found in state `from`: asserts that the
+  // table allows the pair, runs `transition`, and asserts that the state
+  // it led to is allowed too (debug builds). A crash inside a hook (fault
+  // plans) wipes the state instead, which is no transition.
+  template <typename Fn>
+  void Apply(const TxnId& gtid, AgentState from, AgentInput input,
+             Fn&& transition);
+  // Moves `txn` to `to`, cancelling the timers of the states it leaves.
+  void Enter(AgentTxn& txn, AgentState to);
+  // Records one trace event of `gtid`'s local subtransaction number
+  // `resubmission` (-1: none); `fill` sets the fields past kind,
+  // transaction, site and resubmission.
+  template <typename Fill>
+  void Trace(trace::EventKind kind, const TxnId& gtid, int resubmission,
+             Fill&& fill);
+
+  void OnBegin(SiteId from, const BeginMsg& msg, const Lookup& l);
+  void OnDmlRequest(SiteId from, const DmlRequestMsg& msg, const Lookup& l);
+  void OnPrepare(SiteId from, const PrepareMsg& msg, const Lookup& l);
+  void OnDecision(SiteId from, const DecisionMsg& msg, const Lookup& l);
+  void OnOnePhaseCommit(SiteId from, const OnePhaseCommitMsg& msg,
+                        const Lookup& l);
+
+  // Duplicate-safe DML: true when `msg` names the command executing now or
+  // one already executed, whose response (`status`, `result`) it re-sends.
+  bool AbsorbDuplicateDml(SiteId from, const DmlRequestMsg& msg,
+                          int32_t inflight, int32_t done,
+                          const Status& status, const db::CmdResult& result);
+  void RefuseDml(SiteId from, const DmlRequestMsg& msg, const char* reason);
   void SendVote(const TxnId& gtid, SiteId coordinator, bool ready,
                 Status status, bool read_only = false,
                 SiteId on_behalf_of = kInvalidSite);
   void RefuseEpoch(SiteId from, const TxnId& gtid, const char* what,
                    SiteId moved_to);
-  bool TxnTouchesShards(const TxnId& gtid, const shard::ShardMap& map,
-                        const std::vector<int>& shards) const;
-  bool TxnInsideShards(const TxnId& gtid, const shard::ShardMap& map,
-                       const std::vector<int>& shards) const;
-  void Refuse(AgentTxn& txn, const Status& reason);
+  // Commit certification of a commit-pending subtransaction: commits it,
+  // resubmits work found dead, or leaves it waiting to head the order.
   void TryCommit(AgentTxn& txn);
-  void CompleteCommit(AgentTxn& txn);
   // Commits the head of the certifier's commit order while it is
-  // commit-pending, repeatedly: called after each change that can move
-  // the head (a local commit, a rollback, extracted residue, a CSN stamp).
-  void CommitReadyHead();
-  void ProcessRollback(AgentTxn& txn);
+  // commit-pending, repeatedly: run once after each top-level transition.
+  void DrainCommitHead();
+  void Rollback(AgentTxn& txn);
   void StartResubmission(AgentTxn& txn);
-  void RunNextResubmitCommand(const TxnId& gtid);
+  void RunNextResubmitCommand(AgentTxn& txn);
   void OnResubmissionComplete(AgentTxn& txn);
   void BindAccessedItems(AgentTxn& txn);
   void UnbindAll(AgentTxn& txn);
-  void SendInquiry(const TxnId& gtid);
-  void ArmInquiryTimer(AgentTxn& txn, sim::Duration delay);
-  void ArmOrphanTimer(AgentTxn& txn);
-  void OnOrphanTimeout(const TxnId& gtid);
-  void CancelTimers(AgentTxn& txn);
+  void SendInquiry(AgentTxn& txn);
+  // (Re)arms the coordinator timer: orphan detection while active, the
+  // decision inquiry while prepared.
+  void ArmCoordinatorTimer(AgentTxn& txn, sim::Duration delay);
   void OnUnilateralAbort(const SubTxnId& id, LtmTxnHandle handle);
   // The one re-entry path of crash recovery and shard adoption: rebuilds
   // `gtid` as prepared, with no live local subtransaction, from its log
@@ -276,18 +446,11 @@ class TwoPCAgent {
   // resubmits its commands, then finishes via the known decision
   // (`commit_pending`, with `csn`) or a coordinator inquiry.
   void Reenter(const TxnId& gtid, bool commit_pending, int64_t csn);
-  // A finished subtransaction (committed or aborted, its final ACK sent)
-  // leaves txns_; the log keeps its outcome and late-message answers.
-  // `read_only` marks a short-commit reader committed at prepare time.
-  void Retire(AgentTxn& txn, bool committed, bool read_only = false);
-  // Late-message answers of a subtransaction this incarnation retired,
-  // nullptr if there are none (never seen, live, or retired before a
-  // crash).
-  AgentOutcome::Late* FindRetired(const TxnId& gtid);
-  void AnswerLateDml(SiteId from, const DmlRequestMsg& msg,
-                     const AgentOutcome::Late& late);
-
-  AgentTxn* FindTxn(const TxnId& gtid);
+  // A finished subtransaction (kCommitted or kRolledBack `to`, its final
+  // ACK sent) leaves txns_; the log keeps its outcome and late-message
+  // answers. `read_only` marks a short-commit reader committed at prepare
+  // time.
+  void Retire(AgentTxn& txn, AgentState to, bool read_only = false);
 
   AgentConfig config_;
   sim::EventLoop* loop_;
@@ -302,8 +465,6 @@ class TwoPCAgent {
   // certification and the scheme's ordering state (SN high-water mark or
   // the decided CSNs) all live behind this interface.
   std::unique_ptr<cert::Certifier> certifier_;
-  // Set while CommitReadyHead runs its loop.
-  bool committing_head_ = false;
 
   // Hashed: FindTxn is on the hot path of every protocol message. Iteration
   // only happens in Crash/Recover paths where order is immaterial. Holds

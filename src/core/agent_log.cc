@@ -29,6 +29,19 @@ std::vector<db::Command> AgentLog::CommandsOf(const TxnId& gtid) const {
   return out;
 }
 
+const db::Command* AgentLog::CommandAt(const TxnId& gtid,
+                                      size_t index) const {
+  const db::Command* out = nullptr;
+  size_t seen = 0;
+  ForEachOf(gtid, [&](const LogRecord& r) {
+    if (r.kind == LogRecordKind::kCommand && r.command.has_value() &&
+        seen++ == index) {
+      out = &*r.command;
+    }
+  });
+  return out;
+}
+
 bool AgentLog::InDoubtLive(const TxnId& gtid) const {
   return Has(gtid, LogRecordKind::kPrepare) &&
          !Has(gtid, LogRecordKind::kComplete) &&

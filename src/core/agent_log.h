@@ -136,6 +136,9 @@ class AgentLog : public DurableLog<LogRecord> {
   // All commands logged for a live `gtid`, in submission order — the
   // resubmission source.
   std::vector<db::Command> CommandsOf(const TxnId& gtid) const;
+  // The `index`th of them, read in place (nullptr past the last). Valid
+  // until the next append or retirement.
+  const db::Command* CommandAt(const TxnId& gtid, size_t index) const;
 
   // Latest prepare record of a live `gtid`, if any.
   std::optional<LogRecord> PrepareRecordOf(const TxnId& gtid) const {

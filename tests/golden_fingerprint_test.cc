@@ -1,9 +1,10 @@
 // Golden fingerprints: small runs shaped like the three benchmark workloads
-// (perfbench/workloads.cc), plus one run through CSN crash recovery, which
-// none of them reaches, seeds 1-3, must reproduce pinned digests of
-// runner::Fingerprint. A refactor or a speed-up that claims to keep
-// behaviour keeps every value here. A change that alters behaviour on
-// purpose updates the values and says why in CHANGES.md.
+// (perfbench/workloads.cc), plus one run through CSN crash recovery and one
+// through a shard handoff, which none of them reaches, seeds 1-3, must
+// reproduce pinned digests of runner::Fingerprint. A refactor or a speed-up
+// that claims to keep behaviour keeps every value here. A change that
+// alters behaviour on purpose updates the values and says why in
+// CHANGES.md.
 
 #include <gtest/gtest.h>
 
@@ -127,6 +128,29 @@ RunSpec CsnCrash4Site(uint64_t seed) {
   return spec;
 }
 
+// reconfig_add_2pc: not a benchmark workload. E19's add/2pc/sn cell
+// (ReconfigSpec in bench/sweep_reconfig.cpp): a site joins a sharded
+// 4-site federation at 150 ms. The forced handoff aborts active
+// subtransactions and extracts prepared residue, stale-epoch messages are
+// refused, and commands for keys whose shard moved are refused.
+RunSpec ReconfigAdd2pc(uint64_t seed) {
+  RunSpec spec;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 4;
+  c.num_shards = 16;
+  c.max_sites = 6;
+  c.rows_per_table = 64;
+  c.global_clients = 4;
+  c.target_global_txns = 120;
+  c.drain_grace = 1 * sim::kSecond;
+  fault::FaultEvent add;
+  add.kind = fault::FaultKind::kAddSite;
+  add.at = 150 * sim::kMillisecond;
+  c.fault_plan.events.push_back(add);
+  return spec;
+}
+
 // Recorded before the tombstone-free event heap, the inline event callbacks
 // and the flat lock table went in; none of them changed a digest. The
 // counted DLU bindings and the DLU back-out that keeps an earlier
@@ -146,7 +170,9 @@ RunSpec CsnCrash4Site(uint64_t seed) {
 // deadlock detection in every workload (a 10 ms search while a lock
 // request waits) changed every digest again: each wait adds the search
 // events, and a cycle inside one site ends in a victim abort instead of
-// the 500 ms lock-wait timeout.
+// the 500 ms lock-wait timeout. reconfig_add_2pc was recorded before the
+// agent became one state machine (one state per subtransaction, a
+// transition table); that refactor changed no digest.
 struct Golden {
   const char* workload;
   RunSpec (*make)(uint64_t seed);
@@ -167,6 +193,9 @@ const Golden kGolden[] = {
     {"csn_2pc_crash",
      CsnCrash4Site,
      {"ae6713deea48418d", "7531c5417c11635a", "1c2ea84d227e9945"}},
+    {"reconfig_add_2pc",
+     ReconfigAdd2pc,
+     {"0ddc7f66ad335592", "785e3e51165e352a", "18a51e0e271d93e1"}},
 };
 
 TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
@@ -186,6 +215,17 @@ TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
           << g.workload << " seed " << seed;
     }
   }
+  // The handoff entry reaches what it is there for: in some seed the
+  // forced handoff aborts an active subtransaction and a stale-epoch
+  // message is refused.
+  bool forced_abort = false, epoch_refusal = false;
+  for (size_t j = specs.size() - 3; j < specs.size(); ++j) {
+    const core::Metrics& m = (*outputs)[j].result.metrics;
+    forced_abort = forced_abort || m.reconfig_forced_aborts > 0;
+    epoch_refusal = epoch_refusal || m.epoch_refusals > 0;
+  }
+  EXPECT_TRUE(forced_abort);
+  EXPECT_TRUE(epoch_refusal);
 }
 
 }  // namespace

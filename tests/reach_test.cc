@@ -11,6 +11,7 @@
 
 #include "core/mdbs.h"
 #include "shard/reconfig.h"
+#include "trace/trace.h"
 
 namespace hermes {
 namespace {
@@ -132,6 +133,40 @@ TEST_F(ReachTest, DmlForAPreparedSubtransactionIsRefusedUnexecuted) {
   EXPECT_EQ(late[0].status.message(), "no active subtransaction");
   EXPECT_EQ(Val(0, 2), 0);
   EXPECT_EQ(mdbs_->agent(0)->log().CommandsOf(g).size(), 1u);
+}
+
+TEST_F(ReachTest, OnePhaseCommitOfDeadWorkAbortsAndIsTraced) {
+  // The LDBS kills a single-site transaction's work before its 1PC-COMMIT
+  // arrives: with no prepare record there is nothing to resubmit, so the
+  // agent, the commit point, decides abort, records it in the trace and
+  // answers with a ROLLBACK-ACK.
+  core::MdbsConfig config;
+  config.num_sites = 1;
+  trace::Tracer tracer(&loop_);
+  config.tracer = &tracer;
+  Build(config);
+  const TxnId g = Gtid(1);
+  Send(0, core::BeginMsg{g});
+  Send(0, AddOne(g, 0, 1));
+  ASSERT_TRUE(
+      mdbs_->ltm(0)->InjectUnilateralAbort(mdbs_->agent(0)->HandleOf(g)).ok());
+  Drain();
+  Send(0, core::OnePhaseCommitMsg{g});
+  ASSERT_EQ(Count<core::AckMsg>(), 1);
+  EXPECT_FALSE(std::get<core::AckMsg>(replies_.back()).commit);
+  EXPECT_EQ(mdbs_->agent(0)->StateOf(g), core::AgentState::kRolledBack);
+  EXPECT_EQ(Val(0, 1), 0);
+  int aborts = 0;
+  tracer.ForEach([&](const trace::Event& e) {
+    if (e.kind == trace::EventKind::kLocalAbort && e.txn == g) {
+      ++aborts;
+      EXPECT_EQ(e.site, 0);
+      EXPECT_EQ(e.resubmission, 0);
+      EXPECT_FALSE(e.ok);
+    }
+  });
+  EXPECT_EQ(aborts, 1);
+  mdbs_.reset();  // before the tracer it records into
 }
 
 TEST_F(ReachTest, RollbackDuringALockWaitAnswersTheDmlOnce) {

@@ -76,16 +76,7 @@ runner::RunSpec ReconfigSpec(const ReconfigCell& cell, uint64_t seed,
   return spec;
 }
 
-// Committed-throughput shape around the epoch change, from one traced run:
-// the fence..final-install window, the commit-rate dip inside it relative
-// to the pre-fence rate, and the delay from the final install to the next
-// commit (how long the re-routed workload takes to resume).
-struct ReconfigTimeline {
-  double window_ms = 0;
-  double dip_pct = 0;
-  double recovery_ms = 0;
-  bool valid = false;
-};
+}  // namespace
 
 ReconfigTimeline AnalyzeTimeline(const std::string& trace_binary) {
   ReconfigTimeline t;
@@ -125,22 +116,18 @@ ReconfigTimeline AnalyzeTimeline(const std::string& trace_binary) {
   const double before_rate =
       begin > 0 ? static_cast<double>(before) / static_cast<double>(begin)
                 : 0.0;
-  const double during_rate =
-      done > begin
-          ? static_cast<double>(during) / static_cast<double>(done - begin)
-          : 0.0;
   t.window_ms = static_cast<double>(done - begin) / 1000.0;
-  t.dip_pct = before_rate > 0
-                  ? 100.0 * (1.0 - during_rate / before_rate)
-                  : 0.0;
+  if (before_rate > 0 && done > begin) {
+    const double during_rate =
+        static_cast<double>(during) / static_cast<double>(done - begin);
+    t.dip_pct = 100.0 * (1.0 - during_rate / before_rate);
+  }
   t.recovery_ms = first_after >= 0
                       ? static_cast<double>(first_after - done) / 1000.0
                       : static_cast<double>(end - done) / 1000.0;
   t.valid = true;
   return t;
 }
-
-}  // namespace
 
 int RunReconfigSweep(const SweepArgs& args) {
   const int num_seeds = args.quick ? 2 : 4;

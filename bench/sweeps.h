@@ -130,6 +130,20 @@ struct HistoryRun {
 HistoryRun RunH1(core::CertPolicy policy);
 HistoryRun RunH2(core::CertPolicy policy);
 
+// E19's committed-throughput shape around an epoch change, from one
+// traced run: the fence..final-install window, the commit-rate dip inside
+// it relative to the pre-fence rate (0 for a window of no length, which
+// loses no commit), and the delay from the final install to the next
+// commit (how long the re-routed workload takes to resume). `valid` is
+// false when the capture holds no membership change or no commit.
+struct ReconfigTimeline {
+  double window_ms = 0;
+  double dip_pct = 0;
+  double recovery_ms = 0;
+  bool valid = false;
+};
+ReconfigTimeline AnalyzeTimeline(const std::string& trace_binary);
+
 // Each sweep prints its table, writes BENCH_<name>.json and returns a
 // process exit code: 0 on success, 1 when its claim or a correctness
 // guarantee was violated or an artifact (BENCH_*.json, --trace-out) could

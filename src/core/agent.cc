@@ -126,11 +126,11 @@ template <typename Fn>
 void TwoPCAgent::Apply([[maybe_unused]] const TxnId& gtid,
                        [[maybe_unused]] AgentState from,
                        [[maybe_unused]] AgentInput input, Fn&& transition) {
-  assert(AgentTransitionAllowed(from, input));
+  assert(TransitionAllowed(kAgentTransitions, from, input));
   [[maybe_unused]] const uint32_t incarnation = incarnation_;
   transition();
   assert(incarnation != incarnation_ ||
-         AgentTransitionAllowed(from, input, StateOf(gtid)));
+         TransitionAllowed(kAgentTransitions, from, input, StateOf(gtid)));
 }
 
 void TwoPCAgent::Enter(AgentTxn& txn, AgentState to) {

@@ -48,6 +48,7 @@
 #include "core/cert_policy.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "core/transitions.h"
 #include "ltm/ltm.h"
 #include "net/network.h"
 #include "shard/shard_map.h"
@@ -118,18 +119,7 @@ enum class AgentInput : uint8_t {
   kOrphanTimer, kHead, kReenter, kExtract, kAdopt,
 };
 
-// One edge of the state diagram: each of `inputs` (a bit per AgentInput)
-// takes a subtransaction from `from` to `to`.
-struct AgentTransition {
-  AgentState from;
-  uint32_t inputs;
-  AgentState to;
-};
-
-template <typename... In>
-constexpr uint32_t AgentInputs(In... inputs) {
-  return ((uint32_t{1} << static_cast<int>(inputs)) | ...);
-}
+using AgentTransition = Transition<AgentState, AgentInput>;
 
 // Every transition the agent makes; DESIGN.md, "Agent state machine",
 // lists them by input. An input whose (state, input) pair is on no edge is
@@ -138,7 +128,7 @@ constexpr uint32_t AgentInputs(In... inputs) {
 inline constexpr auto kAgentTransitions = [] {
   using enum AgentState;
   using enum AgentInput;
-  const auto in = [](auto... inputs) { return AgentInputs(inputs...); };
+  const auto in = [](auto... inputs) { return Inputs(inputs...); };
   return std::to_array<AgentTransition>({
       // Inputs a state absorbs, answers (from the cached response or the
       // retired outcome) or leaves to a later step: duplicates and late
@@ -209,19 +199,6 @@ inline constexpr auto kAgentTransitions = [] {
       {kCommitResubmitting, in(kExtract), kMigrated},
   });
 }();
-
-// True when an edge takes `input` from `from` to `to`, or with no `to`
-// anywhere.
-constexpr bool AgentTransitionAllowed(AgentState from, AgentInput input,
-                                      std::optional<AgentState> to = {}) {
-  for (const AgentTransition& t : kAgentTransitions) {
-    if (t.from == from && (t.inputs & AgentInputs(input)) != 0 &&
-        (!to || t.to == *to)) {
-      return true;
-    }
-  }
-  return false;
-}
 
 // Prepared-transaction residue of a shard handoff: everything the adopting
 // agent needs to re-enter the subtransaction as prepared and resubmit its

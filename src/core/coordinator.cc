@@ -8,6 +8,19 @@
 
 namespace hermes::core {
 
+namespace {
+
+using trace::EventKind;
+using enum CoordState;
+using enum CoordInput;
+
+// The client heard the outcome: the decision is out, or was before a crash.
+bool Reported(CoordState s) {
+  return s == kCommitting || s == kAborting || s == kRedelivering;
+}
+
+}  // namespace
+
 Coordinator::Coordinator(SiteId site, sim::EventLoop* loop,
                          net::Network* network, const sim::SiteClock* clock,
                          history::Recorder* recorder, Metrics* metrics,
@@ -28,9 +41,43 @@ Coordinator::~Coordinator() {
   for (auto& [gtid, txn] : txns_) CancelRetryTimer(txn);
 }
 
-Coordinator::CoordTxn* Coordinator::FindTxn(const TxnId& gtid) {
+CoordState Coordinator::StateOf(const TxnId& gtid) const {
   auto it = txns_.find(gtid);
-  return it == txns_.end() ? nullptr : &it->second;
+  return it == txns_.end() ? kUnknown : it->second.state;
+}
+
+template <typename Fn>
+void Coordinator::Apply([[maybe_unused]] TxnId gtid,
+                        [[maybe_unused]] CoordState from,
+                        [[maybe_unused]] CoordInput input, Fn&& transition) {
+  assert(TransitionAllowed(kCoordTransitions, from, input));
+  // Metrics are per site: the count moves only if this site crashed.
+  [[maybe_unused]] const int64_t crashes = metrics_->coordinator_crashes;
+  transition();
+  assert(crashes != metrics_->coordinator_crashes ||
+         TransitionAllowed(kCoordTransitions, from, input, StateOf(gtid)));
+}
+
+template <typename Fn>
+void Coordinator::Apply(const TxnId& gtid, CoordInput input,
+                        Fn&& transition) {
+  auto it = txns_.find(gtid);
+  CoordTxn* txn = it == txns_.end() ? nullptr : &it->second;
+  const CoordState state = txn == nullptr ? kUnknown : txn->state;
+  Apply(gtid, state, input, [&] { transition(txn, state); });
+}
+
+template <typename Fill>
+void Coordinator::Trace(EventKind kind, const TxnId& gtid, SiteId peer,
+                        Fill&& fill) {
+  if (tracer_ == nullptr) return;
+  trace::Event e;
+  e.kind = kind;
+  e.txn = gtid;
+  e.site = site_;
+  e.peer = peer;
+  fill(e);
+  tracer_->Record(std::move(e));
 }
 
 TxnId Coordinator::Submit(GlobalTxnSpec spec, GlobalTxnCallback cb) {
@@ -41,71 +88,93 @@ TxnId Coordinator::Submit(GlobalTxnSpec spec, GlobalTxnCallback cb) {
   if (directory_ != nullptr) epoch_view_ = directory_->epoch();
   const TxnId gtid =
       TxnId::MakeGlobal(site_, epoch_ * kEpochSeqStride + next_seq_++);
-  CoordTxn& txn = txns_[gtid];
-  txn.gtid = gtid;
-  txn.spec = std::move(spec);
-  txn.cb = std::move(cb);
-  txn.start_time = loop_->Now();
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kTxnBegin;
-    e.txn = gtid;
-    e.site = site_;
-    e.value = static_cast<int64_t>(txn.spec.steps.size());
-    tracer_->Record(std::move(e));
-  }
-  if (sn_at_submit_) txn.sn = sn_generator_.Next();
-  if (txn.spec.steps.empty()) {
-    txn.failure = Status::InvalidArgument("global transaction has no steps");
-    // Resolve asynchronously for uniform callback behavior.
-    loop_->ScheduleAfter(0, [this, gtid]() {
-      CoordTxn* t = FindTxn(gtid);
-      if (t != nullptr) StartRollback(*t, t->failure);
+  Apply(gtid, kUnknown, kSubmit, [&] {
+    CoordTxn& txn = txns_[gtid];
+    txn.gtid = gtid;
+    txn.spec = std::move(spec);
+    txn.cb = std::move(cb);
+    txn.start_time = loop_->Now();
+    Trace(EventKind::kTxnBegin, gtid, kInvalidSite, [&](trace::Event& e) {
+      e.value = static_cast<int64_t>(txn.spec.steps.size());
     });
-    return gtid;
-  }
-  loop_->ScheduleAfter(0, [this, gtid]() { ExecuteNextStep(gtid); });
+    if (sn_at_submit_) txn.sn = sn_generator_.Next();
+    // The first step, or the abort of a transaction without steps, runs in
+    // a zero-delay event: the callback never runs inside Submit.
+    loop_->ScheduleAfter(0, [this, gtid]() { OnStart(gtid); });
+  });
   return gtid;
 }
 
-void Coordinator::ExecuteNextStep(const TxnId& gtid) {
-  CoordTxn* txn = FindTxn(gtid);
-  if (txn == nullptr || txn->phase != Phase::kExecuting) return;
-  if (txn->next_step >= txn->spec.steps.size()) {
-    StartCommit(gtid);
-    return;
-  }
-  const GlobalTxnSpec::Step& step = txn->spec.steps[txn->next_step];
-  if (hooks_.before_step) {
-    hooks_.before_step(gtid, step, [this, gtid](const Status& s) {
-      CoordTxn* t = FindTxn(gtid);
-      if (t == nullptr || t->phase != Phase::kExecuting) return;
-      if (!s.ok()) {
-        ++metrics_->global_aborted_dml;
-        StartRollback(*t, s);
-        return;
-      }
-      SendStep(*t);
-    });
-    return;
-  }
-  SendStep(*txn);
+void Coordinator::OnStart(const TxnId& gtid) {
+  Apply(gtid, kStart, [&](CoordTxn* txn, CoordState) {
+    if (txn == nullptr) return;
+    if (txn->spec.steps.empty()) {
+      StartRollback(*txn,
+                    Status::InvalidArgument("global transaction has no steps"));
+      return;
+    }
+    ExecuteNextStep(*txn);
+  });
 }
 
-void Coordinator::SendStep(CoordTxn& txn) {
+void Coordinator::ExecuteNextStep(CoordTxn& txn) {
+  if (txn.next_step == txn.spec.steps.size()) {
+    txn.commit_start = loop_->Now();
+    // Short-commit 1PC: a single-site transaction needs no vote round — its
+    // lone participant is the commit point (committing it is
+    // indistinguishable from committing a purely local transaction there).
+    if (short_commit_ && txn.begun.size() == 1) {
+      txn.state = kOnePhase;
+      txn.acks_pending = txn.begun;
+      SendOnePhaseCommit(txn, /*resend=*/false);
+      return;
+    }
+    if (hooks_.before_prepare) {
+      txn.state = kAdmitting;
+      const TxnId gtid = txn.gtid;
+      hooks_.before_prepare(
+          gtid, std::vector<SiteId>(txn.begun.begin(), txn.begun.end()),
+          [this, gtid]() { OnAdmitted(gtid); });
+      return;
+    }
+    Prepare(txn);
+    return;
+  }
+  if (hooks_.before_step) {
+    const TxnId gtid = txn.gtid;
+    hooks_.before_step(
+        gtid, txn.spec.steps[txn.next_step],
+        [this, gtid](const Status& s) { OnStepGranted(gtid, s); });
+    return;
+  }
+  SendStep(txn, /*resend=*/false);
+}
+
+void Coordinator::OnStepGranted(const TxnId& gtid, const Status& status) {
+  Apply(gtid, kStepGranted, [&](CoordTxn* txn, CoordState state) {
+    if (state != kExecuting) return;
+    if (!status.ok()) {
+      ++metrics_->global_aborted_dml;
+      StartRollback(*txn, status);
+      return;
+    }
+    SendStep(*txn, /*resend=*/false);
+  });
+}
+
+void Coordinator::SendStep(CoordTxn& txn, bool resend) {
   const GlobalTxnSpec::Step& step = txn.spec.steps[txn.next_step];
-  if (txn.begun.insert(step.site).second) {
+  if (resend) TraceRetransmit(txn, step.site, "dml");
+  // A resend repeats BEGIN along with the command: either may have been
+  // the loss, and the agent ignores a duplicate BEGIN.
+  if (txn.begun.insert(step.site).second || resend) {
     network_->Send(site_, step.site,
                    Message{BeginMsg{txn.gtid, epoch_view_}});
   }
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kStepStart;
-    e.txn = txn.gtid;
-    e.site = site_;
-    e.peer = step.site;
-    e.value = static_cast<int64_t>(txn.next_step);
-    tracer_->Record(std::move(e));
+  if (!resend) {
+    Trace(EventKind::kStepStart, txn.gtid, step.site, [&](trace::Event& e) {
+      e.value = static_cast<int64_t>(txn.next_step);
+    });
   }
   network_->Send(site_, step.site,
                  Message{DmlRequestMsg{txn.gtid,
@@ -115,89 +184,48 @@ void Coordinator::SendStep(CoordTxn& txn) {
 }
 
 void Coordinator::OnDmlResponse(const DmlResponseMsg& msg) {
-  CoordTxn* txn = FindTxn(msg.gtid);
-  if (txn == nullptr || txn->phase != Phase::kExecuting) return;
-  if (msg.cmd_index != static_cast<int32_t>(txn->next_step)) return;
-  CancelRetryTimer(*txn);
-  txn->retry_attempt = 0;
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kStepEnd;
-    e.txn = msg.gtid;
-    e.site = site_;
-    e.peer = txn->spec.steps[txn->next_step].site;
-    e.value = msg.cmd_index;
-    e.ok = msg.status.ok();
-    if (!msg.status.ok()) e.detail = msg.status.ToString();
-    tracer_->Record(std::move(e));
-  }
-  if (!msg.status.ok()) {
-    ++metrics_->global_aborted_dml;
-    StartRollback(*txn, msg.status);
-    return;
-  }
-  const auto& min_affected = txn->spec.steps[txn->next_step].min_affected;
-  if (min_affected.has_value() && msg.result.affected < *min_affected) {
-    ++metrics_->global_aborted_dml;
-    StartRollback(*txn,
-                  Status::Rejected(StrCat("step ", txn->next_step,
-                                          " affected ", msg.result.affected,
-                                          " rows, expected at least ",
-                                          *min_affected)));
-    return;
-  }
-  txn->results.push_back(msg.result);
-  ++txn->next_step;
-  ExecuteNextStep(txn->gtid);
-}
-
-void Coordinator::StartCommit(const TxnId& gtid) {
-  CoordTxn* txn = FindTxn(gtid);
-  if (txn == nullptr) return;
-  txn->commit_start = loop_->Now();
-  // Short-commit 1PC: a single-site transaction needs no vote round — its
-  // lone participant is the commit point (committing it is indistinguishable
-  // from committing a purely local transaction there).
-  if (short_commit_ && txn->begun.size() == 1) {
-    StartOnePhaseCommit(*txn);
-    return;
-  }
-  txn->phase = Phase::kPreparing;
-  if (hooks_.before_prepare) {
-    std::vector<SiteId> sites(txn->begun.begin(), txn->begun.end());
-    hooks_.before_prepare(gtid, sites, [this, gtid]() {
-      CoordTxn* t = FindTxn(gtid);
-      if (t == nullptr || t->phase != Phase::kPreparing) return;
-      SendPrepares(*t);
+  Apply(msg.gtid, kDmlResponse, [&](CoordTxn* txn, CoordState state) {
+    // Anything but the current step's response is late or a duplicate.
+    if (state != kExecuting ||
+        msg.cmd_index != static_cast<int32_t>(txn->next_step)) {
+      return;
+    }
+    CancelRetryTimer(*txn);
+    txn->retry_attempt = 0;
+    const GlobalTxnSpec::Step& step = txn->spec.steps[txn->next_step];
+    Trace(EventKind::kStepEnd, msg.gtid, step.site, [&](trace::Event& e) {
+      e.value = msg.cmd_index;
+      e.ok = msg.status.ok();
+      if (!msg.status.ok()) e.detail = msg.status.ToString();
     });
-    return;
-  }
-  SendPrepares(*txn);
+    if (!msg.status.ok()) {
+      ++metrics_->global_aborted_dml;
+      StartRollback(*txn, msg.status);
+      return;
+    }
+    if (step.min_affected.has_value() &&
+        msg.result.affected < *step.min_affected) {
+      ++metrics_->global_aborted_dml;
+      StartRollback(*txn, Status::Rejected(StrCat(
+                              "step ", txn->next_step, " affected ",
+                              msg.result.affected, " rows, expected at least ",
+                              *step.min_affected)));
+      return;
+    }
+    txn->results.push_back(msg.result);
+    ++txn->next_step;
+    ExecuteNextStep(*txn);
+  });
 }
 
-void Coordinator::StartOnePhaseCommit(CoordTxn& txn) {
-  const SiteId participant = *txn.begun.begin();
-  txn.one_phase = true;
-  txn.phase = Phase::kCommitting;
-  txn.acks_pending = txn.begun;
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kShortCommit;
-    e.txn = txn.gtid;
-    e.site = site_;
-    e.peer = participant;
-    e.detail = "1pc";
-    tracer_->Record(std::move(e));
-  }
-  // No decision record: the agent force-writes the outcome into its own
-  // log, and the ACK carries it back. The 1PC-COMMIT is retransmitted
-  // unboundedly like a decision (the agent's handler is duplicate-safe).
-  network_->Send(site_, Target(txn, participant),
-                 Message{OnePhaseCommitMsg{txn.gtid, epoch_view_}});
-  ArmRetryTimer(txn);
+void Coordinator::OnAdmitted(const TxnId& gtid) {
+  Apply(gtid, kAdmitted, [&](CoordTxn* txn, CoordState state) {
+    if (state == kAdmitting) Prepare(*txn);
+  });
 }
 
-void Coordinator::SendPrepares(CoordTxn& txn) {
+void Coordinator::Prepare(CoordTxn& txn) {
+  txn.state = kPreparing;
   // The application has submitted Commit: generate the serial number now
   // (all conflicts are determined by this point) and send it with PREPARE.
   // Under the sn_at_submit ablation the (earlier) submission-time number is
@@ -206,15 +234,16 @@ void Coordinator::SendPrepares(CoordTxn& txn) {
   txn.votes_pending = txn.begun;
   protocol_->BeginDecision(
       txn.gtid, std::vector<SiteId>(txn.begun.begin(), txn.begun.end()));
-  for (SiteId s : txn.begun) {
-    if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kPrepareSend;
-      e.txn = txn.gtid;
-      e.site = site_;
-      e.peer = s;
-      e.sn = txn.sn;
-      tracer_->Record(std::move(e));
+  SendPrepares(txn, /*resend=*/false);
+}
+
+void Coordinator::SendPrepares(CoordTxn& txn, bool resend) {
+  for (SiteId s : txn.votes_pending) {
+    if (resend) {
+      TraceRetransmit(txn, s, "prepare");
+    } else {
+      Trace(EventKind::kPrepareSend, txn.gtid, s,
+            [&](trace::Event& e) { e.sn = txn.sn; });
     }
     network_->Send(site_, Target(txn, s),
                    Message{PrepareMsg{txn.gtid, txn.sn, epoch_view_}});
@@ -222,34 +251,45 @@ void Coordinator::SendPrepares(CoordTxn& txn) {
   ArmRetryTimer(txn);
 }
 
+void Coordinator::SendOnePhaseCommit(CoordTxn& txn, bool resend) {
+  // No decision record: the agent force-writes the outcome into its own
+  // log, and the ACK carries it back. The 1PC-COMMIT is retransmitted
+  // unboundedly like a decision (the agent's handler is duplicate-safe).
+  for (SiteId s : txn.acks_pending) {
+    if (resend) {
+      TraceRetransmit(txn, s, "1pc-commit");
+    } else {
+      Trace(EventKind::kShortCommit, txn.gtid, s,
+            [](trace::Event& e) { e.detail = "1pc"; });
+    }
+    network_->Send(site_, Target(txn, s),
+                   Message{OnePhaseCommitMsg{txn.gtid, epoch_view_}});
+  }
+  ArmRetryTimer(txn);
+}
+
 void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
-  CoordTxn* txn = FindTxn(msg.gtid);
-  if (txn == nullptr || txn->phase != Phase::kPreparing) return;
-  // An adopting site answers for the original participant after a shard
-  // handoff: clear the bookkeeping under that id.
-  const SiteId voter =
-      msg.on_behalf_of != kInvalidSite ? msg.on_behalf_of : from;
-  txn->votes_pending.erase(voter);
-  if (msg.ready && msg.read_only) txn->readonly_sites.insert(voter);
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kVoteRecv;
-    e.txn = msg.gtid;
-    e.site = site_;
-    e.peer = voter;
-    e.ok = msg.ready;
-    if (!msg.ready) e.detail = msg.reason.ToString();
-    tracer_->Record(std::move(e));
-  }
-  if (!msg.ready) {
-    ++metrics_->global_aborted_cert;
-    txn->certification_refused = true;
-    StartRollback(*txn, msg.reason.ok()
-                            ? Status::Rejected("participant refused")
-                            : msg.reason);
-    return;
-  }
-  if (txn->votes_pending.empty()) {
+  Apply(msg.gtid, kVote, [&](CoordTxn* txn, CoordState state) {
+    if (state != kPreparing) return;
+    // An adopting site answers for the original participant after a shard
+    // handoff: clear the bookkeeping under that id.
+    const SiteId voter =
+        msg.on_behalf_of != kInvalidSite ? msg.on_behalf_of : from;
+    txn->votes_pending.erase(voter);
+    if (msg.ready && msg.read_only) txn->readonly_sites.insert(voter);
+    Trace(EventKind::kVoteRecv, msg.gtid, voter, [&](trace::Event& e) {
+      e.ok = msg.ready;
+      if (!msg.ready) e.detail = msg.reason.ToString();
+    });
+    if (!msg.ready) {
+      ++metrics_->global_aborted_cert;
+      txn->certification_refused = true;
+      StartRollback(*txn, msg.reason.ok()
+                              ? Status::Rejected("participant refused")
+                              : msg.reason);
+      return;
+    }
+    if (!txn->votes_pending.empty()) return;
     // All READY: hand the commit intent to the decision protocol. 2PC
     // force-writes the decision record and answers synchronously *before*
     // the first COMMIT message leaves the site — without that a crash here
@@ -257,7 +297,7 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
     // committing, the classic lost-decision atomicity violation. Paxos
     // Commit instead waits for the acceptor round (fast path: one message
     // delay) and answers from OnDecided.
-    txn->phase = Phase::kDeciding;
+    txn->state = kDeciding;
     CancelRetryTimer(*txn);
     txn->retry_attempt = 0;
     if (txn->readonly_sites.size() == txn->begun.size()) {
@@ -265,14 +305,8 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
       // its vote: there is no decision to take or deliver — the decision
       // round disappears entirely.
       recorder_->RecordGlobalCommit(txn->gtid, site_);
-      if (tracer_ != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kShortCommit;
-        e.txn = txn->gtid;
-        e.site = site_;
-        e.detail = "readonly";
-        tracer_->Record(std::move(e));
-      }
+      Trace(EventKind::kShortCommit, txn->gtid, kInvalidSite,
+            [](trace::Event& e) { e.detail = "readonly"; });
       FinishTxn(*txn, /*committed=*/true);
       return;
     }
@@ -282,14 +316,8 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
       // coordinator crash together with the outcome.
       txn->csn = csn_source_->Next();
       ++metrics_->csn_assigned;
-      if (tracer_ != nullptr) {
-        trace::Event e;
-        e.kind = trace::EventKind::kCsnAssign;
-        e.txn = txn->gtid;
-        e.site = site_;
-        e.value = txn->csn;
-        tracer_->Record(std::move(e));
-      }
+      Trace(EventKind::kCsnAssign, txn->gtid, kInvalidSite,
+            [&](trace::Event& e) { e.value = txn->csn; });
     }
     // Read-only participants are already committed and owed nothing: only
     // the writers are recorded as owed a COMMIT (and re-driven after a
@@ -301,64 +329,64 @@ void Coordinator::OnVote(SiteId from, const VoteMsg& msg) {
     protocol_->Decide(
         txn->gtid, consensus::DecideMode::kCommit, writers, txn->csn,
         [this](const TxnId& gtid, bool commit) { OnDecided(gtid, commit); });
-  }
+  });
 }
 
 void Coordinator::OnDecided(const TxnId& gtid, bool commit) {
-  CoordTxn* txn = FindTxn(gtid);
-  if (txn == nullptr || txn->phase != Phase::kDeciding) return;
-  // The outcome is final here: 2PC has force-written its decision record,
-  // Paxos Commit's acceptors have chosen it. The participants must follow
-  // it (resubmitting after a unilateral abort if they have to), so the
-  // client hears it now; the ACK wait that follows is cleanup.
-  if (commit) {
-    recorder_->RecordGlobalCommit(gtid, site_);
-    txn->phase = Phase::kCommitting;
-    SendDecisions(*txn, /*commit=*/true);
-    Report(*txn, /*committed=*/true);
-    return;
-  }
-  recorder_->RecordGlobalAbort(gtid, site_);
-  txn->phase = Phase::kRollingBack;
-  if (txn->failure.ok()) {
-    txn->failure = Status::Aborted("decision protocol aborted");
-  }
-  if (txn->begun.empty()) {
-    FinishTxn(*txn, /*committed=*/false);
-    return;
-  }
-  SendDecisions(*txn, /*commit=*/false);
-  Report(*txn, /*committed=*/false);
+  Apply(gtid, kDecided, [&](CoordTxn* txn, CoordState state) {
+    if (state != kDeciding) return;
+    // The outcome is final here: 2PC has force-written its decision record,
+    // Paxos Commit's acceptors have chosen it. The participants must follow
+    // it (resubmitting after a unilateral abort if they have to), so the
+    // client hears it now; the ACK wait that follows is cleanup.
+    if (commit) {
+      recorder_->RecordGlobalCommit(gtid, site_);
+    } else {
+      recorder_->RecordGlobalAbort(gtid, site_);
+      if (txn->failure.ok()) {
+        txn->failure = Status::Aborted("decision protocol aborted");
+      }
+      if (txn->begun.empty()) {
+        FinishTxn(*txn, /*committed=*/false);
+        return;
+      }
+    }
+    txn->state = commit ? kCommitting : kAborting;
+    SendDecisions(*txn, /*resend=*/false);
+    Report(*txn, commit);
+  });
 }
 
-void Coordinator::SendDecisions(CoordTxn& txn, bool commit) {
-  CancelRetryTimer(txn);
-  txn.retry_attempt = 0;
-  txn.acks_pending.clear();
-  for (SiteId s : txn.begun) {
+void Coordinator::SendDecisions(CoordTxn& txn, bool resend) {
+  if (!resend) {
+    CancelRetryTimer(txn);
+    txn.retry_attempt = 0;
     // Short-commit read-only participants already committed at their vote:
     // they are owed no decision and send no ack.
-    if (txn.readonly_sites.count(s) != 0) continue;
-    txn.acks_pending.insert(s);
-    if (tracer_ != nullptr) {
-      trace::Event e;
-      e.kind = trace::EventKind::kDecisionSend;
-      e.txn = txn.gtid;
-      e.site = site_;
-      e.peer = s;
-      e.ok = commit;
-      if (!commit) e.detail = txn.failure.ToString();
-      tracer_->Record(std::move(e));
+    txn.acks_pending.clear();
+    for (SiteId s : txn.begun) {
+      if (txn.readonly_sites.count(s) == 0) txn.acks_pending.insert(s);
+    }
+    // Someone is always owed the decision: OnVote finishes an all-read-only
+    // transaction without deciding, so a commit has a writer; an abort
+    // comes before every participant voted read-only READY, and each one
+    // that did not is owed the rollback.
+    assert(!txn.acks_pending.empty());
+  }
+  const bool commit = txn.state != kAborting;
+  for (SiteId s : txn.acks_pending) {
+    if (resend) {
+      TraceRetransmit(txn, s, "decision");
+    } else {
+      Trace(EventKind::kDecisionSend, txn.gtid, s, [&](trace::Event& e) {
+        e.ok = commit;
+        if (!commit) e.detail = txn.failure.ToString();
+      });
     }
     network_->Send(site_, Target(txn, s),
                    Message{DecisionMsg{txn.gtid, commit, txn.csn,
                                        epoch_view_}});
   }
-  // Someone is always owed the decision: OnVote finishes an all-read-only
-  // transaction without deciding, so a commit has a writer; an abort comes
-  // before every participant voted read-only READY, and each one that did
-  // not is owed the rollback.
-  assert(!txn.acks_pending.empty());
   ArmRetryTimer(txn);
 }
 
@@ -384,15 +412,16 @@ void Coordinator::OnEpochRefused(SiteId from, const EpochRefusedMsg& msg) {
     epoch_view_ = directory_->Fetch().epoch;
     ++metrics_->epoch_map_refreshes;
   }
-  CoordTxn* txn = FindTxn(msg.gtid);
-  if (txn == nullptr) return;
-  if (msg.moved_to != kInvalidSite) txn->relocated[from] = msg.moved_to;
-  RefreshRouting(*txn);
-  // Re-drive the refused phase immediately against the fresh map instead of
-  // waiting out the retransmission timer.
-  CancelRetryTimer(*txn);
-  const TxnId gtid = msg.gtid;
-  loop_->ScheduleAfter(0, [this, gtid]() { OnRetryTimeout(gtid); });
+  Apply(msg.gtid, kEpochRefused, [&](CoordTxn* txn, CoordState) {
+    if (txn == nullptr) return;
+    if (msg.moved_to != kInvalidSite) txn->relocated[from] = msg.moved_to;
+    RefreshRouting(*txn);
+    // Re-drive the refused send immediately against the fresh map instead
+    // of waiting out the retransmission timer.
+    CancelRetryTimer(*txn);
+    const TxnId gtid = msg.gtid;
+    loop_->ScheduleAfter(0, [this, gtid]() { OnRetryTimeout(gtid); });
+  });
 }
 
 SiteId Coordinator::Target(const CoordTxn& txn, SiteId s) const {
@@ -408,7 +437,7 @@ void Coordinator::RefreshRouting(CoordTxn& txn) {
     epoch_view_ = directory_->Fetch().epoch;
     ++metrics_->epoch_map_refreshes;
   }
-  if (txn.phase != Phase::kExecuting) return;
+  if (txn.state != kExecuting) return;
   // Unexecuted steps follow their key's owner under the fresh map (a step
   // without an exact key keeps its planned site — the agent's own
   // moved-shard guard rejects it if the rows left).
@@ -425,62 +454,54 @@ void Coordinator::OnInquiry(SiteId from, const InquiryMsg& msg) {
   // whose decision wait timed out (blocking-window probing). Handling is
   // idempotent: duplicate inquiries get the same reply again, lost replies
   // are covered by the agent's capped-backoff inquiry retry timer.
-  CoordTxn* txn = FindTxn(msg.gtid);
-  if (txn == nullptr) {
-    // Unknown here: ask the decision protocol. 2PC answers presumed abort
-    // (a finished transaction was acked by every participant, so an
-    // in-doubt inquirer can only concern an aborted one); Paxos Commit
-    // answers from its decided cache or starts a resolution round and
-    // stays silent — the requester gets its DecisionMsg when the round
-    // completes.
-    const std::optional<bool> outcome =
-        protocol_->AnswerInquiry(msg.gtid, from);
+  Apply(msg.gtid, kInquiry, [&](CoordTxn* txn, CoordState state) {
+    std::optional<bool> outcome;
+    int64_t csn = -1;
+    const char* detail = nullptr;
+    switch (state) {
+      case kUnknown:
+        // Unknown here: ask the decision protocol. 2PC answers presumed
+        // abort (a finished transaction was acked by every participant, so
+        // an in-doubt inquirer can only concern an aborted one); Paxos
+        // Commit answers from its decided cache or starts a resolution
+        // round and stays silent — the requester gets its DecisionMsg when
+        // the round completes.
+        outcome = protocol_->AnswerInquiry(msg.gtid, from);
+        if (outcome == false) {
+          ++metrics_->inquiries_answered_presumed_abort;
+          detail = "presumed-abort";
+        }
+        csn = outcome == true ? log_.DecisionCsnOf(msg.gtid) : -1;
+        break;
+      case kCommitting:
+      case kRedelivering:
+        outcome = true;
+        csn = txn->csn;
+        break;
+      case kAborting:
+        outcome = false;
+        break;
+      default:
+        // Undecided: stay silent, the agent retries (while deciding, the
+        // protocol is already resolving the outcome). Under short-commit
+        // 1PC the outcome lives at the agent, not here; the unbounded
+        // 1PC-COMMIT retransmission resolves it.
+        break;
+    }
     if (!outcome.has_value()) return;
-    if (!*outcome) ++metrics_->inquiries_answered_presumed_abort;
-    TraceInquiryReply(msg.gtid, from, /*commit=*/*outcome,
-                      *outcome ? nullptr : "presumed-abort");
+    Trace(EventKind::kInquiryReply, msg.gtid, from, [&](trace::Event& e) {
+      e.ok = *outcome;
+      if (detail != nullptr) e.detail = detail;
+    });
     network_->Send(site_, from,
-                   Message{DecisionMsg{msg.gtid, *outcome,
-                                       *outcome ? log_.DecisionCsnOf(msg.gtid)
-                                                : -1,
-                                       epoch_view_}});
-    return;
-  }
-  if (txn->phase == Phase::kCommitting) {
-    // Short-commit 1PC: the outcome lives at the agent, not here — stay
-    // silent; the unbounded 1PC-COMMIT retransmission resolves the agent.
-    if (txn->one_phase) return;
-    TraceInquiryReply(msg.gtid, from, /*commit=*/true, nullptr);
-    network_->Send(site_, from,
-                   Message{DecisionMsg{msg.gtid, true, txn->csn,
-                                       epoch_view_}});
-  } else if (txn->phase == Phase::kRollingBack) {
-    TraceInquiryReply(msg.gtid, from, /*commit=*/false, nullptr);
-    network_->Send(site_, from,
-                   Message{DecisionMsg{msg.gtid, false, /*csn=*/-1,
-                                       epoch_view_}});
-  }
-  // Still executing/preparing/deciding: stay silent, the agent retries
-  // (while deciding, the protocol is already resolving the outcome).
-}
-
-void Coordinator::TraceInquiryReply(const TxnId& gtid, SiteId peer,
-                                    bool commit, const char* detail) {
-  if (tracer_ == nullptr) return;
-  trace::Event e;
-  e.kind = trace::EventKind::kInquiryReply;
-  e.txn = gtid;
-  e.site = site_;
-  e.peer = peer;
-  e.ok = commit;
-  if (detail != nullptr) e.detail = detail;
-  tracer_->Record(std::move(e));
+                   Message{DecisionMsg{msg.gtid, *outcome, csn, epoch_view_}});
+  });
 }
 
 void Coordinator::StartRollback(CoordTxn& txn, const Status& reason,
                                 consensus::DecideMode mode) {
   txn.failure = reason;
-  txn.phase = Phase::kDeciding;
+  txn.state = kDeciding;
   CancelRetryTimer(txn);
   // kAbortFinal (a definite refusal or DML failure) resolves synchronously
   // under every protocol; kAbortTimeout (votes missing, outcome open) may
@@ -493,88 +514,81 @@ void Coordinator::StartRollback(CoordTxn& txn, const Status& reason,
 }
 
 void Coordinator::OnAck(SiteId from, const AckMsg& msg) {
-  CoordTxn* txn = FindTxn(msg.gtid);
-  if (txn == nullptr) return;
-  if (txn->phase != Phase::kCommitting && txn->phase != Phase::kRollingBack) {
-    return;
-  }
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kAckRecv;
-    e.txn = msg.gtid;
-    e.site = site_;
-    e.peer = from;
-    e.ok = msg.commit;
-    tracer_->Record(std::move(e));
-  }
-  // As with votes: an adopting site acks under the original participant id.
-  SiteId acker = msg.on_behalf_of != kInvalidSite ? msg.on_behalf_of : from;
-  if (txn->acks_pending.count(acker) == 0) {
-    // An adopter that already finished the transaction auto-acks a
-    // retransmitted decision under its own id. Resolve which original
-    // participant we currently route to this sender, else the ack never
-    // matches and the decision retransmits forever.
-    for (SiteId orig : txn->acks_pending) {
-      if (Target(*txn, orig) == from) {
-        acker = orig;
-        break;
+  Apply(msg.gtid, kAck, [&](CoordTxn* txn, CoordState state) {
+    if (state != kOnePhase && !Reported(state)) return;
+    Trace(EventKind::kAckRecv, msg.gtid, from,
+          [&](trace::Event& e) { e.ok = msg.commit; });
+    // As with votes: an adopting site acks under the original participant
+    // id.
+    SiteId acker = msg.on_behalf_of != kInvalidSite ? msg.on_behalf_of : from;
+    if (txn->acks_pending.count(acker) == 0) {
+      // An adopter that already finished the transaction auto-acks a
+      // retransmitted decision under its own id. Resolve which original
+      // participant we currently route to this sender, else the ack never
+      // matches and the decision retransmits forever.
+      for (SiteId orig : txn->acks_pending) {
+        if (Target(*txn, orig) == from) {
+          acker = orig;
+          break;
+        }
       }
     }
-  }
-  txn->acks_pending.erase(acker);
-  if (txn->one_phase && !msg.commit) {
-    // The agent — the 1PC commit point — durably chose abort and already
-    // recorded the global outcome; only the client report happens here.
-    txn->phase = Phase::kRollingBack;
-    txn->failure = Status::Aborted("participant unilaterally aborted");
-  }
-  if (txn->acks_pending.empty()) {
-    FinishTxn(*txn, /*committed=*/txn->phase == Phase::kCommitting);
-  }
+    txn->acks_pending.erase(acker);
+    if (state == kOnePhase && !msg.commit) {
+      // The agent — the 1PC commit point — durably chose abort and already
+      // recorded the global outcome; only the client report happens here.
+      txn->failure = Status::Aborted("participant unilaterally aborted");
+    }
+    if (txn->acks_pending.empty()) {
+      FinishTxn(*txn, state == kOnePhase ? msg.commit : state != kAborting);
+    }
+  });
 }
 
 // --- site crash recovery -----------------------------------------------------
 
 void Coordinator::Crash() {
   ++metrics_->coordinator_crashes;
-  for (auto& [gtid, txn] : txns_) {
-    CancelRetryTimer(txn);
-    // A decided transaction was reported at its decision: counted, and its
-    // client told. The protocol keeps the outcome (2PC's decision log,
-    // which Recover() re-drives; Paxos Commit's acceptors, which the
-    // participants ask).
-    if (txn.reported) continue;
-    // Unreported and committing is a short-commit 1PC awaiting its ACK:
-    // the agent holds the durable outcome and needs no re-drive, but the
-    // coordinator will never hear it, so the transaction goes uncounted.
-    if (txn.phase != Phase::kCommitting) {
-      // Undecided towards this client either way (the pre-crash
-      // coordinator can no longer report an outcome). Under 2PC the
-      // transaction is presumed aborted and recorded as such; under Paxos
-      // Commit the outcome may still be sealed COMMIT by the acceptors and
-      // delivered by a resolver, so nothing is recorded here — the
-      // resolver records whatever gets chosen.
-      if (protocol_->PresumesAbortOnCrash()) {
-        recorder_->RecordGlobalAbort(txn.gtid, site_);
+  for (auto it = txns_.begin(); it != txns_.end();) {
+    const TxnId gtid = it->first;
+    CoordTxn& txn = it->second;
+    Apply(gtid, txn.state, kCrash, [&] {
+      CancelRetryTimer(txn);
+      // A reported transaction's client heard the outcome at its decision.
+      // The protocol keeps the outcome (2PC's decision log, which Recover()
+      // re-drives; Paxos Commit's acceptors, which the participants ask).
+      // A short-commit 1PC's agent holds the durable outcome and needs no
+      // re-drive, but the coordinator will never hear it, so it goes
+      // uncounted.
+      if (!Reported(txn.state) && txn.state != kOnePhase) {
+        // Undecided towards this client (the pre-crash coordinator can no
+        // longer report an outcome). Under 2PC the transaction is presumed
+        // aborted and recorded as such; under Paxos Commit the outcome may
+        // still be sealed COMMIT by the acceptors and delivered by a
+        // resolver, so nothing is recorded here — the resolver records
+        // whatever gets chosen.
+        if (protocol_->PresumesAbortOnCrash()) {
+          recorder_->RecordGlobalAbort(gtid, site_);
+        }
+        ++metrics_->global_aborted;
+        ++metrics_->global_aborted_crash;
       }
-      ++metrics_->global_aborted;
-      ++metrics_->global_aborted_crash;
-    }
-    if (txn.cb) {
-      GlobalTxnResult result;
-      result.gtid = txn.gtid;
-      result.status = Status::Unavailable("coordinator crashed");
-      result.results = std::move(txn.results);
-      result.latency = loop_->Now() - txn.start_time;
-      // Asynchronously, matching the normal completion path (and because
-      // Crash() may be invoked from inside a protocol handler).
-      loop_->ScheduleAfter(
-          0, [cb = std::move(txn.cb), result = std::move(result)]() {
-            cb(result);
-          });
-    }
+      if (!Reported(txn.state) && txn.cb) {
+        GlobalTxnResult result;
+        result.gtid = gtid;
+        result.status = Status::Unavailable("coordinator crashed");
+        result.results = std::move(txn.results);
+        result.latency = loop_->Now() - txn.start_time;
+        // Asynchronously, matching the normal completion path (and because
+        // Crash() may be invoked from inside a protocol handler).
+        loop_->ScheduleAfter(
+            0, [cb = std::move(txn.cb), result = std::move(result)]() {
+              cb(result);
+            });
+      }
+      it = txns_.erase(it);
+    });
   }
-  txns_.clear();
 }
 
 void Coordinator::Recover() {
@@ -592,20 +606,19 @@ void Coordinator::Recover() {
   // Paxos Commit: none — prepared participants pull the outcome from the
   // acceptor quorum via inquiry escalation instead). Participants that
   // already processed the decision absorb the duplicate and re-ack; the
-  // rest are unblocked.
+  // rest are unblocked. Its client heard the commit before the crash.
   for (const consensus::DecisionProtocol::InFlight& rec :
        protocol_->RecoverInFlight()) {
-    CoordTxn& txn = txns_[rec.gtid];
-    txn.gtid = rec.gtid;
-    txn.phase = Phase::kCommitting;
-    // Its client heard the commit before the crash.
-    txn.reported = true;
-    txn.recovered = true;
-    txn.csn = rec.csn;
-    txn.begun.insert(rec.participants.begin(), rec.participants.end());
-    txn.start_time = loop_->Now();
-    ++metrics_->coordinator_redelivered_decisions;
-    SendDecisions(txn, /*commit=*/true);
+    Apply(rec.gtid, StateOf(rec.gtid), kRecover, [&] {
+      CoordTxn& txn = txns_[rec.gtid];
+      txn.gtid = rec.gtid;
+      txn.state = kRedelivering;
+      txn.csn = rec.csn;
+      txn.begun.insert(rec.participants.begin(), rec.participants.end());
+      txn.start_time = loop_->Now();
+      ++metrics_->coordinator_redelivered_decisions;
+      SendDecisions(txn, /*resend=*/false);
+    });
   }
 }
 
@@ -630,113 +643,61 @@ void Coordinator::CancelRetryTimer(CoordTxn& txn) {
 void Coordinator::TraceRetransmit(const CoordTxn& txn, SiteId peer,
                                   const char* what) {
   ++metrics_->retransmits;
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kRetransmit;
-    e.txn = txn.gtid;
-    e.site = site_;
-    e.peer = peer;
+  Trace(EventKind::kRetransmit, txn.gtid, peer, [&](trace::Event& e) {
     e.value = txn.retry_attempt;
     e.detail = what;
-    tracer_->Record(std::move(e));
-  }
+  });
 }
 
 void Coordinator::OnRetryTimeout(const TxnId& gtid) {
-  CoordTxn* txn = FindTxn(gtid);
-  if (txn == nullptr) return;
-  txn->retry_timer = sim::kInvalidEvent;
-  switch (txn->phase) {
-    case Phase::kDeciding:
-      // The decision protocol owns this wait (Paxos Commit arms its own
-      // fast-path timeout and resolution retries); nothing to retransmit.
+  Apply(gtid, kRetryTimer, [&](CoordTxn* txn, CoordState state) {
+    if (txn == nullptr) return;
+    txn->retry_timer = sim::kInvalidEvent;
+    // The admission hook and the decision protocol own these waits; no
+    // message of this coordinator is outstanding.
+    if (state == kAdmitting || state == kDeciding) {
       return;
-    case Phase::kExecuting: {
-      if (txn->next_step >= txn->spec.steps.size()) return;
-      ++txn->retry_attempt;
-      if (txn->retry_attempt > retry_.max_attempts) {
-        ++metrics_->global_aborted_timeout;
+    }
+    ++txn->retry_attempt;
+    // Steps and PREPAREs give up into an abort (no decision was taken yet:
+    // presumed abort of the unresponsive participants is always safe). A
+    // decision, once taken, must reach every participant: it retransmits
+    // without an attempt bound, the backoff capped at max_timeout.
+    if (txn->retry_attempt > retry_.max_attempts &&
+        (state == kExecuting || state == kPreparing)) {
+      ++metrics_->global_aborted_timeout;
+      if (state == kExecuting) {
         StartRollback(*txn, Status::Unavailable(StrCat(
                                 "step ", txn->next_step, " unacknowledged "
                                 "after ", retry_.max_attempts, " attempts")));
         return;
       }
-      // The silence may mean the step's site was removed mid-run (messages
-      // to retired sites are dropped): re-target against the fresh map
-      // before retransmitting.
-      RefreshRouting(*txn);
-      // Re-send BEGIN along with the command: either may have been the
-      // loss, and the agent ignores a duplicate BEGIN.
-      const GlobalTxnSpec::Step& step = txn->spec.steps[txn->next_step];
-      TraceRetransmit(*txn, step.site, "dml");
-      txn->begun.insert(step.site);
-      network_->Send(site_, step.site,
-                     Message{BeginMsg{txn->gtid, epoch_view_}});
-      network_->Send(
-          site_, step.site,
-          Message{DmlRequestMsg{txn->gtid,
-                                static_cast<int32_t>(txn->next_step),
-                                step.cmd, epoch_view_}});
-      ArmRetryTimer(*txn);
-      break;
+      ++metrics_->global_aborted_cert;
+      StartRollback(*txn,
+                    Status::Unavailable(StrCat(
+                        txn->votes_pending.size(), " vote(s) missing after ",
+                        retry_.max_attempts, " attempts")),
+                    consensus::DecideMode::kAbortTimeout);
+      return;
     }
-    case Phase::kPreparing: {
-      if (txn->votes_pending.empty()) return;
-      ++txn->retry_attempt;
-      if (txn->retry_attempt > retry_.max_attempts) {
-        // No decision was taken yet: presumed abort of the unresponsive
-        // participants is always safe.
-        ++metrics_->global_aborted_timeout;
-        ++metrics_->global_aborted_cert;
-        StartRollback(*txn,
-                      Status::Unavailable(StrCat(
-                          txn->votes_pending.size(), " vote(s) missing "
-                          "after ", retry_.max_attempts, " attempts")),
-                      consensus::DecideMode::kAbortTimeout);
-        return;
-      }
-      RefreshRouting(*txn);
-      for (SiteId s : txn->votes_pending) {
-        TraceRetransmit(*txn, s, "prepare");
-        network_->Send(site_, Target(*txn, s),
-                       Message{PrepareMsg{txn->gtid, txn->sn, epoch_view_}});
-      }
-      ArmRetryTimer(*txn);
-      break;
+    // The silence may mean a participant's site was removed mid-run
+    // (messages to retired sites are dropped): re-target against the fresh
+    // map before retransmitting.
+    RefreshRouting(*txn);
+    switch (state) {
+      case kExecuting:
+        return SendStep(*txn, /*resend=*/true);
+      case kPreparing:
+        return SendPrepares(*txn, /*resend=*/true);
+      case kOnePhase:
+        return SendOnePhaseCommit(*txn, /*resend=*/true);
+      default:
+        return SendDecisions(*txn, /*resend=*/true);
     }
-    case Phase::kCommitting:
-    case Phase::kRollingBack: {
-      if (txn->acks_pending.empty()) return;
-      // A decision must reach every participant: retransmit without an
-      // attempt bound, with the backoff capped at max_timeout. The agent
-      // re-acks decisions for transactions in any state.
-      ++txn->retry_attempt;
-      RefreshRouting(*txn);
-      if (txn->one_phase) {
-        for (SiteId s : txn->acks_pending) {
-          TraceRetransmit(*txn, s, "1pc-commit");
-          network_->Send(site_, Target(*txn, s),
-                         Message{OnePhaseCommitMsg{txn->gtid, epoch_view_}});
-        }
-        ArmRetryTimer(*txn);
-        break;
-      }
-      const bool commit = txn->phase == Phase::kCommitting;
-      for (SiteId s : txn->acks_pending) {
-        TraceRetransmit(*txn, s, "decision");
-        network_->Send(site_, Target(*txn, s),
-                       Message{DecisionMsg{txn->gtid, commit, txn->csn,
-                                           epoch_view_}});
-      }
-      ArmRetryTimer(*txn);
-      break;
-    }
-  }
+  });
 }
 
 void Coordinator::Report(CoordTxn& txn, bool committed) {
-  assert(!txn.reported);
-  txn.reported = true;
   const sim::Duration latency = loop_->Now() - txn.start_time;
   if (committed) {
     ++metrics_->global_committed;
@@ -744,22 +705,16 @@ void Coordinator::Report(CoordTxn& txn, bool committed) {
   } else {
     ++metrics_->global_aborted;
   }
-  if (tracer_ != nullptr) {
-    trace::Event e;
-    e.kind = trace::EventKind::kTxnEnd;
-    e.txn = txn.gtid;
-    e.site = site_;
+  Trace(EventKind::kTxnEnd, txn.gtid, kInvalidSite, [&](trace::Event& e) {
     e.value = latency;
     e.ok = committed;
     if (!committed) e.detail = txn.failure.ToString();
-    tracer_->Record(std::move(e));
-  }
+  });
+  // Every abort path records why.
+  assert(committed || !txn.failure.ok());
   GlobalTxnResult result;
   result.gtid = txn.gtid;
   result.status = committed ? Status::Ok() : txn.failure;
-  if (!committed && result.status.ok()) {
-    result.status = Status::Aborted("global transaction aborted");
-  }
   result.results = std::move(txn.results);
   result.latency = latency;
   result.certification_refused = txn.certification_refused;
@@ -775,9 +730,9 @@ void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
     // Measured from StartCommit to the last ACK, not from txn begin to the
     // client report — the execution phase is identical in both arms, and
     // its lock waits would drown the commit-path difference the ablation
-    // is after. Recovered transactions span a crash: their timestamps were
-    // rebuilt at recovery and would poison the tally.
-    if (!txn.recovered && txn.begun.size() == 1) {
+    // is after. Redelivered transactions span a crash: their timestamps
+    // were rebuilt at recovery and would poison the tally.
+    if (txn.state != kRedelivering && txn.begun.size() == 1) {
       ++metrics_->single_site_committed;
       metrics_->single_site_latency_total += loop_->Now() - txn.commit_start;
     }
@@ -790,7 +745,7 @@ void Coordinator::FinishTxn(CoordTxn& txn, bool committed) {
   if (hooks_.on_finished) hooks_.on_finished(txn.gtid, committed);
   // Out of the table before the client callback runs, which may submit.
   auto node = txns_.extract(txn.gtid);
-  if (!node.mapped().reported) Report(node.mapped(), committed);
+  if (!Reported(node.mapped().state)) Report(node.mapped(), committed);
 }
 
 }  // namespace hermes::core

@@ -11,10 +11,18 @@
 // Optional hooks let the CGM baseline interpose a centralized scheduler
 // (global locks before each step, commit-graph admission before PREPARE)
 // without changing this class.
+//
+// The coordinator is one state machine per global transaction: CoordState
+// says where a transaction is, CoordInput names what can happen to it, and
+// kCoordTransitions lists every transition the coordinator may make.
+// DESIGN.md, "Coordinator state machine", maps each to section 5.2 and to
+// 2PC presumed abort.
 
 #ifndef HERMES_CORE_COORDINATOR_H_
 #define HERMES_CORE_COORDINATOR_H_
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -30,6 +38,7 @@
 #include "core/coordinator_log.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "core/transitions.h"
 #include "history/recorder.h"
 #include "net/network.h"
 #include "shard/shard_map.h"
@@ -96,6 +105,114 @@ struct CoordinatorHooks {
   // after its client heard the outcome.
   std::function<void(const TxnId&, bool committed)> on_finished;
 };
+
+// Where a global transaction is at its coordinator:
+//  * kExecuting: its steps run one by one (a step's hook may hold it);
+//  * kAdmitting: the application committed, and the before_prepare hook
+//    (CGM's commit-graph admission) holds the PREPAREs back;
+//  * kPreparing: the PREPAREs are out, with SN(k), and votes are pending;
+//  * kDeciding: the decision protocol owns the outcome (2PC decides in the
+//    instant it is asked; Paxos Commit waits for the acceptor round);
+//  * kOnePhase: the short-commit 1PC-COMMIT is out, and the ACK carries
+//    the agent's outcome;
+//  * kCommitting, kAborting: the decision is out, the client was told, and
+//    ACKs are pending;
+//  * kRedelivering: a commit decision rebuilt from the log by Recover().
+// kUnknown: the coordinator holds nothing for it (never submitted here,
+// finished, or lost in a crash).
+enum class CoordState : uint8_t {
+  kUnknown, kExecuting, kAdmitting, kPreparing, kDeciding, kOnePhase,
+  kCommitting, kAborting, kRedelivering,
+};
+
+// What can happen to a global transaction: the application submits it
+// (kSubmit) and its first step starts in a zero-delay event (kStart); a
+// before_step hook grants or refuses a step (kStepGranted) and the
+// before_prepare hook admits the commit (kAdmitted); a participant's
+// message arrives (kDmlResponse, kVote, kAck, kInquiry, kEpochRefused);
+// the decision protocol answers (kDecided); the retry timer fires, or an
+// epoch refusal re-drives at once (kRetryTimer); the site crashes
+// (kCrash) and recovers (kRecover).
+enum class CoordInput : uint8_t {
+  kSubmit, kStart, kStepGranted, kDmlResponse, kAdmitted, kVote, kDecided,
+  kAck, kInquiry, kEpochRefused, kRetryTimer, kCrash, kRecover,
+};
+
+using CoordTransition = Transition<CoordState, CoordInput>;
+
+// Every transition the coordinator makes; DESIGN.md, "Coordinator state
+// machine", lists them by input. Debug builds assert on an input whose
+// (state, input) pair is on no edge, and on a next state no edge allows.
+inline constexpr auto kCoordTransitions = [] {
+  using enum CoordState;
+  using enum CoordInput;
+  const auto in = [](auto... inputs) { return Inputs(inputs...); };
+  const uint32_t late =
+      in(kDmlResponse, kVote, kAck, kInquiry, kEpochRefused, kRetryTimer);
+  return std::to_array<CoordTransition>({
+      // Inputs a state absorbs or answers in place: late and duplicate
+      // messages (under Paxos Commit, ACKs of a decision a resolver at this
+      // site delivered before the coordinator asked); inquiries, answered
+      // from the outcome or left to the agent's retry; an epoch refusal,
+      // whose send is re-driven at once; a retransmission; a step granted
+      // or refused by its hook and sent.
+      {kUnknown, late | in(kStart), kUnknown},
+      {kExecuting,
+       in(kStart, kStepGranted, kDmlResponse, kEpochRefused, kRetryTimer),
+       kExecuting},
+      {kAdmitting, in(kDmlResponse), kAdmitting},
+      {kPreparing, late, kPreparing},
+      {kDeciding, late, kDeciding},
+      {kOnePhase, in(kDmlResponse, kEpochRefused, kRetryTimer), kOnePhase},
+      {kCommitting, late, kCommitting},
+      {kAborting, late, kAborting},
+      {kRedelivering, in(kAck, kInquiry, kEpochRefused, kRetryTimer),
+       kRedelivering},
+      // The last step's response: the application commits (section 5.2),
+      // and SN(k) goes out with the PREPAREs, after admission, or a
+      // single-site transaction takes the short-commit 1PC.
+      {kUnknown, in(kSubmit), kExecuting},
+      {kExecuting, in(kDmlResponse), kAdmitting},
+      {kExecuting, in(kDmlResponse), kPreparing},
+      {kExecuting, in(kDmlResponse), kOnePhase},
+      {kAdmitting, in(kAdmitted), kPreparing},
+      // Aborts before the votes: a failed or refused step, step retries
+      // exhausted, or no steps at all; with no participant begun there is
+      // no decision to deliver. Both built-in protocols seal such an abort
+      // at once, but the DecisionProtocol interface lets one answer later.
+      {kExecuting, in(kStepGranted, kDmlResponse, kRetryTimer), kAborting},
+      {kExecuting, in(kStart, kStepGranted), kUnknown},
+      {kExecuting, in(kStart, kStepGranted, kDmlResponse, kRetryTimer),
+       kDeciding},
+      // The votes: a REFUSE or missing votes abort; all READY commit (2PC
+      // forces the decision at once, Paxos Commit waits for the acceptors,
+      // which also seal a timeout abort); all read-only READY finish.
+      {kPreparing, in(kVote, kRetryTimer), kAborting},
+      {kPreparing, in(kVote), kCommitting},
+      {kPreparing, in(kVote, kRetryTimer), kDeciding},
+      {kPreparing, in(kVote), kUnknown},
+      {kDeciding, in(kDecided), kCommitting},
+      {kDeciding, in(kDecided), kAborting},
+      {kDeciding, in(kDecided), kUnknown},
+      // The last ACK ends the transaction (presumed abort: an aborted one
+      // is forgotten, and so is a commit every participant acked).
+      {kOnePhase, in(kAck), kUnknown},
+      {kCommitting, in(kAck), kUnknown},
+      {kAborting, in(kAck), kUnknown},
+      {kRedelivering, in(kAck), kUnknown},
+      // A crash loses every transaction; recovery re-drives the logged
+      // commit decisions.
+      {kExecuting, in(kCrash), kUnknown},
+      {kAdmitting, in(kCrash), kUnknown},
+      {kPreparing, in(kCrash), kUnknown},
+      {kDeciding, in(kCrash), kUnknown},
+      {kOnePhase, in(kCrash), kUnknown},
+      {kCommitting, in(kCrash), kUnknown},
+      {kAborting, in(kCrash), kUnknown},
+      {kRedelivering, in(kCrash), kUnknown},
+      {kUnknown, in(kRecover), kRedelivering},
+  });
+}();
 
 class Coordinator {
  public:
@@ -180,33 +297,21 @@ class Coordinator {
   int64_t active_transactions() const {
     return static_cast<int64_t>(txns_.size());
   }
+  // Where a global transaction is at this coordinator (tests).
+  CoordState StateOf(const TxnId& gtid) const;
 
  private:
-  enum class Phase : uint8_t {
-    kExecuting,
-    kPreparing,
-    // Waiting for the decision protocol's verdict (all votes are in, or an
-    // abort is being sealed). 2PC decides synchronously so this phase is
-    // unobservable there; Paxos Commit sits here for the acceptor round.
-    kDeciding,
-    kCommitting,
-    kRollingBack,
-  };
-
   struct CoordTxn {
     TxnId gtid;
+    CoordState state = CoordState::kExecuting;
     GlobalTxnSpec spec;
     GlobalTxnCallback cb;
-    Phase phase = Phase::kExecuting;
     size_t next_step = 0;
     std::set<SiteId> begun;
     std::vector<db::CmdResult> results;
     SerialNumber sn;
     // Decision-time commit sequence number (CSN certifier); -1 under SN.
     int64_t csn = -1;
-    // Short-commit 1PC: single participant, no prepare round; the outcome
-    // arrives in the participant's ACK instead of being decided here.
-    bool one_phase = false;
     // Participants whose READY vote carried read_only: already committed
     // locally, excluded from the decision fan-out and the ack wait.
     std::set<SiteId> readonly_sites;
@@ -214,19 +319,15 @@ class Coordinator {
     std::set<SiteId> acks_pending;
     Status failure;
     bool certification_refused = false;
-    // The client callback ran, and the outcome was counted (Report).
-    bool reported = false;
-    // Rebuilt from the log by Recover(): the decision is already recorded
-    // and reported, so only re-drive delivery.
-    bool recovered = false;
     sim::Time start_time = 0;
     // When Commit was submitted — the start of the commit protocol path
     // (prepare/vote/decision rounds, or the 1PC round). The single-site
     // latency metric is measured from here.
     sim::Time commit_start = 0;
-    // One retransmission timer per transaction, re-armed per phase: covers
-    // the in-flight DML step while executing, outstanding votes while
-    // preparing and outstanding acks while committing / rolling back.
+    // One retransmission timer per transaction, re-armed by each state's
+    // send: it covers the in-flight DML step while executing, outstanding
+    // votes while preparing and outstanding acks once the decision or the
+    // 1PC-COMMIT is out.
     sim::EventId retry_timer = sim::kInvalidEvent;
     int retry_attempt = 0;
     // Participants whose prepared residue migrated in a shard handoff:
@@ -235,32 +336,61 @@ class Coordinator {
     std::map<SiteId, SiteId> relocated;
   };
 
-  void ExecuteNextStep(const TxnId& gtid);
-  void SendStep(CoordTxn& txn);
+  // Applies one input to `gtid`, found in state `from`: asserts that the
+  // table allows the pair, runs `transition`, and asserts that the state
+  // it led to is allowed too (debug builds). A crash inside the client
+  // callback wipes the state instead, which is no transition. `gtid` is a
+  // copy: the transition may erase the transaction that holds it.
+  template <typename Fn>
+  void Apply(TxnId gtid, CoordState from, CoordInput input, Fn&& transition);
+  // Looks `gtid` up once and applies `input` to it: `transition(txn,
+  // state)`, with `txn` null in kUnknown.
+  template <typename Fn>
+  void Apply(const TxnId& gtid, CoordInput input, Fn&& transition);
+  // Records one trace event of `gtid` at this site; `fill` sets the fields
+  // past kind, transaction, site and `peer`.
+  template <typename Fill>
+  void Trace(trace::EventKind kind, const TxnId& gtid, SiteId peer,
+             Fill&& fill);
+
+  void OnStart(const TxnId& gtid);
+  void OnStepGranted(const TxnId& gtid, const Status& status);
   void OnDmlResponse(const DmlResponseMsg& msg);
-  void StartCommit(const TxnId& gtid);
-  void StartOnePhaseCommit(CoordTxn& txn);
-  void SendPrepares(CoordTxn& txn);
+  void OnAdmitted(const TxnId& gtid);
   void OnVote(SiteId from, const VoteMsg& msg);
-  void SendDecisions(CoordTxn& txn, bool commit);
   // The decision protocol's verdict arrived (synchronously for 2PC, after
   // the acceptor round for Paxos Commit): record the outcome and fan it
   // out. `commit` may override the requested intent.
   void OnDecided(const TxnId& gtid, bool commit);
-  void StartRollback(CoordTxn& txn, const Status& reason,
-                     consensus::DecideMode mode =
-                         consensus::DecideMode::kAbortFinal);
   void OnAck(SiteId from, const AckMsg& msg);
   void OnInquiry(SiteId from, const InquiryMsg& msg);
   void OnEpochRefused(SiteId from, const EpochRefusedMsg& msg);
+  void OnRetryTimeout(const TxnId& gtid);
+
+  // Runs the next step, or commits after the last one.
+  void ExecuteNextStep(CoordTxn& txn);
+  // Enters kPreparing: draws SN(k) and sends the PREPAREs.
+  void Prepare(CoordTxn& txn);
+  // Enters kDeciding with an abort intent for `reason`.
+  void StartRollback(CoordTxn& txn, const Status& reason,
+                     consensus::DecideMode mode =
+                         consensus::DecideMode::kAbortFinal);
+  // Each state's send, which serves its first send and every
+  // retransmission: the current step (a resend repeats BEGIN), the
+  // PREPAREs to the pending voters, the 1PC-COMMIT, and the decision to the
+  // participants it is owed. A first send records its own trace kind; a
+  // resend records kRetransmit and counts it. Each arms the retry timer.
+  void SendStep(CoordTxn& txn, bool resend);
+  void SendPrepares(CoordTxn& txn, bool resend);
+  void SendOnePhaseCommit(CoordTxn& txn, bool resend);
+  void SendDecisions(CoordTxn& txn, bool resend);
+  void TraceRetransmit(const CoordTxn& txn, SiteId peer, const char* what);
   // Where messages for participant `s` of `txn` go: its relocation if the
   // residue migrated, else the directory's retired-site forward, else `s`.
   SiteId Target(const CoordTxn& txn, SiteId s) const;
   // Re-fetches the shard map when the cached view is stale and re-targets
   // the transaction's unexecuted steps by key ownership.
   void RefreshRouting(CoordTxn& txn);
-  void TraceInquiryReply(const TxnId& gtid, SiteId peer, bool commit,
-                         const char* detail);
   // Tells the client the final outcome, exactly once per transaction:
   // counts it, samples its latency, records kTxnEnd and runs the callback.
   // The callback may re-enter the coordinator (submit, even crash the
@@ -268,16 +398,11 @@ class Coordinator {
   void Report(CoordTxn& txn, bool committed);
   // Every ACK is in (or no participant is owed one): forgets the decision,
   // runs the on_finished hook, erases the transaction and reports it if
-  // that has not happened yet.
+  // its state has not.
   void FinishTxn(CoordTxn& txn, bool committed);
 
-  // Retransmission machinery.
   void ArmRetryTimer(CoordTxn& txn);
   void CancelRetryTimer(CoordTxn& txn);
-  void OnRetryTimeout(const TxnId& gtid);
-  void TraceRetransmit(const CoordTxn& txn, SiteId peer, const char* what);
-
-  CoordTxn* FindTxn(const TxnId& gtid);
 
   SiteId site_;
   sim::EventLoop* loop_;
@@ -309,8 +434,8 @@ class Coordinator {
   // Mdbs running Paxos Commit overrides via set_decision_protocol.
   std::unique_ptr<consensus::TwoPCDecision> own_protocol_;
   consensus::DecisionProtocol* protocol_;
-  // Hashed: looked up once per protocol message. Iterated only to cancel
-  // timers on teardown, where order is immaterial.
+  // Hashed: looked up once per input. Crash() schedules the client
+  // callbacks in its iteration order, so the hash is part of behaviour.
   std::unordered_map<TxnId, CoordTxn> txns_;
 };
 

@@ -640,7 +640,8 @@ TEST(AgentStateMachine, EveryTransitionIsDrivenAndNoOtherIsAllowed) {
     SCOPED_TRACE(label);
     EXPECT_TRUE(listed.insert({row.from, row.input, row.to}).second)
         << "listed twice";
-    EXPECT_TRUE(core::AgentTransitionAllowed(row.from, row.input, row.to))
+    EXPECT_TRUE(core::TransitionAllowed(core::kAgentTransitions, row.from,
+                                        row.input, row.to))
         << "not in kAgentTransitions";
     Rig r;
     if (row.reach != nullptr) {
@@ -663,7 +664,7 @@ TEST(AgentStateMachine, EveryTransitionIsDrivenAndNoOtherIsAllowed) {
     EXPECT_EQ(t.inputs >> kInputs, 0u) << "an edge names an unknown input";
     for (int i = 0; i < kInputs; ++i) {
       const auto input = static_cast<AgentInput>(i);
-      if ((t.inputs & core::AgentInputs(input)) == 0) continue;
+      if ((t.inputs & core::Inputs(input)) == 0) continue;
       EXPECT_TRUE(listed.count({t.from, input, t.to}))
           << "kAgentTransitions allows " << Name(t.from) << " --"
           << Name(input) << "--> " << Name(t.to) << ", which no row drives";

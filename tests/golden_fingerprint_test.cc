@@ -1,7 +1,8 @@
 // Golden fingerprints: small runs shaped like the three benchmark workloads
-// (perfbench/workloads.cc), plus one run through CSN crash recovery and one
-// through a shard handoff, which none of them reaches, seeds 1-3, must
-// reproduce pinned digests of runner::Fingerprint. A refactor or a speed-up
+// (perfbench/workloads.cc), plus runs through what none of them reaches
+// (CSN crash recovery, a shard handoff, 2PC retransmission over a lossy
+// network, CGM's coordinator hooks), seeds 1-3, must reproduce pinned
+// digests of runner::Fingerprint. A refactor or a speed-up
 // that claims to keep behaviour keeps every value here. A change that
 // alters behaviour on purpose updates the values and says why in
 // CHANGES.md.
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "cert/certifier.h"
+#include "cgm/global_locks.h"
 #include "consensus/decision.h"
 #include "fault/fault_plan.h"
 #include "runner/runner.h"
@@ -151,6 +153,43 @@ RunSpec ReconfigAdd2pc(uint64_t seed) {
   return spec;
 }
 
+// lossy_2pc: not a benchmark workload. E13's loss=0.05 cell
+// (bench/sweep_network_faults.cpp): 2PC over a network that loses,
+// duplicates and reorders 5% of the messages each, so the coordinator
+// retransmits steps, PREPAREs and decisions, and the agents absorb
+// duplicates.
+RunSpec Lossy2pc(uint64_t seed) {
+  RunSpec spec;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 4;
+  c.rows_per_table = 64;
+  c.global_clients = 8;
+  c.net_loss_prob = 0.05;
+  c.net_dup_prob = 0.05;
+  c.net_reorder_prob = 0.05;
+  c.target_global_txns = 120;
+  return spec;
+}
+
+// cgm_item: not a benchmark workload. The CGM baseline at item
+// granularity, global transactions only: the coordinator's hooks take
+// global locks before each step, wait in commit-graph admission before
+// PREPARE and release at the end.
+RunSpec CgmItem(uint64_t seed) {
+  RunSpec spec;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 4;
+  c.rows_per_table = 64;
+  c.global_clients = 8;
+  c.local_clients_per_site = 0;
+  c.system = workload::System::kCGM;
+  c.cgm_granularity = cgm::Granularity::kItem;
+  c.target_global_txns = 120;
+  return spec;
+}
+
 // Recorded before the tombstone-free event heap, the inline event callbacks
 // and the flat lock table went in; none of them changed a digest. The
 // counted DLU bindings and the DLU back-out that keeps an earlier
@@ -172,7 +211,9 @@ RunSpec ReconfigAdd2pc(uint64_t seed) {
 // events, and a cycle inside one site ends in a victim abort instead of
 // the 500 ms lock-wait timeout. reconfig_add_2pc was recorded before the
 // agent became one state machine (one state per subtransaction, a
-// transition table); that refactor changed no digest.
+// transition table); that refactor changed no digest. lossy_2pc and
+// cgm_item were recorded before the coordinator became one state machine
+// (one state per global transaction, one send path per state).
 struct Golden {
   const char* workload;
   RunSpec (*make)(uint64_t seed);
@@ -196,6 +237,12 @@ const Golden kGolden[] = {
     {"reconfig_add_2pc",
      ReconfigAdd2pc,
      {"0ddc7f66ad335592", "785e3e51165e352a", "18a51e0e271d93e1"}},
+    {"lossy_2pc",
+     Lossy2pc,
+     {"f9eb6ea4e6c2bb66", "4a264a31dc74105a", "910d217211a85cbc"}},
+    {"cgm_item",
+     CgmItem,
+     {"d91ffdbd44ec5ad5", "4087d8246204e965", "38a52748a01c9407"}},
 };
 
 TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
@@ -215,17 +262,34 @@ TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
           << g.workload << " seed " << seed;
     }
   }
-  // The handoff entry reaches what it is there for: in some seed the
-  // forced handoff aborts an active subtransaction and a stale-epoch
-  // message is refused.
-  bool forced_abort = false, epoch_refusal = false;
-  for (size_t j = specs.size() - 3; j < specs.size(); ++j) {
-    const core::Metrics& m = (*outputs)[j].result.metrics;
-    forced_abort = forced_abort || m.reconfig_forced_aborts > 0;
-    epoch_refusal = epoch_refusal || m.epoch_refusals > 0;
-  }
-  EXPECT_TRUE(forced_abort);
-  EXPECT_TRUE(epoch_refusal);
+  // The entries that pin a path no benchmark workload takes reach it in
+  // some seed: the forced handoff aborts an active subtransaction and a
+  // stale-epoch message is refused; a 2PC coordinator retransmits; a CGM
+  // commit waits in commit-graph admission.
+  const auto any_seed = [&](const char* workload, auto reached) {
+    size_t j = 0;
+    for (const Golden& g : kGolden) {
+      for (int seed = 1; seed <= 3; ++seed, ++j) {
+        if (std::string(g.workload) == workload &&
+            reached((*outputs)[j].result.metrics)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  EXPECT_TRUE(any_seed("reconfig_add_2pc", [](const core::Metrics& m) {
+    return m.reconfig_forced_aborts > 0;
+  }));
+  EXPECT_TRUE(any_seed("reconfig_add_2pc", [](const core::Metrics& m) {
+    return m.epoch_refusals > 0;
+  }));
+  EXPECT_TRUE(any_seed("lossy_2pc", [](const core::Metrics& m) {
+    return m.retransmits > 0;
+  }));
+  EXPECT_TRUE(any_seed("cgm_item", [](const core::Metrics& m) {
+    return m.cgm_graph_rejections > 0;
+  }));
 }
 
 }  // namespace

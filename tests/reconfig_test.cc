@@ -7,12 +7,15 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "bench/sweeps.h"
 #include "core/mdbs.h"
 #include "history/projection.h"
 #include "history/view_checker.h"
 #include "shard/reconfig.h"
+#include "trace/trace.h"
 
 namespace hermes {
 namespace {
@@ -494,6 +497,52 @@ TEST_F(ReconfigTest, UnshardedMdbsRejectsReconfiguration) {
       mdbs.StartReconfig(ReconfigOp{ReconfigKind::kAddSite, kInvalidSite})
           .code(),
       StatusCode::kInvalidArgument);
+}
+
+// E19's timeline (bench/sweep_reconfig.cpp) of a trace with three commits
+// before the fence at 10 ms, `during` commits inside the handoff, which
+// ends at `done`, and one commit 2 ms later.
+bench::ReconfigTimeline Timeline(sim::Time done, int during) {
+  sim::EventLoop loop;
+  trace::Tracer tracer(&loop);
+  const auto at = [&](sim::Time t, trace::EventKind kind) {
+    loop.ScheduleAfter(t, [&tracer, kind] {
+      trace::Event e;
+      e.kind = kind;
+      e.ok = true;
+      tracer.Record(std::move(e));
+    });
+  };
+  for (int i = 1; i <= 3; ++i) {
+    at(i * 2 * sim::kMillisecond, trace::EventKind::kTxnEnd);
+  }
+  at(10 * sim::kMillisecond, trace::EventKind::kReconfigBegin);
+  for (int i = 0; i < during; ++i) {
+    at(10 * sim::kMillisecond + 1, trace::EventKind::kTxnEnd);
+  }
+  at(done, trace::EventKind::kReconfigDone);
+  at(done + 2 * sim::kMillisecond, trace::EventKind::kTxnEnd);
+  loop.Run();
+  return bench::AnalyzeTimeline(tracer.ToBinary());
+}
+
+TEST(ReconfigTimeline, AWindowOfNoLengthLosesNoCommit) {
+  const bench::ReconfigTimeline t = Timeline(10 * sim::kMillisecond, 0);
+  ASSERT_TRUE(t.valid);
+  EXPECT_EQ(t.window_ms, 0.0);
+  EXPECT_EQ(t.dip_pct, 0.0);
+  EXPECT_EQ(t.recovery_ms, 2.0);
+}
+
+TEST(ReconfigTimeline, ACommitlessWindowIsAFullDip) {
+  const bench::ReconfigTimeline t = Timeline(15 * sim::kMillisecond, 0);
+  ASSERT_TRUE(t.valid);
+  EXPECT_EQ(t.window_ms, 5.0);
+  EXPECT_EQ(t.dip_pct, 100.0);
+  // Three commits in 10 ms before the fence and one in the 5 ms window:
+  // a third of the rate is lost.
+  const bench::ReconfigTimeline busy = Timeline(15 * sim::kMillisecond, 1);
+  EXPECT_NEAR(busy.dip_pct, 100.0 / 3.0, 1e-9);
 }
 
 }  // namespace

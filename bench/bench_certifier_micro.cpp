@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "cert/csn_certifier.h"
 #include "cgm/commit_graph.h"
 #include "core/agent_log.h"
@@ -180,6 +182,54 @@ void BM_TracerRecordEnabled(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TracerRecordEnabled);
+
+void BM_TracerRecordSampledOut(benchmark::State& state) {
+  // Cost of one enabled hook whose transaction the 1/16 sampler drops: the
+  // hook asks Admit first and builds no event.
+  trace::TracerOptions options;
+  options.sample_period = 16;
+  sim::EventLoop loop;
+  trace::Tracer tracer(options, &loop);
+  trace::Tracer* t = &tracer;
+  trace::Event e = MakeCertEvent();
+  while (tracer.KeepsTxn(e.txn)) ++e.txn.seq;
+  const TxnId dropped = e.txn;
+  for (auto _ : state) {
+    if (t != nullptr && t->Admit(dropped)) {
+      trace::Event event = MakeCertEvent();
+      event.txn = dropped;
+      t->Record(std::move(event));
+    }
+  }
+  if (tracer.size() != 0) state.SkipWithError("a sampled-out event was kept");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TracerRecordSampledOut);
+
+void BM_TracerToBinary(benchmark::State& state) {
+  // Export of a full 64k-record ring whose every record has its own
+  // related list (one dictionary entry per record).
+  constexpr size_t kRecords = 1 << 16;
+  trace::TracerOptions options;
+  options.ring_capacity = kRecords;
+  sim::EventLoop loop;
+  trace::Tracer tracer(options, &loop);
+  for (size_t i = 0; i < kRecords; ++i) {
+    trace::Event e = MakeCertEvent();
+    e.related = {TxnId::MakeGlobal(1, static_cast<int64_t>(i))};
+    tracer.Record(std::move(e));
+  }
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string capture = tracer.ToBinary();
+    bytes = capture.size();
+    benchmark::DoNotOptimize(capture.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * kRecords));
+}
+BENCHMARK(BM_TracerToBinary);
 
 void BM_TracerDisabledGuard(benchmark::State& state) {
   // Cost of the same hook when tracing is off: a single null check. This is

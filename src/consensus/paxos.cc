@@ -50,7 +50,7 @@ void PaxosCommit::CancelTimer(sim::EventId& id) {
 
 void PaxosCommit::TraceEvent(trace::EventKind kind, const TxnId& gtid,
                              SiteId peer, int64_t value, bool ok) {
-  if (tracer_ == nullptr) return;
+  if (tracer_ == nullptr || !tracer_->Admit(gtid)) return;
   trace::Event e;
   e.kind = kind;
   e.txn = gtid;

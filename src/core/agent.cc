@@ -144,7 +144,7 @@ void TwoPCAgent::Enter(AgentTxn& txn, AgentState to) {
 template <typename Fill>
 void TwoPCAgent::Trace(EventKind kind, const TxnId& gtid, int resubmission,
                        Fill&& fill) {
-  if (tracer_ == nullptr) return;
+  if (tracer_ == nullptr || !tracer_->Admit(gtid)) return;
   trace::Event e;
   e.kind = kind;
   e.txn = gtid;
@@ -438,7 +438,7 @@ void TwoPCAgent::OnPrepare(SiteId from, const PrepareMsg& msg,
   // resubmission restarts its alive interval without being re-certified.
   const AliveInterval candidate{txn.last_completion, loop_->Now()};
   cert::PrepareOutcome verdict = certifier_->CertifyPrepare(
-      msg.sn, candidate, /*want_detail=*/tracer_ != nullptr);
+      msg.sn, candidate, /*want_detail=*/Traced(txn.gtid));
   if (verdict.admit && !ltm_->IsActive(txn.ltm_handle)) {
     ++metrics_->refuse_dead;
     static constexpr char kDead[] = "unilaterally aborted before prepare";
@@ -652,8 +652,8 @@ void TwoPCAgent::TryCommit(AgentTxn& txn) {
   // Otherwise wait: DrainCommitHead commits this subtransaction once it
   // heads the commit order.
   std::vector<TxnId> waiting_on;
-  if (!certifier_->CertifyCommit(txn.gtid,
-                                 tracer_ != nullptr ? &waiting_on : nullptr)) {
+  if (!certifier_->CertifyCommit(
+          txn.gtid, Traced(txn.gtid) ? &waiting_on : nullptr)) {
     ++metrics_->commit_cert_retries;
     Trace(EventKind::kCommitRetry, txn.gtid, txn.resubmission,
           [&](trace::Event& e) {

@@ -381,6 +381,12 @@ class TwoPCAgent {
   template <typename Fill>
   void Trace(trace::EventKind kind, const TxnId& gtid, int resubmission,
              Fill&& fill);
+  // Whether `gtid`'s events reach the trace: only then are the detail
+  // strings and transaction lists of its certification events worth
+  // building.
+  bool Traced(const TxnId& gtid) const {
+    return tracer_ != nullptr && tracer_->KeepsTxn(gtid);
+  }
 
   void OnBegin(SiteId from, const BeginMsg& msg, const Lookup& l);
   void OnDmlRequest(SiteId from, const DmlRequestMsg& msg, const Lookup& l);

@@ -70,7 +70,7 @@ void Coordinator::Apply(const TxnId& gtid, CoordInput input,
 template <typename Fill>
 void Coordinator::Trace(EventKind kind, const TxnId& gtid, SiteId peer,
                         Fill&& fill) {
-  if (tracer_ == nullptr) return;
+  if (tracer_ == nullptr || !tracer_->Admit(gtid)) return;
   trace::Event e;
   e.kind = kind;
   e.txn = gtid;

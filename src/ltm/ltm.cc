@@ -159,7 +159,7 @@ Status Ltm::AbortInternal(LtmTxnHandle handle, bool unilateral,
   ++stats_.aborted;
   if (unilateral) {
     ++stats_.unilateral_aborts;
-    if (tracer_ != nullptr) {
+    if (tracer_ != nullptr && tracer_->Admit(txn->id.txn)) {
       trace::Event e;
       e.kind = trace::EventKind::kUnilateralAbort;
       e.txn = txn->id.txn;

@@ -47,7 +47,7 @@ bool IsBinaryTrace(std::string_view data) {
 
 uint32_t StringInterner::Intern(std::string_view s) {
   if (s.empty()) return 0;
-  auto it = ids_.find(std::string(s));
+  auto it = ids_.find(s);
   if (it != ids_.end()) return it->second;
   entries_.emplace_back(s);
   const uint32_t id = static_cast<uint32_t>(entries_.size());  // ids 1..
@@ -60,12 +60,16 @@ void StringInterner::Clear() {
   ids_.clear();
 }
 
-std::string EncodeRelated(const std::vector<TxnId>& related) {
-  std::string out;
+void AppendRelated(const std::vector<TxnId>& related, std::string& out) {
   for (size_t i = 0; i < related.size(); ++i) {
     if (i > 0) out += ',';
-    out += EncodeTxnId(related[i]);
+    AppendTxnId(related[i], out);
   }
+}
+
+std::string EncodeRelated(const std::vector<TxnId>& related) {
+  std::string out;
+  AppendRelated(related, out);
   return out;
 }
 
@@ -160,6 +164,25 @@ Status DecodeBinaryRecord(const uint8_t* in,
   return Status::Ok();
 }
 
+uint8_t* WriteBinaryHeader(uint64_t dictionary_entries, uint64_t records,
+                           int64_t dropped, int64_t sampled_out,
+                           uint8_t* out) {
+  std::memset(out, 0, kBinaryHeaderSize);
+  std::memcpy(out, kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
+  out[4] = kBinaryTraceVersion;
+  PutU64(out + 8, dictionary_entries);
+  PutU64(out + 16, records);
+  PutU64(out + 24, static_cast<uint64_t>(dropped));
+  PutU64(out + 32, static_cast<uint64_t>(sampled_out));
+  return out + kBinaryHeaderSize;
+}
+
+uint8_t* WriteBinaryDictionaryEntry(std::string_view s, uint8_t* out) {
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  std::memcpy(out + 4, s.data(), s.size());
+  return out + BinaryDictionaryEntrySize(s);
+}
+
 void BinaryTraceWriter::Add(const Event& e) {
   const uint32_t detail_id = interner_.Intern(e.detail);
   const uint32_t related_id = interner_.Intern(EncodeRelated(e.related));
@@ -170,28 +193,15 @@ void BinaryTraceWriter::Add(const Event& e) {
 }
 
 std::string BinaryTraceWriter::Finish() const {
-  std::string out;
   const std::vector<std::string>& dict = interner_.entries();
   size_t dict_bytes = 0;
-  for (const std::string& s : dict) dict_bytes += 4 + s.size();
-  out.reserve(kBinaryHeaderSize + dict_bytes + records_.size());
-
-  uint8_t header[kBinaryHeaderSize] = {};
-  std::memcpy(header, kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
-  header[4] = kBinaryTraceVersion;
-  PutU64(header + 8, dict.size());
-  PutU64(header + 16, static_cast<uint64_t>(count_));
-  PutU64(header + 24, static_cast<uint64_t>(dropped_));
-  PutU64(header + 32, static_cast<uint64_t>(sampled_out_));
-  out.append(reinterpret_cast<const char*>(header), sizeof(header));
-
-  for (const std::string& s : dict) {
-    uint8_t len[4];
-    PutU32(len, static_cast<uint32_t>(s.size()));
-    out.append(reinterpret_cast<const char*>(len), sizeof(len));
-    out += s;
-  }
-  out += records_;
+  for (const std::string& s : dict) dict_bytes += BinaryDictionaryEntrySize(s);
+  std::string out(kBinaryHeaderSize + dict_bytes + records_.size(), '\0');
+  uint8_t* p = WriteBinaryHeader(dict.size(), static_cast<uint64_t>(count_),
+                                 dropped_, sampled_out_,
+                                 reinterpret_cast<uint8_t*>(out.data()));
+  for (const std::string& s : dict) p = WriteBinaryDictionaryEntry(s, p);
+  std::memcpy(p, records_.data(), records_.size());
   return out;
 }
 

@@ -6,7 +6,10 @@
 // the `related` transaction list) are interned in a small string
 // dictionary and referenced by id, netdata-style, so a record's cost is a
 // dictionary lookup plus a fixed memcpy — no per-event heap allocation and
-// no JSON string work on the hot path. The serialized file layout is
+// no JSON string work on the hot path. Because the ring holds records in
+// this very layout, exporting it copies them and rewrites only their two
+// dictionary ids (TraceRing::Serialize); BinaryTraceWriter encodes events
+// from scratch for the multi-run merge. The serialized file layout is
 //
 //   offset  size  field
 //   0       4     magic "HTRB"
@@ -31,6 +34,7 @@
 #define HERMES_TRACE_BINARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -53,6 +57,7 @@ class StringInterner {
  public:
   StringInterner() = default;
 
+  // Looks `s` up without copying it; only a new string is stored.
   uint32_t Intern(std::string_view s);
 
   // Entries with id >= 1, in id order (the empty id-0 entry is implicit).
@@ -61,12 +66,24 @@ class StringInterner {
   void Clear();
 
  private:
+  // Hashes std::string keys and std::string_view probes alike, so a
+  // lookup builds no temporary key.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<std::string> entries_;
-  std::unordered_map<std::string, uint32_t> ids_;
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> ids_;
 };
 
 // `related` travels through the dictionary as one comma-joined string of
 // EncodeTxnId values ("G0.1,L2.5"); empty lists map to the empty string.
+// AppendRelated appends that text to `out`, so a caller can reuse one
+// buffer across events.
+void AppendRelated(const std::vector<TxnId>& related, std::string& out);
 std::string EncodeRelated(const std::vector<TxnId>& related);
 Result<std::vector<TxnId>> DecodeRelated(const std::string& text);
 
@@ -76,7 +93,8 @@ void EncodeBinaryRecord(const Event& e, uint32_t detail_id,
                         uint32_t related_id, uint8_t* out);
 
 // The dictionary ids of a record's detail and related fields, and their
-// in-place rewrite — what the ring needs to re-intern its dictionary.
+// in-place rewrite — what the ring needs to renumber its dictionary when
+// it rebuilds it or exports its records.
 std::pair<uint32_t, uint32_t> RecordStringIds(const uint8_t* record);
 void SetRecordStringIds(uint8_t* record, uint32_t detail_id,
                         uint32_t related_id);
@@ -86,9 +104,20 @@ void SetRecordStringIds(uint8_t* record, uint32_t detail_id,
 Status DecodeBinaryRecord(const uint8_t* in,
                           const std::vector<std::string>& dict, Event& out);
 
+// The file layout above, shared by both serializers: the header, and one
+// dictionary entry (u32 length + bytes, BinaryDictionaryEntrySize(s)
+// bytes). Each writes at `out` and returns the byte after what it wrote.
+uint8_t* WriteBinaryHeader(uint64_t dictionary_entries, uint64_t records,
+                           int64_t dropped, int64_t sampled_out,
+                           uint8_t* out);
+inline size_t BinaryDictionaryEntrySize(std::string_view s) {
+  return 4 + s.size();
+}
+uint8_t* WriteBinaryDictionaryEntry(std::string_view s, uint8_t* out);
+
 // Accumulates events into a serialized binary trace: interning, encoding
-// and the header bookkeeping in one place. Used by the ring serializer
-// and the multi-run trace merger.
+// and the header bookkeeping in one place. Used by the multi-run trace
+// merger; the ring exports its own records (TraceRing::Serialize).
 class BinaryTraceWriter {
  public:
   void Add(const Event& e);

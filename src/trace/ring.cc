@@ -1,6 +1,7 @@
 #include "trace/ring.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -18,7 +19,9 @@ uint8_t* TraceRing::Slot(size_t slot) const {
 
 void TraceRing::Append(const Event& e) {
   const uint32_t detail_id = interner_.Intern(e.detail);
-  const uint32_t related_id = interner_.Intern(EncodeRelated(e.related));
+  related_.clear();
+  AppendRelated(e.related, related_);
+  const uint32_t related_id = interner_.Intern(related_);
   size_t slot;
   bool rebuild = false;
   if (count_ < capacity_) {
@@ -43,20 +46,33 @@ void TraceRing::Append(const Event& e) {
   if (rebuild) RebuildDictionary();
 }
 
-void TraceRing::RebuildDictionary() {
-  const std::vector<std::string>& old_entries = interner_.entries();
+TraceRing::Renumbering TraceRing::RenumberDictionary() const {
   constexpr uint32_t kUnseen = std::numeric_limits<uint32_t>::max();
-  StringInterner fresh;
-  std::vector<uint32_t> remap(old_entries.size() + 1, kUnseen);
-  remap[0] = 0;  // the empty string
-  const auto new_id = [&](uint32_t id) {
-    if (remap[id] == kUnseen) remap[id] = fresh.Intern(old_entries[id - 1]);
-    return remap[id];
+  Renumbering r;
+  r.remap.assign(interner_.entries().size() + 1, kUnseen);
+  r.remap[0] = 0;  // the empty string
+  const auto visit = [&](uint32_t id) {
+    if (r.remap[id] != kUnseen) return;
+    r.used.push_back(id);
+    r.remap[id] = static_cast<uint32_t>(r.used.size());
   };
+  for (size_t i = 0; i < count_; ++i) {
+    const auto [detail_id, related_id] =
+        RecordStringIds(Slot((head_ + i) % capacity_));
+    visit(detail_id);
+    visit(related_id);
+  }
+  return r;
+}
+
+void TraceRing::RebuildDictionary() {
+  const Renumbering r = RenumberDictionary();
+  StringInterner fresh;
+  for (uint32_t id : r.used) fresh.Intern(interner_.entries()[id - 1]);
   for (size_t i = 0; i < count_; ++i) {
     uint8_t* record = Slot((head_ + i) % capacity_);
     const auto [detail_id, related_id] = RecordStringIds(record);
-    SetRecordStringIds(record, new_id(detail_id), new_id(related_id));
+    SetRecordStringIds(record, r.remap[detail_id], r.remap[related_id]);
   }
   interner_ = std::move(fresh);
 }
@@ -78,14 +94,29 @@ void TraceRing::ForEach(const std::function<void(const Event&)>& fn) const {
 }
 
 std::string TraceRing::Serialize(int64_t sampled_out) const {
-  BinaryTraceWriter writer;
-  writer.AddDropped(dropped_);
-  writer.AddSampledOut(sampled_out);
-  // Re-encode through a fresh writer so the serialized dictionary holds
-  // only strings the surviving records reference, in first-use order —
-  // evicted records must not leak entries into the export.
-  ForEach([&](const Event& e) { writer.Add(e); });
-  return writer.Finish();
+  // The export's dictionary holds only the strings the held records
+  // reference, numbered in first use — what re-encoding the records
+  // through a fresh BinaryTraceWriter would write — so evicted records
+  // leak no entries and the bytes depend only on the records. Everything
+  // is sized first and written once into the output.
+  const Renumbering r = RenumberDictionary();
+  const std::vector<std::string>& entries = interner_.entries();
+  size_t dict_bytes = 0;
+  for (uint32_t id : r.used) {
+    dict_bytes += BinaryDictionaryEntrySize(entries[id - 1]);
+  }
+  std::string out(kBinaryHeaderSize + dict_bytes + count_ * kBinaryRecordSize,
+                  '\0');
+  uint8_t* p = WriteBinaryHeader(r.used.size(), count_, dropped_,
+                                 sampled_out,
+                                 reinterpret_cast<uint8_t*>(out.data()));
+  for (uint32_t id : r.used) p = WriteBinaryDictionaryEntry(entries[id - 1], p);
+  for (size_t i = 0; i < count_; ++i, p += kBinaryRecordSize) {
+    std::memcpy(p, Slot((head_ + i) % capacity_), kBinaryRecordSize);
+    const auto [detail_id, related_id] = RecordStringIds(p);
+    SetRecordStringIds(p, r.remap[detail_id], r.remap[related_id]);
+  }
+  return out;
 }
 
 void TraceRing::Clear() {

@@ -17,6 +17,11 @@
 // held records reference and rewrites their ids. That costs amortized
 // O(1) per append, never runs before the first wrap, and holds the
 // dictionary to at most 4 x capacity entries.
+//
+// Records are stored in the export layout, so Serialize copies them into
+// one output buffer of the exact size and rewrites only their dictionary
+// ids: an export decodes nothing and interns nothing, and its peak memory
+// is the capture itself.
 
 #ifndef HERMES_TRACE_RING_H_
 #define HERMES_TRACE_RING_H_
@@ -24,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "trace/binary.h"
@@ -57,7 +63,8 @@ class TraceRing {
   void ForEach(const std::function<void(const Event&)>& fn) const;
 
   // Serializes to the binary trace format (header carries dropped() and
-  // the caller's sampler drop count).
+  // the caller's sampler drop count). The bytes equal those of a
+  // BinaryTraceWriter fed every held record through ForEach.
   std::string Serialize(int64_t sampled_out) const;
 
   // Forgets every record and dictionary entry; the blocks stay
@@ -65,8 +72,18 @@ class TraceRing {
   void Clear();
 
  private:
+  // The dictionary ids the held records reference, renumbered 1.. in
+  // first use (oldest record first, its detail before its related list):
+  // remap[id] is the new id of `id` (0, the empty string, stays 0), and
+  // used[k] is the id that becomes k + 1.
+  struct Renumbering {
+    std::vector<uint32_t> remap;
+    std::vector<uint32_t> used;
+  };
+
   // Start of physical slot `slot` (< allocated_).
   uint8_t* Slot(size_t slot) const;
+  Renumbering RenumberDictionary() const;
   // Re-interns the strings the held records reference, dropping the rest.
   void RebuildDictionary();
 
@@ -77,6 +94,7 @@ class TraceRing {
   size_t count_ = 0;
   int64_t dropped_ = 0;
   StringInterner interner_;
+  std::string related_;  // Append's reusable EncodeRelated buffer
 };
 
 }  // namespace hermes::trace

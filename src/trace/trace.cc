@@ -119,8 +119,17 @@ const char* RefuseKindName(RefuseKind kind) {
 }
 
 std::string EncodeTxnId(const TxnId& id) {
-  if (!id.valid()) return "-";
-  return StrCat(id.global() ? "G" : "L", id.site, ".", id.seq);
+  std::string out;
+  AppendTxnId(id, out);
+  return out;
+}
+
+void AppendTxnId(const TxnId& id, std::string& out) {
+  if (!id.valid()) {
+    out += '-';
+    return;
+  }
+  StrAppend(out, id.global() ? "G" : "L", id.site, ".", id.seq);
 }
 
 Result<TxnId> DecodeTxnId(const std::string& text) {
@@ -187,6 +196,13 @@ void Tracer::Record(Event e) {
   for (EventFold* fold : folds_) fold->Fold(e);
   ring_->Append(e);
   stats_.dropped = ring_->dropped();
+}
+
+bool Tracer::Admit(const TxnId& txn) {
+  if (KeepsTxn(txn)) return true;
+  ++stats_.emitted;
+  ++stats_.sampled_out;
+  return false;
 }
 
 size_t Tracer::size() const { return ring_->size(); }

@@ -270,6 +270,13 @@ class Tracer {
   // the ring. Callers fill the typed fields.
   void Record(Event e);
 
+  // What a hook asks before it builds an event of `txn`. True when the
+  // sampler keeps `txn`: the hook builds the event and Records it. False
+  // when it drops `txn`: the event is counted exactly as Record counts a
+  // sampled-out one (it takes a seq, and counts as emitted and sampled
+  // out), and the hook builds nothing.
+  bool Admit(const TxnId& txn);
+
   // Number of events currently stored (at most ring_capacity).
   size_t size() const;
   void Clear();
@@ -308,6 +315,7 @@ class Tracer {
 // "-" for none): tmstat's --txn flag and reports, and the `related` lists
 // in the binary trace dictionary.
 std::string EncodeTxnId(const TxnId& id);
+void AppendTxnId(const TxnId& id, std::string& out);  // EncodeTxnId, appended
 Result<TxnId> DecodeTxnId(const std::string& text);
 
 }  // namespace hermes::trace

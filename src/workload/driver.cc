@@ -81,7 +81,8 @@ void InstallFailureInjector(const std::shared_ptr<RunState>& st) {
               st->rng.NextUint64(static_cast<uint64_t>(
                                      st->config.prepared_abort_max_delay) +
                                  1));
-          if (st->config.tracer != nullptr) {
+          if (st->config.tracer != nullptr &&
+              st->config.tracer->Admit(gtid)) {
             trace::Event e;
             e.kind = trace::EventKind::kInjectFailure;
             e.txn = gtid;

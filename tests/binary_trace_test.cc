@@ -1,8 +1,9 @@
 // Tests of the Tracer's binary ring buffer and the binary trace format:
 // record round-trips over every EventKind, ring growth and overflow
-// accounting, the ring's bounded dictionary, per-gtid sampling, streaming
-// folds, the deterministic multi-run merge, truncation handling and the
-// driver's mid-run flush hook.
+// accounting, the ring's bounded dictionary, the ring's copying export,
+// per-gtid sampling (also at the hooks), streaming folds, the
+// deterministic multi-run merge, truncation handling and the driver's
+// mid-run flush hook.
 
 #include <gtest/gtest.h>
 
@@ -214,6 +215,72 @@ TEST(BinaryTrace, RingDictionaryStaysBoundedUnderUniqueStrings) {
   EXPECT_EQ(*parsed, last);
 }
 
+// --- export ------------------------------------------------------------------
+
+// What a ring's export must equal byte for byte: every held record
+// re-encoded through a fresh writer, with the tracer's drop counts.
+std::string ReEncoded(const Tracer& tracer) {
+  trace::BinaryTraceWriter writer;
+  writer.AddDropped(tracer.stats().dropped);
+  writer.AddSampledOut(tracer.stats().sampled_out);
+  tracer.ForEach([&](const Event& e) { writer.Add(e); });
+  return writer.Finish();
+}
+
+TEST(BinaryTrace, ExportCopiesHeldRecordsByteForByte) {
+  struct Ring {
+    const char* name;
+    size_t capacity;
+    int events;
+  };
+  constexpr size_t kWrapCapacity = 16;
+  for (const Ring& ring : {Ring{"not wrapped", 256, 60},
+                           Ring{"wrapped past two rebuilds", kWrapCapacity,
+                                300},
+                           Ring{"empty", 8, 0}}) {
+    SCOPED_TRACE(ring.name);
+    TracerOptions options;
+    options.ring_capacity = ring.capacity;
+    options.sample_period = 3;
+    options.sample_seed = 5;
+    Tracer tracer(options);
+    for (int i = 0; i < ring.events; ++i) {
+      Event e = FullEvent(
+          trace::kAllEventKinds[static_cast<size_t>(i) %
+                                std::size(trace::kAllEventKinds)],
+          i);
+      // Unique strings, a few repeated ones, and a detail that spells a
+      // related list, so records share dictionary entries across fields.
+      if (i % 2 == 0) e.related = {TxnId::MakeGlobal(i % 5, i)};
+      if (i % 5 == 0) e.related.push_back(TxnId::MakeLocal(2, i + 1));
+      e.detail = i % 7 == 0   ? "repeated"
+                 : i % 7 == 1 ? trace::EncodeRelated(e.related)
+                 : i % 7 == 2 ? ""
+                              : "unique #" + std::to_string(i);
+      tracer.Record(e);
+    }
+    if (ring.events > 0) {
+      EXPECT_GT(tracer.stats().sampled_out, 0);
+    }
+    if (ring.capacity == kWrapCapacity) {
+      // A rebuild runs after every `capacity` evictions.
+      EXPECT_GE(tracer.stats().dropped,
+                2 * static_cast<int64_t>(ring.capacity));
+    } else {
+      EXPECT_EQ(tracer.stats().dropped, 0);
+    }
+
+    const std::string bytes = tracer.ToBinary();
+    EXPECT_EQ(bytes, ReEncoded(tracer));
+    Result<std::vector<Event>> parsed = trace::ParseBinary(bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    std::vector<Event> held;
+    tracer.ForEach([&](const Event& e) { held.push_back(e); });
+    EXPECT_EQ(held.size(), tracer.size());
+    EXPECT_EQ(*parsed, held);
+  }
+}
+
 // --- sampling ----------------------------------------------------------------
 
 TEST(BinaryTrace, SamplingKeepsOrDropsWholeTransactions) {
@@ -299,6 +366,61 @@ TEST(BinaryTrace, SampledTraceYieldsWellFormedSpanForest) {
     EXPECT_EQ(span.end, full->end);
     EXPECT_EQ(span.ok, full->ok);
   }
+}
+
+TEST(BinaryTrace, HooksSkipSampledOutEventsWithoutChangingTheTrace) {
+  // Hooks ask Tracer::Admit before they build an event. A sampled run
+  // must still hold exactly the events of an unsampled run of the same
+  // config whose transactions the sampler keeps (same seq, same time),
+  // count every other one as sampled out, and export the bytes those
+  // events encode to.
+  workload::WorkloadConfig config = SmallConfig(77);
+  config.num_sites = 5;
+  config.target_global_txns = 80;
+  config.protocol = consensus::ProtocolKind::kPaxosCommit;
+  config.p_prepared_abort = 0.3;
+  config.net_loss_prob = 0.01;
+  Tracer full;
+  config.tracer = &full;
+  const workload::RunResult full_run = workload::Driver::Run(config);
+  ASSERT_TRUE(full_run.config_error.empty()) << full_run.config_error;
+
+  TracerOptions options;
+  options.sample_period = 16;
+  options.sample_seed = 0xE20;
+  Tracer sampled(options);
+  config.tracer = &sampled;
+  workload::Driver::Run(config);
+
+  trace::BinaryTraceWriter expected;
+  int64_t sampled_out = 0;
+  std::set<EventKind> kinds_sampled_out;
+  std::vector<Event> kept;
+  full.ForEach([&](const Event& e) {
+    if (sampled.KeepsTxn(e.txn)) {
+      kept.push_back(e);
+      expected.Add(e);
+    } else {
+      ++sampled_out;
+      kinds_sampled_out.insert(e.kind);
+    }
+  });
+  expected.AddSampledOut(sampled_out);
+  // The run reaches the hooks of the agent, the coordinator, the LTM and
+  // Paxos Commit with transactions the sampler drops.
+  for (EventKind kind :
+       {EventKind::kCertReady, EventKind::kPrepareSend,
+        EventKind::kUnilateralAbort, EventKind::kPaxosVote}) {
+    EXPECT_TRUE(kinds_sampled_out.count(kind)) << trace::EventKindName(kind);
+  }
+
+  EXPECT_EQ(sampled.stats().emitted, full.stats().emitted);
+  EXPECT_EQ(sampled.stats().sampled_out, sampled_out);
+  EXPECT_EQ(sampled.stats().dropped, 0);
+  std::vector<Event> stored;
+  sampled.ForEach([&](const Event& e) { stored.push_back(e); });
+  EXPECT_EQ(stored, kept);
+  EXPECT_EQ(sampled.ToBinary(), expected.Finish());
 }
 
 // --- multi-run merge ---------------------------------------------------------

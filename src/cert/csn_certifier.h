@@ -44,7 +44,7 @@ class CsnCertifier : public Certifier {
 
   // Kept only because perfbench/composed_run.cc still sums
   // log().forced_writes(); the certifier forces nothing. Goes when
-  // perfbench next changes (ROADMAP item 6, step 2).
+  // perfbench next changes (ROADMAP item 4, step 2).
   struct NoLog {
     int64_t forced_writes() const { return 0; }
   };

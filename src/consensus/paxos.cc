@@ -17,6 +17,15 @@ constexpr sim::Duration kDecideTimeout = 60 * sim::kMillisecond;
 constexpr sim::Duration kResolveRetryInitial = 50 * sim::kMillisecond;
 constexpr sim::Duration kResolveRetryMax = 400 * sim::kMillisecond;
 
+using enum PaxosState;
+using enum PaxosInput;
+
+bool Decided(PaxosState s) { return s >= kCommitted; }
+// A resolver round of this site is out (decided or not).
+bool RoundOpen(PaxosState s) {
+  return s == kPromising || s == kProposing || s >= kAbortedPromising;
+}
+
 }  // namespace
 
 PaxosCommit::PaxosCommit(const PaxosConfig& config, sim::EventLoop* loop,
@@ -31,9 +40,27 @@ PaxosCommit::PaxosCommit(const PaxosConfig& config, sim::EventLoop* loop,
   assert(config.f >= 0 && 2 * config.f + 1 <= config.num_sites);
 }
 
-PaxosCommit::~PaxosCommit() {
-  for (auto& [gtid, l] : leaders_) CancelTimer(l.decide_timer);
-  for (auto& [gtid, r] : resolvers_) CancelTimer(r.retry_timer);
+// Nothing may fire into a destroyed site: drop what a crash drops.
+PaxosCommit::~PaxosCommit() { Crash(); }
+
+PaxosState PaxosCommit::StateOf(const TxnId& gtid) const {
+  auto it = txns_.find(gtid);
+  return it == txns_.end() ? kUnknown : it->second.state;
+}
+
+template <typename Fn>
+void PaxosCommit::Apply(const TxnId& gtid, PaxosInput input,
+                        Fn&& transition) {
+  // The local calls may start a record; replies, timers and Forget only
+  // find one.
+  const bool local = input <= kEscalate;
+  auto it = local ? txns_.try_emplace(gtid).first : txns_.find(gtid);
+  ProposerTxn* t = it == txns_.end() ? nullptr : &it->second;
+  const PaxosState from = t == nullptr ? kUnknown : t->state;
+  assert(core::TransitionAllowed(kPaxosTransitions, from, input));
+  transition(t, from);
+  assert(core::TransitionAllowed(kPaxosTransitions, from, input,
+                                 StateOf(gtid)));
 }
 
 void PaxosCommit::ForceLog(AcceptorLogRecord record) {
@@ -71,115 +98,117 @@ void PaxosCommit::SendToAcceptors(const core::Message& msg) {
 
 void PaxosCommit::BeginDecision(const TxnId& gtid,
                                 const std::vector<SiteId>& participants) {
-  LeaderTxn& l = leaders_[gtid];
-  l.participants = participants;
-  TraceEvent(trace::EventKind::kPaxosBegin, gtid, kInvalidSite,
-             static_cast<int64_t>(participants.size()), true);
-  core::PaxosBeginMsg msg;
-  msg.gtid = gtid;
-  msg.leader = config_.site;
-  msg.participants = participants;
-  SendToAcceptors(core::Message{msg});
+  Apply(gtid, kBegin, [&](ProposerTxn* t, PaxosState) {
+    t->state = kLeading;
+    t->participants = participants;
+    TraceEvent(trace::EventKind::kPaxosBegin, gtid, kInvalidSite,
+               static_cast<int64_t>(participants.size()), true);
+    core::PaxosBeginMsg msg;
+    msg.gtid = gtid;
+    msg.leader = config_.site;
+    msg.participants = participants;
+    SendToAcceptors(core::Message{msg});
+  });
 }
 
 void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
-                         const std::vector<SiteId>& participants,
+                         const std::vector<SiteId>& /*participants*/,
                          int64_t /*csn*/, DecidedFn done) {
   // Paxos Commit does not persist per-decision metadata; CSN certification
   // is 2PC-only (MdbsConfig::Validate refuses it under Paxos Commit) so the
-  // csn is always -1 here.
-  if (auto it = decided_.find(gtid); it != decided_.end()) {
-    // A resolution round at this site (a prepared agent here escalated
-    // while the coordinator still waited for a vote) already chose the
-    // outcome and delivered it to the participants; the coordinator
-    // learns it now.
-    done(gtid, it->second);
-    return;
-  }
-  if (mode == DecideMode::kAbortFinal) {
-    // A definite refusal: no READY value can ever be chosen for the
-    // refusing instance (its RM only ever proposed REFUSE at ballot 0, and
-    // resolvers propose REFUSE for free instances), so every resolver
-    // reaches the same abort. Seal it locally and answer immediately.
-    auto it = leaders_.find(gtid);
-    if (it != leaders_.end()) CancelTimer(it->second.decide_timer);
-    decided_.emplace(gtid, false);
-    TraceEvent(trace::EventKind::kPaxosDecided, gtid, kInvalidSite,
-               /*value=*/-1, /*ok=*/false);
-    done(gtid, false);
-    return;
-  }
-  LeaderTxn& l = leaders_[gtid];
-  if (l.participants.empty()) l.participants = participants;
-  l.decide_requested = true;
-  l.done = std::move(done);
-  if (mode == DecideMode::kAbortTimeout) {
-    // Votes are missing; the outcome is genuinely open (a prepared RM's
-    // broadcast may have reached the acceptors even though the VoteMsg to
-    // the coordinator was lost). Only a consensus round may seal it.
-    StartResolve(gtid);
-    return;
-  }
-  // kCommit: every participant told the coordinator READY. Wait for the
-  // ballot-0 fast path; fall back to a resolution round on timeout.
-  CheckFastPath(gtid);
-  if (decided_.count(gtid) != 0) return;
-  LeaderTxn& l2 = leaders_[gtid];  // CheckFastPath may not have finished
-  if (l2.decide_timer == sim::kInvalidEvent) {
-    l2.decide_timer = loop_->ScheduleAfter(kDecideTimeout, [this, gtid]() {
-      auto it = leaders_.find(gtid);
-      if (it == leaders_.end()) return;
-      it->second.decide_timer = sim::kInvalidEvent;
-      if (decided_.count(gtid) == 0) StartResolve(gtid);
-    });
-  }
-}
-
-void PaxosCommit::CheckFastPath(const TxnId& gtid) {
-  auto it = leaders_.find(gtid);
-  if (it == leaders_.end() || decided_.count(gtid) != 0) return;
-  LeaderTxn& l = it->second;
-  if (!l.decide_requested) return;
-  if (static_cast<int>(l.begin_acks.size()) < quorum()) return;
-  for (SiteId p : l.participants) {
-    auto rit = l.ready_2b.find(p);
-    if (rit == l.ready_2b.end() ||
-        static_cast<int>(rit->second.size()) < quorum()) {
+  // csn is always -1 here. The participants are those BeginDecision
+  // announced.
+  PaxosInput input = kDecideAbortTimeout;
+  if (mode == DecideMode::kCommit) input = kDecideCommit;
+  if (mode == DecideMode::kAbortFinal) input = kDecideAbortFinal;
+  Apply(gtid, input, [&](ProposerTxn* t, PaxosState s) {
+    if (Decided(s)) {
+      // A resolution round at this site (a prepared agent here escalated
+      // while the coordinator still waited for a vote) already chose the
+      // outcome and delivered it to the participants; the coordinator
+      // learns it now.
+      done(gtid, s == kCommitted);
       return;
     }
+    if (mode == DecideMode::kAbortFinal) {
+      // A definite refusal: no READY value can ever be chosen for the
+      // refusing instance (its RM only ever proposed REFUSE at ballot 0,
+      // and resolvers propose REFUSE for free instances), so every
+      // resolver reaches the same abort. Seal it locally and answer
+      // immediately. A round already out runs on to its retry timer.
+      TraceEvent(trace::EventKind::kPaxosDecided, gtid, kInvalidSite,
+                 /*value=*/-1, /*ok=*/false);
+      if (s == kPromising || s == kProposing) {
+        t->state = s == kPromising ? kAbortedPromising : kAbortedProposing;
+      } else {
+        *t = ProposerTxn{.state = kAborted};
+      }
+      done(gtid, false);
+      return;
+    }
+    t->done = std::move(done);
+    if (mode == DecideMode::kAbortTimeout) {
+      // Votes are missing; the outcome is genuinely open (a prepared RM's
+      // broadcast may have reached the acceptors even though the VoteMsg
+      // to the coordinator was lost). Only a consensus round may seal it.
+      if (s == kLeading) Resolve(gtid, *t);
+      return;
+    }
+    // kCommit: every participant told the coordinator READY. Wait for the
+    // ballot-0 fast path; fall back to a resolution round on timeout.
+    CheckFastPath(gtid, *t);
+    if (Decided(t->state)) return;
+    t->decide_timer = loop_->ScheduleAfter(
+        kDecideTimeout, [this, gtid]() { OnDecideTimer(gtid); });
+    if (s == kLeading) t->state = kAwaitingFastPath;
+  });
+}
+
+void PaxosCommit::OnDecideTimer(const TxnId& gtid) {
+  Apply(gtid, kDecideTimer, [&](ProposerTxn* t, PaxosState s) {
+    t->decide_timer = sim::kInvalidEvent;
+    if (s == kAwaitingFastPath) Resolve(gtid, *t);
+  });
+}
+
+void PaxosCommit::CheckFastPath(const TxnId& gtid, ProposerTxn& t) {
+  // Only once the coordinator asked for the outcome (it waits on `done`).
+  if (!t.done || static_cast<int>(t.begin_acks.size()) < quorum()) return;
+  for (SiteId p : t.participants) {
+    if (static_cast<int>(t.ready_2b[p].size()) < quorum()) return;
   }
   ++metrics_->paxos_decided_fast;
-  Finish(gtid, /*commit=*/true, /*ballot=*/0);
+  Finish(gtid, t, /*commit=*/true, /*ballot=*/0);
 }
 
 std::optional<bool> PaxosCommit::AnswerInquiry(const TxnId& gtid,
                                                SiteId requester) {
-  auto it = decided_.find(gtid);
-  if (it != decided_.end()) return it->second;
-  requesters_[gtid].insert(requester);
-  StartResolve(gtid);
-  return std::nullopt;
+  std::optional<bool> outcome;
+  Apply(gtid, kInquiry, [&](ProposerTxn* t, PaxosState s) {
+    if (Decided(s)) {
+      outcome = s == kCommitted;
+      return;
+    }
+    t->requesters.insert(requester);
+    if (!RoundOpen(s)) Resolve(gtid, *t);
+  });
+  return outcome;
 }
 
 void PaxosCommit::Forget(const TxnId& gtid) {
-  auto it = leaders_.find(gtid);
-  if (it != leaders_.end()) {
-    CancelTimer(it->second.decide_timer);
-    leaders_.erase(it);
-  }
-  requesters_.erase(gtid);
+  // The record already keeps only the outcome, which outlives Forget.
+  Apply(gtid, kForget, [](ProposerTxn*, PaxosState) {});
 }
 
 void PaxosCommit::Crash() {
   // Everything but the acceptor log is volatile. Decided outcomes are
-  // recoverable from the acceptor quorum, so the cache may be dropped too.
-  for (auto& [gtid, l] : leaders_) CancelTimer(l.decide_timer);
-  for (auto& [gtid, r] : resolvers_) CancelTimer(r.retry_timer);
-  leaders_.clear();
-  resolvers_.clear();
+  // recoverable from the acceptor quorum, so they may be dropped too.
+  for (auto& [gtid, t] : txns_) {
+    CancelTimer(t.decide_timer);
+    CancelTimer(t.retry_timer);
+  }
+  txns_.clear();
   acceptor_.clear();
-  decided_.clear();
-  requesters_.clear();
 }
 
 std::vector<DecisionProtocol::InFlight> PaxosCommit::RecoverInFlight() {
@@ -230,12 +259,14 @@ void PaxosCommit::Escalate(const TxnId& gtid, SiteId coordinator,
   // No answer from the cache of decided outcomes: whoever decided here
   // (the co-located coordinator, or a resolver fanning out to membership
   // and inquirers) already sent the decision to this participant, a local
-  // delivery. StartResolve ignores a decided transaction.
-  requesters_[gtid].insert(config_.site);
-  if (resolvers_.count(gtid) != 0) return;  // election already running
-  ++metrics_->paxos_elections;
-  TraceEvent(trace::EventKind::kPaxosElect, gtid, coordinator, attempt, true);
-  StartResolve(gtid);
+  // delivery. The election is counted all the same.
+  Apply(gtid, kEscalate, [&](ProposerTxn* t, PaxosState s) {
+    if (!Decided(s)) t->requesters.insert(config_.site);
+    if (RoundOpen(s)) return;  // election already running
+    ++metrics_->paxos_elections;
+    TraceEvent(trace::EventKind::kPaxosElect, gtid, coordinator, attempt, true);
+    if (!Decided(s)) Resolve(gtid, *t);
+  });
 }
 
 // --- message plumbing --------------------------------------------------------
@@ -364,149 +395,125 @@ void PaxosCommit::OnPropose(SiteId from, const core::PaxosProposeMsg& msg) {
 // --- leader / resolver replies ----------------------------------------------
 
 void PaxosCommit::OnBeginAck(SiteId from, const core::PaxosBeginAckMsg& msg) {
-  auto it = leaders_.find(msg.gtid);
-  if (it == leaders_.end()) return;
-  it->second.begin_acks.insert(from);
-  CheckFastPath(msg.gtid);
+  Apply(msg.gtid, kBeginAck, [&](ProposerTxn* t, PaxosState s) {
+    if (s == kUnknown || Decided(s)) return;
+    t->begin_acks.insert(from);
+    CheckFastPath(msg.gtid, *t);
+  });
 }
 
 void PaxosCommit::OnVoted(SiteId from, const core::PaxosVotedMsg& msg) {
-  auto it = leaders_.find(msg.gtid);
-  if (it == leaders_.end() || !msg.ready) return;
-  it->second.ready_2b[msg.participant].insert(from);
-  CheckFastPath(msg.gtid);
+  Apply(msg.gtid, kVoted, [&](ProposerTxn* t, PaxosState s) {
+    if (s == kUnknown || Decided(s) || !msg.ready) return;
+    t->ready_2b[msg.participant].insert(from);
+    CheckFastPath(msg.gtid, *t);
+  });
 }
 
-void PaxosCommit::StartResolve(const TxnId& gtid) {
-  if (decided_.count(gtid) != 0 || resolvers_.count(gtid) != 0) return;
-  ResolverTxn& r = resolvers_[gtid];
-  r.attempt = 0;
-  r.ballot = NextBallot(0);
-  ++metrics_->paxos_resolutions;
-  SendResolvePrepare(gtid, r);
-}
-
-void PaxosCommit::SendResolvePrepare(const TxnId& gtid, ResolverTxn& r) {
-  r.promises.clear();
-  r.accepts.clear();
-  r.proposed = false;
-  TraceEvent(trace::EventKind::kPaxosPrepare, gtid, kInvalidSite, r.ballot,
+void PaxosCommit::Resolve(const TxnId& gtid, ProposerTxn& t) {
+  if (t.attempt == 0) ++metrics_->paxos_resolutions;
+  t.state = kPromising;
+  t.ballot = NextBallot(t.attempt);
+  t.promises.clear();
+  t.accepts.clear();
+  TraceEvent(trace::EventKind::kPaxosPrepare, gtid, kInvalidSite, t.ballot,
              true);
-  SendToAcceptors(core::Message{core::PaxosPrepareMsg{gtid, r.ballot}});
-  CancelTimer(r.retry_timer);
-  r.retry_timer = loop_->ScheduleAfter(
-      sim::CappedBackoff(kResolveRetryInitial, kResolveRetryMax, r.attempt),
-      [this, gtid]() { OnResolveRetry(gtid); });
+  SendToAcceptors(core::Message{core::PaxosPrepareMsg{gtid, t.ballot}});
+  t.retry_timer = loop_->ScheduleAfter(
+      sim::CappedBackoff(kResolveRetryInitial, kResolveRetryMax, t.attempt),
+      [this, gtid]() { OnRetryTimer(gtid); });
 }
 
-void PaxosCommit::OnResolveRetry(const TxnId& gtid) {
-  auto it = resolvers_.find(gtid);
-  if (it == resolvers_.end()) return;
-  ResolverTxn& r = it->second;
-  r.retry_timer = sim::kInvalidEvent;
-  if (decided_.count(gtid) != 0) {
-    resolvers_.erase(it);
-    return;
-  }
-  // The round stalled (acceptor down, messages lost, or a higher ballot in
-  // the way): retry at a fresh, strictly higher site-unique ballot.
-  ++r.attempt;
-  r.ballot = NextBallot(r.attempt);
-  SendResolvePrepare(gtid, r);
+void PaxosCommit::OnRetryTimer(const TxnId& gtid) {
+  Apply(gtid, kRetryTimer, [&](ProposerTxn* t, PaxosState s) {
+    t->retry_timer = sim::kInvalidEvent;
+    if (Decided(s)) {
+      *t = ProposerTxn{.state = kAborted};
+      return;
+    }
+    // The round stalled (acceptor down, messages lost, or a higher ballot
+    // in the way): retry at a fresh, strictly higher site-unique ballot.
+    ++t->attempt;
+    Resolve(gtid, *t);
+  });
 }
 
 void PaxosCommit::OnPromise(SiteId from, const core::PaxosPromiseMsg& msg) {
-  auto it = resolvers_.find(msg.gtid);
-  if (it == resolvers_.end()) return;
-  ResolverTxn& r = it->second;
-  if (msg.ballot != r.ballot || r.proposed) return;
-  r.promises[from] = msg;
-  if (static_cast<int>(r.promises.size()) < quorum()) return;
-  // Phase 2a: adopt the highest-ballot accepted membership; if none was
-  // accepted anywhere in the quorum, the original leader may propose its
-  // real set, any other resolver must propose the empty abort marker.
-  int64_t best_ballot = -1;
-  std::vector<SiteId> membership;
-  for (const auto& [site, promise] : r.promises) {
-    if (promise.membership_ballot > best_ballot) {
-      best_ballot = promise.membership_ballot;
-      membership = promise.membership;
-    }
-  }
-  if (best_ballot < 0) {
-    auto lit = leaders_.find(msg.gtid);
-    if (lit != leaders_.end() && !lit->second.participants.empty()) {
-      membership = lit->second.participants;
-    } else {
-      membership.clear();  // abort marker
-    }
-  }
-  // Per instance in the membership: adopt the highest-ballot accepted vote,
-  // or REFUSE if the instance is free.
-  std::vector<SiteId> ready;
-  for (SiteId p : membership) {
-    int64_t vb = -1;
-    bool vready = false;
-    for (const auto& [site, promise] : r.promises) {
-      for (const auto& v : promise.votes) {
-        if (v.participant == p && v.ballot > vb) {
-          vb = v.ballot;
-          vready = v.ready;
-        }
+  Apply(msg.gtid, kPromise, [&](ProposerTxn* t, PaxosState s) {
+    const bool counting = s == kPromising || s == kAbortedPromising;
+    if (!counting || msg.ballot != t->ballot) return;
+    t->promises[from] = msg;
+    if (static_cast<int>(t->promises.size()) < quorum()) return;
+    // Phase 2a: adopt the highest-ballot accepted membership; if none was
+    // accepted anywhere in the quorum, the original leader may propose its
+    // real set, any other resolver must propose the empty abort marker.
+    int64_t best_ballot = -1;
+    std::vector<SiteId> membership;
+    for (const auto& [site, promise] : t->promises) {
+      if (promise.membership_ballot > best_ballot) {
+        best_ballot = promise.membership_ballot;
+        membership = promise.membership;
       }
     }
-    if (vb >= 0 && vready) ready.push_back(p);
-  }
-  r.proposed = true;
-  r.prop_membership = std::move(membership);
-  r.prop_ready = std::move(ready);
-  core::PaxosProposeMsg prop;
-  prop.gtid = msg.gtid;
-  prop.ballot = r.ballot;
-  prop.membership = r.prop_membership;
-  prop.ready_participants = r.prop_ready;
-  SendToAcceptors(core::Message{std::move(prop)});
+    if (best_ballot < 0) membership = t->participants;
+    // Per instance in the membership: adopt the highest-ballot accepted
+    // vote, or REFUSE if the instance is free.
+    std::vector<SiteId> ready;
+    for (SiteId p : membership) {
+      int64_t vb = -1;
+      bool vready = false;
+      for (const auto& [site, promise] : t->promises) {
+        for (const auto& v : promise.votes) {
+          if (v.participant == p && v.ballot > vb) {
+            vb = v.ballot;
+            vready = v.ready;
+          }
+        }
+      }
+      if (vb >= 0 && vready) ready.push_back(p);
+    }
+    t->state = s == kPromising ? kProposing : kAbortedProposing;
+    t->prop_membership = std::move(membership);
+    t->prop_ready = std::move(ready);
+    core::PaxosProposeMsg prop;
+    prop.gtid = msg.gtid;
+    prop.ballot = t->ballot;
+    prop.membership = t->prop_membership;
+    prop.ready_participants = t->prop_ready;
+    SendToAcceptors(core::Message{std::move(prop)});
+  });
 }
 
 void PaxosCommit::OnAccepted(SiteId from, const core::PaxosAcceptedMsg& msg) {
-  auto it = resolvers_.find(msg.gtid);
-  if (it == resolvers_.end()) return;
-  ResolverTxn& r = it->second;
-  if (msg.ballot != r.ballot || !r.proposed) return;
-  r.accepts.insert(from);
-  if (static_cast<int>(r.accepts.size()) < quorum()) return;
-  const bool commit = !r.prop_membership.empty() &&
-                      r.prop_ready.size() == r.prop_membership.size();
-  ++metrics_->paxos_decided_resolved;
-  Finish(msg.gtid, commit, r.ballot);
+  Apply(msg.gtid, kAccepted, [&](ProposerTxn* t, PaxosState s) {
+    const bool counting = s == kProposing || s == kAbortedProposing;
+    if (!counting || msg.ballot != t->ballot) return;
+    t->accepts.insert(from);
+    if (static_cast<int>(t->accepts.size()) < quorum()) return;
+    ++metrics_->paxos_decided_resolved;
+    // A round that a definite abort overtook decides nothing.
+    if (s == kAbortedProposing) return;
+    const bool commit = !t->prop_membership.empty() &&
+                        t->prop_ready.size() == t->prop_membership.size();
+    Finish(msg.gtid, *t, commit, t->ballot);
+  });
 }
 
 // --- outcome -----------------------------------------------------------------
 
-void PaxosCommit::Finish(const TxnId& gtid, bool commit, int64_t ballot) {
-  if (decided_.count(gtid) != 0) return;
-  decided_.emplace(gtid, commit);
+void PaxosCommit::Finish(const TxnId& gtid, ProposerTxn& t, bool commit,
+                         int64_t ballot) {
   TraceEvent(trace::EventKind::kPaxosDecided, gtid, kInvalidSite, ballot,
              commit);
-  std::vector<SiteId> participants;
-  auto rit = resolvers_.find(gtid);
-  if (rit != resolvers_.end()) {
-    participants = rit->second.prop_membership;
-    CancelTimer(rit->second.retry_timer);
-    resolvers_.erase(rit);
-  }
-  DecidedFn done;
-  auto lit = leaders_.find(gtid);
-  if (lit != leaders_.end()) {
-    if (participants.empty()) participants = lit->second.participants;
-    CancelTimer(lit->second.decide_timer);
-    done = std::move(lit->second.done);
-    lit->second.done = nullptr;
-  }
-  if (done) {
+  CancelTimer(t.retry_timer);
+  CancelTimer(t.decide_timer);
+  // The record keeps only the outcome.
+  ProposerTxn was =
+      std::exchange(t, ProposerTxn{.state = commit ? kCommitted : kAborted});
+  if (was.done) {
     // The co-located coordinator is alive: it records the outcome in the
     // history and fans out the decision itself.
-    done(gtid, commit);
+    was.done(gtid, commit);
     return;
   }
   // Resolver path — the coordinator is dead or never asked. Record the
@@ -518,12 +525,10 @@ void PaxosCommit::Finish(const TxnId& gtid, bool commit, int64_t ballot) {
   } else {
     recorder_->RecordGlobalAbort(gtid, config_.site);
   }
-  std::set<SiteId> targets(participants.begin(), participants.end());
-  auto qit = requesters_.find(gtid);
-  if (qit != requesters_.end()) {
-    targets.insert(qit->second.begin(), qit->second.end());
-    requesters_.erase(qit);
-  }
+  const std::vector<SiteId>& members =
+      was.prop_membership.empty() ? was.participants : was.prop_membership;
+  std::set<SiteId> targets = std::move(was.requesters);
+  targets.insert(members.begin(), members.end());
   for (SiteId s : targets) {
     network_->Send(config_.site, s,
                    core::Message{core::DecisionMsg{gtid, commit}});

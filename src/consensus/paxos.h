@@ -24,10 +24,17 @@
 // membership M is non-empty and every instance in M chose READY; this makes
 // "which votes must be READY" itself crash-consistent, so two independent
 // resolvers can never split the outcome.
+//
+// The leader and resolver roles are one state machine per transaction:
+// PaxosState says where a transaction is at this site, PaxosInput names
+// what can happen to it, and kPaxosTransitions lists every transition.
+// DESIGN.md, "Paxos Commit state machine", walks through them.
 
 #ifndef HERMES_CONSENSUS_PAXOS_H_
 #define HERMES_CONSENSUS_PAXOS_H_
 
+#include <array>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -37,12 +44,117 @@
 #include "consensus/decision.h"
 #include "core/messages.h"
 #include "core/metrics.h"
+#include "core/transitions.h"
 #include "history/recorder.h"
 #include "net/network.h"
 #include "sim/event_loop.h"
 #include "trace/trace.h"
 
 namespace hermes::consensus {
+
+// Where a transaction is at its leader or resolver site:
+//  * kLeading: BeginDecision sent the participant set to the acceptors at
+//    ballot 0, and the coordinator has not asked for the outcome;
+//  * kAwaitingFastPath: the coordinator asked to commit; the ballot-0
+//    quorum may close, or the decide timer starts a resolver round;
+//  * kPromising: a resolver round sent its prepare (phase 1a) and counts
+//    promises;
+//  * kProposing: the promise quorum is in, the proposal (phase 2a) is out,
+//    and the round counts accepts;
+//  * kCommitted, kAborted: this site learned the outcome;
+//  * kAbortedPromising, kAbortedProposing: a definite abort was sealed
+//    while this site's round was promising or proposing; the round runs on
+//    to its retry timer, which leaves kAborted.
+// kUnknown: this site holds nothing for it (never led or resolved here,
+// or lost in a crash). The leader's participants, the coordinator's
+// callback and the ballot-0 tallies stay in the record across the resolver
+// states: the fast path may still close while a round runs.
+enum class PaxosState : uint8_t {
+  kUnknown, kLeading, kAwaitingFastPath, kPromising, kProposing, kCommitted,
+  kAborted, kAbortedPromising, kAbortedProposing,
+};
+
+// What can happen to a transaction: the local coordinator asks for the
+// outcome (one input per DecideMode) or begins it (kBegin); a
+// participant's inquiry reaches the coordinator that forgot it
+// (kInquiry), or the local agent gives up on its coordinator
+// (kEscalate); an acceptor replies (kBeginAck, kVoted, kPromise,
+// kAccepted); the decide timer or the resolver's retry timer fires; the
+// coordinator forgets it (kForget). Only the local calls, kDecideCommit
+// to kEscalate, may start a record.
+enum class PaxosInput : uint8_t {
+  kDecideCommit, kDecideAbortFinal, kDecideAbortTimeout, kBegin, kInquiry,
+  kEscalate, kBeginAck, kVoted, kPromise, kAccepted, kDecideTimer,
+  kRetryTimer, kForget,
+};
+
+using PaxosTransition = core::Transition<PaxosState, PaxosInput>;
+
+// Every transition of the leader and resolver roles; DESIGN.md, "Paxos
+// Commit state machine", lists them by input. Debug builds assert on an
+// input whose (state, input) pair is on no edge, and on a next state no
+// edge allows.
+inline constexpr auto kPaxosTransitions = [] {
+  using enum PaxosState;
+  using enum PaxosInput;
+  const auto in = [](auto... inputs) { return core::Inputs(inputs...); };
+  const uint32_t replies = in(kBeginAck, kVoted, kPromise, kAccepted);
+  const uint32_t decide =
+      in(kDecideCommit, kDecideAbortFinal, kDecideAbortTimeout);
+  const uint32_t round = replies | in(kDecideCommit, kDecideAbortTimeout,
+                                      kInquiry, kEscalate, kDecideTimer);
+  return std::to_array<PaxosTransition>({
+      // Inputs a state absorbs or answers in place: replies to a ballot
+      // that is over, or below a quorum; ballot-0 tallies; a Decide or an
+      // inquiry answered from the learned outcome, an escalation that only
+      // counts an election there; the coordinator's intent and its waiting
+      // requesters, taken by a running round; a decide timer that fires
+      // while a round runs; a stalled round's retry at a higher ballot.
+      {kUnknown, replies, kUnknown},
+      {kLeading, in(kBeginAck, kVoted), kLeading},
+      {kAwaitingFastPath, in(kBeginAck, kVoted), kAwaitingFastPath},
+      {kPromising, round | in(kRetryTimer), kPromising},
+      {kProposing, round, kProposing},
+      {kCommitted, replies | decide | in(kInquiry, kEscalate, kForget),
+       kCommitted},
+      {kAborted, replies | decide | in(kInquiry, kEscalate), kAborted},
+      {kAbortedPromising, replies | in(kInquiry, kEscalate),
+       kAbortedPromising},
+      {kAbortedProposing, replies | in(kInquiry, kEscalate),
+       kAbortedProposing},
+      // The leader announces the participants; the coordinator asks to
+      // commit. The fast path closes when the membership and every
+      // participant's READY are accepted by a ballot-0 quorum, also while
+      // a resolver round runs.
+      {kUnknown, in(kBegin), kLeading},
+      {kLeading, in(kDecideCommit), kAwaitingFastPath},
+      {kLeading, in(kDecideCommit), kCommitted},
+      {kAwaitingFastPath, in(kBeginAck, kVoted), kCommitted},
+      {kPromising, in(kBeginAck, kVoted, kDecideCommit), kCommitted},
+      {kProposing, in(kBeginAck, kVoted, kDecideCommit), kCommitted},
+      // A resolver round: an inquiry or an escalation with no outcome
+      // here, missing votes, or the fast path timing out start it; its
+      // promise quorum proposes, a stalled round retries, and its accept
+      // quorum decides.
+      {kUnknown, in(kInquiry, kEscalate), kPromising},
+      {kLeading, in(kDecideAbortTimeout, kEscalate), kPromising},
+      {kAwaitingFastPath, in(kEscalate, kDecideTimer), kPromising},
+      {kPromising, in(kPromise), kProposing},
+      {kProposing, in(kRetryTimer), kPromising},
+      {kProposing, in(kAccepted), kCommitted},
+      {kProposing, in(kAccepted), kAborted},
+      // A definite refusal seals the abort at once; a round already out
+      // runs on (it may still propose, and count its accept quorum) until
+      // its retry timer ends it.
+      {kUnknown, in(kDecideAbortFinal), kAborted},
+      {kLeading, in(kDecideAbortFinal), kAborted},
+      {kPromising, in(kDecideAbortFinal), kAbortedPromising},
+      {kProposing, in(kDecideAbortFinal), kAbortedProposing},
+      {kAbortedPromising, in(kPromise), kAbortedProposing},
+      {kAbortedPromising, in(kRetryTimer), kAborted},
+      {kAbortedProposing, in(kRetryTimer), kAborted},
+  });
+}();
 
 struct PaxosConfig {
   SiteId site = kInvalidSite;
@@ -94,6 +206,8 @@ class PaxosCommit : public DecisionProtocol {
   void Escalate(const TxnId& gtid, SiteId coordinator, int attempt);
 
   const AcceptorLog& log() const { return log_; }
+  // Where a transaction is at this site's leader or resolver (tests).
+  PaxosState StateOf(const TxnId& gtid) const;
   int num_acceptors() const { return 2 * config_.f + 1; }
   int quorum() const { return config_.f + 1; }
 
@@ -109,24 +223,39 @@ class PaxosCommit : public DecisionProtocol {
     std::vector<SiteId> membership;
     std::map<SiteId, Slot> votes;  // by participant
   };
-  struct LeaderTxn {
+  // One transaction this site leads, resolves, or has learned the outcome
+  // of. Once the outcome is learned and no round of this site runs, the
+  // record keeps only its state: it outlives Forget, so late inquiries
+  // still get a definite answer, and a crash wipes it (the acceptor quorum
+  // is the durable truth).
+  struct ProposerTxn {
+    PaxosState state = PaxosState::kUnknown;
+    // The leader's part: the participant set, the coordinator's callback
+    // once it asked for the outcome, and the ballot-0 tallies.
     std::vector<SiteId> participants;
-    bool decide_requested = false;
     DecidedFn done;
     std::set<SiteId> begin_acks;                  // membership 2b quorum
     std::map<SiteId, std::set<SiteId>> ready_2b;  // participant -> acceptors
     sim::EventId decide_timer = sim::kInvalidEvent;
-  };
-  struct ResolverTxn {
+    // Sites owed a DecisionMsg once a round decides (inquirers and the
+    // escalating site itself).
+    std::set<SiteId> requesters;
+    // The resolver round.
     int attempt = 0;
     int64_t ballot = 0;
     std::map<SiteId, core::PaxosPromiseMsg> promises;
-    bool proposed = false;
     std::vector<SiteId> prop_membership;
     std::vector<SiteId> prop_ready;
     std::set<SiteId> accepts;
     sim::EventId retry_timer = sim::kInvalidEvent;
   };
+
+  // Looks `gtid` up once and applies `input` to it: asserts that the table
+  // allows the pair, runs `transition(txn, state)` (`txn` null in
+  // kUnknown, a fresh record when a local call starts one), and asserts
+  // that the state it led to is allowed too (debug builds).
+  template <typename Fn>
+  void Apply(const TxnId& gtid, PaxosInput input, Fn&& transition);
 
   // Acceptor handlers.
   void OnBegin(SiteId from, const core::PaxosBeginMsg& msg);
@@ -139,11 +268,14 @@ class PaxosCommit : public DecisionProtocol {
   void OnPromise(SiteId from, const core::PaxosPromiseMsg& msg);
   void OnAccepted(SiteId from, const core::PaxosAcceptedMsg& msg);
 
-  void CheckFastPath(const TxnId& gtid);
-  void StartResolve(const TxnId& gtid);
-  void SendResolvePrepare(const TxnId& gtid, ResolverTxn& r);
-  void OnResolveRetry(const TxnId& gtid);
-  void Finish(const TxnId& gtid, bool commit, int64_t ballot);
+  void OnDecideTimer(const TxnId& gtid);
+  void OnRetryTimer(const TxnId& gtid);
+
+  void CheckFastPath(const TxnId& gtid, ProposerTxn& t);
+  // Sends the round's prepare (phase 1a) at the ballot of its attempt;
+  // the first attempt starts a resolution.
+  void Resolve(const TxnId& gtid, ProposerTxn& t);
+  void Finish(const TxnId& gtid, ProposerTxn& t, bool commit, int64_t ballot);
   void SendToAcceptors(const core::Message& msg);
   int64_t NextBallot(int attempt) const {
     return static_cast<int64_t>(attempt) * config_.num_sites + config_.site +
@@ -165,15 +297,7 @@ class PaxosCommit : public DecisionProtocol {
   // std::map keyed by TxnId: iterated on Crash(), so ordering must be
   // deterministic.
   std::map<TxnId, AcceptorTxn> acceptor_;
-  std::map<TxnId, LeaderTxn> leaders_;
-  std::map<TxnId, ResolverTxn> resolvers_;
-  // Chosen outcomes this site has learned. Survives Forget so late
-  // inquiries still get a definite answer; wiped by Crash (the acceptor
-  // quorum is the durable truth).
-  std::map<TxnId, bool> decided_;
-  // Sites owed a DecisionMsg once the outcome is known (inquirers and the
-  // escalating site itself).
-  std::map<TxnId, std::set<SiteId>> requesters_;
+  std::map<TxnId, ProposerTxn> txns_;
   AcceptorLog log_;
 };
 

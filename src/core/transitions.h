@@ -1,7 +1,9 @@
-// The transition tables of the two DTM roles. The 2PC Agent (one state per
-// subtransaction) and the Coordinator (one state per global transaction)
-// each list every transition they make as a constexpr array of edges;
-// debug builds assert each input they apply against their table.
+// The transition tables of the three commit roles. The 2PC Agent (one state
+// per subtransaction), the Coordinator (one state per global transaction)
+// and Paxos Commit's leader and resolver (one state per transaction a site
+// leads, resolves or has learned) each list every transition they make as
+// a constexpr array of edges; debug builds assert each input they apply
+// against their table.
 
 #ifndef HERMES_CORE_TRANSITIONS_H_
 #define HERMES_CORE_TRANSITIONS_H_

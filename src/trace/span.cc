@@ -33,10 +33,8 @@ namespace {
 
 using Key = std::pair<TxnId, SiteId>;
 
-}  // namespace
-
 // Builder state: open span ids per (transaction, site) and per kind.
-struct SpanForestBuilder::Impl {
+struct Builder {
   SpanForest forest;
   std::map<TxnId, int32_t> root_of;
   std::map<Key, int32_t> open_dml;
@@ -118,8 +116,8 @@ struct SpanForestBuilder::Impl {
   void Add(const Event& e);
 };
 
-void SpanForestBuilder::Impl::Add(const Event& e) {
-  Impl& b = *this;
+void Builder::Add(const Event& e) {
+  Builder& b = *this;
   {
     if (e.at > b.forest.trace_end) b.forest.trace_end = e.at;
     if (!e.txn.valid() || !e.txn.global()) return;
@@ -356,28 +354,18 @@ void SpanForestBuilder::Impl::Add(const Event& e) {
   }
 }
 
-SpanForestBuilder::SpanForestBuilder() : impl_(std::make_unique<Impl>()) {}
-
-SpanForestBuilder::~SpanForestBuilder() = default;
-
-void SpanForestBuilder::Add(const Event& e) { impl_->Add(e); }
-
-SpanForest SpanForestBuilder::Finish() {
-  SpanForest out = std::move(impl_->forest);
-  impl_ = std::make_unique<Impl>();
-  return out;
-}
+}  // namespace
 
 SpanForest BuildSpanForest(const std::vector<Event>& events) {
-  SpanForestBuilder b;
+  Builder b;
   for (const Event& e : events) b.Add(e);
-  return b.Finish();
+  return std::move(b.forest);
 }
 
 SpanForest BuildSpanForest(const Tracer& tracer) {
-  SpanForestBuilder b;
+  Builder b;
   tracer.ForEach([&](const Event& e) { b.Add(e); });
-  return b.Finish();
+  return std::move(b.forest);
 }
 
 const Span* SpanForest::Root(const TxnId& txn) const {

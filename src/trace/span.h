@@ -23,7 +23,6 @@
 #define HERMES_TRACE_SPAN_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,31 +92,6 @@ struct SpanForest {
   // timing, outcome and notes. Deterministic: fixed field order, roots
   // and children in creation order.
   std::string ToString() const;
-};
-
-// Incremental span-forest construction: feed events one at a time (in
-// trace order) and take the forest at the end. Attachable to a Tracer as
-// a streaming fold, so a forest can be grown while the run executes —
-// without ever materializing the event vector. Feeding the same events
-// BuildSpanForest would receive yields an identical forest.
-class SpanForestBuilder : public EventFold {
- public:
-  SpanForestBuilder();
-  ~SpanForestBuilder() override;
-
-  SpanForestBuilder(const SpanForestBuilder&) = delete;
-  SpanForestBuilder& operator=(const SpanForestBuilder&) = delete;
-
-  void Add(const Event& e);
-  void Fold(const Event& e) override { Add(e); }
-
-  // Moves out the forest built so far (spans still open keep end = -1,
-  // exactly as a truncated trace would) and resets the builder.
-  SpanForest Finish();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 // Folds a flat event stream (as recorded by Tracer or parsed back from

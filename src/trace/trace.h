@@ -204,8 +204,8 @@ struct Event {
 // A streaming consumer of the event stream as it is recorded. Folds
 // attached to a Tracer see every *stored* event (after sampling, before
 // any ring-buffer eviction), so an analysis built on a fold — the driver's
-// windowed time series, a live span forest — stays complete even when the
-// bounded ring has long overwritten the early records.
+// windowed time series — stays complete even when the bounded ring has
+// long overwritten the early records.
 class EventFold {
  public:
   virtual ~EventFold() = default;
@@ -214,7 +214,7 @@ class EventFold {
 
 // Read by nothing: the binary format is the only trace format. Declared
 // only because perfbench/composed_run.cc still assigns `format`; both go
-// when perfbench next changes (ROADMAP item 5, step 2).
+// when perfbench next changes (ROADMAP item 4, step 2).
 enum class TraceFormat : uint8_t {
   kBinary,
 };

@@ -190,6 +190,42 @@ RunSpec CgmItem(uint64_t seed) {
   return spec;
 }
 
+// paxos_crash: not a benchmark workload. E16's paxos F=1 cell (PaxosSpec
+// in bench/sweep_paxos.cpp) with the plan seed equal to the workload seed:
+// crash-only chaos on 5 sites kills coordinators mid-decision, so
+// prepared agents escalate into elections, resolvers finish transactions
+// at ballots above 0, and crashed sites rebuild their acceptors from the
+// log.
+RunSpec PaxosCrash(uint64_t seed) {
+  RunSpec spec;
+  spec.capture_trace = true;
+  workload::WorkloadConfig& c = spec.config;
+  c.seed = seed;
+  c.num_sites = 5;
+  c.rows_per_table = 64;
+  c.global_clients = 4;
+  c.target_global_txns = 60;
+  c.net_loss_prob = 0.01;
+  c.protocol = consensus::ProtocolKind::kPaxosCommit;
+  c.paxos_f = 1;
+  c.decision_inquiry_timeout = 40 * sim::kMillisecond;
+  c.inquiry_retry_initial = 20 * sim::kMillisecond;
+  c.inquiry_retry_max = 160 * sim::kMillisecond;
+  c.orphan_abort_timeout = 800 * sim::kMillisecond;
+  c.drain_grace = 2 * sim::kSecond;
+  fault::ChaosOptions opts;
+  opts.num_sites = c.num_sites;
+  opts.horizon = 5 * sim::kSecond;
+  opts.crashes = 3;
+  opts.partitions = 0;
+  opts.loss_bursts = 0;
+  opts.min_downtime = 300 * sim::kMillisecond;
+  opts.max_downtime = 800 * sim::kMillisecond;
+  opts.triggered_fraction = 0.5;
+  c.fault_plan = fault::GenerateChaosPlan(seed, opts);
+  return spec;
+}
+
 // Recorded before the tombstone-free event heap, the inline event callbacks
 // and the flat lock table went in; none of them changed a digest. The
 // counted DLU bindings and the DLU back-out that keeps an earlier
@@ -213,7 +249,9 @@ RunSpec CgmItem(uint64_t seed) {
 // agent became one state machine (one state per subtransaction, a
 // transition table); that refactor changed no digest. lossy_2pc and
 // cgm_item were recorded before the coordinator became one state machine
-// (one state per global transaction, one send path per state).
+// (one state per global transaction, one send path per state). paxos_crash
+// was recorded before Paxos Commit's leader and resolver became one state
+// machine (one record per transaction, a transition table).
 struct Golden {
   const char* workload;
   RunSpec (*make)(uint64_t seed);
@@ -243,6 +281,9 @@ const Golden kGolden[] = {
     {"cgm_item",
      CgmItem,
      {"d91ffdbd44ec5ad5", "4087d8246204e965", "38a52748a01c9407"}},
+    {"paxos_crash",
+     PaxosCrash,
+     {"7aa7f92a51505550", "fecb798f4c8f1333", "17f30231d4a9fe3b"}},
 };
 
 TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
@@ -265,7 +306,9 @@ TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
   // The entries that pin a path no benchmark workload takes reach it in
   // some seed: the forced handoff aborts an active subtransaction and a
   // stale-epoch message is refused; a 2PC coordinator retransmits; a CGM
-  // commit waits in commit-graph admission.
+  // commit waits in commit-graph admission; a Paxos Commit coordinator
+  // crashes, a prepared agent escalates into an election, and a resolver
+  // decides.
   const auto any_seed = [&](const char* workload, auto reached) {
     size_t j = 0;
     for (const Golden& g : kGolden) {
@@ -289,6 +332,10 @@ TEST(GoldenFingerprint, BenchmarkShapedRunsMatchPinnedDigests) {
   }));
   EXPECT_TRUE(any_seed("cgm_item", [](const core::Metrics& m) {
     return m.cgm_graph_rejections > 0;
+  }));
+  EXPECT_TRUE(any_seed("paxos_crash", [](const core::Metrics& m) {
+    return m.paxos_elections > 0 && m.paxos_decided_resolved > 0 &&
+           m.coordinator_crashes > 0;
   }));
 }
 

@@ -4,7 +4,8 @@
 Build with gcov instrumentation, run the tests and the quick sweep suite,
 then run this script from the root of the source checkout:
 
-    cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS=--coverage
+    cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS="--coverage -fprofile-update=atomic"
     cmake --build build-cov -j
     ctest --test-dir build-cov -j4
     (cd build-cov && ./bench/bench_suite --quick --workers=2)

@@ -57,6 +57,7 @@ void PaxosCommit::Apply(const TxnId& gtid, PaxosInput input,
   auto it = local ? txns_.try_emplace(gtid).first : txns_.find(gtid);
   ProposerTxn* t = it == txns_.end() ? nullptr : &it->second;
   const PaxosState from = t == nullptr ? kUnknown : t->state;
+  if (t != nullptr && from == kUnknown) t->open = std::make_unique<Open>();
   assert(core::TransitionAllowed(kPaxosTransitions, from, input));
   transition(t, from);
   assert(core::TransitionAllowed(kPaxosTransitions, from, input,
@@ -100,7 +101,7 @@ void PaxosCommit::BeginDecision(const TxnId& gtid,
                                 const std::vector<SiteId>& participants) {
   Apply(gtid, kBegin, [&](ProposerTxn* t, PaxosState) {
     t->state = kLeading;
-    t->participants = participants;
+    t->open->participants = participants;
     TraceEvent(trace::EventKind::kPaxosBegin, gtid, kInvalidSite,
                static_cast<int64_t>(participants.size()), true);
     core::PaxosBeginMsg msg;
@@ -141,12 +142,13 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
       if (s == kPromising || s == kProposing) {
         t->state = s == kPromising ? kAbortedPromising : kAbortedProposing;
       } else {
-        *t = ProposerTxn{.state = kAborted};
+        t->state = kAborted;
+        t->open.reset();
       }
       done(gtid, false);
       return;
     }
-    t->done = std::move(done);
+    t->open->done = std::move(done);
     if (mode == DecideMode::kAbortTimeout) {
       // Votes are missing; the outcome is genuinely open (a prepared RM's
       // broadcast may have reached the acceptors even though the VoteMsg
@@ -158,7 +160,7 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
     // ballot-0 fast path; fall back to a resolution round on timeout.
     CheckFastPath(gtid, *t);
     if (Decided(t->state)) return;
-    t->decide_timer = loop_->ScheduleAfter(
+    t->open->decide_timer = loop_->ScheduleAfter(
         kDecideTimeout, [this, gtid]() { OnDecideTimer(gtid); });
     if (s == kLeading) t->state = kAwaitingFastPath;
   });
@@ -166,16 +168,17 @@ void PaxosCommit::Decide(const TxnId& gtid, DecideMode mode,
 
 void PaxosCommit::OnDecideTimer(const TxnId& gtid) {
   Apply(gtid, kDecideTimer, [&](ProposerTxn* t, PaxosState s) {
-    t->decide_timer = sim::kInvalidEvent;
+    t->open->decide_timer = sim::kInvalidEvent;
     if (s == kAwaitingFastPath) Resolve(gtid, *t);
   });
 }
 
 void PaxosCommit::CheckFastPath(const TxnId& gtid, ProposerTxn& t) {
   // Only once the coordinator asked for the outcome (it waits on `done`).
-  if (!t.done || static_cast<int>(t.begin_acks.size()) < quorum()) return;
-  for (SiteId p : t.participants) {
-    if (static_cast<int>(t.ready_2b[p].size()) < quorum()) return;
+  Open& o = *t.open;
+  if (!o.done || static_cast<int>(o.begin_acks.size()) < quorum()) return;
+  for (SiteId p : o.participants) {
+    if (static_cast<int>(o.ready_2b[p].size()) < quorum()) return;
   }
   ++metrics_->paxos_decided_fast;
   Finish(gtid, t, /*commit=*/true, /*ballot=*/0);
@@ -189,7 +192,7 @@ std::optional<bool> PaxosCommit::AnswerInquiry(const TxnId& gtid,
       outcome = s == kCommitted;
       return;
     }
-    t->requesters.insert(requester);
+    t->open->requesters.insert(requester);
     if (!RoundOpen(s)) Resolve(gtid, *t);
   });
   return outcome;
@@ -204,8 +207,9 @@ void PaxosCommit::Crash() {
   // Everything but the acceptor log is volatile. Decided outcomes are
   // recoverable from the acceptor quorum, so they may be dropped too.
   for (auto& [gtid, t] : txns_) {
-    CancelTimer(t.decide_timer);
-    CancelTimer(t.retry_timer);
+    if (t.open == nullptr) continue;
+    CancelTimer(t.open->decide_timer);
+    CancelTimer(t.open->retry_timer);
   }
   txns_.clear();
   acceptor_.clear();
@@ -261,7 +265,7 @@ void PaxosCommit::Escalate(const TxnId& gtid, SiteId coordinator,
   // and inquirers) already sent the decision to this participant, a local
   // delivery. The election is counted all the same.
   Apply(gtid, kEscalate, [&](ProposerTxn* t, PaxosState s) {
-    if (!Decided(s)) t->requesters.insert(config_.site);
+    if (!Decided(s)) t->open->requesters.insert(config_.site);
     if (RoundOpen(s)) return;  // election already running
     ++metrics_->paxos_elections;
     TraceEvent(trace::EventKind::kPaxosElect, gtid, coordinator, attempt, true);
@@ -397,7 +401,7 @@ void PaxosCommit::OnPropose(SiteId from, const core::PaxosProposeMsg& msg) {
 void PaxosCommit::OnBeginAck(SiteId from, const core::PaxosBeginAckMsg& msg) {
   Apply(msg.gtid, kBeginAck, [&](ProposerTxn* t, PaxosState s) {
     if (s == kUnknown || Decided(s)) return;
-    t->begin_acks.insert(from);
+    t->open->begin_acks.insert(from);
     CheckFastPath(msg.gtid, *t);
   });
 }
@@ -405,35 +409,37 @@ void PaxosCommit::OnBeginAck(SiteId from, const core::PaxosBeginAckMsg& msg) {
 void PaxosCommit::OnVoted(SiteId from, const core::PaxosVotedMsg& msg) {
   Apply(msg.gtid, kVoted, [&](ProposerTxn* t, PaxosState s) {
     if (s == kUnknown || Decided(s) || !msg.ready) return;
-    t->ready_2b[msg.participant].insert(from);
+    t->open->ready_2b[msg.participant].insert(from);
     CheckFastPath(msg.gtid, *t);
   });
 }
 
 void PaxosCommit::Resolve(const TxnId& gtid, ProposerTxn& t) {
-  if (t.attempt == 0) ++metrics_->paxos_resolutions;
+  Open& o = *t.open;
+  if (o.attempt == 0) ++metrics_->paxos_resolutions;
   t.state = kPromising;
-  t.ballot = NextBallot(t.attempt);
-  t.promises.clear();
-  t.accepts.clear();
-  TraceEvent(trace::EventKind::kPaxosPrepare, gtid, kInvalidSite, t.ballot,
+  o.ballot = NextBallot(o.attempt);
+  o.promises.clear();
+  o.accepts.clear();
+  TraceEvent(trace::EventKind::kPaxosPrepare, gtid, kInvalidSite, o.ballot,
              true);
-  SendToAcceptors(core::Message{core::PaxosPrepareMsg{gtid, t.ballot}});
-  t.retry_timer = loop_->ScheduleAfter(
-      sim::CappedBackoff(kResolveRetryInitial, kResolveRetryMax, t.attempt),
+  SendToAcceptors(core::Message{core::PaxosPrepareMsg{gtid, o.ballot}});
+  o.retry_timer = loop_->ScheduleAfter(
+      sim::CappedBackoff(kResolveRetryInitial, kResolveRetryMax, o.attempt),
       [this, gtid]() { OnRetryTimer(gtid); });
 }
 
 void PaxosCommit::OnRetryTimer(const TxnId& gtid) {
   Apply(gtid, kRetryTimer, [&](ProposerTxn* t, PaxosState s) {
-    t->retry_timer = sim::kInvalidEvent;
+    t->open->retry_timer = sim::kInvalidEvent;
     if (Decided(s)) {
-      *t = ProposerTxn{.state = kAborted};
+      t->state = kAborted;
+      t->open.reset();
       return;
     }
     // The round stalled (acceptor down, messages lost, or a higher ballot
     // in the way): retry at a fresh, strictly higher site-unique ballot.
-    ++t->attempt;
+    ++t->open->attempt;
     Resolve(gtid, *t);
   });
 }
@@ -441,28 +447,29 @@ void PaxosCommit::OnRetryTimer(const TxnId& gtid) {
 void PaxosCommit::OnPromise(SiteId from, const core::PaxosPromiseMsg& msg) {
   Apply(msg.gtid, kPromise, [&](ProposerTxn* t, PaxosState s) {
     const bool counting = s == kPromising || s == kAbortedPromising;
-    if (!counting || msg.ballot != t->ballot) return;
-    t->promises[from] = msg;
-    if (static_cast<int>(t->promises.size()) < quorum()) return;
+    if (!counting || msg.ballot != t->open->ballot) return;
+    Open& o = *t->open;
+    o.promises[from] = msg;
+    if (static_cast<int>(o.promises.size()) < quorum()) return;
     // Phase 2a: adopt the highest-ballot accepted membership; if none was
     // accepted anywhere in the quorum, the original leader may propose its
     // real set, any other resolver must propose the empty abort marker.
     int64_t best_ballot = -1;
     std::vector<SiteId> membership;
-    for (const auto& [site, promise] : t->promises) {
+    for (const auto& [site, promise] : o.promises) {
       if (promise.membership_ballot > best_ballot) {
         best_ballot = promise.membership_ballot;
         membership = promise.membership;
       }
     }
-    if (best_ballot < 0) membership = t->participants;
+    if (best_ballot < 0) membership = o.participants;
     // Per instance in the membership: adopt the highest-ballot accepted
     // vote, or REFUSE if the instance is free.
     std::vector<SiteId> ready;
     for (SiteId p : membership) {
       int64_t vb = -1;
       bool vready = false;
-      for (const auto& [site, promise] : t->promises) {
+      for (const auto& [site, promise] : o.promises) {
         for (const auto& v : promise.votes) {
           if (v.participant == p && v.ballot > vb) {
             vb = v.ballot;
@@ -473,13 +480,13 @@ void PaxosCommit::OnPromise(SiteId from, const core::PaxosPromiseMsg& msg) {
       if (vb >= 0 && vready) ready.push_back(p);
     }
     t->state = s == kPromising ? kProposing : kAbortedProposing;
-    t->prop_membership = std::move(membership);
-    t->prop_ready = std::move(ready);
+    o.prop_membership = std::move(membership);
+    o.prop_ready = std::move(ready);
     core::PaxosProposeMsg prop;
     prop.gtid = msg.gtid;
-    prop.ballot = t->ballot;
-    prop.membership = t->prop_membership;
-    prop.ready_participants = t->prop_ready;
+    prop.ballot = o.ballot;
+    prop.membership = o.prop_membership;
+    prop.ready_participants = o.prop_ready;
     SendToAcceptors(core::Message{std::move(prop)});
   });
 }
@@ -487,15 +494,16 @@ void PaxosCommit::OnPromise(SiteId from, const core::PaxosPromiseMsg& msg) {
 void PaxosCommit::OnAccepted(SiteId from, const core::PaxosAcceptedMsg& msg) {
   Apply(msg.gtid, kAccepted, [&](ProposerTxn* t, PaxosState s) {
     const bool counting = s == kProposing || s == kAbortedProposing;
-    if (!counting || msg.ballot != t->ballot) return;
-    t->accepts.insert(from);
-    if (static_cast<int>(t->accepts.size()) < quorum()) return;
+    if (!counting || msg.ballot != t->open->ballot) return;
+    Open& o = *t->open;
+    o.accepts.insert(from);
+    if (static_cast<int>(o.accepts.size()) < quorum()) return;
     ++metrics_->paxos_decided_resolved;
     // A round that a definite abort overtook decides nothing.
     if (s == kAbortedProposing) return;
-    const bool commit = !t->prop_membership.empty() &&
-                        t->prop_ready.size() == t->prop_membership.size();
-    Finish(msg.gtid, *t, commit, t->ballot);
+    const bool commit = !o.prop_membership.empty() &&
+                        o.prop_ready.size() == o.prop_membership.size();
+    Finish(msg.gtid, *t, commit, o.ballot);
   });
 }
 
@@ -505,15 +513,15 @@ void PaxosCommit::Finish(const TxnId& gtid, ProposerTxn& t, bool commit,
                          int64_t ballot) {
   TraceEvent(trace::EventKind::kPaxosDecided, gtid, kInvalidSite, ballot,
              commit);
-  CancelTimer(t.retry_timer);
-  CancelTimer(t.decide_timer);
   // The record keeps only the outcome.
-  ProposerTxn was =
-      std::exchange(t, ProposerTxn{.state = commit ? kCommitted : kAborted});
-  if (was.done) {
+  t.state = commit ? kCommitted : kAborted;
+  const std::unique_ptr<Open> was = std::move(t.open);
+  CancelTimer(was->retry_timer);
+  CancelTimer(was->decide_timer);
+  if (was->done) {
     // The co-located coordinator is alive: it records the outcome in the
     // history and fans out the decision itself.
-    was.done(gtid, commit);
+    was->done(gtid, commit);
     return;
   }
   // Resolver path — the coordinator is dead or never asked. Record the
@@ -526,8 +534,8 @@ void PaxosCommit::Finish(const TxnId& gtid, ProposerTxn& t, bool commit,
     recorder_->RecordGlobalAbort(gtid, config_.site);
   }
   const std::vector<SiteId>& members =
-      was.prop_membership.empty() ? was.participants : was.prop_membership;
-  std::set<SiteId> targets = std::move(was.requesters);
+      was->prop_membership.empty() ? was->participants : was->prop_membership;
+  std::set<SiteId> targets = std::move(was->requesters);
   targets.insert(members.begin(), members.end());
   for (SiteId s : targets) {
     network_->Send(config_.site, s,

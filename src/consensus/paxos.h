@@ -36,6 +36,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -223,13 +224,9 @@ class PaxosCommit : public DecisionProtocol {
     std::vector<SiteId> membership;
     std::map<SiteId, Slot> votes;  // by participant
   };
-  // One transaction this site leads, resolves, or has learned the outcome
-  // of. Once the outcome is learned and no round of this site runs, the
-  // record keeps only its state: it outlives Forget, so late inquiries
-  // still get a definite answer, and a crash wipes it (the acceptor quorum
-  // is the durable truth).
-  struct ProposerTxn {
-    PaxosState state = PaxosState::kUnknown;
+  // The leader's and resolver's data of a transaction whose outcome this
+  // site has not learned, or whose round runs on past a sealed abort.
+  struct Open {
     // The leader's part: the participant set, the coordinator's callback
     // once it asked for the outcome, and the ballot-0 tallies.
     std::vector<SiteId> participants;
@@ -249,11 +246,21 @@ class PaxosCommit : public DecisionProtocol {
     std::set<SiteId> accepts;
     sim::EventId retry_timer = sim::kInvalidEvent;
   };
+  // One transaction this site leads, resolves, or has learned the outcome
+  // of. `open` is set in every state but kCommitted and kAborted: a
+  // learned outcome keeps only its state. It outlives Forget, so late
+  // inquiries still get a definite answer, and a crash wipes it (the
+  // acceptor quorum is the durable truth).
+  struct ProposerTxn {
+    PaxosState state = PaxosState::kUnknown;
+    std::unique_ptr<Open> open;
+  };
 
   // Looks `gtid` up once and applies `input` to it: asserts that the table
   // allows the pair, runs `transition(txn, state)` (`txn` null in
-  // kUnknown, a fresh record when a local call starts one), and asserts
-  // that the state it led to is allowed too (debug builds).
+  // kUnknown, a fresh record with its `open` data when a local call starts
+  // one), and asserts that the state it led to is allowed too (debug
+  // builds).
   template <typename Fn>
   void Apply(const TxnId& gtid, PaxosInput input, Fn&& transition);
 

@@ -111,16 +111,6 @@ void EncodeBinaryRecord(const Event& e, uint32_t detail_id,
   out[79] = 0;
 }
 
-std::pair<uint32_t, uint32_t> RecordStringIds(const uint8_t* record) {
-  return {GetU32(record + 68), GetU32(record + 72)};
-}
-
-void SetRecordStringIds(uint8_t* record, uint32_t detail_id,
-                        uint32_t related_id) {
-  PutU32(record + 68, detail_id);
-  PutU32(record + 72, related_id);
-}
-
 Status DecodeBinaryRecord(const uint8_t* in,
                           const std::vector<std::string>& dict, Event& out) {
   if (in[76] >= kNumEventKinds) {

@@ -1,15 +1,15 @@
-// Compact binary encoding of trace::Event — the storage format behind the
-// Tracer's ring buffer and the on-disk `.bin` trace artifact.
+// Compact binary encoding of trace::Event — the on-disk `.bin` trace
+// artifact that the Tracer's ring buffer exports.
 //
 // Every event becomes one fixed-width little-endian record
 // (kBinaryRecordSize bytes); the two variable-length fields (`detail` and
 // the `related` transaction list) are interned in a small string
-// dictionary and referenced by id, netdata-style, so a record's cost is a
-// dictionary lookup plus a fixed memcpy — no per-event heap allocation and
-// no JSON string work on the hot path. Because the ring holds records in
-// this very layout, exporting it copies them and rewrites only their two
-// dictionary ids (TraceRing::Serialize); BinaryTraceWriter encodes events
-// from scratch for the multi-run merge. The serialized file layout is
+// dictionary and referenced by id, netdata-style — no JSON string work
+// anywhere. The ring holds its records varint-packed under the same
+// dictionary ids (trace/ring.h) and writes this layout only when it
+// exports them, renumbering the ids (TraceRing::Serialize);
+// BinaryTraceWriter encodes events from scratch for the multi-run merge.
+// The serialized file layout is
 //
 //   offset  size  field
 //   0       4     magic "HTRB"
@@ -91,13 +91,6 @@ Result<std::vector<TxnId>> DecodeRelated(const std::string& text);
 // supplies the dictionary ids for e.detail and EncodeRelated(e.related).
 void EncodeBinaryRecord(const Event& e, uint32_t detail_id,
                         uint32_t related_id, uint8_t* out);
-
-// The dictionary ids of a record's detail and related fields, and their
-// in-place rewrite — what the ring needs to renumber its dictionary when
-// it rebuilds it or exports its records.
-std::pair<uint32_t, uint32_t> RecordStringIds(const uint8_t* record);
-void SetRecordStringIds(uint8_t* record, uint32_t detail_id,
-                        uint32_t related_id);
 
 // Decodes one record. `dict` is indexed by id with dict[0] == "". Fails on
 // an out-of-range kind/refuse byte or dictionary id (a corrupt record).

@@ -1,17 +1,23 @@
 // Tests of the Tracer's binary ring buffer and the binary trace format:
 // record round-trips over every EventKind, ring growth and overflow
-// accounting, the ring's bounded dictionary, the ring's copying export,
+// accounting, the ring's bounded dictionary, the ring's export, the ring's
+// packed records at extreme field values and block boundaries,
 // per-gtid sampling (also at the hooks), streaming folds, the
 // deterministic multi-run merge, truncation handling and the driver's
 // mid-run flush hook.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "runner/runner.h"
+#include "sim/event_loop.h"
 #include "trace/binary.h"
 #include "trace/ring.h"
 #include "trace/span.h"
@@ -142,27 +148,34 @@ TEST(BinaryTrace, RingOverflowKeepsTailAndCountsDrops) {
   EXPECT_EQ(parsed.events.size(), 8u);
   EXPECT_EQ(parsed.events.front().seq, 12);
 
-  // A bound the ring reaches over several growth steps: nothing is
-  // allocated up front, the buffer never holds room for more than the
-  // bound, and once full it wraps exactly like the small ring above.
-  constexpr size_t kBound = 3 * trace::TraceRing::kBlockRecords + 100;
-  constexpr int kAppends = static_cast<int>(kBound) + 500;
-  trace::TraceRing ring(kBound);
+  // A ring that fills several blocks and takes three times its capacity:
+  // nothing is allocated up front, the blocks never exceed a bound that holds for
+  // any records, evicted blocks are freed, and the ring keeps exactly the
+  // newest `capacity` records.
+  constexpr size_t kCapacity = 10000;
+  constexpr int kAppends = 3 * static_cast<int>(kCapacity);
+  trace::TraceRing ring(kCapacity);
   EXPECT_EQ(ring.allocated(), 0u);
-  std::vector<size_t> growth;
+  constexpr size_t block = trace::TraceRing::kBlockBytes;
+  // Every block but the oldest (partly evicted) and the newest (partly
+  // written) was closed with less than kMaxRecordBytes left, so it holds
+  // at least block / kMaxRecordBytes - 1 held records.
+  const size_t bound =
+      (2 + kCapacity / (block / trace::TraceRing::kMaxRecordBytes - 1)) *
+      block;
+  size_t peak = 0;
   for (int i = 0; i < kAppends; ++i) {
     ring.Append(FullEvent(EventKind::kMsgSend, i));
-    ASSERT_LE(ring.allocated(), kBound) << "after append " << i;
-    ASSERT_GE(ring.allocated(), ring.size());
-    if (growth.empty() || growth.back() != ring.allocated()) {
-      growth.push_back(ring.allocated());
-    }
+    ASSERT_LE(ring.allocated(), bound) << "after append " << i;
+    peak = std::max(peak, ring.allocated());
   }
-  EXPECT_EQ(growth.size(), 4u);
-  EXPECT_EQ(growth.back(), kBound);
-  EXPECT_EQ(ring.size(), kBound);
-  EXPECT_EQ(ring.dropped(), kAppends - static_cast<int64_t>(kBound));
-  int64_t next = kAppends - static_cast<int64_t>(kBound);
+  EXPECT_GE(peak, 3 * block);
+  // These records pack to under half the export layout's 80 bytes; a ring
+  // that kept its evicted blocks would hold three times as many.
+  EXPECT_LT(peak, kCapacity * trace::kBinaryRecordSize / 2);
+  EXPECT_EQ(ring.size(), kCapacity);
+  EXPECT_EQ(ring.dropped(), kAppends - static_cast<int64_t>(kCapacity));
+  int64_t next = kAppends - static_cast<int64_t>(kCapacity);
   ring.ForEach([&](const Event& e) {
     EXPECT_EQ(e, FullEvent(EventKind::kMsgSend, static_cast<int>(next)));
     ++next;
@@ -277,6 +290,130 @@ TEST(BinaryTrace, ExportCopiesHeldRecordsByteForByte) {
     std::vector<Event> held;
     tracer.ForEach([&](const Event& e) { held.push_back(e); });
     EXPECT_EQ(held.size(), tracer.size());
+    EXPECT_EQ(*parsed, held);
+  }
+}
+
+// --- ring records ------------------------------------------------------------
+
+// An event whose every encodable field takes, in turn, the extremes of its
+// type, 0, -1 and their neighbours, so consecutive seq and at deltas
+// overflow both ways; its related list carries extreme ids.
+Event ExtremeEvent(int i) {
+  constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  constexpr int32_t kMin32 = std::numeric_limits<int32_t>::min();
+  constexpr int32_t kMax32 = std::numeric_limits<int32_t>::max();
+  const auto pick64 = [i](int field) {
+    const int64_t values[] = {kMin64, kMax64,     0, -1,
+                              kMin64 + 1, kMax64 - 1, i};
+    return values[(i + field) % std::size(values)];
+  };
+  const auto pick32 = [i](int field) {
+    const int32_t values[] = {kMin32, kMax32, 0, -1, kMin32 + 1, kMax32 - 1};
+    return values[(i + field) % std::size(values)];
+  };
+  Event e = FullEvent(trace::kAllEventKinds[static_cast<size_t>(i) %
+                                            std::size(trace::kAllEventKinds)],
+                      i);
+  e.seq = pick64(0);
+  e.at = pick64(1);
+  e.value = pick64(2);
+  e.txn.seq = pick64(3);
+  e.sn.clock = pick64(4);
+  e.sn.seq = pick64(5);
+  e.txn.site = pick32(6);
+  e.sn.coordinator = pick32(7);
+  e.site = pick32(8);
+  e.peer = pick32(9);
+  e.resubmission = pick32(10);
+  if (i % 5 == 0) {
+    e.related = {TxnId::MakeGlobal(kMin32, kMin64),
+                 TxnId::MakeLocal(kMax32, kMax64)};
+  }
+  return e;
+}
+
+// Checks that `ring` holds exactly `expected`, oldest first: ForEach
+// yields it, and the export equals its re-encoding through a fresh writer.
+void ExpectRingHolds(const trace::TraceRing& ring,
+                     const std::vector<Event>& expected) {
+  std::vector<Event> held;
+  ring.ForEach([&](const Event& e) { held.push_back(e); });
+  EXPECT_EQ(held, expected);
+  trace::BinaryTraceWriter writer;
+  writer.AddDropped(ring.dropped());
+  for (const Event& e : expected) writer.Add(e);
+  EXPECT_EQ(ring.Serialize(0), writer.Finish());
+}
+
+// The newest `capacity` of `events`.
+std::vector<Event> Tail(const std::vector<Event>& events, size_t capacity) {
+  return {events.end() - std::min(capacity, events.size()), events.end()};
+}
+
+struct CollectFold : trace::EventFold {
+  std::vector<Event> events;
+  void Fold(const Event& e) override { events.push_back(e); }
+};
+
+TEST(BinaryTrace, RingRoundTripsExtremeFields) {
+  // The records one full block holds: the ring's first block boundary.
+  size_t per_block = 0;
+  {
+    trace::TraceRing probe(1 << 20);
+    while (probe.allocated() <= trace::TraceRing::kBlockBytes) {
+      probe.Append(ExtremeEvent(static_cast<int>(probe.size())));
+    }
+    per_block = probe.size() - 1;
+  }
+  ASSERT_GT(per_block, trace::TraceRing::kBlockBytes /
+                           trace::TraceRing::kMaxRecordBytes);
+  const int events = 3 * static_cast<int>(per_block) + 5;
+  for (size_t capacity :
+       {size_t{1}, per_block - 1, per_block, per_block + 1}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    // Straight into a ring: seq and at too take every extreme. Checked
+    // at each block boundary of the first fill and after wrapping.
+    trace::TraceRing ring(capacity);
+    std::vector<Event> appended;
+    for (int i = 0; i < events; ++i) {
+      appended.push_back(ExtremeEvent(i));
+      ring.Append(appended.back());
+      const size_t n = appended.size();
+      if (n == 1 || n + 1 == per_block || n == per_block ||
+          n == per_block + 1 || n == 2 * per_block + 1 ||
+          n == static_cast<size_t>(events)) {
+        SCOPED_TRACE("after " + std::to_string(n) + " appends");
+        ExpectRingHolds(ring, Tail(appended, capacity));
+      }
+    }
+
+    // Through a tracer: seq gaps from sampling, and at jumping back when
+    // the tracer moves to a fresh loop or to none.
+    TracerOptions options;
+    options.ring_capacity = capacity;
+    options.sample_period = 3;
+    options.sample_seed = 11;
+    sim::EventLoop late;
+    late.RunUntil(int64_t{1} << 40);
+    sim::EventLoop fresh;
+    Tracer tracer(options, &late);
+    CollectFold stored;
+    tracer.AddFold(&stored);
+    for (int i = 0; i < events; ++i) {
+      if (i == events / 3) tracer.set_loop(&fresh);
+      if (i == 2 * events / 3) tracer.set_loop(nullptr);
+      tracer.Record(ExtremeEvent(i));
+    }
+    EXPECT_GT(tracer.stats().sampled_out, 0);
+    std::vector<Event> held;
+    tracer.ForEach([&](const Event& e) { held.push_back(e); });
+    EXPECT_EQ(held, Tail(stored.events, capacity));
+    const std::string bytes = tracer.ToBinary();
+    EXPECT_EQ(bytes, ReEncoded(tracer));
+    Result<std::vector<Event>> parsed = trace::ParseBinary(bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     EXPECT_EQ(*parsed, held);
   }
 }
